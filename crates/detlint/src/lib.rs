@@ -88,6 +88,10 @@ const BARE_PANIC_FILES: &[&str] = &[
     "crates/dataplane/src/plane.rs",
     "crates/dataplane/src/shard.rs",
     "crates/dataplane/src/netem.rs",
+    // A forest fit runs inside every consult; bad telemetry must come
+    // back as `MlError`, not abort the controller.
+    "crates/hecate-ml/src/tree.rs",
+    "crates/hecate-ml/src/ensemble.rs",
 ];
 
 /// Method names that begin unordered iteration when called on a hash

@@ -224,6 +224,12 @@ impl HecateService {
         self.lags + 2
     }
 
+    /// How many trailing samples a fit reads: two minutes at the
+    /// paper's 1 Hz sampling, or the minimum if `lags` demands more.
+    fn history_window(&self) -> usize {
+        120.max(self.min_history())
+    }
+
     /// True when the cached entry was produced by this service's current
     /// configuration (users may retarget `model`/`lags`/`seed` at any
     /// time; stale-config entries must refit, not roll).
@@ -275,7 +281,7 @@ impl HecateService {
         };
         let (total, history) = telemetry
             .with_tail(key, |total, vals| {
-                let start = vals.len().saturating_sub(120.max(self.min_history()));
+                let start = vals.len().saturating_sub(self.history_window());
                 (total, vals[start..].to_vec())
             })
             .ok_or_else(|| insufficient(0))?;
@@ -423,7 +429,7 @@ impl HecateService {
         metric: Metric,
     ) -> Result<PathForecast, FrameworkError> {
         let key = SeriesKey::new(path, metric);
-        let history = telemetry.last_n(&key, 120.max(self.min_history()));
+        let history = telemetry.last_n(&key, self.history_window());
         if history.len() < self.min_history() {
             return Err(FrameworkError::InsufficientTelemetry {
                 key: key.to_string(),
@@ -672,6 +678,31 @@ mod tests {
         );
         assert_eq!(forecasts.len(), 1);
         assert_eq!(forecasts[0].path, "t1");
+    }
+
+    #[test]
+    fn nan_poisoned_series_is_skipped_not_a_panic() {
+        // One non-finite sample used to abort the process inside the
+        // tree builder's sort; it must cost that path its forecast and
+        // nothing else — when its cached model refits, and cold.
+        let sick = SeriesKey::new("sick", Metric::AvailableBandwidth);
+        let paths = ["t1".to_string(), "sick".to_string(), "t3".to_string()];
+        for bad in [f64::NAN, f64::INFINITY] {
+            let ts = seeded_store(&[("t1", 10.0), ("sick", 12.0), ("t3", 8.0)]);
+            let h = HecateService::new();
+            let healthy = h.forecast_all(&ts, &paths, Metric::AvailableBandwidth);
+            assert_eq!(healthy.len(), 3);
+            for t in 0..h.refit_after {
+                let v = if t == 3 { bad } else { 12.0 };
+                ts.insert(&sick, (60 + t) * 1000, v);
+            }
+            for service in [h, HecateService::new()] {
+                let got = service.forecast_all(&ts, &paths, Metric::AvailableBandwidth);
+                let names: Vec<&str> = got.iter().map(|f| f.path.as_str()).collect();
+                assert_eq!(names, ["t1", "t3"], "poisoned with {bad}");
+                assert!(got.iter().all(|f| f.values.iter().all(|v| v.is_finite())));
+            }
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //!   max_depth=3, loss="squared_error")` — stage-wise fitting of residuals.
 
 use crate::model::Regressor;
-use crate::tree::DecisionTreeRegressor;
-use crate::{check_xy, MlError};
+use crate::tree::{DecisionTreeRegressor, Presort, TreeBuilder};
+use crate::MlError;
 use linalg::stats::weighted_median;
 use linalg::Matrix;
 
@@ -54,14 +54,16 @@ impl AdaBoostRegressor {
 
 impl Regressor for AdaBoostRegressor {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), MlError> {
-        check_xy(x, y)?;
+        // Every round reweighs the same rows: validate and rank X once.
+        let pre = Presort::new(x, y)?;
         let n = x.rows();
         let mut w = vec![1.0 / n as f64; n];
         self.estimators.clear();
         self.log_betas.clear();
+        let (mut builder, rows) = (TreeBuilder::new(&pre), pre.all_rows());
+        let config = DecisionTreeRegressor::with_max_depth(self.max_depth).config;
         for _round in 0..self.n_estimators {
-            let mut tree = DecisionTreeRegressor::with_max_depth(self.max_depth);
-            tree.fit_weighted(x, y, &w)?;
+            let tree = builder.fit(config, &rows, y, Some(&w));
             let pred = tree.predict(x)?;
             // linear loss normalized by the max absolute error
             let abs_err: Vec<f64> = y.iter().zip(&pred).map(|(a, b)| (a - b).abs()).collect();
@@ -168,19 +170,22 @@ impl GradientBoostingRegressor {
 
 impl Regressor for GradientBoostingRegressor {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), MlError> {
-        check_xy(x, y)?;
         if self.n_estimators == 0 {
             return Err(MlError::BadHyperparameter(
                 "n_estimators must be > 0".into(),
             ));
         }
+        // Every stage fits new residuals on the same rows: validate and
+        // rank X once.
+        let pre = Presort::new(x, y)?;
         self.init = linalg::stats::mean(y);
         self.stages.clear();
         let mut current: Vec<f64> = vec![self.init; y.len()];
+        let (mut builder, rows) = (TreeBuilder::new(&pre), pre.all_rows());
+        let config = DecisionTreeRegressor::with_max_depth(self.max_depth).config;
         for _ in 0..self.n_estimators {
             let residual: Vec<f64> = y.iter().zip(&current).map(|(a, b)| a - b).collect();
-            let mut tree = DecisionTreeRegressor::with_max_depth(self.max_depth);
-            tree.fit(x, &residual)?;
+            let tree = builder.fit(config, &rows, &residual, None);
             let update = tree.predict(x)?;
             for (c, u) in current.iter_mut().zip(&update) {
                 *c += self.learning_rate * u;
@@ -200,6 +205,16 @@ impl Regressor for GradientBoostingRegressor {
             for (o, v) in out.iter_mut().zip(u) {
                 *o += self.learning_rate * v;
             }
+        }
+        Ok(out)
+    }
+
+    fn predict_row(&self, row: &[f64]) -> Result<f64, MlError> {
+        let first = self.stages.first().ok_or(MlError::NotFitted)?;
+        first.check_cols(row.len())?;
+        let mut out = self.init;
+        for stage in &self.stages {
+            out += self.learning_rate * stage.predict_row(row);
         }
         Ok(out)
     }

@@ -10,64 +10,71 @@
 //! fits produce identical forests.
 
 use crate::model::Regressor;
-use crate::tree::{DecisionTreeRegressor, TreeConfig};
-use crate::{check_xy, MlError};
-use linalg::par::par_map_indexed;
+use crate::tree::{DecisionTreeRegressor, Presort, TreeBuilder, TreeConfig};
+use crate::MlError;
+use linalg::par::{par_map_indexed, worker_count};
 use linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
-fn bootstrap_indices(n: usize, rng: &mut StdRng) -> Vec<usize> {
-    (0..n).map(|_| rng.gen_range(0..n)).collect()
-}
-
+/// Fits `n_estimators` bootstrap trees over one shared [`Presort`].
+/// Trees are dealt to `workers` scoped threads in contiguous chunks,
+/// one reusable [`TreeBuilder`] each; tree `k` draws everything from
+/// its own RNG stream, so the forest does not depend on `workers`.
 fn fit_forest(
     x: &Matrix,
     y: &[f64],
     n_estimators: usize,
     base_config: &TreeConfig,
-    bootstrap: bool,
     seed: u64,
+    workers: usize,
 ) -> Result<Vec<DecisionTreeRegressor>, MlError> {
+    if n_estimators == 0 {
+        return Err(MlError::BadHyperparameter(
+            "n_estimators must be > 0".into(),
+        ));
+    }
+    let pre = Presort::new(x, y)?;
     let n = x.rows();
-    let trees: Vec<Result<DecisionTreeRegressor, MlError>> = par_map_indexed(n_estimators, |k| {
-        let mut rng = StdRng::seed_from_u64(seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let (xs, ys);
-        let (xr, yr): (&Matrix, &[f64]) = if bootstrap {
-            let idx = bootstrap_indices(n, &mut rng);
-            xs = x.select_rows(&idx);
-            ys = idx.iter().map(|&i| y[i]).collect::<Vec<f64>>();
-            (&xs, &ys)
-        } else {
-            (x, y)
-        };
-        let mut tree = DecisionTreeRegressor::with_config(TreeConfig {
-            seed: rng.gen(),
-            ..base_config.clone()
-        });
-        tree.fit(xr, yr)?;
-        Ok(tree)
+    let chunk = n_estimators.div_ceil(workers.max(1));
+    let chunks = par_map_indexed(n_estimators.div_ceil(chunk), |c| {
+        let mut builder = TreeBuilder::new(&pre);
+        let mut sample = vec![0u32; n];
+        (c * chunk..n_estimators.min((c + 1) * chunk))
+            .map(|k| {
+                let mut rng =
+                    StdRng::seed_from_u64(seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+                for row in &mut sample {
+                    *row = rng.gen_range(0..n) as u32;
+                }
+                let config = TreeConfig {
+                    seed: rng.gen(),
+                    ..*base_config
+                };
+                builder.fit(config, &sample, y, None)
+            })
+            .collect::<Vec<_>>()
     });
-    trees.into_iter().collect()
+    Ok(chunks.into_iter().flatten().collect())
+}
+
+fn check_cols(trees: &[DecisionTreeRegressor], cols: usize) -> Result<(), MlError> {
+    trees.first().ok_or(MlError::NotFitted)?.check_cols(cols)
+}
+
+/// Mean over trees, summed in tree order, of one row's predictions.
+fn row_mean(trees: &[DecisionTreeRegressor], row: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for tree in trees {
+        acc += tree.predict_row(row);
+    }
+    acc / trees.len() as f64
 }
 
 fn predict_mean(trees: &[DecisionTreeRegressor], x: &Matrix) -> Result<Vec<f64>, MlError> {
-    if trees.is_empty() {
-        return Err(MlError::NotFitted);
-    }
-    let mut acc = vec![0.0; x.rows()];
-    for tree in trees {
-        let p = tree.predict(x)?;
-        for (a, v) in acc.iter_mut().zip(p) {
-            *a += v;
-        }
-    }
-    let k = trees.len() as f64;
-    for a in &mut acc {
-        *a /= k;
-    }
-    Ok(acc)
+    check_cols(trees, x.cols())?;
+    Ok((0..x.rows()).map(|i| row_mean(trees, x.row(i))).collect())
 }
 
 /// R13: Random Forest regressor.
@@ -127,23 +134,23 @@ impl RandomForestRegressor {
 
 impl Regressor for RandomForestRegressor {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), MlError> {
-        check_xy(x, y)?;
-        if self.n_estimators == 0 {
-            return Err(MlError::BadHyperparameter(
-                "n_estimators must be > 0".into(),
-            ));
-        }
         let config = TreeConfig {
             max_depth: self.max_depth,
             max_features: self.max_features,
             ..TreeConfig::default()
         };
-        self.trees = fit_forest(x, y, self.n_estimators, &config, true, self.seed)?;
+        let workers = worker_count(self.n_estimators);
+        self.trees = fit_forest(x, y, self.n_estimators, &config, self.seed, workers)?;
         Ok(())
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
         predict_mean(&self.trees, x)
+    }
+
+    fn predict_row(&self, row: &[f64]) -> Result<f64, MlError> {
+        check_cols(&self.trees, row.len())?;
+        Ok(row_mean(&self.trees, row))
     }
 
     fn name(&self) -> &'static str {
@@ -188,19 +195,19 @@ impl BaggingRegressor {
 
 impl Regressor for BaggingRegressor {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), MlError> {
-        check_xy(x, y)?;
-        if self.n_estimators == 0 {
-            return Err(MlError::BadHyperparameter(
-                "n_estimators must be > 0".into(),
-            ));
-        }
+        let workers = worker_count(self.n_estimators);
         let config = TreeConfig::default();
-        self.trees = fit_forest(x, y, self.n_estimators, &config, true, self.seed)?;
+        self.trees = fit_forest(x, y, self.n_estimators, &config, self.seed, workers)?;
         Ok(())
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
         predict_mean(&self.trees, x)
+    }
+
+    fn predict_row(&self, row: &[f64]) -> Result<f64, MlError> {
+        check_cols(&self.trees, row.len())?;
+        Ok(row_mean(&self.trees, row))
     }
 
     fn name(&self) -> &'static str {
@@ -295,6 +302,39 @@ mod tests {
         b.fit(&x, &y).unwrap();
         let pred = b.predict(&x).unwrap();
         assert!(rmse(&y, &pred) < 0.5);
+    }
+
+    #[test]
+    fn forest_does_not_depend_on_worker_count() {
+        // Chunking trees over workers must not leak into a single bit:
+        // tree k owns its RNG stream, builders carry no state over.
+        let (x, y) = wavy_data(110);
+        let config = TreeConfig {
+            max_features: Some(2),
+            ..TreeConfig::default()
+        };
+        let one = fit_forest(&x, &y, 23, &config, 9, 1).unwrap();
+        assert_eq!(one.len(), 23);
+        for workers in [0, 2, 3, 8, 23, 50] {
+            let many = fit_forest(&x, &y, 23, &config, 9, workers).unwrap();
+            assert_eq!(many, one, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn non_finite_input_is_an_error_not_a_panic() {
+        let (x, y) = wavy_data(40);
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut xb = x.clone();
+            xb[(3, 1)] = bad;
+            let mut yb = y.clone();
+            yb[3] = bad;
+            let mut f = RandomForestRegressor::with_trees(5);
+            assert!(matches!(f.fit(&xb, &y), Err(MlError::Numeric(_))));
+            assert!(matches!(f.fit(&x, &yb), Err(MlError::Numeric(_))));
+            let mut b = BaggingRegressor::new();
+            assert!(matches!(b.fit(&xb, &y), Err(MlError::Numeric(_))));
+        }
     }
 
     #[test]

@@ -92,3 +92,13 @@ pub(crate) fn check_xy(x: &linalg::Matrix, y: &[f64]) -> Result<(), MlError> {
     }
     Ok(())
 }
+
+/// Rejects NaN/±∞ before a model sorts or sums `values`: one bad
+/// telemetry sample must fail the fit, not abort the process.
+pub(crate) fn check_finite(what: &str, values: &[f64]) -> Result<(), MlError> {
+    if values.iter().all(|v| v.is_finite()) {
+        Ok(())
+    } else {
+        Err(MlError::Numeric(format!("{what} has a non-finite value")))
+    }
+}

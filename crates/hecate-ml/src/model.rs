@@ -14,6 +14,13 @@ pub trait Regressor: Send + Sync {
     /// Predicts targets for each row of `x`.
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>, MlError>;
 
+    /// Predicts one row: the same value, bit for bit, as `predict` on a
+    /// one-row matrix. Models on the forecast hot path override it to
+    /// skip that matrix and the per-call result vectors.
+    fn predict_row(&self, row: &[f64]) -> Result<f64, MlError> {
+        Ok(self.predict(&Matrix::from_vec(1, row.len(), row.to_vec()))?[0])
+    }
+
     /// Short model name (matches the paper's figure legend).
     fn name(&self) -> &'static str;
 }

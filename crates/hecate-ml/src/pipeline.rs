@@ -206,8 +206,7 @@ impl TrainedForecaster {
         let mut window = self.window.clone();
         let mut out_scaled = Vec::with_capacity(horizon);
         for _ in 0..horizon {
-            let x_next = Matrix::from_vec(1, self.lags, window.clone());
-            let pred = self.model.predict(&x_next)?[0];
+            let pred = self.model.predict_row(&window)?;
             out_scaled.push(pred);
             window.rotate_left(1);
             window[self.lags - 1] = pred;
@@ -338,6 +337,87 @@ mod tests {
             // Rolling is pure: a second roll is identical.
             assert_eq!(trained.roll(10).unwrap(), one_shot, "{kind} reroll");
         }
+    }
+
+    #[test]
+    fn row_level_roll_matches_the_matrix_roll_bitwise() {
+        // `roll` predicts through `Regressor::predict_row`; the roll it
+        // replaced built a 1 x lags matrix per step. Same bits, whether
+        // the model overrides the row path (RFR, GBR) or not (LR).
+        let series = synthetic_series(120);
+        for kind in [RegressorKind::Rfr, RegressorKind::Gbr, RegressorKind::Lr] {
+            let f = TrainedForecaster::fit(kind, &series, 10, 42).unwrap();
+            let mut window = f.window.clone();
+            let mut scaled = Vec::new();
+            for _ in 0..10 {
+                let x_next = Matrix::from_vec(1, f.lags, window.clone());
+                let pred = f.model.predict(&x_next).unwrap()[0];
+                scaled.push(pred);
+                window.rotate_left(1);
+                window[f.lags - 1] = pred;
+            }
+            let matrix_roll = f.scaler.inverse_transform_column(&scaled, 0).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&f.roll(10).unwrap()), bits(&matrix_roll), "{kind}");
+        }
+    }
+
+    /// Smooth wave with a deterministic jitter; IEEE basic operations
+    /// only, so the series is the same on every platform.
+    fn smooth_series() -> Vec<f64> {
+        (0..120u64)
+            .map(|i| {
+                let x = (i % 40) as f64 / 20.0 - 1.0;
+                let jitter = (i.wrapping_mul(2_654_435_761) % 1000) as f64 / 1000.0;
+                50.0 + 30.0 * (4.0 * x * (1.0 - x.abs())) + jitter
+            })
+            .collect()
+    }
+
+    /// Flat-lined telemetry: three quantized levels, every lag column
+    /// full of ties.
+    fn flat_lined_series() -> Vec<f64> {
+        (0..120)
+            .map(|i| match (i / 6) % 5 {
+                2 => 80.0,
+                4 => 90.0,
+                _ => 100.0,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn rfr_forecast_bits_are_pinned() {
+        // Captured on the commit before the presorted tree builder
+        // (per-node sorting CART, `select_rows` bootstraps, matrix
+        // roll): the forests and their forecasts must never move a bit.
+        let smooth: [u64; 10] = [
+            0x404a94855da27286,
+            0x4047d7689ca18bd6,
+            0x40471f8327674d16,
+            0x404549b035bd512e,
+            0x40423f33daf8df7a,
+            0x4040b0f61672324c,
+            0x403bcbc2b94d9407,
+            0x4039056e04c05920,
+            0x40372433721d53ca,
+            0x4035c0f1d3ed527c,
+        ];
+        let mut flat = [0x4059000000000000u64; 10];
+        flat[0] = 0x4058eccccccccccd;
+        for (series, want) in [(smooth_series(), smooth), (flat_lined_series(), flat)] {
+            let got = forecast_next(RegressorKind::Rfr, &series, 10, 10, 42).unwrap();
+            let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "{got:#018x?}");
+        }
+    }
+
+    #[test]
+    fn non_finite_history_fails_the_forest_fit() {
+        let mut series = synthetic_series(120);
+        series[60] = f64::NAN;
+        let err = TrainedForecaster::fit(RegressorKind::Rfr, &series, 10, 42).unwrap_err();
+        assert!(matches!(err, MlError::Numeric(_)), "{err}");
     }
 
     #[test]

@@ -3,22 +3,28 @@
 //! scikit-learn defaults mirrored: squared-error criterion, unlimited
 //! depth, `min_samples_split = 2`, `min_samples_leaf = 1`. The builder
 //! additionally supports sample weights (needed by AdaBoost.R2), depth
-//! caps (gradient boosting uses depth 3) and random feature subsetting
-//! (random forests), so a single implementation backs R1, R3, R4, R6 and
-//! R13.
+//! caps (gradient boosting uses depth 3), random feature subsetting
+//! (random forests) and fitting a bootstrap given as row indices, so a
+//! single implementation backs R1, R3, R4, R6 and R13.
 //!
-//! Split search sorts each candidate feature once and scans split points
-//! with running weighted sums, so a node costs `O(features · n log n)`.
+//! Growth is presorted: X is copied column-major and every column ranked
+//! once per fit (per *forest*, per boosting run); a tree derives each
+//! feature's row order from the ranks by counting, and a node scans one
+//! contiguous range of those orders, then stable-partitions them in
+//! place: `O(features · n)` per node, no allocation. Sums run in the
+//! order a per-node stable sort would visit the rows, so trees are bit
+//! for bit those of the textbook builder kept as the test oracle.
 
 use crate::model::Regressor;
-use crate::{check_xy, MlError};
+use crate::{check_finite, check_xy, MlError};
 use linalg::Matrix;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use std::cmp::Ordering;
 
 /// Tree growth hyperparameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TreeConfig {
     /// Maximum depth (`None` = grow until pure / exhausted).
     pub max_depth: Option<usize>,
@@ -44,7 +50,7 @@ impl Default for TreeConfig {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Node {
     Leaf {
         value: f64,
@@ -59,7 +65,7 @@ enum Node {
 
 /// A fitted regression tree (arena representation: nodes index into a
 /// flat vector, avoiding per-node allocation).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DecisionTreeRegressor {
     /// Growth configuration.
     pub config: TreeConfig,
@@ -112,73 +118,24 @@ impl DecisionTreeRegressor {
 
     /// Fits with per-sample weights (AdaBoost.R2 requires this).
     pub fn fit_weighted(&mut self, x: &Matrix, y: &[f64], weights: &[f64]) -> Result<(), MlError> {
-        check_xy(x, y)?;
-        if weights.len() != y.len() {
-            return Err(MlError::BadShape("weights length mismatch".into()));
-        }
-        if weights.iter().any(|w| *w < 0.0) {
-            return Err(MlError::BadHyperparameter("negative sample weight".into()));
-        }
-        self.n_features = x.cols();
-        self.nodes.clear();
-        let idx: Vec<u32> = (0..x.rows() as u32).collect();
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        self.grow(x, y, weights, idx, 0, &mut rng);
-        Ok(())
+        self.fit_checked(x, y, Some(weights))
     }
 
-    fn grow(
-        &mut self,
-        x: &Matrix,
-        y: &[f64],
-        w: &[f64],
-        idx: Vec<u32>,
-        depth: usize,
-        rng: &mut StdRng,
-    ) -> usize {
-        let (w_sum, mean) = weighted_mean(y, w, &idx);
-        let make_leaf = |nodes: &mut Vec<Node>| {
-            nodes.push(Node::Leaf { value: mean });
-            nodes.len() - 1
-        };
-        if idx.len() < self.config.min_samples_split
-            || self.config.max_depth.is_some_and(|d| depth >= d)
-            || w_sum <= 0.0
-        {
-            return make_leaf(&mut self.nodes);
-        }
-        // candidate features (random subset for forests)
-        let mut features: Vec<usize> = (0..self.n_features).collect();
-        if let Some(k) = self.config.max_features {
-            features.shuffle(rng);
-            features.truncate(k.clamp(1, self.n_features));
-        }
-        let Some(best) = best_split(x, y, w, &idx, &features, self.config.min_samples_leaf) else {
-            return make_leaf(&mut self.nodes);
-        };
-        let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
-        for &i in &idx {
-            if x[(i as usize, best.feature)] <= best.threshold {
-                left_idx.push(i);
-            } else {
-                right_idx.push(i);
+    /// Validates once — shapes, weight signs, every value finite — so
+    /// the builder below has no failure path.
+    fn fit_checked(&mut self, x: &Matrix, y: &[f64], w: Option<&[f64]>) -> Result<(), MlError> {
+        let pre = Presort::new(x, y)?;
+        if let Some(w) = w {
+            if w.len() != y.len() {
+                return Err(MlError::BadShape("weights length mismatch".into()));
             }
+            if w.iter().any(|w| *w < 0.0) {
+                return Err(MlError::BadHyperparameter("negative sample weight".into()));
+            }
+            check_finite("sample weights", w)?;
         }
-        if left_idx.is_empty() || right_idx.is_empty() {
-            return make_leaf(&mut self.nodes);
-        }
-        // reserve this node's slot, then grow children
-        let me = self.nodes.len();
-        self.nodes.push(Node::Leaf { value: mean }); // placeholder
-        let left = self.grow(x, y, w, left_idx, depth + 1, rng);
-        let right = self.grow(x, y, w, right_idx, depth + 1, rng);
-        self.nodes[me] = Node::Split {
-            feature: best.feature,
-            threshold: best.threshold,
-            left,
-            right,
-        };
-        me
+        *self = TreeBuilder::new(&pre).fit(self.config, &pre.all_rows(), y, w);
+        Ok(())
     }
 
     /// Predicts a single row.
@@ -202,120 +159,303 @@ impl DecisionTreeRegressor {
             }
         }
     }
-}
 
-struct SplitCandidate {
-    feature: usize,
-    threshold: f64,
-}
-
-fn weighted_mean(y: &[f64], w: &[f64], idx: &[u32]) -> (f64, f64) {
-    let mut sw = 0.0;
-    let mut swy = 0.0;
-    for &i in idx {
-        sw += w[i as usize];
-        swy += w[i as usize] * y[i as usize];
-    }
-    if sw <= 0.0 {
-        (0.0, 0.0)
-    } else {
-        (sw, swy / sw)
-    }
-}
-
-/// Finds the weighted-variance-minimizing split over the candidate
-/// features, or `None` if no valid split improves on the parent.
-fn best_split(
-    x: &Matrix,
-    y: &[f64],
-    w: &[f64],
-    idx: &[u32],
-    features: &[usize],
-    min_leaf: usize,
-) -> Option<SplitCandidate> {
-    let mut best: Option<(f64, SplitCandidate)> = None;
-    // Splits must strictly improve on the parent's score, otherwise a
-    // constant target would split forever on noise-free ties.
-    let parent_w: f64 = idx.iter().map(|&i| w[i as usize]).sum();
-    let parent_wy: f64 = idx.iter().map(|&i| w[i as usize] * y[i as usize]).sum();
-    let parent_score = if parent_w > 0.0 {
-        parent_wy * parent_wy / parent_w
-    } else {
-        0.0
-    };
-    let mut order: Vec<u32> = Vec::with_capacity(idx.len());
-    for &feature in features {
-        order.clear();
-        order.extend_from_slice(idx);
-        order.sort_by(|&a, &b| {
-            x[(a as usize, feature)]
-                .partial_cmp(&x[(b as usize, feature)])
-                .expect("NaN feature value")
-        });
-        // running prefix sums of w, w*y, w*y^2
-        let total_w: f64 = order.iter().map(|&i| w[i as usize]).sum();
-        let total_wy: f64 = order.iter().map(|&i| w[i as usize] * y[i as usize]).sum();
-        if total_w <= 0.0 {
-            continue;
+    /// `NotFitted` before a fit; `BadShape` unless rows are as wide as
+    /// the ones the tree was grown on.
+    pub(crate) fn check_cols(&self, cols: usize) -> Result<(), MlError> {
+        if self.nodes.is_empty() {
+            return Err(MlError::NotFitted);
         }
-        let mut left_w = 0.0;
-        let mut left_wy = 0.0;
-        for k in 0..order.len() - 1 {
-            let i = order[k] as usize;
-            left_w += w[i];
-            left_wy += w[i] * y[i];
-            let xv = x[(i, feature)];
-            let xn = x[(order[k + 1] as usize, feature)];
-            if xv == xn {
-                continue; // cannot split between equal values
-            }
-            let left_n = k + 1;
-            let right_n = order.len() - left_n;
-            if left_n < min_leaf || right_n < min_leaf {
-                continue;
-            }
-            let right_w = total_w - left_w;
-            if left_w <= 0.0 || right_w <= 0.0 {
-                continue;
-            }
-            let right_wy = total_wy - left_wy;
-            // Maximizing sum of child (weighted mean)^2 * weight is
-            // equivalent to minimizing weighted SSE.
-            let score = left_wy * left_wy / left_w + right_wy * right_wy / right_w;
-            if score <= parent_score + 1e-12 {
-                continue;
-            }
-            if best.as_ref().is_none_or(|(s, _)| score > *s) {
-                best = Some((
-                    score,
-                    SplitCandidate {
-                        feature,
-                        threshold: 0.5 * (xv + xn),
-                    },
-                ));
+        if cols != self.n_features {
+            return Err(MlError::BadShape(format!(
+                "tree fitted on {} features, got {cols}",
+                self.n_features
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// The once-per-fit half of the builder, shared by all trees of a forest
+/// or boosting run: X column-major and, per column, every row's dense
+/// rank among the distinct values (`==` groups: `-0.0` ties with `0.0`).
+pub(crate) struct Presort {
+    rows: usize,
+    features: usize,
+    /// `cols[f * rows + r]` is `x[(r, f)]`.
+    cols: Vec<f64>,
+    /// Same layout as `cols`.
+    rank: Vec<u32>,
+}
+
+impl Presort {
+    /// Copies and ranks `x`. Errors on mismatched or empty `x`/`y` and on
+    /// a non-finite value in either: the ranking sort compares infallibly.
+    pub(crate) fn new(x: &Matrix, y: &[f64]) -> Result<Presort, MlError> {
+        check_xy(x, y)?;
+        check_finite("y", y)?;
+        let n = x.rows();
+        let cols: Vec<f64> = (0..x.cols())
+            .flat_map(|f| (0..n).map(move |r| x[(r, f)]))
+            .collect();
+        check_finite("X", &cols)?;
+        let mut rank = vec![0u32; cols.len()];
+        for f in 0..x.cols() {
+            let (col, rank) = (&cols[f * n..][..n], &mut rank[f * n..][..n]);
+            let mut by_value: Vec<usize> = (0..n).collect();
+            by_value
+                .sort_unstable_by(|&a, &b| col[a].partial_cmp(&col[b]).unwrap_or(Ordering::Equal));
+            for pair in by_value.windows(2) {
+                let tie = col[pair[1]] == col[pair[0]];
+                rank[pair[1]] = rank[pair[0]] + !tie as u32;
             }
         }
+        Ok(Presort {
+            rows: n,
+            features: x.cols(),
+            cols,
+            rank,
+        })
     }
-    best.map(|(_, c)| c)
+
+    /// The sample that is every row once, in order.
+    pub(crate) fn all_rows(&self) -> Vec<u32> {
+        (0..self.rows as u32).collect()
+    }
+}
+
+/// The per-tree half: scratch over a [`Presort`], reused by every tree
+/// a worker fits so that growing allocates per tree, never per node.
+pub(crate) struct TreeBuilder<'a> {
+    pre: &'a Presort,
+    /// `features + 1` orders of the sample's `len` rows: order `f` is
+    /// sorted by feature `f`, equal values in sample order; the last is
+    /// the sample itself. A node is one `[lo, hi)` range of every order.
+    order: Vec<u32>,
+    len: usize,
+    /// Rows going right while a range is partitioned.
+    scratch: Vec<u32>,
+    /// Per source row: left of the split being applied?
+    goes_left: Vec<bool>,
+    /// Counting-sort cursors, one per rank.
+    cursor: Vec<u32>,
+    /// Candidate features of the node being split.
+    features: Vec<usize>,
+}
+
+/// One fit's inputs and the tree grown so far.
+struct Task<'t> {
+    config: TreeConfig,
+    y: &'t [f64],
+    w: Option<&'t [f64]>,
+    rng: StdRng,
+    nodes: Vec<Node>,
+}
+
+impl Task<'_> {
+    /// `(w, w·y)` of one source row.
+    fn weigh(&self, row: u32) -> (f64, f64) {
+        let w = self.w.map_or(1.0, |w| w[row as usize]);
+        (w, w * self.y[row as usize])
+    }
+}
+
+impl<'a> TreeBuilder<'a> {
+    pub(crate) fn new(pre: &'a Presort) -> Self {
+        TreeBuilder {
+            pre,
+            order: Vec::new(),
+            len: 0,
+            scratch: Vec::new(),
+            goes_left: vec![false; pre.rows],
+            cursor: Vec::new(),
+            features: Vec::new(),
+        }
+    }
+
+    /// Grows one tree on `sample` — source-row indices, repeats allowed
+    /// (a bootstrap) — with `y` and `w` indexed by *source* row; `None`
+    /// weighs every sample 1, which keeps the weight sums exact integers.
+    pub(crate) fn fit(
+        &mut self,
+        config: TreeConfig,
+        sample: &[u32],
+        y: &[f64],
+        w: Option<&[f64]>,
+    ) -> DecisionTreeRegressor {
+        let (n, nf, len) = (self.pre.rows, self.pre.features, sample.len());
+        self.len = len;
+        self.order.resize((nf + 1) * len, 0);
+        self.scratch.resize(len, 0);
+        for f in 0..nf {
+            // Counting sort by rank. It is stable, so rows with equal
+            // values stay in sample order: what a stable sort of the
+            // gathered rows by value yields, without comparing.
+            let rank = &self.pre.rank[f * n..][..n];
+            self.cursor.clear();
+            self.cursor.resize(n + 1, 0);
+            for &r in sample {
+                self.cursor[rank[r as usize] as usize + 1] += 1;
+            }
+            for g in 1..n {
+                self.cursor[g] += self.cursor[g - 1];
+            }
+            let sorted = &mut self.order[f * len..][..len];
+            for &r in sample {
+                let at = &mut self.cursor[rank[r as usize] as usize];
+                sorted[*at as usize] = r;
+                *at += 1;
+            }
+        }
+        self.order[nf * len..].copy_from_slice(sample);
+        let (rng, nodes) = (StdRng::seed_from_u64(config.seed), Vec::new());
+        let mut task = Task {
+            config,
+            y,
+            w,
+            rng,
+            nodes,
+        };
+        self.node(&mut task, 0, len, 0);
+        DecisionTreeRegressor {
+            config,
+            nodes: task.nodes,
+            n_features: nf,
+        }
+    }
+
+    /// Grows the node holding `[lo, hi)` of every order; returns its
+    /// index. Nodes are numbered in pre-order.
+    fn node(&mut self, t: &mut Task, lo: usize, hi: usize, depth: usize) -> usize {
+        let nf = self.pre.features;
+        // Node mean and parent score: sums in sample order.
+        let (mut sw, mut swy) = (0.0, 0.0);
+        for &r in &self.order[nf * self.len..][lo..hi] {
+            let (w, wy) = t.weigh(r);
+            sw += w;
+            swy += wy;
+        }
+        let me = t.nodes.len();
+        let value = if sw <= 0.0 { 0.0 } else { swy / sw };
+        t.nodes.push(Node::Leaf { value });
+        if hi - lo < t.config.min_samples_split
+            || t.config.max_depth.is_some_and(|d| depth >= d)
+            || sw <= 0.0
+        {
+            return me;
+        }
+        // candidate features (random subset for forests)
+        self.features.clear();
+        self.features.extend(0..nf);
+        if let Some(k) = t.config.max_features {
+            self.features.shuffle(&mut t.rng);
+            self.features.truncate(k.clamp(1, nf));
+        }
+        let Some((feature, threshold)) = self.best_split(t, lo, hi, swy * swy / sw) else {
+            return me;
+        };
+        let Some(n_left) = self.partition(lo, hi, feature, threshold) else {
+            return me;
+        };
+        let left = self.node(t, lo, lo + n_left, depth + 1);
+        let right = self.node(t, lo + n_left, hi, depth + 1);
+        t.nodes[me] = Node::Split {
+            feature,
+            threshold,
+            left,
+            right,
+        };
+        me
+    }
+
+    /// The weighted-variance-minimizing `(feature, threshold)` over the
+    /// candidate features, or `None` if no valid split improves on the
+    /// parent. Sums run in each feature's sorted order.
+    fn best_split(&self, t: &Task, lo: usize, hi: usize, parent: f64) -> Option<(usize, f64)> {
+        let n = hi - lo;
+        let min_leaf = t.config.min_samples_leaf;
+        let mut best: Option<(f64, usize, f64)> = None;
+        for &feature in &self.features {
+            let col = &self.pre.cols[feature * self.pre.rows..][..self.pre.rows];
+            let order = &self.order[feature * self.len..][lo..hi];
+            let (mut total_w, mut total_wy) = (0.0, 0.0);
+            for &r in order {
+                let (w, wy) = t.weigh(r);
+                total_w += w;
+                total_wy += wy;
+            }
+            let (mut left_w, mut left_wy) = (0.0, 0.0);
+            for k in 0..n - 1 {
+                let (w, wy) = t.weigh(order[k]);
+                left_w += w;
+                left_wy += wy;
+                let (xv, xn) = (col[order[k] as usize], col[order[k + 1] as usize]);
+                if xv == xn {
+                    continue; // cannot split between equal values
+                }
+                if k + 1 < min_leaf || n - (k + 1) < min_leaf {
+                    continue;
+                }
+                let right_w = total_w - left_w;
+                if left_w <= 0.0 || right_w <= 0.0 {
+                    continue;
+                }
+                let right_wy = total_wy - left_wy;
+                // Maximizing sum of child (weighted mean)^2 * weight is
+                // equivalent to minimizing weighted SSE.
+                let score = left_wy * left_wy / left_w + right_wy * right_wy / right_w;
+                // Splits must strictly improve on the parent, or a
+                // constant target would split forever on noise-free ties.
+                if score <= parent + 1e-12 {
+                    continue;
+                }
+                if best.is_none_or(|(s, ..)| score > s) {
+                    best = Some((score, feature, 0.5 * (xv + xn)));
+                }
+            }
+        }
+        best.map(|(_, feature, threshold)| (feature, threshold))
+    }
+
+    /// Stable-partitions `[lo, hi)` of every order by
+    /// `x[feature] <= threshold` and returns how many samples went left;
+    /// `None`, orders untouched, when that is none or all of them.
+    fn partition(&mut self, lo: usize, hi: usize, feature: usize, at: f64) -> Option<usize> {
+        let col = &self.pre.cols[feature * self.pre.rows..][..self.pre.rows];
+        let mut n_left = 0;
+        for &r in &self.order[self.pre.features * self.len..][lo..hi] {
+            let left = col[r as usize] <= at;
+            self.goes_left[r as usize] = left;
+            n_left += left as usize;
+        }
+        if n_left == 0 || n_left == hi - lo {
+            return None;
+        }
+        for order in self.order.chunks_exact_mut(self.len) {
+            let range = &mut order[lo..hi];
+            let (mut l, mut r) = (0, 0);
+            for k in 0..range.len() {
+                // Branch-free: write both sides, advance one.
+                let row = range[k];
+                let left = self.goes_left[row as usize];
+                range[l] = row;
+                self.scratch[r] = row;
+                l += left as usize;
+                r += !left as usize;
+            }
+            range[l..].copy_from_slice(&self.scratch[..r]);
+        }
+        Some(n_left)
+    }
 }
 
 impl Regressor for DecisionTreeRegressor {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), MlError> {
-        let w = vec![1.0; y.len()];
-        self.fit_weighted(x, y, &w)
+        self.fit_checked(x, y, None)
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
-        if self.nodes.is_empty() {
-            return Err(MlError::NotFitted);
-        }
-        if x.cols() != self.n_features {
-            return Err(MlError::BadShape(format!(
-                "tree fitted on {} features, got {}",
-                self.n_features,
-                x.cols()
-            )));
-        }
+        self.check_cols(x.cols())?;
         Ok((0..x.rows()).map(|i| self.predict_row(x.row(i))).collect())
     }
 
@@ -324,10 +464,177 @@ impl Regressor for DecisionTreeRegressor {
     }
 }
 
+/// The builder this module's presorted one replaced, kept as the test
+/// oracle: every node re-sorts its rows once per candidate feature.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn fit(config: &TreeConfig, x: &Matrix, y: &[f64], w: &[f64]) -> Vec<Node> {
+        let mut nodes = Vec::new();
+        let idx: Vec<u32> = (0..x.rows() as u32).collect();
+        let mut rng = StdRng::seed_from_u64(config.seed);
+        grow(&mut nodes, config, x, y, w, idx, 0, &mut rng);
+        nodes
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn grow(
+        nodes: &mut Vec<Node>,
+        config: &TreeConfig,
+        x: &Matrix,
+        y: &[f64],
+        w: &[f64],
+        idx: Vec<u32>,
+        depth: usize,
+        rng: &mut StdRng,
+    ) -> usize {
+        let (w_sum, mean) = weighted_mean(y, w, &idx);
+        let make_leaf = |nodes: &mut Vec<Node>| {
+            nodes.push(Node::Leaf { value: mean });
+            nodes.len() - 1
+        };
+        if idx.len() < config.min_samples_split
+            || config.max_depth.is_some_and(|d| depth >= d)
+            || w_sum <= 0.0
+        {
+            return make_leaf(nodes);
+        }
+        // candidate features (random subset for forests)
+        let mut features: Vec<usize> = (0..x.cols()).collect();
+        if let Some(k) = config.max_features {
+            features.shuffle(rng);
+            features.truncate(k.clamp(1, x.cols()));
+        }
+        let Some(best) = best_split(x, y, w, &idx, &features, config.min_samples_leaf) else {
+            return make_leaf(nodes);
+        };
+        let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
+        for &i in &idx {
+            if x[(i as usize, best.feature)] <= best.threshold {
+                left_idx.push(i);
+            } else {
+                right_idx.push(i);
+            }
+        }
+        if left_idx.is_empty() || right_idx.is_empty() {
+            return make_leaf(nodes);
+        }
+        // reserve this node's slot, then grow children
+        let me = nodes.len();
+        nodes.push(Node::Leaf { value: mean }); // placeholder
+        let left = grow(nodes, config, x, y, w, left_idx, depth + 1, rng);
+        let right = grow(nodes, config, x, y, w, right_idx, depth + 1, rng);
+        nodes[me] = Node::Split {
+            feature: best.feature,
+            threshold: best.threshold,
+            left,
+            right,
+        };
+        me
+    }
+
+    struct SplitCandidate {
+        feature: usize,
+        threshold: f64,
+    }
+
+    fn weighted_mean(y: &[f64], w: &[f64], idx: &[u32]) -> (f64, f64) {
+        let mut sw = 0.0;
+        let mut swy = 0.0;
+        for &i in idx {
+            sw += w[i as usize];
+            swy += w[i as usize] * y[i as usize];
+        }
+        if sw <= 0.0 {
+            (0.0, 0.0)
+        } else {
+            (sw, swy / sw)
+        }
+    }
+
+    /// Finds the weighted-variance-minimizing split over the candidate
+    /// features, or `None` if no valid split improves on the parent.
+    fn best_split(
+        x: &Matrix,
+        y: &[f64],
+        w: &[f64],
+        idx: &[u32],
+        features: &[usize],
+        min_leaf: usize,
+    ) -> Option<SplitCandidate> {
+        let mut best: Option<(f64, SplitCandidate)> = None;
+        // Splits must strictly improve on the parent's score, otherwise a
+        // constant target would split forever on noise-free ties.
+        let parent_w: f64 = idx.iter().map(|&i| w[i as usize]).sum();
+        let parent_wy: f64 = idx.iter().map(|&i| w[i as usize] * y[i as usize]).sum();
+        let parent_score = if parent_w > 0.0 {
+            parent_wy * parent_wy / parent_w
+        } else {
+            0.0
+        };
+        let mut order: Vec<u32> = Vec::with_capacity(idx.len());
+        for &feature in features {
+            order.clear();
+            order.extend_from_slice(idx);
+            order.sort_by(|&a, &b| {
+                x[(a as usize, feature)]
+                    .partial_cmp(&x[(b as usize, feature)])
+                    .expect("NaN feature value")
+            });
+            // running prefix sums of w, w*y, w*y^2
+            let total_w: f64 = order.iter().map(|&i| w[i as usize]).sum();
+            let total_wy: f64 = order.iter().map(|&i| w[i as usize] * y[i as usize]).sum();
+            if total_w <= 0.0 {
+                continue;
+            }
+            let mut left_w = 0.0;
+            let mut left_wy = 0.0;
+            for k in 0..order.len() - 1 {
+                let i = order[k] as usize;
+                left_w += w[i];
+                left_wy += w[i] * y[i];
+                let xv = x[(i, feature)];
+                let xn = x[(order[k + 1] as usize, feature)];
+                if xv == xn {
+                    continue; // cannot split between equal values
+                }
+                let left_n = k + 1;
+                let right_n = order.len() - left_n;
+                if left_n < min_leaf || right_n < min_leaf {
+                    continue;
+                }
+                let right_w = total_w - left_w;
+                if left_w <= 0.0 || right_w <= 0.0 {
+                    continue;
+                }
+                let right_wy = total_wy - left_wy;
+                // Maximizing sum of child (weighted mean)^2 * weight is
+                // equivalent to minimizing weighted SSE.
+                let score = left_wy * left_wy / left_w + right_wy * right_wy / right_w;
+                if score <= parent_score + 1e-12 {
+                    continue;
+                }
+                if best.as_ref().is_none_or(|(s, _)| score > *s) {
+                    best = Some((
+                        score,
+                        SplitCandidate {
+                            feature,
+                            threshold: 0.5 * (xv + xn),
+                        },
+                    ));
+                }
+            }
+        }
+        best.map(|(_, c)| c)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::rmse;
+    use proptest::prelude::*;
 
     fn step_data() -> (Matrix, Vec<f64>) {
         // piecewise-constant target: perfect for a tree
@@ -451,5 +758,199 @@ mod tests {
                 .unwrap_err(),
             MlError::NotFitted
         );
+    }
+
+    #[test]
+    fn non_finite_input_is_an_error_not_a_panic() {
+        let (x, y) = step_data();
+        let ones = vec![1.0; 40];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut xb = x.clone();
+            xb[(7, 0)] = bad;
+            let mut yb = y.clone();
+            yb[7] = bad;
+            let mut t = DecisionTreeRegressor::new();
+            assert!(matches!(t.fit(&xb, &y), Err(MlError::Numeric(_))));
+            assert!(matches!(t.fit(&x, &yb), Err(MlError::Numeric(_))));
+            assert!(matches!(
+                t.fit_weighted(&xb, &y, &ones),
+                Err(MlError::Numeric(_))
+            ));
+        }
+        let mut wb = ones.clone();
+        wb[7] = f64::NAN;
+        let mut t = DecisionTreeRegressor::new();
+        assert!(matches!(
+            t.fit_weighted(&x, &y, &wb),
+            Err(MlError::Numeric(_))
+        ));
+        wb[7] = f64::INFINITY;
+        assert!(matches!(
+            t.fit_weighted(&x, &y, &wb),
+            Err(MlError::Numeric(_))
+        ));
+    }
+
+    /// Bit-exact image of a node array (`==` on `f64` would let `-0.0`
+    /// pass for `0.0`).
+    fn bits(nodes: &[Node]) -> Vec<(usize, u64, usize, usize)> {
+        nodes
+            .iter()
+            .map(|n| match *n {
+                Node::Leaf { value } => (usize::MAX, value.to_bits(), 0, 0),
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => (feature, threshold.to_bits(), left, right),
+            })
+            .collect()
+    }
+
+    /// One randomized fit: data with every kind of tie the builder must
+    /// order exactly as a per-node stable sort does, a growth config,
+    /// optional weights and an optional bootstrap.
+    struct Case {
+        x: Matrix,
+        y: Vec<f64>,
+        w: Option<Vec<f64>>,
+        sample: Option<Vec<u32>>,
+        config: TreeConfig,
+    }
+
+    fn random_case(seed: u64, n: usize) -> Case {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let nf = rng.gen_range(1..=10usize);
+        let eps = f64::EPSILON;
+        let column = |rng: &mut StdRng| -> Vec<f64> {
+            match rng.gen_range(0..6u32) {
+                // continuous
+                0 | 1 => (0..n).map(|_| rng.gen_range(-50.0..50.0)).collect(),
+                // quantized, with both zeros in one tie group
+                2 => (0..n)
+                    .map(|_| [-0.0, 0.0, 1.0, 2.5, -3.0][rng.gen_range(0..5usize)])
+                    .collect(),
+                // constant
+                3 => vec![rng.gen_range(-5.0..5.0); n],
+                // neighbouring floats: the midpoint rounds onto the
+                // upper value, so the threshold sends it left too
+                4 => (0..n)
+                    .map(|_| 1.0 + eps * rng.gen_range(0..4u32) as f64)
+                    .collect(),
+                // two plateaus (a flat-lined series with one step)
+                _ => {
+                    let step = rng.gen_range(0..=n);
+                    (0..n)
+                        .map(|i| if i < step { 80.0 } else { 100.0 })
+                        .collect()
+                }
+            }
+        };
+        let cols: Vec<Vec<f64>> = (0..nf).map(|_| column(&mut rng)).collect();
+        let mut rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| cols.iter().map(|c| c[i]).collect())
+            .collect();
+        let mut y = if rng.gen_range(0..4u32) == 0 {
+            vec![7.25; n] // all-equal target
+        } else {
+            column(&mut rng)
+        };
+        // duplicated rows (sometimes with the target, sometimes without)
+        for _ in 0..rng.gen_range(0..=n / 2) {
+            let (from, to) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            rows[to] = rows[from].clone();
+            if rng.gen_bool(0.5) {
+                y[to] = y[from];
+            }
+        }
+        let w = match rng.gen_range(0..4u32) {
+            0 | 1 => None,
+            // fractional
+            2 => Some((0..n).map(|_| rng.gen_range(0.01..3.0)).collect()),
+            // fractional with zeros
+            _ => Some(
+                (0..n)
+                    .map(|_| {
+                        if rng.gen_bool(0.3) {
+                            0.0
+                        } else {
+                            rng.gen_range(0.0..2.0)
+                        }
+                    })
+                    .collect(),
+            ),
+        };
+        let sample = rng
+            .gen_bool(0.5)
+            .then(|| (0..n).map(|_| rng.gen_range(0..n) as u32).collect());
+        let config = TreeConfig {
+            max_depth: rng.gen_bool(0.4).then(|| rng.gen_range(0..6usize)),
+            min_samples_split: rng.gen_range(2..5usize),
+            min_samples_leaf: rng.gen_range(1..4usize),
+            max_features: rng.gen_bool(0.5).then(|| rng.gen_range(0..nf + 2)),
+            seed: rng.gen(),
+        };
+        Case {
+            x: Matrix::from_rows(&rows),
+            y,
+            w,
+            sample,
+            config,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        #[test]
+        fn presorted_builder_grows_the_reference_tree_bit_for_bit(
+            seed in any::<u64>(),
+            n in (0usize..4).prop_map(|i| [2usize, 3, 12, 110][i]),
+        ) {
+            let c = random_case(seed, n);
+            let pre = Presort::new(&c.x, &c.y).unwrap();
+            let sample = c.sample.clone().unwrap_or_else(|| pre.all_rows());
+            let got = TreeBuilder::new(&pre).fit(c.config, &sample, &c.y, c.w.as_deref());
+
+            // The oracle fits the gathered rows with explicit weights.
+            let picked: Vec<usize> = sample.iter().map(|&r| r as usize).collect();
+            let xs = c.x.select_rows(&picked);
+            let ys: Vec<f64> = picked.iter().map(|&r| c.y[r]).collect();
+            let ws: Vec<f64> = picked
+                .iter()
+                .map(|&r| c.w.as_ref().map_or(1.0, |w| w[r]))
+                .collect();
+            let want = reference::fit(&c.config, &xs, &ys, &ws);
+            prop_assert_eq!(bits(&got.nodes), bits(&want));
+
+            // Without a bootstrap the public entry points are that fit.
+            if c.sample.is_none() {
+                let mut t = DecisionTreeRegressor::with_config(c.config);
+                match &c.w {
+                    Some(w) => t.fit_weighted(&c.x, &c.y, w).unwrap(),
+                    None => t.fit(&c.x, &c.y).unwrap(),
+                }
+                prop_assert_eq!(bits(&t.nodes), bits(&want));
+            }
+        }
+    }
+
+    #[test]
+    fn one_builder_fits_many_trees_without_carrying_state() {
+        // A worker reuses its builder across trees and sample sizes.
+        let a = random_case(1, 110);
+        let pre = Presort::new(&a.x, &a.y).unwrap();
+        let mut reused = TreeBuilder::new(&pre);
+        for seed in 0..20u64 {
+            let c = random_case(seed, 110);
+            let sample: Vec<u32> = c
+                .sample
+                .unwrap_or_else(|| (0..(seed as u32 % 110 + 1)).collect());
+            let fresh = TreeBuilder::new(&pre).fit(c.config, &sample, &a.y, None);
+            let again = reused.fit(c.config, &sample, &a.y, None);
+            assert_eq!(bits(&again.nodes), bits(&fresh.nodes), "seed {seed}");
+        }
     }
 }
