@@ -11,7 +11,7 @@
 //! on *any* allocator.
 //!
 //! On startup the bench *asserts* a throughput floor: the schedule must
-//! process at ≥ 10k events/sec in release mode. The old tick core
+//! process at ≥ 20k events/sec in release mode. The old tick core
 //! priced this at O(ticks × flows) with a full water-fill per change;
 //! a regression back to global recomputes blows the floor.
 
@@ -104,10 +104,11 @@ fn waxman(n: usize) -> Topology {
     .build(7)
 }
 
-/// Floor assertion: the event core must clear 10k events/sec on the
-/// 250-node churn workload (it measures ~26k on a dev box; the floor
-/// leaves ~2.5× headroom for slow CI machines while still catching an
-/// order-of-magnitude regression — the tick core measured ~200).
+/// Floor assertion: the event core must clear 20k events/sec on the
+/// 250-node churn workload (it measures ~210k on the 2-core reference
+/// container, so the floor leaves ~10× headroom for slow CI machines
+/// while still catching an order-of-magnitude regression — the tick
+/// core measured ~200).
 fn assert_throughput_floor() {
     let topo = waxman(250);
     let horizon_ms = 20_000;
@@ -121,10 +122,10 @@ fn assert_throughput_floor() {
         best = best.max(eps);
     }
     assert!(
-        best >= 10_000.0,
-        "event core throughput regressed: {best:.0} events/sec < 10k floor"
+        best >= 20_000.0,
+        "event core throughput regressed: {best:.0} events/sec < 20k floor"
     );
-    println!("sim event throughput: {best:.0} events/sec (floor 10k)");
+    println!("sim event throughput: {best:.0} events/sec (floor 20k)");
 }
 
 fn bench_event_throughput(c: &mut Criterion) {

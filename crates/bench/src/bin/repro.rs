@@ -619,7 +619,7 @@ fn sim_scale() {
             ("wall_s", Metric::wall(r.wall_s)),
             (
                 "events_per_sec",
-                Metric::wall(r.events_per_sec).with_floor(10_000.0),
+                Metric::wall(r.events_per_sec).with_floor(20_000.0),
             ),
             (
                 "dispatch_events_per_sec",

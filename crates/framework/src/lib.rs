@@ -40,7 +40,7 @@ pub use optimizer::{Objective, OptimizerConfig, SolveMode};
 pub use scheduler::{FlowRequest, Scheduler};
 pub use sdn::SelfDrivingNetwork;
 pub use telemetry::{Metric, TelemetryService};
-pub use waterfill::{SharedWaterfill, StripedResidual};
+pub use waterfill::SharedWaterfill;
 
 /// Index of a **managed ingress/egress pair** — the unit the multi-pair
 /// control plane keys everything on: candidate tunnel sets, telemetry

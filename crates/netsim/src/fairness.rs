@@ -7,10 +7,18 @@
 //! repeatedly find the most constrained link, freeze its flows at the fair
 //! share, remove the used capacity, and continue. Demand-limited flows
 //! freeze at their demand as soon as the rising water level reaches it.
+//!
+//! Two things live here. [`max_min_allocation`] is that algorithm from
+//! scratch — the independent oracle every incremental result is tested
+//! against. [`FairShareEngine`] is what the simulator runs: the shared
+//! incremental kernel ([`crate::maxmin`]) with the topology's directed
+//! links mapped onto its dense link indices.
 
 use crate::flow::FlowId;
+use crate::maxmin::{MaxMinKernel, WaterfillMetrics, WaterfillStats};
 use crate::topo::{LinkId, NodeIdx, Topology};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// One flow's view for the allocator: its links and optional demand cap.
 #[derive(Debug, Clone)]
@@ -123,6 +131,7 @@ pub fn max_min_allocation(topo: &Topology, flows: &[AllocFlow]) -> Vec<f64> {
         } else {
             demand_limited
                 .into_iter()
+                // detlint: allow(bare-panic) — `demand_limited` holds only flows with a demand.
                 .map(|i| (i, flows[i].demand.expect("checked demand-limited")))
                 .collect()
         };
@@ -139,126 +148,50 @@ pub fn max_min_allocation(topo: &Topology, flows: &[AllocFlow]) -> Vec<f64> {
     rates
 }
 
-/// Saturation / feasibility tolerance in Mbps.
-const EPS: f64 = 1e-9;
-/// Expansion-fixpoint iterations before falling back to a full solve.
-const MAX_EXPANSIONS: usize = 8;
-
-/// Audit counters for the incremental allocator: how often the
-/// restricted solve sufficed versus escalating to a full water-fill.
+/// Incremental max-min fair allocator for the simulator: a thin adapter
+/// putting a [`Topology`]'s directed links under the one
+/// [`MaxMinKernel`].
 ///
-/// This is a point-in-time *snapshot* of [`WaterfillMetrics`] — the
-/// live storage is `obsv` counters, shared with any attached metrics
-/// registry; this plain struct remains the stable accessor type.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct WaterfillStats {
-    /// Restricted (component-local) solves that converged.
-    pub incremental_solves: u64,
-    /// Solves that escalated to the full flow set (audited fallback).
-    pub full_solves: u64,
-    /// Component-expansion iterations across all solves.
-    pub expansions: u64,
-    /// Events absorbed with no water-fill at all (e.g. a demand-limited
-    /// arrival onto links with spare capacity).
-    pub fast_path_events: u64,
-}
-
-/// The live audit instruments behind [`WaterfillStats`]: `obsv`
-/// counters, so a scenario's metrics registry can watch the allocator
-/// without the engine knowing about snapshots or epochs.
-#[derive(Debug, Clone, Default)]
-pub struct WaterfillMetrics {
-    /// Restricted solves that converged.
-    pub incremental_solves: obsv::Counter,
-    /// Escalations to the full flow set.
-    pub full_solves: obsv::Counter,
-    /// Component-expansion iterations.
-    pub expansions: obsv::Counter,
-    /// Events absorbed with no water-fill.
-    pub fast_path_events: obsv::Counter,
-}
-
-impl WaterfillMetrics {
-    /// Current values as a plain struct.
-    pub fn snapshot(&self) -> WaterfillStats {
-        WaterfillStats {
-            incremental_solves: self.incremental_solves.get(),
-            full_solves: self.full_solves.get(),
-            expansions: self.expansions.get(),
-            fast_path_events: self.fast_path_events.get(),
-        }
-    }
-
-    /// Exposes the live counters in `registry` under
-    /// `{prefix}.{field}` (e.g. `netsim.waterfill.expansions`).
-    pub fn register(&self, registry: &obsv::Registry, prefix: &str) {
-        registry.adopt_counter(
-            &format!("{prefix}.incremental_solves"),
-            &self.incremental_solves,
-        );
-        registry.adopt_counter(&format!("{prefix}.full_solves"), &self.full_solves);
-        registry.adopt_counter(&format!("{prefix}.expansions"), &self.expansions);
-        registry.adopt_counter(
-            &format!("{prefix}.fast_path_events"),
-            &self.fast_path_events,
-        );
-    }
-}
-
-#[derive(Debug, Clone)]
-struct EngFlow {
-    links: Vec<(LinkId, Direction)>,
-    demand: Option<f64>,
-    /// Current raw (pre-efficiency) max-min rate.
-    rate: f64,
-    /// True when the flow's path crosses a failed link: it holds no
-    /// capacity and carries nothing until the link is restored.
-    dead: bool,
-}
-
-impl EngFlow {
-    fn at_demand(&self) -> bool {
-        self.demand.is_some_and(|d| self.rate >= d - EPS)
-    }
-}
-
-/// Incremental max-min fair allocator.
+/// Directed link `(LinkId, dir)` is kernel link `2·LinkId + dir`, its
+/// headroom the topology's capacity for that link — links are appended
+/// lazily as the topology grows, and [`FairShareEngine::capacity_changed`]
+/// forwards a new value. Flows whose path crosses a failed link are
+/// *dead*: tracked here, outside the kernel, holding no capacity and
+/// reported at rate 0 until a restore revives them.
 ///
-/// Maintains per-flow rates and per-directed-link membership sets across
-/// arrival/departure/reroute/capacity events, re-water-filling only the
-/// *affected component*: the event's flows plus, iteratively, any
-/// outside flow whose own allocation the restricted solve would
-/// invalidate (squeezed above the link's new water level, eligible to
-/// grow into freed capacity, or bottlenecked at a link whose level
-/// rose). The expansion fixpoint is exact — when no outside flow
-/// triggers, the Bertsekas–Gallager max-min certificate (every
-/// non-demand-capped flow has a saturated link where its rate is
-/// maximal) still holds for all untouched flows, so the merged
-/// allocation equals the full water-fill up to float rounding. A
-/// proptest in `netsim/tests` pins incremental ≡ full; full solves
-/// remain available as an audited fallback ([`WaterfillStats`]).
-///
-/// Everything iterates `BTreeMap`/`BTreeSet` so float accumulation
-/// order — and therefore every rate — is reproducible bit-for-bit.
-#[derive(Debug, Default)]
+/// The kernel's contract carries over: after every resolve the rates
+/// equal [`max_min_allocation`] over the live flows to 1e-6 (a proptest
+/// in `netsim/tests` pins it), and the same event sequence replays to
+/// the same bits.
+#[derive(Debug)]
 pub struct FairShareEngine {
-    flows: BTreeMap<FlowId, EngFlow>,
-    members: BTreeMap<(LinkId, Direction), BTreeSet<FlowId>>,
-    live: usize,
-    seeds: BTreeSet<FlowId>,
-    changed: BTreeMap<FlowId, f64>,
-    stats: WaterfillMetrics,
+    kernel: MaxMinKernel,
+    /// Dead flows and the demand they re-enter the fill with.
+    dead: BTreeMap<FlowId, Option<f64>>,
+    /// Flows that died since the last resolve (its rate-0 reports).
+    died: BTreeSet<FlowId>,
+}
+
+impl Default for FairShareEngine {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl FairShareEngine {
     /// A fresh engine with no flows.
     pub fn new() -> Self {
-        Self::default()
+        FairShareEngine {
+            kernel: MaxMinKernel::new(Vec::new()),
+            dead: BTreeMap::new(),
+            died: BTreeSet::new(),
+        }
     }
 
     /// Registers a flow. `links: None` means the path crosses a failed
     /// link right now — the flow is tracked but dead (rate 0) until a
-    /// restore revives it. Re-inserting an existing id replaces it.
+    /// restore revives it. A flow with no hops is rated at its demand.
+    /// Re-inserting an existing id replaces it.
     pub fn insert_flow(
         &mut self,
         topo: &Topology,
@@ -266,68 +199,24 @@ impl FairShareEngine {
         links: Option<Vec<(LinkId, Direction)>>,
         demand: Option<f64>,
     ) {
-        if self.flows.contains_key(&id) {
-            self.remove_flow(topo, id);
-        }
-        let Some(links) = links else {
-            self.flows.insert(
-                id,
-                EngFlow {
-                    links: Vec::new(),
-                    demand,
-                    rate: 0.0,
-                    dead: true,
-                },
-            );
-            self.changed.insert(id, 0.0);
-            return;
-        };
-        // Fast path, proven exact by the max-min certificate: a
-        // demand-limited arrival whose every link keeps spare capacity
-        // even after granting the demand saturates nothing, so no other
-        // flow's certificate link changes.
-        let fast =
-            demand.is_some_and(|d| links.iter().all(|key| self.residual(topo, *key) > d + EPS));
-        let rate = if fast {
-            demand.expect("fast implies demand")
-        } else {
-            0.0
-        };
-        for key in &links {
-            self.members.entry(*key).or_default().insert(id);
-        }
-        self.flows.insert(
-            id,
-            EngFlow {
-                links,
-                demand,
-                rate,
-                dead: false,
-            },
-        );
-        self.live += 1;
-        if fast {
-            self.stats.fast_path_events.inc();
-            self.changed.insert(id, rate);
-        } else {
-            self.seeds.insert(id);
+        self.exhume(id);
+        match links {
+            Some(links) => {
+                let links = self.dense(topo, &links);
+                self.kernel.insert(id.0, links, demand);
+            }
+            None => {
+                self.kernel.remove(id.0);
+                self.bury(id, demand);
+            }
         }
     }
 
-    /// Unregisters a flow, seeding neighbors that can grow into the
-    /// capacity it releases.
-    pub fn remove_flow(&mut self, topo: &Topology, id: FlowId) {
-        let Some(f) = self.flows.get(&id).cloned() else {
-            return;
-        };
-        if !f.dead {
-            self.release_seeds(topo, &f.links, id);
-            self.drop_membership(&f.links, id);
-            self.live -= 1;
-        }
-        self.flows.remove(&id);
-        self.seeds.remove(&id);
-        self.changed.remove(&id);
+    /// Unregisters a flow; the kernel seeds the neighbors that can grow
+    /// into the capacity it releases.
+    pub fn remove_flow(&mut self, id: FlowId) {
+        self.kernel.remove(id.0);
+        self.exhume(id);
     }
 
     /// Repoints a flow at a new link set (`None` = now dead). Used for
@@ -339,80 +228,41 @@ impl FairShareEngine {
         id: FlowId,
         links: Option<Vec<(LinkId, Direction)>>,
     ) {
-        let Some(cur) = self.flows.get(&id) else {
-            return;
-        };
-        let (was_dead, old_links) = (cur.dead, cur.links.clone());
         match links {
             None => {
-                if was_dead {
-                    return;
+                // An already-dead (or unknown) flow is not in the kernel.
+                if let Some(demand) = self.kernel.demand_of(id.0) {
+                    self.kernel.remove(id.0);
+                    self.bury(id, demand);
                 }
-                self.release_seeds(topo, &old_links, id);
-                self.drop_membership(&old_links, id);
-                self.live -= 1;
-                let f = self.flows.get_mut(&id).expect("checked above");
-                f.dead = true;
-                f.links = Vec::new();
-                f.rate = 0.0;
-                self.seeds.remove(&id);
-                self.changed.insert(id, 0.0);
             }
-            Some(new_links) => {
-                if !was_dead && new_links == old_links {
-                    return;
+            Some(links) => {
+                let links = self.dense(topo, &links);
+                match self.exhume(id) {
+                    Some(demand) => self.kernel.insert(id.0, links, demand),
+                    None => self.kernel.set_links(id.0, links),
                 }
-                if was_dead {
-                    self.live += 1;
-                } else {
-                    self.release_seeds(topo, &old_links, id);
-                    self.drop_membership(&old_links, id);
-                }
-                for key in &new_links {
-                    self.members.entry(*key).or_default().insert(id);
-                }
-                let f = self.flows.get_mut(&id).expect("checked above");
-                f.dead = false;
-                f.links = new_links;
-                self.seeds.insert(id);
             }
         }
     }
 
-    /// Changes a flow's elastic demand in place (`None` = greedy).
-    ///
-    /// The flow re-solves from its own saturation component; when the
-    /// new demand shrinks the flow below its current rate, the members
-    /// bottlenecked at its saturated links are seeded first — they are
-    /// the flows entitled to grow into the released capacity, exactly
-    /// as on departure. A demand change on a dead flow just records
-    /// the new demand; the flow re-enters the fill when it revives.
-    pub fn set_demand(&mut self, topo: &Topology, id: FlowId, demand: Option<f64>) {
-        let Some(f) = self.flows.get(&id) else {
-            return;
-        };
-        if f.demand == demand {
-            return;
-        }
-        let (dead, links, rate) = (f.dead, f.links.clone(), f.rate);
-        let shrinking = demand.is_some_and(|d| d < rate - EPS);
-        if !dead && shrinking {
-            self.release_seeds(topo, &links, id);
-        }
-        let f = self.flows.get_mut(&id).expect("checked above");
-        f.demand = demand;
-        if !dead {
-            self.seeds.insert(id);
+    /// Changes a flow's elastic demand in place (`None` = greedy). A
+    /// demand change on a dead flow just records the new demand; the
+    /// flow re-enters the fill with it when it revives.
+    pub fn set_demand(&mut self, id: FlowId, demand: Option<f64>) {
+        match self.dead.get_mut(&id) {
+            Some(d) => *d = demand,
+            None => self.kernel.set_demand(id.0, demand),
         }
     }
 
-    /// Marks a link's capacity as changed: all its member flows (both
-    /// directions) re-solve. Call after updating the topology.
-    pub fn capacity_changed(&mut self, lid: LinkId) {
+    /// Forwards a link's new capacity (both directions) to the kernel.
+    /// Call after updating the topology.
+    pub fn capacity_changed(&mut self, topo: &Topology, lid: LinkId) {
+        self.grow(topo);
+        let mbps = topo.link(lid).capacity_mbps;
         for dir in [Direction::Forward, Direction::Reverse] {
-            if let Some(mem) = self.members.get(&(lid, dir)) {
-                self.seeds.extend(mem.iter().copied());
-            }
+            self.kernel.set_headroom(dense_link(lid, dir), mbps);
         }
     }
 
@@ -420,298 +270,89 @@ impl FairShareEngine {
     /// touched, returning `(flow, new raw rate)` for every flow whose
     /// rate changed — sorted by flow id, so downstream share updates
     /// replay deterministically.
-    pub fn resolve(&mut self, topo: &Topology) -> Vec<(FlowId, f64)> {
-        let seeds = std::mem::take(&mut self.seeds);
-        let comp: BTreeSet<FlowId> = seeds
-            .into_iter()
-            .filter(|id| self.flows.get(id).is_some_and(|f| !f.dead))
-            .collect();
-        if !comp.is_empty() {
-            self.solve(topo, comp);
-        }
-        std::mem::take(&mut self.changed).into_iter().collect()
+    pub fn resolve(&mut self) -> Vec<(FlowId, f64)> {
+        let solved = self.kernel.resolve();
+        let died = std::mem::take(&mut self.died);
+        merge_by_id(solved, died.into_iter().map(|id| (id, 0.0)))
     }
 
     /// Current raw rate of a flow (0 for dead flows).
     pub fn rate(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id).map(|f| f.rate)
+        if self.dead.contains_key(&id) {
+            Some(0.0)
+        } else {
+            self.kernel.rate(id.0)
+        }
     }
 
     /// All `(flow, raw rate)` pairs, sorted by flow id.
     pub fn rates(&self) -> Vec<(FlowId, f64)> {
-        self.flows.iter().map(|(id, f)| (*id, f.rate)).collect()
+        merge_by_id(self.kernel.rates(), self.dead.keys().map(|id| (*id, 0.0)))
     }
 
     /// Number of live (non-dead) flows.
     pub fn live_flows(&self) -> usize {
-        self.live
+        self.kernel.flow_count()
     }
 
     /// Audit counters (a snapshot; the live instruments are
     /// [`FairShareEngine::metrics`]).
     pub fn stats(&self) -> WaterfillStats {
-        self.stats.snapshot()
+        self.kernel.stats()
     }
 
     /// The live `obsv` instruments behind [`FairShareEngine::stats`].
     pub fn metrics(&self) -> &WaterfillMetrics {
-        &self.stats
+        self.kernel.metrics()
     }
 
-    fn drop_membership(&mut self, links: &[(LinkId, Direction)], id: FlowId) {
-        for key in links {
-            if let Some(mem) = self.members.get_mut(key) {
-                mem.remove(&id);
-                if mem.is_empty() {
-                    self.members.remove(key);
-                }
-            }
-        }
+    fn bury(&mut self, id: FlowId, demand: Option<f64>) {
+        self.dead.insert(id, demand);
+        self.died.insert(id);
     }
 
-    /// Remaining capacity of a directed link given current rates.
-    fn residual(&self, topo: &Topology, key: (LinkId, Direction)) -> f64 {
-        let cap = topo.link(key.0).capacity_mbps;
-        let used: f64 = self
-            .members
-            .get(&key)
-            .map(|mem| mem.iter().map(|m| self.flows[m].rate).sum())
-            .unwrap_or(0.0);
-        cap - used
+    /// Forgets a dead flow, returning the demand it was holding.
+    fn exhume(&mut self, id: FlowId) -> Option<Option<f64>> {
+        self.died.remove(&id);
+        self.dead.remove(&id)
     }
 
-    /// When `leaving` is about to stop holding capacity on `links`,
-    /// seed the members of each *currently saturated* such link that
-    /// were bottlenecked there (rate at the link's water level, not
-    /// demand-capped) — they are the flows entitled to grow. A flow at
-    /// rate ≤ EPS releases nothing and an unsaturated link constrains
-    /// nobody, so both skip straight through — that is the departure
-    /// fast path.
-    fn release_seeds(&mut self, topo: &Topology, links: &[(LinkId, Direction)], leaving: FlowId) {
-        if self.flows.get(&leaving).is_none_or(|f| f.rate <= EPS) {
-            return;
-        }
-        for key in links {
-            let Some(mem) = self.members.get(key) else {
-                continue;
-            };
-            let cap = topo.link(key.0).capacity_mbps;
-            let mut used = 0.0;
-            let mut lambda = f64::NEG_INFINITY;
-            for m in mem {
-                let r = self.flows[m].rate;
-                used += r;
-                lambda = lambda.max(r);
-            }
-            if cap - used > EPS {
-                continue;
-            }
-            for m in mem {
-                if *m == leaving {
-                    continue;
-                }
-                let mf = &self.flows[m];
-                if !mf.at_demand() && mf.rate >= lambda - EPS {
-                    self.seeds.insert(*m);
-                }
-            }
+    /// Appends kernel links for topology links added since the last
+    /// call, at their current capacity.
+    fn grow(&mut self, topo: &Topology) {
+        for link in &topo.links()[self.kernel.link_count() / 2..] {
+            self.kernel.push_link(link.capacity_mbps);
+            self.kernel.push_link(link.capacity_mbps);
         }
     }
 
-    fn solve(&mut self, topo: &Topology, mut comp: BTreeSet<FlowId>) {
-        let mut iterations = 0usize;
-        loop {
-            let full = iterations >= MAX_EXPANSIONS || comp.len() * 2 > self.live;
-            if full {
-                comp = self
-                    .flows
-                    .iter()
-                    .filter(|(_, f)| !f.dead)
-                    .map(|(id, _)| *id)
-                    .collect();
-            }
-            let order: Vec<FlowId> = comp.iter().copied().collect();
-            // Pre-solve state of every touched link: effective capacity
-            // for the restricted solve (full capacity minus what
-            // outside flows hold) and the pre-solve water level of
-            // saturated links (for the growth/freed expansion tests).
-            let mut touched: BTreeSet<(LinkId, Direction)> = BTreeSet::new();
-            for id in &order {
-                touched.extend(self.flows[id].links.iter().copied());
-            }
-            let mut cap_eff: BTreeMap<(LinkId, Direction), f64> = BTreeMap::new();
-            let mut pre_lambda: BTreeMap<(LinkId, Direction), f64> = BTreeMap::new();
-            for key in &touched {
-                let cap = topo.link(key.0).capacity_mbps;
-                let mut used_all = 0.0;
-                let mut used_out = 0.0;
-                let mut lambda = f64::NEG_INFINITY;
-                for m in &self.members[key] {
-                    let r = self.flows[m].rate;
-                    used_all += r;
-                    if !comp.contains(m) {
-                        used_out += r;
-                    }
-                    lambda = lambda.max(r);
-                }
-                if cap - used_all <= EPS {
-                    pre_lambda.insert(*key, lambda);
-                }
-                cap_eff.insert(*key, (cap - used_out).max(0.0));
-            }
-            let (new_rates, picked_lambda) = self.waterfill_component(&order, &cap_eff);
-            if full {
-                self.stats.full_solves.inc();
-                self.commit(&new_rates);
-                return;
-            }
-            // Expansion scan: does any outside flow's allocation become
-            // invalid under the restricted solution?
-            let mut joins: BTreeSet<FlowId> = BTreeSet::new();
-            for key in &touched {
-                let cap = topo.link(key.0).capacity_mbps;
-                let mut new_used = 0.0;
-                let mut has_outside = false;
-                for m in &self.members[key] {
-                    new_used += new_rates.get(m).copied().unwrap_or_else(|| {
-                        has_outside = true;
-                        self.flows[m].rate
-                    });
-                }
-                if !has_outside {
-                    continue;
-                }
-                let resid = cap - new_used;
-                let lam = picked_lambda.get(key).copied();
-                let pre = pre_lambda.get(key).copied();
-                for m in &self.members[key] {
-                    if comp.contains(m) {
-                        continue;
-                    }
-                    let mf = &self.flows[m];
-                    let grow_candidate =
-                        !mf.at_demand() && pre.is_some_and(|pl| mf.rate >= pl - EPS);
-                    let squeezed = lam.is_some_and(|l| mf.rate > l + EPS);
-                    let lifted = grow_candidate && lam.is_some_and(|l| l > mf.rate + EPS);
-                    let freed = grow_candidate && resid > EPS;
-                    if squeezed || lifted || freed {
-                        joins.insert(*m);
-                    }
-                }
-            }
-            if joins.is_empty() {
-                self.stats.incremental_solves.inc();
-                self.commit(&new_rates);
-                return;
-            }
-            self.stats.expansions.inc();
-            comp.extend(joins);
-            iterations += 1;
-        }
+    fn dense(&mut self, topo: &Topology, links: &[(LinkId, Direction)]) -> Arc<[usize]> {
+        self.grow(topo);
+        links
+            .iter()
+            .map(|&(lid, dir)| dense_link(lid, dir))
+            .collect()
     }
+}
 
-    fn commit(&mut self, new_rates: &BTreeMap<FlowId, f64>) {
-        for (id, r) in new_rates {
-            let f = self.flows.get_mut(id).expect("solved flows exist");
-            if f.rate != *r {
-                f.rate = *r;
-                self.changed.insert(*id, *r);
-            }
-        }
-    }
+/// Kernel index of a directed link.
+fn dense_link(lid: LinkId, dir: Direction) -> usize {
+    2 * lid.0 as usize + dir as usize
+}
 
-    /// The legacy progressive water-fill, restricted to a component:
-    /// same round structure as [`max_min_allocation`] (global
-    /// demand-limited freezing first, otherwise the bottleneck link's
-    /// members freeze at the minimum share, ties to the smallest link
-    /// key), over effective capacities. Returns the new rates and the
-    /// water level at which each picked bottleneck froze.
-    #[allow(clippy::type_complexity)]
-    fn waterfill_component(
-        &self,
-        order: &[FlowId],
-        cap_eff: &BTreeMap<(LinkId, Direction), f64>,
-    ) -> (BTreeMap<FlowId, f64>, BTreeMap<(LinkId, Direction), f64>) {
-        let n = order.len();
-        let mut rates = vec![0.0f64; n];
-        let mut frozen = vec![false; n];
-        let mut remaining: BTreeMap<(LinkId, Direction), f64> = BTreeMap::new();
-        let mut members: BTreeMap<(LinkId, Direction), Vec<usize>> = BTreeMap::new();
-        for (i, id) in order.iter().enumerate() {
-            let f = &self.flows[id];
-            if f.links.is_empty() {
-                frozen[i] = true;
-                rates[i] = f.demand.unwrap_or(0.0);
-                continue;
-            }
-            for key in &f.links {
-                remaining.entry(*key).or_insert(cap_eff[key]);
-                members.entry(*key).or_default().push(i);
-            }
-        }
-        let mut picked_lambda: BTreeMap<(LinkId, Direction), f64> = BTreeMap::new();
-        for _round in 0..n + remaining.len() + 1 {
-            if frozen.iter().all(|f| *f) {
-                break;
-            }
-            let mut min_share = f64::INFINITY;
-            let mut min_key: Option<(LinkId, Direction)> = None;
-            for (key, cap) in &remaining {
-                let count = members[key].iter().filter(|&&i| !frozen[i]).count();
-                if count == 0 {
-                    continue;
-                }
-                let share = *cap / count as f64;
-                let better = match min_key {
-                    None => true,
-                    Some(k) => share < min_share || (share == min_share && *key < k),
-                };
-                if better {
-                    min_share = share;
-                    min_key = Some(*key);
-                }
-            }
-            let Some(bottleneck) = min_key else { break };
-            let demand_limited: Vec<usize> = (0..n)
-                .filter(|&i| {
-                    !frozen[i]
-                        && self.flows[&order[i]]
-                            .demand
-                            .is_some_and(|d| d <= min_share + 1e-12)
-                })
-                .collect();
-            let to_freeze: Vec<(usize, f64)> = if demand_limited.is_empty() {
-                picked_lambda.insert(bottleneck, min_share);
-                members[&bottleneck]
-                    .iter()
-                    .filter(|&&i| !frozen[i])
-                    .map(|&i| (i, min_share))
-                    .collect()
-            } else {
-                demand_limited
-                    .into_iter()
-                    .map(|i| {
-                        (
-                            i,
-                            self.flows[&order[i]]
-                                .demand
-                                .expect("checked demand-limited"),
-                        )
-                    })
-                    .collect()
-            };
-            for (i, rate) in to_freeze {
-                frozen[i] = true;
-                rates[i] = rate;
-                for key in &self.flows[&order[i]].links {
-                    if let Some(cap) = remaining.get_mut(key) {
-                        *cap = (*cap - rate).max(0.0);
-                    }
-                }
-            }
-        }
-        (order.iter().copied().zip(rates).collect(), picked_lambda)
+/// The kernel's id-sorted `(flow, rate)` list with the adapter's dead
+/// flows merged in (a flow is never both).
+fn merge_by_id(
+    kernel: Vec<(u64, f64)>,
+    dead: impl Iterator<Item = (FlowId, f64)>,
+) -> Vec<(FlowId, f64)> {
+    let mut out: Vec<(FlowId, f64)> = kernel.into_iter().map(|(id, r)| (FlowId(id), r)).collect();
+    let live = out.len();
+    out.extend(dead);
+    if out.len() > live {
+        out.sort_by_key(|&(id, _)| id);
     }
+    out
 }
 
 #[cfg(test)]
@@ -892,5 +533,107 @@ mod tests {
         let rates = max_min_allocation(&t, &flows);
         assert!((rates[0] - 4.0).abs() < 1e-9, "{rates:?}");
         assert!((rates[1] - 6.0).abs() < 1e-9, "{rates:?}");
+    }
+
+    /// Chain a-b-c, both links 10 Mbps, and the directed links of a
+    /// node path over it.
+    fn chain() -> (Topology, [NodeIdx; 3]) {
+        let mut t = Topology::new();
+        let a = t.add_node("a", NodeKind::Core);
+        let b = t.add_node("b", NodeKind::Core);
+        let c = t.add_node("c", NodeKind::Core);
+        t.add_link(a, b, 10.0, 1.0);
+        t.add_link(b, c, 10.0, 1.0);
+        (t, [a, b, c])
+    }
+
+    fn hops(t: &Topology, path: &[NodeIdx]) -> Option<Vec<(LinkId, Direction)>> {
+        directed_links(t, path).ok()
+    }
+
+    #[test]
+    fn dead_on_arrival_flow_is_revived_by_set_links() {
+        let (t, [a, b, _]) = chain();
+        let mut e = FairShareEngine::new();
+        e.insert_flow(&t, FlowId(1), None, None);
+        assert_eq!(e.resolve(), vec![(FlowId(1), 0.0)]);
+        assert_eq!((e.rate(FlowId(1)), e.live_flows()), (Some(0.0), 0));
+        assert_eq!(e.rates(), vec![(FlowId(1), 0.0)]);
+        e.set_links(&t, FlowId(1), hops(&t, &[a, b]));
+        assert_eq!(e.resolve(), vec![(FlowId(1), 10.0)]);
+        assert_eq!(e.live_flows(), 1);
+    }
+
+    #[test]
+    fn demand_change_while_dead_applies_on_revival() {
+        let (t, [a, b, c]) = chain();
+        let mut e = FairShareEngine::new();
+        e.insert_flow(&t, FlowId(1), hops(&t, &[a, b, c]), None);
+        e.insert_flow(&t, FlowId(2), hops(&t, &[a, b]), None);
+        e.resolve();
+        // Flow 1 dies: it reports rate 0 and flow 2 takes the link.
+        e.set_links(&t, FlowId(1), None);
+        assert_eq!(e.resolve(), vec![(FlowId(1), 0.0), (FlowId(2), 10.0)]);
+        e.set_demand(FlowId(1), Some(4.0));
+        assert_eq!(e.resolve(), vec![]);
+        e.set_links(&t, FlowId(1), hops(&t, &[a, b, c]));
+        assert_eq!(e.resolve(), vec![(FlowId(1), 4.0), (FlowId(2), 6.0)]);
+    }
+
+    #[test]
+    fn zero_hop_flow_is_rated_at_its_demand() {
+        let (t, _) = chain();
+        let mut e = FairShareEngine::new();
+        e.insert_flow(&t, FlowId(1), Some(Vec::new()), Some(2.5));
+        assert_eq!(e.resolve(), vec![(FlowId(1), 2.5)]);
+        assert_eq!(e.live_flows(), 1);
+    }
+
+    #[test]
+    fn capacity_change_on_a_link_no_flow_has_touched() {
+        let (mut t, [_, b, c]) = chain();
+        let mut e = FairShareEngine::new();
+        let bc = t.link_between(b, c).unwrap();
+        t.link_mut(bc).capacity_mbps = 4.0;
+        e.capacity_changed(&t, bc);
+        assert_eq!(e.resolve(), vec![]);
+        e.insert_flow(&t, FlowId(1), hops(&t, &[c, b]), None);
+        assert_eq!(e.resolve(), vec![(FlowId(1), 4.0)]);
+        t.link_mut(bc).capacity_mbps = 6.0;
+        e.capacity_changed(&t, bc);
+        assert_eq!(e.resolve(), vec![(FlowId(1), 6.0)]);
+    }
+
+    #[test]
+    fn reinserting_a_live_id_replaces_it() {
+        let (t, [a, b, c]) = chain();
+        let mut e = FairShareEngine::new();
+        e.insert_flow(&t, FlowId(1), hops(&t, &[a, b]), None);
+        e.insert_flow(&t, FlowId(2), hops(&t, &[a, b]), None);
+        assert_eq!(e.resolve(), vec![(FlowId(1), 5.0), (FlowId(2), 5.0)]);
+        e.insert_flow(&t, FlowId(1), hops(&t, &[b, c]), Some(3.0));
+        assert_eq!(e.resolve(), vec![(FlowId(1), 3.0), (FlowId(2), 10.0)]);
+        assert_eq!(e.live_flows(), 2);
+    }
+
+    #[test]
+    fn slack_rerate_solves_nothing_but_a_saturating_one_does() {
+        let (mut t, [a, b, _]) = chain();
+        let mut e = FairShareEngine::new();
+        let ab = t.link_between(a, b).unwrap();
+        e.insert_flow(&t, FlowId(1), hops(&t, &[a, b]), Some(3.0));
+        e.resolve();
+        let before = e.stats();
+        // 10 → 8 Mbps leaves the 3 Mbps flow's link slack: no member's
+        // bottleneck is there, so nobody is seeded.
+        t.link_mut(ab).capacity_mbps = 8.0;
+        e.capacity_changed(&t, ab);
+        assert_eq!(e.resolve(), vec![]);
+        assert_eq!(e.stats(), before);
+        // 8 → 2 Mbps saturates it.
+        t.link_mut(ab).capacity_mbps = 2.0;
+        e.capacity_changed(&t, ab);
+        assert_eq!(e.resolve(), vec![(FlowId(1), 2.0)]);
+        assert_ne!(e.stats(), before);
     }
 }

@@ -26,11 +26,13 @@
 
 pub mod fairness;
 pub mod flow;
+pub mod maxmin;
 pub mod sim;
 pub mod topo;
 
-pub use fairness::{FairShareEngine, WaterfillMetrics, WaterfillStats};
+pub use fairness::FairShareEngine;
 pub use flow::{Flow, FlowId, FlowSpec};
+pub use maxmin::{MaxMinKernel, WaterfillMetrics, WaterfillStats};
 pub use sim::{Event, Simulation, TelemetryRecord};
 pub use topo::{LinkId, NodeIdx, Topology};
 

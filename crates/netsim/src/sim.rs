@@ -21,8 +21,9 @@
 //! the share exactly, guarded by a per-flow generation counter so
 //! stale completions are ignored.
 
-use crate::fairness::{directed_links, Direction, FairShareEngine, WaterfillStats};
+use crate::fairness::{directed_links, Direction, FairShareEngine};
 use crate::flow::{Flow, FlowId, FlowSpec};
+use crate::maxmin::WaterfillStats;
 use crate::topo::{LinkId, NodeIdx, Topology};
 use crate::NetsimError;
 use rand::rngs::StdRng;
@@ -392,7 +393,7 @@ impl Simulation {
                 self.flows.insert(id, flow);
             }
             Event::StopFlow(id) => {
-                self.engine.remove_flow(&self.topo, id);
+                self.engine.remove_flow(id);
                 if let Some(f) = self.flows.remove(&id) {
                     self.unindex_hops(&f.path, id);
                     self.quiet.remove(&id);
@@ -417,13 +418,13 @@ impl Simulation {
             Event::SetLinkCapacity(lid, cap) => {
                 if self.topo.link(lid).capacity_mbps != cap {
                     self.topo.link_mut(lid).capacity_mbps = cap;
-                    self.engine.capacity_changed(lid);
+                    self.engine.capacity_changed(&self.topo, lid);
                 }
             }
             Event::SetFlowDemand(id, demand) => {
                 if let Some(f) = self.flows.get_mut(&id) {
                     f.spec.demand_mbps = demand;
-                    self.engine.set_demand(&self.topo, id, demand);
+                    self.engine.set_demand(id, demand);
                 }
             }
             Event::SetLinkUp(lid, up) => {
@@ -450,7 +451,7 @@ impl Simulation {
     /// convergence completion queued for when the new exponential has
     /// effectively flattened.
     fn resolve_shares(&mut self) {
-        let changes = self.engine.resolve(&self.topo);
+        let changes = self.engine.resolve();
         let now = self.now_ms;
         let tau = self.tcp_tau_s;
         for (id, raw) in changes {
