@@ -1,13 +1,13 @@
 //! Bench: the PolKA forwarding primitive vs the port-switching baseline.
 //!
-//! Measures (a) per-hop work: one polynomial `mod` (PolKA, allocation-free
-//! `rem_into`) vs one list pop + header rewrite (segment list); and
+//! Measures (a) per-hop work: one polynomial `mod` (PolKA, the node's
+//! byte-table reduction) vs one list pop + header rewrite (segment list); and
 //! (b) controller-side route compilation (CRT) as path length grows —
 //! the ablation called out in DESIGN.md §6.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gf2poly::Poly;
-use polka::{CoreNode, NodeIdAllocator, PortId, RouteSpec, SegmentListRoute};
+use polka::{CoreNode, NodeId, NodeIdAllocator, PortId, RouteId, RouteSpec, SegmentListRoute};
 use std::hint::black_box;
 
 fn routes_of_len(hops: usize) -> (RouteSpec, Vec<polka::NodeId>) {
@@ -61,18 +61,13 @@ fn bench_polynomial_mod_sizes(c: &mut Criterion) {
     // The raw kernel: remainder of a long routeID by a degree-8 nodeID.
     let mut group = c.benchmark_group("gf2_mod_kernel");
     for label_bits in [64usize, 256, 1024] {
-        let route = Poly::monomial(label_bits - 1);
-        let node = Poly::from_bits(0b1_0001_1011); // AES polynomial
-        let mut scratch = Poly::zero();
+        let route = RouteId::from_poly(Poly::monomial(label_bits - 1));
+        // AES polynomial
+        let mut core = CoreNode::new(NodeId::new("aes", Poly::from_bits(0b1_0001_1011)));
         group.bench_with_input(
             BenchmarkId::from_parameter(label_bits),
             &label_bits,
-            |b, _| {
-                b.iter(|| {
-                    route.rem_into(black_box(&node), &mut scratch).unwrap();
-                    black_box(&scratch);
-                })
-            },
+            |b, _| b.iter(|| black_box(core.forward(black_box(&route)))),
         );
     }
     group.finish();

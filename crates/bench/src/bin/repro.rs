@@ -30,9 +30,9 @@
 //! and, with `OBSV_TRACE=1`, writes `TRACE_loop.jsonl` plus the
 //! Perfetto-loadable `TRACE_loop_chrome.json`.
 //!
-//! `sim`, `throughput` and `scenarios` additionally upsert their
-//! sections into the unified `bench/v1` report (`BENCH_report.json`, or
-//! `$BENCH_REPORT`); `bench-diff` compares two such reports under the
+//! `sim`, `throughput`, `forwarding` and `scenarios` additionally upsert
+//! their sections into the unified `bench/v1` report (`BENCH_report.json`,
+//! or `$BENCH_REPORT`); `bench-diff` compares two such reports under the
 //! baseline's per-metric tolerance policy, exits non-zero on
 //! regressions, and with `--accept` rewrites the baseline from the new
 //! report instead.
@@ -467,6 +467,24 @@ fn forwarding() {
     );
     println!(
         "(critical path = each shard run in isolation; equals wall clock when cores >= shards)"
+    );
+    let polka1 = &r.rows[0];
+    assert_eq!((polka1.mode, polka1.shards), ("polka", 1));
+    write_section(
+        "forwarding",
+        false,
+        vec![
+            ("packets", Metric::exact(polka1.packets as f64)),
+            // `forwarding_scaling` panics before it reports counters
+            // that differ across modes of execution or shard counts.
+            ("counters_match", Metric::exact(1.0)),
+            // Half of what the byte-table reducer measured when it
+            // landed (18 Mpps; the long division ran 3.5).
+            (
+                "polka_critical_mpps",
+                Metric::wall(polka1.critical_mpps).with_floor(9.0),
+            ),
+        ],
     );
 }
 

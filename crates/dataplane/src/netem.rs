@@ -10,13 +10,23 @@
 //! flow goodput are *measured from forwarded packets*, not computed
 //! from an allocation model. The whole machine is integer-nanosecond
 //! and RNG-free: identical inputs produce identical counters.
+//!
+//! The event core is a k-way merge. A directed link is a FIFO — its
+//! `busy_until_ns` never decreases and its propagation delay is
+//! constant, so packets leave it in the order they entered — hence
+//! packets in flight wait in one `VecDeque` per directed link, and the
+//! heap holds only each non-empty link's front packet plus each
+//! source's next emission, keyed `(t_ns, seq)` with `seq` drawn from one
+//! global counter. That is the order a single heap of every packet
+//! would pop, at a fraction of the heap.
 
 use crate::label::{PacketState, SourceRoute};
 use crate::plane::{DropReason, ForwardingPlane, HopOutcome};
 use crate::{DataplaneError, FlowRoute};
 use netsim::{LinkId, NodeIdx, Topology};
 use polka::NodeIdAllocator;
-use std::collections::{BinaryHeap, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Default drop-tail queue depth per directed link (bytes): ~25 ms at
@@ -145,7 +155,7 @@ pub struct FlowWindow {
 }
 
 /// Everything a telemetry collector needs from one window.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WindowReport {
     /// Window length (ns).
     pub elapsed_ns: u64,
@@ -155,9 +165,20 @@ pub struct WindowReport {
     pub flows: Vec<FlowWindow>,
 }
 
+/// A packet between two nodes. It carries the route it was *stamped*
+/// with — an ingress rewrite never retroactively changes packets
+/// already in flight.
+#[derive(Debug)]
+struct Packet {
+    flow: usize,
+    state: PacketState,
+    emitted_ns: u64,
+    route: Arc<FlowRoute>,
+}
+
 /// One directed link: a drop-tail queue feeding a constant-rate
 /// transmitter with propagation delay.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct DirLink {
     from: NodeIdx,
     to: NodeIdx,
@@ -167,6 +188,9 @@ struct DirLink {
     queue_cap_bytes: u64,
     busy_until_ns: u64,
     report: LinkReport,
+    /// Packets serialized and not yet arrived, each with the `(t_ns,
+    /// seq)` it is due at the far end — ascending front to back.
+    in_flight: VecDeque<(u64, u64, Packet)>,
 }
 
 impl DirLink {
@@ -193,49 +217,48 @@ impl DirLink {
     }
 }
 
-#[derive(Debug)]
-enum EvKind {
-    /// A source emits its next packet.
-    Emit { flow: usize },
-    /// A packet arrives at a node. The packet carries the route it was
-    /// *stamped* with — an ingress rewrite never retroactively changes
-    /// packets already in flight.
-    Arrive {
-        flow: usize,
-        at: NodeIdx,
-        state: PacketState,
-        emitted_ns: u64,
-        route: Arc<FlowRoute>,
-    },
+/// Both directions of every link, link `l` at `2·l` (a→b) and `2·l + 1`
+/// (b→a).
+fn directed_links(topo: &Topology) -> Result<Vec<DirLink>, DataplaneError> {
+    let mut dirs = Vec::with_capacity(topo.link_count() * 2);
+    for (i, link) in topo.links().iter().enumerate() {
+        // A link's two directions are told apart by their transmitting
+        // end ([`PacketNet::dir`]).
+        if link.a == link.b {
+            return Err(DataplaneError::Topology(format!(
+                "link {i} loops on {}",
+                topo.node_name(link.a)
+            )));
+        }
+        for (from, to) in [(link.a, link.b), (link.b, link.a)] {
+            dirs.push(DirLink {
+                from,
+                to,
+                link: LinkId(i as u32),
+                rate_kbps: (link.capacity_mbps * 1000.0).round().max(1.0) as u64,
+                delay_ns: (link.delay_ms * 1e6).round() as u64,
+                queue_cap_bytes: DEFAULT_QUEUE_BYTES,
+                busy_until_ns: 0,
+                report: LinkReport::default(),
+                in_flight: VecDeque::new(),
+            });
+        }
+    }
+    Ok(dirs)
 }
 
-#[derive(Debug)]
-struct Ev {
-    t_ns: u64,
-    seq: u64,
-    kind: EvKind,
+/// Where the head heap's entry comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Source {
+    /// A flow's next emission.
+    Flow(usize),
+    /// The front packet of a directed link's FIFO.
+    Link(usize),
 }
 
-impl PartialEq for Ev {
-    fn eq(&self, other: &Self) -> bool {
-        self.t_ns == other.t_ns && self.seq == other.seq
-    }
-}
-impl Eq for Ev {}
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // reversed for a min-heap
-        other
-            .t_ns
-            .cmp(&self.t_ns)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
+/// `(t_ns, seq, source)`, min-first; `seq` is unique, so the source
+/// never decides an order.
+type Head = Reverse<(u64, u64, Source)>;
 
 #[derive(Debug)]
 struct FlowState {
@@ -250,18 +273,42 @@ struct FlowState {
     ingress_dir: usize,
 }
 
+impl FlowState {
+    fn new(spec: TrafficSpec, ingress_dir: usize) -> Self {
+        let bits = spec.payload_bytes as f64 * 8.0;
+        FlowState {
+            name: spec.name,
+            payload_bytes: spec.payload_bytes,
+            route: Arc::new(spec.route),
+            interval_ns: ((bits * 1000.0 / spec.rate_mbps.max(1e-6)).round() as u64).max(1),
+            report: FlowReport::default(),
+            prev: FlowReport::default(),
+            ingress_dir,
+        }
+    }
+
+    /// First emission of the `idx`-th registered source: a per-flow
+    /// phase offset so sources do not burst in lockstep.
+    fn first_emit_ns(&self, now_ns: u64, idx: usize) -> u64 {
+        now_ns + (idx as u64 * 9973) % self.interval_ns + 1
+    }
+}
+
 /// The packet network: a [`ForwardingPlane`] plus queued links, traffic
 /// sources and counters.
 #[derive(Debug)]
 pub struct PacketNet {
     plane: ForwardingPlane,
+    /// Link `l`'s two directions sit at `2·l` (a→b) and `2·l + 1`
+    /// (b→a); see [`PacketNet::dir`].
     dirs: Vec<DirLink>,
-    /// (a, b) -> directed-link index for a->b.
-    dir_of: HashMap<(NodeIdx, NodeIdx), usize>,
     flows: Vec<FlowState>,
     by_name: HashMap<String, usize>,
-    heap: BinaryHeap<Ev>,
+    /// One entry per flow (its next emission) and one per directed link
+    /// with packets in flight (its front packet).
+    heads: BinaryHeap<Head>,
     now_ns: u64,
+    /// Event sequence counter, shared by emissions and packets.
     seq: u64,
     window_open_ns: u64,
     prev_links: Vec<LinkReport>,
@@ -285,32 +332,14 @@ impl PacketNet {
     /// same allocator the controller compiles routeIDs with.
     pub fn new(topo: &Topology, alloc: &mut NodeIdAllocator) -> Result<Self, DataplaneError> {
         let plane = ForwardingPlane::new(topo, alloc)?;
-        let mut dirs = Vec::with_capacity(topo.link_count() * 2);
-        let mut dir_of = HashMap::new();
-        for (i, link) in topo.links().iter().enumerate() {
-            let lid = LinkId(i as u32);
-            for (from, to) in [(link.a, link.b), (link.b, link.a)] {
-                dir_of.insert((from, to), dirs.len());
-                dirs.push(DirLink {
-                    from,
-                    to,
-                    link: lid,
-                    rate_kbps: (link.capacity_mbps * 1000.0).round().max(1.0) as u64,
-                    delay_ns: (link.delay_ms * 1e6).round() as u64,
-                    queue_cap_bytes: DEFAULT_QUEUE_BYTES,
-                    busy_until_ns: 0,
-                    report: LinkReport::default(),
-                });
-            }
-        }
+        let dirs = directed_links(topo)?;
         let prev_links = vec![LinkReport::default(); dirs.len()];
         Ok(PacketNet {
             plane,
             dirs,
-            dir_of,
             flows: Vec::new(),
             by_name: HashMap::new(),
-            heap: BinaryHeap::new(),
+            heads: BinaryHeap::new(),
             now_ns: 0,
             seq: 0,
             window_open_ns: 0,
@@ -371,21 +400,12 @@ impl PacketNet {
             )));
         }
         let ingress_dir = self.resolve_ingress(&spec.route)?;
-        let bits = spec.payload_bytes as f64 * 8.0;
-        let interval_ns = ((bits * 1000.0 / spec.rate_mbps.max(1e-6)).round() as u64).max(1);
         let idx = self.flows.len();
-        let first = self.now_ns + (idx as u64 * 9973) % interval_ns.max(1) + 1;
-        self.flows.push(FlowState {
-            name: spec.name.clone(),
-            payload_bytes: spec.payload_bytes,
-            route: Arc::new(spec.route),
-            interval_ns,
-            report: FlowReport::default(),
-            prev: FlowReport::default(),
-            ingress_dir,
-        });
-        self.by_name.insert(spec.name, idx);
-        self.push(first, EvKind::Emit { flow: idx });
+        self.by_name.insert(spec.name.clone(), idx);
+        let flow = FlowState::new(spec, ingress_dir);
+        let first = flow.first_emit_ns(self.now_ns, idx);
+        self.flows.push(flow);
+        self.schedule_emit(first, idx);
         Ok(())
     }
 
@@ -421,8 +441,9 @@ impl PacketNet {
     /// degrades to queue overflow instead of dividing by zero.
     pub fn set_link_rate(&mut self, link: LinkId, mbps: f64) {
         let rate_kbps = (mbps * 1000.0).round().max(1.0) as u64;
-        for d in &mut self.dirs {
-            if d.link == link {
+        let base = link.0 as usize * 2;
+        if let Some(pair) = self.dirs.get_mut(base..base + 2) {
+            for d in pair {
                 d.rate_kbps = rate_kbps;
             }
         }
@@ -433,10 +454,16 @@ impl PacketNet {
         self.by_name.get(name).map(|&i| self.flows[i].report)
     }
 
+    /// The directed-link index of `link` transmitting from `from`.
+    fn dir(&self, link: LinkId, from: NodeIdx) -> usize {
+        let base = link.0 as usize * 2;
+        base + usize::from(self.dirs[base].from != from)
+    }
+
     fn resolve_ingress(&self, route: &FlowRoute) -> Result<usize, DataplaneError> {
-        self.dir_of
-            .get(&(route.ingress, route.first_hop))
-            .copied()
+        self.plane
+            .link_between(route.ingress, route.first_hop)
+            .map(|link| self.dir(link, route.ingress))
             .ok_or_else(|| {
                 DataplaneError::Topology(format!(
                     "ingress {:?} is not adjacent to first hop {:?}",
@@ -445,13 +472,27 @@ impl PacketNet {
             })
     }
 
-    fn push(&mut self, t_ns: u64, kind: EvKind) {
+    fn schedule_emit(&mut self, t_ns: u64, flow: usize) {
         self.seq += 1;
-        self.heap.push(Ev {
-            t_ns,
-            seq: self.seq,
-            kind,
-        });
+        self.heads
+            .push(Reverse((t_ns, self.seq, Source::Flow(flow))));
+    }
+
+    /// Puts a packet on directed link `dir`, due at the far end at
+    /// `t_ns`.
+    fn send(&mut self, dir: usize, t_ns: u64, packet: Packet) {
+        self.seq += 1;
+        let fifo = &mut self.dirs[dir].in_flight;
+        debug_assert!(
+            fifo.back()
+                .is_none_or(|&(t, seq, _)| (t, seq) < (t_ns, self.seq)),
+            "a directed link delivers in the order it was entered"
+        );
+        if fifo.is_empty() {
+            self.heads
+                .push(Reverse((t_ns, self.seq, Source::Link(dir))));
+        }
+        fifo.push_back((t_ns, self.seq, packet));
     }
 
     /// Runs the packet machine for `window_ns`, then closes the window
@@ -460,18 +501,25 @@ impl PacketNet {
     /// window.
     pub fn run_window(&mut self, window_ns: u64) -> WindowReport {
         let end = self.now_ns + window_ns;
-        while self.heap.peek().is_some_and(|top| top.t_ns <= end) {
-            let Some(ev) = self.heap.pop() else { break };
-            self.now_ns = ev.t_ns;
-            match ev.kind {
-                EvKind::Emit { flow } => self.emit(flow),
-                EvKind::Arrive {
-                    flow,
-                    at,
-                    state,
-                    emitted_ns,
-                    route,
-                } => self.arrive(flow, at, state, emitted_ns, route),
+        while let Some(&Reverse((t_ns, _, source))) = self.heads.peek() {
+            if t_ns > end {
+                break;
+            }
+            self.heads.pop();
+            self.now_ns = t_ns;
+            match source {
+                Source::Flow(flow) => self.emit(flow),
+                Source::Link(dir) => {
+                    let link = &mut self.dirs[dir];
+                    let Some((_, _, packet)) = link.in_flight.pop_front() else {
+                        continue;
+                    };
+                    if let Some(&(t_ns, seq, _)) = link.in_flight.front() {
+                        self.heads.push(Reverse((t_ns, seq, Source::Link(dir))));
+                    }
+                    let at = link.to;
+                    self.arrive(at, packet);
+                }
             }
         }
         self.now_ns = end;
@@ -485,7 +533,6 @@ impl PacketNet {
         let route = Arc::clone(&f.route); // the packet's stamped route
         let bytes = f.payload_bytes as u64 + route.label.header_bytes(&state) as u64;
         let next_emit = self.now_ns + f.interval_ns;
-        let first_hop = route.first_hop;
         let dir = f.ingress_dir;
         let link = self.dirs[dir].link;
         if !self.plane.link_up(link) {
@@ -493,43 +540,35 @@ impl PacketNet {
             self.dirs[dir].report.drops += 1;
             self.trace_drop(flow, "link_down", Some(link));
         } else {
-            let emitted_ns = self.now_ns;
             match self.dirs[dir].enqueue(self.now_ns, bytes) {
-                Some(arrival) => self.push(
-                    arrival,
-                    EvKind::Arrive {
+                Some(arrival) => {
+                    let packet = Packet {
                         flow,
-                        at: first_hop,
                         state,
-                        emitted_ns,
+                        emitted_ns: self.now_ns,
                         route,
-                    },
-                ),
+                    };
+                    self.send(dir, arrival, packet);
+                }
                 None => {
                     self.flows[flow].report.dropped_queue += 1;
                     self.trace_drop(flow, "queue_full", Some(link));
                 }
             }
         }
-        self.push(next_emit, EvKind::Emit { flow });
+        self.schedule_emit(next_emit, flow);
     }
 
-    fn arrive(
-        &mut self,
-        flow: usize,
-        at: NodeIdx,
-        mut state: PacketState,
-        emitted_ns: u64,
-        route: Arc<FlowRoute>,
-    ) {
-        let outcome = self.plane.hop(at, &route.label, &mut state);
+    fn arrive(&mut self, at: NodeIdx, mut packet: Packet) {
+        let flow = packet.flow;
+        let outcome = self.plane.hop(at, &packet.route.label, &mut packet.state);
         let f = &mut self.flows[flow];
         match outcome {
             HopOutcome::Delivered => {
-                if state.pot == route.expected_pot {
+                if packet.state.pot == packet.route.expected_pot {
                     f.report.delivered += 1;
                     f.report.delivered_bytes += f.payload_bytes as u64;
-                    f.report.latency_sum_ns += self.now_ns - emitted_ns;
+                    f.report.latency_sum_ns += self.now_ns - packet.emitted_ns;
                 } else {
                     f.report.pot_rejected += 1;
                     self.pot_rejects.inc();
@@ -570,32 +609,16 @@ impl PacketNet {
                 // counters too (mid-path failures must be visible in
                 // per-link telemetry, not just per-flow).
                 if let Some(lid) = link {
-                    // Directed pairs are laid out (a->b, b->a) per link.
-                    let base = lid.0 as usize * 2;
-                    debug_assert_eq!(self.dirs[base].link, lid);
-                    let dir = if self.dirs[base].from == at {
-                        base
-                    } else {
-                        base + 1
-                    };
+                    let dir = self.dir(lid, at);
                     self.dirs[dir].report.drops += 1;
                 }
             }
-            HopOutcome::Forwarded { next, link, .. } => {
-                let bytes = f.payload_bytes as u64 + route.label.header_bytes(&state) as u64;
-                let dir = self.dir_of[&(at, next)];
-                debug_assert_eq!(self.dirs[dir].link, link);
+            HopOutcome::Forwarded { link, .. } => {
+                let header = packet.route.label.header_bytes(&packet.state);
+                let bytes = f.payload_bytes as u64 + header as u64;
+                let dir = self.dir(link, at);
                 match self.dirs[dir].enqueue(self.now_ns, bytes) {
-                    Some(arrival) => self.push(
-                        arrival,
-                        EvKind::Arrive {
-                            flow,
-                            at: next,
-                            state,
-                            emitted_ns,
-                            route,
-                        },
-                    ),
+                    Some(arrival) => self.send(dir, arrival, packet),
                     None => {
                         self.flows[flow].report.dropped_queue += 1;
                         self.trace_drop(flow, "queue_full", Some(link));
@@ -626,46 +649,276 @@ impl PacketNet {
                 }
             }
         }
-        let links = self
-            .dirs
-            .iter()
-            .zip(self.prev_links.iter_mut())
-            .map(|(d, prev)| {
-                let report = d.report.sub(prev);
-                *prev = d.report;
-                let used_mbps = if elapsed_ns == 0 {
-                    0.0
-                } else {
-                    report.tx_bytes as f64 * 8.0 * 1000.0 / elapsed_ns as f64
-                };
-                LinkWindow {
-                    link: d.link,
-                    from: d.from,
-                    to: d.to,
-                    report,
-                    used_mbps,
-                    rate_mbps: d.rate_kbps as f64 / 1000.0,
-                    up: self.plane.link_up(d.link),
-                }
-            })
-            .collect();
-        let flows = self
-            .flows
-            .iter_mut()
-            .map(|f| {
-                let report = f.report.sub(&f.prev);
-                f.prev = f.report;
-                FlowWindow {
-                    goodput_mbps: report.goodput_mbps(elapsed_ns),
-                    name: f.name.clone(),
-                    report,
-                }
-            })
-            .collect();
-        WindowReport {
+        window_report(
             elapsed_ns,
-            links,
-            flows,
+            &self.dirs,
+            &mut self.prev_links,
+            &mut self.flows,
+            &self.plane,
+        )
+    }
+}
+
+/// The counters accumulated since the previous close, per directed link
+/// (with measured load) and per flow (with goodput).
+fn window_report(
+    elapsed_ns: u64,
+    dirs: &[DirLink],
+    prev_links: &mut [LinkReport],
+    flows: &mut [FlowState],
+    plane: &ForwardingPlane,
+) -> WindowReport {
+    let links = dirs
+        .iter()
+        .zip(prev_links.iter_mut())
+        .map(|(d, prev)| {
+            let report = d.report.sub(prev);
+            *prev = d.report;
+            let used_mbps = if elapsed_ns == 0 {
+                0.0
+            } else {
+                report.tx_bytes as f64 * 8.0 * 1000.0 / elapsed_ns as f64
+            };
+            LinkWindow {
+                link: d.link,
+                from: d.from,
+                to: d.to,
+                report,
+                used_mbps,
+                rate_mbps: d.rate_kbps as f64 / 1000.0,
+                up: plane.link_up(d.link),
+            }
+        })
+        .collect();
+    let flows = flows
+        .iter_mut()
+        .map(|f| {
+            let report = f.report.sub(&f.prev);
+            f.prev = f.report;
+            FlowWindow {
+                goodput_mbps: report.goodput_mbps(elapsed_ns),
+                name: f.name.clone(),
+                report,
+            }
+        })
+        .collect();
+    WindowReport {
+        elapsed_ns,
+        links,
+        flows,
+    }
+}
+
+/// The event core the per-link FIFOs replaced, kept as the test oracle:
+/// every packet in flight is its own entry of one global heap, and
+/// directed links are found by endpoint pair.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    enum EvKind {
+        Emit {
+            flow: usize,
+        },
+        Arrive {
+            flow: usize,
+            at: NodeIdx,
+            state: PacketState,
+            emitted_ns: u64,
+            route: Arc<FlowRoute>,
+        },
+    }
+
+    struct Ev {
+        t_ns: u64,
+        seq: u64,
+        kind: EvKind,
+    }
+
+    impl PartialEq for Ev {
+        fn eq(&self, other: &Self) -> bool {
+            (self.t_ns, self.seq) == (other.t_ns, other.seq)
+        }
+    }
+    impl Eq for Ev {}
+    impl Ord for Ev {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            // reversed for a min-heap
+            (other.t_ns, other.seq).cmp(&(self.t_ns, self.seq))
+        }
+    }
+    impl PartialOrd for Ev {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    pub(super) struct HeapNet {
+        plane: ForwardingPlane,
+        dirs: Vec<DirLink>,
+        dir_of: HashMap<(NodeIdx, NodeIdx), usize>,
+        flows: Vec<FlowState>,
+        heap: BinaryHeap<Ev>,
+        now_ns: u64,
+        seq: u64,
+        window_open_ns: u64,
+        prev_links: Vec<LinkReport>,
+    }
+
+    impl HeapNet {
+        pub(super) fn new(topo: &Topology, alloc: &mut NodeIdAllocator) -> Self {
+            let dirs = directed_links(topo).unwrap();
+            HeapNet {
+                plane: ForwardingPlane::new(topo, alloc).unwrap(),
+                dir_of: (dirs.iter().enumerate())
+                    .map(|(i, d)| ((d.from, d.to), i))
+                    .collect(),
+                prev_links: vec![LinkReport::default(); dirs.len()],
+                dirs,
+                flows: Vec::new(),
+                heap: BinaryHeap::new(),
+                now_ns: 0,
+                seq: 0,
+                window_open_ns: 0,
+            }
+        }
+
+        fn push(&mut self, t_ns: u64, kind: EvKind) {
+            self.seq += 1;
+            let seq = self.seq;
+            self.heap.push(Ev { t_ns, seq, kind });
+        }
+
+        pub(super) fn add_flow(&mut self, spec: TrafficSpec) {
+            let ingress_dir = self.dir_of[&(spec.route.ingress, spec.route.first_hop)];
+            let idx = self.flows.len();
+            let flow = FlowState::new(spec, ingress_dir);
+            let first = flow.first_emit_ns(self.now_ns, idx);
+            self.flows.push(flow);
+            self.push(first, EvKind::Emit { flow: idx });
+        }
+
+        pub(super) fn set_route(&mut self, flow: usize, route: FlowRoute) {
+            self.flows[flow].ingress_dir = self.dir_of[&(route.ingress, route.first_hop)];
+            self.flows[flow].route = Arc::new(route);
+        }
+
+        pub(super) fn set_link_up(&mut self, link: LinkId, up: bool) {
+            self.plane.set_link_up(link, up);
+        }
+
+        pub(super) fn set_link_rate(&mut self, link: LinkId, mbps: f64) {
+            for d in self.dirs.iter_mut().filter(|d| d.link == link) {
+                d.rate_kbps = (mbps * 1000.0).round().max(1.0) as u64;
+            }
+        }
+
+        pub(super) fn run_window(&mut self, window_ns: u64) -> WindowReport {
+            let end = self.now_ns + window_ns;
+            while self.heap.peek().is_some_and(|top| top.t_ns <= end) {
+                let ev = self.heap.pop().unwrap();
+                self.now_ns = ev.t_ns;
+                match ev.kind {
+                    EvKind::Emit { flow } => self.emit(flow),
+                    EvKind::Arrive {
+                        flow,
+                        at,
+                        state,
+                        emitted_ns,
+                        route,
+                    } => self.arrive(flow, at, state, emitted_ns, route),
+                }
+            }
+            self.now_ns = end;
+            let elapsed_ns = end - self.window_open_ns;
+            self.window_open_ns = end;
+            window_report(
+                elapsed_ns,
+                &self.dirs,
+                &mut self.prev_links,
+                &mut self.flows,
+                &self.plane,
+            )
+        }
+
+        fn emit(&mut self, flow: usize) {
+            let f = &mut self.flows[flow];
+            f.report.emitted += 1;
+            let state = PacketState::stamped();
+            let route = Arc::clone(&f.route);
+            let bytes = f.payload_bytes as u64 + route.label.header_bytes(&state) as u64;
+            let next_emit = self.now_ns + f.interval_ns;
+            let dir = f.ingress_dir;
+            if !self.plane.link_up(self.dirs[dir].link) {
+                f.report.dropped_link_down += 1;
+                self.dirs[dir].report.drops += 1;
+            } else if let Some(arrival) = self.dirs[dir].enqueue(self.now_ns, bytes) {
+                let (at, emitted_ns) = (route.first_hop, self.now_ns);
+                self.push(
+                    arrival,
+                    EvKind::Arrive {
+                        flow,
+                        at,
+                        state,
+                        emitted_ns,
+                        route,
+                    },
+                );
+            } else {
+                f.report.dropped_queue += 1;
+            }
+            self.push(next_emit, EvKind::Emit { flow });
+        }
+
+        fn arrive(
+            &mut self,
+            flow: usize,
+            at: NodeIdx,
+            mut state: PacketState,
+            emitted_ns: u64,
+            route: Arc<FlowRoute>,
+        ) {
+            let outcome = self.plane.hop(at, &route.label, &mut state);
+            let f = &mut self.flows[flow];
+            match outcome {
+                HopOutcome::Delivered if state.pot == route.expected_pot => {
+                    f.report.delivered += 1;
+                    f.report.delivered_bytes += f.payload_bytes as u64;
+                    f.report.latency_sum_ns += self.now_ns - emitted_ns;
+                }
+                HopOutcome::Delivered => f.report.pot_rejected += 1,
+                HopOutcome::Drop { reason, link } => {
+                    match reason {
+                        DropReason::NoRoute => f.report.dropped_no_route += 1,
+                        DropReason::LinkDown => f.report.dropped_link_down += 1,
+                        DropReason::TtlExpired => f.report.dropped_ttl += 1,
+                        DropReason::QueueFull => f.report.dropped_queue += 1,
+                    }
+                    if let Some(lid) = link {
+                        let killer = (self.dirs.iter_mut())
+                            .find(|d| d.link == lid && d.from == at)
+                            .unwrap();
+                        killer.report.drops += 1;
+                    }
+                }
+                HopOutcome::Forwarded { next, .. } => {
+                    let bytes = f.payload_bytes as u64 + route.label.header_bytes(&state) as u64;
+                    let dir = self.dir_of[&(at, next)];
+                    match self.dirs[dir].enqueue(self.now_ns, bytes) {
+                        Some(arrival) => self.push(
+                            arrival,
+                            EvKind::Arrive {
+                                flow,
+                                at: next,
+                                state,
+                                emitted_ns,
+                                route,
+                            },
+                        ),
+                        None => f.report.dropped_queue += 1,
+                    }
+                }
+            }
         }
     }
 }
@@ -673,7 +926,8 @@ impl PacketNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netsim::topo::global_p4_lab;
+    use netsim::topo::{fat_tree, global_p4_lab};
+    use proptest::test_runner::TestRng;
 
     fn route_for(topo: &Topology, alloc: &mut NodeIdAllocator, names: &[&str]) -> FlowRoute {
         let path: Vec<NodeIdx> = names.iter().map(|n| topo.node(n).unwrap()).collect();
@@ -919,5 +1173,204 @@ mod tests {
         assert!(net.add_flow(spec).is_err());
         assert!(net.set_route("ghost", route).is_err());
         assert!(net.flow_report("ghost").is_none());
+    }
+
+    /// The equivalence cases below are seeded, not sampled.
+    fn below(rng: &mut TestRng, n: usize) -> usize {
+        rng.below(n as u64) as usize
+    }
+
+    /// A PolKA or segment-list route along one of the three shortest
+    /// paths between two distinct routers.
+    fn random_route(topo: &Topology, alloc: &mut NodeIdAllocator, rng: &mut TestRng) -> FlowRoute {
+        let routers: Vec<NodeIdx> = (0..topo.node_count() as u32)
+            .map(NodeIdx)
+            .filter(|&n| topo.node_kind(n) != netsim::topo::NodeKind::Host)
+            .collect();
+        loop {
+            let src = routers[below(rng, routers.len())];
+            let dst = routers[below(rng, routers.len())];
+            let paths = topo.k_shortest_paths(src, dst, 3);
+            if src == dst || paths.is_empty() {
+                continue;
+            }
+            let path = &paths[below(rng, paths.len())];
+            return FlowRoute::along_path(topo, alloc, path, below(rng, 4) != 0).unwrap();
+        }
+    }
+
+    fn random_spec(
+        topo: &Topology,
+        alloc: &mut NodeIdAllocator,
+        rng: &mut TestRng,
+        idx: usize,
+    ) -> TrafficSpec {
+        TrafficSpec {
+            name: format!("f{idx}"),
+            route: random_route(topo, alloc, rng),
+            payload_bytes: [64, 250, 700, 1250, 1500][below(rng, 5)],
+            rate_mbps: 0.2 + below(rng, 120) as f64 / 10.0,
+        }
+    }
+
+    /// Drives the FIFO machine and the heap reference through one
+    /// seeded script — flows of mixed size, rate and label, then
+    /// windows of unequal length with re-routes, failures, restores,
+    /// re-rates (down to the 1 kbps floor and back) and late flows
+    /// landing while packets are in flight — and demands equal
+    /// reports after every window.
+    fn fifo_core_matches_heap_reference(topo: &Topology, seed: u64) {
+        let rng = &mut TestRng::from_seed(seed);
+        let mut alloc = NodeIdAllocator::for_network(topo.node_count(), topo.max_port().max(1));
+        let mut net = PacketNet::new(topo, &mut alloc).unwrap();
+        let mut oracle = reference::HeapNet::new(topo, &mut alloc);
+        for _ in 0..2 + below(rng, 5) {
+            let spec = random_spec(topo, &mut alloc, rng, net.flows.len());
+            net.add_flow(spec.clone()).unwrap();
+            oracle.add_flow(spec);
+        }
+        for window in 0..4 + below(rng, 4) {
+            let window_ns = (1 + below(rng, 90) as u64) * MS + below(rng, 1000) as u64;
+            assert_eq!(
+                net.run_window(window_ns),
+                oracle.run_window(window_ns),
+                "seed {seed}, window {window}"
+            );
+            let link = LinkId(below(rng, topo.link_count()) as u32);
+            match below(rng, 8) {
+                0 | 1 => {
+                    let flow = below(rng, net.flows.len());
+                    let route = random_route(topo, &mut alloc, rng);
+                    net.set_route(&format!("f{flow}"), route.clone()).unwrap();
+                    oracle.set_route(flow, route);
+                }
+                2 | 3 => {
+                    let up = below(rng, 2) == 0;
+                    net.set_link_up(link, up);
+                    oracle.set_link_up(link, up);
+                }
+                4 | 5 => {
+                    let mbps = [0.0, topo.link(link).capacity_mbps, 3.5][below(rng, 3)];
+                    net.set_link_rate(link, mbps);
+                    oracle.set_link_rate(link, mbps);
+                }
+                6 => {
+                    let spec = random_spec(topo, &mut alloc, rng, net.flows.len());
+                    net.add_flow(spec.clone()).unwrap();
+                    oracle.add_flow(spec);
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn fifo_core_matches_heap_reference_on_the_lab() {
+        let topo = global_p4_lab();
+        for seed in 0..128 {
+            fifo_core_matches_heap_reference(&topo, seed);
+        }
+    }
+
+    #[test]
+    fn fifo_core_matches_heap_reference_on_a_fat_tree() {
+        let topo = fat_tree(4);
+        for seed in 1000..1128 {
+            fifo_core_matches_heap_reference(&topo, seed);
+        }
+    }
+
+    #[test]
+    fn directed_links_pair_up_by_link_id() {
+        let topo = fat_tree(4);
+        let dirs = directed_links(&topo).unwrap();
+        assert_eq!(dirs.len(), 2 * topo.link_count());
+        for (i, link) in topo.links().iter().enumerate() {
+            let (ab, ba) = (&dirs[2 * i], &dirs[2 * i + 1]);
+            assert_eq!((ab.link, ba.link), (LinkId(i as u32), LinkId(i as u32)));
+            assert_eq!((ab.from, ab.to), (link.a, link.b));
+            assert_eq!((ba.from, ba.to), (link.b, link.a));
+        }
+    }
+
+    #[test]
+    fn self_loop_links_are_refused() {
+        let mut topo = global_p4_lab();
+        let mia = topo.node("MIA").unwrap();
+        topo.add_link(mia, mia, 10.0, 1.0);
+        let mut alloc = NodeIdAllocator::for_network(topo.node_count(), topo.max_port().max(1));
+        assert!(matches!(
+            PacketNet::new(&topo, &mut alloc),
+            Err(DataplaneError::Topology(_))
+        ));
+    }
+
+    #[test]
+    fn fat_tree_8_counters_are_pinned() {
+        // The loopbench `fattree-packet` shape — fat_tree(8), 8 pod
+        // pairs × 3 tunnels, 250-byte packets, a probe per tunnel plus
+        // 64 flows — squeezed and failed between windows. The totals
+        // were captured on the global-heap machine.
+        let topo = fat_tree(8);
+        let mut alloc = NodeIdAllocator::for_network(topo.node_count(), topo.max_port().max(1));
+        let mut net = PacketNet::new(&topo, &mut alloc).unwrap();
+        let mut tunnels = Vec::new();
+        for pod in 0..8 {
+            let src = topo.node(&format!("p{pod}e0")).unwrap();
+            let dst = topo.node(&format!("p{}e1", (pod + 4) % 8)).unwrap();
+            for path in topo.k_shortest_paths(src, dst, 3) {
+                tunnels.push(FlowRoute::along_path(&topo, &mut alloc, &path, true).unwrap());
+            }
+        }
+        assert_eq!(tunnels.len(), 24);
+        for (i, route) in tunnels.iter().enumerate() {
+            net.add_flow(TrafficSpec {
+                name: format!("probe:{i}"),
+                route: route.clone(),
+                payload_bytes: 250,
+                rate_mbps: 0.4,
+            })
+            .unwrap();
+        }
+        for f in 0..64 {
+            net.add_flow(TrafficSpec {
+                name: format!("f{f}"),
+                route: tunnels[f * 7 % 24].clone(),
+                payload_bytes: 250,
+                rate_mbps: 2.0 + (f % 5) as f64 * 0.2,
+            })
+            .unwrap();
+        }
+        let mut windows = vec![net.run_window(1000 * MS)];
+        for (i, link) in topo.links().iter().enumerate() {
+            net.set_link_rate(LinkId(i as u32), link.capacity_mbps * 0.55);
+        }
+        windows.push(net.run_window(1000 * MS));
+        let first_hop = topo.link_between(tunnels[0].ingress, tunnels[0].first_hop);
+        net.set_link_up(first_hop.unwrap(), false);
+        windows.push(net.run_window(1000 * MS));
+
+        let flows = windows.iter().flat_map(|w| &w.flows).map(|f| f.report);
+        let (delivered, dropped) = flows.fold((0, 0), |(ok, lost), r| {
+            let drops = r.dropped_queue + r.dropped_link_down + r.dropped_no_route + r.dropped_ttl;
+            (ok + r.delivered, lost + drops)
+        });
+        let mut tx_bytes = vec![0u64; 2 * topo.link_count()];
+        for w in &windows {
+            for (total, l) in tx_bytes.iter_mut().zip(&w.links) {
+                *total += l.report.tx_bytes;
+            }
+        }
+        // Per-link totals, order-sensitive.
+        let fingerprint = (tx_bytes.iter()).fold(0u64, |h, &b| h.wrapping_mul(1_000_003) ^ b);
+        assert_eq!(
+            (
+                delivered,
+                dropped,
+                tx_bytes.iter().sum::<u64>(),
+                fingerprint
+            ),
+            (142_315, 97_863, 155_462_490, 926_488_733_534_887_822)
+        );
     }
 }

@@ -160,6 +160,18 @@ impl ForwardingPlane {
         self.link_up.get(link.0 as usize).copied().unwrap_or(false)
     }
 
+    /// The link `from`'s port table reaches neighbor `to` over (the
+    /// highest-numbered one when links run in parallel).
+    pub fn link_between(&self, from: NodeIdx, to: NodeIdx) -> Option<LinkId> {
+        let ports = &self.nodes.get(from.0 as usize)?.ports;
+        ports
+            .iter()
+            .rev()
+            .flatten()
+            .find(|(neighbor, _)| *neighbor == to)
+            .map(|(_, link)| *link)
+    }
+
     /// One forwarding operation: the packet (with mutable `state`) shows
     /// up at `at` carrying `label`.
     pub fn hop(

@@ -92,6 +92,8 @@ const BARE_PANIC_FILES: &[&str] = &[
     "crates/dataplane/src/plane.rs",
     "crates/dataplane/src/shard.rs",
     "crates/dataplane/src/netem.rs",
+    // `CoreNode::forward` runs once per packet per hop.
+    "crates/polka/src/route.rs",
     // A forest fit runs inside every consult; bad telemetry must come
     // back as `MlError`, not abort the controller.
     "crates/hecate-ml/src/tree.rs",

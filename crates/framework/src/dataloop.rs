@@ -61,6 +61,8 @@ pub struct PacketPlane {
     cfg: DataplaneConfig,
     /// flow label -> tunnel currently stamped at the ingress.
     stamped: HashMap<String, String>,
+    /// How many tunnels, in discovery order, carry a probe stream.
+    probed: usize,
     /// Epochs run so far.
     pub epochs: u64,
 }
@@ -127,30 +129,38 @@ impl SelfDrivingNetwork {
         ))
     }
 
+    /// Starts the probe stream of every tunnel that has none yet: all of
+    /// them at attach time, later the ones `discover_tunnels` added.
+    fn start_missing_probes(&self, plane: &mut PacketPlane) -> Result<(), FrameworkError> {
+        for name in &self.tunnel_order[plane.probed..] {
+            plane.net.add_flow(TrafficSpec {
+                name: format!("probe:{name}"),
+                route: self.tunnel_packet_route(name)?,
+                payload_bytes: plane.cfg.probe_bytes,
+                rate_mbps: plane.cfg.probe_rate_mbps,
+            })?;
+            plane.probed += 1;
+        }
+        Ok(())
+    }
+
     /// Builds the packet-level data plane over the current topology and
     /// starts one probe stream per tunnel. Uses the same node-ID
     /// allocator that compiled the tunnels, so stamped routeIDs and the
     /// plane's core nodes agree.
     pub fn attach_dataplane(&mut self, cfg: DataplaneConfig) -> Result<(), FrameworkError> {
-        let mut net = PacketNet::new(&self.sim.topo, &mut self.alloc)?;
-        for name in self.tunnel_names() {
-            let route = self.tunnel_packet_route(&name)?;
-            net.add_flow(TrafficSpec {
-                name: format!("probe:{name}"),
-                route,
-                payload_bytes: cfg.probe_bytes,
-                rate_mbps: cfg.probe_rate_mbps,
-            })?;
-        }
-        // A bundle attached before the plane existed still reaches it.
-        net.set_tracer(self.obsv.tracer.clone());
-        net.register_metrics(&self.obsv.metrics);
-        self.packet_plane = Some(PacketPlane {
-            net,
+        let mut plane = PacketPlane {
+            net: PacketNet::new(&self.sim.topo, &mut self.alloc)?,
             cfg,
             stamped: HashMap::new(),
+            probed: 0,
             epochs: 0,
-        });
+        };
+        self.start_missing_probes(&mut plane)?;
+        // A bundle attached before the plane existed still reaches it.
+        plane.net.set_tracer(self.obsv.tracer.clone());
+        plane.net.register_metrics(&self.obsv.metrics);
+        self.packet_plane = Some(plane);
         Ok(())
     }
 
@@ -208,9 +218,10 @@ impl SelfDrivingNetwork {
     /// Runs one epoch of the packet data plane and feeds the measured
     /// counters into the telemetry store:
     ///
-    /// 1. ingress sync — every managed flow's stamped route is matched
-    ///    to its current tunnel (a migration decided since the last
-    ///    epoch lands here as **one** routeID swap);
+    /// 1. ingress sync — tunnels discovered since the last epoch get
+    ///    their probe stream, and every managed flow's stamped route is
+    ///    matched to its current tunnel (a migration decided since the
+    ///    last epoch lands here as **one** routeID swap);
     /// 2. forward a window of packets through queues and core nodes;
     /// 3. per tunnel, insert the *measured* available bandwidth
     ///    (bottleneck residual from link counters, plus the tunnel's own
@@ -231,31 +242,24 @@ impl SelfDrivingNetwork {
         &mut self,
         plane: &mut PacketPlane,
     ) -> Result<PacketEpochReport, FrameworkError> {
-        // (1) ingress sync: stamp new flows, re-stamp migrated ones.
+        // (1) ingress sync: probe new tunnels, stamp new flows, re-stamp
+        // migrated ones.
         let rewrites_before = plane.net.ingress_rewrites;
-        let managed: Vec<(String, String, Option<f64>)> = self
-            .flows
-            .iter()
-            .map(|f| (f.label.clone(), f.tunnel.clone(), f.demand))
-            .collect();
-        for (label, tunnel, demand) in &managed {
-            let route = self.tunnel_packet_route(tunnel)?;
-            match plane.stamped.get(label) {
-                None => {
-                    plane.net.add_flow(TrafficSpec {
-                        name: label.clone(),
-                        route,
-                        payload_bytes: plane.cfg.flow_bytes,
-                        rate_mbps: demand.unwrap_or(plane.cfg.default_flow_mbps),
-                    })?;
-                    plane.stamped.insert(label.clone(), tunnel.clone());
-                }
-                Some(current) if current != tunnel => {
-                    plane.net.set_route(label, route)?;
-                    plane.stamped.insert(label.clone(), tunnel.clone());
-                }
-                Some(_) => {}
+        self.start_missing_probes(plane)?;
+        for f in &self.flows {
+            match plane.stamped.get(&f.label) {
+                Some(current) if *current == f.tunnel => continue,
+                Some(_) => plane
+                    .net
+                    .set_route(&f.label, self.tunnel_packet_route(&f.tunnel)?)?,
+                None => plane.net.add_flow(TrafficSpec {
+                    name: f.label.clone(),
+                    route: self.tunnel_packet_route(&f.tunnel)?,
+                    payload_bytes: plane.cfg.flow_bytes,
+                    rate_mbps: f.demand.unwrap_or(plane.cfg.default_flow_mbps),
+                })?,
             }
+            plane.stamped.insert(f.label.clone(), f.tunnel.clone());
         }
 
         // (2) forward one window of packets; advance the fluid clock in
@@ -270,14 +274,24 @@ impl SelfDrivingNetwork {
         // (3) measured telemetry. Index the window by directed link.
         let by_dir: HashMap<(NodeIdx, NodeIdx), &dataplane::netem::LinkWindow> =
             window.links.iter().map(|l| ((l.from, l.to), l)).collect();
-        let goodput_of: HashMap<&str, f64> = window
-            .flows
-            .iter()
-            .map(|f| (f.name.as_str(), f.goodput_mbps))
-            .collect();
+        let mut goodput_of: HashMap<&str, f64> = HashMap::with_capacity(window.flows.len());
+        let mut probe_goodput: HashMap<&str, f64> = HashMap::new();
+        for f in &window.flows {
+            goodput_of.insert(&f.name, f.goodput_mbps);
+            if let Some(tunnel) = f.name.strip_prefix("probe:") {
+                probe_goodput.insert(tunnel, f.goodput_mbps);
+            }
+        }
+        // Summed in managed-flow order: the f64 lands in telemetry.
+        let mut managed_goodput: HashMap<&str, f64> = HashMap::new();
+        for f in &self.flows {
+            if let Some(g) = goodput_of.get(f.label.as_str()) {
+                *managed_goodput.entry(&f.tunnel).or_insert(0.0) += g;
+            }
+        }
         let mut tunnel_available = Vec::new();
-        for name in self.tunnel_names() {
-            let compiled = &self.tunnels[&name];
+        for name in &self.tunnel_order {
+            let compiled = &self.tunnels[name];
             let mut residual = f64::INFINITY;
             for hop in compiled.node_path.windows(2) {
                 let Some(lw) = by_dir.get(&(hop[0], hop[1])) else {
@@ -293,29 +307,19 @@ impl SelfDrivingNetwork {
             // Capacity visible to the optimizer: bottleneck residual
             // plus what this tunnel's own streams already deliver
             // (mirrors the fluid collector's accounting).
-            let own: f64 = goodput_of
-                .get(format!("probe:{name}").as_str())
-                .copied()
-                .unwrap_or(0.0)
-                + managed
-                    .iter()
-                    .filter(|(_, t, _)| *t == name)
-                    .filter_map(|(l, _, _)| goodput_of.get(l.as_str()))
-                    .sum::<f64>();
+            let own = probe_goodput.get(name.as_str()).copied().unwrap_or(0.0)
+                + managed_goodput.get(name.as_str()).copied().unwrap_or(0.0);
             let avail = residual.max(0.0) + own;
-            self.telemetry.insert(
-                &SeriesKey::new(&name, Metric::AvailableBandwidth),
-                at,
-                avail,
-            );
-            tunnel_available.push((name, avail));
+            self.telemetry
+                .insert(&SeriesKey::new(name, Metric::AvailableBandwidth), at, avail);
+            tunnel_available.push((name.clone(), avail));
         }
         let mut flow_goodput = Vec::new();
-        for (label, _, _) in &managed {
-            let g = goodput_of.get(label.as_str()).copied().unwrap_or(0.0);
+        for f in &self.flows {
+            let g = goodput_of.get(f.label.as_str()).copied().unwrap_or(0.0);
             self.telemetry
-                .insert(&SeriesKey::new(label, Metric::FlowRate), at, g);
-            flow_goodput.push((label.clone(), g));
+                .insert(&SeriesKey::new(&f.label, Metric::FlowRate), at, g);
+            flow_goodput.push((f.label.clone(), g));
         }
         for lw in &window.links {
             let key = SeriesKey::new(
@@ -384,6 +388,27 @@ mod tests {
         assert!((avail["tunnel3"] - 5.0).abs() < 1.0, "{avail:?}");
         assert_eq!(r.pot_rejected, 0);
         assert!(r.delivered > 0);
+    }
+
+    #[test]
+    fn tunnels_discovered_after_attaching_get_probed() {
+        let mut sdn = attached();
+        // Fig 10 declares no MIA→PAR tunnel: discovery builds two.
+        let created = sdn.discover_tunnels("MIA", "PAR", 2).unwrap();
+        assert_eq!(created.len(), 2, "{created:?}");
+        let r = sdn.packet_epoch().unwrap();
+        assert_eq!(r.tunnel_available.len(), 3 + created.len());
+        for tunnel in &created {
+            let probe = sdn
+                .dataplane()
+                .unwrap()
+                .net()
+                .flow_report(&format!("probe:{tunnel}"));
+            assert!(
+                probe.is_some_and(|p| p.delivered > 0),
+                "{tunnel} carries no probe: {probe:?}"
+            );
+        }
     }
 
     #[test]

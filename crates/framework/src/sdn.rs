@@ -77,8 +77,9 @@ pub struct SelfDrivingNetwork {
     mq: MessageQueue,
     pub(crate) alloc: NodeIdAllocator,
     pub(crate) tunnels: BTreeMap<String, CompiledTunnel>,
-    /// Every tunnel, all pairs, in pair-then-discovery order.
-    tunnel_order: Vec<String>,
+    /// Every tunnel, all pairs, in pair-then-discovery order
+    /// (append-only).
+    pub(crate) tunnel_order: Vec<String>,
     pub(crate) flows: Vec<ManagedFlow>,
     /// The managed ingress/egress pairs; single-pair deployments (the
     /// paper testbed, [`SelfDrivingNetwork::over_topology`]) have

@@ -110,9 +110,7 @@ pub fn walk_route(
         let node_id = alloc.get(topo.node_name(current)).ok_or_else(|| {
             FreertrError::Route(format!("{} has no nodeID", topo.node_name(current)))
         })?;
-        let mut core = polka::CoreNode::new(node_id.clone());
-        let port = core
-            .forward(&compiled.route)
+        let port = polka::route::port_by_division(&compiled.route, node_id)
             .ok_or_else(|| FreertrError::Route("remainder is not a port".into()))?;
         if port == PortId(0) {
             return Ok(visited); // delivered at egress

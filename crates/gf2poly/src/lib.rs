@@ -17,8 +17,9 @@
 //!   polynomials for node-identifier assignment.
 //!
 //! The hot path for a PolKA switch is a single `mod` operation, mirroring
-//! how hardware reuses the CRC circuit; [`Poly::rem_into`] offers an
-//! allocation-free variant for that path.
+//! how hardware reuses the CRC circuit; that table-driven reduction lives
+//! with the switch (`polka::CoreNode`), and [`Poly::rem_ref`] here is the
+//! long division it is tested against.
 //!
 //! # Example: the paper's Figure 1
 //!

@@ -260,36 +260,6 @@ impl Poly {
         Ok(self.divmod(divisor)?.1)
     }
 
-    /// Allocation-free remainder into `scratch` (which is overwritten with
-    /// the remainder). This is the shape of the switch fast path: the
-    /// routeID arrives in the packet buffer and is reduced in place.
-    pub fn rem_into(&self, divisor: &Poly, scratch: &mut Poly) -> Result<(), Gf2Error> {
-        let ddeg = divisor.degree().ok_or(Gf2Error::DivisionByZero)?;
-        scratch.limbs.clear();
-        scratch.limbs.extend_from_slice(&self.limbs);
-        loop {
-            let Some(rdeg) = scratch.degree() else {
-                return Ok(());
-            };
-            if rdeg < ddeg {
-                return Ok(());
-            }
-            let shift = rdeg - ddeg;
-            // xor divisor << shift into scratch without allocating
-            let (limb_shift, bit_shift) = (shift / LIMB_BITS, shift % LIMB_BITS);
-            for (i, &l) in divisor.limbs.iter().enumerate() {
-                scratch.limbs[i + limb_shift] ^= l << bit_shift;
-                if bit_shift != 0 {
-                    let hi = l >> (LIMB_BITS - bit_shift);
-                    if hi != 0 {
-                        scratch.limbs[i + limb_shift + 1] ^= hi;
-                    }
-                }
-            }
-            scratch.normalize();
-        }
-    }
-
     /// Greatest common divisor (monic by construction over GF(2)).
     pub fn gcd(&self, other: &Poly) -> Poly {
         let (mut a, mut b) = (self.clone(), other.clone());
@@ -562,15 +532,6 @@ mod tests {
             p("101").divmod(&Poly::zero()).unwrap_err(),
             Gf2Error::DivisionByZero
         );
-    }
-
-    #[test]
-    fn rem_into_matches_rem_ref() {
-        let a = p("1101011010111001");
-        let b = p("10011");
-        let mut scratch = Poly::zero();
-        a.rem_into(&b, &mut scratch).unwrap();
-        assert_eq!(scratch, a.rem_ref(&b).unwrap());
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //! * [`NodeId`] / [`PortId`] and a deterministic [`NodeIdAllocator`]
 //!   (distinct irreducible polynomials are pairwise coprime, as CRT needs);
 //! * [`RouteSpec`] → [`RouteId`] compilation ([`RouteSpec::compile`]) and
-//!   per-hop forwarding ([`CoreNode::forward`]);
+//!   per-hop forwarding ([`CoreNode::forward`], a byte-table reduction —
+//!   the CRC datapath — of the routeID by the nodeID);
 //! * an on-wire [`header::PolkaHeader`] codec;
 //! * the classic **port-switching** baseline ([`baseline::SegmentListRoute`])
 //!   the paper compares against conceptually (pop-one-label-per-hop);

@@ -11,7 +11,8 @@
 //! a faithful functional model of the scheme (the hardware version uses the
 //! same CRC datapath as forwarding).
 
-use crate::{CoreNode, NodeId, PortId, RouteId, RouteSpec};
+use crate::route::port_by_division;
+use crate::{NodeId, PortId, RouteId, RouteSpec};
 
 /// Multiplier for the rolling polynomial hash (an irreducible pattern,
 /// so collisions require structured adversarial input).
@@ -46,8 +47,7 @@ pub fn expected_pot(spec: &RouteSpec) -> u64 {
 /// accumulator exactly as in-network PoT would. Returns the final value.
 pub fn accumulate_pot(route: &RouteId, nodes: &[NodeId]) -> u64 {
     nodes.iter().fold(0u64, |acc, n| {
-        let mut core = CoreNode::new(n.clone());
-        let port = core.forward(route).unwrap_or(PortId(0));
+        let port = port_by_division(route, n).unwrap_or(PortId(0));
         fold_hop(acc, n, port)
     })
 }

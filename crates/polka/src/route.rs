@@ -82,21 +82,95 @@ impl RouteSpec {
     }
 }
 
+/// `routeID mod nodeID` by long division: what a walker that visits each
+/// node once uses instead of building a [`CoreNode`], and what a
+/// `CoreNode` wider than its byte table falls back to. `None` when the
+/// remainder is not a port label.
+pub fn port_by_division(route: &RouteId, node: &NodeId) -> Option<PortId> {
+    let rem = route.0.rem_ref(node.poly()).ok()?;
+    PortId::from_poly(&rem)
+}
+
+/// The CRC datapath of one node: `T[b] = (b·t^d) mod nodeID` for every
+/// byte `b`, `d = deg(nodeID)`. Reducing `r·t^8 + byte` (with
+/// `deg r < d`) is then one shift, one mask and one lookup, because its
+/// bits at and above `t^d` are exactly one byte.
+#[derive(Clone)]
+struct ByteTable {
+    degree: u32,
+    table: [u64; 256],
+}
+
+impl ByteTable {
+    /// The widest nodeID whose `d + 8`-bit intermediate fits a `u64`.
+    const MAX_DEGREE: usize = 56;
+
+    /// `None` for a nodeID the table cannot serve (degree 0 or above
+    /// [`ByteTable::MAX_DEGREE`]).
+    fn new(node: &Poly) -> Option<ByteTable> {
+        let degree = node.degree()?;
+        if !(1..=Self::MAX_DEGREE).contains(&degree) {
+            return None;
+        }
+        let g = node.low_bits();
+        let mut table = [0u64; 256];
+        // t^(d+k) mod g for k = 0..8, then every byte by linearity.
+        let mut power = g ^ (1 << degree);
+        for k in 0..8 {
+            table[1 << k] = power;
+            power <<= 1;
+            if (power >> degree) & 1 == 1 {
+                power ^= g;
+            }
+        }
+        for b in 1..256usize {
+            let low = b & b.wrapping_neg();
+            table[b] = table[b ^ low] ^ table[low];
+        }
+        Some(ByteTable {
+            degree: degree as u32,
+            table,
+        })
+    }
+
+    /// `limbs mod nodeID`, most-significant byte first.
+    #[inline]
+    fn reduce(&self, limbs: &[u64]) -> u64 {
+        let mask = (1u64 << self.degree) - 1;
+        let mut r = 0u64;
+        for limb in limbs.iter().rev() {
+            for byte in limb.to_be_bytes() {
+                // r < 2^d, so x < 2^(d+8) and x >> d is one byte.
+                let x = (r << 8) ^ byte as u64;
+                r = (x & mask) ^ self.table[(x >> self.degree) as u8 as usize];
+            }
+        }
+        r
+    }
+}
+
+impl std::fmt::Debug for ByteTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "ByteTable(degree {})", self.degree)
+    }
+}
+
 /// A stateless PolKA core node. Its entire forwarding state is one
-/// polynomial — there is no route table.
+/// polynomial — there is no route table, only the byte table that
+/// polynomial expands to (what a switch's CRC unit is configured with).
 #[derive(Debug, Clone)]
 pub struct CoreNode {
     id: NodeId,
-    scratch: Poly,
+    /// `None` when the nodeID is wider than the table covers; such a
+    /// node divides.
+    table: Option<ByteTable>,
 }
 
 impl CoreNode {
     /// Instantiates the data-plane element for a node.
     pub fn new(id: NodeId) -> Self {
-        CoreNode {
-            id,
-            scratch: Poly::zero(),
-        }
+        let table = ByteTable::new(id.poly());
+        CoreNode { id, table }
     }
 
     /// The node's identity.
@@ -109,18 +183,11 @@ impl CoreNode {
     /// Returns `None` when the remainder does not decode to a port label,
     /// which a real switch would treat as "not for me / punt".
     pub fn forward(&mut self, route: &RouteId) -> Option<PortId> {
-        route
-            .0
-            .rem_into(self.id.poly(), &mut self.scratch)
-            .ok()
-            .and_then(|()| PortId::from_poly(&self.scratch))
-    }
-
-    /// Immutable forwarding (allocates; use [`CoreNode::forward`] on the
-    /// fast path).
-    pub fn forward_ref(&self, route: &RouteId) -> Option<PortId> {
-        let rem = route.0.rem_ref(self.id.poly()).ok()?;
-        PortId::from_poly(&rem)
+        let Some(table) = &self.table else {
+            return port_by_division(route, &self.id);
+        };
+        let rem = table.reduce(route.0.limbs());
+        u16::try_from(rem).ok().map(PortId)
     }
 }
 
@@ -132,8 +199,7 @@ pub fn trace_route(route: &RouteId, nodes: &[NodeId]) -> Vec<(String, PortId)> {
     nodes
         .iter()
         .map(|n| {
-            let mut core = CoreNode::new(n.clone());
-            let port = core.forward(route).unwrap_or(PortId(0));
+            let port = port_by_division(route, n).unwrap_or(PortId(0));
             (n.name().to_string(), port)
         })
         .collect()
@@ -182,7 +248,7 @@ mod tests {
     }
 
     #[test]
-    fn forward_matches_forward_ref() {
+    fn forward_matches_division() {
         let (s1, s2, s3) = fig1_nodes();
         let spec = RouteSpec::new(vec![
             (s1.clone(), PortId(1)),
@@ -192,7 +258,7 @@ mod tests {
         let route = spec.compile().unwrap();
         for id in [s1, s2, s3] {
             let mut node = CoreNode::new(id.clone());
-            assert_eq!(node.forward(&route), node.forward_ref(&route));
+            assert_eq!(node.forward(&route), port_by_division(&route, &id));
         }
     }
 

@@ -3,9 +3,91 @@
 //! header codec must round-trip arbitrary labels.
 
 use bytes::Buf;
+use gf2poly::Poly;
 use polka::header::PolkaHeader;
-use polka::{NodeIdAllocator, PortId, RouteId, RouteSpec, SegmentListRoute};
+use polka::{CoreNode, NodeId, NodeIdAllocator, PortId, RouteId, RouteSpec, SegmentListRoute};
 use proptest::prelude::*;
+use proptest::test_runner::TestRng;
+use std::sync::OnceLock;
+
+/// Every nodeID an allocator can hand out for a `u16` port space — all
+/// irreducibles of degree 2..=16, where a remainder is always a port —
+/// plus the first irreducible of a few wider degrees: up to 56 the byte
+/// table still serves (and most remainders overflow a port), above it
+/// the node divides.
+fn forwarding_nodes() -> &'static [NodeId] {
+    static NODES: OnceLock<Vec<NodeId>> = OnceLock::new();
+    NODES.get_or_init(|| {
+        let small = (2..=16).flat_map(gf2poly::irreducibles_of_degree);
+        let wide = [17, 24, 33, 48, 55, 56, 57, 64, 100].map(|d| {
+            (0u64..)
+                .map(|k| &Poly::monomial(d) + &Poly::from_bits(2 * k + 1))
+                .find(gf2poly::is_irreducible)
+                .unwrap()
+        });
+        small
+            .chain(wide)
+            .map(|poly| NodeId::new("n", poly))
+            .collect()
+    })
+}
+
+/// A 1 000-router ID space: degree 14, so an 8-hop label already
+/// spills past one limb.
+fn thousand_nodes() -> &'static [NodeId] {
+    static NODES: OnceLock<Vec<NodeId>> = OnceLock::new();
+    NODES.get_or_init(|| {
+        let mut alloc = NodeIdAllocator::for_network(1000, 255);
+        (0..1000)
+            .map(|i| alloc.assign(&format!("r{i}")).unwrap())
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn forward_equals_long_division_at_every_node(seed in any::<u64>()) {
+        let mut rng = TestRng::from_seed(seed);
+        for node in forwarding_nodes() {
+            let mut core = CoreNode::new(node.clone());
+            // 0..=4 limbs (none = the zero routeID), the top one cut to
+            // a random width so short labels and zero bytes show up.
+            let mut limbs: Vec<u64> = (0..rng.below(5)).map(|_| rng.next_u64()).collect();
+            if let Some(top) = limbs.last_mut() {
+                *top >>= rng.below(64);
+            }
+            for route in [RouteId::from_poly(Poly::from_limbs(limbs)), RouteId::from_poly(Poly::zero())] {
+                let rem = route.poly().rem_ref(node.poly()).unwrap();
+                prop_assert_eq!(
+                    core.forward(&route),
+                    PortId::from_poly(&rem),
+                    "{} mod {}", route, node
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crt_round_trips_on_multi_limb_labels(seed in any::<u64>(), n_hops in 6usize..14) {
+        let nodes = thousand_nodes();
+        let mut rng = TestRng::from_seed(seed);
+        let mut hops: Vec<(NodeId, PortId)> = Vec::new();
+        while hops.len() < n_hops {
+            let node = &nodes[rng.below(1000) as usize];
+            if hops.iter().all(|(n, _)| n != node) {
+                hops.push((node.clone(), PortId(rng.below(1 << 14) as u16)));
+            }
+        }
+        let route = RouteSpec::new(hops.clone()).compile().unwrap();
+        prop_assert!(route.label_bits() <= n_hops * 14);
+        prop_assert!(route.poly().limbs().len() > 1, "{} bits", route.label_bits());
+        for (node, port) in &hops {
+            prop_assert_eq!(CoreNode::new(node.clone()).forward(&route), Some(*port));
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

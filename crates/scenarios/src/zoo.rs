@@ -4,6 +4,7 @@
 //! explicit seed and repair connectivity deterministically, so a
 //! `(spec, seed)` pair always builds the identical graph.
 
+pub use netsim::topo::fat_tree;
 use netsim::topo::NodeKind;
 use netsim::{NodeIdx, Topology};
 use rand::rngs::StdRng;
@@ -96,45 +97,6 @@ impl TopologySpec {
             TopologySpec::GeantLike => "geant-like".into(),
         }
     }
-}
-
-/// k-ary fat-tree (`k` even, ≥ 2): edge↔aggregation links run at
-/// 10 Mbps, aggregation↔core at 20 Mbps (the classic 2:1 oversubscribed
-/// datacenter fabric, scaled to the testbed's Mbps range), sub-ms
-/// propagation delays.
-///
-/// # Panics
-/// Panics if `k` is odd or zero — the fat-tree construction needs
-/// `k/2`-way bundles.
-pub fn fat_tree(k: usize) -> Topology {
-    assert!(
-        k >= 2 && k.is_multiple_of(2),
-        "fat-tree arity must be even, got {k}"
-    );
-    let half = k / 2;
-    let mut t = Topology::new();
-    let cores: Vec<NodeIdx> = (0..half * half)
-        .map(|i| t.add_node(&format!("core{i}"), NodeKind::Core))
-        .collect();
-    for p in 0..k {
-        let aggs: Vec<NodeIdx> = (0..half)
-            .map(|a| t.add_node(&format!("p{p}a{a}"), NodeKind::Core))
-            .collect();
-        let edges: Vec<NodeIdx> = (0..half)
-            .map(|e| t.add_node(&format!("p{p}e{e}"), NodeKind::Edge))
-            .collect();
-        for &e in &edges {
-            for &a in &aggs {
-                t.add_link(e, a, 10.0, 0.2);
-            }
-        }
-        for (a, &agg) in aggs.iter().enumerate() {
-            for c in 0..half {
-                t.add_link(agg, cores[a * half + c], 20.0, 0.5);
-            }
-        }
-    }
-    t
 }
 
 /// Ring of `n` routers (20 Mbps, 2 ms) plus antipodal express chords
