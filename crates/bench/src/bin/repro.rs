@@ -15,7 +15,7 @@
 //!   repro throughput     # decisions/sec + the million-flow tick latency
 //!   repro steering       # framework-in-the-loop steering extension
 //!   repro scenarios      # scenario-suite policy matrix (topology zoo)
-//!   repro sim            # event-core scale-out (scale-1k) + BENCH_sim.json
+//!   repro sim            # event-core scale-out (scale-1k), `sim` report section
 //!   repro trace          # observability artifact: traced control loop
 //!   repro mlp            # future-work MLP extension
 //!   repro cv             # walk-forward model selection extension
@@ -23,12 +23,11 @@
 //!
 //! `SCENARIO_SMOKE=1` shrinks the scenario suite to the CI subset
 //! (same scenarios, 40% horizon; `sim` runs the 40%-horizon scale-1k
-//! cut). `sim` also writes machine-readable `BENCH_sim.json` (events/sec,
-//! wall time, and the water-fill vs dispatch phase split) to the working
-//! directory. `trace` validates the traced control loop in memory,
-//! prints the analyzer's phase-budget table plus the SLO blame lines,
-//! and, with `OBSV_TRACE=1`, writes `TRACE_loop.jsonl` plus the
-//! Perfetto-loadable `TRACE_loop_chrome.json`.
+//! cut; events/sec, wall time and the water-fill vs dispatch phase split
+//! go into the `sim` section of the report below). `trace` validates the
+//! traced control loop in memory, prints the analyzer's phase-budget
+//! table plus the SLO blame lines, and, with `OBSV_TRACE=1`, writes
+//! `TRACE_loop.jsonl` plus the Perfetto-loadable `TRACE_loop_chrome.json`.
 //!
 //! `sim`, `throughput`, `forwarding` and `scenarios` additionally upsert
 //! their sections into the unified `bench/v1` report (`BENCH_report.json`,
@@ -589,33 +588,6 @@ fn sim_scale() {
         r.dispatch_batches,
         r.dispatch_events_per_sec
     );
-    // Machine-readable drop for CI trend tracking. Hand-rolled JSON —
-    // the workspace has no serde, and a dozen fields don't need one.
-    let json = format!(
-        "{{\n  \"scenario\": \"{}\",\n  \"smoke\": {},\n  \"epochs\": {},\n  \
-         \"sim_events\": {},\n  \"wall_s\": {:.3},\n  \"events_per_sec\": {:.0},\n  \
-         \"mean_aggregate_mbps\": {:.4},\n  \"profiled_wall_s\": {:.3},\n  \
-         \"waterfill_wall_s\": {:.3},\n  \"waterfill_solves\": {},\n  \
-         \"dispatch_wall_s\": {:.3},\n  \"dispatch_batches\": {},\n  \
-         \"dispatch_events_per_sec\": {:.0}\n}}\n",
-        r.scenario,
-        smoke,
-        r.epochs,
-        r.sim_events,
-        r.wall_s,
-        r.events_per_sec,
-        r.mean_aggregate_mbps,
-        r.profiled_wall_s,
-        r.waterfill_wall_s,
-        r.waterfill_solves,
-        r.dispatch_wall_s,
-        r.dispatch_batches,
-        r.dispatch_events_per_sec
-    );
-    match std::fs::write("BENCH_sim.json", &json) {
-        Ok(()) => println!("wrote BENCH_sim.json"),
-        Err(e) => eprintln!("could not write BENCH_sim.json: {e}"),
-    }
     write_section(
         "sim",
         smoke,
@@ -643,6 +615,10 @@ fn sim_scale() {
                 "dispatch_events_per_sec",
                 Metric::wall(r.dispatch_events_per_sec),
             ),
+            // The profiled replay's phase split (report-only).
+            ("profiled_wall_s", Metric::wall(r.profiled_wall_s)),
+            ("waterfill_wall_s", Metric::wall(r.waterfill_wall_s)),
+            ("dispatch_wall_s", Metric::wall(r.dispatch_wall_s)),
         ],
     );
 }

@@ -83,6 +83,7 @@ const CRITICAL_CRATES: &[&str] = &[
 /// a simulation or a forwarding worker mid-scenario.
 const BARE_PANIC_FILES: &[&str] = &[
     "crates/netsim/src/sim.rs",
+    "crates/netsim/src/queue.rs",
     // The max-min kernel and its simulator adapter run on every
     // simulator event and every optimizer patch.
     "crates/netsim/src/maxmin.rs",

@@ -426,10 +426,17 @@ impl SelfDrivingNetwork {
     pub fn collect_telemetry(&mut self) -> Result<(), FrameworkError> {
         let t = self.sim.now_ms();
         // Per-tunnel metrics measured on the router-to-router path.
+        // Each managed flow's rate is read once, for both its tunnel's
+        // sum (in `self.flows` order: the fold's bits depend on it) and
+        // its own series below.
+        let rates: Vec<Option<f64>> = self
+            .flows
+            .iter()
+            .map(|f| self.sim.flow_rate(f.id).ok())
+            .collect();
         let mut usage_per_tunnel: BTreeMap<&str, f64> = BTreeMap::new();
-        for f in &self.flows {
-            let rate = self.sim.flow_rate(f.id).unwrap_or(0.0);
-            *usage_per_tunnel.entry(f.tunnel.as_str()).or_insert(0.0) += rate;
+        for (f, rate) in self.flows.iter().zip(&rates) {
+            *usage_per_tunnel.entry(f.tunnel.as_str()).or_insert(0.0) += rate.unwrap_or(0.0);
         }
         for name in &self.tunnel_order {
             let compiled = &self.tunnels[name];
@@ -453,10 +460,13 @@ impl SelfDrivingNetwork {
                     .insert(&SeriesKey::new(name, Metric::Rtt), t, rtt);
             }
         }
-        for f in &self.flows {
-            if let Ok(rate) = self.sim.flow_rate(f.id) {
-                self.telemetry
-                    .insert(&SeriesKey::new(&f.label, Metric::FlowRate), t, rate);
+        // One key for the whole round, retargeted per flow.
+        let mut key = SeriesKey::new("", Metric::FlowRate);
+        for (f, rate) in self.flows.iter().zip(rates) {
+            if let Some(rate) = rate {
+                key.target.clear();
+                key.target.push_str(&f.label);
+                self.telemetry.insert(&key, t, rate);
             }
         }
         Ok(())

@@ -181,8 +181,14 @@ impl TelemetryService {
     /// Inserts one sample.
     pub fn insert(&self, key: &SeriesKey, t_ms: u64, value: f64) {
         let mut map = self.inner.write();
-        let series = map.entry(key.clone()).or_default();
-        series.push(self.capacity, t_ms, value);
+        // The key is cloned only to create a series, not per sample.
+        match map.get_mut(key) {
+            Some(series) => series.push(self.capacity, t_ms, value),
+            None => map
+                .entry(key.clone())
+                .or_default()
+                .push(self.capacity, t_ms, value),
+        }
     }
 
     /// The most recent `n` values (oldest first); fewer if the series is

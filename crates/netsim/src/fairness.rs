@@ -192,24 +192,27 @@ impl FairShareEngine {
     /// link right now — the flow is tracked but dead (rate 0) until a
     /// restore revives it. A flow with no hops is rated at its demand.
     /// Re-inserting an existing id replaces it.
+    ///
+    /// Returns the path as the kernel's link indices
+    /// (`2·LinkId + direction`), shared with the kernel by reference —
+    /// `None` for a dead flow.
     pub fn insert_flow(
         &mut self,
         topo: &Topology,
         id: FlowId,
         links: Option<Vec<(LinkId, Direction)>>,
         demand: Option<f64>,
-    ) {
+    ) -> Option<Arc<[usize]>> {
         self.exhume(id);
-        match links {
-            Some(links) => {
-                let links = self.dense(topo, &links);
-                self.kernel.insert(id.0, links, demand);
-            }
+        let links = links.map(|links| self.dense(topo, &links));
+        match &links {
+            Some(links) => self.kernel.insert(id.0, Arc::clone(links), demand),
             None => {
                 self.kernel.remove(id.0);
                 self.bury(id, demand);
             }
         }
+        links
     }
 
     /// Unregisters a flow; the kernel seeds the neighbors that can grow
@@ -221,14 +224,16 @@ impl FairShareEngine {
 
     /// Repoints a flow at a new link set (`None` = now dead). Used for
     /// reroutes and for link up/down transitions, where the caller
-    /// re-derives the path's live links.
+    /// re-derives the path's live links. Returns the new dense link
+    /// list, as [`FairShareEngine::insert_flow`] does.
     pub fn set_links(
         &mut self,
         topo: &Topology,
         id: FlowId,
         links: Option<Vec<(LinkId, Direction)>>,
-    ) {
-        match links {
+    ) -> Option<Arc<[usize]>> {
+        let links = links.map(|links| self.dense(topo, &links));
+        match &links {
             None => {
                 // An already-dead (or unknown) flow is not in the kernel.
                 if let Some(demand) = self.kernel.demand_of(id.0) {
@@ -236,14 +241,12 @@ impl FairShareEngine {
                     self.bury(id, demand);
                 }
             }
-            Some(links) => {
-                let links = self.dense(topo, &links);
-                match self.exhume(id) {
-                    Some(demand) => self.kernel.insert(id.0, links, demand),
-                    None => self.kernel.set_links(id.0, links),
-                }
-            }
+            Some(links) => match self.exhume(id) {
+                Some(demand) => self.kernel.insert(id.0, Arc::clone(links), demand),
+                None => self.kernel.set_links(id.0, Arc::clone(links)),
+            },
         }
+        links
     }
 
     /// Changes a flow's elastic demand in place (`None` = greedy). A
@@ -336,8 +339,18 @@ impl FairShareEngine {
 }
 
 /// Kernel index of a directed link.
-fn dense_link(lid: LinkId, dir: Direction) -> usize {
+pub(crate) fn dense_link(lid: LinkId, dir: Direction) -> usize {
     2 * lid.0 as usize + dir as usize
+}
+
+/// The directed link behind a kernel index ([`dense_link`]'s inverse).
+pub(crate) fn directed_link(dense: usize) -> (LinkId, Direction) {
+    let dir = if dense.is_multiple_of(2) {
+        Direction::Forward
+    } else {
+        Direction::Reverse
+    };
+    (LinkId((dense / 2) as u32), dir)
 }
 
 /// The kernel's id-sorted `(flow, rate)` list with the adapter's dead

@@ -27,6 +27,7 @@
 pub mod fairness;
 pub mod flow;
 pub mod maxmin;
+mod queue;
 pub mod sim;
 pub mod topo;
 

@@ -7,7 +7,9 @@
 //! keeps one priority queue of timestamped events — external ones
 //! (flow arrival/departure, reroute, link capacity change, link
 //! up/down) and internal rate-convergence completions — ordered by
-//! `(at, seq)` so ties break deterministically in scheduling order.
+//! `(at, seq)` so ties break deterministically in scheduling order
+//! (the queue itself is two-tier, see `queue.rs`: a pre-loaded
+//! schedule's far future waits in per-window buckets, not in the heap).
 //! [`Simulation::run_until`] jumps straight to the next event or
 //! telemetry sample point, applies everything due at that instant, and
 //! re-solves fair shares once per touched timestamp via the
@@ -21,16 +23,18 @@
 //! the share exactly, guarded by a per-flow generation counter so
 //! stale completions are ignored.
 
-use crate::fairness::{directed_links, Direction, FairShareEngine};
+use crate::fairness::{dense_link, directed_link, directed_links, Direction, FairShareEngine};
 use crate::flow::{Flow, FlowId, FlowSpec};
 use crate::maxmin::WaterfillStats;
+use crate::queue::{EventQueue, Scheduled};
 use crate::topo::{LinkId, NodeIdx, Topology};
 use crate::NetsimError;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap};
+use std::cell::{Ref, RefCell};
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// Simulation time in integer milliseconds (deterministic ordering).
 pub type SimTimeMs = u64;
@@ -80,43 +84,49 @@ enum SimEvent {
     },
 }
 
-#[derive(Debug)]
-struct Scheduled {
-    at: SimTimeMs,
-    seq: u64,
-    event: SimEvent,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // reversed for a min-heap
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 /// One telemetry sample.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryRecord {
     /// Sample time (ms).
     pub at_ms: SimTimeMs,
-    /// Series key, e.g. `flow:f1:rate` or `link:MIA-SAO:util`.
-    pub key: String,
+    /// Series key, e.g. `flow:f1:rate` or `link:MIA-SAO:util` —
+    /// interned: every record of one series shares one allocation.
+    pub key: Arc<str>,
     /// Value (Mbps, ratio, or ms depending on the series).
     pub value: f64,
+}
+
+/// A live flow plus what the measurement plane keeps per flow.
+#[derive(Debug)]
+struct Tracked {
+    flow: Flow,
+    /// The path as the engine's dense directed-link indices — the same
+    /// `Arc` the kernel holds, kept current across reroutes and link
+    /// flips; `None` while the path crosses a failed link.
+    links: Option<Arc<[usize]>>,
+    /// `flow:<label>:rate`, built at the flow's first sample.
+    key: Option<Arc<str>>,
+}
+
+/// Per-directed-link utilization at one `(now, state_version)`, indexed
+/// by the engine's dense link index (`2·LinkId + dir`). The buffers are
+/// reused from instant to instant.
+#[derive(Debug, Default)]
+struct LinkLoads {
+    /// `(now, state_version)` the fold was taken at.
+    at: Option<(SimTimeMs, u64)>,
+    /// Utilization in `[0, 1]`; 0 for links no live flow crosses.
+    util: Vec<f64>,
+    /// Links some live flow crosses, in ascending dense index — the
+    /// `(LinkId, Forward < Reverse)` order telemetry enumerates.
+    touched: Vec<usize>,
+    is_touched: Vec<bool>,
+}
+
+impl LinkLoads {
+    fn util(&self, lid: LinkId, dir: Direction) -> f64 {
+        self.util.get(dense_link(lid, dir)).copied().unwrap_or(0.0)
+    }
 }
 
 /// The simulator.
@@ -124,7 +134,7 @@ pub struct TelemetryRecord {
 pub struct Simulation {
     /// The network graph (public: controllers read topology state).
     pub topo: Topology,
-    flows: HashMap<FlowId, Flow>,
+    flows: HashMap<FlowId, Tracked>,
     /// Deterministic iteration order for flows: insertion order with
     /// swap-remove on departure. Any permutation is fine as long as it
     /// is a pure function of the event sequence — float folds over it
@@ -133,11 +143,7 @@ pub struct Simulation {
     /// Position of each flow in `flow_order` (lookup only, never
     /// iterated), so `StopFlow` is O(1) instead of an O(n) retain.
     flow_pos: HashMap<FlowId, usize>,
-    /// Node-pair (canonical `(min, max)`) -> flows whose path crosses
-    /// that hop: on a link up/down event only these flows re-derive
-    /// their link sets.
-    hop_index: BTreeMap<(u32, u32), BTreeSet<FlowId>>,
-    events: BinaryHeap<Scheduled>,
+    events: EventQueue<SimEvent>,
     seq: u64,
     now_ms: SimTimeMs,
     /// TCP convergence time constant (seconds).
@@ -150,6 +156,9 @@ pub struct Simulation {
     pub queue_ms_at_half_util: f64,
     rng: StdRng,
     telemetry: Vec<TelemetryRecord>,
+    /// `link:<from>-<to>:util` per dense directed link, built at the
+    /// link's first sample.
+    link_keys: Vec<Option<Arc<str>>>,
     engine: FairShareEngine,
     /// Flows excluded from per-flow telemetry records (bulk background
     /// traffic at scale); they still count toward link utilization.
@@ -161,8 +170,8 @@ pub struct Simulation {
     /// utilization cache.
     state_version: u64,
     /// Memoized `link_utilization` for the current `(now, version)` —
-    /// probes and telemetry at one instant share one computation.
-    util_cache: RefCell<Option<UtilCacheEntry>>,
+    /// probes and telemetry at one instant borrow one computation.
+    loads: RefCell<LinkLoads>,
     /// Sim-time trace facade (off by default; every record is stamped
     /// with the event clock, so traces replay bit-identically).
     tracer: obsv::Tracer,
@@ -172,9 +181,6 @@ pub struct Simulation {
 /// ms; traces are stamped in ns to share a clock with the packet plane.
 pub const NS_PER_MS: u64 = 1_000_000;
 
-/// `(now, state_version, per-link utilization)` memo entry.
-type UtilCacheEntry = (SimTimeMs, u64, BTreeMap<(LinkId, Direction), f64>);
-
 impl Simulation {
     /// A simulation over a topology with default TCP/queue parameters.
     pub fn new(topo: Topology, seed: u64) -> Self {
@@ -183,8 +189,7 @@ impl Simulation {
             flows: HashMap::new(),
             flow_order: Vec::new(),
             flow_pos: HashMap::new(),
-            hop_index: BTreeMap::new(),
-            events: BinaryHeap::new(),
+            events: EventQueue::new(),
             seq: 0,
             now_ms: 0,
             tcp_tau_s: 1.2,
@@ -192,11 +197,12 @@ impl Simulation {
             queue_ms_at_half_util: 1.0,
             rng: StdRng::seed_from_u64(seed),
             telemetry: Vec::new(),
+            link_keys: Vec::new(),
             engine: FairShareEngine::new(),
             quiet: BTreeSet::new(),
             events_processed: 0,
             state_version: 0,
-            util_cache: RefCell::new(None),
+            loads: RefCell::default(),
             tracer: obsv::Tracer::off(),
         }
     }
@@ -376,26 +382,29 @@ impl Simulation {
         match event {
             Event::StartFlow { spec, path, id } => {
                 let links = directed_links(&self.topo, &path).ok();
-                if let Some(old) = self.flows.get(&id) {
-                    // Replace in place: same id, fresh flow, position
-                    // in `flow_order` retained.
-                    let old_path = old.path.clone();
-                    self.unindex_hops(&old_path, id);
-                } else {
+                // Re-starting a live id replaces it in place: fresh
+                // flow, position in `flow_order` retained.
+                if !self.flows.contains_key(&id) {
                     self.flow_pos.insert(id, self.flow_order.len());
                     self.flow_order.push(id);
                 }
-                self.index_hops(&path, id);
-                self.engine
+                let links = self
+                    .engine
                     .insert_flow(&self.topo, id, links, spec.demand_mbps);
                 let mut flow = Flow::new(id, spec, path);
                 flow.rate_as_of_ms = self.now_ms;
-                self.flows.insert(id, flow);
+                self.flows.insert(
+                    id,
+                    Tracked {
+                        flow,
+                        links,
+                        key: None,
+                    },
+                );
             }
             Event::StopFlow(id) => {
                 self.engine.remove_flow(id);
-                if let Some(f) = self.flows.remove(&id) {
-                    self.unindex_hops(&f.path, id);
+                if self.flows.remove(&id).is_some() {
                     self.quiet.remove(&id);
                     if let Some(pos) = self.flow_pos.remove(&id) {
                         self.flow_order.swap_remove(pos);
@@ -409,10 +418,8 @@ impl Simulation {
             Event::SetFlowPath(id, path) => {
                 let links = directed_links(&self.topo, &path).ok();
                 if let Some(f) = self.flows.get_mut(&id) {
-                    let old_path = std::mem::replace(&mut f.path, path.clone());
-                    self.unindex_hops(&old_path, id);
-                    self.index_hops(&path, id);
-                    self.engine.set_links(&self.topo, id, links);
+                    f.flow.path = path;
+                    f.links = self.engine.set_links(&self.topo, id, links);
                 }
             }
             Event::SetLinkCapacity(lid, cap) => {
@@ -423,7 +430,7 @@ impl Simulation {
             }
             Event::SetFlowDemand(id, demand) => {
                 if let Some(f) = self.flows.get_mut(&id) {
-                    f.spec.demand_mbps = demand;
+                    f.flow.spec.demand_mbps = demand;
                     self.engine.set_demand(id, demand);
                 }
             }
@@ -431,14 +438,29 @@ impl Simulation {
                 if self.topo.link(lid).up != up {
                     self.topo.link_mut(lid).up = up;
                     let link = self.topo.link(lid);
-                    let key = canonical_pair(link.a, link.b);
+                    let (a, b) = (link.a, link.b);
                     // Only flows with a hop over this node pair can
-                    // gain or lose a live link set.
-                    if let Some(ids) = self.hop_index.get(&key).cloned() {
-                        for id in ids {
-                            let path = &self.flows[&id].path;
-                            let links = directed_links(&self.topo, path).ok();
-                            self.engine.set_links(&self.topo, id, links);
+                    // gain or lose a live link set. Flips are rare, so
+                    // they pay for a scan instead of every flow start
+                    // and stop paying for an index; ascending id is the
+                    // order the engine must be patched in.
+                    let crosses = |f: &Tracked| {
+                        f.flow
+                            .path
+                            .windows(2)
+                            .any(|w| (w[0] == a && w[1] == b) || (w[0] == b && w[1] == a))
+                    };
+                    let mut ids: Vec<FlowId> = self
+                        .flow_order
+                        .iter()
+                        .filter(|id| self.flows.get(id).is_some_and(crosses))
+                        .copied()
+                        .collect();
+                    ids.sort_unstable();
+                    for id in ids {
+                        if let Some(f) = self.flows.get_mut(&id) {
+                            let links = directed_links(&self.topo, &f.flow.path).ok();
+                            f.links = self.engine.set_links(&self.topo, id, links);
                         }
                     }
                 }
@@ -455,7 +477,7 @@ impl Simulation {
         let now = self.now_ms;
         let tau = self.tcp_tau_s;
         for (id, raw) in changes {
-            let Some(f) = self.flows.get_mut(&id) else {
+            let Some(f) = self.flows.get_mut(&id).map(|t| &mut t.flow) else {
                 continue;
             };
             f.materialize(now, tau);
@@ -480,7 +502,7 @@ impl Simulation {
 
     fn apply_converged(&mut self, id: FlowId, gen: u64) {
         let now = self.now_ms;
-        if let Some(f) = self.flows.get_mut(&id) {
+        if let Some(f) = self.flows.get_mut(&id).map(|t| &mut t.flow) {
             if f.conv_gen == gen && !f.converged {
                 f.rate_mbps = f.fair_share_mbps;
                 f.rate_as_of_ms = now;
@@ -490,48 +512,70 @@ impl Simulation {
         }
     }
 
-    fn index_hops(&mut self, path: &[NodeIdx], id: FlowId) {
-        for w in path.windows(2) {
-            self.hop_index
-                .entry(canonical_pair(w[0], w[1]))
-                .or_default()
-                .insert(id);
-        }
-    }
-
-    fn unindex_hops(&mut self, path: &[NodeIdx], id: FlowId) {
-        for w in path.windows(2) {
-            let key = canonical_pair(w[0], w[1]);
-            if let Some(set) = self.hop_index.get_mut(&key) {
-                set.remove(&id);
-                if set.is_empty() {
-                    self.hop_index.remove(&key);
-                }
-            }
-        }
-    }
-
-    /// Per-directed-link utilization implied by current flow rates.
+    /// Per-directed-link utilization implied by current flow rates,
+    /// borrowed from the per-instant memo.
     ///
     /// Folds flows in `flow_order` (a deterministic function of the
     /// event sequence), **not** map order: float accumulation is
     /// order-sensitive at the ULP level, and hash-map iteration order
     /// varies per process — enough to flip a downstream
     /// forecast-driven routing decision and break bit-for-bit replay.
-    /// The result is a sorted map, so consumers that enumerate it
-    /// inherit a deterministic (link, direction) order for free. The
-    /// computation is memoized per `(now, state_version)` — probes and
-    /// samples at one instant share it.
-    fn link_utilization(&self) -> BTreeMap<(LinkId, Direction), f64> {
-        if let Some((t, v, map)) = self.util_cache.borrow().as_ref() {
-            if *t == self.now_ms && *v == self.state_version {
-                return map.clone();
+    /// Each flow adds its rate along the dense link list the engine
+    /// already keeps for it, so no path is resolved against the
+    /// topology here. The computation is memoized per
+    /// `(now, state_version)` — probes and samples at one instant
+    /// share it.
+    fn link_utilization(&self) -> Ref<'_, LinkLoads> {
+        self.refresh_loads();
+        self.loads.borrow()
+    }
+
+    /// Brings the memo behind [`Simulation::link_utilization`] up to
+    /// `(now, state_version)`.
+    fn refresh_loads(&self) {
+        let at = Some((self.now_ms, self.state_version));
+        let loads = &mut *self.loads.borrow_mut();
+        if loads.at == at {
+            return;
+        }
+        for l in loads.touched.drain(..) {
+            loads.util[l] = 0.0;
+            loads.is_touched[l] = false;
+        }
+        let dense_links = 2 * self.topo.link_count();
+        if loads.util.len() < dense_links {
+            loads.util.resize(dense_links, 0.0);
+            loads.is_touched.resize(dense_links, false);
+        }
+        for f in self.flow_order.iter().filter_map(|id| self.flows.get(id)) {
+            if let Some(links) = &f.links {
+                let r = f.flow.rate_at(self.now_ms, self.tcp_tau_s);
+                for &l in links.iter() {
+                    loads.util[l] += r;
+                    if !loads.is_touched[l] {
+                        loads.is_touched[l] = true;
+                        loads.touched.push(l);
+                    }
+                }
             }
         }
-        let mut used: BTreeMap<(LinkId, Direction), f64> = BTreeMap::new();
+        loads.touched.sort_unstable();
+        for &l in &loads.touched {
+            let cap = self.topo.link(directed_link(l).0).capacity_mbps.max(1e-9);
+            loads.util[l] = (loads.util[l] / cap).min(1.0);
+        }
+        loads.at = at;
+    }
+
+    /// The sorted-map fold [`Simulation::link_utilization`] replaced,
+    /// resolving every path against the topology — kept as the
+    /// reference the dense fold is compared with bit for bit.
+    #[cfg(test)]
+    fn link_utilization_map(&self) -> std::collections::BTreeMap<(LinkId, Direction), f64> {
+        let mut used = std::collections::BTreeMap::new();
         for f in self.flow_order.iter().filter_map(|id| self.flows.get(id)) {
-            if let Ok(links) = directed_links(&self.topo, &f.path) {
-                let r = f.rate_at(self.now_ms, self.tcp_tau_s);
+            if let Ok(links) = directed_links(&self.topo, &f.flow.path) {
+                let r = f.flow.rate_at(self.now_ms, self.tcp_tau_s);
                 for (lid, dir) in links {
                     *used.entry((lid, dir)).or_insert(0.0) += r;
                 }
@@ -541,45 +585,49 @@ impl Simulation {
             let cap = self.topo.link(*lid).capacity_mbps.max(1e-9);
             *mbps = (*mbps / cap).min(1.0);
         }
-        *self.util_cache.borrow_mut() = Some((self.now_ms, self.state_version, used.clone()));
         used
     }
 
     fn sample_telemetry(&mut self) {
         let at = self.now_ms;
-        // Sorted-map iteration: recorded telemetry replays
-        // byte-for-byte without an explicit sort.
-        let utils: Vec<((LinkId, Direction), f64)> = self.link_utilization().into_iter().collect();
-        let mut records = Vec::new();
-        for f in self
-            .flow_order
-            .iter()
-            .filter(|id| !self.quiet.contains(id))
-            .filter_map(|id| self.flows.get(id))
-        {
-            records.push(TelemetryRecord {
-                at_ms: at,
-                key: format!("flow:{}:rate", f.spec.label),
-                value: f.rate_at(at, self.tcp_tau_s),
-            });
-        }
-        for ((lid, dir), u) in utils {
-            let link = self.topo.link(lid);
-            let (from, to) = match dir {
-                Direction::Forward => (link.a, link.b),
-                Direction::Reverse => (link.b, link.a),
+        for id in self.flow_order.iter().filter(|id| !self.quiet.contains(id)) {
+            let Some(f) = self.flows.get_mut(id) else {
+                continue;
             };
-            records.push(TelemetryRecord {
+            let key = f
+                .key
+                .get_or_insert_with(|| format!("flow:{}:rate", f.flow.spec.label).into());
+            self.telemetry.push(TelemetryRecord {
                 at_ms: at,
-                key: format!(
-                    "link:{}-{}:util",
-                    self.topo.node_name(from),
-                    self.topo.node_name(to)
-                ),
-                value: u,
+                key: Arc::clone(key),
+                value: f.flow.rate_at(at, self.tcp_tau_s),
             });
         }
-        self.telemetry.extend(records);
+        // Borrows the memo field, not `self`: the log grows under it.
+        self.refresh_loads();
+        let loads = self.loads.borrow();
+        if self.link_keys.len() < loads.util.len() {
+            self.link_keys.resize(loads.util.len(), None);
+        }
+        // Ascending dense index: recorded telemetry replays
+        // byte-for-byte without an explicit sort.
+        for &l in &loads.touched {
+            let topo = &self.topo;
+            let key = self.link_keys[l].get_or_insert_with(|| {
+                let (lid, dir) = directed_link(l);
+                let link = topo.link(lid);
+                let (from, to) = match dir {
+                    Direction::Forward => (link.a, link.b),
+                    Direction::Reverse => (link.b, link.a),
+                };
+                format!("link:{}-{}:util", topo.node_name(from), topo.node_name(to)).into()
+            });
+            self.telemetry.push(TelemetryRecord {
+                at_ms: at,
+                key: Arc::clone(key),
+                value: loads.util[l],
+            });
+        }
     }
 
     /// Drives a link's capacity from a bandwidth trace: sample `i` of
@@ -639,7 +687,7 @@ impl Simulation {
     pub fn series(&self, key: &str) -> Vec<(SimTimeMs, f64)> {
         self.telemetry
             .iter()
-            .filter(|r| r.key == key)
+            .filter(|r| &*r.key == key)
             .map(|r| (r.at_ms, r.value))
             .collect()
     }
@@ -648,7 +696,7 @@ impl Simulation {
     pub fn flow_rate(&self, id: FlowId) -> Result<f64, NetsimError> {
         self.flows
             .get(&id)
-            .map(|f| f.rate_at(self.now_ms, self.tcp_tau_s))
+            .map(|f| f.flow.rate_at(self.now_ms, self.tcp_tau_s))
             .ok_or(NetsimError::UnknownFlow(id.0))
     }
 
@@ -656,7 +704,7 @@ impl Simulation {
     pub fn flow_path(&self, id: FlowId) -> Result<&[NodeIdx], NetsimError> {
         self.flows
             .get(&id)
-            .map(|f| f.path.as_slice())
+            .map(|f| f.flow.path.as_slice())
             .ok_or(NetsimError::UnknownFlow(id.0))
     }
 
@@ -665,20 +713,22 @@ impl Simulation {
     /// small seeded jitter. Stands in for the paper's `ping` runs.
     pub fn ping(&mut self, path: &[NodeIdx]) -> Result<f64, NetsimError> {
         let links = self.topo.path_links(path)?;
-        let utils = self.link_utilization();
         let mut rtt = 0.0;
-        for lid in links {
-            let link = self.topo.link(lid);
-            if !link.up {
-                return Err(NetsimError::BadPath(format!("link {:?} is down", lid)));
-            }
-            // both directions' propagation
-            rtt += 2.0 * link.delay_ms;
-            // queueing per direction: M/M/1-style growth u/(1-u),
-            // normalized so u=0.5 costs `queue_ms_at_half_util`.
-            for dir in [Direction::Forward, Direction::Reverse] {
-                let u = utils.get(&(lid, dir)).copied().unwrap_or(0.0).min(0.99);
-                rtt += self.queue_ms_at_half_util * (u / (1.0 - u));
+        {
+            let utils = self.link_utilization();
+            for lid in links {
+                let link = self.topo.link(lid);
+                if !link.up {
+                    return Err(NetsimError::BadPath(format!("link {:?} is down", lid)));
+                }
+                // both directions' propagation
+                rtt += 2.0 * link.delay_ms;
+                // queueing per direction: M/M/1-style growth u/(1-u),
+                // normalized so u=0.5 costs `queue_ms_at_half_util`.
+                for dir in [Direction::Forward, Direction::Reverse] {
+                    let u = utils.util(lid, dir).min(0.99);
+                    rtt += self.queue_ms_at_half_util * (u / (1.0 - u));
+                }
             }
         }
         // measurement jitter: +/- 3%
@@ -695,16 +745,15 @@ impl Simulation {
         let mut avail = f64::INFINITY;
         for (lid, dir) in links {
             let cap = self.topo.link(lid).capacity_mbps;
-            let u = utils.get(&(lid, dir)).copied().unwrap_or(0.0);
+            let u = utils.util(lid, dir);
             avail = avail.min(cap * (1.0 - u));
         }
         Ok(avail)
     }
 }
 
-fn canonical_pair(a: NodeIdx, b: NodeIdx) -> (u32, u32) {
-    (a.0.min(b.0), a.0.max(b.0))
-}
+#[cfg(test)]
+mod replay_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1114,6 +1163,51 @@ mod tests {
     }
 
     #[test]
+    fn event_at_the_horizon_stays_queued() {
+        // `run_until(t)` applies events strictly before `t`: one due at
+        // exactly `t` waits for the next call.
+        let topo = global_p4_lab();
+        let path = tunnel1(&topo);
+        let spec = greedy_spec(&topo, "f1", 0);
+        let mut sim = Simulation::new(topo, 1);
+        let start = Event::StartFlow {
+            spec,
+            path,
+            id: FlowId(1),
+        };
+        sim.schedule(1_000, start).unwrap();
+        sim.run_until(1_000, 100);
+        assert_eq!((sim.now_ms(), sim.events_processed()), (1_000, 0));
+        assert!(sim.flow_rate(FlowId(1)).is_err());
+        sim.run_until(1_001, 100);
+        assert_eq!(sim.events_processed(), 1);
+        assert!(sim.flow_rate(FlowId(1)).is_ok());
+    }
+
+    #[test]
+    fn past_dated_event_clamps_to_now() {
+        // Scheduling into the past (here: behind the queue's loaded
+        // window too) fires at the current instant, in the next batch.
+        let topo = global_p4_lab();
+        let path = tunnel1(&topo);
+        let spec = greedy_spec(&topo, "f1", 0);
+        let mut sim = Simulation::new(topo, 1);
+        sim.run_until(5_000, 1000);
+        let start = Event::StartFlow {
+            spec,
+            path,
+            id: FlowId(1),
+        };
+        sim.schedule(1_000, start).unwrap();
+        sim.run_until(5_001, 1000);
+        assert_eq!(sim.events_processed(), 1);
+        sim.run_until(6_000, 1000);
+        let r = sim.flow_rate(FlowId(1)).unwrap();
+        let expected = 17.2 * (1.0 - (-1.0_f64 / 1.2).exp());
+        assert!((r - expected).abs() < 1e-9, "r {r} expected {expected}");
+    }
+
+    #[test]
     fn link_failure_fires_at_exact_timestamp() {
         // SetLinkUp at t = 13_371 ms (off any tick grid): the flow's
         // decay toward 0 must start exactly there.
@@ -1176,7 +1270,7 @@ mod tests {
         let final_flow_keys: Vec<&str> = a
             .iter()
             .filter(|r| r.at_ms == last_at && r.key.starts_with("flow:"))
-            .map(|r| r.key.as_str())
+            .map(|r| &*r.key)
             .collect();
         // [1..8], swap-remove 3 -> [1,2,8,4,5,6,7], 5 -> [1,2,8,4,7,6],
         // 2 -> [1,6,8,4,7]
