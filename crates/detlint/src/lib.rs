@@ -99,6 +99,12 @@ const BARE_PANIC_FILES: &[&str] = &[
     // back as `MlError`, not abort the controller.
     "crates/hecate-ml/src/tree.rs",
     "crates/hecate-ml/src/ensemble.rs",
+    "crates/hecate-ml/src/boost.rs",
+    // The update path — scale, slide, roll — runs for every series on
+    // every tick between fits.
+    "crates/hecate-ml/src/pipeline.rs",
+    "crates/hecate-ml/src/scale.rs",
+    "crates/framework/src/hecate.rs",
 ];
 
 /// Method names that begin unordered iteration when called on a hash

@@ -27,7 +27,7 @@
 use crate::telemetry::{Metric, SeriesKey, TelemetryService};
 use crate::FrameworkError;
 use hecate_ml::pipeline::{forecast_next, TrainedForecaster};
-use hecate_ml::RegressorKind;
+use hecate_ml::{MlError, RegressorKind};
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -317,6 +317,72 @@ impl HecateService {
         })
     }
 
+    /// The hit and update arms of [`HecateService::forecast_path`] on a
+    /// usable entry: `None` when the series has outrun it (refit). A hit
+    /// clones the memoized roll — `horizon` floats, no model inference.
+    /// Fewer than `refit_after` new samples slide into the lag window
+    /// and re-memoize the roll in place, no refit and no allocation but
+    /// the returned copy.
+    fn serve_cached(
+        &self,
+        telemetry: &TelemetryService,
+        key: &SeriesKey,
+        e: &mut CacheEntry,
+    ) -> Result<Option<Vec<f64>>, MlError> {
+        let threshold = self.refit_after.max(1);
+        // Read the series total and absorb the fresh tail (at most
+        // refit_after values; a scale and a ten-float rotate each) in
+        // ONE short, consistent telemetry read — taking them separately
+        // would let a racing insert land in between, and the window
+        // would skip samples now and double-absorb them on the next
+        // call. The roll — all of the inference — runs after the
+        // telemetry guard is dropped, under only this entry's lock, so
+        // inserts and other series' readers are never stalled behind
+        // it. `total < e.observed` means this service was pointed at a
+        // different (shorter) telemetry store than the one that
+        // populated the cache; anything inconsistent refits.
+        let absorbed = telemetry.with_tail(key, |total, vals| -> Result<_, MlError> {
+            if total < e.observed || total - e.fitted_at >= threshold {
+                return Ok(None);
+            }
+            let fresh = (total - e.observed) as usize;
+            let tail = &vals[vals.len().saturating_sub(fresh)..];
+            for &v in tail {
+                e.forecaster.observe(v)?;
+            }
+            e.observed = total;
+            Ok(Some(tail.len() as u64))
+        });
+        let Some(fresh) = absorbed.transpose()?.flatten() else {
+            return Ok(None);
+        };
+        if fresh == 0 {
+            self.cache.hits.inc();
+            self.cache.bump_scoped(&key.target, |sc| &sc.hits);
+            if e.rolled_horizon == self.horizon {
+                return Ok(Some(e.rolled.clone()));
+            }
+            // Horizon changed: re-roll only.
+        } else {
+            self.cache.updates.inc();
+            self.cache.bump_scoped(&key.target, |sc| &sc.updates);
+        }
+        let trace = self.ml_trace();
+        let span = trace.as_ref().map(|(t, at)| t.span("ml", "ml.roll", *at));
+        e.forecaster.roll_into(self.horizon, &mut e.rolled)?;
+        e.rolled_horizon = self.horizon;
+        if let (Some(span), Some((_, at))) = (span, &trace) {
+            let horizon = self.horizon as u64;
+            span.end(*at, || {
+                vec![
+                    ("fresh", obsv::Value::U64(fresh)),
+                    ("horizon", obsv::Value::U64(horizon)),
+                ]
+            });
+        }
+        Ok(Some(e.rolled.clone()))
+    }
+
     /// Forecasts the next `horizon` values of a metric for one path,
     /// serving from the trained-model cache whenever the series has not
     /// outrun [`HecateService::refit_after`] — see the module docs for
@@ -335,72 +401,22 @@ impl HecateService {
         };
         // Hit/update path: lock only this series' entry (the map read
         // lock is dropped immediately), so forecasts for different
-        // paths proceed fully in parallel. A hit clones the memoized
-        // roll — `horizon` floats, no model inference. Fewer than
-        // `refit_after` new samples slide into the lag window and
-        // re-memoize the roll, no refit. The series total and the
-        // sample values come from ONE consistent telemetry read
-        // (`with_tail`): reading them separately would let a racing
-        // insert land in between, and the window would skip samples now
-        // and double-absorb them on the next call.
+        // paths proceed fully in parallel.
         let cell = self.cache.entries.read().get(&key).cloned();
         if let Some(cell) = cell {
             let mut e = cell.lock();
             if self.entry_usable(&e) {
-                let threshold = self.refit_after.max(1);
-                // Capture the series total and the fresh tail (at most
-                // refit_after values) in one short, consistent
-                // telemetry read — capturing them separately would let
-                // a racing insert land in between and the window would
-                // skip samples now and double-absorb them later. All
-                // model work (observe/roll) runs after the telemetry
-                // guard is dropped, under only this entry's lock, so
-                // inserts and other series' readers are never stalled
-                // behind an inference. `total < e.observed` means this
-                // service was pointed at a different (shorter)
-                // telemetry store than the one that populated the
-                // cache; anything inconsistent falls through to refit.
-                let captured = telemetry.with_tail(&key, |total, vals| {
-                    if total < e.observed || total - e.fitted_at >= threshold {
-                        return None; // stale: refit
+                match self.serve_cached(telemetry, &key, &mut e) {
+                    Ok(Some(values)) => return Ok(wrap(values)),
+                    Ok(None) => {} // stale: refit
+                    Err(err) => {
+                        // A non-finite sample. The window may have
+                        // taken the samples before it, so the entry is
+                        // spent: skip the path now, refit next consult.
+                        drop(e);
+                        self.cache.entries.write().remove(&key);
+                        return Err(err.into());
                     }
-                    let fresh = (total - e.observed) as usize;
-                    let start = vals.len().saturating_sub(fresh);
-                    Some((total, vals[start..].to_vec()))
-                });
-                if let Some(Some((total, fresh_vals))) = captured {
-                    if fresh_vals.is_empty() && e.rolled_horizon == self.horizon {
-                        self.cache.hits.inc();
-                        self.cache.bump_scoped(&key.target, |sc| &sc.hits);
-                        return Ok(wrap(e.rolled.clone()));
-                    }
-                    let trace = self.ml_trace();
-                    let span = trace.as_ref().map(|(t, at)| t.span("ml", "ml.roll", *at));
-                    let fresh = fresh_vals.len() as u64;
-                    for &v in &fresh_vals {
-                        e.forecaster.observe(v)?;
-                    }
-                    if fresh_vals.is_empty() {
-                        // Horizon changed: re-roll only.
-                        self.cache.hits.inc();
-                        self.cache.bump_scoped(&key.target, |sc| &sc.hits);
-                    } else {
-                        self.cache.updates.inc();
-                        self.cache.bump_scoped(&key.target, |sc| &sc.updates);
-                    }
-                    e.observed = total;
-                    e.rolled = e.forecaster.roll(self.horizon)?;
-                    e.rolled_horizon = self.horizon;
-                    if let (Some(span), Some((_, at))) = (span, &trace) {
-                        let horizon = self.horizon as u64;
-                        span.end(*at, || {
-                            vec![
-                                ("fresh", obsv::Value::U64(fresh)),
-                                ("horizon", obsv::Value::U64(horizon)),
-                            ]
-                        });
-                    }
-                    return Ok(wrap(e.rolled.clone()));
                 }
             }
         }
@@ -684,23 +700,40 @@ mod tests {
     fn nan_poisoned_series_is_skipped_not_a_panic() {
         // One non-finite sample used to abort the process inside the
         // tree builder's sort; it must cost that path its forecast and
-        // nothing else — when its cached model refits, and cold.
+        // nothing else — when its cached model refits, when it only
+        // slides the sample into its lag window (a forest rolls a
+        // *finite* forecast off a NaN: every compare fails, so it goes
+        // right), and cold.
         let sick = SeriesKey::new("sick", Metric::AvailableBandwidth);
         let paths = ["t1".to_string(), "sick".to_string(), "t3".to_string()];
-        for bad in [f64::NAN, f64::INFINITY] {
-            let ts = seeded_store(&[("t1", 10.0), ("sick", 12.0), ("t3", 8.0)]);
-            let h = HecateService::new();
-            let healthy = h.forecast_all(&ts, &paths, Metric::AvailableBandwidth);
-            assert_eq!(healthy.len(), 3);
-            for t in 0..h.refit_after {
-                let v = if t == 3 { bad } else { 12.0 };
-                ts.insert(&sick, (60 + t) * 1000, v);
-            }
-            for service in [h, HecateService::new()] {
-                let got = service.forecast_all(&ts, &paths, Metric::AvailableBandwidth);
-                let names: Vec<&str> = got.iter().map(|f| f.path.as_str()).collect();
-                assert_eq!(names, ["t1", "t3"], "poisoned with {bad}");
-                assert!(got.iter().all(|f| f.values.iter().all(|v| v.is_finite())));
+        let names = |got: &[PathForecast]| -> Vec<String> {
+            assert!(got.iter().all(|f| f.values.iter().all(|v| v.is_finite())));
+            got.iter().map(|f| f.path.clone()).collect()
+        };
+        let refit_after = HecateService::new().refit_after;
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            // Five new samples: the update arm; `refit_after`: the refit.
+            for fresh in [5, refit_after] {
+                let ts = seeded_store(&[("t1", 10.0), ("sick", 12.0), ("t3", 8.0)]);
+                let h = HecateService::new();
+                let healthy = h.forecast_all(&ts, &paths, Metric::AvailableBandwidth);
+                assert_eq!(healthy.len(), 3);
+                for t in 0..fresh {
+                    let v = if t == 3 { bad } else { 12.0 };
+                    ts.insert(&sick, (60 + t) * 1000, v);
+                }
+                for service in [h.clone(), HecateService::new()] {
+                    let got = service.forecast_all(&ts, &paths, Metric::AvailableBandwidth);
+                    assert_eq!(names(&got), ["t1", "t3"], "{fresh} samples, one {bad}");
+                }
+                // The half-absorbed window went with its entry (a failed
+                // refit leaves the stale one to fail again); the next
+                // consult refits, and fails while the sample is history.
+                let stale = (fresh == refit_after) as usize;
+                assert_eq!(h.cache_stats().entries, 2 + stale);
+                let again = h.forecast_all(&ts, &paths, Metric::AvailableBandwidth);
+                assert_eq!(names(&again), ["t1", "t3"]);
+                assert_eq!(h.cache_stats().updates, 0, "nothing was served off it");
             }
         }
     }

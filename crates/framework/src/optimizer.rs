@@ -423,30 +423,28 @@ pub fn assign_flows_shared_with(
 }
 
 /// Exhaustive placement: mixed-radix enumeration over each flow's
-/// candidate list, scored by [`water_fill`].
+/// candidate list, scored by the max-min fill of [`water_fill`] on a
+/// [`compact`] copy of the model, with one scratch for all assignments.
 fn exhaustive_shared(model: &SharedLinkModel, flows: &[FlowDemand]) -> Vec<usize> {
     let n = flows.len();
+    let model = &compact(model, flows);
     let radix: Vec<&[usize]> = flows
         .iter()
         .map(|f| model.candidates[f.pair.index()].as_slice())
         .collect();
     let mut counter = vec![0usize; n];
+    let mut choice = Vec::with_capacity(n);
+    let mut fill = Fill::default();
     let mut best: Option<(Vec<usize>, f64, f64)> = None;
     loop {
-        let choice: Vec<usize> = counter.iter().zip(&radix).map(|(&c, r)| r[c]).collect();
-        let (_, total, min_rate) = water_fill(model, flows, &choice);
-        let better = match &best {
-            None => true,
-            Some((b_choice, b_total, b_min)) => {
-                let total_tie = (total - b_total).abs() <= 1e-12;
-                let rate_tie = (min_rate - b_min).abs() <= 1e-12;
-                total > b_total + 1e-12
-                    || (total_tie && min_rate > b_min + 1e-12)
-                    || (total_tie && rate_tie && choice < *b_choice)
-            }
-        };
-        if better {
-            best = Some((choice, total, min_rate));
+        choice.clear();
+        choice.extend(counter.iter().zip(&radix).map(|(&c, r)| r[c]));
+        let (total, min_rate) = fill.run(model, flows, &choice);
+        if best
+            .as_ref()
+            .is_none_or(|b| beats((&choice, total, min_rate), b))
+        {
+            best = Some((choice.clone(), total, min_rate));
         }
         // increment the mixed-radix counter
         let mut pos = 0;
@@ -461,6 +459,56 @@ fn exhaustive_shared(model: &SharedLinkModel, flows: &[FlowDemand]) -> Vec<usize
             counter[pos] = 0;
             pos += 1;
         }
+    }
+}
+
+/// The exhaustive search's order on scored placements `(choice, total,
+/// min rate)`: more predicted total, then a better-off worst flow, then
+/// the lexicographically earlier choice.
+fn beats(new: (&[usize], f64, f64), best: &(Vec<usize>, f64, f64)) -> bool {
+    let ((choice, total, min_rate), (b_choice, b_total, b_min)) = (new, best);
+    let total_tie = (total - b_total).abs() <= 1e-12;
+    let rate_tie = (min_rate - b_min).abs() <= 1e-12;
+    total > b_total + 1e-12
+        || (total_tie && min_rate > b_min + 1e-12)
+        || (total_tie && rate_tie && choice < b_choice.as_slice())
+}
+
+/// `model` cut down to the links a placement of `flows` can load: those
+/// crossed by a candidate tunnel of one of their pairs, renumbered in
+/// ascending order; every other tunnel crosses nothing. A fill visits
+/// the surviving links in the order it visited them in `model` and
+/// never read the others (their flow count is zero), so rates, totals
+/// and the chosen placement are bit for bit the full model's — without
+/// cloning and scanning a few hundred idle links per scored assignment.
+fn compact(model: &SharedLinkModel, flows: &[FlowDemand]) -> SharedLinkModel {
+    let tunnels = || flows.iter().flat_map(|f| &model.candidates[f.pair.index()]);
+    const IDLE: usize = usize::MAX;
+    let mut new_id = vec![IDLE; model.headroom.len()];
+    for &t in tunnels() {
+        for &l in &model.tunnel_links[t] {
+            new_id[l] = 0;
+        }
+    }
+    let (mut headroom, mut real_links) = (Vec::new(), 0);
+    for (l, id) in new_id.iter_mut().enumerate() {
+        if *id != IDLE {
+            *id = headroom.len();
+            headroom.push(model.headroom[l]);
+            real_links += (l < model.real_links) as usize;
+        }
+    }
+    let mut tunnel_links = vec![Vec::new(); model.tunnel_links.len()];
+    for &t in tunnels() {
+        if tunnel_links[t].is_empty() {
+            tunnel_links[t] = model.tunnel_links[t].iter().map(|&l| new_id[l]).collect();
+        }
+    }
+    SharedLinkModel {
+        headroom,
+        tunnel_links,
+        candidates: model.candidates.clone(),
+        real_links,
     }
 }
 
@@ -513,78 +561,109 @@ fn water_fill(
     flows: &[FlowDemand],
     choice: &[usize],
 ) -> (Vec<f64>, f64, f64) {
-    let n = flows.len();
-    let mut residual = model.headroom.clone();
-    let mut rate = vec![0.0f64; n];
-    let mut active = vec![true; n];
-    let mut active_left = n;
-    while active_left > 0 {
-        // flows per link among the still-active
-        let mut count = vec![0usize; residual.len()];
-        for i in 0..n {
-            if active[i] {
-                for &l in &model.tunnel_links[choice[i]] {
-                    count[l] += 1;
+    let mut fill = Fill::default();
+    let (total, min_rate) = fill.run(model, flows, choice);
+    (fill.rate, total, min_rate)
+}
+
+/// [`water_fill`]'s working state, reusable from one fill to the next.
+#[derive(Default)]
+struct Fill {
+    residual: Vec<f64>,
+    /// Flows per link among the still-active.
+    count: Vec<usize>,
+    active: Vec<bool>,
+    /// The per-flow rates of the last [`Fill::run`].
+    rate: Vec<f64>,
+}
+
+impl Fill {
+    /// Fills `choice`; returns the rates' sum and their minimum (0 when
+    /// there is none).
+    fn run(
+        &mut self,
+        model: &SharedLinkModel,
+        flows: &[FlowDemand],
+        choice: &[usize],
+    ) -> (f64, f64) {
+        let n = flows.len();
+        let Fill {
+            residual,
+            count,
+            active,
+            rate,
+        } = self;
+        residual.clear();
+        residual.extend_from_slice(&model.headroom);
+        rate.clear();
+        rate.resize(n, 0.0);
+        active.clear();
+        active.resize(n, true);
+        let mut active_left = n;
+        while active_left > 0 {
+            count.clear();
+            count.resize(residual.len(), 0);
+            for i in 0..n {
+                if active[i] {
+                    for &l in &model.tunnel_links[choice[i]] {
+                        count[l] += 1;
+                    }
                 }
             }
-        }
-        // uniform growth until the first constraint binds
-        let mut delta = f64::INFINITY;
-        for (l, &c) in count.iter().enumerate() {
-            if c > 0 {
-                delta = delta.min(residual[l] / c as f64);
-            }
-        }
-        for i in 0..n {
-            if active[i] {
-                if let Some(d) = flows[i].demand {
-                    delta = delta.min((d - rate[i]).max(0.0));
+            // uniform growth until the first constraint binds
+            let mut delta = f64::INFINITY;
+            for (l, &c) in count.iter().enumerate() {
+                if c > 0 {
+                    delta = delta.min(residual[l] / c as f64);
                 }
             }
-        }
-        if !delta.is_finite() {
-            // Active flows crossing no capacitated link (degenerate
-            // model): freeze them at their current rate.
-            break;
-        }
-        let delta = delta.max(0.0);
-        for i in 0..n {
-            if active[i] {
-                rate[i] += delta;
+            for i in 0..n {
+                if active[i] {
+                    if let Some(d) = flows[i].demand {
+                        delta = delta.min((d - rate[i]).max(0.0));
+                    }
+                }
+            }
+            if !delta.is_finite() {
+                // Active flows crossing no capacitated link (degenerate
+                // model): freeze them at their current rate.
+                break;
+            }
+            let delta = delta.max(0.0);
+            for i in 0..n {
+                if active[i] {
+                    rate[i] += delta;
+                }
+            }
+            for (l, &c) in count.iter().enumerate() {
+                if c > 0 {
+                    residual[l] -= delta * c as f64;
+                }
+            }
+            // freeze flows at demand or on a saturated link
+            let mut froze = false;
+            for i in 0..n {
+                if !active[i] {
+                    continue;
+                }
+                let at_demand = flows[i].demand.is_some_and(|d| rate[i] >= d - 1e-12);
+                let saturated = model.tunnel_links[choice[i]]
+                    .iter()
+                    .any(|&l| residual[l] <= 1e-12);
+                if at_demand || saturated {
+                    active[i] = false;
+                    active_left -= 1;
+                    froze = true;
+                }
+            }
+            if !froze {
+                break; // numerical stall: stop growing rather than loop
             }
         }
-        for (l, &c) in count.iter().enumerate() {
-            if c > 0 {
-                residual[l] -= delta * c as f64;
-            }
-        }
-        // freeze flows at demand or on a saturated link
-        let mut froze = false;
-        for i in 0..n {
-            if !active[i] {
-                continue;
-            }
-            let at_demand = flows[i].demand.is_some_and(|d| rate[i] >= d - 1e-12);
-            let saturated = model.tunnel_links[choice[i]]
-                .iter()
-                .any(|&l| residual[l] <= 1e-12);
-            if at_demand || saturated {
-                active[i] = false;
-                active_left -= 1;
-                froze = true;
-            }
-        }
-        if !froze {
-            break; // numerical stall: stop growing rather than loop
-        }
+        let total = rate.iter().sum();
+        let min_rate = rate.iter().copied().fold(f64::INFINITY, f64::min);
+        (total, if min_rate.is_finite() { min_rate } else { 0.0 })
     }
-    let total = rate.iter().sum();
-    let min_rate = rate.iter().copied().fold(f64::INFINITY, f64::min);
-    (
-        rate,
-        total,
-        if min_rate.is_finite() { min_rate } else { 0.0 },
-    )
 }
 
 #[cfg(test)]
@@ -842,5 +921,120 @@ mod tests {
         let a = assign_flows_shared(&model, &mixed).unwrap();
         assert!((a.rate_of_flow[0] - 2.0).abs() < 1e-9, "{a:?}");
         assert!((a.rate_of_flow[1] - 10.0).abs() < 1e-9, "{a:?}");
+    }
+    /// A random multi-pair model: trunks that many tunnels share, links
+    /// no candidate of the batch crosses, zero-headroom links, forecast
+    /// caps on some; and a batch drawn from a few of its pairs.
+    fn random_model(seed: u64) -> (SharedLinkModel, Vec<FlowDemand>) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let links = rng.gen_range(4..40usize);
+        let headroom: Vec<f64> = (0..links)
+            .map(|_| match rng.gen_range(0..5u32) {
+                0 => 0.0,
+                1 => rng.gen_range(1..20u32) as f64,
+                _ => rng.gen_range(0.0..50.0),
+            })
+            .collect();
+        let pairs = rng.gen_range(1..9usize);
+        let (mut tunnel_links, mut candidates) = (Vec::new(), Vec::new());
+        for _ in 0..pairs {
+            let mut mine = Vec::new();
+            for _ in 0..rng.gen_range(1..4usize) {
+                let mut hops: Vec<usize> = (0..rng.gen_range(1..6usize))
+                    // the first four links are trunks everyone leans on
+                    .map(|_| {
+                        let among = if rng.gen_bool(0.3) { 4 } else { links };
+                        rng.gen_range(0..among)
+                    })
+                    .collect();
+                hops.dedup();
+                mine.push(tunnel_links.len());
+                tunnel_links.push(hops);
+            }
+            candidates.push(mine);
+        }
+        let mut model = SharedLinkModel::new(headroom, tunnel_links, candidates);
+        if rng.gen_bool(0.5) {
+            let caps: Vec<f64> = (0..model.tunnel_links.len())
+                .map(|_| {
+                    if rng.gen_bool(0.2) {
+                        0.0
+                    } else {
+                        rng.gen_range(0.0..30.0)
+                    }
+                })
+                .collect();
+            model = model.with_tunnel_caps(&caps);
+        }
+        let flows = (0..rng.gen_range(1..7usize))
+            .map(|_| FlowDemand {
+                pair: PairId(rng.gen_range(0..pairs.min(3))),
+                demand: rng.gen_bool(0.5).then(|| rng.gen_range(0.0..15.0)),
+            })
+            .collect();
+        (model, flows)
+    }
+
+    /// The placement search before it scored on a compact model: every
+    /// assignment filled over the whole of `model`.
+    fn exhaustive_on_the_full_model(model: &SharedLinkModel, flows: &[FlowDemand]) -> Vec<usize> {
+        let radix: Vec<&[usize]> = flows
+            .iter()
+            .map(|f| model.candidates[f.pair.index()].as_slice())
+            .collect();
+        let mut best: Option<(Vec<usize>, f64, f64)> = None;
+        for k in 0..radix.iter().map(|r| r.len()).product::<usize>() {
+            // flow 0 is the fastest-moving digit
+            let mut rest = k;
+            let choice: Vec<usize> = radix
+                .iter()
+                .map(|r| {
+                    let digit = rest % r.len();
+                    rest /= r.len();
+                    r[digit]
+                })
+                .collect();
+            let (_, total, min_rate) = water_fill(model, flows, &choice);
+            if best
+                .as_ref()
+                .is_none_or(|b| beats((&choice, total, min_rate), b))
+            {
+                best = Some((choice, total, min_rate));
+            }
+        }
+        best.unwrap().0
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn compact_model_scores_and_places_like_the_full_one(seed in proptest::prelude::any::<u64>()) {
+            let (model, flows) = random_model(seed);
+            let small = compact(&model, &flows);
+            proptest::prop_assert!(small.headroom.len() <= model.headroom.len());
+            let bits = |(rates, total, min): (Vec<f64>, f64, f64)| {
+                let rates: Vec<u64> = rates.iter().map(|r| r.to_bits()).collect();
+                (rates, total.to_bits(), min.to_bits())
+            };
+            // Every assignment fills to the same bits on both models...
+            let first: Vec<usize> = flows.iter().map(|f| model.candidates[f.pair.index()][0]).collect();
+            let last: Vec<usize> = flows
+                .iter()
+                .map(|f| *model.candidates[f.pair.index()].last().unwrap())
+                .collect();
+            for choice in [&first, &last] {
+                proptest::prop_assert_eq!(
+                    bits(water_fill(&small, &flows, choice)),
+                    bits(water_fill(&model, &flows, choice))
+                );
+            }
+            // ...so the search picks the same placement.
+            proptest::prop_assert_eq!(
+                exhaustive_shared(&model, &flows),
+                exhaustive_on_the_full_model(&model, &flows)
+            );
+        }
     }
 }

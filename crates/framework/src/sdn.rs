@@ -847,13 +847,9 @@ impl SelfDrivingNetwork {
             args
         });
         self.log.record("optimizerReturn");
-        for (label, tunnel) in &moves {
-            let current = self
-                .flows
-                .iter()
-                .find(|f| &f.label == label)
-                .map(|f| f.tunnel.clone());
-            if current.as_deref() != Some(tunnel) {
+        // `moves[i]` is `self.flows[i]`'s: compare by position.
+        for (i, (label, tunnel)) in moves.iter().enumerate() {
+            if self.flows[i].tunnel != *tunnel {
                 self.migrate_flow(label, tunnel)?;
             }
         }

@@ -9,7 +9,7 @@
 //!   max_depth=3, loss="squared_error")` — stage-wise fitting of residuals.
 
 use crate::model::Regressor;
-use crate::tree::{DecisionTreeRegressor, Presort, TreeBuilder};
+use crate::tree::{DecisionTreeRegressor, Forest, Presort, TreeBuilder};
 use crate::MlError;
 use linalg::stats::weighted_median;
 use linalg::Matrix;
@@ -23,7 +23,7 @@ pub struct AdaBoostRegressor {
     pub learning_rate: f64,
     /// Depth of the weak learner (sklearn default 3).
     pub max_depth: usize,
-    estimators: Vec<DecisionTreeRegressor>,
+    estimators: Forest,
     log_betas: Vec<f64>,
 }
 
@@ -33,7 +33,7 @@ impl Default for AdaBoostRegressor {
             n_estimators: 50,
             learning_rate: 1.0,
             max_depth: 3,
-            estimators: Vec::new(),
+            estimators: Forest::default(),
             log_betas: Vec::new(),
         }
     }
@@ -58,19 +58,20 @@ impl Regressor for AdaBoostRegressor {
         let pre = Presort::new(x, y)?;
         let n = x.rows();
         let mut w = vec![1.0 / n as f64; n];
-        self.estimators.clear();
+        self.estimators = Forest::default();
         self.log_betas.clear();
         let (mut builder, rows) = (TreeBuilder::new(&pre), pre.all_rows());
         let config = DecisionTreeRegressor::with_max_depth(self.max_depth).config;
-        for _round in 0..self.n_estimators {
-            let tree = builder.fit(config, &rows, y, Some(&w));
-            let pred = tree.predict(x)?;
+        // Every round that goes on keeps its tree, so round `k` fits
+        // tree `k`.
+        for round in 0..self.n_estimators {
+            builder.fit(config, &rows, y, Some(&w), &mut self.estimators);
+            let pred = self.estimators.predict_tree(round, x);
             // linear loss normalized by the max absolute error
             let abs_err: Vec<f64> = y.iter().zip(&pred).map(|(a, b)| (a - b).abs()).collect();
             let max_err = abs_err.iter().cloned().fold(0.0, f64::max);
             if max_err <= f64::EPSILON {
                 // perfect fit: give it full confidence and stop
-                self.estimators.push(tree);
                 self.log_betas.push((1.0f64 / 1e-10).ln());
                 break;
             }
@@ -78,9 +79,10 @@ impl Regressor for AdaBoostRegressor {
             let avg_loss: f64 = w.iter().zip(&loss).map(|(wi, li)| wi * li).sum();
             if avg_loss >= 0.5 {
                 // weak learner no better than chance: stop (keep at least one)
-                if self.estimators.is_empty() {
-                    self.estimators.push(tree);
+                if round == 0 {
                     self.log_betas.push(1e-10f64.max(1.0 - avg_loss));
+                } else {
+                    self.estimators.pop();
                 }
                 break;
             }
@@ -96,28 +98,24 @@ impl Regressor for AdaBoostRegressor {
             for wi in &mut w {
                 *wi /= sum;
             }
-            self.estimators.push(tree);
             self.log_betas.push((1.0 / beta).ln() * self.learning_rate);
         }
-        if self.estimators.is_empty() {
+        if self.log_betas.is_empty() {
             return Err(MlError::Numeric("AdaBoost fitted no estimators".into()));
         }
         Ok(())
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
-        if self.estimators.is_empty() {
-            return Err(MlError::NotFitted);
-        }
-        let preds: Vec<Vec<f64>> = self
-            .estimators
-            .iter()
-            .map(|t| t.predict(x))
-            .collect::<Result<_, _>>()?;
+        self.estimators.check_cols(x.cols())?;
         // weighted median across estimators, per sample
+        let rounds = self.estimators.len();
+        let mut vals = Vec::with_capacity(rounds);
         Ok((0..x.rows())
             .map(|i| {
-                let vals: Vec<f64> = preds.iter().map(|p| p[i]).collect();
+                vals.clear();
+                self.estimators
+                    .leaves(0..rounds, x.row(i), |leaf| vals.push(leaf));
                 weighted_median(&vals, &self.log_betas)
             })
             .collect())
@@ -138,7 +136,7 @@ pub struct GradientBoostingRegressor {
     /// Depth of each stage's tree (sklearn default 3).
     pub max_depth: usize,
     init: f64,
-    stages: Vec<DecisionTreeRegressor>,
+    stages: Forest,
 }
 
 impl Default for GradientBoostingRegressor {
@@ -148,7 +146,7 @@ impl Default for GradientBoostingRegressor {
             learning_rate: 0.1,
             max_depth: 3,
             init: 0.0,
-            stages: Vec::new(),
+            stages: Forest::default(),
         }
     }
 }
@@ -157,6 +155,16 @@ impl GradientBoostingRegressor {
     /// GBR with scikit-learn defaults.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// The initial guess plus every stage's shrunken update, in stage
+    /// order.
+    fn boosted(&self, row: &[f64]) -> f64 {
+        let mut out = self.init;
+        self.stages.leaves(0..self.stages.len(), row, |leaf| {
+            out += self.learning_rate * leaf;
+        });
+        out
     }
 
     /// GBR with a custom stage count.
@@ -179,44 +187,29 @@ impl Regressor for GradientBoostingRegressor {
         // rank X once.
         let pre = Presort::new(x, y)?;
         self.init = linalg::stats::mean(y);
-        self.stages.clear();
+        self.stages = Forest::default();
         let mut current: Vec<f64> = vec![self.init; y.len()];
         let (mut builder, rows) = (TreeBuilder::new(&pre), pre.all_rows());
         let config = DecisionTreeRegressor::with_max_depth(self.max_depth).config;
-        for _ in 0..self.n_estimators {
+        for stage in 0..self.n_estimators {
             let residual: Vec<f64> = y.iter().zip(&current).map(|(a, b)| a - b).collect();
-            let tree = builder.fit(config, &rows, &residual, None);
-            let update = tree.predict(x)?;
+            builder.fit(config, &rows, &residual, None, &mut self.stages);
+            let update = self.stages.predict_tree(stage, x);
             for (c, u) in current.iter_mut().zip(&update) {
                 *c += self.learning_rate * u;
             }
-            self.stages.push(tree);
         }
         Ok(())
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
-        if self.stages.is_empty() {
-            return Err(MlError::NotFitted);
-        }
-        let mut out = vec![self.init; x.rows()];
-        for stage in &self.stages {
-            let u = stage.predict(x)?;
-            for (o, v) in out.iter_mut().zip(u) {
-                *o += self.learning_rate * v;
-            }
-        }
-        Ok(out)
+        self.stages.check_cols(x.cols())?;
+        Ok((0..x.rows()).map(|i| self.boosted(x.row(i))).collect())
     }
 
     fn predict_row(&self, row: &[f64]) -> Result<f64, MlError> {
-        let first = self.stages.first().ok_or(MlError::NotFitted)?;
-        first.check_cols(row.len())?;
-        let mut out = self.init;
-        for stage in &self.stages {
-            out += self.learning_rate * stage.predict_row(row);
-        }
-        Ok(out)
+        self.stages.check_cols(row.len())?;
+        Ok(self.boosted(row))
     }
 
     fn name(&self) -> &'static str {

@@ -10,7 +10,7 @@
 //! fits produce identical forests.
 
 use crate::model::Regressor;
-use crate::tree::{DecisionTreeRegressor, Presort, TreeBuilder, TreeConfig};
+use crate::tree::{Forest, Presort, TreeBuilder, TreeConfig};
 use crate::MlError;
 use linalg::par::{par_map_indexed, worker_count};
 use linalg::Matrix;
@@ -21,7 +21,8 @@ use rand::SeedableRng;
 /// Fits `n_estimators` bootstrap trees over one shared [`Presort`].
 /// Trees are dealt to `workers` scoped threads in contiguous chunks,
 /// one reusable [`TreeBuilder`] each; tree `k` draws everything from
-/// its own RNG stream, so the forest does not depend on `workers`.
+/// its own RNG stream and a worker writes its trees into one chunk of
+/// the arena, so the forest does not depend on `workers`.
 fn fit_forest(
     x: &Matrix,
     y: &[f64],
@@ -29,7 +30,7 @@ fn fit_forest(
     base_config: &TreeConfig,
     seed: u64,
     workers: usize,
-) -> Result<Vec<DecisionTreeRegressor>, MlError> {
+) -> Result<Forest, MlError> {
     if n_estimators == 0 {
         return Err(MlError::BadHyperparameter(
             "n_estimators must be > 0".into(),
@@ -41,39 +42,33 @@ fn fit_forest(
     let chunks = par_map_indexed(n_estimators.div_ceil(chunk), |c| {
         let mut builder = TreeBuilder::new(&pre);
         let mut sample = vec![0u32; n];
-        (c * chunk..n_estimators.min((c + 1) * chunk))
-            .map(|k| {
-                let mut rng =
-                    StdRng::seed_from_u64(seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                for row in &mut sample {
-                    *row = rng.gen_range(0..n) as u32;
-                }
-                let config = TreeConfig {
-                    seed: rng.gen(),
-                    ..*base_config
-                };
-                builder.fit(config, &sample, y, None)
-            })
-            .collect::<Vec<_>>()
+        let mut trees = Forest::default();
+        for k in c * chunk..n_estimators.min((c + 1) * chunk) {
+            let mut rng =
+                StdRng::seed_from_u64(seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            for row in &mut sample {
+                *row = rng.gen_range(0..n) as u32;
+            }
+            let config = TreeConfig {
+                seed: rng.gen(),
+                ..*base_config
+            };
+            builder.fit(config, &sample, y, None, &mut trees);
+        }
+        trees
     });
-    Ok(chunks.into_iter().flatten().collect())
-}
-
-fn check_cols(trees: &[DecisionTreeRegressor], cols: usize) -> Result<(), MlError> {
-    trees.first().ok_or(MlError::NotFitted)?.check_cols(cols)
+    Ok(Forest::concat(chunks))
 }
 
 /// Mean over trees, summed in tree order, of one row's predictions.
-fn row_mean(trees: &[DecisionTreeRegressor], row: &[f64]) -> f64 {
+fn row_mean(trees: &Forest, row: &[f64]) -> f64 {
     let mut acc = 0.0;
-    for tree in trees {
-        acc += tree.predict_row(row);
-    }
+    trees.leaves(0..trees.len(), row, |leaf| acc += leaf);
     acc / trees.len() as f64
 }
 
-fn predict_mean(trees: &[DecisionTreeRegressor], x: &Matrix) -> Result<Vec<f64>, MlError> {
-    check_cols(trees, x.cols())?;
+fn predict_mean(trees: &Forest, x: &Matrix) -> Result<Vec<f64>, MlError> {
+    trees.check_cols(x.cols())?;
     Ok((0..x.rows()).map(|i| row_mean(trees, x.row(i))).collect())
 }
 
@@ -89,7 +84,7 @@ pub struct RandomForestRegressor {
     pub max_depth: Option<usize>,
     /// Ensemble seed.
     pub seed: u64,
-    trees: Vec<DecisionTreeRegressor>,
+    trees: Forest,
 }
 
 impl Default for RandomForestRegressor {
@@ -99,7 +94,7 @@ impl Default for RandomForestRegressor {
             max_features: None,
             max_depth: None,
             seed: 0,
-            trees: Vec::new(),
+            trees: Forest::default(),
         }
     }
 }
@@ -149,7 +144,7 @@ impl Regressor for RandomForestRegressor {
     }
 
     fn predict_row(&self, row: &[f64]) -> Result<f64, MlError> {
-        check_cols(&self.trees, row.len())?;
+        self.trees.check_cols(row.len())?;
         Ok(row_mean(&self.trees, row))
     }
 
@@ -165,7 +160,7 @@ pub struct BaggingRegressor {
     pub n_estimators: usize,
     /// Ensemble seed.
     pub seed: u64,
-    trees: Vec<DecisionTreeRegressor>,
+    trees: Forest,
 }
 
 impl Default for BaggingRegressor {
@@ -173,7 +168,7 @@ impl Default for BaggingRegressor {
         BaggingRegressor {
             n_estimators: 10,
             seed: 0,
-            trees: Vec::new(),
+            trees: Forest::default(),
         }
     }
 }
@@ -206,7 +201,7 @@ impl Regressor for BaggingRegressor {
     }
 
     fn predict_row(&self, row: &[f64]) -> Result<f64, MlError> {
-        check_cols(&self.trees, row.len())?;
+        self.trees.check_cols(row.len())?;
         Ok(row_mean(&self.trees, row))
     }
 
@@ -317,7 +312,7 @@ mod tests {
         assert_eq!(one.len(), 23);
         for workers in [0, 2, 3, 8, 23, 50] {
             let many = fit_forest(&x, &y, 23, &config, 9, workers).unwrap();
-            assert_eq!(many, one, "{workers} workers");
+            assert_eq!(many.bits(), one.bits(), "{workers} workers");
         }
     }
 

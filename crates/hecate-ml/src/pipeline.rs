@@ -9,7 +9,7 @@ use crate::data::{make_supervised, sequential_split};
 use crate::metrics::{mae, r2, rmse};
 use crate::model::{Regressor, RegressorKind};
 use crate::scale::StandardScaler;
-use crate::MlError;
+use crate::{check_finite, MlError};
 use linalg::par::par_map;
 use linalg::Matrix;
 
@@ -203,22 +203,39 @@ impl TrainedForecaster {
     /// window to forecast `horizon` steps ahead, in the original scale.
     /// Deterministic and side-effect free — repeated rolls are identical.
     pub fn roll(&self, horizon: usize) -> Result<Vec<f64>, MlError> {
-        let mut window = self.window.clone();
-        let mut out_scaled = Vec::with_capacity(horizon);
-        for _ in 0..horizon {
-            let pred = self.model.predict_row(&window)?;
-            out_scaled.push(pred);
-            window.rotate_left(1);
-            window[self.lags - 1] = pred;
+        let mut out = Vec::new();
+        self.roll_into(horizon, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`TrainedForecaster::roll`] into a caller-owned buffer, which it
+    /// overwrites: a buffer that has held one roll makes the next
+    /// allocation-free. `out` is left unspecified on an error.
+    pub fn roll_into(&self, horizon: usize, out: &mut Vec<f64>) -> Result<(), MlError> {
+        // The buffer is the window followed by the predictions so far,
+        // so the last `lags` values are always the next model input.
+        out.clear();
+        out.extend_from_slice(&self.window);
+        for step in 0..horizon {
+            let pred = self.model.predict_row(&out[step..])?;
+            out.push(pred);
         }
-        self.scaler.inverse_transform_column(&out_scaled, 0)
+        out.drain(..self.lags);
+        for v in out {
+            *v = self.scaler.inverse_transform_value(*v, 0)?;
+        }
+        Ok(())
     }
 
     /// Slides one new raw sample into the lag window using the frozen
     /// scaler statistics, without refitting the model. Subsequent rolls
-    /// forecast from the updated window.
+    /// forecast from the updated window. A non-finite sample is an error
+    /// and leaves the window as it was: a forest would still roll a
+    /// finite forecast off a NaN (every comparison fails, so it goes
+    /// right at every split), and the caller would steer on it.
     pub fn observe(&mut self, sample: f64) -> Result<(), MlError> {
-        let scaled = self.scaler.transform_column(&[sample], 0)?[0];
+        check_finite("observed sample", &[sample])?;
+        let scaled = self.scaler.transform_value(sample, 0)?;
         self.window.rotate_left(1);
         self.window[self.lags - 1] = scaled;
         Ok(())

@@ -94,6 +94,18 @@ impl StandardScaler {
         Ok(out)
     }
 
+    /// Standardizes one value using column `col`'s statistics.
+    pub fn transform_value(&self, value: f64, col: usize) -> Result<f64, MlError> {
+        self.check(col + 1)?;
+        Ok((value - self.means[col]) / self.stds[col])
+    }
+
+    /// Maps one standardized value back to column `col`'s scale.
+    pub fn inverse_transform_value(&self, value: f64, col: usize) -> Result<f64, MlError> {
+        self.check(col + 1)?;
+        Ok(value * self.stds[col] + self.means[col])
+    }
+
     /// Transforms a single column vector using column `col`'s statistics.
     pub fn transform_column(&self, values: &[f64], col: usize) -> Result<Vec<f64>, MlError> {
         self.check(col + 1)?;

@@ -22,6 +22,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::cmp::Ordering;
+use std::ops::Range;
 
 /// Tree growth hyperparameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,27 +51,157 @@ impl Default for TreeConfig {
     }
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Node {
-    Leaf {
-        value: f64,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: usize,
-        right: usize,
-    },
+/// One tree node, 16 bytes. A tree is stored in pre-order: a split's left
+/// child is the next node and its right child `right` nodes further on,
+/// so whole trees concatenate into one arena without rebasing. A leaf
+/// has `right == 0` and no [`SPLIT`] bit, so a walk that reaches it
+/// steps to itself.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Node {
+    /// Split threshold, or the leaf's value.
+    value: f64,
+    /// Offset to the right child; `0` on a leaf.
+    right: u32,
+    /// Split feature with [`SPLIT`] set; `0` on a leaf.
+    feature: u32,
 }
 
-/// A fitted regression tree (arena representation: nodes index into a
-/// flat vector, avoiding per-node allocation).
+/// Flag on [`Node::feature`]: shifted down it is the step to the left
+/// child (1 on a split, 0 on a leaf).
+const SPLIT: u32 = 1 << 31;
+
+impl Node {
+    fn leaf(value: f64) -> Node {
+        Node {
+            value,
+            right: 0,
+            feature: 0,
+        }
+    }
+
+    /// How far the walk moves for `row`: 1 (left) when
+    /// `row[feature] <= threshold`, else `right` — so NaN goes right —
+    /// and 0 on a leaf. An arithmetic select, not a branch: which way a
+    /// fresh row goes is a coin flip to the predictor.
+    fn step(self, row: &[f64]) -> usize {
+        let left = (row[(self.feature & !SPLIT) as usize] <= self.value) as u32;
+        (left * (self.feature >> 31) + (1 - left) * self.right) as usize
+    }
+}
+
+/// Where one tree of a [`Forest`] starts and how deep it goes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct TreeRef {
+    root: usize,
+    depth: usize,
+}
+
+/// Trees walked together by [`Forest::leaves`]: enough independent
+/// loads in flight to hide a cache miss per level.
+const K: usize = 8;
+
+/// Fitted trees in one contiguous node arena — every tree model's
+/// storage, from the single tree of a [`DecisionTreeRegressor`] to the
+/// hundred of a forest or a boosting run.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub(crate) struct Forest {
+    nodes: Vec<Node>,
+    trees: Vec<TreeRef>,
+    n_features: usize,
+}
+
+impl Forest {
+    /// Number of trees.
+    pub(crate) fn len(&self) -> usize {
+        self.trees.len()
+    }
+
+    /// Joins per-worker chunks, in order, into one exactly-sized arena.
+    pub(crate) fn concat(chunks: Vec<Forest>) -> Forest {
+        let mut all = Forest {
+            nodes: Vec::with_capacity(chunks.iter().map(|c| c.nodes.len()).sum()),
+            trees: Vec::with_capacity(chunks.iter().map(Forest::len).sum()),
+            n_features: chunks.first().map_or(0, |c| c.n_features),
+        };
+        for chunk in chunks {
+            let base = all.nodes.len();
+            all.nodes.extend_from_slice(&chunk.nodes);
+            all.trees.extend(chunk.trees.iter().map(|t| TreeRef {
+                root: base + t.root,
+                ..*t
+            }));
+        }
+        all
+    }
+
+    /// Drops the last tree (a boosting round that was fitted, then
+    /// rejected).
+    pub(crate) fn pop(&mut self) {
+        if let Some(last) = self.trees.pop() {
+            self.nodes.truncate(last.root);
+        }
+    }
+
+    /// `NotFitted` before a fit; `BadShape` unless rows are as wide as
+    /// the ones the trees were grown on.
+    pub(crate) fn check_cols(&self, cols: usize) -> Result<(), MlError> {
+        if self.trees.is_empty() {
+            return Err(MlError::NotFitted);
+        }
+        if cols != self.n_features {
+            return Err(MlError::BadShape(format!(
+                "trees fitted on {} features, got {cols}",
+                self.n_features
+            )));
+        }
+        Ok(())
+    }
+
+    /// The one traversal: feeds `emit` the value of the leaf `row` lands
+    /// on in each of `trees`, in tree order. [`K`] trees descend in
+    /// lock-step for as many levels as the deepest of them has; a
+    /// shallower tree waits on its leaf. The cursor array is always `K`
+    /// wide so the level loop unrolls into registers: the idle lanes of
+    /// a short group walk its first tree again, unheard.
+    pub(crate) fn leaves(&self, trees: Range<usize>, row: &[f64], mut emit: impl FnMut(f64)) {
+        for group in self.trees[trees].chunks(K) {
+            let mut at = [group[0].root; K];
+            let mut depth = 0;
+            for (at, tree) in at.iter_mut().zip(group) {
+                *at = tree.root;
+                depth = depth.max(tree.depth);
+            }
+            for _ in 0..depth {
+                for at in &mut at {
+                    *at += self.nodes[*at].step(row);
+                }
+            }
+            for &at in &at[..group.len()] {
+                emit(self.nodes[at].value);
+            }
+        }
+    }
+
+    /// Tree `k`'s prediction for `row`.
+    pub(crate) fn leaf(&self, k: usize, row: &[f64]) -> f64 {
+        let mut value = f64::NAN;
+        self.leaves(k..k + 1, row, |leaf| value = leaf);
+        value
+    }
+
+    /// Tree `k`'s prediction for every row of `x`.
+    pub(crate) fn predict_tree(&self, k: usize, x: &Matrix) -> Vec<f64> {
+        (0..x.rows()).map(|i| self.leaf(k, x.row(i))).collect()
+    }
+}
+
+/// A fitted regression tree.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DecisionTreeRegressor {
     /// Growth configuration.
     pub config: TreeConfig,
-    nodes: Vec<Node>,
-    n_features: usize,
+    /// One tree, or none before a fit.
+    tree: Forest,
 }
 
 impl DecisionTreeRegressor {
@@ -83,8 +214,7 @@ impl DecisionTreeRegressor {
     pub fn with_config(config: TreeConfig) -> Self {
         DecisionTreeRegressor {
             config,
-            nodes: Vec::new(),
-            n_features: 0,
+            tree: Forest::default(),
         }
     }
 
@@ -98,22 +228,12 @@ impl DecisionTreeRegressor {
 
     /// Number of nodes in the fitted tree.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.tree.nodes.len()
     }
 
     /// Tree depth (0 for a stump-less single leaf).
     pub fn depth(&self) -> usize {
-        fn rec(nodes: &[Node], i: usize) -> usize {
-            match &nodes[i] {
-                Node::Leaf { .. } => 0,
-                Node::Split { left, right, .. } => 1 + rec(nodes, *left).max(rec(nodes, *right)),
-            }
-        }
-        if self.nodes.is_empty() {
-            0
-        } else {
-            rec(&self.nodes, 0)
-        }
+        self.tree.trees.first().map_or(0, |t| t.depth)
     }
 
     /// Fits with per-sample weights (AdaBoost.R2 requires this).
@@ -134,44 +254,8 @@ impl DecisionTreeRegressor {
             }
             check_finite("sample weights", w)?;
         }
-        *self = TreeBuilder::new(&pre).fit(self.config, &pre.all_rows(), y, w);
-        Ok(())
-    }
-
-    /// Predicts a single row.
-    pub fn predict_row(&self, row: &[f64]) -> f64 {
-        let mut i = 0;
-        loop {
-            match &self.nodes[i] {
-                Node::Leaf { value } => return *value,
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    i = if row[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
-            }
-        }
-    }
-
-    /// `NotFitted` before a fit; `BadShape` unless rows are as wide as
-    /// the ones the tree was grown on.
-    pub(crate) fn check_cols(&self, cols: usize) -> Result<(), MlError> {
-        if self.nodes.is_empty() {
-            return Err(MlError::NotFitted);
-        }
-        if cols != self.n_features {
-            return Err(MlError::BadShape(format!(
-                "tree fitted on {} features, got {cols}",
-                self.n_features
-            )));
-        }
+        self.tree = Forest::default();
+        TreeBuilder::new(&pre).fit(self.config, &pre.all_rows(), y, w, &mut self.tree);
         Ok(())
     }
 }
@@ -195,6 +279,11 @@ impl Presort {
         check_xy(x, y)?;
         check_finite("y", y)?;
         let n = x.rows();
+        // Rows, ranks and node offsets are kept as `u32`; a tree on `n`
+        // samples has fewer than `2 n` nodes.
+        if n.max(x.cols()) > i32::MAX as usize {
+            return Err(MlError::BadShape("more than 2^31 rows or columns".into()));
+        }
         let cols: Vec<f64> = (0..x.cols())
             .flat_map(|f| (0..n).map(move |r| x[(r, f)]))
             .collect();
@@ -243,13 +332,13 @@ pub(crate) struct TreeBuilder<'a> {
     features: Vec<usize>,
 }
 
-/// One fit's inputs and the tree grown so far.
+/// One fit's inputs and the arena the tree is appended to.
 struct Task<'t> {
     config: TreeConfig,
     y: &'t [f64],
     w: Option<&'t [f64]>,
     rng: StdRng,
-    nodes: Vec<Node>,
+    nodes: &'t mut Vec<Node>,
 }
 
 impl Task<'_> {
@@ -276,13 +365,15 @@ impl<'a> TreeBuilder<'a> {
     /// Grows one tree on `sample` — source-row indices, repeats allowed
     /// (a bootstrap) — with `y` and `w` indexed by *source* row; `None`
     /// weighs every sample 1, which keeps the weight sums exact integers.
+    /// The tree's nodes are written straight onto the end of `forest`.
     pub(crate) fn fit(
         &mut self,
         config: TreeConfig,
         sample: &[u32],
         y: &[f64],
         w: Option<&[f64]>,
-    ) -> DecisionTreeRegressor {
+        forest: &mut Forest,
+    ) {
         let (n, nf, len) = (self.pre.rows, self.pre.features, sample.len());
         self.len = len;
         self.order.resize((nf + 1) * len, 0);
@@ -308,24 +399,21 @@ impl<'a> TreeBuilder<'a> {
             }
         }
         self.order[nf * len..].copy_from_slice(sample);
-        let (rng, nodes) = (StdRng::seed_from_u64(config.seed), Vec::new());
+        let root = forest.nodes.len();
         let mut task = Task {
             config,
             y,
             w,
-            rng,
-            nodes,
+            rng: StdRng::seed_from_u64(config.seed),
+            nodes: &mut forest.nodes,
         };
-        self.node(&mut task, 0, len, 0);
-        DecisionTreeRegressor {
-            config,
-            nodes: task.nodes,
-            n_features: nf,
-        }
+        let depth = self.node(&mut task, 0, len, 0);
+        forest.trees.push(TreeRef { root, depth });
+        forest.n_features = nf;
     }
 
-    /// Grows the node holding `[lo, hi)` of every order; returns its
-    /// index. Nodes are numbered in pre-order.
+    /// Grows the node holding `[lo, hi)` of every order, in pre-order;
+    /// returns the depth of the subtree below it.
     fn node(&mut self, t: &mut Task, lo: usize, hi: usize, depth: usize) -> usize {
         let nf = self.pre.features;
         // Node mean and parent score: sums in sample order.
@@ -337,12 +425,12 @@ impl<'a> TreeBuilder<'a> {
         }
         let me = t.nodes.len();
         let value = if sw <= 0.0 { 0.0 } else { swy / sw };
-        t.nodes.push(Node::Leaf { value });
+        t.nodes.push(Node::leaf(value));
         if hi - lo < t.config.min_samples_split
             || t.config.max_depth.is_some_and(|d| depth >= d)
             || sw <= 0.0
         {
-            return me;
+            return 0;
         }
         // candidate features (random subset for forests)
         self.features.clear();
@@ -352,20 +440,21 @@ impl<'a> TreeBuilder<'a> {
             self.features.truncate(k.clamp(1, nf));
         }
         let Some((feature, threshold)) = self.best_split(t, lo, hi, swy * swy / sw) else {
-            return me;
+            return 0;
         };
         let Some(n_left) = self.partition(lo, hi, feature, threshold) else {
-            return me;
+            return 0;
         };
         let left = self.node(t, lo, lo + n_left, depth + 1);
-        let right = self.node(t, lo + n_left, hi, depth + 1);
-        t.nodes[me] = Node::Split {
-            feature,
-            threshold,
-            left,
+        // `Presort::new` bounds rows and features, so both fit 31 bits.
+        let right = (t.nodes.len() - me) as u32;
+        let below = left.max(self.node(t, lo + n_left, hi, depth + 1));
+        t.nodes[me] = Node {
+            value: threshold,
             right,
+            feature: feature as u32 | SPLIT,
         };
-        me
+        1 + below
     }
 
     /// The weighted-variance-minimizing `(feature, threshold)` over the
@@ -455,8 +544,13 @@ impl Regressor for DecisionTreeRegressor {
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
-        self.check_cols(x.cols())?;
-        Ok((0..x.rows()).map(|i| self.predict_row(x.row(i))).collect())
+        self.tree.check_cols(x.cols())?;
+        Ok(self.tree.predict_tree(0, x))
+    }
+
+    fn predict_row(&self, row: &[f64]) -> Result<f64, MlError> {
+        self.tree.check_cols(row.len())?;
+        Ok(self.tree.leaf(0, row))
     }
 
     fn name(&self) -> &'static str {
@@ -464,11 +558,72 @@ impl Regressor for DecisionTreeRegressor {
     }
 }
 
-/// The builder this module's presorted one replaced, kept as the test
-/// oracle: every node re-sorts its rows once per candidate feature.
+/// The builder and the node layout this module's replaced, kept as the
+/// test oracle: every node re-sorts its rows once per candidate feature,
+/// and a prediction chases child indices through an enum, one branch per
+/// level.
 #[cfg(test)]
 mod reference {
     use super::*;
+
+    #[derive(Debug, Clone, PartialEq)]
+    pub(super) enum Node {
+        Leaf {
+            value: f64,
+        },
+        Split {
+            feature: usize,
+            threshold: f64,
+            left: usize,
+            right: usize,
+        },
+    }
+
+    pub(super) fn predict_row(nodes: &[Node], row: &[f64]) -> f64 {
+        let mut i = 0;
+        loop {
+            match &nodes[i] {
+                Node::Leaf { value } => return *value,
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    i = if row[*feature] <= *threshold {
+                        *left
+                    } else {
+                        *right
+                    };
+                }
+            }
+        }
+    }
+
+    /// The oracle's tree in the flat layout (it numbers nodes in
+    /// pre-order too, so every left child is the next node).
+    pub(super) fn flatten(nodes: &[Node]) -> Vec<super::Node> {
+        nodes
+            .iter()
+            .enumerate()
+            .map(|(i, n)| match *n {
+                Node::Leaf { value } => super::Node::leaf(value),
+                Node::Split {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                } => {
+                    assert_eq!(left, i + 1);
+                    super::Node {
+                        value: threshold,
+                        right: (right - i) as u32,
+                        feature: feature as u32 | super::SPLIT,
+                    }
+                }
+            })
+            .collect()
+    }
 
     pub(super) fn fit(config: &TreeConfig, x: &Matrix, y: &[f64], w: &[f64]) -> Vec<Node> {
         let mut nodes = Vec::new();
@@ -719,7 +874,7 @@ mod tests {
         let mut t = DecisionTreeRegressor::new();
         t.fit_weighted(&x, &y, &w).unwrap();
         // prediction at x=10 must still be ~1.0 (the clean left value)
-        let p = t.predict_row(&[10.0]);
+        let p = t.predict_row(&[10.0]).unwrap();
         assert!((p - 1.0).abs() < 1e-9, "p = {p}");
     }
 
@@ -730,7 +885,7 @@ mod tests {
         let mut t = DecisionTreeRegressor::new();
         t.fit(&x, &y).unwrap();
         assert_eq!(t.node_count(), 1);
-        assert_eq!(t.predict_row(&[3.0]), 7.0);
+        assert_eq!(t.predict_row(&[3.0]).unwrap(), 7.0);
     }
 
     #[test]
@@ -793,19 +948,28 @@ mod tests {
 
     /// Bit-exact image of a node array (`==` on `f64` would let `-0.0`
     /// pass for `0.0`).
-    fn bits(nodes: &[Node]) -> Vec<(usize, u64, usize, usize)> {
+    fn bits(nodes: &[Node]) -> Vec<(u64, u32, u32)> {
         nodes
             .iter()
-            .map(|n| match *n {
-                Node::Leaf { value } => (usize::MAX, value.to_bits(), 0, 0),
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => (feature, threshold.to_bits(), left, right),
-            })
+            .map(|n| (n.value.to_bits(), n.right, n.feature))
             .collect()
+    }
+
+    impl Forest {
+        /// Bit-exact image of the whole arena, then `(root, depth, !0)`
+        /// per tree.
+        pub(crate) fn bits(&self) -> Vec<(u64, u32, u32)> {
+            let table = self
+                .trees
+                .iter()
+                .map(|t| (t.root as u64, t.depth as u32, !0));
+            bits(&self.nodes).into_iter().chain(table).collect()
+        }
+    }
+
+    #[test]
+    fn a_node_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<Node>(), 16);
     }
 
     /// One randomized fit: data with every kind of tie the builder must
@@ -912,7 +1076,8 @@ mod tests {
             let c = random_case(seed, n);
             let pre = Presort::new(&c.x, &c.y).unwrap();
             let sample = c.sample.clone().unwrap_or_else(|| pre.all_rows());
-            let got = TreeBuilder::new(&pre).fit(c.config, &sample, &c.y, c.w.as_deref());
+            let mut got = Forest::default();
+            TreeBuilder::new(&pre).fit(c.config, &sample, &c.y, c.w.as_deref(), &mut got);
 
             // The oracle fits the gathered rows with explicit weights.
             let picked: Vec<usize> = sample.iter().map(|&r| r as usize).collect();
@@ -922,7 +1087,7 @@ mod tests {
                 .iter()
                 .map(|&r| c.w.as_ref().map_or(1.0, |w| w[r]))
                 .collect();
-            let want = reference::fit(&c.config, &xs, &ys, &ws);
+            let want = reference::flatten(&reference::fit(&c.config, &xs, &ys, &ws));
             prop_assert_eq!(bits(&got.nodes), bits(&want));
 
             // Without a bootstrap the public entry points are that fit.
@@ -932,8 +1097,106 @@ mod tests {
                     Some(w) => t.fit_weighted(&c.x, &c.y, w).unwrap(),
                     None => t.fit(&c.x, &c.y).unwrap(),
                 }
-                prop_assert_eq!(bits(&t.nodes), bits(&want));
+                prop_assert_eq!(bits(&t.tree.nodes), bits(&want));
             }
+        }
+    }
+
+    /// `trees` bootstrap trees over one random dataset, grown by the
+    /// builder into one arena and by the oracle into enum trees.
+    fn forest_and_oracle(seed: u64, trees: usize) -> (Case, Forest, Vec<Vec<reference::Node>>) {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        // `random_case` for the ties in X; a target that always splits.
+        let mut c = random_case(rng.gen(), 110);
+        c.y = (0..110).map(|_| rng.gen_range(-5.0..5.0)).collect();
+        let pre = Presort::new(&c.x, &c.y).unwrap();
+        let mut builder = TreeBuilder::new(&pre);
+        let (mut forest, mut oracle) = (Forest::default(), Vec::new());
+        for k in 0..trees {
+            let sample: Vec<u32> = (0..110).map(|_| rng.gen_range(0..110u32)).collect();
+            let config = TreeConfig {
+                // root-only trees, boosting-stage stumps, full depth
+                max_depth: [None, Some(3), Some(0), None][(seed as usize + k) % 4],
+                seed: rng.gen(),
+                ..c.config
+            };
+            builder.fit(config, &sample, &c.y, None, &mut forest);
+            let picked: Vec<usize> = sample.iter().map(|&r| r as usize).collect();
+            let ys: Vec<f64> = picked.iter().map(|&r| c.y[r]).collect();
+            oracle.push(reference::fit(
+                &config,
+                &c.x.select_rows(&picked),
+                &ys,
+                &[1.0; 110],
+            ));
+        }
+        (c, forest, oracle)
+    }
+
+    #[test]
+    fn lock_step_walk_is_the_scalar_walk_is_the_enum_walk() {
+        // 1, 7, 8, 9 and 100 trees: one short group, one full group, a
+        // full group with a one-tree tail, many groups with a tail of 4.
+        for (seed, trees) in [(1, 1), (2, 7), (3, 8), (4, 9), (5, 100), (6, 100)] {
+            let (c, forest, oracle) = forest_and_oracle(seed, trees);
+            assert_eq!(forest.len(), trees);
+            let deepest = forest.trees.iter().map(|t| t.depth).max().unwrap();
+            assert!(trees < 9 || deepest > 3, "{trees} trees, deepest {deepest}");
+            let nf = c.x.cols();
+            // Training rows, rows of specials, and for every split of
+            // the forest a row exactly on the threshold and one ulp to
+            // either side of it.
+            let mut rows: Vec<Vec<f64>> = (0..c.x.rows()).map(|i| c.x.row(i).to_vec()).collect();
+            for special in [f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY] {
+                rows.push(vec![special; nf]);
+                let mut one = rows[rows.len() % 110].clone();
+                one[rows.len() % nf] = special;
+                rows.push(one);
+            }
+            for (i, n) in forest.nodes.iter().enumerate() {
+                if n.feature & SPLIT != 0 {
+                    for t in [n.value, n.value.next_up(), n.value.next_down()] {
+                        let mut row = rows[i % 110].clone();
+                        row[(n.feature & !SPLIT) as usize] = t;
+                        rows.push(row);
+                    }
+                }
+            }
+            for row in &rows {
+                let mut lock_step = Vec::new();
+                forest.leaves(0..trees, row, |leaf| lock_step.push(leaf.to_bits()));
+                let scalar: Vec<u64> = (0..trees).map(|k| forest.leaf(k, row).to_bits()).collect();
+                let enum_walk: Vec<u64> = oracle
+                    .iter()
+                    .map(|t| reference::predict_row(t, row).to_bits())
+                    .collect();
+                assert_eq!(lock_step, enum_walk, "{trees} trees, row {row:?}");
+                assert_eq!(scalar, enum_walk, "{trees} trees, row {row:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_shallow_tree_waits_on_its_leaf_while_its_group_descends() {
+        fn depth(nodes: &[Node], i: usize) -> usize {
+            match nodes[i].right as usize {
+                0 => 0,
+                right => 1 + depth(nodes, i + 1).max(depth(nodes, i + right)),
+            }
+        }
+        let (_, forest, _) = forest_and_oracle(7, 9);
+        let depths: Vec<usize> = forest.trees.iter().map(|t| t.depth).collect();
+        assert!(depths.contains(&0) && depths.contains(&3), "{depths:?}");
+        assert!(depths.iter().any(|d| *d > 3), "{depths:?}");
+        for t in &forest.trees {
+            assert_eq!(t.depth, depth(&forest.nodes, t.root));
+        }
+        // A leaf steps to itself whatever the row holds.
+        let leaf = forest.nodes[forest.trees[depths.iter().position(|d| *d == 0).unwrap()].root];
+        assert_eq!((leaf.right, leaf.feature), (0, 0));
+        for x in [f64::NAN, -1e300, leaf.value, 1e300] {
+            assert_eq!(leaf.step(&[x]), 0);
         }
     }
 
@@ -948,9 +1211,10 @@ mod tests {
             let sample: Vec<u32> = c
                 .sample
                 .unwrap_or_else(|| (0..(seed as u32 % 110 + 1)).collect());
-            let fresh = TreeBuilder::new(&pre).fit(c.config, &sample, &a.y, None);
-            let again = reused.fit(c.config, &sample, &a.y, None);
-            assert_eq!(bits(&again.nodes), bits(&fresh.nodes), "seed {seed}");
+            let (mut fresh, mut again) = (Forest::default(), Forest::default());
+            TreeBuilder::new(&pre).fit(c.config, &sample, &a.y, None, &mut fresh);
+            reused.fit(c.config, &sample, &a.y, None, &mut again);
+            assert_eq!(again.bits(), fresh.bits(), "seed {seed}");
         }
     }
 }
