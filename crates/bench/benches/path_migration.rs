@@ -47,6 +47,29 @@ fn bench_pbr_rewrite_through_message_queue(c: &mut Criterion) {
     });
 }
 
+/// One round-trip per batch: sixteen PBR rewrites in one transaction,
+/// to be read against sixteen of `pbr_rewrite_via_mq_roundtrip`.
+fn bench_pbr_transaction_through_message_queue(c: &mut Criterion) {
+    use freertr::agent::ConfigOp;
+    let mut mq = freertr::agent::MessageQueue::new();
+    let mia = mq.router("MIA");
+    mia.apply_text(&fig10_mia_config().emit()).unwrap();
+    let mut flip = false;
+    c.bench_function("pbr_rewrite_x16_via_mq_transaction", |b| {
+        b.iter(|| {
+            flip = !flip;
+            let target = if flip { "tunnel2" } else { "tunnel1" };
+            let ops = (0..16)
+                .map(|i| ConfigOp::SetPbr {
+                    acl: format!("flow{}", i % 3 + 1),
+                    tunnel: target.to_string(),
+                })
+                .collect();
+            mia.send(ops).wait().unwrap();
+        })
+    });
+}
+
 fn bench_fig11_end_to_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig11_experiment");
     group.sample_size(10);
@@ -66,6 +89,7 @@ criterion_group!(
     bench_label_swap,
     bench_pbr_rewrite,
     bench_pbr_rewrite_through_message_queue,
+    bench_pbr_transaction_through_message_queue,
     bench_fig11_end_to_end
 );
 criterion_main!(benches);

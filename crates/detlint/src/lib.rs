@@ -105,6 +105,13 @@ const BARE_PANIC_FILES: &[&str] = &[
     "crates/hecate-ml/src/pipeline.rs",
     "crates/hecate-ml/src/scale.rs",
     "crates/framework/src/hecate.rs",
+    // A panic in the agent loop kills that ingress's config plane:
+    // every later admit there comes back `ChannelClosed`.
+    "crates/freertr/src/agent.rs",
+    // Every sample of every round goes through the store, and every
+    // admit batch and consult through the placement search.
+    "crates/framework/src/telemetry.rs",
+    "crates/framework/src/optimizer.rs",
 ];
 
 /// Method names that begin unordered iteration when called on a hash

@@ -291,6 +291,23 @@ pub fn decide_flows_pairs(
     Ok(decisions)
 }
 
+/// `forecasts` by tunnel index: entry `t` is the forecast whose path is
+/// `tunnel_names[t]` (the first, if several are), resolved for all
+/// tunnels in one pass.
+pub(crate) fn forecasts_by_tunnel<'a>(
+    tunnel_names: &[String],
+    forecasts: &'a [PathForecast],
+) -> Vec<Option<&'a PathForecast>> {
+    let mut by_name = std::collections::BTreeMap::new();
+    for f in forecasts.iter().rev() {
+        by_name.insert(f.path.as_str(), f);
+    }
+    tunnel_names
+        .iter()
+        .map(|n| by_name.get(n.as_str()).copied())
+        .collect()
+}
+
 /// The placement tail shared by the sequential and sharded multi-pair
 /// consultations: everything after the forecasts are in hand. Keeping
 /// this single makes the sharded path bit-identical by construction —
@@ -324,16 +341,18 @@ fn pair_decisions_from_forecasts(
             None,
         ));
     }
-    let forecast_of = |t: usize| forecasts.iter().find(|f| f.path == tunnel_names[t]);
+    let forecast_of = forecasts_by_tunnel(tunnel_names, forecasts);
     let mut solver = None;
     let decisions = match objective {
         Objective::MaxBandwidth => {
             // Per-tunnel caps: forecast mean, else last sample, else 0.
-            let caps: Vec<f64> = (0..tunnel_names.len())
-                .map(|t| {
-                    forecast_of(t)
+            let caps: Vec<f64> = tunnel_names
+                .iter()
+                .zip(&forecast_of)
+                .map(|(name, forecast)| {
+                    forecast
                         .map(|f| f.mean())
-                        .or_else(|| telemetry.last(&SeriesKey::new(&tunnel_names[t], metric)))
+                        .or_else(|| telemetry.last(&SeriesKey::new(name, metric)))
                         .unwrap_or(0.0)
                         .max(0.0)
                 })
@@ -354,7 +373,7 @@ fn pair_decisions_from_forecasts(
                 .map(|&t| PathDecision {
                     tunnel: tunnel_names[t].clone(),
                     used_forecast: true,
-                    score: forecast_of(t).map(|f| f.mean()),
+                    score: forecast_of[t].map(|f| f.mean()),
                 })
                 .collect()
         }
@@ -366,7 +385,7 @@ fn pair_decisions_from_forecasts(
                 .map(|req| {
                     let mine: Vec<_> = model.candidates[req.pair.index()]
                         .iter()
-                        .filter_map(|&t| forecast_of(t).cloned())
+                        .filter_map(|&t| forecast_of[t].cloned())
                         .collect();
                     match select_path(objective, &mine) {
                         Ok(best) => PathDecision {

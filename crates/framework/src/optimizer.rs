@@ -406,9 +406,9 @@ pub fn assign_flows_shared_with(
     });
     let (choice, solver) = match space {
         Some(s) if s <= config.exhaustive_bound => {
-            (exhaustive_shared(model, flows), SolverKind::Exhaustive)
+            (exhaustive_shared(model, flows).0, SolverKind::Exhaustive)
         }
-        _ => (greedy_shared(model, flows), SolverKind::Greedy),
+        _ => (greedy_shared(model, flows)?, SolverKind::Greedy),
     };
     let (rate_of_flow, predicted_total, predicted_min_rate) = water_fill(model, flows, &choice);
     Ok((
@@ -425,7 +425,17 @@ pub fn assign_flows_shared_with(
 /// Exhaustive placement: mixed-radix enumeration over each flow's
 /// candidate list, scored by the max-min fill of [`water_fill`] on a
 /// [`compact`] copy of the model, with one scratch for all assignments.
-fn exhaustive_shared(model: &SharedLinkModel, flows: &[FlowDemand]) -> Vec<usize> {
+/// Also returns how many assignments it scored.
+///
+/// The search stops at the first assignment when nothing can replace
+/// it: every flow declares a demand, so no fill exceeds `Σ demand` in
+/// total or `min demand` for its worst-off flow; the first assignment
+/// reaches both (to 1e-13), so none can [`beats`] it by the 1e-12
+/// margins; and it takes each flow's first candidate, which is checked
+/// to be that flow's smallest tunnel index, so none is lexicographically
+/// earlier either. A greedy flow, contention on the first assignment or
+/// a candidate list not led by its smallest index enumerates in full.
+fn exhaustive_shared(model: &SharedLinkModel, flows: &[FlowDemand]) -> (Vec<usize>, u64) {
     let n = flows.len();
     let model = &compact(model, flows);
     let radix: Vec<&[usize]> = flows
@@ -433,24 +443,27 @@ fn exhaustive_shared(model: &SharedLinkModel, flows: &[FlowDemand]) -> Vec<usize
         .map(|f| model.candidates[f.pair.index()].as_slice())
         .collect();
     let mut counter = vec![0usize; n];
-    let mut choice = Vec::with_capacity(n);
+    let mut choice: Vec<usize> = radix.iter().map(|r| r[0]).collect();
     let mut fill = Fill::default();
-    let mut best: Option<(Vec<usize>, f64, f64)> = None;
-    loop {
-        choice.clear();
-        choice.extend(counter.iter().zip(&radix).map(|(&c, r)| r[c]));
-        let (total, min_rate) = fill.run(model, flows, &choice);
-        if best
-            .as_ref()
-            .is_none_or(|b| beats((&choice, total, min_rate), b))
-        {
-            best = Some((choice.clone(), total, min_rate));
+    let (total, min_rate) = fill.run(model, flows, &choice);
+    let first_is_smallest = radix.iter().all(|r| r.iter().all(|&t| r[0] <= t));
+    // A flow's rate never passes its demand, nor drops below zero.
+    let demands: Option<Vec<f64>> = flows.iter().map(|f| Some(f.demand?.max(0.0))).collect();
+    if let Some(demands) = demands.filter(|_| first_is_smallest) {
+        let most: f64 = demands.iter().sum();
+        let fairest = demands.iter().copied().fold(f64::INFINITY, f64::min);
+        if total >= most - 1e-13 && min_rate >= fairest - 1e-13 {
+            return (choice, 1);
         }
+    }
+    let mut best = (choice.clone(), total, min_rate);
+    let mut scored = 1;
+    loop {
         // increment the mixed-radix counter
         let mut pos = 0;
         loop {
             if pos == n {
-                return best.expect("at least one assignment scored").0;
+                return (best.0, scored);
             }
             counter[pos] += 1;
             if counter[pos] < radix[pos].len() {
@@ -458,6 +471,13 @@ fn exhaustive_shared(model: &SharedLinkModel, flows: &[FlowDemand]) -> Vec<usize
             }
             counter[pos] = 0;
             pos += 1;
+        }
+        choice.clear();
+        choice.extend(counter.iter().zip(&radix).map(|(&c, r)| r[c]));
+        let (total, min_rate) = fill.run(model, flows, &choice);
+        scored += 1;
+        if beats((&choice, total, min_rate), &best) {
+            best = (choice.clone(), total, min_rate);
         }
     }
 }
@@ -516,7 +536,10 @@ fn compact(model: &SharedLinkModel, flows: &[FlowDemand]) -> SharedLinkModel {
 /// candidate tunnel currently offering it the best estimated share
 /// (demand-limited flows reserve their demand on every crossed link,
 /// greedy flows split residuals evenly). O(flows × tunnels × links).
-fn greedy_shared(model: &SharedLinkModel, flows: &[FlowDemand]) -> Vec<usize> {
+fn greedy_shared(
+    model: &SharedLinkModel,
+    flows: &[FlowDemand],
+) -> Result<Vec<usize>, FrameworkError> {
     let mut reserved = vec![0.0f64; model.headroom.len()];
     let mut greedy_count = vec![0usize; model.headroom.len()];
     let mut choice = Vec::with_capacity(flows.len());
@@ -538,7 +561,7 @@ fn greedy_shared(model: &SharedLinkModel, flows: &[FlowDemand]) -> Vec<usize> {
             .iter()
             .copied()
             .max_by(|&a, &b| share(a).total_cmp(&share(b)))
-            .expect("candidate sets validated non-empty");
+            .ok_or(FrameworkError::NoFeasiblePath)?;
         for &l in &model.tunnel_links[best] {
             match f.demand {
                 Some(d) => reserved[l] += d,
@@ -547,7 +570,7 @@ fn greedy_shared(model: &SharedLinkModel, flows: &[FlowDemand]) -> Vec<usize> {
         }
         choice.push(best);
     }
-    choice
+    Ok(choice)
 }
 
 /// Max-min progressive filling of one concrete assignment: all active
@@ -976,8 +999,84 @@ mod tests {
         (model, flows)
     }
 
-    /// The placement search before it scored on a compact model: every
-    /// assignment filled over the whole of `model`.
+    /// What [`bound_model`] builds around the bound check in
+    /// `exhaustive_shared`, and whether the search should stop at the
+    /// first assignment there.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Near {
+        /// Every flow demand-limited, every link roomy: stops.
+        Fits,
+        /// As `Fits`, but flow 0's first tunnel is short of its demand
+        /// by this much: inside the 1e-13 slack stops, outside
+        /// enumerates (and past 1e-12 another placement wins).
+        Short(f64),
+        /// The first candidates of pairs 0 and 1 share a link too small
+        /// for both: the first assignment misses the bound.
+        Contended,
+        /// As `Fits`, with one greedy flow: no bound to reach.
+        OneGreedy,
+        /// As `Fits`, candidate lists in descending order: the first
+        /// assignment is not the lexicographically smallest.
+        Descending,
+    }
+
+    impl Near {
+        fn stops(self) -> bool {
+            matches!(self, Near::Fits) || matches!(self, Near::Short(by) if by < 1e-13)
+        }
+    }
+
+    /// A model of 2-4 pairs with 2-3 private-link tunnels each, and a
+    /// batch with at least one flow on each of pairs 0 and 1 (flow 0
+    /// alone on pair 0), shaped by `near`.
+    fn bound_model(seed: u64, near: Near) -> (SharedLinkModel, Vec<FlowDemand>) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let pairs = rng.gen_range(2..5usize);
+        let (mut headroom, mut tunnel_links, mut candidates) = (vec![], vec![], vec![]);
+        for _ in 0..pairs {
+            let mut mine = Vec::new();
+            for _ in 0..rng.gen_range(2..4usize) {
+                mine.push(tunnel_links.len());
+                tunnel_links.push(vec![headroom.len()]);
+                headroom.push(100.0);
+            }
+            if near == Near::Descending {
+                mine.reverse();
+            }
+            candidates.push(mine);
+        }
+        let mut flows: Vec<FlowDemand> = (0..rng.gen_range(2..6usize))
+            .map(|i| FlowDemand {
+                pair: PairId(if i == 0 { 0 } else { rng.gen_range(1..pairs) }),
+                demand: Some(rng.gen_range(0.1..5.0)),
+            })
+            .collect();
+        flows[1].pair = PairId(1);
+        let (d0, d1) = (flows[0].demand.unwrap(), flows[1].demand.unwrap());
+        match near {
+            Near::Short(by) => headroom[tunnel_links[candidates[0][0]][0]] = d0 - by,
+            Near::Contended => {
+                let shared = headroom.len();
+                headroom.push((d0 + d1) / 2.0);
+                tunnel_links[candidates[0][0]].push(shared);
+                tunnel_links[candidates[1][0]].push(shared);
+            }
+            Near::OneGreedy => {
+                let greedy = rng.gen_range(0..flows.len());
+                flows[greedy].demand = None;
+            }
+            Near::Fits | Near::Descending => {}
+        }
+        (
+            SharedLinkModel::new(headroom, tunnel_links, candidates),
+            flows,
+        )
+    }
+
+    /// The placement search before it scored on a compact model or
+    /// stopped at the bound: every assignment filled over the whole of
+    /// `model`.
     fn exhaustive_on_the_full_model(model: &SharedLinkModel, flows: &[FlowDemand]) -> Vec<usize> {
         let radix: Vec<&[usize]> = flows
             .iter()
@@ -1011,30 +1110,59 @@ mod tests {
 
         #[test]
         fn compact_model_scores_and_places_like_the_full_one(seed in proptest::prelude::any::<u64>()) {
-            let (model, flows) = random_model(seed);
-            let small = compact(&model, &flows);
-            proptest::prop_assert!(small.headroom.len() <= model.headroom.len());
-            let bits = |(rates, total, min): (Vec<f64>, f64, f64)| {
-                let rates: Vec<u64> = rates.iter().map(|r| r.to_bits()).collect();
-                (rates, total.to_bits(), min.to_bits())
-            };
-            // Every assignment fills to the same bits on both models...
-            let first: Vec<usize> = flows.iter().map(|f| model.candidates[f.pair.index()][0]).collect();
-            let last: Vec<usize> = flows
-                .iter()
-                .map(|f| *model.candidates[f.pair.index()].last().unwrap())
-                .collect();
-            for choice in [&first, &last] {
+            let nears = [
+                Near::Fits,
+                Near::Short(5e-14),
+                Near::Short(5e-13),
+                Near::Short(2e-12),
+                Near::Contended,
+                Near::OneGreedy,
+                Near::Descending,
+            ];
+            // A model with no particular relation to the bound, and one
+            // built around it.
+            let near = nears[(seed % nears.len() as u64) as usize];
+            for (near, (model, flows)) in [(None, random_model(seed)), (Some(near), bound_model(seed, near))] {
+                let small = compact(&model, &flows);
+                proptest::prop_assert!(small.headroom.len() <= model.headroom.len());
+                let bits = |(rates, total, min): (Vec<f64>, f64, f64)| {
+                    let rates: Vec<u64> = rates.iter().map(|r| r.to_bits()).collect();
+                    (rates, total.to_bits(), min.to_bits())
+                };
+                // Every assignment fills to the same bits on both models...
+                let first: Vec<usize> = flows.iter().map(|f| model.candidates[f.pair.index()][0]).collect();
+                let last: Vec<usize> = flows
+                    .iter()
+                    .map(|f| *model.candidates[f.pair.index()].last().unwrap())
+                    .collect();
+                for choice in [&first, &last] {
+                    proptest::prop_assert_eq!(
+                        bits(water_fill(&small, &flows, choice)),
+                        bits(water_fill(&model, &flows, choice))
+                    );
+                }
+                // ...so the search picks the same placement — whether it
+                // enumerated or stopped at the bound — with the same rates.
+                let oracle = exhaustive_on_the_full_model(&model, &flows);
+                let (choice, scored) = exhaustive_shared(&model, &flows);
+                proptest::prop_assert_eq!(&choice, &oracle, "{:?}", near);
+                let assigned = assign_flows_shared(&model, &flows).unwrap();
+                proptest::prop_assert_eq!(&assigned.tunnel_of_flow, &oracle);
+                let rates = |r: &[f64]| r.iter().map(|r| r.to_bits()).collect::<Vec<u64>>();
                 proptest::prop_assert_eq!(
-                    bits(water_fill(&small, &flows, choice)),
-                    bits(water_fill(&model, &flows, choice))
+                    rates(&assigned.rate_of_flow),
+                    rates(&water_fill(&model, &flows, &oracle).0)
                 );
+                let space: u64 = flows
+                    .iter()
+                    .map(|f| model.candidates[f.pair.index()].len() as u64)
+                    .product();
+                match near {
+                    Some(near) if near.stops() => proptest::prop_assert_eq!(scored, 1, "{:?}", near),
+                    Some(near) => proptest::prop_assert_eq!(scored, space, "{:?}", near),
+                    None => proptest::prop_assert!(scored == 1 || scored == space),
+                }
             }
-            // ...so the search picks the same placement.
-            proptest::prop_assert_eq!(
-                exhaustive_shared(&model, &flows),
-                exhaustive_on_the_full_model(&model, &flows)
-            );
         }
     }
 }

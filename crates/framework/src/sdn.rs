@@ -7,7 +7,8 @@
 //! [`SelfDrivingNetwork::run_trace_driven_steering`] (extension).
 
 use crate::controller::{
-    decide_flows, decide_flows_pairs_sharded, decide_path, PathDecision, SequenceLog,
+    decide_flows, decide_flows_pairs_sharded, decide_path, forecasts_by_tunnel, PathDecision,
+    SequenceLog,
 };
 use crate::hecate::HecateService;
 use crate::optimizer::{
@@ -15,10 +16,10 @@ use crate::optimizer::{
     SharedLinkModel, SolveMode,
 };
 use crate::scheduler::{FlowRequest, Scheduler};
-use crate::telemetry::{scoped_target, Metric, SeriesKey, TelemetryService};
+use crate::telemetry::{scoped_target, Metric, SeriesId, SeriesKey, TelemetryService};
 use crate::waterfill::SharedWaterfill;
 use crate::{FrameworkError, PairId};
-use freertr::agent::{MessageQueue, RouterHandle};
+use freertr::agent::{ConfigOp, MessageQueue, RouterHandle};
 use freertr::config::fig10_mia_config;
 use freertr::resolve::{allocator_for, compile_tunnel, CompiledTunnel};
 use netsim::topo::global_p4_lab;
@@ -34,6 +35,8 @@ pub(crate) struct ManagedFlow {
     pub(crate) tunnel: String,
     pub(crate) demand: Option<f64>,
     pub(crate) pair: PairId,
+    /// The flow's [`Metric::FlowRate`] series, resolved at install.
+    rate_series: SeriesId,
 }
 
 /// One managed ingress/egress pair: its traffic endpoints, its edge
@@ -59,6 +62,33 @@ pub(crate) struct ManagedPair {
     /// This pair's candidate tunnels in discovery (delay) order, by
     /// their pair-scoped names.
     pub(crate) tunnel_order: Vec<String>,
+    /// The same tunnels as indices into the network-wide
+    /// [`SelfDrivingNetwork::tunnel_names`] order.
+    tunnel_idx: Vec<usize>,
+}
+
+/// The edge transactions of one admit batch or one round of
+/// migrations: one op list per distinct ingress router, in the order
+/// the edges first appear, each list in request order — so every edge
+/// applies exactly the op sequence per-flow round-trips would have.
+type EdgeOps<'a> = Vec<(&'a RouterHandle, Vec<ConfigOp>)>;
+
+/// The slot of `pair`'s ingress edge in `edges` (pairs sharing an
+/// ingress share it), added on first use.
+fn edge_slot<'a>(edges: &mut EdgeOps<'a>, pair: &'a ManagedPair) -> usize {
+    let known = edges.iter().position(|(e, _)| e.name() == pair.ingress);
+    known.unwrap_or_else(|| {
+        edges.push((&pair.edge, Vec::new()));
+        edges.len() - 1
+    })
+}
+
+/// Sends every edge its transaction, then awaits them all — every one,
+/// whatever the others answered — so the round-trips overlap; one
+/// outcome per slot.
+fn transact(edges: EdgeOps) -> Vec<Result<(), freertr::FreertrError>> {
+    let pending: Vec<_> = edges.into_iter().map(|(e, ops)| e.send(ops)).collect();
+    pending.into_iter().map(|ack| ack.wait()).collect()
 }
 
 /// The assembled system.
@@ -80,6 +110,10 @@ pub struct SelfDrivingNetwork {
     /// Every tunnel, all pairs, in pair-then-discovery order
     /// (append-only).
     pub(crate) tunnel_order: Vec<String>,
+    /// Each tunnel's ([`Metric::AvailableBandwidth`], [`Metric::Rtt`])
+    /// series in [`SelfDrivingNetwork::telemetry`], aligned with
+    /// `tunnel_order` and resolved at registration.
+    tunnel_series: Vec<(SeriesId, SeriesId)>,
     pub(crate) flows: Vec<ManagedFlow>,
     /// The managed ingress/egress pairs; single-pair deployments (the
     /// paper testbed, [`SelfDrivingNetwork::over_topology`]) have
@@ -119,30 +153,37 @@ impl SelfDrivingNetwork {
     /// emulated topology.
     pub fn testbed(seed: u64) -> Result<Self, FrameworkError> {
         let topo = global_p4_lab();
-        let mut alloc = allocator_for(&topo);
+        let alloc = allocator_for(&topo);
         let mut mq = MessageQueue::new();
         let edge = mq.router("MIA");
         edge.apply_text(&fig10_mia_config().emit())?;
         let cfg = edge.running_config();
-        let mut tunnels = BTreeMap::new();
-        let mut tunnel_order = Vec::new();
-        for t in &cfg.tunnels {
-            let compiled = compile_tunnel(t, &topo, &mut alloc)?;
-            tunnel_order.push(t.id.clone());
-            tunnels.insert(t.id.clone(), compiled);
-        }
-        let src_node = topo.node("host1")?;
-        let dst_node = topo.node("host2")?;
-        let pair = ManagedPair {
+        let mut sdn = Self::assemble(topo, seed, mq, alloc);
+        sdn.pairs.push(ManagedPair {
             scope: String::new(),
             ingress: "MIA".to_string(),
             egress: "AMS".to_string(),
-            src_node,
-            dst_node,
+            src_node: sdn.sim.topo.node("host1")?,
+            dst_node: sdn.sim.topo.node("host2")?,
             edge,
-            tunnel_order: tunnel_order.clone(),
-        };
-        Ok(SelfDrivingNetwork {
+            tunnel_order: Vec::new(),
+            tunnel_idx: Vec::new(),
+        });
+        for t in &cfg.tunnels {
+            let compiled = compile_tunnel(t, &sdn.sim.topo, &mut sdn.alloc)?;
+            sdn.register_tunnel(0, t.id.clone(), compiled);
+        }
+        Ok(sdn)
+    }
+
+    /// The services around `topo`, with no pair and no tunnel yet.
+    fn assemble(
+        topo: netsim::Topology,
+        seed: u64,
+        mq: MessageQueue,
+        alloc: NodeIdAllocator,
+    ) -> Self {
+        SelfDrivingNetwork {
             sim: Simulation::new(topo, seed),
             telemetry: TelemetryService::new(4096),
             hecate: HecateService::new(),
@@ -150,10 +191,11 @@ impl SelfDrivingNetwork {
             log: SequenceLog::default(),
             mq,
             alloc,
-            tunnels,
-            tunnel_order,
+            tunnels: BTreeMap::new(),
+            tunnel_order: Vec::new(),
+            tunnel_series: Vec::new(),
             flows: Vec::new(),
-            pairs: vec![pair],
+            pairs: Vec::new(),
             next_flow: 1,
             sample_ms: 1000,
             packet_plane: None,
@@ -161,7 +203,21 @@ impl SelfDrivingNetwork {
             ml_clock: obsv::SimClock::new(),
             opt: OptimizerConfig::default(),
             waterfill: None,
-        })
+        }
+    }
+
+    /// Registers a compiled tunnel as pair `owner`'s next candidate:
+    /// the network-wide order, the pair's own (by name and by global
+    /// index) and the tunnel's telemetry series.
+    fn register_tunnel(&mut self, owner: usize, id: String, compiled: CompiledTunnel) {
+        let pair = &mut self.pairs[owner];
+        pair.tunnel_idx.push(self.tunnel_order.len());
+        pair.tunnel_order.push(id.clone());
+        let series = |metric| self.telemetry.series_id(&SeriesKey::new(&id, metric));
+        self.tunnel_series
+            .push((series(Metric::AvailableBandwidth), series(Metric::Rtt)));
+        self.tunnel_order.push(id.clone());
+        self.tunnels.insert(id, compiled);
     }
 
     /// Assembles the self-driving network over an **arbitrary**
@@ -219,25 +275,32 @@ impl SelfDrivingNetwork {
         if endpoints.is_empty() {
             return Err(FrameworkError::NoFeasiblePath);
         }
-        let mut alloc = allocator_for(&topo);
-        let mut mq = MessageQueue::new();
-        let mut tunnels = BTreeMap::new();
-        let mut tunnel_order = Vec::new();
-        let mut pairs = Vec::with_capacity(endpoints.len());
+        let alloc = allocator_for(&topo);
+        let mut sdn = Self::assemble(topo, seed, MessageQueue::new(), alloc);
         for (i, &(ingress, egress)) in endpoints.iter().enumerate() {
             let scope = if endpoints.len() == 1 {
                 String::new()
             } else {
                 format!("p{i}")
             };
+            let topo = &sdn.sim.topo;
             let src_node = topo.node(ingress)?;
             let dst_node = topo.node(egress)?;
             let paths = topo.k_disjoint_shortest_paths(src_node, dst_node, k.max(1));
             if paths.is_empty() {
                 return Err(FrameworkError::NoFeasiblePath);
             }
-            let edge = mq.router(ingress);
-            let mut pair_order = Vec::with_capacity(paths.len());
+            let edge = sdn.mq.router(ingress);
+            sdn.pairs.push(ManagedPair {
+                scope: scope.clone(),
+                ingress: ingress.to_string(),
+                egress: egress.to_string(),
+                src_node,
+                dst_node,
+                edge: edge.clone(),
+                tunnel_order: Vec::with_capacity(paths.len()),
+                tunnel_idx: Vec::with_capacity(paths.len()),
+            });
             for (j, path) in paths.iter().enumerate() {
                 let id = scoped_target(&scope, &format!("tunnel{}", j + 1));
                 let cfg = freertr::TunnelCfg {
@@ -245,46 +308,16 @@ impl SelfDrivingNetwork {
                     destination: None,
                     domain_path: path
                         .iter()
-                        .map(|&n| topo.node_name(n).to_string())
+                        .map(|&n| sdn.sim.topo.node_name(n).to_string())
                         .collect(),
                     mode: Default::default(),
                 };
-                let compiled = compile_tunnel(&cfg, &topo, &mut alloc)?;
+                let compiled = compile_tunnel(&cfg, &sdn.sim.topo, &mut sdn.alloc)?;
                 edge.ensure_tunnel(cfg)?;
-                pair_order.push(id.clone());
-                tunnel_order.push(id.clone());
-                tunnels.insert(id, compiled);
+                sdn.register_tunnel(i, id, compiled);
             }
-            pairs.push(ManagedPair {
-                scope,
-                ingress: ingress.to_string(),
-                egress: egress.to_string(),
-                src_node,
-                dst_node,
-                edge,
-                tunnel_order: pair_order,
-            });
         }
-        Ok(SelfDrivingNetwork {
-            sim: Simulation::new(topo, seed),
-            telemetry: TelemetryService::new(4096),
-            hecate: HecateService::new(),
-            scheduler: Scheduler::new(),
-            log: SequenceLog::default(),
-            mq,
-            alloc,
-            tunnels,
-            tunnel_order,
-            flows: Vec::new(),
-            pairs,
-            next_flow: 1,
-            sample_ms: 1000,
-            packet_plane: None,
-            obsv: obsv::Obsv::off(),
-            ml_clock: obsv::SimClock::new(),
-            opt: OptimizerConfig::default(),
-            waterfill: None,
-        })
+        Ok(sdn)
     }
 
     /// Candidate tunnel names, all pairs, in pair-then-config order.
@@ -349,6 +382,8 @@ impl SelfDrivingNetwork {
     /// Endpoint-to-endpoint node path through a tunnel of one pair: the
     /// compiled router path, extended by the access hops when the
     /// traffic endpoints sit outside the tunnel (the testbed's hosts).
+    /// The path is checked as [`Simulation::schedule`] checks a flow
+    /// path (every hop a live link), so scheduling it cannot fail.
     fn host_path(&self, pair: PairId, tunnel: &str) -> Result<Vec<NodeIdx>, FrameworkError> {
         let p = self
             .pairs
@@ -366,6 +401,7 @@ impl SelfDrivingNetwork {
         if p.dst_node != *compiled.node_path.last().expect("non-empty tunnel") {
             path.push(p.dst_node);
         }
+        self.sim.topo.path_links(&path)?;
         Ok(path)
     }
 
@@ -438,7 +474,9 @@ impl SelfDrivingNetwork {
         for (f, rate) in self.flows.iter().zip(&rates) {
             *usage_per_tunnel.entry(f.tunnel.as_str()).or_insert(0.0) += rate.unwrap_or(0.0);
         }
-        for name in &self.tunnel_order {
+        let mut samples = Vec::with_capacity(2 * self.tunnel_order.len());
+        for (name, &(avail_series, rtt_series)) in self.tunnel_order.iter().zip(&self.tunnel_series)
+        {
             let compiled = &self.tunnels[name];
             // A tunnel crossing a failed link is honestly worth zero —
             // telemetry keeps flowing so the optimizer can route around
@@ -450,25 +488,18 @@ impl SelfDrivingNetwork {
             let own = usage_per_tunnel.get(name.as_str()).copied().unwrap_or(0.0);
             // Capacity visible to the optimizer: residual plus what our
             // own managed flows already occupy on this tunnel.
-            self.telemetry.insert(
-                &SeriesKey::new(name, Metric::AvailableBandwidth),
-                t,
-                avail + own,
-            );
+            samples.push((avail_series, avail + own));
             if let Ok(rtt) = self.sim.ping(&compiled.node_path) {
-                self.telemetry
-                    .insert(&SeriesKey::new(name, Metric::Rtt), t, rtt);
+                samples.push((rtt_series, rtt));
             }
         }
-        // One key for the whole round, retargeted per flow.
-        let mut key = SeriesKey::new("", Metric::FlowRate);
-        for (f, rate) in self.flows.iter().zip(rates) {
-            if let Some(rate) = rate {
-                key.target.clear();
-                key.target.push_str(&f.label);
-                self.telemetry.insert(&key, t, rate);
-            }
-        }
+        let flow_rates = self
+            .flows
+            .iter()
+            .zip(rates)
+            .filter_map(|(f, rate)| Some((f.rate_series, rate?)));
+        self.telemetry
+            .insert_batch(t, samples.into_iter().chain(flow_rates));
         Ok(())
     }
 
@@ -501,7 +532,7 @@ impl SelfDrivingNetwork {
             objective,
             &mut self.log,
         )?;
-        self.install_flow(req, &decision)?;
+        self.install_flows(std::slice::from_ref(req), std::slice::from_ref(&decision))?;
         Ok(decision)
     }
 
@@ -518,6 +549,13 @@ impl SelfDrivingNetwork {
     /// (one shard unless configured otherwise) against
     /// the shared-link capacity model, so a batch spanning pairs never
     /// oversubscribes a link two candidate tunnels have in common.
+    ///
+    /// The batch installs all or nothing, with one edge transaction per
+    /// ingress router: on `Err` no flow of it is managed or running and
+    /// an edge that refused keeps its configuration as found. ACL/PBR
+    /// entries that *another* edge had already accepted stay there —
+    /// inert without a flow — and admitting the same requests again
+    /// rewrites them in place.
     pub fn admit_flows(
         &mut self,
         reqs: &[FlowRequest],
@@ -526,9 +564,6 @@ impl SelfDrivingNetwork {
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
-        // Validate every request's pair before installing anything: a
-        // bad index failing mid-batch would leave the earlier flows of
-        // the batch installed and running.
         if reqs.iter().any(|r| r.pair.index() >= self.pairs.len()) {
             return Err(FrameworkError::NoFeasiblePath);
         }
@@ -622,9 +657,7 @@ impl SelfDrivingNetwork {
             }
         }
         let place = self.obsv.tracer.span("decide", "decide.place", now_ns);
-        for (req, decision) in reqs.iter().zip(&decisions) {
-            self.install_flow(req, decision)?;
-        }
+        self.install_flows(reqs, &decisions)?;
         let placed = decisions.len() as u64;
         place.end(self.sim.now_ns(), move || {
             vec![("flows", obsv::Value::U64(placed))]
@@ -632,52 +665,77 @@ impl SelfDrivingNetwork {
         Ok(decisions)
     }
 
-    /// SR-service + data-plane half of admission: installs the ACL/PBR
-    /// on the pair's ingress edge and starts the flow on the decided
-    /// tunnel.
-    fn install_flow(
+    /// SR-service + data-plane half of admission: installs each flow's
+    /// ACL/PBR on its pair's ingress edge and starts it on the decided
+    /// tunnel — one edge transaction per ingress, whatever the batch
+    /// size, every edge reconfiguring at once.
+    ///
+    /// All or nothing. Every lookup that can fail (pair, host path, a
+    /// live link under each hop) is resolved before the first side
+    /// effect; an edge that refuses its transaction keeps its
+    /// configuration exactly as found; and no flow is started or
+    /// recorded unless every edge acknowledged. What a *different* edge
+    /// accepted in the same batch stays installed: an ACL/PBR entry
+    /// without a flow matches no traffic the controller started, and
+    /// re-admitting the same requests rewrites it in place (`EnsureAcl`
+    /// skips the existing rule, `SetPbr` rebinds the existing entry).
+    fn install_flows(
         &mut self,
-        req: &FlowRequest,
-        decision: &PathDecision,
+        reqs: &[FlowRequest],
+        decisions: &[PathDecision],
     ) -> Result<(), FrameworkError> {
-        self.log.record("configureTunnel");
-        let pair = self
-            .pairs
-            .get(req.pair.index())
-            .ok_or(FrameworkError::NoFeasiblePath)?;
-        // SR service: install the flow's ACL if this is a new flow, then
-        // bind it to the chosen tunnel.
-        pair.edge.ensure_acl(freertr::AclRule {
-            name: req.label.clone(),
-            proto: Some(freertr::packet::PROTO_TCP),
-            src: freertr::Ipv4Prefix::parse("40.40.1.0/24").expect("testbed prefix"),
-            dst: freertr::Ipv4Prefix::parse("40.40.2.2/32").expect("testbed prefix"),
-            tos: Some(req.tos),
-        })?;
-        pair.edge.set_pbr(&req.label, &decision.tunnel)?;
-        let (src, dst) = (pair.src_node, pair.dst_node);
-        // Data plane: start the flow on the tunnel's host path.
-        let path = self.host_path(req.pair, &decision.tunnel)?;
-        let id = FlowId(self.next_flow);
-        self.next_flow += 1;
-        let spec = FlowSpec {
-            src,
-            dst,
-            demand_mbps: req.demand_mbps,
-            tos: req.tos,
-            label: req.label.clone(),
-        };
+        let src = freertr::Ipv4Prefix::new(u32::from_be_bytes([40, 40, 1, 0]), 24);
+        let dst = freertr::Ipv4Prefix::new(u32::from_be_bytes([40, 40, 2, 2]), 32);
+        let mut edges = EdgeOps::new();
+        let mut paths = Vec::with_capacity(reqs.len());
+        for (req, decision) in reqs.iter().zip(decisions) {
+            paths.push(self.host_path(req.pair, &decision.tunnel)?);
+            // SR service: install the flow's ACL if this is a new flow,
+            // then bind it to the chosen tunnel.
+            let edge = edge_slot(&mut edges, &self.pairs[req.pair.index()]);
+            edges[edge].1.extend([
+                ConfigOp::EnsureAcl(freertr::AclRule {
+                    name: req.label.clone(),
+                    proto: Some(freertr::packet::PROTO_TCP),
+                    src,
+                    dst,
+                    tos: Some(req.tos),
+                }),
+                ConfigOp::SetPbr {
+                    acl: req.label.clone(),
+                    tunnel: decision.tunnel.clone(),
+                },
+            ]);
+        }
+        transact(edges).into_iter().collect::<Result<(), _>>()?;
+        // Data plane: start each flow on its tunnel's host path.
         let now = self.sim.now_ms();
-        self.sim
-            .schedule(now, Event::StartFlow { spec, path, id })?;
-        self.flows.push(ManagedFlow {
-            id,
-            label: req.label.clone(),
-            tunnel: decision.tunnel.clone(),
-            demand: req.demand_mbps,
-            pair: req.pair,
-        });
-        self.log.record("flowStarted");
+        for ((req, decision), path) in reqs.iter().zip(decisions).zip(paths) {
+            self.log.record("configureTunnel");
+            let pair = &self.pairs[req.pair.index()];
+            let id = FlowId(self.next_flow);
+            self.next_flow += 1;
+            let spec = FlowSpec {
+                src: pair.src_node,
+                dst: pair.dst_node,
+                demand_mbps: req.demand_mbps,
+                tos: req.tos,
+                label: req.label.clone(),
+            };
+            self.sim
+                .schedule(now, Event::StartFlow { spec, path, id })?;
+            self.flows.push(ManagedFlow {
+                id,
+                label: req.label.clone(),
+                tunnel: decision.tunnel.clone(),
+                demand: req.demand_mbps,
+                pair: req.pair,
+                rate_series: self
+                    .telemetry
+                    .series_id(&SeriesKey::new(&req.label, Metric::FlowRate)),
+            });
+            self.log.record("flowStarted");
+        }
         Ok(())
     }
 
@@ -685,43 +743,64 @@ impl SelfDrivingNetwork {
     /// pair**: one PBR rewrite on the pair's ingress edge plus the
     /// data-plane path swap.
     pub fn migrate_flow(&mut self, label: &str, tunnel: &str) -> Result<(), FrameworkError> {
-        let pair = self
-            .flows
-            .iter()
-            .find(|f| f.label == label)
-            .map(|f| f.pair)
-            .ok_or(FrameworkError::NoFeasiblePath)?;
-        // On a multi-pair network a tunnel of a *different* pair
-        // connects the wrong endpoints — refuse rather than misroute.
-        if self.pairs.len() > 1
-            && !self.pairs[pair.index()]
-                .tunnel_order
-                .iter()
-                .any(|t| t == tunnel)
-        {
-            return Err(FrameworkError::NoFeasiblePath);
-        }
-        let path = self.host_path(pair, tunnel)?;
-        let edge = self.pairs[pair.index()].edge.clone();
         let flow = self
             .flows
-            .iter_mut()
-            .find(|f| f.label == label)
+            .iter()
+            .position(|f| f.label == label)
             .ok_or(FrameworkError::NoFeasiblePath)?;
-        edge.set_pbr(label, tunnel)?;
-        let now = self.sim.now_ms();
-        self.sim.schedule(now, Event::SetFlowPath(flow.id, path))?;
-        let from = std::mem::replace(&mut flow.tunnel, tunnel.to_string());
-        self.obsv
-            .tracer
-            .instant("decide", "decide.migrate", self.sim.now_ns(), || {
-                vec![
-                    ("flow", obsv::Value::Str(label.to_string())),
-                    ("from", obsv::Value::Str(from)),
-                    ("to", obsv::Value::Str(tunnel.to_string())),
-                ]
+        self.migrate_flows(&[(flow, tunnel)])
+    }
+
+    /// Moves `self.flows[i]` to `tunnel` for every `(i, tunnel)`: one
+    /// edge transaction of PBR rewrites per ingress, then the
+    /// data-plane path swaps, in `moves` order.
+    ///
+    /// Every move is resolved (target tunnel of the flow's own pair,
+    /// host path, a live link under each hop) before the first rewrite,
+    /// and a flow changes tunnel only after its edge acknowledged: when
+    /// an edge refuses, its configuration and its flows stay as found,
+    /// the other edges' moves are carried out, and the first refusal is
+    /// returned.
+    fn migrate_flows(&mut self, moves: &[(usize, &str)]) -> Result<(), FrameworkError> {
+        let mut edges = EdgeOps::new();
+        let mut resolved = Vec::with_capacity(moves.len());
+        for &(i, tunnel) in moves {
+            let flow = &self.flows[i];
+            let pair = &self.pairs[flow.pair.index()];
+            // On a multi-pair network a tunnel of a *different* pair
+            // connects the wrong endpoints — refuse rather than misroute.
+            if self.pairs.len() > 1 && !pair.tunnel_order.iter().any(|t| t == tunnel) {
+                return Err(FrameworkError::NoFeasiblePath);
+            }
+            let edge = edge_slot(&mut edges, pair);
+            resolved.push((edge, self.host_path(flow.pair, tunnel)?));
+            edges[edge].1.push(ConfigOp::SetPbr {
+                acl: flow.label.clone(),
+                tunnel: tunnel.to_string(),
             });
-        self.log.record("configureTunnel");
+        }
+        let acks = transact(edges);
+        let now = self.sim.now_ms();
+        for (&(i, tunnel), (edge, path)) in moves.iter().zip(resolved) {
+            if acks[edge].is_err() {
+                continue;
+            }
+            let flow = &mut self.flows[i];
+            self.sim.schedule(now, Event::SetFlowPath(flow.id, path))?;
+            let from = std::mem::replace(&mut flow.tunnel, tunnel.to_string());
+            let label = &flow.label;
+            self.obsv
+                .tracer
+                .instant("decide", "decide.migrate", self.sim.now_ns(), || {
+                    vec![
+                        ("flow", obsv::Value::Str(label.clone())),
+                        ("from", obsv::Value::Str(from)),
+                        ("to", obsv::Value::Str(tunnel.to_string())),
+                    ]
+                });
+            self.log.record("configureTunnel");
+        }
+        acks.into_iter().collect::<Result<(), _>>()?;
         Ok(())
     }
 
@@ -783,9 +862,11 @@ impl SelfDrivingNetwork {
         // whose path is physically broken is worth zero regardless of
         // what the forecast extrapolates — reachability is control-plane
         // truth, not a prediction.
+        let forecast_of = forecasts_by_tunnel(&names, &forecasts);
         let caps: Vec<f64> = names
             .iter()
-            .map(|n| {
+            .zip(forecast_of)
+            .map(|(n, forecast)| {
                 let reachable = self
                     .sim
                     .path_available_mbps(&self.tunnels[n].node_path)
@@ -793,9 +874,7 @@ impl SelfDrivingNetwork {
                 if !reachable {
                     return 0.0;
                 }
-                forecasts
-                    .iter()
-                    .find(|f| &f.path == n)
+                forecast
                     .map(|f| f.mean())
                     .or_else(|| {
                         self.telemetry
@@ -848,11 +927,13 @@ impl SelfDrivingNetwork {
         });
         self.log.record("optimizerReturn");
         // `moves[i]` is `self.flows[i]`'s: compare by position.
-        for (i, (label, tunnel)) in moves.iter().enumerate() {
-            if self.flows[i].tunnel != *tunnel {
-                self.migrate_flow(label, tunnel)?;
-            }
-        }
+        let changed: Vec<(usize, &str)> = moves
+            .iter()
+            .enumerate()
+            .filter(|(i, (_, tunnel))| self.flows[*i].tunnel != *tunnel)
+            .map(|(i, (_, tunnel))| (i, tunnel.as_str()))
+            .collect();
+        self.migrate_flows(&changed)?;
         Ok(moves)
     }
 
@@ -978,21 +1059,7 @@ impl SelfDrivingNetwork {
                 }
             }
         }
-        let candidates: Vec<Vec<usize>> = self
-            .pairs
-            .iter()
-            .map(|p| {
-                p.tunnel_order
-                    .iter()
-                    .map(|t| {
-                        self.tunnel_order
-                            .iter()
-                            .position(|n| n == t)
-                            .expect("pair tunnels are registered globally")
-                    })
-                    .collect()
-            })
-            .collect();
+        let candidates = self.pairs.iter().map(|p| p.tunnel_idx.clone()).collect();
         SharedLinkModel::new(headroom, tunnel_links, candidates)
     }
 
@@ -1052,9 +1119,7 @@ impl SelfDrivingNetwork {
             };
             let compiled = compile_tunnel(&cfg, &self.sim.topo, &mut self.alloc)?;
             self.pairs[owner].edge.ensure_tunnel(cfg)?;
-            self.tunnel_order.push(id.clone());
-            self.pairs[owner].tunnel_order.push(id.clone());
-            self.tunnels.insert(id.clone(), compiled);
+            self.register_tunnel(owner, id.clone(), compiled);
             created.push(id);
         }
         Ok(created)
@@ -1547,5 +1612,266 @@ mod tests {
         // Rate converges to tunnel2's 10 Mbps * efficiency.
         let rate = sdn.flow_series("flow1").last().unwrap().1;
         assert!((rate - 10.0 * 0.86).abs() < 0.5, "rate {rate}");
+    }
+
+    // ---- batched edge transactions vs per-flow round-trips ----
+
+    /// Four pairs on two ingress routers (`n0`, `n3`), two tunnels each.
+    fn four_pairs_two_ingresses() -> SelfDrivingNetwork {
+        let topo = netsim::topo::mesh(12, 3, 10.0);
+        let ends = [("n0", "n6"), ("n3", "n9"), ("n0", "n4"), ("n3", "n7")];
+        SelfDrivingNetwork::over_topology_pairs(topo, &ends, 2, 1).unwrap()
+    }
+
+    /// A batch interleaving the pairs, hence the two edges.
+    fn batch(demands: &[Option<f64>]) -> Vec<FlowRequest> {
+        demands
+            .iter()
+            .enumerate()
+            .map(|(i, &demand_mbps)| FlowRequest {
+                label: format!("f{i}"),
+                tos: 8 + i as u8,
+                demand_mbps,
+                start_ms: 0,
+                pair: PairId(i % 4),
+            })
+            .collect()
+    }
+
+    /// Everything the installers and migrations write, after running
+    /// the flows for another ten seconds: each ingress's config text,
+    /// each flow's tunnel, rate bits and rate series.
+    #[allow(clippy::type_complexity)]
+    fn installed(
+        sdn: &mut SelfDrivingNetwork,
+    ) -> (
+        Vec<String>,
+        Vec<(String, String, Option<u64>, Vec<(f64, f64)>)>,
+    ) {
+        sdn.advance(sdn.sim.now_ms() + 10_000).unwrap();
+        let configs = [0, 1]
+            .map(|p| sdn.pair_edge(PairId(p)).unwrap().running_config().emit())
+            .to_vec();
+        let flows = sdn
+            .flows
+            .iter()
+            .map(|f| {
+                (
+                    f.label.clone(),
+                    f.tunnel.clone(),
+                    sdn.flow_rate(&f.label).map(f64::to_bits),
+                    sdn.flow_series(&f.label),
+                )
+            })
+            .collect();
+        (configs, flows)
+    }
+
+    /// The installer `install_flows` replaced — two blocking edge
+    /// round-trips per flow — kept as the reference the batched one is
+    /// compared with.
+    fn install_flow_by_round_trips(
+        sdn: &mut SelfDrivingNetwork,
+        req: &FlowRequest,
+        decision: &PathDecision,
+    ) -> Result<(), FrameworkError> {
+        sdn.log.record("configureTunnel");
+        let pair = &sdn.pairs[req.pair.index()];
+        pair.edge.ensure_acl(freertr::AclRule {
+            name: req.label.clone(),
+            proto: Some(freertr::packet::PROTO_TCP),
+            src: freertr::Ipv4Prefix::parse("40.40.1.0/24").unwrap(),
+            dst: freertr::Ipv4Prefix::parse("40.40.2.2/32").unwrap(),
+            tos: Some(req.tos),
+        })?;
+        pair.edge.set_pbr(&req.label, &decision.tunnel)?;
+        let (src, dst) = (pair.src_node, pair.dst_node);
+        let path = sdn.host_path(req.pair, &decision.tunnel)?;
+        let id = FlowId(sdn.next_flow);
+        sdn.next_flow += 1;
+        let spec = FlowSpec {
+            src,
+            dst,
+            demand_mbps: req.demand_mbps,
+            tos: req.tos,
+            label: req.label.clone(),
+        };
+        let now = sdn.sim.now_ms();
+        sdn.sim.schedule(now, Event::StartFlow { spec, path, id })?;
+        let rate_key = SeriesKey::new(&req.label, Metric::FlowRate);
+        sdn.flows.push(ManagedFlow {
+            id,
+            label: req.label.clone(),
+            tunnel: decision.tunnel.clone(),
+            demand: req.demand_mbps,
+            pair: req.pair,
+            rate_series: sdn.telemetry.series_id(&rate_key),
+        });
+        sdn.log.record("flowStarted");
+        Ok(())
+    }
+
+    /// `whole`'s log is its consult steps, then exactly `installs`.
+    fn assert_log_ends_with(whole: &SequenceLog, installs: &SequenceLog) {
+        let (whole, installs) = (whole.steps(), installs.steps());
+        assert!(!installs.is_empty());
+        let consult = whole.len() - installs.len();
+        assert_eq!(&whole[consult..], installs);
+        assert!(whole[..consult]
+            .iter()
+            .all(|s| s != "configureTunnel" && s != "flowStarted"));
+    }
+
+    #[test]
+    fn batched_admit_installs_what_per_flow_round_trips_did() {
+        let reqs = batch(&[Some(3.0), None, Some(1.5), Some(2.0), None, Some(4.0)]);
+        let (mut batched, mut reference) = (four_pairs_two_ingresses(), four_pairs_two_ingresses());
+        batched.advance(30_000).unwrap();
+        reference.advance(30_000).unwrap();
+        let decisions = batched.admit_flows(&reqs, Objective::MaxBandwidth).unwrap();
+        assert!(decisions.iter().all(|d| d.used_forecast));
+        for (req, decision) in reqs.iter().zip(&decisions) {
+            install_flow_by_round_trips(&mut reference, req, decision).unwrap();
+        }
+        assert_log_ends_with(&batched.log, &reference.log);
+        let got = installed(&mut batched);
+        assert_eq!(got, installed(&mut reference));
+        // Both edges took part, and the flows run.
+        assert!(got.0.iter().all(|config| config.contains("pbr f")));
+        assert!(got.1.iter().all(|(.., rate, _)| rate.is_some()));
+    }
+
+    #[test]
+    fn batched_consult_migrates_what_per_flow_round_trips_did() {
+        // Cold admits pile each pair's flows on its first tunnel; the
+        // warm consult spreads them, moving flows on both edges.
+        let reqs = batch(&[None; 12]);
+        let (mut batched, mut reference) = (four_pairs_two_ingresses(), four_pairs_two_ingresses());
+        for sdn in [&mut batched, &mut reference] {
+            sdn.admit_flows(&reqs, Objective::MaxBandwidth).unwrap();
+            sdn.advance(30_000).unwrap();
+            sdn.log = SequenceLog::default();
+        }
+        let moves = batched.reoptimize_bandwidth().unwrap();
+        let mut moved_on = std::collections::BTreeSet::new();
+        for (label, tunnel) in &moves {
+            if reference.flow_tunnel(label) != Some(tunnel) {
+                let pair = reference.flow_pair(label).unwrap();
+                moved_on.insert(reference.pair_endpoints(pair).unwrap().0.to_string());
+                reference.migrate_flow(label, tunnel).unwrap();
+            }
+        }
+        assert_eq!(
+            moved_on.len(),
+            2,
+            "the consult must move flows on both edges"
+        );
+        assert!(
+            reference.log.steps().len() > 2,
+            "and several of them: {:?}",
+            reference.log.steps()
+        );
+        assert_log_ends_with(&batched.log, &reference.log);
+        assert_eq!(installed(&mut batched), installed(&mut reference));
+    }
+
+    #[test]
+    fn a_refused_batch_leaves_nothing_half_installed() {
+        let reqs = batch(&[Some(3.0), Some(2.0), Some(1.5), Some(1.0)]);
+        let (mut clean, mut refused) = (four_pairs_two_ingresses(), four_pairs_two_ingresses());
+        clean.advance(30_000).unwrap();
+        refused.advance(30_000).unwrap();
+        let decisions = clean.admit_flows(&reqs, Objective::MaxBandwidth).unwrap();
+        // The controller knows a tunnel the `n3` edge was never given:
+        // its transaction — second to be sent — is refused at the last
+        // flow's SetPbr, after that edge applied `f1`'s ops.
+        let ghost = refused.tunnels[&decisions[3].tunnel].clone();
+        refused.tunnels.insert("p3/ghost".into(), ghost);
+        let mut crafted = decisions.clone();
+        crafted[3].tunnel = "p3/ghost".into();
+        let n3_before = refused.pair_edge(PairId(1)).unwrap().running_config();
+        let log_before = refused.log.steps().len();
+        let err = refused.install_flows(&reqs, &crafted).unwrap_err();
+        assert!(
+            matches!(&err, FrameworkError::Freertr(freertr::FreertrError::Unknown(what))
+                if what == "interface p3/ghost"),
+            "{err:?}"
+        );
+        assert_eq!(
+            refused.pair_edge(PairId(1)).unwrap().running_config(),
+            n3_before
+        );
+        assert!(refused.flows.is_empty());
+        assert_eq!(refused.next_flow, 1);
+        assert_eq!(refused.log.steps().len(), log_before);
+        // A lookup that fails is caught before any edge is touched.
+        let n0_now = refused.pair_edge(PairId(0)).unwrap().running_config();
+        crafted[3].tunnel = "p3/nowhere".into();
+        assert!(refused.install_flows(&reqs, &crafted).is_err());
+        assert_eq!(
+            refused.pair_edge(PairId(0)).unwrap().running_config(),
+            n0_now
+        );
+        // Admitting the same requests now succeeds, over what the `n0`
+        // edge kept of the refused batch, and ends where a clean admit
+        // does.
+        let again = refused.admit_flows(&reqs, Objective::MaxBandwidth).unwrap();
+        assert_eq!(again, decisions);
+        assert_eq!(installed(&mut refused), installed(&mut clean));
+        // Nothing of the refused batch ever started in the simulator.
+        assert_eq!(refused.sim.live_flow_count(), reqs.len());
+    }
+
+    #[test]
+    fn a_refusing_edge_keeps_its_flows_where_they_were() {
+        let reqs = batch(&[Some(3.0), Some(2.0)]);
+        let mut sdn = four_pairs_two_ingresses();
+        sdn.admit_flows(&reqs, Objective::MaxBandwidth).unwrap();
+        sdn.advance(5_000).unwrap();
+        // A candidate of pair 1 that its edge (`n3`) does not have.
+        let ghost = sdn.tunnels["p1/tunnel2"].clone();
+        sdn.tunnels.insert("p1/ghost".into(), ghost);
+        sdn.pairs[1].tunnel_order.push("p1/ghost".into());
+        let n3_before = sdn.pair_edge(PairId(1)).unwrap().running_config();
+        // One round of moves over both edges: `n0` accepts, `n3` refuses.
+        let err = sdn
+            .migrate_flows(&[(0, "p0/tunnel2"), (1, "p1/ghost")])
+            .unwrap_err();
+        assert!(matches!(err, FrameworkError::Freertr(_)), "{err:?}");
+        assert_eq!(sdn.flow_tunnel("f0"), Some("p0/tunnel2"));
+        assert_eq!(sdn.flow_tunnel("f1"), Some("p1/tunnel1"));
+        assert_eq!(
+            sdn.pair_edge(PairId(1)).unwrap().running_config(),
+            n3_before
+        );
+        sdn.advance(6_000).unwrap();
+        for (i, tunnel) in [(0, "p0/tunnel2"), (1, "p1/tunnel1")] {
+            let want = sdn.host_path(PairId(i), tunnel).unwrap();
+            assert_eq!(sdn.sim.flow_path(sdn.flows[i].id).unwrap(), want);
+        }
+        let n0 = sdn.pair_edge(PairId(0)).unwrap().running_config();
+        let bound = n0.pbr.iter().find(|e| e.acl == "f0").unwrap();
+        assert_eq!(bound.tunnel, "p0/tunnel2");
+    }
+
+    #[test]
+    fn link_model_candidates_are_the_pairs_tunnels_by_global_index() {
+        // The indices kept at registration are what a lookup by name
+        // finds — also for tunnels discovered later, which land behind
+        // every pair's first ones in the global order.
+        let mut sdn = four_pairs_two_ingresses();
+        assert!(!sdn.discover_tunnels("n3", "n9", 3).unwrap().is_empty());
+        assert!(!sdn.discover_tunnels("n0", "n6", 3).unwrap().is_empty());
+        let names = sdn.tunnel_names();
+        let by_name: Vec<Vec<usize>> = (0..sdn.pair_count())
+            .map(|p| {
+                let mine = sdn.pair_tunnel_names(PairId(p)).unwrap();
+                let at = |t| names.iter().position(|n| n == t).unwrap();
+                mine.iter().map(at).collect()
+            })
+            .collect();
+        assert!(by_name[1].iter().any(|&t| t >= 8), "{by_name:?}");
+        assert_eq!(sdn.link_model(false).candidates, by_name);
+        assert_eq!(sdn.tunnel_series.len(), names.len());
     }
 }

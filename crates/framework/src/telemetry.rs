@@ -147,16 +147,50 @@ impl SampleRing {
     }
 }
 
-/// The time-series store. Cheap to clone (shared behind an `Arc`).
+/// A resolved series: what [`TelemetryService::series_id`] hands out
+/// and [`TelemetryService::insert_batch`] takes, so a collector that
+/// writes the same series every round formats no key and walks no tree
+/// per sample. Only meaningful on the store that issued it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SeriesId(usize);
+
+/// The one sample store: every series' ring, plus the key index.
 ///
-/// Series live in a `BTreeMap` so every enumeration
+/// The index is a `BTreeMap` so every enumeration
 /// ([`TelemetryService::keys`]) comes back in sorted key order —
 /// hash-map iteration order varies per process, which is exactly the
 /// nondeterminism the replay contract (and the `detlint`
 /// `unordered-iter` rule) forbids.
+#[derive(Debug, Default)]
+struct Store {
+    index: BTreeMap<SeriesKey, usize>,
+    rings: Vec<SampleRing>,
+}
+
+impl Store {
+    /// The ring of `key`, created empty if there is none.
+    fn resolve(&mut self, key: &SeriesKey) -> usize {
+        // The key is cloned only to create a series, not per sample.
+        if let Some(&id) = self.index.get(key) {
+            return id;
+        }
+        self.rings.push(SampleRing::default());
+        self.index.insert(key.clone(), self.rings.len() - 1);
+        self.rings.len() - 1
+    }
+
+    /// The ring a reader sees under `key`. A series that was resolved
+    /// to a handle but never sampled reads as unknown.
+    fn ring(&self, key: &SeriesKey) -> Option<&SampleRing> {
+        let ring = &self.rings[*self.index.get(key)?];
+        (ring.total > 0).then_some(ring)
+    }
+}
+
+/// The time-series store. Cheap to clone (shared behind an `Arc`).
 #[derive(Debug, Clone)]
 pub struct TelemetryService {
-    inner: Arc<RwLock<BTreeMap<SeriesKey, SampleRing>>>,
+    inner: Arc<RwLock<Store>>,
     /// Retained samples per series (ring semantics).
     capacity: usize,
 }
@@ -180,14 +214,27 @@ impl TelemetryService {
 
     /// Inserts one sample.
     pub fn insert(&self, key: &SeriesKey, t_ms: u64, value: f64) {
-        let mut map = self.inner.write();
-        // The key is cloned only to create a series, not per sample.
-        match map.get_mut(key) {
-            Some(series) => series.push(self.capacity, t_ms, value),
-            None => map
-                .entry(key.clone())
-                .or_default()
-                .push(self.capacity, t_ms, value),
+        let mut store = self.inner.write();
+        let id = store.resolve(key);
+        store.rings[id].push(self.capacity, t_ms, value);
+    }
+
+    /// Resolves `key` to a handle for [`TelemetryService::insert_batch`],
+    /// once. The series stays invisible to every reader (and to
+    /// [`TelemetryService::keys`]) until its first sample.
+    pub fn series_id(&self, key: &SeriesKey) -> SeriesId {
+        SeriesId(self.inner.write().resolve(key))
+    }
+
+    /// Inserts one collection round — every sample stamped `t_ms` —
+    /// under a single write-lock.
+    ///
+    /// # Panics
+    /// Panics on a handle another store issued.
+    pub fn insert_batch(&self, t_ms: u64, samples: impl IntoIterator<Item = (SeriesId, f64)>) {
+        let mut store = self.inner.write();
+        for (SeriesId(id), value) in samples {
+            store.rings[id].push(self.capacity, t_ms, value);
         }
     }
 
@@ -212,9 +259,8 @@ impl TelemetryService {
         n: usize,
         f: impl FnOnce(&[f64]) -> R,
     ) -> Option<R> {
-        let map = self.inner.read();
-        let series = map.get(key)?;
-        let (_, vals) = series.window(self.capacity, n);
+        let store = self.inner.read();
+        let (_, vals) = store.ring(key)?.window(self.capacity, n);
         Some(f(vals))
     }
 
@@ -228,22 +274,23 @@ impl TelemetryService {
     /// would let a concurrent insert land in between, and samples would
     /// be skipped now and double-absorbed later.
     pub fn with_tail<R>(&self, key: &SeriesKey, f: impl FnOnce(u64, &[f64]) -> R) -> Option<R> {
-        let map = self.inner.read();
-        let series = map.get(key)?;
+        let store = self.inner.read();
+        let series = store.ring(key)?;
         let (_, vals) = series.window(self.capacity, self.capacity);
         Some(f(series.total, vals))
     }
 
     /// The most recent value, if any.
     pub fn last(&self, key: &SeriesKey) -> Option<f64> {
-        let map = self.inner.read();
-        map.get(key)?.window(self.capacity, 1).1.last().copied()
+        let store = self.inner.read();
+        store.ring(key)?.window(self.capacity, 1).1.last().copied()
     }
 
     /// The full retained series as `(t_ms, value)` pairs.
     pub fn series(&self, key: &SeriesKey) -> Vec<(u64, f64)> {
-        let map = self.inner.read();
-        map.get(key)
+        let store = self.inner.read();
+        store
+            .ring(key)
             .map(|s| {
                 let (ts, vals) = s.window(self.capacity, self.capacity);
                 ts.iter().copied().zip(vals.iter().copied()).collect()
@@ -253,8 +300,8 @@ impl TelemetryService {
 
     /// Number of samples currently retained for a key.
     pub fn len(&self, key: &SeriesKey) -> usize {
-        let map = self.inner.read();
-        map.get(key).map_or(0, |s| s.len(self.capacity))
+        let store = self.inner.read();
+        store.ring(key).map_or(0, |s| s.len(self.capacity))
     }
 
     /// Number of samples *ever inserted* for a key — a monotonic
@@ -262,8 +309,8 @@ impl TelemetryService {
     /// The forecast cache uses it to decide when a cached model has
     /// gone stale.
     pub fn total(&self, key: &SeriesKey) -> u64 {
-        let map = self.inner.read();
-        map.get(key).map_or(0, |s| s.total)
+        let store = self.inner.read();
+        store.ring(key).map_or(0, |s| s.total)
     }
 
     /// True when no sample has ever been stored for the key.
@@ -273,7 +320,12 @@ impl TelemetryService {
 
     /// All known series keys, in sorted (deterministic) order.
     pub fn keys(&self) -> Vec<SeriesKey> {
-        self.inner.read().keys().cloned().collect()
+        let store = self.inner.read();
+        let sampled = store
+            .index
+            .iter()
+            .filter(|(_, &id)| store.rings[id].total > 0);
+        sampled.map(|(k, _)| k.clone()).collect()
     }
 }
 
@@ -476,5 +528,77 @@ mod tests {
             ts.insert(&key(), i, i as f64);
         }
         assert_eq!(ts.len(&key()), 10);
+    }
+
+    /// What every reader says about `key`, in one comparable value.
+    #[allow(clippy::type_complexity)]
+    fn readers(
+        ts: &TelemetryService,
+        key: &SeriesKey,
+    ) -> (
+        Option<f64>,
+        Vec<f64>,
+        Vec<(u64, f64)>,
+        usize,
+        u64,
+        bool,
+        Option<(u64, Vec<f64>)>,
+    ) {
+        (
+            ts.last(key),
+            ts.last_n(key, 3),
+            ts.series(key),
+            ts.len(key),
+            ts.total(key),
+            ts.is_empty(key),
+            ts.with_tail(key, |total, tail| (total, tail.to_vec())),
+        )
+    }
+
+    #[test]
+    fn handles_and_keys_address_the_same_series() {
+        // The same samples, by key only and by key and handle mixed,
+        // across the ring's mirror transition: every reader agrees.
+        let (a, b) = (key(), SeriesKey::new("f0", Metric::FlowRate));
+        let (keyed, mixed) = (TelemetryService::new(5), TelemetryService::new(5));
+        let a_id = mixed.series_id(&a);
+        for i in 0..13u64 {
+            let (t, va, vb) = (i * 10, i as f64, (i * i) as f64);
+            keyed.insert(&a, t, va);
+            keyed.insert(&b, t, vb);
+            match i % 3 {
+                0 => mixed.insert_batch(t, [(a_id, va), (mixed.series_id(&b), vb)]),
+                1 => {
+                    mixed.insert(&a, t, va);
+                    mixed.insert_batch(t, [(mixed.series_id(&b), vb)]);
+                }
+                _ => {
+                    mixed.insert_batch(t, [(a_id, va)]);
+                    mixed.insert(&b, t, vb);
+                }
+            }
+            for k in [&a, &b] {
+                assert_eq!(readers(&mixed, k), readers(&keyed, k), "i={i} {k}");
+            }
+            assert_eq!(mixed.keys(), keyed.keys());
+        }
+        assert_eq!(mixed.series_id(&a), a_id, "a key resolves to one handle");
+    }
+
+    #[test]
+    fn a_series_is_invisible_until_sampled() {
+        let ts = TelemetryService::new(10);
+        ts.insert(&SeriesKey::new("other", Metric::Rtt), 0, 1.0);
+        let unknown = readers(&ts, &key());
+        let id = ts.series_id(&key());
+        assert_eq!(readers(&ts, &key()), unknown);
+        assert!(ts.with_last_n(&key(), 3, |w| w.len()).is_none());
+        assert_eq!(ts.keys(), vec![SeriesKey::new("other", Metric::Rtt)]);
+        // An empty round samples nothing.
+        ts.insert_batch(5, []);
+        assert_eq!(ts.keys().len(), 1);
+        ts.insert_batch(7, [(id, 2.5)]);
+        assert_eq!(ts.series(&key()), vec![(7, 2.5)]);
+        assert_eq!(ts.keys().len(), 2);
     }
 }

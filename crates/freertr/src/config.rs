@@ -128,22 +128,52 @@ impl RouterConfig {
     /// performs a PolKA path migration ("each path migration is triggered
     /// by a single modification of a PBR entry in the ingress edge node").
     pub fn set_pbr(&mut self, acl: &str, tunnel: &str) -> Result<(), FreertrError> {
+        self.rebind_pbr(acl, tunnel.to_string()).map(drop)
+    }
+
+    /// [`RouterConfig::set_pbr`], reporting what a transaction needs to
+    /// take it back: the rewritten entry's index and previous tunnel, or
+    /// `None` when a new entry was appended.
+    pub(crate) fn rebind_pbr(
+        &mut self,
+        acl: &str,
+        tunnel: String,
+    ) -> Result<Option<(usize, String)>, FreertrError> {
         if !self.acls.iter().any(|a| a.name == acl) {
             return Err(FreertrError::Unknown(format!("access-list {acl}")));
         }
-        if self.tunnel(tunnel).is_none() {
+        if self.tunnel(&tunnel).is_none() {
             return Err(FreertrError::Unknown(format!("interface {tunnel}")));
         }
-        if let Some(e) = self.pbr.iter_mut().find(|e| e.acl == acl) {
-            e.tunnel = tunnel.to_string();
-        } else {
-            self.pbr.push(PbrEntry {
-                acl: acl.to_string(),
-                tunnel: tunnel.to_string(),
-                nexthop: None,
-            });
+        if let Some((at, e)) = self.pbr.iter_mut().enumerate().find(|(_, e)| e.acl == acl) {
+            return Ok(Some((at, std::mem::replace(&mut e.tunnel, tunnel))));
         }
-        Ok(())
+        self.pbr.push(PbrEntry {
+            acl: acl.to_string(),
+            tunnel,
+            nexthop: None,
+        });
+        Ok(None)
+    }
+
+    /// Appends `rule` unless an access list of that name exists; true
+    /// when it was appended.
+    pub(crate) fn ensure_acl(&mut self, rule: AclRule) -> bool {
+        let absent = !self.acls.iter().any(|a| a.name == rule.name);
+        if absent {
+            self.acls.push(rule);
+        }
+        absent
+    }
+
+    /// Appends `tunnel` unless an interface of that name exists; true
+    /// when it was appended.
+    pub(crate) fn ensure_tunnel(&mut self, tunnel: TunnelCfg) -> bool {
+        let absent = self.tunnel(&tunnel.id).is_none();
+        if absent {
+            self.tunnels.push(tunnel);
+        }
+        absent
     }
 
     /// Emits the config in the text dialect (round-trips through

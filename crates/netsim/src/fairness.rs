@@ -39,23 +39,29 @@ pub enum Direction {
     Reverse,
 }
 
+/// The live link from `a` to `b` and the direction that hop crosses it.
+pub fn directed_hop(
+    topo: &Topology,
+    a: NodeIdx,
+    b: NodeIdx,
+) -> Result<(LinkId, Direction), crate::NetsimError> {
+    let lid = topo.link_between(a, b)?;
+    let dir = if topo.link(lid).a == a {
+        Direction::Forward
+    } else {
+        Direction::Reverse
+    };
+    Ok((lid, dir))
+}
+
 /// Derives the directed link sequence of a node path.
 pub fn directed_links(
     topo: &Topology,
     path: &[NodeIdx],
 ) -> Result<Vec<(LinkId, Direction)>, crate::NetsimError> {
-    let mut out = Vec::with_capacity(path.len().saturating_sub(1));
-    for w in path.windows(2) {
-        let lid = topo.link_between(w[0], w[1])?;
-        let link = topo.link(lid);
-        let dir = if link.a == w[0] {
-            Direction::Forward
-        } else {
-            Direction::Reverse
-        };
-        out.push((lid, dir));
-    }
-    Ok(out)
+    path.windows(2)
+        .map(|w| directed_hop(topo, w[0], w[1]))
+        .collect()
 }
 
 /// Computes the max-min fair allocation. Returns one rate per flow, in

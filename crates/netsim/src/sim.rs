@@ -23,7 +23,9 @@
 //! the share exactly, guarded by a per-flow generation counter so
 //! stale completions are ignored.
 
-use crate::fairness::{dense_link, directed_link, directed_links, Direction, FairShareEngine};
+use crate::fairness::{
+    dense_link, directed_hop, directed_link, directed_links, Direction, FairShareEngine,
+};
 use crate::flow::{Flow, FlowId, FlowSpec};
 use crate::maxmin::WaterfillStats;
 use crate::queue::{EventQueue, Scheduled};
@@ -740,10 +742,10 @@ impl Simulation {
     /// capacity given current flow rates (what the telemetry service
     /// feeds Hecate).
     pub fn path_available_mbps(&self, path: &[NodeIdx]) -> Result<f64, NetsimError> {
-        let links = directed_links(&self.topo, path)?;
         let utils = self.link_utilization();
         let mut avail = f64::INFINITY;
-        for (lid, dir) in links {
+        for hop in path.windows(2) {
+            let (lid, dir) = directed_hop(&self.topo, hop[0], hop[1])?;
             let cap = self.topo.link(lid).capacity_mbps;
             let u = utils.util(lid, dir);
             avail = avail.min(cap * (1.0 - u));
