@@ -123,6 +123,7 @@ fn bench_multipair(c: &mut Criterion) {
             &names,
             &model,
             Objective::MaxBandwidth,
+            &Default::default(),
             &mut log,
         )
         .expect("prime the cache");
@@ -156,9 +157,11 @@ fn bench_multipair(c: &mut Criterion) {
                         &names,
                         &model,
                         Objective::MaxBandwidth,
+                        &Default::default(),
                         &mut log,
                     )
                     .unwrap()
+                    .decisions
                     .len(),
                 )
             })

@@ -354,31 +354,6 @@ fn throughput() {
     println!("  audit (incremental == recompute, bitwise): {}", t.audited);
     assert!(t.audited, "incremental water-fill diverged from recompute");
 
-    // The sharded consultation's per-shard critical path: what a
-    // 256-pair tick costs with one core per shard, measured per shard
-    // in isolation so the number survives 1-core CI runners.
-    let rows = figures::sharded_decision_timing(16, &[1, 2, 4]);
-    println!("\nsharded decision tick (16 pairs, warm cache):");
-    println!(
-        "{:>8} {:>12} {:>12} {:>9}",
-        "shards", "critical us", "wall us", "matched"
-    );
-    for row in &rows {
-        println!(
-            "{:>8} {:>12.0} {:>12.0} {:>9}",
-            row.shards, row.critical_us, row.wall_us, row.matched
-        );
-    }
-    let sharded_matched = rows.iter().all(|r| r.matched);
-    let critical4 = rows
-        .iter()
-        .find(|r| r.shards == 4)
-        .map_or(0.0, |r| r.critical_us);
-    assert!(
-        sharded_matched,
-        "sharded decisions diverged from sequential"
-    );
-
     write_section(
         "throughput",
         false,
@@ -429,13 +404,6 @@ fn throughput() {
                 Metric::wall(1e6 / t.tick_p99_us.max(1e-9)).with_floor(1_000.0),
             ),
             ("full_recompute_us", Metric::wall(t.full_recompute_us)),
-            // The sharded tick: bit-identity gates exactly, the 4-shard
-            // critical path is report-only wall time.
-            (
-                "decision_shards_matched",
-                Metric::exact(f64::from(sharded_matched)),
-            ),
-            ("decision_critical4_us", Metric::wall(critical4)),
         ],
     );
 }

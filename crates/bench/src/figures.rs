@@ -811,94 +811,6 @@ pub fn million_flow_tick(
     }
 }
 
-/// One shard count's timing of the sharded multi-pair consultation.
-#[derive(Debug, Clone)]
-pub struct ShardTimingRow {
-    /// Worker threads the forecast fan-out was partitioned across.
-    pub shards: usize,
-    /// Busy microseconds per shard, in shard order (forecast work only,
-    /// excludes merge and solve).
-    pub shard_busy_us: Vec<f64>,
-    /// `max(shard_busy_us)` — the critical path, i.e. what the tick
-    /// would cost with one core per shard. Meaningful on 1-core CI,
-    /// where wall clock serializes the workers but each shard's busy
-    /// time is still measured in isolation.
-    pub critical_us: f64,
-    /// Wall microseconds for the whole sharded call on this host.
-    pub wall_us: f64,
-    /// Decisions are bit-identical to the sequential engine.
-    pub matched: bool,
-}
-
-/// Per-shard critical-path timing for the sharded controller tick: one
-/// warm scheduler tick (one flow per managed pair) over the multipair
-/// testbed, decided by [`framework::controller::decide_flows_pairs_sharded`]
-/// at each requested shard count and checked bit-identical against the
-/// sequential engine. Reported as critical path (max per-shard busy
-/// time) alongside wall clock, so the scaling story survives 1-core CI
-/// runners the same way `forwarding_scaling` does.
-pub fn sharded_decision_timing(pairs: usize, shard_counts: &[usize]) -> Vec<ShardTimingRow> {
-    use framework::controller::{decide_flows_pairs, decide_flows_pairs_sharded, SequenceLog};
-    use framework::scheduler::FlowRequest;
-    use framework::{HecateService, OptimizerConfig, PairId};
-    let (telemetry, names, model) = multipair_testbed(pairs);
-    let hecate = HecateService::new();
-    let tick: Vec<FlowRequest> = (0..pairs)
-        .map(|p| FlowRequest {
-            label: format!("f{p}"),
-            tos: 0,
-            demand_mbps: None,
-            start_ms: 0,
-            pair: PairId(p),
-        })
-        .collect();
-    // Prime the trained-model cache once, like a running network, and
-    // take the sequential decisions as the reference.
-    let mut log = SequenceLog::default();
-    let sequential = decide_flows_pairs(
-        &hecate,
-        &telemetry,
-        &tick,
-        &names,
-        &model,
-        framework::Objective::MaxBandwidth,
-        &mut log,
-    )
-    .expect("sequential reference decision");
-    shard_counts
-        .iter()
-        .map(|&shards| {
-            let config = OptimizerConfig {
-                decision_shards: shards,
-                ..Default::default()
-            };
-            let t = std::time::Instant::now();
-            let mut log = SequenceLog::default();
-            let d = decide_flows_pairs_sharded(
-                &hecate,
-                &telemetry,
-                &tick,
-                &names,
-                &model,
-                framework::Objective::MaxBandwidth,
-                &config,
-                &mut log,
-            )
-            .expect("sharded decision");
-            let wall_us = t.elapsed().as_secs_f64() * 1e6;
-            let shard_busy_us: Vec<f64> = d.shards.iter().map(|r| r.busy_ns as f64 / 1e3).collect();
-            let critical_us = shard_busy_us.iter().fold(0.0, |a: f64, &b| a.max(b));
-            ShardTimingRow {
-                shards,
-                shard_busy_us,
-                critical_us,
-                wall_us,
-                matched: d.decisions == sequential,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -966,9 +878,11 @@ mod tests {
             &names,
             &model,
             Objective::MaxBandwidth,
+            &Default::default(),
             &mut log,
         )
-        .expect("shared-link decision");
+        .expect("shared-link decision")
+        .decisions;
         let tunnels = |ds: &[framework::controller::PathDecision]| {
             let mut t: Vec<String> = ds.iter().map(|d| d.tunnel.clone()).collect();
             t.sort();
@@ -1120,23 +1034,6 @@ mod tests {
             assert_eq!(b[0], p);
             assert_ne!(a[1], b[1], "trunk hops are disjoint");
             assert_eq!(a[1] / 2, b[1] / 2, "same trunk group");
-        }
-    }
-
-    #[test]
-    fn sharded_decision_timing_matches_sequential_at_every_shard_count() {
-        let rows = sharded_decision_timing(8, &[1, 2, 4]);
-        assert_eq!(rows.len(), 3);
-        for row in &rows {
-            assert!(row.matched, "shards={} diverged", row.shards);
-            assert_eq!(row.shard_busy_us.len(), row.shards);
-            assert!(row.critical_us > 0.0 && row.wall_us > 0.0);
-            assert!(
-                row.critical_us <= row.wall_us,
-                "critical path {} cannot exceed wall {}",
-                row.critical_us,
-                row.wall_us
-            );
         }
     }
 

@@ -105,6 +105,10 @@ const BARE_PANIC_FILES: &[&str] = &[
     "crates/hecate-ml/src/pipeline.rs",
     "crates/hecate-ml/src/scale.rs",
     "crates/framework/src/hecate.rs",
+    // The rest of the consult path: admission, installs and migrations,
+    // and the fan-out every forecast and fit runs under.
+    "crates/framework/src/sdn.rs",
+    "crates/linalg/src/par.rs",
     // A panic in the agent loop kills that ingress's config plane:
     // every later admit there comes back `ChannelClosed`.
     "crates/freertr/src/agent.rs",

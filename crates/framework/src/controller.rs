@@ -221,6 +221,18 @@ fn place_batch(caps: &[f64], demands: &[Option<f64>]) -> Result<Vec<usize>, Fram
     Ok(placement)
 }
 
+/// What one multi-pair consultation decided, and how.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct BatchDecision {
+    /// One decision per request, in request order.
+    pub decisions: Vec<PathDecision>,
+    /// Which shared-link solver placed the batch (`None` on cold start
+    /// and for the per-pair objectives, which never solve jointly).
+    pub solver: Option<SolverKind>,
+    /// Candidate series forecast for the batch: its pairs' tunnels.
+    pub series: usize,
+}
+
 /// Batched decision for a **multi-pair** network: one Fig 4
 /// consultation for every flow due in the tick, across *all* managed
 /// pairs, against the shared-link capacity model.
@@ -231,21 +243,27 @@ fn place_batch(caps: &[f64], demands: &[Option<f64>]) -> Result<Vec<usize>, Fram
 /// cache — one trained model per pair-scoped series, exactly like the
 /// single-pair engine keys per tunnel.
 ///
+/// Only the candidate tunnels of the batch's pairs can change where its
+/// flows go, so only their series are forecast
+/// ([`HecateService::forecast_needed`]); every other series is
+/// deferred, with its refits and bits unchanged.
+///
 /// Placement semantics mirror [`decide_flows`]:
 ///
-/// * cold start (no forecastable series at all) sends each flow to its
-///   own pair's first candidate;
+/// * cold start (no forecastable series at all, deferred ones included)
+///   sends each flow to its own pair's first candidate;
 /// * latency/utilization objectives have no flow-interaction model:
 ///   each pair's flows all take that pair's [`select_path`] winner;
 /// * [`Objective::MaxBandwidth`] forms per-tunnel capacity caps
 ///   (forecast mean, falling back to the last observed sample, floored
 ///   at zero), folds them into the model as synthetic links
 ///   ([`SharedLinkModel::with_tunnel_caps`]), and places the batch with
-///   [`crate::optimizer::assign_flows_shared`] — so no shared link is
+///   [`assign_flows_shared_with`] under `config` — so no shared link is
 ///   oversubscribed.
 ///
 /// Single-pair networks never call this: they keep the legacy
 /// [`decide_flows`] path bit-for-bit.
+#[allow(clippy::too_many_arguments)]
 pub fn decide_flows_pairs(
     hecate: &HecateService,
     telemetry: &TelemetryService,
@@ -253,22 +271,30 @@ pub fn decide_flows_pairs(
     tunnel_names: &[String],
     model: &SharedLinkModel,
     objective: Objective,
+    config: &OptimizerConfig,
     log: &mut SequenceLog,
-) -> Result<Vec<PathDecision>, FrameworkError> {
+) -> Result<BatchDecision, FrameworkError> {
     if tunnel_names.is_empty() || tunnel_names.len() != model.tunnel_links.len() {
         return Err(FrameworkError::NoFeasiblePath);
     }
-    if requests.is_empty() {
-        return Ok(Vec::new());
-    }
+    // Each request's pair's candidates, all in range: the batch's series.
+    let mut needed = vec![false; tunnel_names.len()];
+    let mut first_of_flow = Vec::with_capacity(requests.len());
     for req in requests {
-        if model
+        let cands = model
             .candidates
             .get(req.pair.index())
-            .is_none_or(|c| c.is_empty())
-        {
+            .map_or(&[][..], Vec::as_slice);
+        if cands.is_empty() || cands.iter().any(|&t| t >= needed.len()) {
             return Err(FrameworkError::NoFeasiblePath);
         }
+        for &t in cands {
+            needed[t] = true;
+        }
+        first_of_flow.push(cands[0]);
+    }
+    if requests.is_empty() {
+        return Ok(BatchDecision::default());
     }
     log.record("getTelemetry");
     let metric = match objective {
@@ -276,19 +302,99 @@ pub fn decide_flows_pairs(
         _ => Metric::AvailableBandwidth,
     };
     log.record("askHecatePath");
-    let forecasts = hecate.forecast_all(telemetry, tunnel_names, metric);
-    let (decisions, _solver) = pair_decisions_from_forecasts(
-        telemetry,
-        requests,
-        tunnel_names,
-        model,
-        objective,
-        metric,
-        &OptimizerConfig::default(),
-        &forecasts,
-        log,
-    )?;
-    Ok(decisions)
+    let (forecasts, forecastable) =
+        hecate.forecast_needed(telemetry, tunnel_names, &needed, metric);
+    let series = needed.iter().filter(|&&n| n).count();
+    let decide = |decisions, solver| BatchDecision {
+        decisions,
+        solver,
+        series,
+    };
+    if !forecastable {
+        // Cold start: each pair's phase-(i) arbitrary first candidate.
+        log.record("fallbackArbitraryPath");
+        let decisions = first_of_flow
+            .iter()
+            .map(|&t| PathDecision {
+                tunnel: tunnel_names[t].clone(),
+                used_forecast: false,
+                score: None,
+            })
+            .collect();
+        return Ok(decide(decisions, None));
+    }
+    let forecast_of = forecasts_by_tunnel(tunnel_names, &forecasts);
+    let out = match objective {
+        Objective::MaxBandwidth => {
+            // Per-tunnel caps: forecast mean, else last sample, else 0.
+            // A tunnel outside the batch carries none of its flows, so
+            // no fill reads its cap.
+            let caps: Vec<f64> = tunnel_names
+                .iter()
+                .zip(&forecast_of)
+                .zip(&needed)
+                .map(|((name, forecast), &need)| {
+                    if !need {
+                        return 0.0;
+                    }
+                    forecast
+                        .map(|f| f.mean())
+                        .or_else(|| telemetry.last(&SeriesKey::new(name, metric)))
+                        .unwrap_or(0.0)
+                        .max(0.0)
+                })
+                .collect();
+            let capped = model.clone().with_tunnel_caps(&caps);
+            let flows: Vec<FlowDemand> = requests
+                .iter()
+                .map(|r| FlowDemand {
+                    pair: r.pair,
+                    demand: r.demand_mbps,
+                })
+                .collect();
+            let (assignment, kind) = assign_flows_shared_with(&capped, &flows, config)?;
+            let decisions = assignment
+                .tunnel_of_flow
+                .iter()
+                .map(|&t| PathDecision {
+                    tunnel: tunnel_names[t].clone(),
+                    used_forecast: true,
+                    score: forecast_of[t].map(|f| f.mean()),
+                })
+                .collect();
+            decide(decisions, Some(kind))
+        }
+        _ => {
+            // No flow-interaction model: each pair's flows take that
+            // pair's winner among its own forecasts.
+            let decisions = requests
+                .iter()
+                .zip(&first_of_flow)
+                .map(|(req, &first)| {
+                    let mine: Vec<_> = model.candidates[req.pair.index()]
+                        .iter()
+                        .filter_map(|&t| forecast_of[t].cloned())
+                        .collect();
+                    match select_path(objective, &mine) {
+                        Ok(best) => PathDecision {
+                            tunnel: best.path.clone(),
+                            used_forecast: true,
+                            score: Some(best.mean()),
+                        },
+                        // This pair is still cold: arbitrary first.
+                        Err(_) => PathDecision {
+                            tunnel: tunnel_names[first].clone(),
+                            used_forecast: false,
+                            score: None,
+                        },
+                    }
+                })
+                .collect();
+            decide(decisions, None)
+        }
+    };
+    log.record("optimizerReturn");
+    Ok(out)
 }
 
 /// `forecasts` by tunnel index: entry `t` is the forecast whose path is
@@ -306,286 +412,6 @@ pub(crate) fn forecasts_by_tunnel<'a>(
         .iter()
         .map(|n| by_name.get(n.as_str()).copied())
         .collect()
-}
-
-/// The placement tail shared by the sequential and sharded multi-pair
-/// consultations: everything after the forecasts are in hand. Keeping
-/// this single makes the sharded path bit-identical by construction —
-/// the only thing sharding changes is *how* the forecasts were
-/// gathered, and the merge re-establishes the sequential order before
-/// this runs.
-#[allow(clippy::too_many_arguments)]
-fn pair_decisions_from_forecasts(
-    telemetry: &TelemetryService,
-    requests: &[FlowRequest],
-    tunnel_names: &[String],
-    model: &SharedLinkModel,
-    objective: Objective,
-    metric: Metric,
-    config: &OptimizerConfig,
-    forecasts: &[PathForecast],
-    log: &mut SequenceLog,
-) -> Result<(Vec<PathDecision>, Option<SolverKind>), FrameworkError> {
-    if forecasts.is_empty() {
-        // Cold start: each pair's phase-(i) arbitrary first candidate.
-        log.record("fallbackArbitraryPath");
-        return Ok((
-            requests
-                .iter()
-                .map(|req| PathDecision {
-                    tunnel: tunnel_names[model.candidates[req.pair.index()][0]].clone(),
-                    used_forecast: false,
-                    score: None,
-                })
-                .collect(),
-            None,
-        ));
-    }
-    let forecast_of = forecasts_by_tunnel(tunnel_names, forecasts);
-    let mut solver = None;
-    let decisions = match objective {
-        Objective::MaxBandwidth => {
-            // Per-tunnel caps: forecast mean, else last sample, else 0.
-            let caps: Vec<f64> = tunnel_names
-                .iter()
-                .zip(&forecast_of)
-                .map(|(name, forecast)| {
-                    forecast
-                        .map(|f| f.mean())
-                        .or_else(|| telemetry.last(&SeriesKey::new(name, metric)))
-                        .unwrap_or(0.0)
-                        .max(0.0)
-                })
-                .collect();
-            let capped = model.clone().with_tunnel_caps(&caps);
-            let flows: Vec<FlowDemand> = requests
-                .iter()
-                .map(|r| FlowDemand {
-                    pair: r.pair,
-                    demand: r.demand_mbps,
-                })
-                .collect();
-            let (assignment, kind) = assign_flows_shared_with(&capped, &flows, config)?;
-            solver = Some(kind);
-            assignment
-                .tunnel_of_flow
-                .iter()
-                .map(|&t| PathDecision {
-                    tunnel: tunnel_names[t].clone(),
-                    used_forecast: true,
-                    score: forecast_of[t].map(|f| f.mean()),
-                })
-                .collect()
-        }
-        _ => {
-            // No flow-interaction model: each pair's flows take that
-            // pair's winner among its own forecasts.
-            requests
-                .iter()
-                .map(|req| {
-                    let mine: Vec<_> = model.candidates[req.pair.index()]
-                        .iter()
-                        .filter_map(|&t| forecast_of[t].cloned())
-                        .collect();
-                    match select_path(objective, &mine) {
-                        Ok(best) => PathDecision {
-                            tunnel: best.path.clone(),
-                            used_forecast: true,
-                            score: Some(best.mean()),
-                        },
-                        // This pair is still cold: arbitrary first.
-                        Err(_) => PathDecision {
-                            tunnel: tunnel_names[model.candidates[req.pair.index()][0]].clone(),
-                            used_forecast: false,
-                            score: None,
-                        },
-                    }
-                })
-                .collect()
-        }
-    };
-    log.record("optimizerReturn");
-    Ok((decisions, solver))
-}
-
-/// Per-shard accounting from one sharded consultation: which shard,
-/// how many pair-scoped candidate series it forecast, and its isolated
-/// busy time. The SDN layer emits one `decide.solve` span per entry,
-/// after the join, in shard order — the same
-/// emission-order-never-depends-on-scheduling idiom as the data
-/// plane's sharded forwarder.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DecisionShardReport {
-    /// Shard index; the shard owns pairs `p` with `p % shards == shard`.
-    pub shard: usize,
-    /// Pair-scoped candidate series this shard forecast.
-    pub series: usize,
-    /// Busy time spent forecasting them (excludes merge and solve).
-    pub busy_ns: u64,
-}
-
-/// What a sharded consultation produced.
-#[derive(Debug, Clone)]
-pub struct ShardedDecision {
-    /// One decision per request, in request order — bit-identical to
-    /// [`decide_flows_pairs`] at any shard count.
-    pub decisions: Vec<PathDecision>,
-    /// Which shared-link solver placed the batch (`None` on cold start
-    /// and for the per-pair objectives, which never solve jointly).
-    pub solver: Option<SolverKind>,
-    /// Per-shard accounting, in shard order.
-    pub shards: Vec<DecisionShardReport>,
-}
-
-/// [`decide_flows_pairs`] with the forecast fan-out partitioned across
-/// `config.decision_shards` worker threads.
-///
-/// Each worker owns stateless clones of the Hecate and telemetry
-/// service handles (both are `Arc`-backed, so "clone" is a pointer
-/// copy) and forecasts the candidate series of the pairs it owns
-/// (`pair % shards`) — disjoint series sets, so the per-series model
-/// cache gives every worker exactly the forecasts the sequential pass
-/// would have computed. Results come back over a crossbeam channel,
-/// are re-ordered into the global candidate order, and the placement
-/// tail is the *same code* the sequential path runs: the decisions are
-/// bit-identical to [`decide_flows_pairs`] at any shard count
-/// (pinned by `sharded_decisions.rs`).
-///
-/// `config.decision_shards <= 1` skips the thread machinery entirely.
-#[allow(clippy::too_many_arguments)]
-pub fn decide_flows_pairs_sharded(
-    hecate: &HecateService,
-    telemetry: &TelemetryService,
-    requests: &[FlowRequest],
-    tunnel_names: &[String],
-    model: &SharedLinkModel,
-    objective: Objective,
-    config: &OptimizerConfig,
-    log: &mut SequenceLog,
-) -> Result<ShardedDecision, FrameworkError> {
-    if tunnel_names.is_empty() || tunnel_names.len() != model.tunnel_links.len() {
-        return Err(FrameworkError::NoFeasiblePath);
-    }
-    if requests.is_empty() {
-        return Ok(ShardedDecision {
-            decisions: Vec::new(),
-            solver: None,
-            shards: Vec::new(),
-        });
-    }
-    for req in requests {
-        if model
-            .candidates
-            .get(req.pair.index())
-            .is_none_or(|c| c.is_empty())
-        {
-            return Err(FrameworkError::NoFeasiblePath);
-        }
-    }
-    let shards = config
-        .decision_shards
-        .max(1)
-        .min(model.candidates.len().max(1));
-    log.record("getTelemetry");
-    let metric = match objective {
-        Objective::MinLatency => Metric::Rtt,
-        _ => Metric::AvailableBandwidth,
-    };
-    log.record("askHecatePath");
-    // Tunnel → owning pair, derived from the model rather than assuming
-    // a pair-major layout of `tunnel_names`.
-    let mut owner = vec![0usize; tunnel_names.len()];
-    for (p, cand) in model.candidates.iter().enumerate() {
-        for &t in cand {
-            if let Some(o) = owner.get_mut(t) {
-                *o = p;
-            }
-        }
-    }
-    let (forecasts, reports) = if shards == 1 {
-        // detlint: allow(wall-clock) — shard busy time is the reported
-        // quantity (span stamps), never fed back into a decision.
-        #[allow(clippy::disallowed_methods)]
-        let t0 = std::time::Instant::now();
-        let forecasts = hecate.forecast_all(telemetry, tunnel_names, metric);
-        let report = DecisionShardReport {
-            shard: 0,
-            series: tunnel_names.len(),
-            busy_ns: t0.elapsed().as_nanos() as u64,
-        };
-        (forecasts, vec![report])
-    } else {
-        let (tx, rx) = crossbeam::channel::bounded(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for s in 0..shards {
-            let names: Vec<String> = (0..tunnel_names.len())
-                .filter(|&t| owner[t] % shards == s)
-                .map(|t| tunnel_names[t].clone())
-                .collect();
-            let worker_hecate = hecate.clone();
-            let worker_telemetry = telemetry.clone();
-            let tx = tx.clone();
-            handles.push(std::thread::spawn(move || {
-                // detlint: allow(wall-clock) — per-shard busy time is
-                // the reported quantity (span stamps), never fed back
-                // into a decision.
-                #[allow(clippy::disallowed_methods)]
-                let t0 = std::time::Instant::now();
-                let forecasts = worker_hecate.forecast_all(&worker_telemetry, &names, metric);
-                let busy_ns = t0.elapsed().as_nanos() as u64;
-                let _ = tx.send((s, names.len(), forecasts, busy_ns));
-            }));
-        }
-        drop(tx);
-        let mut parts: Vec<(usize, usize, Vec<PathForecast>, u64)> = rx.iter().collect();
-        for h in handles {
-            // detlint: allow(bare-panic) — a panicked worker's
-            // forecasts are gone; propagating the panic is the only
-            // honest outcome.
-            h.join().expect("decision shard worker panicked");
-        }
-        parts.sort_by_key(|&(s, ..)| s);
-        // Merge back into the global candidate order — the order the
-        // sequential fan-out returns — so the placement tail sees an
-        // input independent of worker scheduling.
-        let index: std::collections::BTreeMap<&str, usize> = tunnel_names
-            .iter()
-            .enumerate()
-            .map(|(t, n)| (n.as_str(), t))
-            .collect();
-        let mut merged: Vec<(usize, PathForecast)> = Vec::new();
-        let mut reports = Vec::with_capacity(shards);
-        for (shard, series, forecasts, busy_ns) in parts {
-            reports.push(DecisionShardReport {
-                shard,
-                series,
-                busy_ns,
-            });
-            for f in forecasts {
-                if let Some(&t) = index.get(f.path.as_str()) {
-                    merged.push((t, f));
-                }
-            }
-        }
-        merged.sort_by_key(|&(t, _)| t);
-        (merged.into_iter().map(|(_, f)| f).collect(), reports)
-    };
-    let (decisions, solver) = pair_decisions_from_forecasts(
-        telemetry,
-        requests,
-        tunnel_names,
-        model,
-        objective,
-        metric,
-        config,
-        &forecasts,
-        log,
-    )?;
-    Ok(ShardedDecision {
-        decisions,
-        solver,
-        shards: reports,
-    })
 }
 
 #[cfg(test)]
@@ -869,9 +695,11 @@ mod tests {
             &names,
             &model,
             Objective::MaxBandwidth,
+            &OptimizerConfig::default(),
             &mut log,
         )
-        .unwrap();
+        .unwrap()
+        .decisions;
         assert_eq!(decisions[0].tunnel, "p0/tunnel1");
         assert_eq!(decisions[1].tunnel, "p1/tunnel2");
         assert!(decisions.iter().all(|d| d.used_forecast));
@@ -894,9 +722,11 @@ mod tests {
             &names,
             &model,
             Objective::MaxBandwidth,
+            &OptimizerConfig::default(),
             &mut log,
         )
-        .unwrap();
+        .unwrap()
+        .decisions;
         // Each flow lands on its own pair's first candidate, not a
         // global first.
         assert_eq!(decisions[0].tunnel, "p0/tunnel1");
@@ -926,9 +756,11 @@ mod tests {
             &names,
             &model,
             Objective::MinLatency,
+            &OptimizerConfig::default(),
             &mut log,
         )
-        .unwrap();
+        .unwrap()
+        .decisions;
         assert_eq!(decisions[0].tunnel, "p0/tunnel2", "pair 0's fastest");
         assert_eq!(decisions[1].tunnel, "p1/tunnel1", "pair 1's fastest");
     }
@@ -945,6 +777,7 @@ mod tests {
             &names,
             &model,
             Objective::MaxBandwidth,
+            &OptimizerConfig::default(),
             &mut log,
         )
         .is_err());

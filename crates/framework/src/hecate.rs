@@ -20,6 +20,11 @@
 //!   the service's model/lags/seed changed): fit fresh from history and
 //!   replace the entry.
 //!
+//! A decision that reads only some of the candidates
+//! ([`HecateService::forecast_needed`]) runs that protocol on those and
+//! only the cheap half of it on the rest: a due refit, or the window
+//! slide without the roll. Refits and forecast bits are unchanged.
+//!
 //! Staleness is tracked with the telemetry store's monotonic per-series
 //! sample counter ([`TelemetryService::total`]), so invalidation costs
 //! one atomic-ish read, not a history diff.
@@ -72,12 +77,15 @@ struct CacheEntry {
     fitted_at: u64,
     /// Telemetry total the lag window has absorbed (>= `fitted_at`).
     observed: u64,
-    /// Memoized `forecaster.roll(rolled_horizon)` as of `observed`: a
+    /// Memoized `forecaster.roll(rolled_horizon)` as of `rolled_at`: a
     /// roll is a pure function of the unchanged window, so a cache hit
     /// clones ten floats instead of re-running `horizon` model
     /// inferences per path under the read lock.
     rolled: Vec<f64>,
     rolled_horizon: usize,
+    /// `observed` when `rolled` was rolled; behind it after a deferred
+    /// series slid samples in without rolling.
+    rolled_at: u64,
 }
 
 /// Cache internals shared by every clone of a [`HecateService`].
@@ -314,48 +322,63 @@ impl HecateService {
             observed: total,
             rolled,
             rolled_horizon: self.horizon,
+            rolled_at: total,
         })
+    }
+
+    /// The first half of the update arm on a usable entry: slides the
+    /// series' fresh samples (fewer than `refit_after`) into the lag
+    /// window without rolling. `false` when the series has outrun the
+    /// entry (refit); an error on a non-finite sample, after which the
+    /// window is spent.
+    fn absorb(
+        &self,
+        telemetry: &TelemetryService,
+        key: &SeriesKey,
+        e: &mut CacheEntry,
+    ) -> Result<bool, MlError> {
+        let threshold = self.refit_after.max(1);
+        // Read the series total and absorb the fresh tail (a scale and
+        // a ten-float rotate per value) in ONE short, consistent
+        // telemetry read — taking them separately would let a racing
+        // insert land in between, and the window would skip samples now
+        // and double-absorb them on the next call. `total < e.observed`
+        // means this service was pointed at a different (shorter)
+        // telemetry store than the one that populated the cache;
+        // anything inconsistent refits.
+        telemetry
+            .with_tail(key, |total, vals| {
+                if total < e.observed || total - e.fitted_at >= threshold {
+                    return Ok(false);
+                }
+                let fresh = (total - e.observed) as usize;
+                for &v in &vals[vals.len().saturating_sub(fresh)..] {
+                    e.forecaster.observe(v)?;
+                }
+                e.observed = total;
+                Ok(true)
+            })
+            .unwrap_or(Ok(false))
     }
 
     /// The hit and update arms of [`HecateService::forecast_path`] on a
     /// usable entry: `None` when the series has outrun it (refit). A hit
     /// clones the memoized roll — `horizon` floats, no model inference.
-    /// Fewer than `refit_after` new samples slide into the lag window
-    /// and re-memoize the roll in place, no refit and no allocation but
-    /// the returned copy.
+    /// Otherwise the fresh samples slide into the lag window and the
+    /// roll is re-memoized in place, no refit and no allocation but the
+    /// returned copy. The roll — all of the inference — runs after the
+    /// telemetry guard is dropped, under only this entry's lock, so
+    /// inserts and other series' readers are never stalled behind it.
     fn serve_cached(
         &self,
         telemetry: &TelemetryService,
         key: &SeriesKey,
         e: &mut CacheEntry,
     ) -> Result<Option<Vec<f64>>, MlError> {
-        let threshold = self.refit_after.max(1);
-        // Read the series total and absorb the fresh tail (at most
-        // refit_after values; a scale and a ten-float rotate each) in
-        // ONE short, consistent telemetry read — taking them separately
-        // would let a racing insert land in between, and the window
-        // would skip samples now and double-absorb them on the next
-        // call. The roll — all of the inference — runs after the
-        // telemetry guard is dropped, under only this entry's lock, so
-        // inserts and other series' readers are never stalled behind
-        // it. `total < e.observed` means this service was pointed at a
-        // different (shorter) telemetry store than the one that
-        // populated the cache; anything inconsistent refits.
-        let absorbed = telemetry.with_tail(key, |total, vals| -> Result<_, MlError> {
-            if total < e.observed || total - e.fitted_at >= threshold {
-                return Ok(None);
-            }
-            let fresh = (total - e.observed) as usize;
-            let tail = &vals[vals.len().saturating_sub(fresh)..];
-            for &v in tail {
-                e.forecaster.observe(v)?;
-            }
-            e.observed = total;
-            Ok(Some(tail.len() as u64))
-        });
-        let Some(fresh) = absorbed.transpose()?.flatten() else {
+        if !self.absorb(telemetry, key, e)? {
             return Ok(None);
-        };
+        }
+        let fresh = e.observed - e.rolled_at;
         if fresh == 0 {
             self.cache.hits.inc();
             self.cache.bump_scoped(&key.target, |sc| &sc.hits);
@@ -371,6 +394,7 @@ impl HecateService {
         let span = trace.as_ref().map(|(t, at)| t.span("ml", "ml.roll", *at));
         e.forecaster.roll_into(self.horizon, &mut e.rolled)?;
         e.rolled_horizon = self.horizon;
+        e.rolled_at = e.observed;
         if let (Some(span), Some((_, at))) = (span, &trace) {
             let horizon = self.horizon as u64;
             span.end(*at, || {
@@ -410,20 +434,33 @@ impl HecateService {
                     Ok(Some(values)) => return Ok(wrap(values)),
                     Ok(None) => {} // stale: refit
                     Err(err) => {
-                        // A non-finite sample. The window may have
-                        // taken the samples before it, so the entry is
-                        // spent: skip the path now, refit next consult.
                         drop(e);
-                        self.cache.entries.write().remove(&key);
+                        self.spend(&key);
                         return Err(err.into());
                     }
                 }
             }
         }
-        // Refit path: fit outside any lock (fits are the expensive part
-        // and must not serialize a parallel fan-out over many paths),
-        // then publish. Concurrent misses on the same key may fit twice;
-        // both fits are deterministic, so last-write-wins is harmless.
+        self.refit(telemetry, key).map(wrap)
+    }
+
+    /// Drops `key`'s entry after a non-finite sample. The window may
+    /// have taken the samples before it, so the entry is spent: the
+    /// path is skipped now and refits at the next consult.
+    fn spend(&self, key: &SeriesKey) {
+        self.cache.entries.write().remove(key);
+    }
+
+    /// The refit arm: fits outside any lock (fits are the expensive
+    /// part and must not serialize a parallel fan-out over many paths),
+    /// then publishes the entry and returns its roll. Concurrent misses
+    /// on the same key may fit twice; both fits are deterministic, so
+    /// last-write-wins is harmless.
+    fn refit(
+        &self,
+        telemetry: &TelemetryService,
+        key: SeriesKey,
+    ) -> Result<Vec<f64>, FrameworkError> {
         let entry = self.fit_entry(telemetry, &key)?;
         let values = entry.rolled.clone();
         self.cache.refits.inc();
@@ -432,7 +469,27 @@ impl HecateService {
             .entries
             .write()
             .insert(key, Arc::new(Mutex::new(entry)));
-        Ok(wrap(values))
+        Ok(values)
+    }
+
+    /// The deferred arm, minus the refit: `None` when one is due, else
+    /// whether the series is still forecastable. A usable entry takes
+    /// its fresh samples into the lag window without a roll; a
+    /// non-finite one spends it, as in [`HecateService::forecast_path`].
+    fn defer(&self, telemetry: &TelemetryService, key: &SeriesKey) -> Option<bool> {
+        let cell = self.cache.entries.read().get(key).cloned()?;
+        let mut e = cell.lock();
+        if !self.entry_usable(&e) {
+            return None;
+        }
+        match self.absorb(telemetry, key, &mut e) {
+            Ok(absorbed) => absorbed.then_some(true),
+            Err(_) => {
+                drop(e);
+                self.spend(key);
+                Some(false)
+            }
+        }
     }
 
     /// The seed reproduction's behavior: refit from history on every
@@ -471,6 +528,7 @@ impl HecateService {
         let e = cell.lock();
         if self.entry_usable(&e)
             && e.rolled_horizon == self.horizon
+            && e.rolled_at == e.observed
             && e.observed == telemetry.total(key)
         {
             Some(e.rolled.clone())
@@ -482,52 +540,96 @@ impl HecateService {
     /// Forecasts every candidate path; paths with insufficient history
     /// are skipped (they cannot be recommended yet). Results come back
     /// in candidate order.
-    ///
-    /// Steady state (every path a memoized cache hit) is served
-    /// sequentially — the work per path is a map lookup and a
-    /// ten-float clone, which thread spawns would dominate. As soon as
-    /// any path needs the update/refit protocol, the whole candidate
-    /// set fans out over scoped workers so model fits run in parallel.
     pub fn forecast_all(
         &self,
         telemetry: &TelemetryService,
         paths: &[String],
         metric: Metric,
     ) -> Vec<PathForecast> {
-        let hits: Option<Vec<PathForecast>> = paths
+        self.forecast_needed(telemetry, paths, &vec![true; paths.len()], metric)
+            .0
+    }
+
+    /// [`HecateService::forecast_all`] for a decision that reads only
+    /// the paths with `needed[i]` set. Those get the full protocol, and
+    /// their forecasts come back in candidate order (unforecastable ones
+    /// skipped). Every other path is *deferred*: it refits when that
+    /// refit is due, and otherwise slides its fresh samples into the lag
+    /// window but skips the roll. Staleness counts from the fit and a
+    /// roll is a pure function of the window, so refits land where
+    /// `forecast_all` puts them and later forecasts carry its bits.
+    ///
+    /// The flag says whether *any* path could be forecast, deferred ones
+    /// included — what a cold-start fallback must test.
+    ///
+    /// An all-hit call runs sequentially (a lookup and a ten-float clone
+    /// per path, which thread spawns would dominate); otherwise the
+    /// needed paths and due refits fan out once over scoped workers.
+    pub fn forecast_needed(
+        &self,
+        telemetry: &TelemetryService,
+        paths: &[String],
+        needed: &[bool],
+        metric: Metric,
+    ) -> (Vec<PathForecast>, bool) {
+        let mut forecastable = false;
+        // (path, needed) for every path that needs a forecast or a
+        // refit, in candidate order.
+        let mut work: Vec<(&String, bool)> = Vec::with_capacity(paths.len());
+        for (i, path) in paths.iter().enumerate() {
+            if needed.get(i) == Some(&true) {
+                work.push((path, true));
+                continue;
+            }
+            match self.defer(telemetry, &SeriesKey::new(path, metric)) {
+                Some(ok) => forecastable |= ok,
+                None => work.push((path, false)),
+            }
+        }
+        let hits: Option<Vec<PathForecast>> = work
             .iter()
-            .map(|p| {
-                self.try_hit(telemetry, &SeriesKey::new(p, metric))
+            .map(|&(path, need)| {
+                need.then(|| self.try_hit(telemetry, &SeriesKey::new(path, metric)))?
                     .map(|values| PathForecast {
-                        path: p.clone(),
+                        path: path.clone(),
                         values,
                     })
             })
             .collect();
         if let Some(forecasts) = hits {
-            self.cache.hits.add(paths.len() as u64);
+            self.cache.hits.add(forecasts.len() as u64);
             if self.cache.scoped_on.load(Ordering::Relaxed) {
-                for p in paths {
-                    self.cache.bump_scoped(p, |sc| &sc.hits);
+                for f in &forecasts {
+                    self.cache.bump_scoped(&f.path, |sc| &sc.hits);
                 }
             }
-            return forecasts;
+            let forecastable = forecastable || !forecasts.is_empty();
+            return (forecasts, forecastable);
         }
+        let serve = |&(path, need): &(&String, bool)| -> (Option<PathForecast>, bool) {
+            if need {
+                let forecast = self.forecast_path(telemetry, path, metric).ok();
+                let ok = forecast.is_some();
+                (forecast, ok)
+            } else {
+                let refit = self.refit(telemetry, SeriesKey::new(path, metric));
+                (None, refit.is_ok())
+            }
+        };
         // A traced run fans out sequentially: `ml.fit`/`ml.roll` span
         // emission order must be deterministic, and worker
         // interleaving is not. Results are bitwise identical either
         // way — forecasts are independent and `par_map` preserves
         // candidate order — so only the trace artifact cares.
-        if self.cache.trace_on.load(Ordering::Relaxed) {
-            return paths
-                .iter()
-                .filter_map(|p| self.forecast_path(telemetry, p, metric).ok())
-                .collect();
-        }
-        linalg::par::par_map(paths, |p| self.forecast_path(telemetry, p, metric).ok())
-            .into_iter()
-            .flatten()
-            .collect()
+        let served: Vec<(Option<PathForecast>, bool)> =
+            if self.cache.trace_on.load(Ordering::Relaxed) {
+                work.iter().map(serve).collect()
+            } else {
+                linalg::par::par_map(&work, serve)
+            };
+        let forecastable = forecastable || served.iter().any(|&(_, ok)| ok);
+        let forecasts = served.into_iter().filter_map(|(f, _)| f).collect();
+        (forecasts, forecastable)
     }
 
     /// Refit-every-time variant of [`HecateService::forecast_all`] (the

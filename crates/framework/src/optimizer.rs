@@ -332,8 +332,7 @@ impl SolverKind {
     }
 }
 
-/// Tuning knobs for the shared-link optimizer and the multi-pair
-/// decision tick.
+/// Tuning knobs for the shared-link optimizer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimizerConfig {
     /// Assignment-space ceiling for the exhaustive placement search:
@@ -346,10 +345,6 @@ pub struct OptimizerConfig {
     pub exhaustive_bound: u64,
     /// Standing-rate strategy across decision ticks.
     pub mode: SolveMode,
-    /// Worker threads for the multi-pair decision tick
-    /// ([`crate::controller::decide_flows_pairs_sharded`]); `1` runs
-    /// the sequential path. Results are bit-identical at any count.
-    pub decision_shards: usize,
 }
 
 impl Default for OptimizerConfig {
@@ -357,7 +352,6 @@ impl Default for OptimizerConfig {
         OptimizerConfig {
             exhaustive_bound: SHARED_EXHAUSTIVE_BOUND,
             mode: SolveMode::default(),
-            decision_shards: 1,
         }
     }
 }

@@ -7,8 +7,7 @@
 //! [`SelfDrivingNetwork::run_trace_driven_steering`] (extension).
 
 use crate::controller::{
-    decide_flows, decide_flows_pairs_sharded, decide_path, forecasts_by_tunnel, PathDecision,
-    SequenceLog,
+    decide_flows, decide_flows_pairs, decide_path, forecasts_by_tunnel, PathDecision, SequenceLog,
 };
 use crate::hecate::HecateService;
 use crate::optimizer::{
@@ -135,7 +134,7 @@ pub struct SelfDrivingNetwork {
     /// of its own); refreshed at every decision entry point.
     pub(crate) ml_clock: obsv::SimClock,
     /// Optimizer knobs: exhaustive-vs-greedy cutoff, incremental vs
-    /// full-recompute water-fill, decision sharding. Set via
+    /// full-recompute water-fill. Set via
     /// [`SelfDrivingNetwork::set_optimizer_config`].
     pub(crate) opt: OptimizerConfig,
     /// The standing incremental water-fill engine
@@ -393,12 +392,16 @@ impl SelfDrivingNetwork {
             .tunnels
             .get(tunnel)
             .ok_or(FrameworkError::NoFeasiblePath)?;
+        let (Some(&first), Some(&last)) = (compiled.node_path.first(), compiled.node_path.last())
+        else {
+            return Err(FrameworkError::NoFeasiblePath);
+        };
         let mut path = Vec::with_capacity(compiled.node_path.len() + 2);
-        if p.src_node != compiled.node_path[0] {
+        if p.src_node != first {
             path.push(p.src_node);
         }
         path.extend_from_slice(&compiled.node_path);
-        if p.dst_node != *compiled.node_path.last().expect("non-empty tunnel") {
+        if p.dst_node != last {
             path.push(p.dst_node);
         }
         self.sim.topo.path_links(&path)?;
@@ -545,10 +548,10 @@ impl SelfDrivingNetwork {
     ///
     /// A single-pair network decides via [`decide_flows`] (the legacy
     /// bottleneck-per-tunnel engine, bit-for-bit unchanged); a
-    /// multi-pair network decides via [`decide_flows_pairs_sharded`]
-    /// (one shard unless configured otherwise) against
+    /// multi-pair network decides via [`decide_flows_pairs`] against
     /// the shared-link capacity model, so a batch spanning pairs never
-    /// oversubscribes a link two candidate tunnels have in common.
+    /// oversubscribes a link two candidate tunnels have in common, and
+    /// forecasts only the batch's pairs' tunnels.
     ///
     /// The batch installs all or nothing, with one edge transaction per
     /// ingress router: on `Err` no flow of it is managed or running and
@@ -581,33 +584,31 @@ impl SelfDrivingNetwork {
             .obsv
             .tracer
             .span("decide", "decide.consult", self.sim.now_ns());
-        let mut sharded = None;
+        let mut solved = None;
         let decisions = if self.pairs.len() == 1 {
-            let candidates = self.tunnel_names();
             decide_flows(
                 &self.hecate,
                 &self.telemetry,
                 reqs,
-                &candidates,
+                &self.tunnel_order,
                 objective,
                 &mut self.log,
             )?
         } else {
-            let names = self.tunnel_names();
             // New flows are placed on top of the running assignment:
             // headroom is what the current flows leave behind.
             let model = self.link_model(false);
-            let out = decide_flows_pairs_sharded(
+            let out = decide_flows_pairs(
                 &self.hecate,
                 &self.telemetry,
                 reqs,
-                &names,
+                &self.tunnel_order,
                 &model,
                 objective,
                 &self.opt,
                 &mut self.log,
             )?;
-            sharded = Some((out.solver, out.shards));
+            solved = Some((out.solver, out.series));
             out.decisions
         };
         let now_ns = self.sim.now_ns();
@@ -630,31 +631,17 @@ impl SelfDrivingNetwork {
         } else {
             consult.end(now_ns, Vec::new);
         }
-        if tracing {
-            if let Some((solver, shards)) = &sharded {
-                // One decide.solve span per decision shard, emitted
-                // after the join in shard order — the record stream
-                // never depends on worker interleaving. Stamps are pure
-                // sim time (zero width): traces are part of the
-                // bit-replay contract, so the workers' wall-derived
-                // busy time never reaches a record — it stays on
-                // [`ShardedDecision`] for the bench harness.
-                let solver = *solver;
-                for r in shards {
-                    let span = self.obsv.tracer.span("decide", "decide.solve", now_ns);
-                    let (shard, series) = (r.shard as u64, r.series as u64);
-                    span.end(now_ns, move || {
-                        let mut args = vec![
-                            ("shard", obsv::Value::U64(shard)),
-                            ("series", obsv::Value::U64(series)),
-                        ];
-                        if let Some(kind) = solver {
-                            args.push(("solver", obsv::Value::Str(kind.label().to_string())));
-                        }
-                        args
-                    });
+        if let (true, Some((solver, series))) = (tracing, solved) {
+            // Stamps are pure sim time (zero width): traces are part of
+            // the bit-replay contract.
+            let span = self.obsv.tracer.span("decide", "decide.solve", now_ns);
+            span.end(now_ns, move || {
+                let mut args = vec![("series", obsv::Value::U64(series as u64))];
+                if let Some(kind) = solver {
+                    args.push(("solver", obsv::Value::Str(kind.label().to_string())));
                 }
-            }
+                args
+            });
         }
         let place = self.obsv.tracer.span("decide", "decide.place", now_ns);
         self.install_flows(reqs, &decisions)?;
@@ -820,7 +807,7 @@ impl SelfDrivingNetwork {
             return Ok(Vec::new());
         }
         self.log.record("askHecatePath");
-        let names = self.tunnel_names();
+        let names = &self.tunnel_order;
         let tracing = self.obsv.tracer.enabled();
         let cache_before = if tracing {
             self.hecate.cache_stats()
@@ -834,7 +821,7 @@ impl SelfDrivingNetwork {
             .span("decide", "decide.forecast", self.sim.now_ns());
         let forecasts =
             self.hecate
-                .forecast_all(&self.telemetry, &names, Metric::AvailableBandwidth);
+                .forecast_all(&self.telemetry, names, Metric::AvailableBandwidth);
         let now_ns = self.sim.now_ns();
         if tracing {
             let after = self.hecate.cache_stats();
@@ -862,7 +849,7 @@ impl SelfDrivingNetwork {
         // whose path is physically broken is worth zero regardless of
         // what the forecast extrapolates — reachability is control-plane
         // truth, not a prediction.
-        let forecast_of = forecasts_by_tunnel(&names, &forecasts);
+        let forecast_of = forecasts_by_tunnel(names, &forecasts);
         let caps: Vec<f64> = names
             .iter()
             .zip(forecast_of)
@@ -913,7 +900,7 @@ impl SelfDrivingNetwork {
             .flows
             .iter()
             .zip(&tunnel_of_flow)
-            .map(|(f, &t)| (f.label.clone(), names[t].clone()))
+            .map(|(f, &t)| (f.label.clone(), self.tunnel_order[t].clone()))
             .collect();
         let assigned = moves.len() as u64;
         let mode = self.opt.mode;
@@ -938,7 +925,7 @@ impl SelfDrivingNetwork {
     }
 
     /// The optimizer configuration in force (solver cutoff, solve
-    /// mode, decision shards).
+    /// mode).
     pub fn optimizer_config(&self) -> &OptimizerConfig {
         &self.opt
     }
@@ -970,17 +957,17 @@ impl SelfDrivingNetwork {
     /// `framework.waterfill.incremental.*`; the debug audit pins the
     /// standing solution to the from-scratch recompute bit for bit.
     fn patch_waterfill(&mut self, model: &SharedLinkModel, placement: &[usize]) {
-        let stale = self.waterfill.as_ref().is_none_or(|wf| {
+        if self.waterfill.as_ref().is_some_and(|wf| {
             wf.link_count() != model.headroom.len() || wf.tunnel_count() != model.tunnel_links.len()
-        });
-        if stale {
+        }) {
+            self.waterfill = None;
+        }
+        let wf = self.waterfill.get_or_insert_with(|| {
             let wf = SharedWaterfill::new(model);
             wf.metrics()
                 .register(&self.obsv.metrics, "framework.waterfill.incremental");
-            self.waterfill = Some(wf);
-        }
-        // detlint: allow(bare-panic) — ensured two lines up.
-        let wf = self.waterfill.as_mut().expect("just ensured");
+            wf
+        });
         for (l, &h) in model.headroom.iter().enumerate() {
             wf.set_headroom(l, h);
         }
@@ -1215,7 +1202,7 @@ impl SelfDrivingNetwork {
         let mut ping_on_current = |sdn: &mut Self| -> Result<(), FrameworkError> {
             let tunnel = sdn
                 .flow_tunnel("icmp")
-                .expect("icmp flow exists")
+                .ok_or(FrameworkError::NoFeasiblePath)?
                 .to_string();
             let path = sdn.tunnels[&tunnel].node_path.clone();
             let rtt = sdn.sim.ping(&path)?;

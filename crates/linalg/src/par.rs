@@ -32,22 +32,24 @@ where
     if workers <= 1 || n <= 1 {
         return (0..n).map(f).collect();
     }
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
     let chunk = n.div_ceil(workers);
     std::thread::scope(|scope| {
-        for (w, slot_chunk) in out.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || {
-                let base = w * chunk;
-                for (k, slot) in slot_chunk.iter_mut().enumerate() {
-                    *slot = Some(f(base + k));
-                }
-            });
+        let f = &f;
+        let workers: Vec<_> = (0..n)
+            .step_by(chunk)
+            .map(|lo| scope.spawn(move || (lo..n.min(lo + chunk)).map(f).collect::<Vec<T>>()))
+            .collect();
+        let mut out = Vec::with_capacity(n);
+        for worker in workers {
+            match worker.join() {
+                Ok(part) => out.extend(part),
+                // Re-raise a worker's panic on the caller, as the scope
+                // itself would.
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
         }
-    });
-    out.into_iter()
-        .map(|o| o.expect("worker filled every slot"))
-        .collect()
+        out
+    })
 }
 
 /// Maps `f` over a slice in parallel, preserving order.

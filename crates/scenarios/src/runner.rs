@@ -115,10 +115,9 @@ pub struct Scenario {
     /// with ~100k flows. Fluid plane only.
     pub elastic: Option<crate::elastic::ElasticSpec>,
     /// Controller solver knobs (exhaustive-vs-greedy cutoff, incremental
-    /// vs full-recompute water-fill, decision shard count). The default
-    /// is the framework's default; both solve modes and every shard
-    /// count produce bit-identical decisions, so this only moves *how*
-    /// the same answer is computed.
+    /// vs full-recompute water-fill). The default is the framework's
+    /// default; both solve modes produce bit-identical decisions, so the
+    /// mode only moves *how* the same answer is computed.
     pub optimizer: OptimizerConfig,
     /// Fluid or packet plane.
     pub plane: PlaneMode,
