@@ -80,7 +80,8 @@ const CRITICAL_CRATES: &[&str] = &[
 ];
 
 /// Hot-path modules where `bare-panic` applies: a panic here tears down
-/// a simulation or a forwarding worker mid-scenario.
+/// a simulation or a forwarding worker mid-scenario. An entry ending in
+/// `/` covers every file below it.
 const BARE_PANIC_FILES: &[&str] = &[
     "crates/netsim/src/sim.rs",
     "crates/netsim/src/queue.rs",
@@ -95,15 +96,10 @@ const BARE_PANIC_FILES: &[&str] = &[
     "crates/dataplane/src/netem.rs",
     // `CoreNode::forward` runs once per packet per hop.
     "crates/polka/src/route.rs",
-    // A forest fit runs inside every consult; bad telemetry must come
-    // back as `MlError`, not abort the controller.
-    "crates/hecate-ml/src/tree.rs",
-    "crates/hecate-ml/src/ensemble.rs",
-    "crates/hecate-ml/src/boost.rs",
-    // The update path — scale, slide, roll — runs for every series on
-    // every tick between fits.
-    "crates/hecate-ml/src/pipeline.rs",
-    "crates/hecate-ml/src/scale.rs",
+    // Every model's fit and roll runs inside a consult, whichever model
+    // the service was built with; bad telemetry must come back as
+    // `MlError`, not abort the controller.
+    "crates/hecate-ml/src/",
     "crates/framework/src/hecate.rs",
     // The rest of the consult path: admission, installs and migrations,
     // and the fan-out every forecast and fit runs under.
@@ -243,7 +239,9 @@ fn wall_clock_exempt(vpath: &str) -> bool {
 }
 
 fn bare_panic_target(vpath: &str) -> bool {
-    BARE_PANIC_FILES.contains(&vpath)
+    BARE_PANIC_FILES
+        .iter()
+        .any(|f| vpath == *f || (f.ends_with('/') && vpath.starts_with(f)))
 }
 
 fn is_test_path(vpath: &str) -> bool {
@@ -1254,6 +1252,16 @@ mod tests {
         assert!(scan_at("crates/netsim/src/topo.rs", src).is_empty());
         let test_src = "#[cfg(test)]\nmod tests { fn f(x: Option<u32>) -> u32 { x.unwrap() } }";
         assert!(scan_at("crates/netsim/src/sim.rs", test_src).is_empty());
+    }
+
+    #[test]
+    fn bare_panic_covers_every_file_of_a_listed_directory() {
+        let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
+        for path in ["crates/hecate-ml/src/gp.rs", "crates/hecate-ml/src/a/b.rs"] {
+            assert_eq!(rules_of(&scan_at(path, src)), ["bare-panic"], "{path}");
+        }
+        assert!(scan_at("crates/hecate-ml/tests/x.rs", src).is_empty());
+        assert!(scan_at("crates/hecate-ml-extra/src/x.rs", src).is_empty());
     }
 
     #[test]

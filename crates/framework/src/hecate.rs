@@ -841,6 +841,29 @@ mod tests {
     }
 
     #[test]
+    fn a_poisoned_series_costs_any_model_only_its_own_forecast() {
+        // Unchecked, HGBR's binning sort panicked on the sample and took
+        // the whole fan-out down; LR forecast NaN off it.
+        let sick = SeriesKey::new("sick", Metric::AvailableBandwidth);
+        let paths = ["t1".to_string(), "sick".to_string(), "t3".to_string()];
+        for model in [RegressorKind::Hgbr, RegressorKind::Lr] {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let ts = seeded_store(&[("t1", 10.0), ("sick", 12.0), ("t3", 8.0)]);
+                ts.insert(&sick, 60_000, bad);
+                ts.insert(&sick, 61_000, 12.0);
+                let got = HecateService::with_model(model).forecast_all(
+                    &ts,
+                    &paths,
+                    Metric::AvailableBandwidth,
+                );
+                let names: Vec<&str> = got.iter().map(|f| f.path.as_str()).collect();
+                assert_eq!(names, ["t1", "t3"], "{model} on {bad}");
+                assert!(got.iter().all(|f| f.values.iter().all(|v| v.is_finite())));
+            }
+        }
+    }
+
+    #[test]
     fn no_candidates_is_an_error() {
         let ts = TelemetryService::new(10);
         let h = HecateService::new();

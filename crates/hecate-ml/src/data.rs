@@ -9,10 +9,10 @@ use linalg::Matrix;
 /// models to 10 values that represent t_i to t_{i-9}. These values are
 /// passed to the models to predict bandwidth at t_{i+1}."
 ///
-/// Returns `None` if the series is too short to produce a single window.
+/// Returns `None` if `lags` is 0 or the series is too short to produce a
+/// single window.
 pub fn make_supervised(series: &[f64], lags: usize) -> Option<(Matrix, Vec<f64>)> {
-    assert!(lags >= 1, "need at least one lag");
-    if series.len() <= lags {
+    if lags == 0 || series.len() <= lags {
         return None;
     }
     let n = series.len() - lags;
@@ -86,6 +86,12 @@ mod tests {
     fn too_short_series_returns_none() {
         assert!(make_supervised(&[1.0, 2.0], 2).is_none());
         assert!(make_supervised(&[1.0, 2.0, 3.0], 10).is_none());
+    }
+
+    #[test]
+    fn zero_lags_returns_none() {
+        assert!(make_supervised(&[1.0, 2.0, 3.0], 0).is_none());
+        assert!(supervised_split(&[1.0; 40], 0, 0.75).is_none());
     }
 
     #[test]

@@ -11,8 +11,9 @@
 //! node instead of `O(features · n log n)`.
 
 use crate::model::Regressor;
-use crate::{check_xy, MlError};
+use crate::{check_finite, check_xy, MlError};
 use linalg::Matrix;
+use std::cmp::Ordering;
 
 /// Quantile binner shared by fit and predict.
 #[derive(Debug, Clone, Default)]
@@ -27,7 +28,9 @@ impl Binner {
         let mut edges = Vec::with_capacity(x.cols());
         for j in 0..x.cols() {
             let mut col = x.col(j);
-            col.sort_by(|a, b| a.partial_cmp(b).expect("NaN feature"));
+            // `fit` rejects non-finite input first; `Equal` keeps `-0.0`
+            // and `0.0` in place, where `total_cmp` would reorder them.
+            col.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
             col.dedup();
             let mut ej = Vec::new();
             if col.len() > 1 {
@@ -297,6 +300,8 @@ impl HistGradientBoostingRegressor {
 impl Regressor for HistGradientBoostingRegressor {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), MlError> {
         check_xy(x, y)?;
+        check_finite("X", x.as_slice())?;
+        check_finite("y", y)?;
         self.binner = Binner::fit(x, self.max_bins);
         let binned = self.binner.bin_matrix(x);
         self.baseline = linalg::stats::mean(y);

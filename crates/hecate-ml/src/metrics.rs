@@ -1,13 +1,24 @@
 //! Regression quality metrics. The paper reports RMSE per path (Fig 6);
 //! MAE and R² are provided for the extended evaluation.
 
+/// The metrics' one precondition: paired, non-empty slices.
+fn check_pair(y_true: &[f64], y_pred: &[f64]) {
+    // detlint: allow(bare-panic) — metrics score evaluations (Fig 6,
+    // model selection), never a consult; every caller pairs one
+    // window's targets with its predictions, so a mismatch is a caller
+    // bug, documented under `# Panics`.
+    assert!(
+        y_true.len() == y_pred.len() && !y_true.is_empty(),
+        "length mismatch or empty input"
+    );
+}
+
 /// Root mean squared error.
 ///
 /// # Panics
 /// Panics if the slices differ in length or are empty.
 pub fn rmse(y_true: &[f64], y_pred: &[f64]) -> f64 {
-    assert_eq!(y_true.len(), y_pred.len(), "length mismatch");
-    assert!(!y_true.is_empty(), "empty input");
+    check_pair(y_true, y_pred);
     let mse = y_true
         .iter()
         .zip(y_pred)
@@ -22,8 +33,7 @@ pub fn rmse(y_true: &[f64], y_pred: &[f64]) -> f64 {
 /// # Panics
 /// Panics if the slices differ in length or are empty.
 pub fn mae(y_true: &[f64], y_pred: &[f64]) -> f64 {
-    assert_eq!(y_true.len(), y_pred.len(), "length mismatch");
-    assert!(!y_true.is_empty(), "empty input");
+    check_pair(y_true, y_pred);
     y_true
         .iter()
         .zip(y_pred)
@@ -39,8 +49,7 @@ pub fn mae(y_true: &[f64], y_pred: &[f64]) -> f64 {
 /// # Panics
 /// Panics if the slices differ in length or are empty.
 pub fn r2(y_true: &[f64], y_pred: &[f64]) -> f64 {
-    assert_eq!(y_true.len(), y_pred.len(), "length mismatch");
-    assert!(!y_true.is_empty(), "empty input");
+    check_pair(y_true, y_pred);
     let mean = y_true.iter().sum::<f64>() / y_true.len() as f64;
     let ss_res: f64 = y_true
         .iter()

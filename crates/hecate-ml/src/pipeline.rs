@@ -59,6 +59,7 @@ pub fn evaluate_regressor(
     series: &[f64],
     config: &PipelineConfig,
 ) -> Result<EvalReport, MlError> {
+    check_finite("series", series)?;
     let (train, test) = sequential_split(series, config.train_fraction);
     if train.len() <= config.lags || test.len() <= config.lags {
         return Err(MlError::BadShape(format!(
@@ -146,13 +147,16 @@ impl std::fmt::Debug for TrainedForecaster {
 impl TrainedForecaster {
     /// Fit phase: scaler statistics from the whole history, lag-window
     /// supervision, one model fit, and the trailing window captured for
-    /// rolling. Requires more than `lags + 1` samples.
+    /// rolling. Requires more than `lags + 1` samples, all finite: one
+    /// NaN or ±∞ fails every model's fit here, where some would panic
+    /// and others would return a non-finite forecast.
     pub fn fit(
         kind: RegressorKind,
         history: &[f64],
         lags: usize,
         seed: u64,
     ) -> Result<Self, MlError> {
+        check_finite("history", history)?;
         if history.len() <= lags + 1 {
             return Err(MlError::BadShape(format!(
                 "need more than {} samples, have {}",
@@ -435,6 +439,25 @@ mod tests {
         series[60] = f64::NAN;
         let err = TrainedForecaster::fit(RegressorKind::Rfr, &series, 10, 42).unwrap_err();
         assert!(matches!(err, MlError::Numeric(_)), "{err}");
+    }
+
+    #[test]
+    fn non_finite_history_fails_every_fit() {
+        // Unchecked, five kinds panicked on such a history and six
+        // returned non-finite forecasts.
+        for kind in RegressorKind::all() {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                let mut series = synthetic_series(120);
+                series[60] = bad;
+                let err = TrainedForecaster::fit(kind, &series, 10, 42).unwrap_err();
+                assert!(matches!(err, MlError::Numeric(_)), "{kind} on {bad}: {err}");
+                let err = forecast_next(kind, &series, 10, 10, 42).unwrap_err();
+                assert!(matches!(err, MlError::Numeric(_)), "{kind} on {bad}: {err}");
+                let cfg = PipelineConfig::default();
+                let err = evaluate_regressor(kind, &series, &cfg).unwrap_err();
+                assert!(matches!(err, MlError::Numeric(_)), "{kind} on {bad}: {err}");
+            }
+        }
     }
 
     #[test]

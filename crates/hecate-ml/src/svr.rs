@@ -16,8 +16,9 @@
 //! crosses zero.
 
 use crate::model::Regressor;
-use crate::{check_xy, MlError};
+use crate::{check_finite, check_xy, MlError};
 use linalg::Matrix;
+use std::cmp::Ordering;
 
 /// Kernel choice for [`SvrRegressor`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,7 +98,9 @@ fn best_pair_step(g: f64, eta: f64, eps: f64, bi: f64, bj: f64, lo: f64, hi: f64
     // Breakpoints where the L1 terms change slope.
     let mut points = vec![lo, hi, -bi, bj];
     points.retain(|p| *p >= lo - 1e-15 && *p <= hi + 1e-15);
-    points.sort_by(|a, b| a.partial_cmp(b).expect("finite breakpoints"));
+    // Finite for finite data, which `fit` checks; `Equal` keeps `-0.0`
+    // and `0.0` in place, where `total_cmp` would reorder them.
+    points.sort_by(|a, b| a.partial_cmp(b).unwrap_or(Ordering::Equal));
     points.dedup_by(|a, b| (*a - *b).abs() < 1e-15);
 
     let objective = |d: f64| -> f64 {
@@ -134,6 +137,8 @@ fn best_pair_step(g: f64, eta: f64, eps: f64, bi: f64, bj: f64, lo: f64, hi: f64
 impl Regressor for SvrRegressor {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), MlError> {
         check_xy(x, y)?;
+        check_finite("X", x.as_slice())?;
+        check_finite("y", y)?;
         let n = x.rows();
         self.gamma_resolved = match self.kernel {
             SvrKernel::Linear => 1.0,

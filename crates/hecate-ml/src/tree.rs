@@ -253,10 +253,31 @@ impl DecisionTreeRegressor {
                 return Err(MlError::BadHyperparameter("negative sample weight".into()));
             }
             check_finite("sample weights", w)?;
+            check_split_sums("sample weights", w.iter().copied())?;
+            check_split_sums("weighted y", w.iter().zip(y).map(|(w, y)| w * y))?;
         }
         self.tree = Forest::default();
         TreeBuilder::new(&pre).fit(self.config, &pre.all_rows(), y, w, &mut self.tree);
         Ok(())
+    }
+}
+
+/// Rejects per-row values too large to score a split with. A tree sums
+/// at most as many of them as there are rows (a sample of the rows,
+/// repeats allowed) and squares the sums, so `rows · max|v|`, squared,
+/// must be finite. Then no sum overflows and every split score is
+/// finite or `+∞`, never NaN: a NaN is the one score on which
+/// [`TreeBuilder::best_split`]'s max-by-select and a sequential
+/// strict-`>` scan (which keeps a NaN met first) disagree.
+fn check_split_sums(what: &str, values: impl ExactSizeIterator<Item = f64>) -> Result<(), MlError> {
+    let rows = values.len() as f64;
+    let reach = rows * values.fold(0.0, |m: f64, v| m.max(v.abs()));
+    if (reach * reach).is_finite() {
+        Ok(())
+    } else {
+        Err(MlError::Numeric(format!(
+            "{what} too large: a split score could overflow"
+        )))
     }
 }
 
@@ -273,11 +294,13 @@ pub(crate) struct Presort {
 }
 
 impl Presort {
-    /// Copies and ranks `x`. Errors on mismatched or empty `x`/`y` and on
-    /// a non-finite value in either: the ranking sort compares infallibly.
+    /// Copies and ranks `x`. Errors on mismatched or empty `x`/`y`, on a
+    /// non-finite value in either (the ranking sort compares
+    /// infallibly), and on a `y` too large for [`check_split_sums`].
     pub(crate) fn new(x: &Matrix, y: &[f64]) -> Result<Presort, MlError> {
         check_xy(x, y)?;
         check_finite("y", y)?;
+        check_split_sums("y", y.iter().copied())?;
         let n = x.rows();
         // Rows, ranks and node offsets are kept as `u32`; a tree on `n`
         // samples has fewer than `2 n` nodes.
@@ -330,6 +353,11 @@ pub(crate) struct TreeBuilder<'a> {
     cursor: Vec<u32>,
     /// Candidate features of the node being split.
     features: Vec<usize>,
+    /// Per position of the range being scanned, in the feature's order:
+    /// the running `(Σw, Σw·y)` up to and including that row.
+    prefix: Vec<(f64, f64)>,
+    /// The row's value of the feature being scanned, same positions.
+    xs: Vec<f64>,
 }
 
 /// One fit's inputs and the arena the tree is appended to.
@@ -359,6 +387,8 @@ impl<'a> TreeBuilder<'a> {
             goes_left: vec![false; pre.rows],
             cursor: Vec::new(),
             features: Vec::new(),
+            prefix: Vec::new(),
+            xs: Vec::new(),
         }
     }
 
@@ -378,6 +408,8 @@ impl<'a> TreeBuilder<'a> {
         self.len = len;
         self.order.resize((nf + 1) * len, 0);
         self.scratch.resize(len, 0);
+        self.prefix.resize(len, (0.0, 0.0));
+        self.xs.resize(len, 0.0);
         for f in 0..nf {
             // Counting sort by rank. It is stable, so rows with equal
             // values stay in sample order: what a stable sort of the
@@ -459,51 +491,72 @@ impl<'a> TreeBuilder<'a> {
 
     /// The weighted-variance-minimizing `(feature, threshold)` over the
     /// candidate features, or `None` if no valid split improves on the
-    /// parent. Sums run in each feature's sorted order.
-    fn best_split(&self, t: &Task, lo: usize, hi: usize, parent: f64) -> Option<(usize, f64)> {
+    /// parent by more than `1e-12`.
+    ///
+    /// Two passes per feature, neither with a data-dependent branch. The
+    /// first walks the feature's order once, recording the running sums
+    /// and the values; its last sums are the totals, from the adds of a
+    /// separate total loop in the same order. The second scores every cut
+    /// `k` (rows `..=k` go left) and keeps the running maximum by select,
+    /// a cut between equal values scoring `-∞`. Cuts that leave a side
+    /// fewer than `min_samples_leaf` rows, or no weight, are not scanned.
+    ///
+    /// Strict `>` over cuts, then over features, keeps the first
+    /// `(feature, k)` holding the maximum. That is the cut a sequential
+    /// scan returns when it drops scores `<= parent + 1e-12` and keeps
+    /// only a strictly better one: if the maximum clears the floor, the
+    /// scan drops no cut that holds it, and it keeps the first. The two
+    /// would part ways only on a NaN score, which [`Presort::new`] rules
+    /// out.
+    fn best_split(&mut self, t: &Task, lo: usize, hi: usize, parent: f64) -> Option<(usize, f64)> {
         let n = hi - lo;
         let min_leaf = t.config.min_samples_leaf;
-        let mut best: Option<(f64, usize, f64)> = None;
+        // Cut `k` leaves `k + 1` rows left and `n - k - 1` right.
+        let end = n.saturating_sub(min_leaf.max(1));
+        let start = min_leaf.saturating_sub(1).min(end);
+        let (prefix, xs) = (&mut self.prefix[..n], &mut self.xs[..n]);
+        let (mut best, mut split) = (f64::NEG_INFINITY, (0, 0.0));
         for &feature in &self.features {
             let col = &self.pre.cols[feature * self.pre.rows..][..self.pre.rows];
             let order = &self.order[feature * self.len..][lo..hi];
-            let (mut total_w, mut total_wy) = (0.0, 0.0);
-            for &r in order {
+            let (mut sw, mut swy) = (0.0, 0.0);
+            for ((&r, p), x) in order.iter().zip(prefix.iter_mut()).zip(xs.iter_mut()) {
                 let (w, wy) = t.weigh(r);
-                total_w += w;
-                total_wy += wy;
+                sw += w;
+                swy += wy;
+                *p = (sw, swy);
+                *x = col[r as usize];
             }
-            let (mut left_w, mut left_wy) = (0.0, 0.0);
-            for k in 0..n - 1 {
-                let (w, wy) = t.weigh(order[k]);
-                left_w += w;
-                left_wy += wy;
-                let (xv, xn) = (col[order[k] as usize], col[order[k + 1] as usize]);
-                if xv == xn {
-                    continue; // cannot split between equal values
-                }
-                if k + 1 < min_leaf || n - (k + 1) < min_leaf {
-                    continue;
-                }
-                let right_w = total_w - left_w;
-                if left_w <= 0.0 || right_w <= 0.0 {
-                    continue;
-                }
-                let right_wy = total_wy - left_wy;
+            // Weights are non-negative, so the running `Σw` never falls:
+            // the cuts with weight on both sides are one range, past the
+            // leading positions where it is still 0 and short of the
+            // trailing ones where it has reached the total. With unit
+            // weights both scans stop within two rows.
+            let empty = prefix.iter().take_while(|p| p.0 <= 0.0).count();
+            let full = prefix.iter().rev().take_while(|p| p.0 >= sw).count();
+            let (from, to) = (start.max(empty), end.min(n - full));
+            let (mut top, mut at) = (f64::NEG_INFINITY, 0);
+            let cuts = prefix[from..to.max(from)].iter().zip(xs[from..].windows(2));
+            for (k, (&(lw, lwy), x)) in (from..).zip(cuts) {
+                let (rw, rwy) = (sw - lw, swy - lwy);
                 // Maximizing sum of child (weighted mean)^2 * weight is
-                // equivalent to minimizing weighted SSE.
-                let score = left_wy * left_wy / left_w + right_wy * right_wy / right_w;
-                // Splits must strictly improve on the parent, or a
-                // constant target would split forever on noise-free ties.
-                if score <= parent + 1e-12 {
-                    continue;
-                }
-                if best.is_none_or(|(s, ..)| score > s) {
-                    best = Some((score, feature, 0.5 * (xv + xn)));
-                }
+                // equivalent to minimizing weighted SSE. No cut falls
+                // between equal values.
+                let score = lwy * lwy / lw + rwy * rwy / rw;
+                let apart = x[0] != x[1];
+                let score = if apart { score } else { f64::NEG_INFINITY };
+                let take = score > top;
+                top = if take { score } else { top };
+                at = if take { k } else { at };
+            }
+            if top > best {
+                best = top;
+                split = (feature, 0.5 * (xs[at] + xs[at + 1]));
             }
         }
-        best.map(|(_, feature, threshold)| (feature, threshold))
+        // Splits must strictly improve on the parent, or a constant
+        // target would split forever on noise-free ties.
+        (best > parent + 1e-12).then_some(split)
     }
 
     /// Stable-partitions `[lo, hi)` of every order by
@@ -1065,6 +1118,65 @@ mod tests {
         }
     }
 
+    /// `c` with exact score ties planted, drawn from its own stream so
+    /// `random_case`'s stays as it was: a column copied over a later one
+    /// (the first copy must win), and sometimes distinct ascending
+    /// values in column 0 under a palindrome of small whole targets, so
+    /// that, unweighted, cut `k` and cut `n - 2 - k` score the same bits
+    /// (the first cut must win).
+    fn with_ties(mut c: Case, seed: u64) -> Case {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7135);
+        let (n, nf) = (c.x.rows(), c.x.cols());
+        if nf > 1 {
+            let from = rng.gen_range(0..nf - 1);
+            let to = rng.gen_range(from + 1..nf);
+            for r in 0..n {
+                c.x[(r, to)] = c.x[(r, from)];
+            }
+        }
+        if rng.gen_bool(0.5) {
+            for r in 0..n {
+                c.x[(r, 0)] = r as f64;
+            }
+            for r in 0..n.div_ceil(2) {
+                let v = rng.gen_range(0..4u32) as f64;
+                (c.y[r], c.y[n - 1 - r]) = (v, v);
+            }
+        }
+        c
+    }
+
+    /// Grows `c` with the builder and with the oracle and asserts the
+    /// two trees are the same bits.
+    fn assert_builder_grows_the_reference_tree(c: &Case) {
+        let pre = Presort::new(&c.x, &c.y).unwrap();
+        let sample = c.sample.clone().unwrap_or_else(|| pre.all_rows());
+        let mut got = Forest::default();
+        TreeBuilder::new(&pre).fit(c.config, &sample, &c.y, c.w.as_deref(), &mut got);
+
+        // The oracle fits the gathered rows with explicit weights.
+        let picked: Vec<usize> = sample.iter().map(|&r| r as usize).collect();
+        let xs = c.x.select_rows(&picked);
+        let ys: Vec<f64> = picked.iter().map(|&r| c.y[r]).collect();
+        let ws: Vec<f64> = picked
+            .iter()
+            .map(|&r| c.w.as_ref().map_or(1.0, |w| w[r]))
+            .collect();
+        let want = reference::flatten(&reference::fit(&c.config, &xs, &ys, &ws));
+        assert_eq!(bits(&got.nodes), bits(&want));
+
+        // Without a bootstrap the public entry points are that fit.
+        if c.sample.is_none() {
+            let mut t = DecisionTreeRegressor::with_config(c.config);
+            match &c.w {
+                Some(w) => t.fit_weighted(&c.x, &c.y, w).unwrap(),
+                None => t.fit(&c.x, &c.y).unwrap(),
+            }
+            assert_eq!(bits(&t.tree.nodes), bits(&want));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
 
@@ -1073,33 +1185,94 @@ mod tests {
             seed in any::<u64>(),
             n in (0usize..4).prop_map(|i| [2usize, 3, 12, 110][i]),
         ) {
-            let c = random_case(seed, n);
-            let pre = Presort::new(&c.x, &c.y).unwrap();
-            let sample = c.sample.clone().unwrap_or_else(|| pre.all_rows());
-            let mut got = Forest::default();
-            TreeBuilder::new(&pre).fit(c.config, &sample, &c.y, c.w.as_deref(), &mut got);
-
-            // The oracle fits the gathered rows with explicit weights.
-            let picked: Vec<usize> = sample.iter().map(|&r| r as usize).collect();
-            let xs = c.x.select_rows(&picked);
-            let ys: Vec<f64> = picked.iter().map(|&r| c.y[r]).collect();
-            let ws: Vec<f64> = picked
-                .iter()
-                .map(|&r| c.w.as_ref().map_or(1.0, |w| w[r]))
-                .collect();
-            let want = reference::flatten(&reference::fit(&c.config, &xs, &ys, &ws));
-            prop_assert_eq!(bits(&got.nodes), bits(&want));
-
-            // Without a bootstrap the public entry points are that fit.
-            if c.sample.is_none() {
-                let mut t = DecisionTreeRegressor::with_config(c.config);
-                match &c.w {
-                    Some(w) => t.fit_weighted(&c.x, &c.y, w).unwrap(),
-                    None => t.fit(&c.x, &c.y).unwrap(),
-                }
-                prop_assert_eq!(bits(&t.tree.nodes), bits(&want));
-            }
+            assert_builder_grows_the_reference_tree(&random_case(seed, n));
+            assert_builder_grows_the_reference_tree(&with_ties(random_case(seed, n), seed));
         }
+    }
+
+    #[test]
+    fn exact_ties_go_to_the_first_feature_and_the_first_cut() {
+        // Two copies of one column under a mirror-symmetric target: cuts
+        // 1 and 3 of either copy score exactly 1.0, above the parent's
+        // 2/3. The first copy's first cut is the split.
+        let rows: Vec<Vec<f64>> = (0..6).map(|i| vec![i as f64, i as f64]).collect();
+        let x = Matrix::from_rows(&rows);
+        let y = [0.0, 0.0, 1.0, 1.0, 0.0, 0.0];
+        let mut stump = DecisionTreeRegressor::with_max_depth(1);
+        stump.fit(&x, &y).unwrap();
+        let root = stump.tree.nodes[0];
+        assert_eq!((root.feature, root.value), (SPLIT, 1.5));
+        // Under feature subsets the first candidate drawn wins: the
+        // oracle's scan, whatever the shuffle.
+        for (seed, max_features) in (0..32).zip([None, Some(1), Some(2), Some(3)].iter().cycle()) {
+            let rows: Vec<Vec<f64>> = (0..6).map(|i| vec![i as f64; 3]).collect();
+            let c = Case {
+                x: Matrix::from_rows(&rows),
+                y: y.to_vec(),
+                w: None,
+                sample: None,
+                config: TreeConfig {
+                    max_features: *max_features,
+                    seed,
+                    ..TreeConfig::default()
+                },
+            };
+            assert_builder_grows_the_reference_tree(&c);
+        }
+    }
+
+    #[test]
+    fn weight_rounded_away_leaves_a_side_empty() {
+        // The last two weights vanish in the running sum, so cuts 1 and
+        // 2 have `rw == 0` while `rwy == 2`: they would score +∞. No cut
+        // with no weight on a side is scanned, so the split is cut 0's.
+        let x = Matrix::from_rows(&[[0.0], [1.0], [2.0], [3.0]].map(|r| r.to_vec()));
+        let c = Case {
+            x,
+            y: vec![0.0, 0.0, 1e17, 1e17],
+            w: Some(vec![1.0, 1.0, 1e-17, 1e-17]),
+            sample: None,
+            config: TreeConfig::default(),
+        };
+        assert_builder_grows_the_reference_tree(&c);
+        let mut t = DecisionTreeRegressor::with_max_depth(1);
+        t.fit_weighted(&c.x, &c.y, c.w.as_ref().unwrap()).unwrap();
+        assert_eq!(t.tree.nodes[0].value, 0.5);
+    }
+
+    #[test]
+    fn targets_too_large_to_score_are_an_error() {
+        // Past `check_split_sums`' bound a sum of targets can overflow,
+        // and a NaN score would let a sequential scan and the select
+        // disagree; such targets never reach the builder.
+        let (x, y) = step_data();
+        let n = y.len() as f64;
+        let bound = f64::MAX.sqrt() / n;
+        for scale in [2.0 * bound, 1e300, f64::MAX] {
+            let huge: Vec<f64> = y.iter().map(|v| v / 5.0 * scale).collect();
+            assert!(matches!(
+                DecisionTreeRegressor::new().fit(&x, &huge),
+                Err(MlError::Numeric(_))
+            ));
+            assert!(matches!(Presort::new(&x, &huge), Err(MlError::Numeric(_))));
+        }
+        // Weights scale the sums too.
+        let heavy = vec![2.0 * bound; y.len()];
+        assert!(matches!(
+            DecisionTreeRegressor::new().fit_weighted(&x, &y, &heavy),
+            Err(MlError::Numeric(_))
+        ));
+        // Just inside the bound the scores are huge and the tree is still
+        // the oracle's.
+        let big: Vec<f64> = y.iter().map(|v| v / 5.0 * bound / 2.0).collect();
+        let c = Case {
+            x,
+            y: big,
+            w: None,
+            sample: None,
+            config: TreeConfig::default(),
+        };
+        assert_builder_grows_the_reference_tree(&c);
     }
 
     /// `trees` bootstrap trees over one random dataset, grown by the
