@@ -461,13 +461,13 @@ fn steering() {
         "framework in the loop on trace-driven wireless links",
     );
     println!(
-        "{:<12} {:>14} {:>11}",
+        "{:<16} {:>14} {:>11}",
         "policy", "goodput Mbps", "migrations"
     );
     for r in figures::ext_steering() {
         println!(
-            "{:<12} {:>14.2} {:>11}",
-            format!("{:?}", r.policy),
+            "{:<16} {:>14.2} {:>11}",
+            r.policy.name(),
             r.mean_goodput,
             r.migrations
         );

@@ -117,25 +117,20 @@ pub fn ablation_policies() -> Vec<PolicyReport> {
 /// Extension experiment: the framework steering a flow over
 /// wireless-trace-driven links, one row per policy.
 pub fn ext_steering() -> Vec<framework::sdn::SteeringResult> {
-    use framework::sdn::SteeringPolicy;
     let d = traces::UqDataset::generate(&traces::UqSpec {
         len: 220,
         outdoor_at: 50,
         arrival_at: 200,
         seed: 6,
     });
-    [
-        SteeringPolicy::Hecate,
-        SteeringPolicy::LastSample,
-        SteeringPolicy::Static,
-    ]
-    .into_iter()
-    .map(|p| {
-        let mut sdn = SelfDrivingNetwork::testbed(21).expect("testbed");
-        sdn.run_trace_driven_steering(p, 200, 10, &d.wifi, &d.lte)
-            .expect("steering run")
-    })
-    .collect()
+    framework::Policy::all()
+        .into_iter()
+        .map(|p| {
+            let mut sdn = SelfDrivingNetwork::testbed(21).expect("testbed");
+            sdn.run_trace_driven_steering(p, 200, 10, &d.wifi, &d.lte)
+                .expect("steering run")
+        })
+        .collect()
 }
 
 /// Shared harness for the decision-throughput artifact: the Fig 9

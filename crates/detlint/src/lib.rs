@@ -89,8 +89,13 @@ const BARE_PANIC_FILES: &[&str] = &[
     // simulator event and every optimizer patch.
     "crates/netsim/src/maxmin.rs",
     "crates/netsim/src/fairness.rs",
-    "crates/framework/src/controller.rs",
-    "crates/framework/src/waterfill.rs",
+    // The whole control loop: admission, consults, installs and
+    // migrations, the forecast cache, the telemetry store and the
+    // placement search.
+    "crates/framework/src/",
+    // The scenario runner drives that loop epoch by epoch; a panic
+    // loses the whole scorecard.
+    "crates/scenarios/src/runner.rs",
     "crates/dataplane/src/plane.rs",
     "crates/dataplane/src/shard.rs",
     "crates/dataplane/src/netem.rs",
@@ -100,18 +105,12 @@ const BARE_PANIC_FILES: &[&str] = &[
     // the service was built with; bad telemetry must come back as
     // `MlError`, not abort the controller.
     "crates/hecate-ml/src/",
-    "crates/framework/src/hecate.rs",
-    // The rest of the consult path: admission, installs and migrations,
-    // and the fan-out every forecast and fit runs under.
-    "crates/framework/src/sdn.rs",
+    // The fan-out every forecast and fit runs under.
     "crates/linalg/src/par.rs",
-    // A panic in the agent loop kills that ingress's config plane:
-    // every later admit there comes back `ChannelClosed`.
-    "crates/freertr/src/agent.rs",
-    // Every sample of every round goes through the store, and every
-    // admit batch and consult through the placement search.
-    "crates/framework/src/telemetry.rs",
-    "crates/framework/src/optimizer.rs",
+    // A panic in an agent loop kills that ingress's config plane
+    // (every later admit there comes back `ChannelClosed`), and every
+    // edge configuration is parsed and resolved here.
+    "crates/freertr/src/",
 ];
 
 /// Method names that begin unordered iteration when called on a hash

@@ -21,8 +21,14 @@
 //!   reproductions of the paper's two experiments
 //!   ([`sdn::SelfDrivingNetwork::run_latency_migration`] → Fig 11,
 //!   [`sdn::SelfDrivingNetwork::run_flow_aggregation`] → Fig 12);
-//! * [`policies`] — the decision-policy ablation of Sec. III ("Real-time
-//!   Decision Making"): Hecate forecasts vs last-sample vs static.
+//! * [`Policy`] — the network's routing policy (Hecate, last-sample,
+//!   static shortest-path), the one place its arms live: the network
+//!   runs it through [`SelfDrivingNetwork::admit_under`] and
+//!   [`SelfDrivingNetwork::steer`], for the scenario runner and the
+//!   trace-driven steering experiment alike;
+//! * [`policies`] — the offline decision-policy ablation of Sec. III
+//!   ("Real-time Decision Making"): two raw traces scored against an
+//!   oracle, with no network in the loop.
 
 pub mod controller;
 pub mod dashboard;
@@ -36,9 +42,9 @@ pub mod telemetry;
 pub mod waterfill;
 
 pub use hecate::HecateService;
-pub use optimizer::{Objective, OptimizerConfig, SolveMode};
+pub use optimizer::{Objective, OptimizerConfig};
 pub use scheduler::{FlowRequest, Scheduler};
-pub use sdn::SelfDrivingNetwork;
+pub use sdn::{Policy, SelfDrivingNetwork};
 pub use telemetry::{Metric, TelemetryService};
 pub use waterfill::SharedWaterfill;
 

@@ -289,30 +289,6 @@ pub struct SharedAssignment {
 /// 2 candidates each, 2^16 assignments, goes greedy).
 const SHARED_EXHAUSTIVE_BOUND: u64 = 10_000;
 
-/// How the shared-link solver computes standing rates across decision
-/// ticks (see [`crate::waterfill::SharedWaterfill`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolveMode {
-    /// Patch the standing max-min solution: arrivals, departures,
-    /// reroutes and demand changes re-water-fill only the affected
-    /// links' saturation sets. The default.
-    #[default]
-    Incremental,
-    /// Recompute the whole matrix every tick — the audited baseline the
-    /// incremental path must match bit for bit.
-    FullRecompute,
-}
-
-impl SolveMode {
-    /// Stable label, recorded as the `decide.solve` span's `mode` arg.
-    pub fn label(self) -> &'static str {
-        match self {
-            SolveMode::Incremental => "incremental",
-            SolveMode::FullRecompute => "full",
-        }
-    }
-}
-
 /// Which placement search [`assign_flows_shared_with`] ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolverKind {
@@ -343,15 +319,12 @@ pub struct OptimizerConfig {
     /// raise it to buy placement quality with CPU, or drop it to 0 to
     /// force greedy everywhere.
     pub exhaustive_bound: u64,
-    /// Standing-rate strategy across decision ticks.
-    pub mode: SolveMode,
 }
 
 impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
             exhaustive_bound: SHARED_EXHAUSTIVE_BOUND,
-            mode: SolveMode::default(),
         }
     }
 }

@@ -1,6 +1,7 @@
 //! The assembled self-driving network: netsim substrate, freeRtr agents,
 //! compiled PolKA tunnels and the Telemetry/Hecate/Optimizer services,
-//! plus runnable reproductions of the paper's two experiments.
+//! the routing [`Policy`] it runs, plus runnable reproductions of the
+//! paper's two experiments.
 //!
 //! See [`SelfDrivingNetwork::run_latency_migration`] (Fig 11),
 //! [`SelfDrivingNetwork::run_flow_aggregation`] (Fig 12) and
@@ -11,8 +12,7 @@ use crate::controller::{
 };
 use crate::hecate::HecateService;
 use crate::optimizer::{
-    assign_flows, assign_flows_shared_with, FlowDemand, Objective, OptimizerConfig,
-    SharedLinkModel, SolveMode,
+    assign_flows, assign_flows_shared_with, FlowDemand, Objective, OptimizerConfig, SharedLinkModel,
 };
 use crate::scheduler::{FlowRequest, Scheduler};
 use crate::telemetry::{scoped_target, Metric, SeriesId, SeriesKey, TelemetryService};
@@ -90,6 +90,40 @@ fn transact(edges: EdgeOps) -> Vec<Result<(), freertr::FreertrError>> {
     pending.into_iter().map(|ack| ack.wait()).collect()
 }
 
+/// The network's routing policy: where admitted flows land and how they
+/// are re-steered at each decision interval. The one definition of its
+/// arms; callers hand it to [`SelfDrivingNetwork::admit_under`] and
+/// [`SelfDrivingNetwork::steer`] and never branch on it themselves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Policy {
+    /// The framework's mode: Hecate capacity forecasts + the assignment
+    /// search, one consultation per decision interval.
+    Hecate,
+    /// Reactive baseline: each pair re-assigned on its tunnels' *last
+    /// observed* capacity samples — no forecasting, and blind to links
+    /// its tunnels share with other pairs.
+    LastSample,
+    /// Static shortest-path: every flow pinned to its pair's first
+    /// (shortest) tunnel forever.
+    StaticShortest,
+}
+
+impl Policy {
+    /// All policies, in scorecard order.
+    pub fn all() -> [Policy; 3] {
+        [Policy::Hecate, Policy::LastSample, Policy::StaticShortest]
+    }
+
+    /// Display name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Policy::Hecate => "hecate",
+            Policy::LastSample => "last-sample",
+            Policy::StaticShortest => "static-shortest",
+        }
+    }
+}
+
 /// The assembled system.
 pub struct SelfDrivingNetwork {
     /// The network emulator.
@@ -133,16 +167,13 @@ pub struct SelfDrivingNetwork {
     /// spans carry decision-time stamps (the ML pipeline has no clock
     /// of its own); refreshed at every decision entry point.
     pub(crate) ml_clock: obsv::SimClock,
-    /// Optimizer knobs: exhaustive-vs-greedy cutoff, incremental vs
-    /// full-recompute water-fill. Set via
-    /// [`SelfDrivingNetwork::set_optimizer_config`].
+    /// Optimizer knobs: the exhaustive-vs-greedy cutoff.
     pub(crate) opt: OptimizerConfig,
-    /// The standing incremental water-fill engine
-    /// ([`SolveMode::Incremental`] only): patched with headroom and
-    /// flow diffs at every re-optimization instead of being rebuilt.
-    /// Its counters are the `framework.waterfill.incremental.*`
-    /// metrics. `None` until the first multi-pair re-optimization (and
-    /// always under [`SolveMode::FullRecompute`]).
+    /// The standing incremental water-fill engine: patched with
+    /// headroom and flow diffs at every re-optimization instead of
+    /// being rebuilt. Its counters are the
+    /// `framework.waterfill.incremental.*` metrics. `None` until the
+    /// first multi-pair re-optimization.
     pub(crate) waterfill: Option<SharedWaterfill>,
 }
 
@@ -509,45 +540,27 @@ impl SelfDrivingNetwork {
     /// Admits one flow per the Fig 4 sequence and starts it in the
     /// emulator. Returns the decision.
     ///
-    /// Equivalent to [`SelfDrivingNetwork::admit_flows`] with a batch
-    /// of one: a single-pair network runs the legacy [`decide_path`]
-    /// consultation (bit-for-bit the paper's sequence), a multi-pair
-    /// network goes through the shared-link engine — even a lone
-    /// arrival must not double-book a trunk that another pair's flows
-    /// already occupy.
+    /// [`SelfDrivingNetwork::admit_flows`] with a batch of one: a
+    /// single-pair network runs the paper's [`decide_path`]
+    /// consultation, a multi-pair network the shared-link engine — even
+    /// a lone arrival must not double-book a trunk that another pair's
+    /// flows already occupy.
     pub fn admit_flow(
         &mut self,
         req: &FlowRequest,
         objective: Objective,
     ) -> Result<PathDecision, FrameworkError> {
-        if self.pairs.len() > 1 {
-            let mut decisions = self.admit_flows(std::slice::from_ref(req), objective)?;
-            return Ok(decisions.remove(0));
-        }
-        let candidates = self
-            .pair_tunnel_names(req.pair)
-            .ok_or(FrameworkError::NoFeasiblePath)?
-            .to_vec();
-        let decision = decide_path(
-            &self.hecate,
-            &self.telemetry,
-            &candidates,
-            objective,
-            &mut self.log,
-        )?;
-        self.install_flows(std::slice::from_ref(req), std::slice::from_ref(&decision))?;
-        Ok(decision)
+        let mut decisions = self.admit_flows(std::slice::from_ref(req), objective)?;
+        decisions.pop().ok_or(FrameworkError::NoFeasiblePath)
     }
 
     /// Admits a whole batch of flows with one amortized consultation:
     /// the per-path forecasts are computed once — in parallel, against
     /// the trained-model cache — and shared by every flow due in the
-    /// tick. Returns one decision per request, in request order. A
-    /// batch of one behaves exactly like
-    /// [`SelfDrivingNetwork::admit_flow`].
+    /// tick. Returns one decision per request, in request order.
     ///
-    /// A single-pair network decides via [`decide_flows`] (the legacy
-    /// bottleneck-per-tunnel engine, bit-for-bit unchanged); a
+    /// A single-pair network decides via [`decide_flows`] (the
+    /// bottleneck-per-tunnel engine; a batch of one is [`decide_path`]); a
     /// multi-pair network decides via [`decide_flows_pairs`] against
     /// the shared-link capacity model, so a batch spanning pairs never
     /// oversubscribes a link two candidate tunnels have in common, and
@@ -754,9 +767,9 @@ impl SelfDrivingNetwork {
         for &(i, tunnel) in moves {
             let flow = &self.flows[i];
             let pair = &self.pairs[flow.pair.index()];
-            // On a multi-pair network a tunnel of a *different* pair
-            // connects the wrong endpoints — refuse rather than misroute.
-            if self.pairs.len() > 1 && !pair.tunnel_order.iter().any(|t| t == tunnel) {
+            // A tunnel of a *different* pair connects the wrong
+            // endpoints — refuse rather than misroute.
+            if !pair.tunnel_order.iter().any(|t| t == tunnel) {
                 return Err(FrameworkError::NoFeasiblePath);
             }
             let edge = edge_slot(&mut edges, pair);
@@ -891,9 +904,7 @@ impl SelfDrivingNetwork {
                 .collect();
             let (assignment, kind) = assign_flows_shared_with(&model, &flows, &self.opt)?;
             solver = Some(kind);
-            if self.opt.mode == SolveMode::Incremental {
-                self.patch_waterfill(&model, &assignment.tunnel_of_flow);
-            }
+            self.patch_waterfill(&model, &assignment.tunnel_of_flow);
             assignment.tunnel_of_flow
         };
         let moves: Vec<(String, String)> = self
@@ -903,12 +914,10 @@ impl SelfDrivingNetwork {
             .map(|(f, &t)| (f.label.clone(), self.tunnel_order[t].clone()))
             .collect();
         let assigned = moves.len() as u64;
-        let mode = self.opt.mode;
         solve.end(self.sim.now_ns(), move || {
             let mut args = vec![("flows", obsv::Value::U64(assigned))];
             if let Some(kind) = solver {
                 args.push(("solver", obsv::Value::Str(kind.label().to_string())));
-                args.push(("mode", obsv::Value::Str(mode.label().to_string())));
             }
             args
         });
@@ -924,26 +933,110 @@ impl SelfDrivingNetwork {
         Ok(moves)
     }
 
-    /// The optimizer configuration in force (solver cutoff, solve
-    /// mode).
+    /// Admits a batch under `policy`: [`SelfDrivingNetwork::admit_flows`]
+    /// with the max-bandwidth objective, after which
+    /// [`Policy::StaticShortest`] moves each new flow not on its pair's
+    /// first tunnel onto it.
+    pub fn admit_under(
+        &mut self,
+        policy: Policy,
+        reqs: &[FlowRequest],
+    ) -> Result<(), FrameworkError> {
+        self.admit_flows(reqs, Objective::MaxBandwidth)?;
+        if policy != Policy::StaticShortest {
+            return Ok(());
+        }
+        let admitted = self.flows.len() - reqs.len();
+        let pins: Vec<(usize, String)> = self
+            .flows
+            .iter()
+            .enumerate()
+            .skip(admitted)
+            .filter_map(|(i, f)| {
+                let first = self.pairs[f.pair.index()].tunnel_order.first()?;
+                (*first != f.tunnel).then(|| (i, first.clone()))
+            })
+            .collect();
+        let pins: Vec<(usize, &str)> = pins.iter().map(|(i, t)| (*i, t.as_str())).collect();
+        self.migrate_flows(&pins)
+    }
+
+    /// One decision interval under `policy`; returns the pair of every
+    /// flow it moved, in move order.
+    ///
+    /// - [`Policy::StaticShortest`] moves nothing.
+    /// - [`Policy::Hecate`] runs [`SelfDrivingNetwork::reoptimize_bandwidth`].
+    ///   A consult that errs (too little telemetry during warm-up, an
+    ///   edge refusing) is skipped, but the moves its other edges
+    ///   acknowledged still count: a flow counts exactly when its
+    ///   tunnel changed.
+    /// - [`Policy::LastSample`] re-assigns each pair on its own, in pair
+    ///   order, with [`assign_flows`] over the pair's flows (in
+    ///   admission order) and its tunnels' last available-bandwidth
+    ///   samples (a missing sample reads 0). Each move is its own edge
+    ///   transaction; a refused one is skipped and the pair's other
+    ///   moves still go.
+    pub fn steer(&mut self, policy: Policy) -> Vec<PairId> {
+        match policy {
+            Policy::StaticShortest => Vec::new(),
+            Policy::Hecate => {
+                let before: Vec<String> = self.flows.iter().map(|f| f.tunnel.clone()).collect();
+                // An error may follow moves already made: read them off
+                // the flows either way.
+                let _ = self.reoptimize_bandwidth();
+                self.flows
+                    .iter()
+                    .zip(before)
+                    .filter(|(f, b)| f.tunnel != *b)
+                    .map(|(f, _)| f.pair)
+                    .collect()
+            }
+            Policy::LastSample => (0..self.pairs.len())
+                .flat_map(|p| self.steer_on_last_samples(PairId(p)))
+                .collect(),
+        }
+    }
+
+    /// [`Policy::LastSample`]'s re-assignment of one pair; returns the
+    /// pair once per flow moved.
+    fn steer_on_last_samples(&mut self, pair: PairId) -> Vec<PairId> {
+        let names = self.pairs[pair.index()].tunnel_order.clone();
+        let caps: Vec<f64> = names
+            .iter()
+            .map(|n| {
+                self.telemetry
+                    .last(&SeriesKey::new(n, Metric::AvailableBandwidth))
+                    .unwrap_or(0.0)
+                    .max(0.0)
+            })
+            .collect();
+        let mine: Vec<usize> = (0..self.flows.len())
+            .filter(|&i| self.flows[i].pair == pair)
+            .collect();
+        let demands: Vec<Option<f64>> = mine.iter().map(|&i| self.flows[i].demand).collect();
+        let Ok(assignment) = assign_flows(&caps, &demands) else {
+            return Vec::new();
+        };
+        let mut moved = Vec::new();
+        for (&i, &t) in mine.iter().zip(&assignment.tunnel_of_flow) {
+            let target = names[t].as_str();
+            // A move of one flow errs exactly when it did not happen.
+            if self.flows[i].tunnel != target && self.migrate_flows(&[(i, target)]).is_ok() {
+                moved.push(pair);
+            }
+        }
+        moved
+    }
+
+    /// The optimizer configuration in force (the solver cutoff).
     pub fn optimizer_config(&self) -> &OptimizerConfig {
         &self.opt
     }
 
-    /// Replaces the optimizer configuration. Dropping back to
-    /// [`SolveMode::FullRecompute`] discards the standing incremental
-    /// engine; re-enabling [`SolveMode::Incremental`] rebuilds it at
-    /// the next re-optimization.
-    pub fn set_optimizer_config(&mut self, config: OptimizerConfig) {
-        if config.mode == SolveMode::FullRecompute {
-            self.waterfill = None;
-        }
-        self.opt = config;
-    }
-
     /// The standing incremental water-fill engine, if one is live
-    /// (multi-pair, [`SolveMode::Incremental`], at least one
-    /// re-optimization behind it).
+    /// (multi-pair, at least one re-optimization behind it). Its
+    /// from-scratch recompute is [`SharedWaterfill::full_rates`] /
+    /// [`SharedWaterfill::audit`].
     pub fn waterfill(&self) -> Option<&SharedWaterfill> {
         self.waterfill.as_ref()
     }
@@ -1301,22 +1394,11 @@ impl SelfDrivingNetwork {
     }
 }
 
-/// How the steering experiment re-decides the flow's tunnel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SteeringPolicy {
-    /// Hecate forecasts + assignment search (the framework's mode).
-    Hecate,
-    /// Pick the tunnel with the best *last observed* capacity sample.
-    LastSample,
-    /// Never re-decide: stay on the initial tunnel.
-    Static,
-}
-
 /// Result of the trace-driven steering extension experiment.
 #[derive(Debug, Clone)]
 pub struct SteeringResult {
     /// Which policy ran.
-    pub policy: SteeringPolicy,
+    pub policy: Policy,
     /// The managed flow's goodput series (s, Mbps).
     pub goodput: Vec<(f64, f64)>,
     /// Mean goodput over the run (after warm-up).
@@ -1336,7 +1418,7 @@ impl SelfDrivingNetwork {
     /// follow the capacity.
     pub fn run_trace_driven_steering(
         &mut self,
-        policy: SteeringPolicy,
+        policy: Policy,
         duration_s: u64,
         reopt_every_s: u64,
         wifi: &[f64],
@@ -1360,16 +1442,14 @@ impl SelfDrivingNetwork {
         self.sim.schedule_capacity_trace(mia_chi, 0, 1000, lte);
 
         // One greedy flow, admitted cold (lands on tunnel1 = the WiFi path).
-        self.admit_flow(
-            &FlowRequest {
-                label: "steered".into(),
-                tos: 32,
-                demand_mbps: None,
-                start_ms: 0,
-                pair: PairId::default(),
-            },
-            Objective::MaxBandwidth,
-        )?;
+        let steered = FlowRequest {
+            label: "steered".into(),
+            tos: 32,
+            demand_mbps: None,
+            start_ms: 0,
+            pair: PairId::default(),
+        };
+        self.admit_under(policy, &[steered])?;
         let mut migrations = 0usize;
         let mut next_reopt = reopt_every_s.max(1) * 1000;
         while self.sim.now_ms() < duration_s * 1000 {
@@ -1377,36 +1457,7 @@ impl SelfDrivingNetwork {
             self.advance(until)?;
             if self.sim.now_ms() >= next_reopt {
                 next_reopt += reopt_every_s.max(1) * 1000;
-                let before = self.flow_tunnel("steered").map(str::to_string);
-                match policy {
-                    SteeringPolicy::Static => {}
-                    SteeringPolicy::Hecate => {
-                        // may fail during early warm-up; skip that round
-                        if self.reoptimize_bandwidth().is_ok()
-                            && self.flow_tunnel("steered").map(str::to_string) != before
-                        {
-                            migrations += 1;
-                        }
-                    }
-                    SteeringPolicy::LastSample => {
-                        let best = self
-                            .tunnel_names()
-                            .into_iter()
-                            .filter_map(|n| {
-                                self.telemetry
-                                    .last(&SeriesKey::new(&n, Metric::AvailableBandwidth))
-                                    .map(|v| (n, v))
-                            })
-                            .max_by(|a, b| a.1.total_cmp(&b.1))
-                            .map(|(n, _)| n);
-                        if let Some(best) = best {
-                            if before.as_deref() != Some(best.as_str()) {
-                                self.migrate_flow("steered", &best)?;
-                                migrations += 1;
-                            }
-                        }
-                    }
-                }
+                migrations += self.steer(policy).len();
             }
         }
         let goodput = self.flow_series("steered");
@@ -1839,6 +1890,148 @@ mod tests {
         let n0 = sdn.pair_edge(PairId(0)).unwrap().running_config();
         let bound = n0.pbr.iter().find(|e| e.acl == "f0").unwrap();
         assert_eq!(bound.tunnel, "p0/tunnel2");
+    }
+
+    // ---- the routing policy ----
+
+    /// Twelve greedy flows admitted cold, so each pair's pile on its
+    /// first tunnel, then 30 s of telemetry: a consult now spreads them
+    /// on both edges.
+    fn piled_up() -> SelfDrivingNetwork {
+        let mut sdn = four_pairs_two_ingresses();
+        sdn.admit_flows(&batch(&[None; 12]), Objective::MaxBandwidth)
+            .unwrap();
+        sdn.advance(30_000).unwrap();
+        sdn
+    }
+
+    /// Points the `n3` pairs at a stopped agent, which refuses every
+    /// transaction with `ChannelClosed`.
+    fn stop_the_n3_edge(sdn: &mut SelfDrivingNetwork) {
+        let agent = freertr::agent::RouterAgent::spawn("n3");
+        let stopped = agent.handle();
+        drop(agent);
+        for pair in sdn.pairs.iter_mut().filter(|p| p.ingress == "n3") {
+            pair.edge = stopped.clone();
+        }
+    }
+
+    /// The pair of every flow whose tunnel differs, in flow order.
+    fn moved(before: &[ManagedFlow], after: &[ManagedFlow]) -> Vec<PairId> {
+        before
+            .iter()
+            .zip(after)
+            .filter(|(b, a)| b.tunnel != a.tunnel)
+            .map(|(b, _)| b.pair)
+            .collect()
+    }
+
+    /// The entries of `moves` whose pair enters at `n0`.
+    fn on_n0(sdn: &SelfDrivingNetwork, moves: &[PairId]) -> Vec<PairId> {
+        let n0 = |p: &&PairId| sdn.pairs[p.index()].ingress == "n0";
+        moves.iter().filter(n0).copied().collect()
+    }
+
+    #[test]
+    fn a_hecate_consult_that_errs_still_reports_the_moves_it_made() {
+        let (mut clean, mut refused) = (piled_up(), piled_up());
+        let start = clean.flows.clone();
+        clean.reoptimize_bandwidth().unwrap();
+        let all = moved(&start, &clean.flows);
+        let want = on_n0(&clean, &all);
+        assert!(!want.is_empty() && want.len() < all.len(), "{all:?}");
+        // The `n3` transaction is refused, so the consult errs — after
+        // the `n0` edge acknowledged its moves.
+        stop_the_n3_edge(&mut refused);
+        assert_eq!(refused.steer(Policy::Hecate), want);
+        assert_eq!(moved(&start, &refused.flows), want);
+        for (r, c) in refused.flows.iter().zip(&clean.flows) {
+            if refused.pairs[r.pair.index()].ingress == "n0" {
+                assert_eq!(r.tunnel, c.tunnel, "{}", r.label);
+            }
+        }
+    }
+
+    #[test]
+    fn last_sample_skips_refused_moves_and_makes_the_others() {
+        let (mut clean, mut refused) = (piled_up(), piled_up());
+        let all = clean.steer(Policy::LastSample);
+        let want = on_n0(&clean, &all);
+        assert!(!want.is_empty() && want.len() < all.len(), "{all:?}");
+        stop_the_n3_edge(&mut refused);
+        let start = refused.flows.clone();
+        assert_eq!(refused.steer(Policy::LastSample), want);
+        // `steer` lists pair by pair, `moved` flow by flow.
+        let mut made = moved(&start, &refused.flows);
+        made.sort();
+        assert_eq!(made, want);
+    }
+
+    #[test]
+    fn static_shortest_pins_admissions_to_the_first_tunnel() {
+        let reqs = batch(&[None; 8]);
+        let first = |sdn: &SelfDrivingNetwork, f: &ManagedFlow| {
+            sdn.pairs[f.pair.index()].tunnel_order[0].clone()
+        };
+        let mut free = four_pairs_two_ingresses();
+        free.advance(30_000).unwrap();
+        free.admit_under(Policy::Hecate, &reqs).unwrap();
+        assert!(
+            free.flows.iter().any(|f| f.tunnel != first(&free, f)),
+            "a warm admit spreads the batch"
+        );
+        let mut pinned = four_pairs_two_ingresses();
+        pinned.advance(30_000).unwrap();
+        pinned.admit_under(Policy::StaticShortest, &reqs).unwrap();
+        assert!(pinned.steer(Policy::StaticShortest).is_empty());
+        pinned.advance(31_000).unwrap();
+        for f in &pinned.flows {
+            let want = first(&pinned, f);
+            assert_eq!(f.tunnel, want);
+            let cfg = pinned.pairs[f.pair.index()].edge.running_config();
+            let bound = cfg.pbr.iter().find(|e| e.acl == f.label).unwrap();
+            assert_eq!(bound.tunnel, want);
+            let path = pinned.host_path(f.pair, &want).unwrap();
+            assert_eq!(pinned.sim.flow_path(f.id).unwrap(), path);
+        }
+    }
+
+    #[test]
+    fn a_single_pair_admit_is_traced_at_its_sim_time() {
+        let mut sdn = SelfDrivingNetwork::testbed(1).unwrap();
+        sdn.advance(30_000).unwrap();
+        let sink = obsv::RecordingSink::shared();
+        sdn.set_obsv(obsv::Obsv {
+            tracer: obsv::Tracer::to(sink.clone()),
+            metrics: obsv::Registry::default(),
+        });
+        let now_ns = sdn.sim.now_ns();
+        let req = FlowRequest {
+            label: "flow1".into(),
+            tos: 32,
+            demand_mbps: None,
+            start_ms: 0,
+            pair: PairId::default(),
+        };
+        assert!(
+            sdn.admit_flow(&req, Objective::MaxBandwidth)
+                .unwrap()
+                .used_forecast
+        );
+        let records = sink.take();
+        let consults: Vec<_> = records
+            .iter()
+            .filter(|r| r.name == "decide.consult" && r.kind == obsv::RecordKind::End)
+            .collect();
+        assert_eq!(consults.len(), 1);
+        assert!(consults[0].args.contains(&("batch", obsv::Value::U64(1))));
+        let fits: Vec<u64> = records
+            .iter()
+            .filter(|r| r.name == "ml.fit")
+            .map(|r| r.at_ns)
+            .collect();
+        assert!(!fits.is_empty());
+        assert!(fits.iter().all(|&at| at == now_ns), "{fits:?} vs {now_ns}");
     }
 
     #[test]

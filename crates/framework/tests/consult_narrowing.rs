@@ -279,7 +279,6 @@ fn the_solver_cutoff_comes_from_the_config() {
     assert_eq!(out.solver, Some(SolverKind::Exhaustive));
     let greedy = OptimizerConfig {
         exhaustive_bound: 0,
-        ..OptimizerConfig::default()
     };
     assert_eq!(
         admit_pair0(&h, &ts, &greedy).0.solver,

@@ -244,7 +244,7 @@ pub fn parse_config(text: &str) -> Result<RouterConfig, FreertrError> {
         if let Some(t) = current_tunnel.as_mut() {
             match toks.as_slice() {
                 ["exit"] => {
-                    cfg.tunnels.push(current_tunnel.take().expect("in block"));
+                    cfg.tunnels.extend(current_tunnel.take());
                     continue;
                 }
                 ["tunnel", "destination", d] => {
@@ -265,7 +265,7 @@ pub fn parse_config(text: &str) -> Result<RouterConfig, FreertrError> {
                 }
                 ["interface", _] => {
                     // implicit exit before a new block
-                    cfg.tunnels.push(current_tunnel.take().expect("in block"));
+                    cfg.tunnels.extend(current_tunnel.take());
                     // fall through to top-level handling below
                 }
                 _ => return Err(err(format!("unknown tunnel statement {line:?}"))),
@@ -353,6 +353,8 @@ pub fn fig10_mia_config() -> RouterConfig {
          pbr flow3 tunnel1 nexthop 30.30.3.2\n\
          pbr icmp tunnel1\n",
     )
+    // detlint: allow(bare-panic) — the text is a constant, parsed by
+    // `emit_parse_roundtrip` and every other test that calls this.
     .expect("fig10 config is valid")
 }
 

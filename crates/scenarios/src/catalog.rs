@@ -52,7 +52,6 @@ fn base(name: &str, topology: TopologySpec, traffic: TrafficSpec, seed: u64) -> 
         // Below the fluid plane's 0.86 protocol efficiency: a healthy
         // demand-declared flow meets its SLO, a squeezed one does not.
         slo_fraction: 0.8,
-        optimizer: Default::default(),
         plane: PlaneMode::Fluid,
         elastic: None,
         seed,
@@ -526,7 +525,7 @@ mod tests {
     #[test]
     fn elastic_background_replays_bit_identically() {
         use crate::elastic::ElasticSpec;
-        use crate::runner::Policy;
+        use crate::Policy;
         // A debug-sized cut of scale-1k: same mechanism, small numbers.
         let mut s = scale_1k();
         s.topology = TopologySpec::Waxman {
@@ -560,7 +559,7 @@ mod tests {
     #[test]
     fn elastic_background_is_fluid_only() {
         use crate::elastic::ElasticSpec;
-        use crate::runner::Policy;
+        use crate::Policy;
         let mut s = catalog()
             .into_iter()
             .find(|s| s.plane == PlaneMode::Packet)

@@ -23,7 +23,9 @@
 //!   `set_link_state` / `set_link_capacity` hooks;
 //! * [`runner`] — executes a [`runner::Scenario`] end-to-end through
 //!   `framework::SelfDrivingNetwork` (fluid, or packet-level via
-//!   `attach_dataplane`) under a routing [`runner::Policy`];
+//!   `attach_dataplane`) under a routing [`Policy`] — re-exported
+//!   `framework::Policy`, whose arms the network runs, so the runner
+//!   never branches on one;
 //! * [`observe`] — opt-in sim-time observability for a run
 //!   ([`runner::Scenario::run_observed`]): structured traces of the
 //!   whole control loop (exportable as JSONL or a Perfetto-loadable
@@ -52,8 +54,9 @@ pub mod zoo;
 
 pub use catalog::{catalog, catalog_smoke, scale_1k, scale_1k_smoke};
 pub use elastic::ElasticSpec;
+pub use framework::Policy;
 pub use observe::{ObsvArtifacts, ObsvOptions};
-pub use runner::{FlowPlan, PlaneMode, Policy, Scenario};
+pub use runner::{FlowPlan, PlaneMode, Scenario};
 pub use scorecard::{render_matrix, MetricsSection, PairScore, Recovery, Scorecard};
 pub use traffic::TrafficSpec;
 pub use zoo::TopologySpec;

@@ -8,8 +8,11 @@
 //! capacities on both planes, (3) admits managed flows that are due,
 //! (4) advances the fluid plane — or forwards a packet window when the
 //! scenario runs the packet plane — and (5) lets the policy re-decide
-//! at its decision interval. Everything downstream of the scenario's
-//! `u64` seed is deterministic.
+//! at its decision interval. Admission and re-decision are the
+//! network's ([`SelfDrivingNetwork::admit_under`] /
+//! [`SelfDrivingNetwork::steer`]); the runner only schedules and
+//! scores them. Everything downstream of the scenario's `u64` seed is
+//! deterministic.
 
 use crate::events::{compile_events, EventSpec, LinkAction};
 use crate::observe::{ObsvArtifacts, ObsvOptions};
@@ -18,40 +21,9 @@ use crate::traffic::{headroom_scale, link_load, TrafficSpec};
 use crate::zoo::{endpoint_pairs, endpoints, TopologySpec};
 use crate::ScenarioError;
 use framework::dataloop::DataplaneConfig;
-use framework::optimizer::assign_flows;
 use framework::scheduler::FlowRequest;
-use framework::telemetry::{Metric, SeriesKey};
-use framework::{Objective, OptimizerConfig, PairId, SelfDrivingNetwork};
+use framework::{PairId, Policy, SelfDrivingNetwork};
 use std::collections::BTreeMap;
-
-/// How flows are (re-)steered at each decision interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Policy {
-    /// The framework's mode: Hecate capacity forecasts + the assignment
-    /// search, one consultation per decision interval.
-    Hecate,
-    /// Reactive baseline: assign on the tunnels' *last observed*
-    /// capacity samples (no forecasting).
-    LastSample,
-    /// Static shortest-path: stay on `tunnel1` forever.
-    StaticShortest,
-}
-
-impl Policy {
-    /// All policies, in scorecard order.
-    pub fn all() -> [Policy; 3] {
-        [Policy::Hecate, Policy::LastSample, Policy::StaticShortest]
-    }
-
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Policy::Hecate => "hecate",
-            Policy::LastSample => "last-sample",
-            Policy::StaticShortest => "static-shortest",
-        }
-    }
-}
 
 /// Which plane carries the traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,11 +86,6 @@ pub struct Scenario {
     /// scenarios; the scale-out scenarios use it to load the event core
     /// with ~100k flows. Fluid plane only.
     pub elastic: Option<crate::elastic::ElasticSpec>,
-    /// Controller solver knobs (exhaustive-vs-greedy cutoff, incremental
-    /// vs full-recompute water-fill). The default is the framework's
-    /// default; both solve modes produce bit-identical decisions, so the
-    /// mode only moves *how* the same answer is computed.
-    pub optimizer: OptimizerConfig,
     /// Fluid or packet plane.
     pub plane: PlaneMode,
     /// Master seed: topology randomness, traffic matrix, emulator
@@ -242,14 +209,13 @@ impl Scenario {
             self.k_tunnels,
             self.seed,
         )?;
-        sdn.set_optimizer_config(self.optimizer);
         // Events target pair 0's primary tunnel (the shortest path of
         // the classic farthest pair) — `tunnel1` on single-pair
         // scenarios, `p0/tunnel1` otherwise.
-        let primary_name = sdn.pair_tunnel_names(PairId(0)).expect("pair 0 exists")[0].clone();
         let primary = sdn
-            .tunnel(&primary_name)
-            .expect("primary tunnel exists")
+            .pair_tunnel_names(PairId(0))
+            .and_then(|names| sdn.tunnel(names.first()?))
+            .ok_or_else(|| ScenarioError::Config("pair 0 has no primary tunnel".into()))?
             .node_path
             .clone();
         let actions = compile_events(&self.events, &sdn.sim.topo, &primary)?;
@@ -301,10 +267,10 @@ impl Scenario {
         if let Some(x) = &opts.extra_sink {
             sinks.push(x.clone());
         }
-        let tracer = match sinks.len() {
-            0 => obsv::Tracer::off(),
-            1 => obsv::Tracer::to(sinks.pop().expect("one sink")),
-            _ => obsv::Tracer::to(std::sync::Arc::new(obsv::Fanout(sinks))),
+        let tracer = if sinks.len() > 1 {
+            obsv::Tracer::to(std::sync::Arc::new(obsv::Fanout(sinks)))
+        } else {
+            sinks.pop().map_or_else(obsv::Tracer::off, obsv::Tracer::to)
         };
         let bundle = obsv::Obsv {
             tracer,
@@ -327,7 +293,6 @@ impl Scenario {
         // Per-link capacity state, applied only on change.
         let mut drain: BTreeMap<usize, f64> = BTreeMap::new();
         let mut applied: BTreeMap<usize, f64> = BTreeMap::new();
-        let labels: Vec<String> = self.flows.iter().map(|f| f.label.clone()).collect();
         let mut started: Vec<bool> = vec![false; self.flows.len()];
         let mut migrations: u64 = 0;
         let mut failures: Vec<u64> = Vec::new();
@@ -406,18 +371,7 @@ impl Scenario {
                 })
                 .collect();
             if !due.is_empty() {
-                sdn.admit_flows(&due, Objective::MaxBandwidth)?;
-                if policy == Policy::StaticShortest {
-                    for req in &due {
-                        let shortest = sdn
-                            .pair_tunnel_names(req.pair)
-                            .expect("flow pairs validated")[0]
-                            .clone();
-                        if sdn.flow_tunnel(&req.label) != Some(shortest.as_str()) {
-                            sdn.migrate_flow(&req.label, &shortest)?;
-                        }
-                    }
-                }
+                sdn.admit_under(policy, &due)?;
             }
             // (4) advance one epoch.
             let mut packet_goodput: BTreeMap<String, f64> = BTreeMap::new();
@@ -538,13 +492,12 @@ impl Scenario {
                     bundle
                         .tracer
                         .span("scenario", "scenario.consult", sdn.sim.now_ns());
-                let per_pair = self.consult(policy, &mut sdn, &labels, npairs);
-                let mut moved = 0u64;
-                for (p, m) in per_pair.into_iter().enumerate() {
-                    migrations += m;
-                    pair_migrations[p] += m;
-                    moved += m;
+                let moved_pairs = sdn.steer(policy);
+                for p in &moved_pairs {
+                    pair_migrations[p.index()] += 1;
                 }
+                let moved = moved_pairs.len() as u64;
+                migrations += moved;
                 consult_span.end(sdn.sim.now_ns(), || {
                     vec![("migrations", obsv::Value::U64(moved))]
                 });
@@ -659,101 +612,6 @@ impl Scenario {
     pub fn run_matrix(&self) -> Result<Vec<Scorecard>, ScenarioError> {
         Policy::all().iter().map(|p| self.run(*p)).collect()
     }
-
-    /// One policy consultation; returns migrations performed, one
-    /// count per managed pair (so regressions stay attributable).
-    fn consult(
-        &self,
-        policy: Policy,
-        sdn: &mut SelfDrivingNetwork,
-        labels: &[String],
-        npairs: usize,
-    ) -> Vec<u64> {
-        let pair_of = |label: &str| -> usize {
-            self.flows
-                .iter()
-                .find(|f| f.label == label)
-                .map(|f| f.pair)
-                .unwrap_or(0)
-        };
-        let before: Vec<Option<String>> = labels
-            .iter()
-            .map(|l| sdn.flow_tunnel(l).map(str::to_string))
-            .collect();
-        let mut moves = vec![0u64; npairs];
-        match policy {
-            Policy::StaticShortest => {}
-            Policy::Hecate => {
-                // May fail during warm-up (insufficient telemetry) —
-                // the policy just skips that round, like the steering
-                // experiment does. Single-pair networks run the legacy
-                // bottleneck search; multi-pair networks the
-                // shared-link engine — both inside the framework.
-                if sdn.reoptimize_bandwidth().is_err() {
-                    return moves;
-                }
-                for (l, b) in labels.iter().zip(&before) {
-                    if sdn.flow_tunnel(l).map(str::to_string) != *b {
-                        moves[pair_of(l)] += 1;
-                    }
-                }
-            }
-            Policy::LastSample => {
-                // The reactive baseline re-assigns each pair
-                // *independently* on last observed samples: it neither
-                // forecasts nor knows about links its tunnels share
-                // with other pairs — exactly the contrast the
-                // shared-link-aware Hecate policy is scored against.
-                #[allow(clippy::needless_range_loop)] // p indexes moves AND names the pair
-                for p in 0..npairs {
-                    let Some(names) = sdn.pair_tunnel_names(PairId(p)).map(<[String]>::to_vec)
-                    else {
-                        continue;
-                    };
-                    let caps: Vec<f64> = names
-                        .iter()
-                        .map(|n| {
-                            sdn.telemetry
-                                .last(&SeriesKey::new(n, Metric::AvailableBandwidth))
-                                .unwrap_or(0.0)
-                                .max(0.0)
-                        })
-                        .collect();
-                    let live: Vec<&String> = labels
-                        .iter()
-                        .zip(&before)
-                        .filter(|(_, b)| b.is_some())
-                        .map(|(l, _)| l)
-                        .filter(|l| pair_of(l) == p)
-                        .collect();
-                    if live.is_empty() {
-                        continue;
-                    }
-                    let demands: Vec<Option<f64>> = live
-                        .iter()
-                        .map(|l| {
-                            self.flows
-                                .iter()
-                                .find(|f| f.label == l.as_str())
-                                .and_then(|f| f.demand_mbps)
-                        })
-                        .collect();
-                    let Ok(assignment) = assign_flows(&caps, &demands) else {
-                        continue;
-                    };
-                    for (l, &t) in live.iter().zip(&assignment.tunnel_of_flow) {
-                        let target = &names[t];
-                        if sdn.flow_tunnel(l) != Some(target.as_str())
-                            && sdn.migrate_flow(l, target).is_ok()
-                        {
-                            moves[p] += 1;
-                        }
-                    }
-                }
-            }
-        }
-        moves
-    }
 }
 
 /// Index of the link between two named endpoints in the raw link list.
@@ -806,7 +664,6 @@ mod tests {
             decision_every: 5,
             k_tunnels: 3,
             slo_fraction: 0.9,
-            optimizer: OptimizerConfig::default(),
             plane: PlaneMode::Fluid,
             elastic: None,
             seed: policy_seed,

@@ -1,12 +1,4 @@
-//! SLO blame stability across water-fill solve modes.
-//!
-//! The controller can keep its shared-link max-min solution either by
-//! full recompute or by incrementally patching a standing
-//! [`framework::SharedWaterfill`] (`SolveMode`). Both modes are pinned
-//! bit-identical at the optimizer layer; this test pins the claim one
-//! layer up where it matters operationally: the *blame list* on a
-//! scorecard — the operator-facing "why did the SLO break" answer —
-//! must not depend on how the water-fill was computed.
+//! SLO blames under a maintenance drain.
 //!
 //! The scenario is the catalog's multi-pair WAN with its link failure
 //! swapped for a permanent heavy maintenance drain: capacity collapses
@@ -15,14 +7,13 @@
 //! cause whose evidence joins the water-fill solve counters and the
 //! squeezed-tunnel scan.
 
-use framework::{OptimizerConfig, SolveMode};
 use scenarios::events::{EventKind, EventSpec, LinkPick};
 use scenarios::{catalog, Policy, Scenario};
 
 /// The catalog's `wan-multipair` at half horizon, with the scripted
 /// failure replaced by a permanent 50x drain on the primary's first
 /// backbone hop.
-fn drained_multipair(mode: SolveMode) -> Scenario {
+fn drained_multipair() -> Scenario {
     let mut s = catalog()
         .into_iter()
         .find(|s| s.name == "wan-multipair")
@@ -36,38 +27,15 @@ fn drained_multipair(mode: SolveMode) -> Scenario {
             restore_after: None,
         },
     }];
-    s.optimizer = OptimizerConfig {
-        mode,
-        ..Default::default()
-    };
     s
-}
-
-#[test]
-fn blames_are_bit_identical_across_solve_modes() {
-    for policy in Policy::all() {
-        let incremental = drained_multipair(SolveMode::Incremental)
-            .run(policy)
-            .unwrap();
-        let full = drained_multipair(SolveMode::FullRecompute)
-            .run(policy)
-            .unwrap();
-        // The whole scorecard — blames included — is bitwise equal:
-        // the solve mode moves *how* the allocation is computed, never
-        // what it is or how a violation is explained.
-        assert_eq!(incremental, full, "{policy:?}");
-        assert_eq!(incremental.blames, full.blames, "{policy:?}");
-    }
 }
 
 #[test]
 fn the_drain_produces_waterfill_saturation_blames() {
     // Static routing parks the demand flow on the drained primary: it
     // violates persistently with no link down, so attribution lands on
-    // the water-fill, and both solve modes tell the same story.
-    let card = drained_multipair(SolveMode::Incremental)
-        .run(Policy::StaticShortest)
-        .unwrap();
+    // the water-fill.
+    let card = drained_multipair().run(Policy::StaticShortest).unwrap();
     let saturated: Vec<_> = card
         .blames
         .iter()
@@ -82,8 +50,4 @@ fn the_drain_produces_waterfill_saturation_blames() {
         assert!(b.detail.contains("drain"), "{b:?}");
         assert!(!b.flows.is_empty(), "{b:?}");
     }
-    let full = drained_multipair(SolveMode::FullRecompute)
-        .run(Policy::StaticShortest)
-        .unwrap();
-    assert_eq!(card.blames, full.blames);
 }

@@ -67,7 +67,6 @@ fn replayable(
         decision_every: 5,
         k_tunnels: if pair_count > 1 { 2 } else { 3 },
         slo_fraction: 0.8,
-        optimizer: Default::default(),
         plane: PlaneMode::Fluid,
         elastic: None,
         seed,
@@ -263,7 +262,6 @@ fn fat_tree_single_failure_recovers_within_decision_interval() {
         decision_every,
         k_tunnels: 3,
         slo_fraction: 0.8,
-        optimizer: Default::default(),
         plane: PlaneMode::Fluid,
         elastic: None,
         seed: 42,

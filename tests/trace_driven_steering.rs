@@ -3,7 +3,8 @@
 //! at t≈70 s: the WiFi path (tunnel 1) collapses while LTE (tunnel 2)
 //! picks up — adaptive policies must follow, static must lose.
 
-use polka_hecate::framework::sdn::{SelfDrivingNetwork, SteeringPolicy};
+use polka_hecate::framework::sdn::SelfDrivingNetwork;
+use polka_hecate::framework::Policy;
 use polka_hecate::traces::{UqDataset, UqSpec};
 
 fn traces() -> UqDataset {
@@ -18,7 +19,7 @@ fn traces() -> UqDataset {
     })
 }
 
-fn run(policy: SteeringPolicy) -> polka_hecate::framework::sdn::SteeringResult {
+fn run(policy: Policy) -> polka_hecate::framework::sdn::SteeringResult {
     let d = traces();
     let mut sdn = SelfDrivingNetwork::testbed(21).unwrap();
     sdn.run_trace_driven_steering(policy, 180, 10, &d.wifi, &d.lte)
@@ -27,9 +28,9 @@ fn run(policy: SteeringPolicy) -> polka_hecate::framework::sdn::SteeringResult {
 
 #[test]
 fn adaptive_steering_beats_static() {
-    let hecate = run(SteeringPolicy::Hecate);
-    let last = run(SteeringPolicy::LastSample);
-    let fixed = run(SteeringPolicy::Static);
+    let hecate = run(Policy::Hecate);
+    let last = run(Policy::LastSample);
+    let fixed = run(Policy::StaticShortest);
 
     // Over the whole run (which includes the indoor prefix where all
     // policies ride the same good WiFi path) adaptive must still win.
@@ -71,7 +72,7 @@ fn adaptive_steering_beats_static() {
 
 #[test]
 fn steering_keeps_goodput_above_collapsed_wifi() {
-    let hecate = run(SteeringPolicy::Hecate);
+    let hecate = run(Policy::Hecate);
     // After the outdoor switch, the WiFi path is worth ~12 Mbps at best;
     // LTE runs near 18-24. A steered flow should average well above the
     // collapsed-WiFi level in the second half of the run.
