@@ -1,87 +1,88 @@
-//! Bench: flow-arrival decision throughput, cold vs warm ForecastEngine
-//! (ISSUE 2's tentpole artifact).
+//! Bench: flow-arrival decision throughput, cold vs warm ForecastEngine.
 //!
-//! `cold` is the seed reproduction's behavior — refit every path's
-//! regressor for every arriving flow; `warm` serves the same decision
-//! from the trained-model cache; `warm_batch` amortizes one consultation
-//! across a 64-flow scheduler tick via `decide_flows`. All three decide
-//! against identical netsim-driven telemetry (8 candidate tunnels over
-//! the Fig 9 testbed grown by path discovery), so the recommendations
-//! are identical — only the cost differs.
+//! Every decision is the consult a network admits with,
+//! `decide_flows_pairs`. `cold` is the seed reproduction's behavior —
+//! the trained-model cache cleared, so every path's regressor is refit
+//! for every arriving flow; `warm` serves the same decision from the
+//! cache; `warm_batch` amortizes one consultation across a 64-flow
+//! scheduler tick. All three decide against identical netsim-driven
+//! telemetry (8 candidate tunnels over the Fig 9 testbed grown by path
+//! discovery), so the recommendations are identical — only the cost
+//! differs.
 
 use bench::figures::{multipair_testbed, throughput_testbed};
 use criterion::{criterion_group, criterion_main, Criterion};
-use framework::controller::{decide_flows, decide_flows_pairs, decide_path, SequenceLog};
-use framework::optimizer::{select_path, Objective};
+use framework::controller::{decide_flows_pairs, SequenceLog};
+use framework::optimizer::{Objective, SharedLinkModel};
 use framework::scheduler::FlowRequest;
-use framework::{HecateService, Metric, PairId};
+use framework::{HecateService, PairId, TelemetryService};
 use std::hint::black_box;
 
-fn bench_decisions(c: &mut Criterion) {
-    let (telemetry, names) = throughput_testbed(8);
-    let mut group = c.benchmark_group("decision_throughput");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_secs(1));
-    group.measurement_time(std::time::Duration::from_secs(5));
-
-    // Cold: refit all 8 path models per decision (the old hot path).
-    let cold = HecateService::new();
-    group.bench_function("cold/8paths/RFR", |b| {
-        b.iter(|| {
-            let forecasts =
-                cold.forecast_all_uncached(&telemetry, &names, Metric::AvailableBandwidth);
-            black_box(
-                select_path(Objective::MaxBandwidth, &forecasts)
-                    .unwrap()
-                    .path
-                    .clone(),
-            )
-        })
-    });
-
-    // Warm: identical decision served from the trained-model cache.
-    let warm = HecateService::new();
+/// One max-bandwidth consult of `reqs`; the number of decisions.
+fn consult(
+    hecate: &HecateService,
+    telemetry: &TelemetryService,
+    reqs: &[FlowRequest],
+    names: &[String],
+    model: &SharedLinkModel,
+) -> usize {
     let mut log = SequenceLog::default();
-    decide_path(&warm, &telemetry, &names, Objective::MaxBandwidth, &mut log)
-        .expect("prime the cache");
-    group.bench_function("warm/8paths/RFR", |b| {
-        b.iter(|| {
-            let mut log = SequenceLog::default();
-            black_box(
-                decide_path(&warm, &telemetry, &names, Objective::MaxBandwidth, &mut log)
-                    .unwrap()
-                    .tunnel,
-            )
-        })
-    });
+    decide_flows_pairs(
+        hecate,
+        telemetry,
+        reqs,
+        names,
+        model,
+        Objective::MaxBandwidth,
+        &Default::default(),
+        &mut log,
+    )
+    .expect("warm telemetry")
+    .decisions
+    .len()
+}
 
-    // Warm, batched: a 64-flow scheduler tick per iteration — report
-    // the per-tick cost; per-flow cost is this divided by 64.
-    let tick: Vec<FlowRequest> = (0..64)
+/// `n` greedy flow requests, flow `i` on pair `pair_of(i)`.
+fn flows(n: usize, pair_of: impl Fn(usize) -> usize) -> Vec<FlowRequest> {
+    (0..n)
         .map(|i| FlowRequest {
             label: format!("f{i}"),
             tos: 0,
             demand_mbps: None,
             start_ms: 0,
-            pair: framework::PairId::default(),
+            pair: PairId(pair_of(i)),
         })
-        .collect();
-    group.bench_function("warm_batch64/8paths/RFR", |b| {
+        .collect()
+}
+
+fn bench_decisions(c: &mut Criterion) {
+    let (telemetry, names, model) = throughput_testbed(8);
+    let mut group = c.benchmark_group("decision_throughput");
+    group.sample_size(10);
+    group.warm_up_time(std::time::Duration::from_secs(1));
+    group.measurement_time(std::time::Duration::from_secs(5));
+    let (one, tick) = (flows(1, |_| 0), flows(64, |_| 0));
+
+    // Cold: refit all 8 path models per decision (the old hot path).
+    let cold = HecateService::new();
+    group.bench_function("cold/8paths/RFR", |b| {
         b.iter(|| {
-            let mut log = SequenceLog::default();
-            black_box(
-                decide_flows(
-                    &warm,
-                    &telemetry,
-                    &tick,
-                    &names,
-                    Objective::MaxBandwidth,
-                    &mut log,
-                )
-                .unwrap()
-                .len(),
-            )
+            cold.clear_cache();
+            black_box(consult(&cold, &telemetry, &one, &names, &model))
         })
+    });
+
+    // Warm: identical decision served from the trained-model cache.
+    let warm = HecateService::new();
+    consult(&warm, &telemetry, &one, &names, &model); // prime the cache
+    group.bench_function("warm/8paths/RFR", |b| {
+        b.iter(|| black_box(consult(&warm, &telemetry, &one, &names, &model)))
+    });
+
+    // Warm, batched: a 64-flow scheduler tick per iteration — report
+    // the per-tick cost; per-flow cost is this divided by 64.
+    group.bench_function("warm_batch64/8paths/RFR", |b| {
+        b.iter(|| black_box(consult(&warm, &telemetry, &tick, &names, &model)))
     });
     group.finish();
 }
@@ -89,13 +90,6 @@ fn bench_decisions(c: &mut Criterion) {
 /// The multi-pair sweep: one warm scheduler-tick decision (one flow per
 /// managed pair) across 1 / 4 / 16 pairs, each pair with two disjoint
 /// candidate tunnels over a shared 40-node mesh.
-///
-/// `pairs1` runs BOTH engines on the identical single-pair workload:
-/// `legacy` is the bottleneck-per-tunnel path a single-pair
-/// `SelfDrivingNetwork` actually takes (byte-for-byte the pre-refactor
-/// hot path, so its throughput *is* the pre-refactor number — asserted
-/// behaviorally in `figures::multipair_n1_decisions_match_the_legacy_engine`),
-/// and `shared` is the link-level engine pinned to N=1 for comparison.
 fn bench_multipair(c: &mut Criterion) {
     let mut group = c.benchmark_group("decision_throughput_multipair");
     group.sample_size(10);
@@ -105,66 +99,11 @@ fn bench_multipair(c: &mut Criterion) {
     for pairs in [1usize, 4, 16] {
         let (telemetry, names, model) = multipair_testbed(pairs);
         let hecate = HecateService::new();
-        let tick: Vec<FlowRequest> = (0..pairs)
-            .map(|p| FlowRequest {
-                label: format!("f{p}"),
-                tos: 0,
-                demand_mbps: None,
-                start_ms: 0,
-                pair: PairId(p),
-            })
-            .collect();
+        let tick = flows(pairs, |p| p);
         // Prime the trained-model cache once, like a running network.
-        let mut log = SequenceLog::default();
-        decide_flows_pairs(
-            &hecate,
-            &telemetry,
-            &tick,
-            &names,
-            &model,
-            Objective::MaxBandwidth,
-            &Default::default(),
-            &mut log,
-        )
-        .expect("prime the cache");
-        if pairs == 1 {
-            group.bench_function("pairs1/legacy", |b| {
-                b.iter(|| {
-                    let mut log = SequenceLog::default();
-                    black_box(
-                        decide_flows(
-                            &hecate,
-                            &telemetry,
-                            &tick,
-                            &names,
-                            Objective::MaxBandwidth,
-                            &mut log,
-                        )
-                        .unwrap()
-                        .len(),
-                    )
-                })
-            });
-        }
+        consult(&hecate, &telemetry, &tick, &names, &model);
         group.bench_function(format!("pairs{pairs}/shared"), |b| {
-            b.iter(|| {
-                let mut log = SequenceLog::default();
-                black_box(
-                    decide_flows_pairs(
-                        &hecate,
-                        &telemetry,
-                        &tick,
-                        &names,
-                        &model,
-                        Objective::MaxBandwidth,
-                        &Default::default(),
-                        &mut log,
-                    )
-                    .unwrap()
-                    .decisions
-                    .len(),
-                )
-            })
+            b.iter(|| black_box(consult(&hecate, &telemetry, &tick, &names, &model)))
         });
     }
     group.finish();

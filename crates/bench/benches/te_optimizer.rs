@@ -3,7 +3,8 @@
 //! search the framework runs at re-optimization time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use framework::optimizer::assign_flows;
+use framework::optimizer::{assign_flows_shared, FlowDemand, SharedLinkModel};
+use framework::PairId;
 use std::hint::black_box;
 
 fn bench_min_max_lp(c: &mut Criterion) {
@@ -27,14 +28,21 @@ fn bench_delay_split(c: &mut Criterion) {
 fn bench_assignment_search(c: &mut Criterion) {
     let mut group = c.benchmark_group("flow_assignment_search");
     for (tunnels, flows) in [(3usize, 3usize), (3, 6), (4, 6)] {
+        // One pair over tunnels that are nothing but their caps.
         let caps: Vec<f64> = (0..tunnels).map(|i| 20.0 / (i + 1) as f64).collect();
-        let demands: Vec<Option<f64>> = (0..flows)
-            .map(|i| if i % 2 == 0 { None } else { Some(3.0) })
+        let model = SharedLinkModel::one_pair(tunnels).with_tunnel_caps(&caps);
+        let demands: Vec<FlowDemand> = (0..flows)
+            .map(|i| FlowDemand {
+                pair: PairId(0),
+                demand: if i % 2 == 0 { None } else { Some(3.0) },
+            })
             .collect();
         group.bench_with_input(
             BenchmarkId::from_parameter(format!("{tunnels}t_{flows}f")),
-            &(caps, demands),
-            |b, (caps, demands)| b.iter(|| black_box(assign_flows(caps, demands).unwrap())),
+            &(model, demands),
+            |b, (model, demands)| {
+                b.iter(|| black_box(assign_flows_shared(model, demands).unwrap()))
+            },
         );
     }
     group.finish();

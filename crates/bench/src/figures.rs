@@ -138,9 +138,16 @@ pub fn ext_steering() -> Vec<framework::sdn::SteeringResult> {
 /// discovery (the Sec VII continent-wide direction), with UQ wireless
 /// traces driving the two experiment links so every per-tunnel
 /// bandwidth series is genuinely dynamic, advanced until every series
-/// has 75 telemetry samples. Returns the telemetry store and the
-/// candidate tunnel names.
-pub fn throughput_testbed(paths: usize) -> (framework::TelemetryService, Vec<String>) {
+/// has 75 telemetry samples. Returns the telemetry store, the first
+/// `paths` candidate tunnel names and the network's shared-link model
+/// (`link_model(false)`) cut to those tunnels.
+pub fn throughput_testbed(
+    paths: usize,
+) -> (
+    framework::TelemetryService,
+    Vec<String>,
+    framework::optimizer::SharedLinkModel,
+) {
     let mut sdn = SelfDrivingNetwork::testbed(7).expect("testbed");
     for dst in ["PAR", "POZ"] {
         if sdn.tunnel_names().len() >= paths {
@@ -164,16 +171,17 @@ pub fn throughput_testbed(paths: usize) -> (framework::TelemetryService, Vec<Str
     sdn.advance(75_000).expect("telemetry warm-up");
     let mut names = sdn.tunnel_names();
     names.truncate(paths);
-    (sdn.telemetry.clone(), names)
+    let mut model = sdn.link_model(false);
+    model.tunnel_links.truncate(paths);
+    model.candidates[0].retain(|&t| t < paths);
+    (sdn.telemetry.clone(), names, model)
 }
 
 /// Telemetry, global tunnel names and the shared-link capacity model
 /// for a `pairs`-pair traffic matrix on a 40-node chorded-ring mesh
 /// (pair `i` runs `n{i} -> n{i+20}`, two disjoint tunnels each),
 /// warmed through the live control loop — the `decision_throughput`
-/// bench's multi-pair workload. With `pairs == 1` this is exactly the
-/// legacy single-pair shape (bare tunnel names), so the N=1 decision
-/// path can be compared against the pre-refactor engine directly.
+/// bench's multi-pair workload.
 pub fn multipair_testbed(
     pairs: usize,
 ) -> (
@@ -213,7 +221,7 @@ pub struct ThroughputReport {
     /// Warm decisions per second (per-flow decisions).
     pub warm_dps: f64,
     /// Warm decisions per second when flows are decided in batched
-    /// scheduler ticks of 64 via `decide_flows`.
+    /// scheduler ticks of 64.
     pub warm_batch_dps: f64,
     /// warm_dps / cold_dps.
     pub speedup: f64,
@@ -225,67 +233,60 @@ pub struct ThroughputReport {
 
 /// Measures decisions/sec for cold vs warm engines on identical
 /// telemetry (no samples arrive during measurement, so cold and warm
-/// recommendations must agree exactly).
+/// recommendations must agree exactly). Every decision is the one
+/// consult a network admits with, `decide_flows_pairs`.
 pub fn decision_throughput(paths: usize, cold_flows: usize, warm_flows: usize) -> ThroughputReport {
-    use framework::controller::{decide_flows, decide_path, SequenceLog};
-    use framework::optimizer::{select_path, Objective};
+    use framework::controller::{decide_flows_pairs, BatchDecision, SequenceLog};
     use framework::scheduler::FlowRequest;
-    use framework::{HecateService, Metric};
-    let (telemetry, names) = throughput_testbed(paths);
-    let hecate = HecateService::new(); // the paper's RFR
+    use framework::{HecateService, Objective};
+    let (telemetry, names, model) = throughput_testbed(paths);
+    let config = framework::OptimizerConfig::default();
+    let consult = |hecate: &HecateService, reqs: &[FlowRequest], log: &mut SequenceLog| {
+        let max = Objective::MaxBandwidth;
+        decide_flows_pairs(hecate, &telemetry, reqs, &names, &model, max, &config, log)
+            .expect("warm telemetry")
+    };
+    let tunnel = |out: BatchDecision| out.decisions[0].tunnel.clone();
+    let flows = |n: usize| -> Vec<FlowRequest> {
+        (0..n)
+            .map(|i| FlowRequest {
+                label: format!("f{i}"),
+                tos: 0,
+                demand_mbps: None,
+                start_ms: 0,
+                pair: framework::PairId::default(),
+            })
+            .collect()
+    };
+    let (one, tick) = (flows(1), flows(64));
+    let mut log = SequenceLog::default();
 
-    // Cold: the seed's per-arrival behavior — refit every path's model
-    // for every single flow.
+    // Cold: the seed's per-arrival behavior — with the cache cleared,
+    // the consult refits every path's model for every single flow.
+    let cold = HecateService::new(); // the paper's RFR
     let t0 = std::time::Instant::now();
     let mut cold_picks = Vec::with_capacity(cold_flows);
     for _ in 0..cold_flows {
-        let forecasts =
-            hecate.forecast_all_uncached(&telemetry, &names, Metric::AvailableBandwidth);
-        let best = select_path(Objective::MaxBandwidth, &forecasts).expect("warm telemetry");
-        cold_picks.push(best.path.clone());
+        cold.clear_cache();
+        cold_picks.push(tunnel(consult(&cold, &one, &mut log)));
     }
     let cold_dps = cold_flows as f64 / t0.elapsed().as_secs_f64().max(1e-9);
 
     // Warm: same per-flow decisions against the trained-model cache.
-    let mut log = SequenceLog::default();
+    let hecate = HecateService::new();
     let t1 = std::time::Instant::now();
     let mut warm_picks = Vec::with_capacity(warm_flows);
     for _ in 0..warm_flows {
-        let d = decide_path(
-            &hecate,
-            &telemetry,
-            &names,
-            Objective::MaxBandwidth,
-            &mut log,
-        )
-        .expect("warm telemetry");
-        warm_picks.push(d.tunnel);
+        warm_picks.push(tunnel(consult(&hecate, &one, &mut log)));
     }
     let warm_dps = warm_flows as f64 / t1.elapsed().as_secs_f64().max(1e-9);
 
     // Warm, batched: whole scheduler ticks of 64 flows share one
     // consultation.
-    let tick: Vec<FlowRequest> = (0..64)
-        .map(|i| FlowRequest {
-            label: format!("f{i}"),
-            tos: 0,
-            demand_mbps: None,
-            start_ms: 0,
-            pair: framework::PairId::default(),
-        })
-        .collect();
     let batches = warm_flows.div_ceil(64).max(1);
     let t2 = std::time::Instant::now();
     for _ in 0..batches {
-        decide_flows(
-            &hecate,
-            &telemetry,
-            &tick,
-            &names,
-            Objective::MaxBandwidth,
-            &mut log,
-        )
-        .expect("warm telemetry");
+        consult(&hecate, &tick, &mut log);
     }
     let warm_batch_dps = (batches * tick.len()) as f64 / t2.elapsed().as_secs_f64().max(1e-9);
 
@@ -834,60 +835,6 @@ mod tests {
     }
 
     #[test]
-    fn multipair_n1_decisions_match_the_legacy_engine() {
-        // The refactor's N=1 contract at the decision level: on the
-        // same warmed single-pair testbed, the shared-link engine
-        // (decide_flows_pairs) recommends exactly what the legacy
-        // bottleneck engine (decide_flows) recommends — pair count 1
-        // changes nothing but the code path taken by multi-pair
-        // networks.
-        use framework::controller::{decide_flows, decide_flows_pairs, SequenceLog};
-        use framework::scheduler::FlowRequest;
-        use framework::{HecateService, Objective};
-        let (telemetry, names, model) = multipair_testbed(1);
-        assert_eq!(names, vec!["tunnel1", "tunnel2"], "legacy bare names");
-        let hecate = HecateService::new();
-        let reqs: Vec<FlowRequest> = (0..2)
-            .map(|i| FlowRequest {
-                label: format!("f{i}"),
-                tos: 0,
-                demand_mbps: None,
-                start_ms: 0,
-                pair: framework::PairId::default(),
-            })
-            .collect();
-        let mut log = SequenceLog::default();
-        let legacy = decide_flows(
-            &hecate,
-            &telemetry,
-            &reqs,
-            &names,
-            Objective::MaxBandwidth,
-            &mut log,
-        )
-        .expect("legacy decision");
-        let shared = decide_flows_pairs(
-            &hecate,
-            &telemetry,
-            &reqs,
-            &names,
-            &model,
-            Objective::MaxBandwidth,
-            &Default::default(),
-            &mut log,
-        )
-        .expect("shared-link decision")
-        .decisions;
-        let tunnels = |ds: &[framework::controller::PathDecision]| {
-            let mut t: Vec<String> = ds.iter().map(|d| d.tunnel.clone()).collect();
-            t.sort();
-            t
-        };
-        assert_eq!(tunnels(&legacy), tunnels(&shared));
-        assert!(shared.iter().all(|d| d.used_forecast));
-    }
-
-    #[test]
     fn multipair_testbed_scales_to_sixteen_pairs() {
         let (telemetry, names, model) = multipair_testbed(16);
         assert_eq!(names.len(), 32, "two disjoint tunnels per pair");
@@ -902,8 +849,10 @@ mod tests {
 
     #[test]
     fn throughput_testbed_has_eight_dynamic_paths() {
-        let (telemetry, names) = throughput_testbed(8);
+        let (telemetry, names, model) = throughput_testbed(8);
         assert_eq!(names.len(), 8, "{names:?}");
+        assert_eq!(model.tunnel_links.len(), 8);
+        assert_eq!(model.candidates, vec![(0..8).collect::<Vec<_>>()]);
         for name in &names {
             let key =
                 framework::telemetry::SeriesKey::new(name, framework::Metric::AvailableBandwidth);

@@ -8,8 +8,8 @@
 
 use crate::hecate::{HecateService, PathForecast};
 use crate::optimizer::{
-    assign_flows, assign_flows_shared_with, select_path, FlowDemand, Objective, OptimizerConfig,
-    SharedLinkModel, SolverKind,
+    assign_flows_shared_with, select_path, FlowDemand, Objective, OptimizerConfig, SharedLinkModel,
+    SolverKind,
 };
 use crate::scheduler::FlowRequest;
 use crate::telemetry::{Metric, SeriesKey, TelemetryService};
@@ -50,178 +50,7 @@ impl SequenceLog {
     }
 }
 
-/// Pure decision function: given telemetry and candidates, run the
-/// Fig 4 consultation (getTelemetry → askHecatePath → Optimizer) and
-/// return the decision. Falls back to the first candidate when
-/// forecasting is impossible (cold start).
-pub fn decide_path(
-    hecate: &HecateService,
-    telemetry: &TelemetryService,
-    candidates: &[String],
-    objective: Objective,
-    log: &mut SequenceLog,
-) -> Result<PathDecision, FrameworkError> {
-    if candidates.is_empty() {
-        return Err(FrameworkError::NoFeasiblePath);
-    }
-    log.record("getTelemetry");
-    let metric = match objective {
-        Objective::MinLatency => Metric::Rtt,
-        _ => Metric::AvailableBandwidth,
-    };
-    log.record("askHecatePath");
-    let forecasts = hecate.forecast_all(telemetry, candidates, metric);
-    if forecasts.is_empty() {
-        // Cold start: the paper's phase (i) "controller allocates the
-        // flow to an arbitrary path".
-        log.record("fallbackArbitraryPath");
-        return Ok(PathDecision {
-            tunnel: candidates[0].clone(),
-            used_forecast: false,
-            score: None,
-        });
-    }
-    let best = select_path(objective, &forecasts)?;
-    log.record("optimizerReturn");
-    Ok(PathDecision {
-        tunnel: best.path.clone(),
-        used_forecast: true,
-        score: Some(best.mean()),
-    })
-}
-
-/// Exhaustive assignment is k^n; above this bound the batch falls back
-/// to the online greedy placement.
-const EXHAUSTIVE_ASSIGNMENT_BOUND: u64 = 100_000;
-
-/// Batched decision function: one Fig 4 consultation for *every* flow
-/// due in the same scheduler tick.
-///
-/// The per-path forecasts are computed once (fanned out in parallel,
-/// served from Hecate's trained-model cache) and amortized across the
-/// whole batch — the AMPF insight that per-flow ML path assignment only
-/// scales when classifier cost is shared across arriving flows. Returns
-/// one decision per request, in request order.
-///
-/// Placement semantics per objective:
-///
-/// * a batch of one always decides exactly like [`decide_path`];
-/// * [`Objective::MaxBandwidth`] places the batch jointly: the
-///   exhaustive [`assign_flows`] search (the same optimum the
-///   re-optimizer uses) when `candidates^flows` is small enough,
-///   otherwise an online greedy water-fill where each flow takes the
-///   tunnel currently offering it the best share;
-/// * the latency/utilization objectives have no flow-interaction model,
-///   so every flow gets the single [`select_path`] winner;
-/// * cold start sends the whole batch to the first candidate (phase i).
-pub fn decide_flows(
-    hecate: &HecateService,
-    telemetry: &TelemetryService,
-    requests: &[FlowRequest],
-    candidates: &[String],
-    objective: Objective,
-    log: &mut SequenceLog,
-) -> Result<Vec<PathDecision>, FrameworkError> {
-    if candidates.is_empty() {
-        return Err(FrameworkError::NoFeasiblePath);
-    }
-    if requests.is_empty() {
-        return Ok(Vec::new());
-    }
-    if requests.len() == 1 {
-        return Ok(vec![decide_path(
-            hecate, telemetry, candidates, objective, log,
-        )?]);
-    }
-    log.record("getTelemetry");
-    let metric = match objective {
-        Objective::MinLatency => Metric::Rtt,
-        _ => Metric::AvailableBandwidth,
-    };
-    log.record("askHecatePath");
-    let forecasts = hecate.forecast_all(telemetry, candidates, metric);
-    if forecasts.is_empty() {
-        log.record("fallbackArbitraryPath");
-        return Ok(requests
-            .iter()
-            .map(|_| PathDecision {
-                tunnel: candidates[0].clone(),
-                used_forecast: false,
-                score: None,
-            })
-            .collect());
-    }
-    let decisions = match objective {
-        Objective::MaxBandwidth => {
-            let caps: Vec<f64> = forecasts.iter().map(|f| f.mean().max(0.0)).collect();
-            let tunnel_of_flow = place_batch(
-                &caps,
-                &requests.iter().map(|r| r.demand_mbps).collect::<Vec<_>>(),
-            )?;
-            tunnel_of_flow
-                .into_iter()
-                .map(|t| PathDecision {
-                    tunnel: forecasts[t].path.clone(),
-                    used_forecast: true,
-                    score: Some(forecasts[t].mean()),
-                })
-                .collect()
-        }
-        _ => {
-            let best = select_path(objective, &forecasts)?;
-            requests
-                .iter()
-                .map(|_| PathDecision {
-                    tunnel: best.path.clone(),
-                    used_forecast: true,
-                    score: Some(best.mean()),
-                })
-                .collect()
-        }
-    };
-    log.record("optimizerReturn");
-    Ok(decisions)
-}
-
-/// Places a batch of flows on tunnels with predicted capacities `caps`:
-/// the exhaustive optimum when the search space is small, an online
-/// greedy water-fill otherwise.
-fn place_batch(caps: &[f64], demands: &[Option<f64>]) -> Result<Vec<usize>, FrameworkError> {
-    let k = caps.len() as u64;
-    let exhaustive_fits = k
-        .checked_pow(demands.len().min(u32::MAX as usize) as u32)
-        .is_some_and(|space| space <= EXHAUSTIVE_ASSIGNMENT_BOUND);
-    if exhaustive_fits {
-        return Ok(assign_flows(caps, demands)?.tunnel_of_flow);
-    }
-    // Online greedy: each flow takes the tunnel currently offering it
-    // the best share. Greedy flows split a tunnel's residual evenly;
-    // demand-limited flows reserve their demand. O(flows * tunnels).
-    let mut reserved = vec![0.0f64; caps.len()];
-    let mut greedy_count = vec![0usize; caps.len()];
-    let mut placement = Vec::with_capacity(demands.len());
-    for demand in demands {
-        let share = |t: usize| -> f64 {
-            let residual = (caps[t] - reserved[t]).max(0.0);
-            match demand {
-                Some(d) => d.min(residual / (greedy_count[t] + 1) as f64),
-                None => residual / (greedy_count[t] + 1) as f64,
-            }
-        };
-        let Some(best) = (0..caps.len()).max_by(|&a, &b| share(a).total_cmp(&share(b))) else {
-            // No candidate tunnels at all: nothing to place on.
-            return Err(FrameworkError::NoFeasiblePath);
-        };
-        match demand {
-            Some(d) => reserved[best] += d,
-            None => greedy_count[best] += 1,
-        }
-        placement.push(best);
-    }
-    Ok(placement)
-}
-
-/// What one multi-pair consultation decided, and how.
+/// What one consultation decided, and how.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchDecision {
     /// One decision per request, in request order.
@@ -233,36 +62,40 @@ pub struct BatchDecision {
     pub series: usize,
 }
 
-/// Batched decision for a **multi-pair** network: one Fig 4
-/// consultation for every flow due in the tick, across *all* managed
-/// pairs, against the shared-link capacity model.
+/// The decision function: one Fig 4 consultation (getTelemetry →
+/// askHecatePath → Optimizer) for every flow due in the scheduler tick,
+/// across *all* managed pairs, against the shared-link capacity model.
+/// A single-pair network is the `N = 1` case; a lone arrival is a batch
+/// of one. Returns one decision per request, in request order.
+///
+/// The per-path forecasts are computed once (fanned out in parallel,
+/// served from Hecate's trained-model cache) and amortized across the
+/// whole batch — the AMPF insight that per-flow ML path assignment only
+/// scales when classifier cost is shared across arriving flows.
 ///
 /// `tunnel_names` is the global candidate order (every pair's tunnels,
 /// pair-scoped series names) aligned with `model.tunnel_links`; the
 /// forecasts are therefore keyed `(pair, tunnel, metric)` in Hecate's
-/// cache — one trained model per pair-scoped series, exactly like the
-/// single-pair engine keys per tunnel.
+/// cache — one trained model per pair-scoped series.
 ///
 /// Only the candidate tunnels of the batch's pairs can change where its
 /// flows go, so only their series are forecast
 /// ([`HecateService::forecast_needed`]); every other series is
 /// deferred, with its refits and bits unchanged.
 ///
-/// Placement semantics mirror [`decide_flows`]:
+/// Placement semantics:
 ///
 /// * cold start (no forecastable series at all, deferred ones included)
-///   sends each flow to its own pair's first candidate;
+///   sends each flow to its own pair's first candidate (phase i);
 /// * latency/utilization objectives have no flow-interaction model:
 ///   each pair's flows all take that pair's [`select_path`] winner;
 /// * [`Objective::MaxBandwidth`] forms per-tunnel capacity caps
 ///   (forecast mean, falling back to the last observed sample, floored
 ///   at zero), folds them into the model as synthetic links
 ///   ([`SharedLinkModel::with_tunnel_caps`]), and places the batch with
-///   [`assign_flows_shared_with`] under `config` — so no shared link is
-///   oversubscribed.
-///
-/// Single-pair networks never call this: they keep the legacy
-/// [`decide_flows`] path bit-for-bit.
+///   [`assign_flows_shared_with`] under `config` — exhaustively when
+///   the assignment space is within its bound, greedily otherwise — so
+///   no shared link is oversubscribed.
 #[allow(clippy::too_many_arguments)]
 pub fn decide_flows_pairs(
     hecate: &HecateService,
@@ -437,6 +270,33 @@ mod tests {
         vec!["tunnel1".into(), "tunnel2".into(), "tunnel3".into()]
     }
 
+    fn reqs(n: usize) -> Vec<FlowRequest> {
+        (0..n)
+            .map(|i| FlowRequest {
+                label: format!("f{i}"),
+                tos: 32,
+                demand_mbps: None,
+                start_ms: 0,
+                pair: crate::PairId::default(),
+            })
+            .collect()
+    }
+
+    /// Decides `reqs` on one pair over `names`, tunnels that cross no
+    /// physical link (the paper testbed's shape: only forecasts bind).
+    fn decide_one_pair(
+        h: &HecateService,
+        ts: &TelemetryService,
+        reqs: &[FlowRequest],
+        names: &[String],
+        objective: Objective,
+        log: &mut SequenceLog,
+    ) -> Result<BatchDecision, FrameworkError> {
+        let model = SharedLinkModel::one_pair(names.len());
+        let config = OptimizerConfig::default();
+        decide_flows_pairs(h, ts, reqs, names, &model, objective, &config, log)
+    }
+
     #[test]
     fn warm_decision_uses_forecasts() {
         let ts = store_with(
@@ -444,16 +304,19 @@ mod tests {
             Metric::AvailableBandwidth,
         );
         let mut log = SequenceLog::default();
-        let d = decide_path(
+        let out = decide_one_pair(
             &HecateService::new(),
             &ts,
+            &reqs(1),
             &candidates(),
             Objective::MaxBandwidth,
             &mut log,
         )
         .unwrap();
+        let d = &out.decisions[0];
         assert_eq!(d.tunnel, "tunnel1");
         assert!(d.used_forecast);
+        assert_eq!((out.solver, out.series), (Some(SolverKind::Exhaustive), 3));
         assert_eq!(
             log.steps(),
             &["getTelemetry", "askHecatePath", "optimizerReturn"]
@@ -464,32 +327,37 @@ mod tests {
     fn latency_objective_reads_rtt_series() {
         let ts = store_with(&[("tunnel1", 58.0), ("tunnel2", 16.0)], Metric::Rtt);
         let mut log = SequenceLog::default();
-        let d = decide_path(
+        let out = decide_one_pair(
             &HecateService::new(),
             &ts,
+            &reqs(1),
             &["tunnel1".into(), "tunnel2".into()],
             Objective::MinLatency,
             &mut log,
         )
         .unwrap();
+        let d = &out.decisions[0];
         assert_eq!(d.tunnel, "tunnel2");
         assert!((d.score.unwrap() - 16.0).abs() < 2.0);
+        assert_eq!(out.solver, None, "latency never solves jointly");
     }
 
     #[test]
     fn cold_start_falls_back_to_first() {
         let ts = TelemetryService::new(10);
         let mut log = SequenceLog::default();
-        let d = decide_path(
+        let out = decide_one_pair(
             &HecateService::new(),
             &ts,
+            &reqs(1),
             &candidates(),
             Objective::MaxBandwidth,
             &mut log,
         )
         .unwrap();
-        assert_eq!(d.tunnel, "tunnel1");
-        assert!(!d.used_forecast);
+        assert_eq!(out.decisions[0].tunnel, "tunnel1");
+        assert!(!out.decisions[0].used_forecast);
+        assert_eq!(out.solver, None);
         assert!(log.steps().contains(&"fallbackArbitraryPath".to_string()));
     }
 
@@ -497,9 +365,10 @@ mod tests {
     fn no_candidates_is_error() {
         let ts = TelemetryService::new(10);
         let mut log = SequenceLog::default();
-        assert!(decide_path(
+        assert!(decide_one_pair(
             &HecateService::new(),
             &ts,
+            &reqs(1),
             &[],
             Objective::MaxBandwidth,
             &mut log
@@ -514,44 +383,13 @@ mod tests {
         let ts = TelemetryService::new(10);
         let mut log = SequenceLog::default();
         let h = HecateService::new();
-        let a = decide_path(&h, &ts, &candidates(), Objective::MaxBandwidth, &mut log).unwrap();
-        let b = decide_path(&h, &ts, &candidates(), Objective::MaxBandwidth, &mut log).unwrap();
+        let mut decide = || {
+            let max = Objective::MaxBandwidth;
+            decide_one_pair(&h, &ts, &reqs(1), &candidates(), max, &mut log).unwrap()
+        };
+        let (a, b) = (decide(), decide());
         assert_eq!(a, b);
-        assert_eq!(a.score, None);
-    }
-
-    fn reqs(n: usize) -> Vec<FlowRequest> {
-        (0..n)
-            .map(|i| FlowRequest {
-                label: format!("f{i}"),
-                tos: 32,
-                demand_mbps: None,
-                start_ms: 0,
-                pair: crate::PairId::default(),
-            })
-            .collect()
-    }
-
-    #[test]
-    fn batch_of_one_matches_decide_path() {
-        let ts = store_with(
-            &[("tunnel1", 20.0), ("tunnel2", 10.0), ("tunnel3", 5.0)],
-            Metric::AvailableBandwidth,
-        );
-        let h = HecateService::new();
-        let mut log = SequenceLog::default();
-        let single =
-            decide_path(&h, &ts, &candidates(), Objective::MaxBandwidth, &mut log).unwrap();
-        let batch = decide_flows(
-            &h,
-            &ts,
-            &reqs(1),
-            &candidates(),
-            Objective::MaxBandwidth,
-            &mut log,
-        )
-        .unwrap();
-        assert_eq!(batch, vec![single]);
+        assert_eq!(a.decisions[0].score, None);
     }
 
     #[test]
@@ -565,7 +403,7 @@ mod tests {
         );
         let h = HecateService::new();
         let mut log = SequenceLog::default();
-        let decisions = decide_flows(
+        let decisions = decide_one_pair(
             &h,
             &ts,
             &reqs(3),
@@ -573,7 +411,8 @@ mod tests {
             Objective::MaxBandwidth,
             &mut log,
         )
-        .unwrap();
+        .unwrap()
+        .decisions;
         let mut tunnels: Vec<&str> = decisions.iter().map(|d| d.tunnel.as_str()).collect();
         tunnels.sort_unstable();
         assert_eq!(tunnels, vec!["tunnel1", "tunnel2", "tunnel3"]);
@@ -591,7 +430,7 @@ mod tests {
         let ts = store_with(&[("tunnel1", 58.0), ("tunnel2", 16.0)], Metric::Rtt);
         let h = HecateService::new();
         let mut log = SequenceLog::default();
-        let decisions = decide_flows(
+        let decisions = decide_one_pair(
             &h,
             &ts,
             &reqs(4),
@@ -599,7 +438,9 @@ mod tests {
             Objective::MinLatency,
             &mut log,
         )
-        .unwrap();
+        .unwrap()
+        .decisions;
+        assert_eq!(decisions.len(), 4);
         assert!(decisions.iter().all(|d| d.tunnel == "tunnel2"));
     }
 
@@ -607,7 +448,7 @@ mod tests {
     fn cold_batch_falls_back_for_every_flow() {
         let ts = TelemetryService::new(10);
         let mut log = SequenceLog::default();
-        let decisions = decide_flows(
+        let decisions = decide_one_pair(
             &HecateService::new(),
             &ts,
             &reqs(3),
@@ -615,7 +456,8 @@ mod tests {
             Objective::MaxBandwidth,
             &mut log,
         )
-        .unwrap();
+        .unwrap()
+        .decisions;
         assert_eq!(decisions.len(), 3);
         assert!(decisions
             .iter()
@@ -627,7 +469,7 @@ mod tests {
     fn empty_batch_is_empty() {
         let ts = TelemetryService::new(10);
         let mut log = SequenceLog::default();
-        let decisions = decide_flows(
+        let out = decide_one_pair(
             &HecateService::new(),
             &ts,
             &[],
@@ -636,7 +478,8 @@ mod tests {
             &mut log,
         )
         .unwrap();
-        assert!(decisions.is_empty());
+        assert_eq!(out, BatchDecision::default());
+        assert!(log.steps().is_empty(), "nothing to consult for");
     }
 
     // ---- multi-pair batched decisions ----
@@ -793,7 +636,7 @@ mod tests {
         );
         let h = HecateService::new();
         let mut log = SequenceLog::default();
-        let decisions = decide_flows(
+        let out = decide_one_pair(
             &h,
             &ts,
             &reqs(1000),
@@ -802,6 +645,8 @@ mod tests {
             &mut log,
         )
         .unwrap();
+        assert_eq!(out.solver, Some(SolverKind::Greedy));
+        let decisions = out.decisions;
         assert_eq!(decisions.len(), 1000);
         let on = |t: &str| decisions.iter().filter(|d| d.tunnel == t).count();
         assert!(on("tunnel1") > on("tunnel2"));

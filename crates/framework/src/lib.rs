@@ -54,8 +54,9 @@ pub use waterfill::SharedWaterfill;
 ///
 /// A single-pair deployment (the paper's testbed,
 /// [`SelfDrivingNetwork::over_topology`]) is `PairId(0)` everywhere and
-/// keeps the legacy un-namespaced series/tunnel names, so existing
-/// behavior is bit-for-bit unchanged.
+/// decides on the same shared-link engine as any other; only its
+/// series/tunnel names stay un-namespaced, as the Fig 10 configuration
+/// names its tunnels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct PairId(pub usize);
 

@@ -1,23 +1,24 @@
 //! The Optimizer: objective functions and the flow→tunnel assignment
-//! search — per-tunnel bottleneck for a single managed pair, and the
-//! **link-level shared-capacity engine** for a traffic matrix of pairs.
+//! search — one **link-level shared-capacity engine** for every network,
+//! from the paper's single managed pair to a traffic matrix of pairs.
 //!
 //! "The path QoS estimations are sent to the Optimizer, which selects the
 //! optimal route based on the defined objective function."
 //!
 //! The paper's testbed manages one ingress/egress pair over mutually
 //! disjoint tunnels, so a tunnel is fully described by one bottleneck
-//! capacity and [`assign_flows`] searches over those. With **N managed
-//! pairs** the candidate tunnels of different pairs overlap on shared
-//! links, which breaks the bottleneck-per-tunnel model: two tunnels'
-//! "capacities" may be the *same* physical headroom counted twice. The
-//! [`SharedLinkModel`] therefore decomposes every candidate tunnel into
-//! its directed links, tracks residual headroom per link, and
-//! [`assign_flows_shared`] water-fills flows across pairs so that **no
-//! shared link is ever oversubscribed** (exhaustive placement for small
-//! batches, online greedy for large ones — mirroring the single-pair
-//! engine's split). A single-pair network keeps calling
-//! [`assign_flows`], so its decisions stay bit-for-bit identical.
+//! capacity. With **N managed pairs** the candidate tunnels of different
+//! pairs overlap on shared links, which breaks the bottleneck-per-tunnel
+//! model: two tunnels' "capacities" may be the *same* physical headroom
+//! counted twice. The [`SharedLinkModel`] therefore decomposes every
+//! candidate tunnel into its directed links, tracks residual headroom
+//! per link, and [`assign_flows_shared`] water-fills flows across pairs
+//! so that **no shared link is ever oversubscribed** (exhaustive
+//! placement for small batches, online greedy for large ones). The
+//! bottleneck-per-tunnel model is the special case of one pair whose
+//! tunnels cross no physical link and carry one cap each
+//! ([`SharedLinkModel::one_pair`] then
+//! [`SharedLinkModel::with_tunnel_caps`]), searched by the same engine.
 
 use crate::hecate::PathForecast;
 use crate::{FrameworkError, PairId};
@@ -53,139 +54,6 @@ pub fn select_path(
         Objective::MinMaxUtilization => forecasts.iter().max_by(|a, b| a.min().total_cmp(&b.min())),
     };
     best.ok_or(FrameworkError::NoFeasiblePath)
-}
-
-/// An assignment of flows to tunnels (flow `i` → tunnel index
-/// `assignment[i]`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct Assignment {
-    /// Per-flow tunnel index (into the capacities slice).
-    pub tunnel_of_flow: Vec<usize>,
-    /// Predicted aggregate throughput under the single-bottleneck model.
-    pub predicted_total: f64,
-    /// Predicted rate of the worst-off flow (the fairness tie-breaker:
-    /// among equal-total assignments, nobody gets starved — e.g. parked
-    /// on a zero-capacity tunnel).
-    pub predicted_min_rate: f64,
-}
-
-/// Exhaustively searches the flow→tunnel assignment maximizing predicted
-/// aggregate throughput under a single-bottleneck-per-tunnel model:
-/// flows on tunnel `t` share `capacity[t]`, so a used tunnel contributes
-/// `min(capacity[t], sum of member demands or capacity)`.
-///
-/// This reproduces the paper's Experiment-2 decision: with three greedy
-/// flows and predicted capacities 20/10/5, the optimum is one flow per
-/// tunnel (total 35) rather than all on the fattest (20).
-///
-/// Flows' demands: `None` = greedy.
-pub fn assign_flows(
-    capacities: &[f64],
-    demands: &[Option<f64>],
-) -> Result<Assignment, FrameworkError> {
-    let k = capacities.len();
-    let n = demands.len();
-    if k == 0 || n == 0 {
-        return Err(FrameworkError::NoFeasiblePath);
-    }
-    // Exhaustive for small n (k^n); the framework only ever assigns a
-    // handful of managed flows at a time.
-    assert!(
-        k.pow(n as u32) <= 1_000_000,
-        "assignment search space too large: {k}^{n}"
-    );
-    let mut best: Option<Assignment> = None;
-    let mut counter = vec![0usize; n];
-    loop {
-        let (total, min_rate) = score_assignment(capacities, demands, &counter);
-        let better = match &best {
-            None => true,
-            Some(b) => {
-                let total_tie = (total - b.predicted_total).abs() <= 1e-12;
-                let rate_tie = (min_rate - b.predicted_min_rate).abs() <= 1e-12;
-                total > b.predicted_total + 1e-12
-                    || (total_tie && min_rate > b.predicted_min_rate + 1e-12)
-                    // Full tie: prefer the lexicographically smallest
-                    // vector — earlier flows stay on earlier tunnels,
-                    // matching the paper's "one flow moves to tunnel 2
-                    // and another to tunnel 3" (flow 1 stays put).
-                    || (total_tie && rate_tie && counter < b.tunnel_of_flow)
-            }
-        };
-        if better {
-            best = Some(Assignment {
-                tunnel_of_flow: counter.clone(),
-                predicted_total: total,
-                predicted_min_rate: min_rate,
-            });
-        }
-        // increment the mixed-radix counter
-        let mut pos = 0;
-        loop {
-            if pos == n {
-                return best.ok_or(FrameworkError::NoFeasiblePath);
-            }
-            counter[pos] += 1;
-            if counter[pos] < k {
-                break;
-            }
-            counter[pos] = 0;
-            pos += 1;
-        }
-    }
-}
-
-/// Predicted `(total throughput, minimum per-flow rate)` of an
-/// assignment under the single-bottleneck model.
-#[allow(clippy::needless_range_loop)] // tunnel index addresses capacities and membership together
-fn score_assignment(
-    capacities: &[f64],
-    demands: &[Option<f64>],
-    assignment: &[usize],
-) -> (f64, f64) {
-    let k = capacities.len();
-    let mut total = 0.0;
-    let mut min_rate = f64::INFINITY;
-    for t in 0..k {
-        let members: Vec<usize> = (0..demands.len()).filter(|&i| assignment[i] == t).collect();
-        if members.is_empty() {
-            continue;
-        }
-        // max-min share within the tunnel: greedy flows split what
-        // demand-limited flows leave behind.
-        let cap = capacities[t];
-        let mut limited: Vec<f64> = Vec::new();
-        let mut greedy = 0usize;
-        for &i in &members {
-            match demands[i] {
-                Some(d) => limited.push(d),
-                None => greedy += 1,
-            }
-        }
-        let mut used: f64 = 0.0;
-        // demand-limited flows get min(demand, fair share) — approximate
-        // by water-filling inside the tunnel
-        limited.sort_by(|a, b| a.total_cmp(b));
-        let mut remaining = cap;
-        let mut remaining_members = limited.len() + greedy;
-        for d in limited {
-            let fair = remaining / remaining_members as f64;
-            let got = d.min(fair);
-            min_rate = min_rate.min(got);
-            used += got;
-            remaining -= got;
-            remaining_members -= 1;
-        }
-        if greedy > 0 {
-            min_rate = min_rate.min(remaining / greedy as f64);
-            used += remaining; // greedy flows consume the rest
-        }
-        total += used.min(cap);
-    }
-    if !min_rate.is_finite() {
-        min_rate = 0.0;
-    }
-    (total, min_rate)
 }
 
 /// A managed flow presented to the shared-link assignment engine: which
@@ -226,6 +94,18 @@ pub struct SharedLinkModel {
 }
 
 impl SharedLinkModel {
+    /// One pair over `tunnels` candidate tunnels that cross no physical
+    /// link. Folded with [`SharedLinkModel::with_tunnel_caps`], each
+    /// tunnel is exactly its one cap: the bottleneck-per-tunnel model of
+    /// the paper's testbed, blind to any link the tunnels share.
+    pub fn one_pair(tunnels: usize) -> Self {
+        SharedLinkModel::new(
+            Vec::new(),
+            vec![Vec::new(); tunnels],
+            vec![(0..tunnels).collect()],
+        )
+    }
+
     /// A model over physical links only (no forecast caps yet).
     pub fn new(
         headroom: Vec<f64>,
@@ -281,12 +161,11 @@ pub struct SharedAssignment {
     pub predicted_min_rate: f64,
 }
 
-/// Exhaustive search is `∏ |candidates(pair)|` *water-fills* — each one
-/// a multi-round pass over every flow's links, an order of magnitude
-/// costlier than the single-pair engine's closed-form tunnel scoring —
-/// so the cutover to the online greedy placement sits lower than the
-/// legacy engine's `100_000`-assignment bound (e.g. a 16-pair tick with
-/// 2 candidates each, 2^16 assignments, goes greedy).
+/// Exhaustive search is `∏ |candidates(pair)|` *water-fills*, each one
+/// a multi-round pass over every flow's links, so above this many
+/// assignments the placement goes greedy (e.g. a 16-pair tick with 2
+/// candidates each, 2^16 assignments, or 9 flows on one 3-tunnel pair,
+/// 3^9).
 const SHARED_EXHAUSTIVE_BOUND: u64 = 10_000;
 
 /// Which placement search [`assign_flows_shared_with`] ran.
@@ -335,9 +214,10 @@ impl Default for OptimizerConfig {
 /// provide once candidate tunnels overlap across pairs.
 ///
 /// Small batches are placed exhaustively (maximize predicted total,
-/// then worst-off flow rate, then lexicographically-earliest choice —
-/// the single-pair engine's tie-break, so earlier flows stay on earlier
-/// tunnels); large batches fall back to an online greedy water-fill.
+/// then worst-off flow rate, then lexicographically-earliest choice, so
+/// earlier flows stay on earlier tunnels — the paper's "one flow moves
+/// to tunnel 2 and another to tunnel 3", flow 1 staying put); large
+/// batches fall back to an online greedy water-fill.
 /// Either way the returned rates come from one final
 /// max-min progressive fill over the chosen assignment, so the
 /// no-oversubscription invariant holds exactly.
@@ -708,30 +588,48 @@ mod tests {
         assert!(select_path(Objective::MaxBandwidth, &[]).is_err());
     }
 
+    /// One pair over tunnels that are nothing but their caps.
+    fn caps_only(caps: &[f64]) -> SharedLinkModel {
+        SharedLinkModel::one_pair(caps.len()).with_tunnel_caps(caps)
+    }
+
+    /// Flows of pair 0 with these demands (`None` = greedy).
+    fn of_pair0(demands: &[Option<f64>]) -> Vec<FlowDemand> {
+        demands
+            .iter()
+            .map(|&demand| FlowDemand {
+                pair: PairId(0),
+                demand,
+            })
+            .collect()
+    }
+
     #[test]
     fn fig12_assignment_is_one_flow_per_tunnel() {
-        // Predicted capacities 20/10/5, three greedy flows: the optimum
-        // uses all three tunnels (35 total), not all-on-tunnel1 (20).
-        let a = assign_flows(&[20.0, 10.0, 5.0], &[None, None, None]).unwrap();
-        let mut used: Vec<usize> = a.tunnel_of_flow.clone();
-        used.sort_unstable();
-        assert_eq!(used, vec![0, 1, 2], "each tunnel gets exactly one flow");
+        // The paper's Experiment-2 optimum: predicted capacities
+        // 20/10/5, three greedy flows — all three tunnels used (35
+        // total), not all on tunnel 1 (20), and flow 1 stays on tunnel 1.
+        let a = assign_flows_shared(&caps_only(&[20.0, 10.0, 5.0]), &of_pair0(&[None; 3])).unwrap();
+        assert_eq!(a.tunnel_of_flow, vec![0, 1, 2], "one flow per tunnel");
         assert!((a.predicted_total - 35.0).abs() < 1e-9);
     }
 
     #[test]
     fn all_flows_one_tunnel_scores_its_capacity() {
-        let (total, _) = score_assignment(&[20.0, 10.0, 5.0], &[None, None, None], &[0, 0, 0]);
+        let model = caps_only(&[20.0, 10.0, 5.0]);
+        let (_, total, _) = water_fill(&model, &of_pair0(&[None; 3]), &[0, 0, 0]);
         assert!((total - 20.0).abs() < 1e-12);
     }
 
     #[test]
     fn demand_limited_flows_share_sensibly() {
         // Two 3 Mbps flows + one greedy on a 20 Mbps tunnel: 3+3+14.
-        let (total, _) = score_assignment(&[20.0], &[Some(3.0), Some(3.0), None], &[0, 0, 0]);
+        let model = caps_only(&[20.0]);
+        let flows = of_pair0(&[Some(3.0), Some(3.0), None]);
+        let (_, total, _) = water_fill(&model, &flows, &[0, 0, 0]);
         assert!((total - 20.0).abs() < 1e-12);
         // Without the greedy flow: 3 + 3 = 6.
-        let (total2, _) = score_assignment(&[20.0], &[Some(3.0), Some(3.0)], &[0, 0]);
+        let (_, total2, _) = water_fill(&model, &flows[..2], &[0, 0]);
         assert!((total2 - 6.0).abs() < 1e-12);
     }
 
@@ -739,14 +637,16 @@ mod tests {
     fn small_demands_prefer_spreading_anyway() {
         // Two 2 Mbps flows across 20/10: any assignment delivers 4; the
         // search must still terminate and return a valid assignment.
-        let a = assign_flows(&[20.0, 10.0], &[Some(2.0), Some(2.0)]).unwrap();
+        let flows = of_pair0(&[Some(2.0), Some(2.0)]);
+        let a = assign_flows_shared(&caps_only(&[20.0, 10.0]), &flows).unwrap();
         assert!((a.predicted_total - 4.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_inputs_rejected() {
-        assert!(assign_flows(&[], &[None]).is_err());
-        assert!(assign_flows(&[10.0], &[]).is_err());
+        // No tunnel to place on, and nothing to place.
+        assert!(assign_flows_shared(&caps_only(&[]), &of_pair0(&[None])).is_err());
+        assert!(assign_flows_shared(&caps_only(&[10.0]), &[]).is_err());
     }
 
     // ---- shared-link (multi-pair) engine ----
@@ -846,23 +746,6 @@ mod tests {
                 f.pair
             );
         }
-    }
-
-    #[test]
-    fn shared_engine_single_pair_matches_bottleneck_engine() {
-        // One pair over disjoint tunnels is exactly the legacy model:
-        // the link-level search must pick the same spread (one flow per
-        // tunnel, Fig 12) with the same predicted total.
-        let model = SharedLinkModel::new(
-            vec![20.0, 10.0, 5.0],
-            vec![vec![0], vec![1], vec![2]],
-            vec![vec![0, 1, 2]],
-        );
-        let flows = [greedy(0), greedy(0), greedy(0)];
-        let shared = assign_flows_shared(&model, &flows).unwrap();
-        let legacy = assign_flows(&[20.0, 10.0, 5.0], &[None, None, None]).unwrap();
-        assert_eq!(shared.tunnel_of_flow, legacy.tunnel_of_flow);
-        assert!((shared.predicted_total - legacy.predicted_total).abs() < 1e-9);
     }
 
     #[test]

@@ -55,7 +55,7 @@ impl Scheduler {
     ///
     /// The whole batch is returned at once so the controller can decide
     /// it with one amortized consultation
-    /// ([`crate::controller::decide_flows`]) instead of per-flow.
+    /// ([`crate::controller::decide_flows_pairs`]) instead of per-flow.
     pub fn due(&mut self, now_ms: u64) -> Vec<FlowRequest> {
         let split = self.queue.partition_point(|r| r.start_ms <= now_ms);
         self.queue.drain(..split).collect()

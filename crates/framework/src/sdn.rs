@@ -7,12 +7,10 @@
 //! [`SelfDrivingNetwork::run_flow_aggregation`] (Fig 12) and
 //! [`SelfDrivingNetwork::run_trace_driven_steering`] (extension).
 
-use crate::controller::{
-    decide_flows, decide_flows_pairs, decide_path, forecasts_by_tunnel, PathDecision, SequenceLog,
-};
+use crate::controller::{decide_flows_pairs, forecasts_by_tunnel, PathDecision, SequenceLog};
 use crate::hecate::HecateService;
 use crate::optimizer::{
-    assign_flows, assign_flows_shared_with, FlowDemand, Objective, OptimizerConfig, SharedLinkModel,
+    assign_flows_shared_with, FlowDemand, Objective, OptimizerConfig, SharedLinkModel,
 };
 use crate::scheduler::{FlowRequest, Scheduler};
 use crate::telemetry::{scoped_target, Metric, SeriesId, SeriesKey, TelemetryService};
@@ -43,8 +41,9 @@ pub(crate) struct ManagedFlow {
 /// possibly overlapping other pairs' tunnels on shared links).
 #[derive(Clone)]
 pub(crate) struct ManagedPair {
-    /// Telemetry/tunnel namespace: `""` on single-pair networks (the
-    /// legacy un-scoped names), `"p{i}"` otherwise.
+    /// Telemetry/tunnel namespace: `""` on single-pair networks (bare
+    /// names, as the Fig 10 configuration declares them), `"p{i}"`
+    /// otherwise.
     pub(crate) scope: String,
     /// Ingress router name (where the freeRtr agent runs).
     pub(crate) ingress: String,
@@ -173,7 +172,7 @@ pub struct SelfDrivingNetwork {
     /// headroom and flow diffs at every re-optimization instead of
     /// being rebuilt. Its counters are the
     /// `framework.waterfill.incremental.*` metrics. `None` until the
-    /// first multi-pair re-optimization.
+    /// first re-optimization.
     pub(crate) waterfill: Option<SharedWaterfill>,
 }
 
@@ -280,7 +279,7 @@ impl SelfDrivingNetwork {
     /// Assembles the self-driving network over **N managed
     /// ingress/egress pairs** — the traffic-matrix generalization of
     /// [`SelfDrivingNetwork::over_topology`] (which is exactly the
-    /// `N = 1` special case, unchanged bit for bit).
+    /// `N = 1` case).
     ///
     /// Per pair, up to `k` **link-disjoint** candidate tunnels are
     /// discovered with [`netsim::Topology::k_disjoint_shortest_paths`]
@@ -540,10 +539,9 @@ impl SelfDrivingNetwork {
     /// Admits one flow per the Fig 4 sequence and starts it in the
     /// emulator. Returns the decision.
     ///
-    /// [`SelfDrivingNetwork::admit_flows`] with a batch of one: a
-    /// single-pair network runs the paper's [`decide_path`]
-    /// consultation, a multi-pair network the shared-link engine — even
-    /// a lone arrival must not double-book a trunk that another pair's
+    /// [`SelfDrivingNetwork::admit_flows`] with a batch of one, on the
+    /// shared-link engine like any batch — on a multi-pair network a
+    /// lone arrival must not double-book a trunk that another pair's
     /// flows already occupy.
     pub fn admit_flow(
         &mut self,
@@ -559,12 +557,11 @@ impl SelfDrivingNetwork {
     /// the trained-model cache — and shared by every flow due in the
     /// tick. Returns one decision per request, in request order.
     ///
-    /// A single-pair network decides via [`decide_flows`] (the
-    /// bottleneck-per-tunnel engine; a batch of one is [`decide_path`]); a
-    /// multi-pair network decides via [`decide_flows_pairs`] against
-    /// the shared-link capacity model, so a batch spanning pairs never
-    /// oversubscribes a link two candidate tunnels have in common, and
-    /// forecasts only the batch's pairs' tunnels.
+    /// Every network, one pair or many, decides via
+    /// [`decide_flows_pairs`] against the shared-link capacity model, so
+    /// a batch spanning pairs never oversubscribes a link two candidate
+    /// tunnels have in common, and forecasts only the batch's pairs'
+    /// tunnels.
     ///
     /// The batch installs all or nothing, with one edge transaction per
     /// ingress router: on `Err` no flow of it is managed or running and
@@ -597,33 +594,19 @@ impl SelfDrivingNetwork {
             .obsv
             .tracer
             .span("decide", "decide.consult", self.sim.now_ns());
-        let mut solved = None;
-        let decisions = if self.pairs.len() == 1 {
-            decide_flows(
-                &self.hecate,
-                &self.telemetry,
-                reqs,
-                &self.tunnel_order,
-                objective,
-                &mut self.log,
-            )?
-        } else {
-            // New flows are placed on top of the running assignment:
-            // headroom is what the current flows leave behind.
-            let model = self.link_model(false);
-            let out = decide_flows_pairs(
-                &self.hecate,
-                &self.telemetry,
-                reqs,
-                &self.tunnel_order,
-                &model,
-                objective,
-                &self.opt,
-                &mut self.log,
-            )?;
-            solved = Some((out.solver, out.series));
-            out.decisions
-        };
+        // New flows are placed on top of the running assignment:
+        // headroom is what the current flows leave behind.
+        let model = self.link_model(false);
+        let out = decide_flows_pairs(
+            &self.hecate,
+            &self.telemetry,
+            reqs,
+            &self.tunnel_order,
+            &model,
+            objective,
+            &self.opt,
+            &mut self.log,
+        )?;
         let now_ns = self.sim.now_ns();
         if tracing {
             let after = self.hecate.cache_stats();
@@ -644,9 +627,10 @@ impl SelfDrivingNetwork {
         } else {
             consult.end(now_ns, Vec::new);
         }
-        if let (true, Some((solver, series))) = (tracing, solved) {
+        if tracing {
             // Stamps are pure sim time (zero width): traces are part of
             // the bit-replay contract.
+            let (solver, series) = (out.solver, out.series);
             let span = self.obsv.tracer.span("decide", "decide.solve", now_ns);
             span.end(now_ns, move || {
                 let mut args = vec![("series", obsv::Value::U64(series as u64))];
@@ -657,12 +641,12 @@ impl SelfDrivingNetwork {
             });
         }
         let place = self.obsv.tracer.span("decide", "decide.place", now_ns);
-        self.install_flows(reqs, &decisions)?;
-        let placed = decisions.len() as u64;
+        self.install_flows(reqs, &out.decisions)?;
+        let placed = out.decisions.len() as u64;
         place.end(self.sim.now_ns(), move || {
             vec![("flows", obsv::Value::U64(placed))]
         });
-        Ok(decisions)
+        Ok(out.decisions)
     }
 
     /// SR-service + data-plane half of admission: installs each flow's
@@ -810,11 +794,11 @@ impl SelfDrivingNetwork {
     /// improve the previous allocation decision"). Returns the new
     /// (label, tunnel) pairs.
     ///
-    /// Single-pair networks run the legacy bottleneck-per-tunnel search
-    /// ([`assign_flows`]) exactly as before; multi-pair networks run the
-    /// shared-link engine ([`assign_flows_shared_with`]) so the joint
-    /// reassignment never oversubscribes a link that candidate tunnels
-    /// of different pairs have in common.
+    /// Every network runs the shared-link engine
+    /// ([`assign_flows_shared_with`]), so the joint reassignment never
+    /// oversubscribes a link that candidate tunnels of different pairs
+    /// have in common, and patches the standing
+    /// [`SelfDrivingNetwork::waterfill`] to the new placement.
     pub fn reoptimize_bandwidth(&mut self) -> Result<Vec<(String, String)>, FrameworkError> {
         if self.flows.is_empty() {
             return Ok(Vec::new());
@@ -884,42 +868,33 @@ impl SelfDrivingNetwork {
                     .max(0.0)
             })
             .collect();
-        let mut solver = None;
-        let tunnel_of_flow: Vec<usize> = if self.pairs.len() == 1 {
-            let demands: Vec<Option<f64>> = self.flows.iter().map(|f| f.demand).collect();
-            assign_flows(&caps, &demands)?.tunnel_of_flow
-        } else {
-            // The whole traffic matrix is reassigned at once, so every
-            // link's headroom includes what our own flows currently
-            // occupy — and each tunnel is additionally capped by its
-            // forecast through a synthetic link.
-            let model = self.link_model(true).with_tunnel_caps(&caps);
-            let flows: Vec<FlowDemand> = self
-                .flows
-                .iter()
-                .map(|f| FlowDemand {
-                    pair: f.pair,
-                    demand: f.demand,
-                })
-                .collect();
-            let (assignment, kind) = assign_flows_shared_with(&model, &flows, &self.opt)?;
-            solver = Some(kind);
-            self.patch_waterfill(&model, &assignment.tunnel_of_flow);
-            assignment.tunnel_of_flow
-        };
+        // The whole traffic matrix is reassigned at once, so every
+        // link's headroom includes what our own flows currently occupy —
+        // and each tunnel is additionally capped by its forecast through
+        // a synthetic link.
+        let model = self.link_model(true).with_tunnel_caps(&caps);
+        let flows: Vec<FlowDemand> = self
+            .flows
+            .iter()
+            .map(|f| FlowDemand {
+                pair: f.pair,
+                demand: f.demand,
+            })
+            .collect();
+        let (assignment, solver) = assign_flows_shared_with(&model, &flows, &self.opt)?;
+        self.patch_waterfill(&model, &assignment.tunnel_of_flow);
         let moves: Vec<(String, String)> = self
             .flows
             .iter()
-            .zip(&tunnel_of_flow)
+            .zip(&assignment.tunnel_of_flow)
             .map(|(f, &t)| (f.label.clone(), self.tunnel_order[t].clone()))
             .collect();
         let assigned = moves.len() as u64;
         solve.end(self.sim.now_ns(), move || {
-            let mut args = vec![("flows", obsv::Value::U64(assigned))];
-            if let Some(kind) = solver {
-                args.push(("solver", obsv::Value::Str(kind.label().to_string())));
-            }
-            args
+            vec![
+                ("flows", obsv::Value::U64(assigned)),
+                ("solver", obsv::Value::Str(solver.label().to_string())),
+            ]
         });
         self.log.record("optimizerReturn");
         // `moves[i]` is `self.flows[i]`'s: compare by position.
@@ -971,9 +946,11 @@ impl SelfDrivingNetwork {
     ///   acknowledged still count: a flow counts exactly when its
     ///   tunnel changed.
     /// - [`Policy::LastSample`] re-assigns each pair on its own, in pair
-    ///   order, with [`assign_flows`] over the pair's flows (in
-    ///   admission order) and its tunnels' last available-bandwidth
-    ///   samples (a missing sample reads 0). Each move is its own edge
+    ///   order, with [`assign_flows_shared_with`] over the pair's flows
+    ///   (in admission order) on a caps-only model: one tunnel per cap,
+    ///   each cap its tunnel's last available-bandwidth sample (a
+    ///   missing sample reads 0), no physical link — so the policy is
+    ///   blind to links its tunnels share. Each move is its own edge
     ///   transaction; a refused one is skipped and the pair's other
     ///   moves still go.
     pub fn steer(&mut self, policy: Policy) -> Vec<PairId> {
@@ -1010,11 +987,20 @@ impl SelfDrivingNetwork {
                     .max(0.0)
             })
             .collect();
+        // Tunnel `t` of the model is `names[t]`, and its one pair is
+        // this one.
+        let model = SharedLinkModel::one_pair(caps.len()).with_tunnel_caps(&caps);
         let mine: Vec<usize> = (0..self.flows.len())
             .filter(|&i| self.flows[i].pair == pair)
             .collect();
-        let demands: Vec<Option<f64>> = mine.iter().map(|&i| self.flows[i].demand).collect();
-        let Ok(assignment) = assign_flows(&caps, &demands) else {
+        let flows: Vec<FlowDemand> = mine
+            .iter()
+            .map(|&i| FlowDemand {
+                pair: PairId(0),
+                demand: self.flows[i].demand,
+            })
+            .collect();
+        let Ok((assignment, _)) = assign_flows_shared_with(&model, &flows, &self.opt) else {
             return Vec::new();
         };
         let mut moved = Vec::new();
@@ -1033,8 +1019,8 @@ impl SelfDrivingNetwork {
         &self.opt
     }
 
-    /// The standing incremental water-fill engine, if one is live
-    /// (multi-pair, at least one re-optimization behind it). Its
+    /// The standing incremental water-fill engine, if one is live (at
+    /// least one re-optimization behind it). Its
     /// from-scratch recompute is [`SharedWaterfill::full_rates`] /
     /// [`SharedWaterfill::audit`].
     pub fn waterfill(&self) -> Option<&SharedWaterfill> {
@@ -1306,16 +1292,23 @@ impl SelfDrivingNetwork {
             self.advance(s * 1000)?;
             ping_on_current(self)?;
         }
-        // Consult the optimizer with the min-latency objective.
-        let candidates = self.tunnel_names();
-        let decision = decide_path(
+        // Consult the optimizer for the stream with the min-latency
+        // objective.
+        let mut decision = decide_flows_pairs(
             &self.hecate,
             &self.telemetry,
-            &candidates,
+            std::slice::from_ref(&req),
+            &self.tunnel_order,
+            &self.link_model(false),
             Objective::MinLatency,
+            &self.opt,
             &mut self.log,
         )?;
-        let tunnel_after = decision.tunnel.clone();
+        let tunnel_after = decision
+            .decisions
+            .pop()
+            .ok_or(FrameworkError::NoFeasiblePath)?
+            .tunnel;
         self.migrate_flow("icmp", &tunnel_after)?;
         for s in phase_s + 1..=2 * phase_s {
             self.advance(s * 1000)?;
@@ -1968,6 +1961,33 @@ mod tests {
     }
 
     #[test]
+    fn last_sample_steers_a_pair_of_thirteen_greedy_flows() {
+        // 3^13 placements of one pair's flows: past the exhaustive
+        // bound, so the pair is placed greedily rather than aborting.
+        let topo = netsim::topo::mesh(12, 3, 10.0);
+        let mut sdn = SelfDrivingNetwork::over_topology(topo, "n0", "n6", 3, 1).unwrap();
+        assert_eq!(sdn.tunnel_names().len(), 3);
+        let reqs: Vec<FlowRequest> = (0..13)
+            .map(|i| FlowRequest {
+                label: format!("f{i}"),
+                tos: 8 + i as u8,
+                demand_mbps: None,
+                start_ms: 0,
+                pair: PairId::default(),
+            })
+            .collect();
+        // Admitted cold, all thirteen pile on tunnel1.
+        sdn.admit_flows(&reqs, Objective::MaxBandwidth).unwrap();
+        sdn.advance(5_000).unwrap();
+        let moved = sdn.steer(Policy::LastSample);
+        assert!(!moved.is_empty(), "the last samples spread the pile");
+        assert!(moved.iter().all(|&p| p == PairId::default()));
+        let on = |t: &str| sdn.flows.iter().filter(|f| f.tunnel == t).count();
+        assert_eq!(on("tunnel1") + on("tunnel2") + on("tunnel3"), 13);
+        assert!(on("tunnel1") < 13, "{:?}", moved);
+    }
+
+    #[test]
     fn static_shortest_pins_admissions_to_the_first_tunnel() {
         let reqs = batch(&[None; 8]);
         let first = |sdn: &SelfDrivingNetwork, f: &ManagedFlow| {
@@ -2032,6 +2052,26 @@ mod tests {
             .collect();
         assert!(!fits.is_empty());
         assert!(fits.iter().all(|&at| at == now_ns), "{fits:?} vs {now_ns}");
+        // The single pair solves on the shared engine, like any network:
+        // the admit's solve names its series and its solver...
+        let exhaustive = ("solver", obsv::Value::Str("exhaustive".into()));
+        let solve_args = |records: &[obsv::TraceRecord]| -> Vec<_> {
+            records
+                .iter()
+                .filter(|r| r.name == "decide.solve" && r.kind == obsv::RecordKind::End)
+                .map(|r| r.args.clone())
+                .collect()
+        };
+        let admit = solve_args(&records);
+        assert_eq!(admit.len(), 1);
+        assert!(admit[0].contains(&("series", obsv::Value::U64(3))));
+        assert!(admit[0].contains(&exhaustive), "{admit:?}");
+        // ...and so does a re-optimization's.
+        sdn.reoptimize_bandwidth().unwrap();
+        let reopt = solve_args(&sink.take());
+        assert_eq!(reopt.len(), 1);
+        assert!(reopt[0].contains(&exhaustive), "{reopt:?}");
+        assert!(sdn.waterfill().is_some(), "the standing fill is patched");
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! recommendations) and safe under concurrency (no deadlocks, no reads
 //! staler than the configured refit threshold).
 
-use framework::controller::{decide_flows, SequenceLog};
+use framework::controller::{decide_flows_pairs, PathDecision, SequenceLog};
 use framework::hecate::HecateService;
-use framework::optimizer::Objective;
+use framework::optimizer::{Objective, SharedLinkModel};
 use framework::scheduler::FlowRequest;
 use framework::telemetry::{Metric, SeriesKey, TelemetryService};
 use hecate_ml::pipeline::forecast_next;
@@ -29,6 +29,30 @@ fn store_with_paths(paths: usize, len: usize) -> (TelemetryService, Vec<String>)
         }
     }
     (ts, names)
+}
+
+/// One max-bandwidth consult of `reqs` on one pair over `names`,
+/// tunnels that cross no physical link: only the forecasts bind.
+fn decide(
+    hecate: &HecateService,
+    ts: &TelemetryService,
+    reqs: &[FlowRequest],
+    names: &[String],
+) -> Vec<PathDecision> {
+    let model = SharedLinkModel::one_pair(names.len());
+    let mut log = SequenceLog::default();
+    decide_flows_pairs(
+        hecate,
+        ts,
+        reqs,
+        names,
+        &model,
+        Objective::MaxBandwidth,
+        &Default::default(),
+        &mut log,
+    )
+    .expect("warm store: decisions never fail")
+    .decisions
 }
 
 proptest! {
@@ -94,26 +118,8 @@ fn cached_recommendations_match_uncached_on_8_paths() {
             pair: framework::PairId::default(),
         })
         .collect();
-    let mut log = SequenceLog::default();
-    let again = decide_flows(
-        &hecate,
-        &ts,
-        &reqs,
-        &names,
-        Objective::MaxBandwidth,
-        &mut log,
-    )
-    .unwrap();
-    let mut log2 = SequenceLog::default();
-    let rerun = decide_flows(
-        &hecate,
-        &ts,
-        &reqs,
-        &names,
-        Objective::MaxBandwidth,
-        &mut log2,
-    )
-    .unwrap();
+    let again = decide(&hecate, &ts, &reqs, &names);
+    let rerun = decide(&hecate, &ts, &reqs, &names);
     assert_eq!(again, rerun, "warm batch decisions are stable");
     let stats = hecate.cache_stats();
     assert_eq!(stats.refits, 8, "one fit per path, everything else served");
@@ -159,16 +165,7 @@ fn concurrent_decisions_and_writers_stay_fresh() {
                             pair: framework::PairId::default(),
                         })
                         .collect();
-                    let mut log = SequenceLog::default();
-                    let decisions = decide_flows(
-                        &hecate,
-                        &ts,
-                        &reqs,
-                        &names,
-                        Objective::MaxBandwidth,
-                        &mut log,
-                    )
-                    .expect("warm store: decisions never fail");
+                    let decisions = decide(&hecate, &ts, &reqs, &names);
                     assert_eq!(decisions.len(), 3);
                     assert!(decisions.iter().all(|dec| dec.used_forecast));
                 }
@@ -178,22 +175,14 @@ fn concurrent_decisions_and_writers_stay_fresh() {
 
     // Writers are done: one more decision round must leave every cached
     // model within refit_after of the final series state.
-    let mut log = SequenceLog::default();
-    decide_flows(
-        &hecate,
-        &ts,
-        &[FlowRequest {
-            label: "final".into(),
-            tos: 0,
-            demand_mbps: None,
-            start_ms: 0,
-            pair: framework::PairId::default(),
-        }],
-        &names,
-        Objective::MaxBandwidth,
-        &mut log,
-    )
-    .unwrap();
+    let last = FlowRequest {
+        label: "final".into(),
+        tos: 0,
+        demand_mbps: None,
+        start_ms: 0,
+        pair: framework::PairId::default(),
+    };
+    decide(&hecate, &ts, &[last], &names);
     for name in &names {
         let age = hecate
             .cache_age(&ts, name, Metric::AvailableBandwidth)

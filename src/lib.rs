@@ -29,7 +29,7 @@
 //!   ForecastEngine: a trained-model cache in `framework::hecate`
 //!   (train once, roll/observe online, refit after N new samples),
 //!   batched scheduler-tick decisions via
-//!   `framework::controller::decide_flows`, and a mirrored-ring
+//!   `framework::controller::decide_flows_pairs`, and a mirrored-ring
 //!   telemetry store with zero-copy windowed reads;
 //! * [`scenarios`] — the deterministic scenario engine: a topology zoo
 //!   (fat-tree, ring+chords, two-tier WAN, Waxman/Erdős–Rényi, ESnet-
