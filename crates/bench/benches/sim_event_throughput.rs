@@ -1,4 +1,4 @@
-//! Bench: the event-driven simulation core — queue events applied per
+//! Bench: the event-driven simulation core — external events applied per
 //! second under a churning flow population, the tentpole metric of the
 //! tick-to-event refactor.
 //!

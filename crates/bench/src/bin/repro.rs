@@ -542,7 +542,7 @@ fn sim_scale() {
     );
     let r = figures::sim_scale(smoke);
     println!(
-        "{}: {} epochs, {} queue events, {:.2} s wall, {:.0} events/s, {:.2} Mbps managed aggregate",
+        "{}: {} epochs, {} external events, {:.2} s wall, {:.0} events/s, {:.2} Mbps managed aggregate",
         r.scenario, r.epochs, r.sim_events, r.wall_s, r.events_per_sec, r.mean_aggregate_mbps
     );
     println!("replay check: untraced and profiled runs produced bit-identical scorecards");

@@ -528,7 +528,7 @@ pub struct SimScaleReport {
     pub scenario: String,
     /// Epochs executed (1 epoch = 1 simulated second).
     pub epochs: u64,
-    /// Simulator queue events applied (external + internal).
+    /// External simulator events applied.
     pub sim_events: u64,
     /// Wall-clock seconds of the first (timed, untraced) run.
     pub wall_s: f64,

@@ -48,12 +48,12 @@ pub struct Flow {
     pub fair_share_mbps: f64,
     /// Simulation time (ms) at which `rate_mbps` was materialized.
     pub rate_as_of_ms: u64,
-    /// True once the residual `|rate - share|` is negligible: the
-    /// trajectory is flat and `rate_at` short-circuits to the share.
-    pub converged: bool,
-    /// Generation counter for rate-convergence events: bumped on every
-    /// share change so stale queued completions are ignored.
-    pub conv_gen: u64,
+    /// Instant (ms) at which the residual `|rate - share|` falls below
+    /// the simulator's epsilon. Once the simulator has drained that
+    /// instant, the trajectory is flat and `rate_at` returns the share
+    /// exactly. Rewritten on every share change, so no earlier
+    /// trajectory's instant can outlive it.
+    pub conv_at_ms: u64,
 }
 
 impl Flow {
@@ -66,17 +66,18 @@ impl Flow {
             rate_mbps: 0.0,
             fair_share_mbps: 0.0,
             rate_as_of_ms: 0,
-            converged: true,
-            conv_gen: 0,
+            conv_at_ms: 0,
         }
     }
 
     /// Instantaneous goodput at `at_ms >= rate_as_of_ms`: first-order
     /// convergence toward the fair share, a fluid stand-in for TCP's
     /// ramp (slow start + congestion avoidance). `tau_s` is the
-    /// convergence time constant in seconds.
-    pub fn rate_at(&self, at_ms: u64, tau_s: f64) -> f64 {
-        if self.converged {
+    /// convergence time constant in seconds. `drained_ms` is the last
+    /// instant the caller has fully processed: at or past
+    /// `conv_at_ms`, the rate is the share exactly.
+    pub fn rate_at(&self, at_ms: u64, drained_ms: u64, tau_s: f64) -> f64 {
+        if self.conv_at_ms <= drained_ms {
             return self.fair_share_mbps;
         }
         let dt_s = at_ms.saturating_sub(self.rate_as_of_ms) as f64 / 1000.0;
@@ -89,15 +90,14 @@ impl Flow {
     /// rate and re-anchors there. Called right before the fair share
     /// changes, so the new exponential starts from the rate the flow
     /// actually had.
-    pub fn materialize(&mut self, at_ms: u64, tau_s: f64) {
-        self.rate_mbps = self.rate_at(at_ms, tau_s);
+    pub fn materialize(&mut self, at_ms: u64, drained_ms: u64, tau_s: f64) {
+        self.rate_mbps = self.rate_at(at_ms, drained_ms, tau_s);
         self.rate_as_of_ms = at_ms;
     }
 
     /// Milliseconds from `rate_as_of_ms` until the residual
     /// `|rate - share|` first drops below `eps_mbps` (0 when already
-    /// there). This is when the simulator schedules the flow's
-    /// rate-convergence completion event.
+    /// there): `conv_at_ms` is `rate_as_of_ms` plus this.
     pub fn convergence_in_ms(&self, tau_s: f64, eps_mbps: f64) -> u64 {
         let gap = (self.rate_mbps - self.fair_share_mbps).abs();
         if gap <= eps_mbps {
@@ -125,22 +125,22 @@ mod tests {
     fn converging(share: f64) -> Flow {
         let mut f = Flow::new(FlowId(1), spec(), vec![NodeIdx(0), NodeIdx(1)]);
         f.fair_share_mbps = share;
-        f.converged = false;
+        f.conv_at_ms = u64::MAX;
         f
     }
 
     #[test]
     fn rate_converges_to_fair_share() {
         let f = converging(10.0);
-        assert!((f.rate_at(10_000, 1.0) - 10.0).abs() < 0.01);
+        assert!((f.rate_at(10_000, 0, 1.0) - 10.0).abs() < 0.01);
     }
 
     #[test]
     fn rate_tracks_reduced_share_downward() {
         let mut f = converging(10.0);
-        f.materialize(10_000, 1.0);
+        f.materialize(10_000, 0, 1.0);
         f.fair_share_mbps = 2.0;
-        assert!((f.rate_at(20_000, 1.0) - 2.0).abs() < 0.01);
+        assert!((f.rate_at(20_000, 0, 1.0) - 2.0).abs() < 0.01);
     }
 
     #[test]
@@ -154,7 +154,7 @@ mod tests {
         let alpha = 1.0 - (-0.1f64 / tau).exp();
         for k in 1..=50 {
             iterated += (10.0 - iterated) * alpha;
-            let analytic = f.rate_at(k * 100, tau);
+            let analytic = f.rate_at(k * 100, 0, tau);
             assert!(
                 (analytic - iterated).abs() < 1e-9,
                 "tick {k}: {analytic} vs {iterated}"
@@ -166,7 +166,7 @@ mod tests {
     fn convergence_speed_scales_with_tau() {
         let fast = converging(10.0);
         let slow = converging(10.0);
-        assert!(fast.rate_at(1_000, 0.5) > slow.rate_at(1_000, 5.0));
+        assert!(fast.rate_at(1_000, 0, 0.5) > slow.rate_at(1_000, 0, 5.0));
     }
 
     #[test]
@@ -174,16 +174,16 @@ mod tests {
         let mut f = converging(0.0);
         f.rate_mbps = 1.0;
         for t in [0, 100, 1_000, 100_000] {
-            assert!(f.rate_at(t, 1.0) >= 0.0);
+            assert!(f.rate_at(t, 0, 1.0) >= 0.0);
         }
     }
 
     #[test]
     fn materialize_is_idempotent_at_fixed_time() {
         let mut f = converging(8.0);
-        f.materialize(3_000, 1.2);
+        f.materialize(3_000, 0, 1.2);
         let r = f.rate_mbps;
-        f.materialize(3_000, 1.2);
+        f.materialize(3_000, 0, 1.2);
         assert_eq!(f.rate_mbps, r);
         assert_eq!(f.rate_as_of_ms, 3_000);
     }
@@ -198,6 +198,6 @@ mod tests {
         // tau * ln(10/1e-9) seconds, a bit under 28 s
         assert!(ms > 25_000 && ms < 30_000, "ms {ms}");
         // and the analytic rate really is within eps there
-        assert!((f.rate_at(ms, 1.2) - 10.0).abs() <= 1e-9 * 1.01);
+        assert!((f.rate_at(ms, 0, 1.2) - 10.0).abs() <= 1e-9 * 1.01);
     }
 }

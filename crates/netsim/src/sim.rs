@@ -4,24 +4,25 @@
 //! # Event core
 //!
 //! Simulated time does not march in fixed `dt` ticks. The simulator
-//! keeps one priority queue of timestamped events — external ones
-//! (flow arrival/departure, reroute, link capacity change, link
-//! up/down) and internal rate-convergence completions — ordered by
-//! `(at, seq)` so ties break deterministically in scheduling order
-//! (the queue itself is two-tier, see `queue.rs`: a pre-loaded
-//! schedule's far future waits in per-window buckets, not in the heap).
-//! [`Simulation::run_until`] jumps straight to the next event or
-//! telemetry sample point, applies everything due at that instant, and
-//! re-solves fair shares once per touched timestamp via the
-//! incremental [`FairShareEngine`]. Between events every flow's rate
-//! is advanced *analytically* ([`Flow::rate_at`]): the closed-form
+//! keeps one priority queue of timestamped external events (flow
+//! arrival/departure, reroute, link capacity change, link up/down),
+//! ordered by `(at, seq)` so ties break deterministically in
+//! scheduling order (the queue itself is two-tier, see `queue.rs`: a
+//! pre-loaded schedule's far future waits in per-window buckets, not in
+//! the heap). [`Simulation::run_until`] jumps straight to the next
+//! event or telemetry sample point, applies everything due at that
+//! instant, and re-solves fair shares once per touched timestamp via
+//! the incremental [`FairShareEngine`]. Between events every flow's
+//! rate is advanced *analytically* ([`Flow::rate_at`]): the closed-form
 //! exponential replaces the old per-tick `step_rate`, and is exactly
 //! the same trajectory (per-tick composition of `(1 - alpha)^k` equals
 //! `exp(-k dt / tau)`), so a quiescent network costs nothing to
-//! simulate. When a flow's residual to its share decays below 1 neV
-//! (1e-9 Mbps), a queued `RateConverged` completion snaps the rate to
-//! the share exactly, guarded by a per-flow generation counter so
-//! stale completions are ignored.
+//! simulate. Convergence is flow state, not an event: a share change
+//! stores the instant the flow's residual decays below 1 neV
+//! (1e-9 Mbps) in [`Flow::conv_at_ms`], and every rate read returns
+//! the share exactly once the drained-instant watermark has reached
+//! it. The next share change overwrites the instant, so no stale
+//! completion can outlive its trajectory.
 
 use crate::fairness::{
     dense_link, directed_hop, directed_link, directed_links, Direction, FairShareEngine,
@@ -71,21 +72,6 @@ pub enum Event {
     SetFlowDemand(FlowId, Option<f64>),
 }
 
-/// Everything the event queue holds: user-visible events plus internal
-/// rate-convergence completions.
-#[derive(Debug, Clone)]
-enum SimEvent {
-    External(Event),
-    /// Flow `id`'s exponential has decayed to within [`CONV_EPS_MBPS`]
-    /// of its share; snap it there. Only honored if `gen` still matches
-    /// the flow's convergence generation (share unchanged since
-    /// scheduling).
-    RateConverged {
-        id: FlowId,
-        gen: u64,
-    },
-}
-
 /// One telemetry sample.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryRecord {
@@ -108,15 +94,17 @@ struct Tracked {
     links: Option<Arc<[usize]>>,
     /// `flow:<label>:rate`, built at the flow's first sample.
     key: Option<Arc<str>>,
+    /// Excluded from per-flow telemetry ([`Simulation::mark_background`]).
+    quiet: bool,
 }
 
-/// Per-directed-link utilization at one `(now, state_version)`, indexed
-/// by the engine's dense link index (`2·LinkId + dir`). The buffers are
-/// reused from instant to instant.
+/// Per-directed-link utilization at one `(now, drained_ms,
+/// state_version)`, indexed by the engine's dense link index
+/// (`2·LinkId + dir`). The buffers are reused from instant to instant.
 #[derive(Debug, Default)]
 struct LinkLoads {
-    /// `(now, state_version)` the fold was taken at.
-    at: Option<(SimTimeMs, u64)>,
+    /// `(now, drained_ms, state_version)` the fold was taken at.
+    at: Option<(SimTimeMs, SimTimeMs, u64)>,
     /// Utilization in `[0, 1]`; 0 for links no live flow crosses.
     util: Vec<f64>,
     /// Links some live flow crosses, in ascending dense index — the
@@ -136,18 +124,21 @@ impl LinkLoads {
 pub struct Simulation {
     /// The network graph (public: controllers read topology state).
     pub topo: Topology,
-    flows: HashMap<FlowId, Tracked>,
-    /// Deterministic iteration order for flows: insertion order with
-    /// swap-remove on departure. Any permutation is fine as long as it
-    /// is a pure function of the event sequence — float folds over it
-    /// must replay bit-for-bit.
-    flow_order: Vec<FlowId>,
-    /// Position of each flow in `flow_order` (lookup only, never
+    /// Live flows in insertion order with swap-remove on departure.
+    /// Any permutation is fine as long as it is a pure function of the
+    /// event sequence — float folds over it must replay bit-for-bit.
+    flows: Vec<Tracked>,
+    /// Position of each live flow in `flows` (lookup only, never
     /// iterated), so `StopFlow` is O(1) instead of an O(n) retain.
-    flow_pos: HashMap<FlowId, usize>,
-    events: EventQueue<SimEvent>,
+    flow_index: HashMap<FlowId, usize>,
+    events: EventQueue<Event>,
     seq: u64,
     now_ms: SimTimeMs,
+    /// The last instant whose events are all applied: `now` after each
+    /// instant's drain, `until − 1` once `run_until(until)` returns
+    /// (events due at the horizon wait for the next call). A flow
+    /// whose `conv_at_ms` it has reached reads its share exactly.
+    drained_ms: SimTimeMs,
     /// TCP convergence time constant (seconds).
     pub tcp_tau_s: f64,
     /// Protocol efficiency: goodput = efficiency * fair share. Calibrated
@@ -162,17 +153,17 @@ pub struct Simulation {
     /// link's first sample.
     link_keys: Vec<Option<Arc<str>>>,
     engine: FairShareEngine,
-    /// Flows excluded from per-flow telemetry records (bulk background
-    /// traffic at scale); they still count toward link utilization.
+    /// Ids marked by [`Simulation::mark_background`], live or not yet
+    /// started; a live flow carries its mark as `Tracked::quiet`.
     quiet: BTreeSet<FlowId>,
-    /// Events popped and applied (external + internal), for throughput
-    /// reporting.
+    /// External events popped and applied, for throughput reporting.
     events_processed: u64,
-    /// Bumped whenever rates/shares/topology change; keys the
-    /// utilization cache.
+    /// Bumped by every external event; with `now` and `drained_ms`,
+    /// keys the utilization cache.
     state_version: u64,
-    /// Memoized `link_utilization` for the current `(now, version)` —
-    /// probes and telemetry at one instant borrow one computation.
+    /// Memoized `link_utilization` for the current
+    /// `(now, drained_ms, version)` — probes and telemetry at one
+    /// instant borrow one computation.
     loads: RefCell<LinkLoads>,
     /// Sim-time trace facade (off by default; every record is stamped
     /// with the event clock, so traces replay bit-identically).
@@ -188,12 +179,12 @@ impl Simulation {
     pub fn new(topo: Topology, seed: u64) -> Self {
         Simulation {
             topo,
-            flows: HashMap::new(),
-            flow_order: Vec::new(),
-            flow_pos: HashMap::new(),
+            flows: Vec::new(),
+            flow_index: HashMap::new(),
             events: EventQueue::new(),
             seq: 0,
             now_ms: 0,
+            drained_ms: 0,
             tcp_tau_s: 1.2,
             efficiency: 0.86,
             queue_ms_at_half_util: 1.0,
@@ -257,7 +248,7 @@ impl Simulation {
         self.events.push(Scheduled {
             at,
             seq: self.seq,
-            event: SimEvent::External(event),
+            event,
         });
         Ok(())
     }
@@ -265,14 +256,16 @@ impl Simulation {
     /// Runs the simulation until `until_ms`, sampling telemetry every
     /// `sample_ms`. Time jumps between events: each iteration applies
     /// everything due at the current instant (events fire at their
-    /// *exact* timestamps), re-solves fair shares once if anything
-    /// external happened, samples if on a sample point, and then leaps
-    /// to the earliest of next event / next sample / the horizon.
-    /// Events scheduled at `until_ms` or later stay queued for the next
-    /// call, and no sample is taken at `until_ms` itself — the same
-    /// boundary convention as the historical tick loop, minus its skew:
-    /// events that used to land strictly between tick boundaries are no
-    /// longer applied up to one tick late.
+    /// *exact* timestamps), re-solves fair shares once if any event was
+    /// applied, samples if on a sample point, and then leaps to the
+    /// earliest of next event / next sample / the horizon. Events
+    /// scheduled at `until_ms` or later stay queued for the next call,
+    /// and no sample is taken at `until_ms` itself — the same boundary
+    /// convention as the historical tick loop, minus its skew: events
+    /// that used to land strictly between tick boundaries are no longer
+    /// applied up to one tick late. Rate convergence follows the same
+    /// convention: on return, flows converge at instants before
+    /// `until_ms`, not at it.
     pub fn run_until(&mut self, until_ms: SimTimeMs, sample_ms: u64) {
         assert!(sample_ms > 0, "sample interval must be positive");
         if self.now_ms >= until_ms {
@@ -284,7 +277,6 @@ impl Simulation {
             self.now_ms.div_ceil(sample_ms) * sample_ms
         };
         loop {
-            let mut external = false;
             // The dispatch span covers every event due at this instant;
             // queue depth is sampled before the batch drains. All of it
             // is behind the tracer's inline `None` check.
@@ -301,14 +293,9 @@ impl Simulation {
                 let Some(due) = self.events.pop() else { break };
                 self.events_processed += 1;
                 batch += 1;
-                match due.event {
-                    SimEvent::External(e) => {
-                        self.apply_external(e);
-                        external = true;
-                    }
-                    SimEvent::RateConverged { id, gen } => self.apply_converged(id, gen),
-                }
+                self.apply_external(due.event);
             }
+            self.drained_ms = self.now_ms;
             if let Some(span) = dispatch {
                 span.end(self.now_ns(), || {
                     vec![
@@ -317,7 +304,7 @@ impl Simulation {
                     ]
                 });
             }
-            if external {
+            if batch > 0 {
                 if self.tracer.enabled() {
                     let before = self.engine.stats();
                     let span = self.tracer.span("sim", "sim.waterfill", self.now_ns());
@@ -373,6 +360,7 @@ impl Simulation {
             }
             if next >= until_ms {
                 self.now_ms = until_ms;
+                self.drained_ms = until_ms - 1;
                 return;
             }
             self.now_ms = next;
@@ -384,42 +372,41 @@ impl Simulation {
         match event {
             Event::StartFlow { spec, path, id } => {
                 let links = directed_links(&self.topo, &path).ok();
-                // Re-starting a live id replaces it in place: fresh
-                // flow, position in `flow_order` retained.
-                if !self.flows.contains_key(&id) {
-                    self.flow_pos.insert(id, self.flow_order.len());
-                    self.flow_order.push(id);
-                }
                 let links = self
                     .engine
                     .insert_flow(&self.topo, id, links, spec.demand_mbps);
                 let mut flow = Flow::new(id, spec, path);
                 flow.rate_as_of_ms = self.now_ms;
-                self.flows.insert(
-                    id,
-                    Tracked {
-                        flow,
-                        links,
-                        key: None,
-                    },
-                );
+                let tracked = Tracked {
+                    flow,
+                    links,
+                    key: None,
+                    quiet: self.quiet.contains(&id),
+                };
+                // Re-starting a live id replaces it in place: fresh
+                // flow, position in `flows` retained.
+                match self.flow_index.get(&id) {
+                    Some(&i) => self.flows[i] = tracked,
+                    None => {
+                        self.flow_index.insert(id, self.flows.len());
+                        self.flows.push(tracked);
+                    }
+                }
             }
             Event::StopFlow(id) => {
                 self.engine.remove_flow(id);
-                if self.flows.remove(&id).is_some() {
+                if let Some(pos) = self.flow_index.remove(&id) {
                     self.quiet.remove(&id);
-                    if let Some(pos) = self.flow_pos.remove(&id) {
-                        self.flow_order.swap_remove(pos);
-                        if pos < self.flow_order.len() {
-                            let moved = self.flow_order[pos];
-                            self.flow_pos.insert(moved, pos);
-                        }
+                    self.flows.swap_remove(pos);
+                    if let Some(moved) = self.flows.get(pos) {
+                        self.flow_index.insert(moved.flow.id, pos);
                     }
                 }
             }
             Event::SetFlowPath(id, path) => {
                 let links = directed_links(&self.topo, &path).ok();
-                if let Some(f) = self.flows.get_mut(&id) {
+                if let Some(&i) = self.flow_index.get(&id) {
+                    let f = &mut self.flows[i];
                     f.flow.path = path;
                     f.links = self.engine.set_links(&self.topo, id, links);
                 }
@@ -431,8 +418,8 @@ impl Simulation {
                 }
             }
             Event::SetFlowDemand(id, demand) => {
-                if let Some(f) = self.flows.get_mut(&id) {
-                    f.flow.spec.demand_mbps = demand;
+                if let Some(&i) = self.flow_index.get(&id) {
+                    self.flows[i].flow.spec.demand_mbps = demand;
                     self.engine.set_demand(id, demand);
                 }
             }
@@ -452,18 +439,14 @@ impl Simulation {
                             .windows(2)
                             .any(|w| (w[0] == a && w[1] == b) || (w[0] == b && w[1] == a))
                     };
-                    let mut ids: Vec<FlowId> = self
-                        .flow_order
-                        .iter()
-                        .filter(|id| self.flows.get(id).is_some_and(crosses))
-                        .copied()
+                    let mut hit: Vec<usize> = (0..self.flows.len())
+                        .filter(|&i| crosses(&self.flows[i]))
                         .collect();
-                    ids.sort_unstable();
-                    for id in ids {
-                        if let Some(f) = self.flows.get_mut(&id) {
-                            let links = directed_links(&self.topo, &f.flow.path).ok();
-                            f.links = self.engine.set_links(&self.topo, id, links);
-                        }
+                    hit.sort_unstable_by_key(|&i| self.flows[i].flow.id);
+                    for i in hit {
+                        let f = &mut self.flows[i];
+                        let links = directed_links(&self.topo, &f.flow.path).ok();
+                        f.links = self.engine.set_links(&self.topo, f.flow.id, links);
                     }
                 }
             }
@@ -471,53 +454,31 @@ impl Simulation {
     }
 
     /// Applies the engine's batched share changes: each touched flow's
-    /// trajectory is materialized at `now`, its share updated, and a
-    /// convergence completion queued for when the new exponential has
-    /// effectively flattened.
+    /// trajectory is materialized at `now`, its share updated, and the
+    /// instant the new exponential effectively flattens stored on it.
     fn resolve_shares(&mut self) {
         let changes = self.engine.resolve();
-        let now = self.now_ms;
-        let tau = self.tcp_tau_s;
+        let (now, drained, tau) = (self.now_ms, self.drained_ms, self.tcp_tau_s);
         for (id, raw) in changes {
-            let Some(f) = self.flows.get_mut(&id).map(|t| &mut t.flow) else {
+            let Some(&i) = self.flow_index.get(&id) else {
                 continue;
             };
-            f.materialize(now, tau);
+            let f = &mut self.flows[i].flow;
+            f.materialize(now, drained, tau);
             f.fair_share_mbps = raw * self.efficiency;
-            f.conv_gen += 1;
-            let gen = f.conv_gen;
-            let dt = f.convergence_in_ms(tau, CONV_EPS_MBPS);
-            if dt == 0 {
-                f.rate_mbps = f.fair_share_mbps;
-                f.converged = true;
-            } else {
-                f.converged = false;
-                self.seq += 1;
-                self.events.push(Scheduled {
-                    at: now + dt,
-                    seq: self.seq,
-                    event: SimEvent::RateConverged { id, gen },
-                });
-            }
+            f.conv_at_ms = now + f.convergence_in_ms(tau, CONV_EPS_MBPS);
         }
     }
 
-    fn apply_converged(&mut self, id: FlowId, gen: u64) {
-        let now = self.now_ms;
-        if let Some(f) = self.flows.get_mut(&id).map(|t| &mut t.flow) {
-            if f.conv_gen == gen && !f.converged {
-                f.rate_mbps = f.fair_share_mbps;
-                f.rate_as_of_ms = now;
-                f.converged = true;
-                self.state_version += 1;
-            }
-        }
+    /// A flow's goodput at the current instant.
+    fn rate(&self, f: &Flow) -> f64 {
+        f.rate_at(self.now_ms, self.drained_ms, self.tcp_tau_s)
     }
 
     /// Per-directed-link utilization implied by current flow rates,
     /// borrowed from the per-instant memo.
     ///
-    /// Folds flows in `flow_order` (a deterministic function of the
+    /// Folds flows in `flows` order (a deterministic function of the
     /// event sequence), **not** map order: float accumulation is
     /// order-sensitive at the ULP level, and hash-map iteration order
     /// varies per process — enough to flip a downstream
@@ -525,17 +486,17 @@ impl Simulation {
     /// Each flow adds its rate along the dense link list the engine
     /// already keeps for it, so no path is resolved against the
     /// topology here. The computation is memoized per
-    /// `(now, state_version)` — probes and samples at one instant
-    /// share it.
+    /// `(now, drained_ms, state_version)` — probes and samples at one
+    /// instant share it.
     fn link_utilization(&self) -> Ref<'_, LinkLoads> {
         self.refresh_loads();
         self.loads.borrow()
     }
 
     /// Brings the memo behind [`Simulation::link_utilization`] up to
-    /// `(now, state_version)`.
+    /// `(now, drained_ms, state_version)`.
     fn refresh_loads(&self) {
-        let at = Some((self.now_ms, self.state_version));
+        let at = Some((self.now_ms, self.drained_ms, self.state_version));
         let loads = &mut *self.loads.borrow_mut();
         if loads.at == at {
             return;
@@ -549,9 +510,9 @@ impl Simulation {
             loads.util.resize(dense_links, 0.0);
             loads.is_touched.resize(dense_links, false);
         }
-        for f in self.flow_order.iter().filter_map(|id| self.flows.get(id)) {
+        for f in &self.flows {
             if let Some(links) = &f.links {
-                let r = f.flow.rate_at(self.now_ms, self.tcp_tau_s);
+                let r = self.rate(&f.flow);
                 for &l in links.iter() {
                     loads.util[l] += r;
                     if !loads.is_touched[l] {
@@ -575,9 +536,9 @@ impl Simulation {
     #[cfg(test)]
     fn link_utilization_map(&self) -> std::collections::BTreeMap<(LinkId, Direction), f64> {
         let mut used = std::collections::BTreeMap::new();
-        for f in self.flow_order.iter().filter_map(|id| self.flows.get(id)) {
+        for f in &self.flows {
             if let Ok(links) = directed_links(&self.topo, &f.flow.path) {
-                let r = f.flow.rate_at(self.now_ms, self.tcp_tau_s);
+                let r = self.rate(&f.flow);
                 for (lid, dir) in links {
                     *used.entry((lid, dir)).or_insert(0.0) += r;
                 }
@@ -592,17 +553,14 @@ impl Simulation {
 
     fn sample_telemetry(&mut self) {
         let at = self.now_ms;
-        for id in self.flow_order.iter().filter(|id| !self.quiet.contains(id)) {
-            let Some(f) = self.flows.get_mut(id) else {
-                continue;
-            };
+        for f in self.flows.iter_mut().filter(|f| !f.quiet) {
             let key = f
                 .key
                 .get_or_insert_with(|| format!("flow:{}:rate", f.flow.spec.label).into());
             self.telemetry.push(TelemetryRecord {
                 at_ms: at,
                 key: Arc::clone(key),
-                value: f.flow.rate_at(at, self.tcp_tau_s),
+                value: f.flow.rate_at(at, self.drained_ms, self.tcp_tau_s),
             });
         }
         // Borrows the memo field, not `self`: the log grows under it.
@@ -659,13 +617,18 @@ impl Simulation {
     /// Excludes a flow from per-flow telemetry records — bulk
     /// background traffic at scale would otherwise drown the recorder.
     /// The flow still contributes to link utilization and fair-share
-    /// competition. Call before the flow's `StartFlow` fires.
+    /// competition. Takes effect from the next sample, whether the flow
+    /// is live or not yet started, and lasts until it stops.
     pub fn mark_background(&mut self, id: FlowId) {
         self.quiet.insert(id);
+        if let Some(&i) = self.flow_index.get(&id) {
+            self.flows[i].quiet = true;
+        }
     }
 
-    /// Number of queue events applied so far (external + internal) —
-    /// the numerator of events/sec throughput reporting.
+    /// Number of external events ([`Event`]s) applied so far — the
+    /// numerator of events/sec throughput reporting. Rate convergence
+    /// is flow state, not an event, so it never counts.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }
@@ -696,17 +659,18 @@ impl Simulation {
 
     /// A live flow's current goodput.
     pub fn flow_rate(&self, id: FlowId) -> Result<f64, NetsimError> {
-        self.flows
-            .get(&id)
-            .map(|f| f.flow.rate_at(self.now_ms, self.tcp_tau_s))
-            .ok_or(NetsimError::UnknownFlow(id.0))
+        self.tracked(id).map(|f| self.rate(&f.flow))
     }
 
     /// A live flow's current path.
     pub fn flow_path(&self, id: FlowId) -> Result<&[NodeIdx], NetsimError> {
-        self.flows
+        self.tracked(id).map(|f| f.flow.path.as_slice())
+    }
+
+    fn tracked(&self, id: FlowId) -> Result<&Tracked, NetsimError> {
+        self.flow_index
             .get(&id)
-            .map(|f| f.flow.path.as_slice())
+            .map(|&i| &self.flows[i])
             .ok_or(NetsimError::UnknownFlow(id.0))
     }
 
@@ -1240,7 +1204,7 @@ mod tests {
 
     #[test]
     fn stop_flow_swap_remove_keeps_replay_deterministic() {
-        // flow_order uses swap-remove on StopFlow; the resulting order
+        // The flow table swap-removes on StopFlow; the resulting order
         // must be a pure function of the event sequence. Pin both the
         // exact order (via telemetry record sequence) and bitwise
         // replay equality across two identical runs.
@@ -1306,9 +1270,77 @@ mod tests {
         )
         .unwrap();
         sim.run_until(3_600_000, 1_000_000);
-        // one StartFlow + one RateConverged, nothing else in an hour
-        assert_eq!(sim.events_processed(), 2);
+        // one StartFlow, nothing else in an hour
+        assert_eq!(sim.events_processed(), 1);
         let r = sim.flow_rate(FlowId(1)).unwrap();
         assert_eq!(r, 17.2, "converged rate snaps exactly to the share");
+    }
+
+    /// Greedy `f1` alone on tunnel 1 from 0 ms: its share is 17.2 Mbps
+    /// and its exponential flattens at 28 282 ms.
+    fn lone_flow() -> Simulation {
+        let topo = global_p4_lab();
+        let path = tunnel1(&topo);
+        let spec = greedy_spec(&topo, "f1", 0);
+        let mut sim = Simulation::new(topo, 1);
+        let start = Event::StartFlow {
+            spec,
+            path,
+            id: FlowId(1),
+        };
+        sim.schedule(0, start).unwrap();
+        sim
+    }
+
+    #[test]
+    fn restarted_flow_ignores_its_predecessors_convergence() {
+        // Regression: the restart replaced the flow in place, but the
+        // first flow's convergence (due at 28 282 ms) used to snap the
+        // second one to its share a full second early.
+        let mut sim = lone_flow();
+        let restart = Event::StartFlow {
+            spec: greedy_spec(&sim.topo, "f1", 0),
+            path: tunnel1(&sim.topo),
+            id: FlowId(1),
+        };
+        sim.schedule(1_000, restart).unwrap();
+        sim.run_until(28_500, 1000);
+        let r = sim.flow_rate(FlowId(1)).unwrap();
+        assert_ne!(r.to_bits(), 17.2f64.to_bits(), "r {r}");
+        let expected = 17.2 * (1.0 - (-27.5_f64 / 1.2).exp());
+        assert!((r - expected).abs() < 1e-12, "r {r} expected {expected}");
+        sim.run_until(29_283, 1000);
+        assert_eq!(sim.flow_rate(FlowId(1)).unwrap(), 17.2);
+    }
+
+    #[test]
+    fn convergence_at_the_horizon_waits_for_the_next_call() {
+        // Convergence due exactly at `until` is not drained on return:
+        // reads between calls see the exponential, and the next call's
+        // first instant (a sample point here) sees the share.
+        let mut sim = lone_flow();
+        sim.run_until(28_282, 14_141);
+        let r = sim.flow_rate(FlowId(1)).unwrap();
+        assert!(r < 17.2 && 17.2 - r < 1e-9, "r {r}");
+        let inner = sim.topo.path_by_names(&["MIA", "SAO", "AMS"]).unwrap();
+        let between = sim.path_available_mbps(&inner).unwrap();
+        sim.run_until(28_283, 14_141);
+        assert_eq!(sim.flow_rate(FlowId(1)).unwrap(), 17.2);
+        // The sample at 28 282 folds the converged rate, not the memo
+        // the probe between the calls left behind.
+        let util = sim.series("link:MIA-SAO:util");
+        assert_eq!(util.last(), Some(&(28_282, 17.2 / 20.0)));
+        let converged = 20.0 * (1.0 - 17.2 / 20.0);
+        assert_eq!(sim.path_available_mbps(&inner).unwrap(), converged);
+        assert!(between > converged, "between {between}");
+    }
+
+    #[test]
+    fn convergence_inside_the_horizon_reads_the_share_on_return() {
+        // No event or sample point lands on 28 282 ms, so the loop never
+        // stops there; the rate is the share once the call returns.
+        let mut sim = lone_flow();
+        sim.run_until(28_283, 1_000_000);
+        assert_eq!(sim.flow_rate(FlowId(1)).unwrap(), 17.2);
     }
 }

@@ -2,11 +2,9 @@
 //!
 //! Two contracts ride on the same scripts. The dense link-load fold
 //! must equal the sorted-map fold it replaced **bit for bit** on every
-//! touched link after every step; and the whole run — event count,
-//! every telemetry record, every probe, every final rate — must hash
-//! to fingerprints captured on the commit *before* the event queue
-//! became two-tier and the fold dense, so neither changed what the
-//! simulator computes.
+//! touched link after every step; and the whole run — every telemetry
+//! record, every probe, every final rate — must hash to pinned
+//! fingerprints, with the count of applied events pinned beside them.
 
 use super::*;
 use crate::topo::{fat_tree, global_p4_lab, mesh, NodeKind};
@@ -88,10 +86,11 @@ fn topologies() -> Vec<(&'static str, Topology)> {
     ]
 }
 
-/// Replays script `seed` on `topo` through the public API only,
-/// calling `after_step` once the simulator has advanced past each
-/// step's events, and returns the run's fingerprint.
-fn run_script(topo: Topology, seed: u64, mut after_step: impl FnMut(&Simulation)) -> u64 {
+/// Replays script `seed` on `topo` through the public API (the queue's
+/// length is read once, at the end), calling `after_step` once the
+/// simulator has advanced past each step's events, and returns the
+/// run's fingerprint and event count.
+fn run_script(topo: Topology, seed: u64, mut after_step: impl FnMut(&Simulation)) -> (u64, u64) {
     let mut rng = Rng::new(seed);
     let mut fp = Fingerprint::new();
     let nodes = topo.node_count() as u64;
@@ -101,6 +100,7 @@ fn run_script(topo: Topology, seed: u64, mut after_step: impl FnMut(&Simulation)
     let mut live: Vec<(FlowId, Vec<NodeIdx>)> = Vec::new();
     let mut down: Vec<LinkId> = Vec::new();
     let mut made = 0u64;
+    let mut accepted = 0u64;
 
     for _ in 0..STEPS {
         let now = sim.now_ms();
@@ -202,7 +202,9 @@ fn run_script(topo: Topology, seed: u64, mut after_step: impl FnMut(&Simulation)
             };
             // A path over a link that is down right now is refused;
             // that is part of the replayed behaviour.
-            fp.u64(u64::from(sim.schedule(at, event).is_ok()));
+            let ok = sim.schedule(at, event).is_ok();
+            accepted += u64::from(ok);
+            fp.u64(u64::from(ok));
         }
         sim.run_until(now + step_ms, sample_ms);
         if let Some((_, path)) = rng.pick(&live) {
@@ -212,7 +214,6 @@ fn run_script(topo: Topology, seed: u64, mut after_step: impl FnMut(&Simulation)
         after_step(&sim);
     }
 
-    fp.u64(sim.events_processed());
     for rec in sim.telemetry() {
         fp.bytes(rec.key.as_bytes());
         fp.u64(rec.at_ms);
@@ -221,16 +222,23 @@ fn run_script(topo: Topology, seed: u64, mut after_step: impl FnMut(&Simulation)
     for id in 1..=made {
         fp.measured(sim.flow_rate(FlowId(id)));
     }
-    fp.0
+    // Every event applied was scheduled; the rest is still queued.
+    let queued = sim.events.len() as u64;
+    assert_eq!(sim.events_processed() + queued, accepted, "seed {seed}");
+    (fp.0, sim.events_processed())
 }
 
-/// Every script of one topology, folded into one fingerprint.
-fn topology_fingerprint(topo: &Topology, after_step: impl Fn(&Simulation)) -> u64 {
+/// Every script of one topology, folded into one fingerprint, and the
+/// events they applied in total.
+fn topology_fingerprint(topo: &Topology, after_step: impl Fn(&Simulation)) -> (u64, u64) {
     let mut fp = Fingerprint::new();
+    let mut events = 0;
     for seed in 0..SCRIPTS_PER_TOPOLOGY {
-        fp.u64(run_script(topo.clone(), seed, &after_step));
+        let (run, applied) = run_script(topo.clone(), seed, &after_step);
+        fp.u64(run);
+        events += applied;
     }
-    fp.0
+    (fp.0, events)
 }
 
 #[test]
@@ -260,18 +268,36 @@ fn dense_fold_equals_map_fold_bitwise() {
 
 #[test]
 fn replay_matches_parent_commit_fingerprints() {
-    // Captured by running this test (this file, minus the fold
-    // comparison above) on the parent commit, whose queue was a single
-    // `BinaryHeap` and whose fold a `BTreeMap`.
+    // Captured on the commit whose rate convergence was still a queued
+    // event, with its per-flow generation counter made globally unique
+    // so a restarted flow could not honor its predecessor's completion:
+    // what the simulator computes did not move when convergence became
+    // flow state.
     let pinned: [(&str, u64); 4] = [
-        ("global_p4_lab", 15_450_547_627_925_314_181),
-        ("parallel_links", 1_161_207_484_178_701_051),
-        ("mesh_24_5", 18_301_070_624_263_163_163),
-        ("fat_tree_4", 3_058_768_669_727_469_309),
+        ("global_p4_lab", 3_206_907_444_125_235_563),
+        ("parallel_links", 4_887_647_869_106_325_002),
+        ("mesh_24_5", 13_185_711_492_107_217_079),
+        ("fat_tree_4", 5_816_559_269_727_571_561),
     ];
     let got: Vec<(&str, u64)> = topologies()
         .iter()
-        .map(|(name, topo)| (*name, topology_fingerprint(topo, |_| {})))
+        .map(|(name, topo)| (*name, topology_fingerprint(topo, |_| {}).0))
         .collect();
     assert_eq!(got, pinned, "replay drifted from the parent commit");
+}
+
+#[test]
+fn replay_applies_only_the_scripted_events() {
+    // External events only: a convergence is flow state, not an event.
+    let pinned: [(&str, u64); 4] = [
+        ("global_p4_lab", 2_604),
+        ("parallel_links", 2_582),
+        ("mesh_24_5", 2_899),
+        ("fat_tree_4", 2_861),
+    ];
+    let got: Vec<(&str, u64)> = topologies()
+        .iter()
+        .map(|(name, topo)| (*name, topology_fingerprint(topo, |_| {}).1))
+        .collect();
+    assert_eq!(got, pinned, "events applied");
 }

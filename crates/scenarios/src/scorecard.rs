@@ -93,8 +93,8 @@ pub struct Scorecard {
     pub blames: Vec<obsv_analyze::Blame>,
     /// Path migrations the policy performed.
     pub migrations: u64,
-    /// Simulator queue events applied during the run (external +
-    /// internal rate-convergence completions) — the numerator of the
+    /// External simulator events applied during the run (rate
+    /// convergence is flow state, not an event) — the numerator of the
     /// event core's events/sec throughput reporting. Deterministic like
     /// every other field.
     pub sim_events: u64,
