@@ -33,29 +33,14 @@ fn bench_pbr_rewrite(c: &mut Criterion) {
     });
 }
 
-fn bench_pbr_rewrite_through_message_queue(c: &mut Criterion) {
-    let mut mq = freertr::agent::MessageQueue::new();
-    let mia = mq.router("MIA");
+/// Sixteen PBR rewrites in one edge transaction (one lock, one undo
+/// log), to be read against sixteen of `pbr_rewrite_in_config`.
+fn bench_pbr_transaction(c: &mut Criterion) {
+    use freertr::agent::{ConfigOp, RouterHandle};
+    let mia = RouterHandle::new("MIA");
     mia.apply_text(&fig10_mia_config().emit()).unwrap();
     let mut flip = false;
-    c.bench_function("pbr_rewrite_via_mq_roundtrip", |b| {
-        b.iter(|| {
-            flip = !flip;
-            let target = if flip { "tunnel2" } else { "tunnel1" };
-            mia.set_pbr("flow3", target).unwrap();
-        })
-    });
-}
-
-/// One round-trip per batch: sixteen PBR rewrites in one transaction,
-/// to be read against sixteen of `pbr_rewrite_via_mq_roundtrip`.
-fn bench_pbr_transaction_through_message_queue(c: &mut Criterion) {
-    use freertr::agent::ConfigOp;
-    let mut mq = freertr::agent::MessageQueue::new();
-    let mia = mq.router("MIA");
-    mia.apply_text(&fig10_mia_config().emit()).unwrap();
-    let mut flip = false;
-    c.bench_function("pbr_rewrite_x16_via_mq_transaction", |b| {
+    c.bench_function("pbr_rewrite_x16_transaction", |b| {
         b.iter(|| {
             flip = !flip;
             let target = if flip { "tunnel2" } else { "tunnel1" };
@@ -65,7 +50,7 @@ fn bench_pbr_transaction_through_message_queue(c: &mut Criterion) {
                     tunnel: target.to_string(),
                 })
                 .collect();
-            mia.send(ops).wait().unwrap();
+            mia.transact(ops).unwrap();
         })
     });
 }
@@ -88,8 +73,7 @@ criterion_group!(
     benches,
     bench_label_swap,
     bench_pbr_rewrite,
-    bench_pbr_rewrite_through_message_queue,
-    bench_pbr_transaction_through_message_queue,
+    bench_pbr_transaction,
     bench_fig11_end_to_end
 );
 criterion_main!(benches);

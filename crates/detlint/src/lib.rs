@@ -107,9 +107,8 @@ const BARE_PANIC_FILES: &[&str] = &[
     "crates/hecate-ml/src/",
     // The fan-out every forecast and fit runs under.
     "crates/linalg/src/par.rs",
-    // A panic in an agent loop kills that ingress's config plane
-    // (every later admit there comes back `ChannelClosed`), and every
-    // edge configuration is parsed and resolved here.
+    // A panic in a transaction unwinds through the controller's admit,
+    // and every edge configuration is parsed and resolved here.
     "crates/freertr/src/",
 ];
 

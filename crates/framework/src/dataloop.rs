@@ -289,8 +289,9 @@ impl SelfDrivingNetwork {
                 *managed_goodput.entry(&f.tunnel).or_insert(0.0) += g;
             }
         }
+        let mut samples = Vec::with_capacity(self.tunnel_order.len() + self.flows.len());
         let mut tunnel_available = Vec::new();
-        for name in &self.tunnel_order {
+        for (name, &(avail_series, _)) in self.tunnel_order.iter().zip(&self.tunnel_series) {
             let compiled = &self.tunnels[name];
             let mut residual = f64::INFINITY;
             for hop in compiled.node_path.windows(2) {
@@ -310,17 +311,16 @@ impl SelfDrivingNetwork {
             let own = probe_goodput.get(name.as_str()).copied().unwrap_or(0.0)
                 + managed_goodput.get(name.as_str()).copied().unwrap_or(0.0);
             let avail = residual.max(0.0) + own;
-            self.telemetry
-                .insert(&SeriesKey::new(name, Metric::AvailableBandwidth), at, avail);
+            samples.push((avail_series, avail));
             tunnel_available.push((name.clone(), avail));
         }
         let mut flow_goodput = Vec::new();
         for f in &self.flows {
             let g = goodput_of.get(f.label.as_str()).copied().unwrap_or(0.0);
-            self.telemetry
-                .insert(&SeriesKey::new(&f.label, Metric::FlowRate), at, g);
+            samples.push((f.rate_series, g));
             flow_goodput.push((f.label.clone(), g));
         }
+        self.telemetry.insert_batch(at, samples);
         for lw in &window.links {
             let key = SeriesKey::new(
                 &format!(

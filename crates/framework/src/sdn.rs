@@ -16,7 +16,7 @@ use crate::scheduler::{FlowRequest, Scheduler};
 use crate::telemetry::{scoped_target, Metric, SeriesId, SeriesKey, TelemetryService};
 use crate::waterfill::SharedWaterfill;
 use crate::{FrameworkError, PairId};
-use freertr::agent::{ConfigOp, MessageQueue, RouterHandle};
+use freertr::agent::{ConfigOp, RouterHandle};
 use freertr::config::fig10_mia_config;
 use freertr::resolve::{allocator_for, compile_tunnel, CompiledTunnel};
 use netsim::topo::global_p4_lab;
@@ -33,7 +33,7 @@ pub(crate) struct ManagedFlow {
     pub(crate) demand: Option<f64>,
     pub(crate) pair: PairId,
     /// The flow's [`Metric::FlowRate`] series, resolved at install.
-    rate_series: SeriesId,
+    pub(crate) rate_series: SeriesId,
 }
 
 /// One managed ingress/egress pair: its traffic endpoints, its edge
@@ -54,8 +54,8 @@ pub(crate) struct ManagedPair {
     pub(crate) src_node: NodeIdx,
     /// Traffic sink node.
     pub(crate) dst_node: NodeIdx,
-    /// Handle of this pair's ingress agent (pairs sharing an ingress
-    /// share one agent — the handle is a clone).
+    /// Handle of this pair's ingress router (pairs sharing an ingress
+    /// share one router — the handle is a clone).
     pub(crate) edge: RouterHandle,
     /// This pair's candidate tunnels in discovery (delay) order, by
     /// their pair-scoped names.
@@ -68,7 +68,7 @@ pub(crate) struct ManagedPair {
 /// The edge transactions of one admit batch or one round of
 /// migrations: one op list per distinct ingress router, in the order
 /// the edges first appear, each list in request order — so every edge
-/// applies exactly the op sequence per-flow round-trips would have.
+/// applies exactly the op sequence per-flow calls would have.
 type EdgeOps<'a> = Vec<(&'a RouterHandle, Vec<ConfigOp>)>;
 
 /// The slot of `pair`'s ingress edge in `edges` (pairs sharing an
@@ -79,14 +79,6 @@ fn edge_slot<'a>(edges: &mut EdgeOps<'a>, pair: &'a ManagedPair) -> usize {
         edges.push((&pair.edge, Vec::new()));
         edges.len() - 1
     })
-}
-
-/// Sends every edge its transaction, then awaits them all — every one,
-/// whatever the others answered — so the round-trips overlap; one
-/// outcome per slot.
-fn transact(edges: EdgeOps) -> Vec<Result<(), freertr::FreertrError>> {
-    let pending: Vec<_> = edges.into_iter().map(|(e, ops)| e.send(ops)).collect();
-    pending.into_iter().map(|ack| ack.wait()).collect()
 }
 
 /// The network's routing policy: where admitted flows land and how they
@@ -135,8 +127,6 @@ pub struct SelfDrivingNetwork {
     pub scheduler: Scheduler,
     /// The Fig 4 interaction log.
     pub log: SequenceLog,
-    #[allow(dead_code)] // owns the router agent threads (keep-alive)
-    mq: MessageQueue,
     pub(crate) alloc: NodeIdAllocator,
     pub(crate) tunnels: BTreeMap<String, CompiledTunnel>,
     /// Every tunnel, all pairs, in pair-then-discovery order
@@ -145,7 +135,7 @@ pub struct SelfDrivingNetwork {
     /// Each tunnel's ([`Metric::AvailableBandwidth`], [`Metric::Rtt`])
     /// series in [`SelfDrivingNetwork::telemetry`], aligned with
     /// `tunnel_order` and resolved at registration.
-    tunnel_series: Vec<(SeriesId, SeriesId)>,
+    pub(crate) tunnel_series: Vec<(SeriesId, SeriesId)>,
     pub(crate) flows: Vec<ManagedFlow>,
     /// The managed ingress/egress pairs; single-pair deployments (the
     /// paper testbed, [`SelfDrivingNetwork::over_topology`]) have
@@ -183,11 +173,10 @@ impl SelfDrivingNetwork {
     pub fn testbed(seed: u64) -> Result<Self, FrameworkError> {
         let topo = global_p4_lab();
         let alloc = allocator_for(&topo);
-        let mut mq = MessageQueue::new();
-        let edge = mq.router("MIA");
+        let edge = RouterHandle::new("MIA");
         edge.apply_text(&fig10_mia_config().emit())?;
         let cfg = edge.running_config();
-        let mut sdn = Self::assemble(topo, seed, mq, alloc);
+        let mut sdn = Self::assemble(topo, seed, alloc);
         sdn.pairs.push(ManagedPair {
             scope: String::new(),
             ingress: "MIA".to_string(),
@@ -206,19 +195,13 @@ impl SelfDrivingNetwork {
     }
 
     /// The services around `topo`, with no pair and no tunnel yet.
-    fn assemble(
-        topo: netsim::Topology,
-        seed: u64,
-        mq: MessageQueue,
-        alloc: NodeIdAllocator,
-    ) -> Self {
+    fn assemble(topo: netsim::Topology, seed: u64, alloc: NodeIdAllocator) -> Self {
         SelfDrivingNetwork {
             sim: Simulation::new(topo, seed),
             telemetry: TelemetryService::new(4096),
             hecate: HecateService::new(),
             scheduler: Scheduler::new(),
             log: SequenceLog::default(),
-            mq,
             alloc,
             tunnels: BTreeMap::new(),
             tunnel_order: Vec::new(),
@@ -250,7 +233,7 @@ impl SelfDrivingNetwork {
     }
 
     /// Assembles the self-driving network over an **arbitrary**
-    /// topology: spawns a freeRtr agent on the named ingress router,
+    /// topology: gives the named ingress router a freeRtr agent,
     /// discovers up to `k` **link-disjoint** candidate tunnels to the
     /// egress ([`netsim::Topology::k_disjoint_shortest_paths`]),
     /// compiles each to a PolKA routeID and installs it on the edge.
@@ -287,9 +270,8 @@ impl SelfDrivingNetwork {
     /// (mirroring the paper's hand-built testbed tunnels) but freely
     /// **overlapping across pairs** — which is why the multi-pair
     /// optimizer reasons about shared directed links instead of
-    /// per-tunnel bottlenecks. One freeRtr agent is spawned per
-    /// *distinct* ingress router; pairs sharing an ingress share the
-    /// agent.
+    /// per-tunnel bottlenecks. Each *distinct* ingress router gets one
+    /// freeRtr agent; pairs sharing an ingress share it.
     ///
     /// Namespaces: with one pair, tunnels keep the legacy names
     /// `tunnel1..k`; with more, pair `i`'s tunnels are scoped
@@ -305,7 +287,7 @@ impl SelfDrivingNetwork {
             return Err(FrameworkError::NoFeasiblePath);
         }
         let alloc = allocator_for(&topo);
-        let mut sdn = Self::assemble(topo, seed, MessageQueue::new(), alloc);
+        let mut sdn = Self::assemble(topo, seed, alloc);
         for (i, &(ingress, egress)) in endpoints.iter().enumerate() {
             let scope = if endpoints.len() == 1 {
                 String::new()
@@ -319,7 +301,11 @@ impl SelfDrivingNetwork {
             if paths.is_empty() {
                 return Err(FrameworkError::NoFeasiblePath);
             }
-            let edge = sdn.mq.router(ingress);
+            let edge = sdn
+                .pairs
+                .iter()
+                .find(|p| p.ingress == ingress)
+                .map_or_else(|| RouterHandle::new(ingress), |p| p.edge.clone());
             sdn.pairs.push(ManagedPair {
                 scope: scope.clone(),
                 ingress: ingress.to_string(),
@@ -652,17 +638,18 @@ impl SelfDrivingNetwork {
     /// SR-service + data-plane half of admission: installs each flow's
     /// ACL/PBR on its pair's ingress edge and starts it on the decided
     /// tunnel — one edge transaction per ingress, whatever the batch
-    /// size, every edge reconfiguring at once.
+    /// size.
     ///
     /// All or nothing. Every lookup that can fail (pair, host path, a
     /// live link under each hop) is resolved before the first side
     /// effect; an edge that refuses its transaction keeps its
-    /// configuration exactly as found; and no flow is started or
-    /// recorded unless every edge acknowledged. What a *different* edge
-    /// accepted in the same batch stays installed: an ACL/PBR entry
-    /// without a flow matches no traffic the controller started, and
-    /// re-admitting the same requests rewrites it in place (`EnsureAcl`
-    /// skips the existing rule, `SetPbr` rebinds the existing entry).
+    /// configuration exactly as found, and the edges after it are not
+    /// touched; and no flow is started or recorded unless every edge
+    /// accepted. What an *earlier* edge accepted in the same batch
+    /// stays installed: an ACL/PBR entry without a flow matches no
+    /// traffic the controller started, and re-admitting the same
+    /// requests rewrites it in place (`EnsureAcl` skips the existing
+    /// rule, `SetPbr` rebinds the existing entry).
     fn install_flows(
         &mut self,
         reqs: &[FlowRequest],
@@ -691,7 +678,9 @@ impl SelfDrivingNetwork {
                 },
             ]);
         }
-        transact(edges).into_iter().collect::<Result<(), _>>()?;
+        for (edge, ops) in edges {
+            edge.transact(ops)?;
+        }
         // Data plane: start each flow on its tunnel's host path.
         let now = self.sim.now_ms();
         for ((req, decision), path) in reqs.iter().zip(decisions).zip(paths) {
@@ -741,7 +730,7 @@ impl SelfDrivingNetwork {
     ///
     /// Every move is resolved (target tunnel of the flow's own pair,
     /// host path, a live link under each hop) before the first rewrite,
-    /// and a flow changes tunnel only after its edge acknowledged: when
+    /// and a flow changes tunnel only after its edge accepted: when
     /// an edge refuses, its configuration and its flows stay as found,
     /// the other edges' moves are carried out, and the first refusal is
     /// returned.
@@ -763,7 +752,10 @@ impl SelfDrivingNetwork {
                 tunnel: tunnel.to_string(),
             });
         }
-        let acks = transact(edges);
+        let acks: Vec<_> = edges
+            .into_iter()
+            .map(|(edge, ops)| edge.transact(ops))
+            .collect();
         let now = self.sim.now_ms();
         for (&(i, tunnel), (edge, path)) in moves.iter().zip(resolved) {
             if acks[edge].is_err() {
@@ -943,7 +935,7 @@ impl SelfDrivingNetwork {
     /// - [`Policy::Hecate`] runs [`SelfDrivingNetwork::reoptimize_bandwidth`].
     ///   A consult that errs (too little telemetry during warm-up, an
     ///   edge refusing) is skipped, but the moves its other edges
-    ///   acknowledged still count: a flow counts exactly when its
+    ///   accepted still count: a flow counts exactly when its
     ///   tunnel changed.
     /// - [`Policy::LastSample`] re-assigns each pair on its own, in pair
     ///   order, with [`assign_flows_shared_with`] over the pair's flows
@@ -1645,7 +1637,7 @@ mod tests {
         assert!((rate - 10.0 * 0.86).abs() < 0.5, "rate {rate}");
     }
 
-    // ---- batched edge transactions vs per-flow round-trips ----
+    // ---- batched edge transactions vs per-flow calls ----
 
     /// Four pairs on two ingress routers (`n0`, `n3`), two tunnels each.
     fn four_pairs_two_ingresses() -> SelfDrivingNetwork {
@@ -1698,9 +1690,9 @@ mod tests {
         (configs, flows)
     }
 
-    /// The installer `install_flows` replaced — two blocking edge
-    /// round-trips per flow — kept as the reference the batched one is
-    /// compared with.
+    /// The installer `install_flows` replaced — two edge transactions
+    /// per flow — kept as the reference the batched one is compared
+    /// with.
     fn install_flow_by_round_trips(
         sdn: &mut SelfDrivingNetwork,
         req: &FlowRequest,
@@ -1814,7 +1806,7 @@ mod tests {
         refused.advance(30_000).unwrap();
         let decisions = clean.admit_flows(&reqs, Objective::MaxBandwidth).unwrap();
         // The controller knows a tunnel the `n3` edge was never given:
-        // its transaction — second to be sent — is refused at the last
+        // its transaction — the second one — is refused at the last
         // flow's SetPbr, after that edge applied `f1`'s ops.
         let ghost = refused.tunnels[&decisions[3].tunnel].clone();
         refused.tunnels.insert("p3/ghost".into(), ghost);
@@ -1898,14 +1890,12 @@ mod tests {
         sdn
     }
 
-    /// Points the `n3` pairs at a stopped agent, which refuses every
-    /// transaction with `ChannelClosed`.
+    /// Points the `n3` pairs at a fresh router, which has none of their
+    /// ACLs or tunnels and so refuses every `SetPbr`.
     fn stop_the_n3_edge(sdn: &mut SelfDrivingNetwork) {
-        let agent = freertr::agent::RouterAgent::spawn("n3");
-        let stopped = agent.handle();
-        drop(agent);
+        let blank = RouterHandle::new("n3");
         for pair in sdn.pairs.iter_mut().filter(|p| p.ingress == "n3") {
-            pair.edge = stopped.clone();
+            pair.edge = blank.clone();
         }
     }
 
@@ -1934,7 +1924,7 @@ mod tests {
         let want = on_n0(&clean, &all);
         assert!(!want.is_empty() && want.len() < all.len(), "{all:?}");
         // The `n3` transaction is refused, so the consult errs — after
-        // the `n0` edge acknowledged its moves.
+        // the `n0` edge accepted its moves.
         stop_the_n3_edge(&mut refused);
         assert_eq!(refused.steer(Policy::Hecate), want);
         assert_eq!(moved(&start, &refused.flows), want);

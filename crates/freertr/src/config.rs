@@ -139,12 +139,7 @@ impl RouterConfig {
         acl: &str,
         tunnel: String,
     ) -> Result<Option<(usize, String)>, FreertrError> {
-        if !self.acls.iter().any(|a| a.name == acl) {
-            return Err(FreertrError::Unknown(format!("access-list {acl}")));
-        }
-        if self.tunnel(&tunnel).is_none() {
-            return Err(FreertrError::Unknown(format!("interface {tunnel}")));
-        }
+        self.check_pbr(acl, &tunnel)?;
         if let Some((at, e)) = self.pbr.iter_mut().enumerate().find(|(_, e)| e.acl == acl) {
             return Ok(Some((at, std::mem::replace(&mut e.tunnel, tunnel))));
         }
@@ -154,6 +149,18 @@ impl RouterConfig {
             nexthop: None,
         });
         Ok(None)
+    }
+
+    /// A PBR entry may bind only a declared access list to a declared
+    /// tunnel interface.
+    fn check_pbr(&self, acl: &str, tunnel: &str) -> Result<(), FreertrError> {
+        if !self.acls.iter().any(|a| a.name == acl) {
+            return Err(FreertrError::Unknown(format!("access-list {acl}")));
+        }
+        if self.tunnel(tunnel).is_none() {
+            return Err(FreertrError::Unknown(format!("interface {tunnel}")));
+        }
+        Ok(())
     }
 
     /// Appends `rule` unless an access list of that name exists; true
@@ -225,7 +232,9 @@ impl RouterConfig {
     }
 }
 
-/// Parses the text dialect into a [`RouterConfig`].
+/// Parses the text dialect into a [`RouterConfig`]. As with
+/// [`RouterConfig::set_pbr`], every `pbr` entry must name an access
+/// list and a tunnel interface the text declares.
 pub fn parse_config(text: &str) -> Result<RouterConfig, FreertrError> {
     let mut cfg = RouterConfig::default();
     let mut current_tunnel: Option<TunnelCfg> = None;
@@ -320,6 +329,11 @@ pub fn parse_config(text: &str) -> Result<RouterConfig, FreertrError> {
     }
     if let Some(t) = current_tunnel.take() {
         cfg.tunnels.push(t); // unterminated block: accept, like freeRtr
+    }
+    // Checked once the whole text is read: an entry may come before the
+    // declarations it names.
+    for e in &cfg.pbr {
+        cfg.check_pbr(&e.acl, &e.tunnel)?;
     }
     Ok(cfg)
 }

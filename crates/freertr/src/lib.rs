@@ -1,6 +1,6 @@
 //! Emulation of the RARE/freeRtr control plane used by the paper's
-//! testbed: PolKA tunnels, access lists, policy-based routing, and a
-//! message-queue-driven router agent.
+//! testbed: PolKA tunnels, access lists, policy-based routing, and
+//! router agents that apply configuration transactions.
 //!
 //! The paper configures its edge routers with freeRtr commands (Fig 10):
 //! an `access-list` matching a flow 5-tuple + ToS, a `tunnel` interface
@@ -19,9 +19,9 @@
 //!   ([`config::parse_config`]) and emitter;
 //! * [`resolve`] — packet classification and tunnel → PolKA routeID
 //!   compilation against a node-ID allocator and the netsim topology;
-//! * [`agent`] — router agents consuming typed config messages over
-//!   crossbeam channels, with acknowledgments, emulating the testbed's
-//!   message-queue reconfiguration path.
+//! * [`agent`] — each router's running configuration behind one lock,
+//!   changed by all-or-nothing transactions of typed config ops: the
+//!   testbed's message-queue reconfiguration path, minus the queue.
 
 pub mod agent;
 pub mod config;
@@ -47,8 +47,6 @@ pub enum FreertrError {
     Unknown(String),
     /// Tunnel path could not be compiled to a route.
     Route(String),
-    /// The agent channel is closed.
-    ChannelClosed,
 }
 
 impl std::fmt::Display for FreertrError {
@@ -59,7 +57,6 @@ impl std::fmt::Display for FreertrError {
             }
             FreertrError::Unknown(what) => write!(f, "unknown entity: {what}"),
             FreertrError::Route(m) => write!(f, "route compilation failed: {m}"),
-            FreertrError::ChannelClosed => write!(f, "router agent channel closed"),
         }
     }
 }

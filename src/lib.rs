@@ -23,7 +23,7 @@
 //! * [`lp`] — simplex and the Sec. III TE formulations;
 //! * [`netsim`] — the discrete-event flow-level network emulator;
 //! * [`freertr`] — control-plane emulation (config dialect, ACL/PBR,
-//!   message-queue router agents);
+//!   transactional router agents);
 //! * [`framework`] — the integrated self-driving network and the two
 //!   experiment runners (Fig 11, Fig 12), built around the shared
 //!   ForecastEngine: a trained-model cache in `framework::hecate`
