@@ -320,7 +320,7 @@ impl SelfDrivingNetwork {
             samples.push((f.rate_series, g));
             flow_goodput.push((f.label.clone(), g));
         }
-        self.telemetry.insert_batch(at, samples);
+        self.telemetry.insert_batch(at, &samples)?;
         for lw in &window.links {
             let key = SeriesKey::new(
                 &format!(
@@ -388,6 +388,29 @@ mod tests {
         assert!((avail["tunnel3"] - 5.0).abs() < 1.0, "{avail:?}");
         assert_eq!(r.pot_rejected, 0);
         assert!(r.delivered > 0);
+    }
+
+    #[test]
+    fn both_collectors_refuse_a_swapped_telemetry_store() {
+        // The network's series handles belong to the store it was built
+        // with: a store swapped in later refuses them instead of taking
+        // samples under whichever of its series share their indices.
+        let mut sdn = attached();
+        sdn.telemetry = crate::TelemetryService::new(64);
+        sdn.telemetry
+            .insert(&SeriesKey::new("other", Metric::Rtt), 0, 1.0);
+        let refused =
+            |r: Result<(), FrameworkError>| matches!(r, Err(FrameworkError::Telemetry(_)));
+        assert!(refused(sdn.packet_epoch().map(|_| ())));
+        assert!(refused(sdn.collect_telemetry()));
+        assert_eq!(
+            sdn.telemetry.keys(),
+            vec![SeriesKey::new("other", Metric::Rtt)]
+        );
+        assert_eq!(
+            sdn.telemetry.total(&SeriesKey::new("other", Metric::Rtt)),
+            1
+        );
     }
 
     #[test]

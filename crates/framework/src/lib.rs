@@ -93,6 +93,8 @@ pub enum FrameworkError {
     Netsim(netsim::NetsimError),
     /// The packet-level data plane failed.
     Dataplane(dataplane::DataplaneError),
+    /// A telemetry round named a series of another store.
+    Telemetry(telemetry::ForeignSeries),
     /// No candidate tunnel satisfies the request.
     NoFeasiblePath,
 }
@@ -107,6 +109,7 @@ impl std::fmt::Display for FrameworkError {
             FrameworkError::Freertr(e) => write!(f, "control-plane failure: {e}"),
             FrameworkError::Netsim(e) => write!(f, "emulator failure: {e}"),
             FrameworkError::Dataplane(e) => write!(f, "data-plane failure: {e}"),
+            FrameworkError::Telemetry(e) => write!(f, "telemetry failure: {e}"),
             FrameworkError::NoFeasiblePath => write!(f, "no feasible path"),
         }
     }
@@ -132,5 +135,10 @@ impl From<netsim::NetsimError> for FrameworkError {
 impl From<dataplane::DataplaneError> for FrameworkError {
     fn from(e: dataplane::DataplaneError) -> Self {
         FrameworkError::Dataplane(e)
+    }
+}
+impl From<telemetry::ForeignSeries> for FrameworkError {
+    fn from(e: telemetry::ForeignSeries) -> Self {
+        FrameworkError::Telemetry(e)
     }
 }

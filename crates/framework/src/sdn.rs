@@ -493,7 +493,7 @@ impl SelfDrivingNetwork {
         for (f, rate) in self.flows.iter().zip(&rates) {
             *usage_per_tunnel.entry(f.tunnel.as_str()).or_insert(0.0) += rate.unwrap_or(0.0);
         }
-        let mut samples = Vec::with_capacity(2 * self.tunnel_order.len());
+        let mut samples = Vec::with_capacity(2 * self.tunnel_order.len() + self.flows.len());
         for (name, &(avail_series, rtt_series)) in self.tunnel_order.iter().zip(&self.tunnel_series)
         {
             let compiled = &self.tunnels[name];
@@ -517,8 +517,8 @@ impl SelfDrivingNetwork {
             .iter()
             .zip(rates)
             .filter_map(|(f, rate)| Some((f.rate_series, rate?)));
-        self.telemetry
-            .insert_batch(t, samples.into_iter().chain(flow_rates));
+        samples.extend(flow_rates);
+        self.telemetry.insert_batch(t, &samples)?;
         Ok(())
     }
 
@@ -1561,6 +1561,16 @@ mod tests {
             assert!(sdn.edge().running_config().tunnel(name).is_some());
         }
         assert_eq!(sdn.tunnel_names().len(), 5);
+    }
+
+    #[test]
+    fn discovering_zero_tunnels_installs_none() {
+        let mut sdn = SelfDrivingNetwork::testbed(1).unwrap();
+        let before = sdn.edge().running_config();
+        let created = sdn.discover_tunnels("MIA", "PAR", 0).unwrap();
+        assert!(created.is_empty(), "created {created:?}");
+        assert_eq!(sdn.tunnel_names().len(), 3);
+        assert_eq!(sdn.edge().running_config(), before);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// What a sample measures.
@@ -150,9 +151,31 @@ impl SampleRing {
 /// A resolved series: what [`TelemetryService::series_id`] hands out
 /// and [`TelemetryService::insert_batch`] takes, so a collector that
 /// writes the same series every round formats no key and walks no tree
-/// per sample. Only meaningful on the store that issued it.
+/// per sample. It carries the identity of the store that issued it, and
+/// every other store refuses it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeriesId(usize);
+pub struct SeriesId {
+    store: u64,
+    index: usize,
+}
+
+/// A [`SeriesId`] handed to a store that did not issue it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ForeignSeries(pub SeriesId);
+
+impl std::fmt::Display for ForeignSeries {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "series handle {:?} belongs to another store", self.0)
+    }
+}
+
+impl std::error::Error for ForeignSeries {}
+
+/// The next store identity: each [`TelemetryService::new`] takes one,
+/// so no two stores of a process share it (clones share their store's).
+/// Only ever compared for equality, so the values themselves never
+/// reach an output.
+static NEXT_STORE: AtomicU64 = AtomicU64::new(0);
 
 /// The one sample store: every series' ring, plus the key index.
 ///
@@ -193,6 +216,8 @@ pub struct TelemetryService {
     inner: Arc<RwLock<Store>>,
     /// Retained samples per series (ring semantics).
     capacity: usize,
+    /// This store's identity, stamped on every [`SeriesId`] it issues.
+    id: u64,
 }
 
 impl Default for TelemetryService {
@@ -209,6 +234,7 @@ impl TelemetryService {
         TelemetryService {
             inner: Arc::default(),
             capacity: capacity.max(1),
+            id: NEXT_STORE.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -223,19 +249,31 @@ impl TelemetryService {
     /// once. The series stays invisible to every reader (and to
     /// [`TelemetryService::keys`]) until its first sample.
     pub fn series_id(&self, key: &SeriesKey) -> SeriesId {
-        SeriesId(self.inner.write().resolve(key))
+        SeriesId {
+            store: self.id,
+            index: self.inner.write().resolve(key),
+        }
     }
 
     /// Inserts one collection round — every sample stamped `t_ms` —
-    /// under a single write-lock.
+    /// under a single write-lock, all or nothing.
     ///
-    /// # Panics
-    /// Panics on a handle another store issued.
-    pub fn insert_batch(&self, t_ms: u64, samples: impl IntoIterator<Item = (SeriesId, f64)>) {
-        let mut store = self.inner.write();
-        for (SeriesId(id), value) in samples {
-            store.rings[id].push(self.capacity, t_ms, value);
+    /// # Errors
+    /// [`ForeignSeries`] when another store issued one of the handles;
+    /// nothing is inserted then.
+    pub fn insert_batch(
+        &self,
+        t_ms: u64,
+        samples: &[(SeriesId, f64)],
+    ) -> Result<(), ForeignSeries> {
+        if let Some(&(id, _)) = samples.iter().find(|(id, _)| id.store != self.id) {
+            return Err(ForeignSeries(id));
         }
+        let mut store = self.inner.write();
+        for &(id, value) in samples {
+            store.rings[id.index].push(self.capacity, t_ms, value);
+        }
+        Ok(())
     }
 
     /// The most recent `n` values (oldest first); fewer if the series is
@@ -567,13 +605,15 @@ mod tests {
             keyed.insert(&a, t, va);
             keyed.insert(&b, t, vb);
             match i % 3 {
-                0 => mixed.insert_batch(t, [(a_id, va), (mixed.series_id(&b), vb)]),
+                0 => mixed
+                    .insert_batch(t, &[(a_id, va), (mixed.series_id(&b), vb)])
+                    .unwrap(),
                 1 => {
                     mixed.insert(&a, t, va);
-                    mixed.insert_batch(t, [(mixed.series_id(&b), vb)]);
+                    mixed.insert_batch(t, &[(mixed.series_id(&b), vb)]).unwrap();
                 }
                 _ => {
-                    mixed.insert_batch(t, [(a_id, va)]);
+                    mixed.insert_batch(t, &[(a_id, va)]).unwrap();
                     mixed.insert(&b, t, vb);
                 }
             }
@@ -586,6 +626,35 @@ mod tests {
     }
 
     #[test]
+    fn a_foreign_handle_is_refused_and_inserts_nothing() {
+        // A handle from a larger store used to panic a smaller one, and
+        // a handle from a smaller store wrote into whatever series of a
+        // larger one sat at its index.
+        let (big, small) = (TelemetryService::new(8), TelemetryService::new(8));
+        let big_ids: Vec<SeriesId> = ["a", "b", "c"]
+            .iter()
+            .map(|t| big.series_id(&SeriesKey::new(t, Metric::Rtt)))
+            .collect();
+        let small_id = small.series_id(&key());
+        assert_eq!(
+            small.insert_batch(1, &[(small_id, 1.0), (big_ids[2], 2.0)]),
+            Err(ForeignSeries(big_ids[2]))
+        );
+        assert!(small.keys().is_empty(), "a refused round inserts nothing");
+        assert_eq!(
+            big.insert_batch(1, &[(big_ids[0], 3.0), (small_id, 4.0)]),
+            Err(ForeignSeries(small_id))
+        );
+        assert!(big.keys().is_empty(), "a refused round inserts nothing");
+        // A clone is the same store.
+        big.clone().insert_batch(2, &[(big_ids[0], 5.0)]).unwrap();
+        assert_eq!(
+            big.series(&SeriesKey::new("a", Metric::Rtt)),
+            vec![(2, 5.0)]
+        );
+    }
+
+    #[test]
     fn a_series_is_invisible_until_sampled() {
         let ts = TelemetryService::new(10);
         ts.insert(&SeriesKey::new("other", Metric::Rtt), 0, 1.0);
@@ -595,9 +664,9 @@ mod tests {
         assert!(ts.with_last_n(&key(), 3, |w| w.len()).is_none());
         assert_eq!(ts.keys(), vec![SeriesKey::new("other", Metric::Rtt)]);
         // An empty round samples nothing.
-        ts.insert_batch(5, []);
+        ts.insert_batch(5, &[]).unwrap();
         assert_eq!(ts.keys().len(), 1);
-        ts.insert_batch(7, [(id, 2.5)]);
+        ts.insert_batch(7, &[(id, 2.5)]).unwrap();
         assert_eq!(ts.series(&key()), vec![(7, 2.5)]);
         assert_eq!(ts.keys().len(), 2);
     }

@@ -35,7 +35,7 @@ pub use fairness::FairShareEngine;
 pub use flow::{Flow, FlowId, FlowSpec};
 pub use maxmin::{MaxMinKernel, WaterfillMetrics, WaterfillStats};
 pub use sim::{Event, Simulation, TelemetryRecord};
-pub use topo::{LinkId, NodeIdx, Topology};
+pub use topo::{LinkId, NodeIdx, ShortestPathTree, Topology};
 
 /// Errors from the emulator.
 #[derive(Debug, Clone, PartialEq)]

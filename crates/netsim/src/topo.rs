@@ -62,6 +62,41 @@ pub struct Topology {
     ports: Vec<Vec<(NodeIdx, LinkId)>>,
 }
 
+/// A shortest-path tree by propagation delay, as grown by
+/// [`Topology::shortest_path_tree`]: each reached node's parent and its
+/// distance from the root.
+#[derive(Debug, Clone)]
+pub struct ShortestPathTree {
+    dist: Vec<f64>,
+    prev: Vec<Option<NodeIdx>>,
+}
+
+impl ShortestPathTree {
+    /// The tree distance of `v` in ms — the link delays along its tree
+    /// path added one by one from the root, the same sum
+    /// [`Topology::path_delay_ms`] forms over that path when no two
+    /// live parallel links differ in delay. Infinite when unreached.
+    pub fn dist_ms(&self, v: NodeIdx) -> f64 {
+        self.dist[v.0 as usize]
+    }
+
+    /// The tree path from the root to `v`, both ends included; `None`
+    /// when `v` was not reached.
+    pub fn path_to(&self, v: NodeIdx) -> Option<Vec<NodeIdx>> {
+        if self.dist[v.0 as usize].is_infinite() {
+            return None;
+        }
+        let mut path = vec![v];
+        let mut cur = v;
+        while let Some(p) = self.prev[cur.0 as usize] {
+            path.push(p);
+            cur = p;
+        }
+        path.reverse();
+        Some(path)
+    }
+}
+
 impl Topology {
     /// An empty topology.
     pub fn new() -> Self {
@@ -175,16 +210,26 @@ impl Topology {
     /// the link list) — this sits on the per-hop path of route
     /// compilation and path validation.
     pub fn link_between(&self, a: NodeIdx, b: NodeIdx) -> Result<LinkId, NetsimError> {
+        self.live_link_between(a, b, &[]).ok_or_else(|| {
+            NetsimError::NotAdjacent(self.node_name(a).to_string(), self.node_name(b).to_string())
+        })
+    }
+
+    /// Whether a link is usable by a search over a link mask: up, and
+    /// not marked in `removed` (indexed by link id; an empty mask
+    /// removes nothing).
+    fn live(&self, lid: LinkId, removed: &[bool]) -> bool {
+        self.links[lid.0 as usize].up && !removed.get(lid.0 as usize).copied().unwrap_or(false)
+    }
+
+    /// [`Topology::link_between`] over a link mask: the first live link
+    /// from `a` to `b` in port order (parallel links in insertion
+    /// order).
+    fn live_link_between(&self, a: NodeIdx, b: NodeIdx, removed: &[bool]) -> Option<LinkId> {
         self.ports[a.0 as usize][self.port_range(a, b)]
             .iter()
-            .find(|(_, l)| self.links[l.0 as usize].up)
-            .map(|(_, l)| *l)
-            .ok_or_else(|| {
-                NetsimError::NotAdjacent(
-                    self.node_name(a).to_string(),
-                    self.node_name(b).to_string(),
-                )
-            })
+            .map(|&(_, l)| l)
+            .find(|&l| self.live(l, removed))
     }
 
     /// Resolves a node-name path to indices, validating adjacency.
@@ -274,9 +319,44 @@ impl Topology {
         self.ports.iter().map(|n| n.len() as u16).max().unwrap_or(0)
     }
 
-    /// Dijkstra shortest path by propagation delay. Returns `None` when
-    /// disconnected. Failed links are skipped.
+    /// Dijkstra shortest path by propagation delay: the path to `dst`
+    /// in [`Topology::shortest_path_tree`] rooted at `src` and stopped
+    /// at `dst`. Returns `None` when disconnected. Failed links are
+    /// skipped.
     pub fn shortest_path_by_delay(&self, src: NodeIdx, dst: NodeIdx) -> Option<Vec<NodeIdx>> {
+        self.shortest_path_tree(src, &[dst]).path_to(dst)
+    }
+
+    /// The shortest-path tree by propagation delay rooted at `src`,
+    /// grown until every node of `stop_after` has been popped (to
+    /// completion when `stop_after` is empty). Failed links are
+    /// skipped.
+    ///
+    /// This is the one Dijkstra kernel: every delay search in this
+    /// module is a tree from it. Nodes pop in `(distance, node index)`
+    /// order — the smallest tentative distance first, ties to the
+    /// lowest index — and a popped node relaxes its links in insertion
+    /// order, taking a strictly shorter distance only. A popped node's
+    /// distance and parent are final, and every stopped run is a prefix
+    /// of the full run, so the path to a popped node is the same
+    /// whatever `stop_after` was. Read a stopped tree only at the nodes
+    /// of `stop_after` (and their tree ancestors): elsewhere it holds
+    /// tentative values.
+    pub fn shortest_path_tree(&self, src: NodeIdx, stop_after: &[NodeIdx]) -> ShortestPathTree {
+        self.masked_tree(src, stop_after, &[])
+    }
+
+    /// [`Topology::shortest_path_tree`] over the residual graph that
+    /// skips the links marked in `removed` (indexed by link id; an
+    /// empty mask removes nothing) — how Yen's spur searches and the
+    /// disjoint-path search take links out without copying the
+    /// topology.
+    fn masked_tree(
+        &self,
+        src: NodeIdx,
+        stop_after: &[NodeIdx],
+        removed: &[bool],
+    ) -> ShortestPathTree {
         #[derive(PartialEq)]
         struct State {
             cost: f64,
@@ -299,6 +379,14 @@ impl Topology {
         let n = self.nodes.len();
         let mut dist = vec![f64::INFINITY; n];
         let mut prev: Vec<Option<NodeIdx>> = vec![None; n];
+        let mut pending = vec![false; n];
+        let mut left = 0usize;
+        for &t in stop_after {
+            if !pending[t.0 as usize] {
+                pending[t.0 as usize] = true;
+                left += 1;
+            }
+        }
         let mut heap = BinaryHeap::new();
         dist[src.0 as usize] = 0.0;
         heap.push(State {
@@ -306,18 +394,23 @@ impl Topology {
             node: src,
         });
         while let Some(State { cost, node }) = heap.pop() {
-            if node == dst {
-                break;
-            }
+            // A node's first pop carries its final distance; later pops
+            // of it are stale.
             if cost > dist[node.0 as usize] {
                 continue;
             }
+            if pending[node.0 as usize] {
+                pending[node.0 as usize] = false;
+                left -= 1;
+                if left == 0 {
+                    break;
+                }
+            }
             for &(next, lid) in &self.adj[node.0 as usize] {
-                let link = &self.links[lid.0 as usize];
-                if !link.up {
+                if !self.live(lid, removed) {
                     continue;
                 }
-                let nd = cost + link.delay_ms;
+                let nd = cost + self.links[lid.0 as usize].delay_ms;
                 if nd < dist[next.0 as usize] {
                     dist[next.0 as usize] = nd;
                     prev[next.0 as usize] = Some(node);
@@ -328,56 +421,54 @@ impl Topology {
                 }
             }
         }
-        if dist[dst.0 as usize].is_infinite() {
-            return None;
-        }
-        let mut path = vec![dst];
-        let mut cur = dst;
-        while let Some(p) = prev[cur.0 as usize] {
-            path.push(p);
-            cur = p;
-        }
-        path.reverse();
-        Some(path)
+        ShortestPathTree { dist, prev }
     }
 
     /// Yen's algorithm: the `k` loop-free shortest paths by propagation
-    /// delay, in increasing delay order. Used by the framework to
-    /// discover candidate tunnels automatically on topologies where the
-    /// operator has not pre-declared them (the paper's continent-wide
-    /// future-work scenario).
+    /// delay, in increasing delay order (none for `k = 0`). Used by the
+    /// framework to discover candidate tunnels automatically on
+    /// topologies where the operator has not pre-declared them (the
+    /// paper's continent-wide future-work scenario).
+    ///
+    /// Each spur search is one [`Topology::shortest_path_tree`] over a
+    /// link mask: the links that would recreate a confirmed path
+    /// sharing the spur's root, and every link of the root's interior
+    /// nodes, are masked out for that search only.
     pub fn k_shortest_paths(&self, src: NodeIdx, dst: NodeIdx, k: usize) -> Vec<Vec<NodeIdx>> {
-        let Some(first) = self.shortest_path_by_delay(src, dst) else {
-            return Vec::new();
-        };
-        let mut confirmed: Vec<Vec<NodeIdx>> = vec![first];
+        let mut confirmed: Vec<Vec<NodeIdx>> = Vec::new();
+        if k == 0 {
+            return confirmed;
+        }
         let mut candidates: Vec<(f64, Vec<NodeIdx>)> = Vec::new();
-        while confirmed.len() < k {
-            let last = confirmed.last().expect("non-empty").clone();
+        let mut removed = vec![false; self.links.len()];
+        let mut next = self.shortest_path_by_delay(src, dst);
+        while let Some(last) = next.take() {
+            confirmed.push(last.clone());
+            if confirmed.len() == k {
+                break;
+            }
             // Spur from every node of the previous path.
             for spur_idx in 0..last.len() - 1 {
                 let spur_node = last[spur_idx];
                 let root = &last[..=spur_idx];
-                // Temporarily remove edges that would recreate confirmed
-                // paths sharing this root, and the root's interior nodes.
-                let mut removed_links: Vec<LinkId> = Vec::new();
-                let mut scratch = self.clone();
+                removed.fill(false);
                 for path in confirmed.iter() {
                     if path.len() > spur_idx + 1 && path[..=spur_idx] == *root {
-                        if let Ok(lid) = scratch.link_between(path[spur_idx], path[spur_idx + 1]) {
-                            scratch.link_mut(lid).up = false;
-                            removed_links.push(lid);
+                        // Each confirmed path through this hop masks one
+                        // more of its parallel links.
+                        if let Some(lid) =
+                            self.live_link_between(path[spur_idx], path[spur_idx + 1], &removed)
+                        {
+                            removed[lid.0 as usize] = true;
                         }
                     }
                 }
                 for &n in &root[..spur_idx] {
-                    // knock out all links of interior root nodes
-                    let neighbors: Vec<(NodeIdx, LinkId)> = scratch.adj[n.0 as usize].clone();
-                    for (_, lid) in neighbors {
-                        scratch.link_mut(lid).up = false;
+                    for &(_, lid) in &self.adj[n.0 as usize] {
+                        removed[lid.0 as usize] = true;
                     }
                 }
-                if let Some(spur) = scratch.shortest_path_by_delay(spur_node, dst) {
+                if let Some(spur) = self.masked_tree(spur_node, &[dst], &removed).path_to(dst) {
                     let mut total: Vec<NodeIdx> = root[..spur_idx].to_vec();
                     total.extend(spur);
                     // discard paths with repeated nodes (loops)
@@ -393,10 +484,9 @@ impl Topology {
                 }
             }
             candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
-            if candidates.is_empty() {
-                break;
+            if !candidates.is_empty() {
+                next = Some(candidates.remove(0).1);
             }
-            confirmed.push(candidates.remove(0).1);
         }
         confirmed
     }
@@ -412,23 +502,29 @@ impl Topology {
     /// bottleneck-per-tunnel capacity model sound (tunnels never steal
     /// each other's links, and one link failure never kills two
     /// tunnels) — matching the paper's hand-built testbed tunnels.
+    ///
+    /// Each search is one [`Topology::shortest_path_tree`] over a mask
+    /// of the links taken so far; a taken hop masks the link
+    /// [`Topology::link_between`] would report for it.
     pub fn k_disjoint_shortest_paths(
         &self,
         src: NodeIdx,
         dst: NodeIdx,
         k: usize,
     ) -> Vec<Vec<NodeIdx>> {
-        let mut scratch = self.clone();
+        let mut removed = vec![false; self.links.len()];
         let mut out = Vec::new();
         while out.len() < k {
-            let Some(path) = scratch.shortest_path_by_delay(src, dst) else {
+            let Some(path) = self.masked_tree(src, &[dst], &removed).path_to(dst) else {
                 break;
             };
-            let Ok(links) = scratch.path_links(&path) else {
+            if path.len() < 2 {
                 break;
-            };
-            for lid in links {
-                scratch.link_mut(lid).up = false;
+            }
+            for hop in path.windows(2) {
+                if let Some(lid) = self.live_link_between(hop[0], hop[1], &removed) {
+                    removed[lid.0 as usize] = true;
+                }
             }
             out.push(path);
         }
@@ -454,7 +550,9 @@ impl Topology {
         visited: &mut Vec<bool>,
         out: &mut Vec<Vec<NodeIdx>>,
     ) {
-        let cur = *stack.last().expect("non-empty stack");
+        let Some(&cur) = stack.last() else {
+            return;
+        };
         if cur == dst {
             out.push(stack.clone());
             return;
@@ -589,9 +687,329 @@ pub fn fat_tree(k: usize) -> Topology {
     t
 }
 
+/// The searches [`Topology::shortest_path_tree`] replaced, kept as the
+/// test oracle: a point-to-point Dijkstra that stops when it pops its
+/// destination, and Yen's and the disjoint-path search taking links out
+/// of a copy of the topology.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn shortest_path_by_delay(
+        topo: &Topology,
+        src: NodeIdx,
+        dst: NodeIdx,
+    ) -> Option<Vec<NodeIdx>> {
+        #[derive(PartialEq)]
+        struct State {
+            cost: f64,
+            node: NodeIdx,
+        }
+        impl Eq for State {}
+        impl Ord for State {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                other
+                    .cost
+                    .total_cmp(&self.cost)
+                    .then_with(|| other.node.0.cmp(&self.node.0))
+            }
+        }
+        impl PartialOrd for State {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+        let n = topo.nodes.len();
+        let mut dist = vec![f64::INFINITY; n];
+        let mut prev: Vec<Option<NodeIdx>> = vec![None; n];
+        let mut heap = BinaryHeap::new();
+        dist[src.0 as usize] = 0.0;
+        heap.push(State {
+            cost: 0.0,
+            node: src,
+        });
+        while let Some(State { cost, node }) = heap.pop() {
+            if node == dst {
+                break;
+            }
+            if cost > dist[node.0 as usize] {
+                continue;
+            }
+            for &(next, lid) in &topo.adj[node.0 as usize] {
+                let link = &topo.links[lid.0 as usize];
+                if !link.up {
+                    continue;
+                }
+                let nd = cost + link.delay_ms;
+                if nd < dist[next.0 as usize] {
+                    dist[next.0 as usize] = nd;
+                    prev[next.0 as usize] = Some(node);
+                    heap.push(State {
+                        cost: nd,
+                        node: next,
+                    });
+                }
+            }
+        }
+        if dist[dst.0 as usize].is_infinite() {
+            return None;
+        }
+        let mut path = vec![dst];
+        let mut cur = dst;
+        while let Some(p) = prev[cur.0 as usize] {
+            path.push(p);
+            cur = p;
+        }
+        path.reverse();
+        Some(path)
+    }
+
+    pub(super) fn k_shortest_paths(
+        topo: &Topology,
+        src: NodeIdx,
+        dst: NodeIdx,
+        k: usize,
+    ) -> Vec<Vec<NodeIdx>> {
+        let Some(first) = shortest_path_by_delay(topo, src, dst) else {
+            return Vec::new();
+        };
+        let mut confirmed: Vec<Vec<NodeIdx>> = vec![first];
+        let mut candidates: Vec<(f64, Vec<NodeIdx>)> = Vec::new();
+        while confirmed.len() < k {
+            let last = confirmed.last().unwrap().clone();
+            for spur_idx in 0..last.len() - 1 {
+                let spur_node = last[spur_idx];
+                let root = &last[..=spur_idx];
+                let mut scratch = topo.clone();
+                for path in confirmed.iter() {
+                    if path.len() > spur_idx + 1 && path[..=spur_idx] == *root {
+                        if let Ok(lid) = scratch.link_between(path[spur_idx], path[spur_idx + 1]) {
+                            scratch.link_mut(lid).up = false;
+                        }
+                    }
+                }
+                for &n in &root[..spur_idx] {
+                    let neighbors: Vec<(NodeIdx, LinkId)> = scratch.adj[n.0 as usize].clone();
+                    for (_, lid) in neighbors {
+                        scratch.link_mut(lid).up = false;
+                    }
+                }
+                if let Some(spur) = shortest_path_by_delay(&scratch, spur_node, dst) {
+                    let mut total: Vec<NodeIdx> = root[..spur_idx].to_vec();
+                    total.extend(spur);
+                    let mut seen = std::collections::HashSet::new();
+                    if total.iter().all(|n| seen.insert(*n))
+                        && !confirmed.contains(&total)
+                        && !candidates.iter().any(|(_, p)| *p == total)
+                    {
+                        if let Ok(delay) = topo.path_delay_ms(&total) {
+                            candidates.push((delay, total));
+                        }
+                    }
+                }
+            }
+            candidates.sort_by(|a, b| a.0.total_cmp(&b.0));
+            if candidates.is_empty() {
+                break;
+            }
+            confirmed.push(candidates.remove(0).1);
+        }
+        confirmed
+    }
+
+    pub(super) fn k_disjoint_shortest_paths(
+        topo: &Topology,
+        src: NodeIdx,
+        dst: NodeIdx,
+        k: usize,
+    ) -> Vec<Vec<NodeIdx>> {
+        let mut scratch = topo.clone();
+        let mut out = Vec::new();
+        while out.len() < k {
+            let Some(path) = shortest_path_by_delay(&scratch, src, dst) else {
+                break;
+            };
+            let Ok(links) = scratch.path_links(&path) else {
+                break;
+            };
+            for lid in links {
+                scratch.link_mut(lid).up = false;
+            }
+            out.push(path);
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+
+    /// A random graph of one of the families the scenario zoo builds,
+    /// at test size, with about one link in twenty failed:
+    /// 0. random geometric (Waxman-like: real delays growing with
+    ///    distance);
+    /// 1. G(n, p) with real delays;
+    /// 2. a ring with antipodal chords, integer delays (many ties);
+    /// 3. a fat-tree (0.2 / 0.5 ms tiers: many ties);
+    /// 4. a two-tier WAN (chorded core ring, dual-homed edges, integer
+    ///    delays);
+    /// 5. random geometric plus parallel links, some of unequal delay.
+    fn random_graph(family: u64, rng: &mut TestRng) -> Topology {
+        let mut t = Topology::new();
+        let add_nodes = |t: &mut Topology, n: usize| -> Vec<NodeIdx> {
+            (0..n)
+                .map(|i| t.add_node(&format!("v{i}"), NodeKind::Core))
+                .collect()
+        };
+        match family {
+            0 | 5 => {
+                let n = 4 + rng.below(20) as usize;
+                let v = add_nodes(&mut t, n);
+                let pos: Vec<(f64, f64)> =
+                    (0..n).map(|_| (rng.unit_f64(), rng.unit_f64())).collect();
+                for i in 0..n {
+                    for j in i + 1..n {
+                        let d =
+                            ((pos[i].0 - pos[j].0).powi(2) + (pos[i].1 - pos[j].1).powi(2)).sqrt();
+                        if rng.unit_f64() < 0.9 * (-d / 0.56).exp() {
+                            t.add_link(v[i], v[j], 10.0, 1.0 + 15.0 * d);
+                        }
+                    }
+                }
+                if family == 5 {
+                    for l in 0..t.link_count() {
+                        let (a, b, delay) = {
+                            let l = t.link(LinkId(l as u32));
+                            (l.a, l.b, l.delay_ms)
+                        };
+                        match rng.below(4) {
+                            0 => t.add_link(a, b, 10.0, delay * (0.5 + rng.unit_f64())),
+                            1 => t.add_link(b, a, 10.0, delay),
+                            _ => continue,
+                        };
+                    }
+                }
+            }
+            1 => {
+                let n = 4 + rng.below(20) as usize;
+                let v = add_nodes(&mut t, n);
+                for i in 0..n {
+                    for j in i + 1..n {
+                        if rng.unit_f64() < 0.25 {
+                            t.add_link(v[i], v[j], 20.0, 1.0 + 5.0 * rng.unit_f64());
+                        }
+                    }
+                }
+            }
+            2 => {
+                let n = 4 + rng.below(20) as usize;
+                let chord_every = 1 + rng.below(4) as usize;
+                let v = add_nodes(&mut t, n);
+                for i in 0..n {
+                    t.add_link(v[i], v[(i + 1) % n], 20.0, 2.0);
+                }
+                for i in (0..n).step_by(chord_every) {
+                    let j = (i + n / 2) % n;
+                    if j != i && t.link_between(v[i], v[j]).is_err() {
+                        t.add_link(v[i], v[j], 10.0, 5.0);
+                    }
+                }
+            }
+            3 => t = fat_tree(2 + 2 * rng.below(3) as usize),
+            _ => {
+                let cores = 3 + rng.below(5) as usize;
+                let c = add_nodes(&mut t, cores);
+                for i in 0..cores {
+                    t.add_link(c[i], c[(i + 1) % cores], 40.0, 4.0);
+                    if cores >= 5 {
+                        t.add_link(c[i], c[(i + 2) % cores], 40.0, 6.0);
+                    }
+                }
+                for i in 0..cores {
+                    for j in 0..1 + rng.below(3) {
+                        let e = t.add_node(&format!("c{i}x{j}"), NodeKind::Edge);
+                        t.add_link(e, c[i], 10.0, 1.0);
+                        t.add_link(e, c[(i + 1) % cores], 10.0, 1.0);
+                    }
+                }
+            }
+        }
+        for l in 0..t.link_count() {
+            if rng.below(20) == 0 {
+                t.link_mut(LinkId(l as u32)).up = false;
+            }
+        }
+        t
+    }
+
+    fn random_node(t: &Topology, rng: &mut TestRng) -> NodeIdx {
+        NodeIdx(rng.below(t.node_count() as u64) as u32)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn trees_match_the_point_to_point_search(seed in any::<u64>(), family in 0u64..6) {
+            let mut rng = TestRng::from_seed(seed);
+            let t = random_graph(family, &mut rng);
+            let src = random_node(&t, &mut rng);
+            let full = t.shortest_path_tree(src, &[]);
+            let stop: Vec<NodeIdx> = (0..1 + rng.below(4)).map(|_| random_node(&t, &mut rng)).collect();
+            let stopped = t.shortest_path_tree(src, &stop);
+            for v in 0..t.node_count() {
+                let v = NodeIdx(v as u32);
+                let want = reference::shortest_path_by_delay(&t, src, v);
+                prop_assert_eq!(&full.path_to(v), &want, "family {} {:?}->{:?}", family, src, v);
+                prop_assert_eq!(&t.shortest_path_by_delay(src, v), &want);
+                if stop.contains(&v) {
+                    prop_assert_eq!(&stopped.path_to(v), &want);
+                    prop_assert_eq!(stopped.dist_ms(v).to_bits(), full.dist_ms(v).to_bits());
+                }
+                // Without unequal parallel links the tree distance is
+                // `path_delay_ms` of the tree path, bit for bit.
+                if let (Some(p), true) = (want, family != 5) {
+                    let delay = t.path_delay_ms(&p).unwrap_or(0.0);
+                    prop_assert_eq!(full.dist_ms(v).to_bits(), delay.to_bits());
+                }
+            }
+        }
+
+        #[test]
+        fn masked_searches_match_the_copying_searches(
+            seed in any::<u64>(),
+            family in 0u64..6,
+            k in 1usize..=8,
+        ) {
+            let mut rng = TestRng::from_seed(seed);
+            let t = random_graph(family, &mut rng);
+            for _ in 0..3 {
+                let (s, d) = (random_node(&t, &mut rng), random_node(&t, &mut rng));
+                prop_assert_eq!(
+                    t.k_shortest_paths(s, d, k),
+                    reference::k_shortest_paths(&t, s, d, k),
+                    "yen family {} {:?}->{:?} k={}", family, s, d, k
+                );
+                prop_assert_eq!(
+                    t.k_disjoint_shortest_paths(s, d, k),
+                    reference::k_disjoint_shortest_paths(&t, s, d, k),
+                    "disjoint family {} {:?}->{:?} k={}", family, s, d, k
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zero_paths_asked_zero_paths_found() {
+        let t = global_p4_lab();
+        let (mia, ams) = (t.node("MIA").unwrap(), t.node("AMS").unwrap());
+        assert!(t.k_shortest_paths(mia, ams, 0).is_empty());
+        assert!(t.k_disjoint_shortest_paths(mia, ams, 0).is_empty());
+        assert_eq!(t.k_shortest_paths(mia, ams, 1).len(), 1);
+    }
 
     #[test]
     fn fig9_topology_inventory() {

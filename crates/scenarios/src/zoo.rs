@@ -6,7 +6,7 @@
 
 pub use netsim::topo::fat_tree;
 use netsim::topo::NodeKind;
-use netsim::{NodeIdx, Topology};
+use netsim::{NodeIdx, ShortestPathTree, Topology};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -335,6 +335,32 @@ pub fn endpoints(topo: &Topology) -> (NodeIdx, NodeIdx) {
 /// ingress), so small topologies can still host several pairs. Ties
 /// break to the lowest node index; a given `(topology, n)` always
 /// yields the identical pair list.
+///
+/// Every delay is `path_delay_ms` of a shortest path from one
+/// [`Topology::shortest_path_tree`] per endpoint, grown once until
+/// every candidate is settled — the path a point-to-point search from
+/// that endpoint finds, so the pair list is the one such searches give:
+/// - **Farthest from `from`:** the tree rooted at `from`.
+/// - **Spread of a candidate `x`:** the exact spread sums, in placement
+///   order, the delays of the paths in `x`'s own tree. The trees rooted
+///   at the placed endpoints give every candidate an approximate spread
+///   at once: the distances along the reversed paths. Only candidates
+///   whose approximate spread is within `tol` of the best are re-scored
+///   exactly. With `N` nodes, `m` placed endpoints and `u = 2⁻⁵³`, each
+///   distance is a float sum of at most `N − 1` non-negative delays,
+///   and Dijkstra over monotone float additions picks one within
+///   `γ_N = N·u / (1 − N·u)` relative of the true shortest delay, in
+///   either direction; summing `m` of them adds `γ_m`. So the exact
+///   and approximate spreads both lie within `δ = (1 + γ_N)(1 + γ_m) − 1`
+///   of the true spread `S`, and a candidate that beats or ties the
+///   approximate leader exactly has an approximate spread of at least
+///   `best · ((1 − δ)/(1 + δ))² ≥ best · (1 − 4δ)`. `tol` is
+///   `8(N + m)·u·best`: `4δ` to first order, doubled to cover the
+///   higher-order terms and the rounding of the threshold itself.
+/// - **Parallel links:** where two live links join the same nodes with
+///   unequal delays, a tree distance follows the faster link while
+///   `path_delay_ms` follows [`Topology::link_between`]'s, which no
+///   rounding bound covers, so every candidate is re-scored exactly.
 pub fn endpoint_pairs(topo: &Topology, n: usize) -> Vec<(NodeIdx, NodeIdx)> {
     let mut candidates: Vec<NodeIdx> = (0..topo.node_count())
         .map(|i| NodeIdx(i as u32))
@@ -343,18 +369,25 @@ pub fn endpoint_pairs(topo: &Topology, n: usize) -> Vec<(NodeIdx, NodeIdx)> {
     if candidates.len() < 2 {
         candidates = (0..topo.node_count()).map(|i| NodeIdx(i as u32)).collect();
     }
-    let dist = |from: NodeIdx, to: NodeIdx| -> Option<f64> {
-        topo.shortest_path_by_delay(from, to)
+    let rescore_all = has_unequal_parallel_links(topo);
+    let mut trees = Trees {
+        topo,
+        settle: &candidates,
+        by_root: (0..topo.node_count()).map(|_| None).collect(),
+    };
+    let delay = |tree: &ShortestPathTree, to: NodeIdx| -> Option<f64> {
+        tree.path_to(to)
             .map(|p| topo.path_delay_ms(&p).unwrap_or(0.0))
     };
     // The legacy double sweep, scoped to an allowed subset.
-    let farthest = |from: NodeIdx, allowed: &[NodeIdx]| -> NodeIdx {
+    let farthest = |trees: &mut Trees, from: NodeIdx, allowed: &[NodeIdx]| -> NodeIdx {
+        let tree = trees.rooted_at(from);
         let mut best = (from, -1.0f64);
         for &to in allowed {
             if to == from {
                 continue;
             }
-            if let Some(d) = dist(from, to) {
+            if let Some(d) = delay(tree, to) {
                 if d > best.1 {
                     best = (to, d);
                 }
@@ -364,8 +397,8 @@ pub fn endpoint_pairs(topo: &Topology, n: usize) -> Vec<(NodeIdx, NodeIdx)> {
     };
     let mut out = Vec::with_capacity(n.max(1));
     let mut used: Vec<NodeIdx> = Vec::new();
-    let u0 = farthest(candidates[0], &candidates);
-    let v0 = farthest(u0, &candidates);
+    let u0 = farthest(&mut trees, candidates[0], &candidates);
+    let v0 = farthest(&mut trees, u0, &candidates);
     out.push((u0, v0));
     used.push(u0);
     used.push(v0);
@@ -382,20 +415,40 @@ pub fn endpoint_pairs(topo: &Topology, n: usize) -> Vec<(NodeIdx, NodeIdx)> {
             unused = candidates.clone();
         }
         // Ingress: the unused candidate farthest from everything
-        // placed. Spreads are computed once per candidate — recomputing
-        // them inside the comparator would re-run a Dijkstra per used
-        // endpoint on every comparison.
-        let spreads: Vec<(NodeIdx, f64)> = unused
+        // placed. Approximate spreads from the placed endpoints' trees,
+        // then the exact spread of each candidate near the best.
+        let mut approx = vec![0.0f64; unused.len()];
+        for &u in &used {
+            let tree = trees.rooted_at(u);
+            for (a, &x) in approx.iter_mut().zip(&unused) {
+                let d = tree.dist_ms(x);
+                if d.is_finite() {
+                    *a += d;
+                }
+            }
+        }
+        let best = approx.iter().copied().fold(0.0, f64::max);
+        let tol = if rescore_all {
+            f64::INFINITY
+        } else {
+            8.0 * (topo.node_count() + used.len()) as f64 * (f64::EPSILON / 2.0) * best
+        };
+        let ingress = unused
             .iter()
-            .map(|&x| (x, used.iter().filter_map(|&u| dist(x, u)).sum::<f64>()))
-            .collect();
-        let ingress = spreads
-            .iter()
+            .zip(&approx)
+            .filter(|&(_, &a)| a >= best - tol)
+            .map(|(&x, _)| {
+                let spread = used
+                    .iter()
+                    .filter_map(|&u| delay(trees.rooted_at(x), u))
+                    .sum::<f64>();
+                (x, spread)
+            })
             .max_by(|a, b| a.1.total_cmp(&b.1).then_with(|| b.0 .0.cmp(&a.0 .0))) // ties -> lowest index
-            .expect("candidate pool is non-empty")
+            .expect("the best approximate spread is within its own tolerance")
             .0;
         let remaining: Vec<NodeIdx> = unused.iter().copied().filter(|&c| c != ingress).collect();
-        let egress = farthest(ingress, &remaining);
+        let egress = farthest(&mut trees, ingress, &remaining);
         out.push((ingress, egress));
         used.push(ingress);
         used.push(egress);
@@ -403,9 +456,223 @@ pub fn endpoint_pairs(topo: &Topology, n: usize) -> Vec<(NodeIdx, NodeIdx)> {
     out
 }
 
+/// Shortest-path trees over one topology, each grown at most once from
+/// its root until every node of `settle` is settled.
+struct Trees<'a> {
+    topo: &'a Topology,
+    settle: &'a [NodeIdx],
+    by_root: Vec<Option<ShortestPathTree>>,
+}
+
+impl Trees<'_> {
+    fn rooted_at(&mut self, root: NodeIdx) -> &ShortestPathTree {
+        let (topo, settle) = (self.topo, self.settle);
+        self.by_root[root.0 as usize].get_or_insert_with(|| topo.shortest_path_tree(root, settle))
+    }
+}
+
+/// True when two live links join the same pair of nodes with unequal
+/// delays (a node's neighbour table lists its parallel links side by
+/// side).
+fn has_unequal_parallel_links(topo: &Topology) -> bool {
+    (0..topo.node_count()).any(|a| {
+        let live: Vec<(NodeIdx, f64)> = topo
+            .neighbors(NodeIdx(a as u32))
+            .iter()
+            .map(|&(b, l)| (b, topo.link(l)))
+            .filter(|(_, l)| l.up)
+            .map(|(b, l)| (b, l.delay_ms))
+            .collect();
+        live.windows(2)
+            .any(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1)
+    })
+}
+
+/// The endpoint selection the shortest-path trees replaced, kept as the
+/// test oracle: one point-to-point search per (candidate, endpoint)
+/// pair.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn endpoint_pairs(topo: &Topology, n: usize) -> Vec<(NodeIdx, NodeIdx)> {
+        let mut candidates: Vec<NodeIdx> = (0..topo.node_count())
+            .map(|i| NodeIdx(i as u32))
+            .filter(|&n| topo.node_kind(n) == NodeKind::Edge)
+            .collect();
+        if candidates.len() < 2 {
+            candidates = (0..topo.node_count()).map(|i| NodeIdx(i as u32)).collect();
+        }
+        let dist = |from: NodeIdx, to: NodeIdx| -> Option<f64> {
+            topo.shortest_path_by_delay(from, to)
+                .map(|p| topo.path_delay_ms(&p).unwrap_or(0.0))
+        };
+        let farthest = |from: NodeIdx, allowed: &[NodeIdx]| -> NodeIdx {
+            let mut best = (from, -1.0f64);
+            for &to in allowed {
+                if to == from {
+                    continue;
+                }
+                if let Some(d) = dist(from, to) {
+                    if d > best.1 {
+                        best = (to, d);
+                    }
+                }
+            }
+            best.0
+        };
+        let mut out = Vec::with_capacity(n.max(1));
+        let mut used: Vec<NodeIdx> = Vec::new();
+        let u0 = farthest(candidates[0], &candidates);
+        let v0 = farthest(u0, &candidates);
+        out.push((u0, v0));
+        used.push(u0);
+        used.push(v0);
+        while out.len() < n {
+            let mut unused: Vec<NodeIdx> = candidates
+                .iter()
+                .copied()
+                .filter(|c| !used.contains(c))
+                .collect();
+            if unused.len() < 2 {
+                used.clear();
+                unused = candidates.clone();
+            }
+            let spreads: Vec<(NodeIdx, f64)> = unused
+                .iter()
+                .map(|&x| (x, used.iter().filter_map(|&u| dist(x, u)).sum::<f64>()))
+                .collect();
+            let ingress = spreads
+                .iter()
+                .max_by(|a, b| a.1.total_cmp(&b.1).then_with(|| b.0 .0.cmp(&a.0 .0)))
+                .unwrap()
+                .0;
+            let remaining: Vec<NodeIdx> =
+                unused.iter().copied().filter(|&c| c != ingress).collect();
+            let egress = farthest(ingress, &remaining);
+            out.push((ingress, egress));
+            used.push(ingress);
+            used.push(egress);
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    use proptest::prelude::*;
+
+    /// A zoo graph at test size: families 0..=4 are `waxman`,
+    /// `erdos_renyi`, `ring_chords`, `fat_tree` and `two_tier_wan`
+    /// (the last two with integer-tier delays, so exact ties abound);
+    /// family 5 is a `waxman` graph with a parallel link beside about
+    /// half of its links, most of them of another delay.
+    fn zoo_graph(family: u64, size: usize, seed: u64) -> Topology {
+        match family {
+            0 => waxman(6 + size, 0.9, 0.4, seed),
+            1 => erdos_renyi(6 + size, 0.2, seed),
+            2 => ring_chords(4 + size, seed as usize % 5),
+            3 => fat_tree(2 + 2 * (size % 3)),
+            4 => two_tier_wan(3 + size % 6, 1 + seed as usize % 3),
+            _ => {
+                let mut t = waxman(6 + size, 0.9, 0.4, seed);
+                let mut rng = StdRng::seed_from_u64(seed);
+                for l in 0..t.link_count() {
+                    let l = t.link(netsim::LinkId(l as u32)).clone();
+                    match rng.gen_range(0..4u32) {
+                        0 => t.add_link(l.b, l.a, 10.0, l.delay_ms),
+                        1 => t.add_link(l.a, l.b, 10.0, l.delay_ms * rng.gen_range(0.5..1.5)),
+                        _ => continue,
+                    };
+                }
+                t
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn trees_pick_the_pairs_the_point_to_point_searches_pick(
+            family in 0u64..6,
+            size in 0usize..30,
+            seed in any::<u64>(),
+            n in 1usize..=8,
+        ) {
+            let t = zoo_graph(family, size, seed);
+            prop_assert_eq!(
+                endpoint_pairs(&t, n),
+                reference::endpoint_pairs(&t, n),
+                "family {} size {} seed {} n {}", family, size, seed, n
+            );
+        }
+    }
+
+    #[test]
+    fn candidates_near_the_best_approximate_spread_are_rescored() {
+        // A graph where a reversed-path spread rounds apart from the
+        // exact one: re-scoring only the approximate leader (a zero
+        // tolerance) makes pair 3 `(3, 1)` instead of `(2, 1)`.
+        let t = erdos_renyi(13, 0.2, 10_956_142_853_823_523_876);
+        assert_eq!(endpoint_pairs(&t, 7), reference::endpoint_pairs(&t, 7));
+        assert_eq!(endpoint_pairs(&t, 7)[3], (NodeIdx(2), NodeIdx(1)));
+    }
+
+    #[test]
+    fn parallel_links_of_unequal_delay_are_read_off_the_topology() {
+        let mut t = ring_chords(6, 0);
+        assert!(!has_unequal_parallel_links(&t));
+        let (a, b) = (NodeIdx(0), NodeIdx(1));
+        let same = t.add_link(a, b, 10.0, 2.0);
+        assert!(!has_unequal_parallel_links(&t), "equal delays agree");
+        let slow = t.add_link(b, a, 10.0, 3.0);
+        assert!(has_unequal_parallel_links(&t));
+        t.link_mut(slow).up = false;
+        assert!(!has_unequal_parallel_links(&t), "a failed link is no path");
+        t.link_mut(slow).up = true;
+        t.link_mut(same).up = false;
+        assert!(has_unequal_parallel_links(&t));
+    }
+
+    fn pairs(raw: &[(u32, u32)]) -> Vec<(NodeIdx, NodeIdx)> {
+        raw.iter().map(|&(a, b)| (NodeIdx(a), NodeIdx(b))).collect()
+    }
+
+    #[test]
+    fn loopbench_and_scale_1k_pair_lists_are_pinned() {
+        // The workloads' topologies (`benchmark/src/workload.rs`) and
+        // the `scale-1k` graph, as the point-to-point searches chose
+        // their pairs.
+        assert_eq!(
+            endpoint_pairs(&waxman(1000, 0.15, 0.15, 11), 2),
+            pairs(&[(359, 428), (610, 193)])
+        );
+        let wan: Vec<(u32, u32)> = std::iter::once((48, 16))
+            .chain((17..48).map(|i| (i, i + 32)))
+            .collect();
+        assert_eq!(endpoint_pairs(&two_tier_wan(16, 4), 32), pairs(&wan));
+        assert_eq!(
+            endpoint_pairs(&fat_tree(8), 8),
+            pairs(&[
+                (28, 20),
+                (36, 21),
+                (44, 22),
+                (52, 23),
+                (60, 29),
+                (68, 30),
+                (76, 31),
+                (37, 45)
+            ])
+        );
+        let s = crate::catalog::scale_1k();
+        assert_eq!(
+            endpoint_pairs(&s.topology.build(s.seed), s.pairs),
+            pairs(&[(53, 992), (858, 279)])
+        );
+    }
 
     fn connected(t: &Topology) -> bool {
         let n = t.node_count();
