@@ -22,6 +22,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netsim::{Event, FlowId, FlowSpec, NodeIdx, Simulation, Topology};
 use scenarios::TopologySpec;
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Deterministic xorshift — the bench needs no statistical quality,
@@ -42,7 +43,7 @@ impl Rng {
 fn churn_schedule(topo: &Topology, flows: usize, horizon_ms: u64) -> Vec<(u64, Event)> {
     let mut rng = Rng(0x5eed_cafe);
     let nodes = topo.node_count() as u64;
-    let mut routes: Vec<(NodeIdx, NodeIdx, Vec<NodeIdx>)> = Vec::new();
+    let mut routes: Vec<(NodeIdx, NodeIdx, Arc<[NodeIdx]>)> = Vec::new();
     while routes.len() < 400 {
         let src = NodeIdx(rng.below(nodes) as u32);
         let dst = NodeIdx(rng.below(nodes) as u32);
@@ -50,7 +51,7 @@ fn churn_schedule(topo: &Topology, flows: usize, horizon_ms: u64) -> Vec<(u64, E
             continue;
         }
         if let Some(path) = topo.shortest_path_by_delay(src, dst) {
-            routes.push((src, dst, path));
+            routes.push((src, dst, path.into()));
         }
     }
     let mut events = Vec::new();

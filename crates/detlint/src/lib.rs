@@ -97,8 +97,10 @@ const BARE_PANIC_FILES: &[&str] = &[
     // placement search.
     "crates/framework/src/",
     // The scenario runner drives that loop epoch by epoch; a panic
-    // loses the whole scorecard.
+    // loses the whole scorecard. It pulls the elastic schedule stream
+    // while it schedules.
     "crates/scenarios/src/runner.rs",
+    "crates/scenarios/src/elastic.rs",
     "crates/dataplane/src/plane.rs",
     "crates/dataplane/src/shard.rs",
     "crates/dataplane/src/netem.rs",
@@ -1246,7 +1248,11 @@ mod tests {
     #[test]
     fn bare_panic_only_in_hot_path_files() {
         let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }";
-        for path in ["crates/netsim/src/sim.rs", "crates/netsim/src/topo.rs"] {
+        for path in [
+            "crates/netsim/src/sim.rs",
+            "crates/netsim/src/topo.rs",
+            "crates/scenarios/src/elastic.rs",
+        ] {
             assert_eq!(rules_of(&scan_at(path, src)), ["bare-panic"], "{path}");
         }
         assert!(scan_at("crates/netsim/src/flow.rs", src).is_empty());

@@ -420,7 +420,7 @@ impl SelfDrivingNetwork {
         if p.dst_node != last {
             path.push(p.dst_node);
         }
-        self.sim.topo.path_links(&path)?;
+        self.sim.topo.check_path(&path)?;
         Ok(path)
     }
 
@@ -695,8 +695,14 @@ impl SelfDrivingNetwork {
                 tos: req.tos,
                 label: req.label.clone(),
             };
-            self.sim
-                .schedule(now, Event::StartFlow { spec, path, id })?;
+            self.sim.schedule(
+                now,
+                Event::StartFlow {
+                    spec,
+                    path: path.into(),
+                    id,
+                },
+            )?;
             self.flows.push(ManagedFlow {
                 id,
                 label: req.label.clone(),
@@ -762,7 +768,8 @@ impl SelfDrivingNetwork {
                 continue;
             }
             let flow = &mut self.flows[i];
-            self.sim.schedule(now, Event::SetFlowPath(flow.id, path))?;
+            self.sim
+                .schedule(now, Event::SetFlowPath(flow.id, path.into()))?;
             let from = std::mem::replace(&mut flow.tunnel, tunnel.to_string());
             let label = &flow.label;
             self.obsv
@@ -1730,7 +1737,14 @@ mod tests {
             label: req.label.clone(),
         };
         let now = sdn.sim.now_ms();
-        sdn.sim.schedule(now, Event::StartFlow { spec, path, id })?;
+        sdn.sim.schedule(
+            now,
+            Event::StartFlow {
+                spec,
+                path: path.into(),
+                id,
+            },
+        )?;
         let rate_key = SeriesKey::new(&req.label, Metric::FlowRate);
         sdn.flows.push(ManagedFlow {
             id,

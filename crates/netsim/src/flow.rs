@@ -9,6 +9,7 @@
 //! events that change its share.
 
 use crate::topo::NodeIdx;
+use std::sync::Arc;
 
 /// Unique flow identifier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -38,8 +39,10 @@ pub struct Flow {
     pub id: FlowId,
     /// Specification.
     pub spec: FlowSpec,
-    /// Node path currently assigned (edge-to-edge, hosts included).
-    pub path: Vec<NodeIdx>,
+    /// Node path currently assigned (edge-to-edge, hosts included) —
+    /// shared: every flow started on one route points at one
+    /// allocation.
+    pub path: Arc<[NodeIdx]>,
     /// Goodput (Mbps) at `rate_as_of_ms` — the anchor of the analytic
     /// trajectory, **not** necessarily the current rate; use
     /// [`Flow::rate_at`] for the rate at a given time.
@@ -58,7 +61,7 @@ pub struct Flow {
 
 impl Flow {
     /// Creates a flow at rate 0 (slow start).
-    pub fn new(id: FlowId, spec: FlowSpec, path: Vec<NodeIdx>) -> Self {
+    pub fn new(id: FlowId, spec: FlowSpec, path: Arc<[NodeIdx]>) -> Self {
         Flow {
             id,
             spec,
@@ -123,7 +126,7 @@ mod tests {
     }
 
     fn converging(share: f64) -> Flow {
-        let mut f = Flow::new(FlowId(1), spec(), vec![NodeIdx(0), NodeIdx(1)]);
+        let mut f = Flow::new(FlowId(1), spec(), [NodeIdx(0), NodeIdx(1)].into());
         f.fair_share_mbps = share;
         f.conv_at_ms = u64::MAX;
         f

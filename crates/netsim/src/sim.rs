@@ -52,8 +52,9 @@ pub enum Event {
     StartFlow {
         /// The flow description.
         spec: FlowSpec,
-        /// Explicit path (hosts/edges included).
-        path: Vec<NodeIdx>,
+        /// Explicit path (hosts/edges included), shared: the flow keeps
+        /// this allocation, so flows started on one route share one.
+        path: Arc<[NodeIdx]>,
         /// Id to assign (caller-chosen so tests/controllers can refer to it).
         id: FlowId,
     },
@@ -61,7 +62,7 @@ pub enum Event {
     StopFlow(FlowId),
     /// Atomically reroute a flow onto a new path — the PolKA path
     /// migration: one PBR rewrite at the ingress edge.
-    SetFlowPath(FlowId, Vec<NodeIdx>),
+    SetFlowPath(FlowId, Arc<[NodeIdx]>),
     /// Change a link's capacity (trace-driven modulation).
     SetLinkCapacity(LinkId, f64),
     /// Fail or restore a link.
@@ -234,9 +235,9 @@ impl Simulation {
     pub fn schedule(&mut self, at_ms: SimTimeMs, event: Event) -> Result<(), NetsimError> {
         match &event {
             Event::StartFlow { path, .. } | Event::SetFlowPath(_, path) => {
-                // `link_between` only matches live links, so this
-                // checks both adjacency and link state.
-                self.topo.path_links(path)?;
+                // Only live links count, so this checks both adjacency
+                // and link state.
+                self.topo.check_path(path)?;
             }
             Event::StopFlow(_)
             | Event::SetLinkCapacity(_, _)
@@ -664,7 +665,7 @@ impl Simulation {
 
     /// A live flow's current path.
     pub fn flow_path(&self, id: FlowId) -> Result<&[NodeIdx], NetsimError> {
-        self.tracked(id).map(|f| f.flow.path.as_slice())
+        self.tracked(id).map(|f| &*f.flow.path)
     }
 
     fn tracked(&self, id: FlowId) -> Result<&Tracked, NetsimError> {
@@ -726,13 +727,15 @@ mod tests {
     use super::*;
     use crate::topo::global_p4_lab;
 
-    fn tunnel1(t: &Topology) -> Vec<NodeIdx> {
+    fn tunnel1(t: &Topology) -> Arc<[NodeIdx]> {
         t.path_by_names(&["host1", "MIA", "SAO", "AMS", "host2"])
             .unwrap()
+            .into()
     }
-    fn tunnel2(t: &Topology) -> Vec<NodeIdx> {
+    fn tunnel2(t: &Topology) -> Arc<[NodeIdx]> {
         t.path_by_names(&["host1", "MIA", "CHI", "AMS", "host2"])
             .unwrap()
+            .into()
     }
 
     fn greedy_spec(t: &Topology, label: &str, tos: u8) -> FlowSpec {
@@ -1028,6 +1031,15 @@ mod tests {
     }
 
     #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_queued_event_is_96_bytes() {
+        // A pre-loaded elastic schedule is ~500k of these: the path is
+        // one shared pointer, not a `Vec` per event.
+        assert_eq!(std::mem::size_of::<Event>(), 80);
+        assert_eq!(std::mem::size_of::<Scheduled<Event>>(), 96);
+    }
+
+    #[test]
     fn impossible_paths_are_rejected_at_schedule_time() {
         let topo = global_p4_lab();
         let mia = topo.node("MIA").unwrap();
@@ -1041,18 +1053,18 @@ mod tests {
                 0,
                 Event::StartFlow {
                     spec: spec.clone(),
-                    path: vec![mia, ams],
+                    path: [mia, ams].into(),
                     id: FlowId(1),
                 },
             )
             .is_err());
         // Reroute onto a non-adjacent pair.
         assert!(sim
-            .schedule(0, Event::SetFlowPath(FlowId(1), vec![mia, ams]))
+            .schedule(0, Event::SetFlowPath(FlowId(1), [mia, ams].into()))
             .is_err());
         // Degenerate single-node path.
         assert!(sim
-            .schedule(0, Event::SetFlowPath(FlowId(1), vec![mia]))
+            .schedule(0, Event::SetFlowPath(FlowId(1), [mia].into()))
             .is_err());
         // A path over a failed link is rejected too.
         let lid = sim.topo.link_between(mia, sao).unwrap();
@@ -1062,7 +1074,7 @@ mod tests {
                 0,
                 Event::StartFlow {
                     spec,
-                    path: vec![mia, sao],
+                    path: [mia, sao].into(),
                     id: FlowId(1),
                 },
             )

@@ -146,7 +146,7 @@ fn run_script(topo: Topology, seed: u64, mut after_step: impl FnMut(&Simulation)
                             tos: 0,
                             label: format!("f{}", id.0),
                         },
-                        path,
+                        path: path.into(),
                         id,
                     }
                 }
@@ -169,7 +169,7 @@ fn run_script(topo: Topology, seed: u64, mut after_step: impl FnMut(&Simulation)
                     if let Some(entry) = live.iter_mut().find(|(other, _)| *other == id) {
                         entry.1 = new_path.clone();
                     }
-                    Event::SetFlowPath(id, new_path)
+                    Event::SetFlowPath(id, new_path.into())
                 }
                 14..=15 => {
                     let Some((id, _)) = rng.pick(&live) else {

@@ -234,24 +234,29 @@ impl Topology {
 
     /// Resolves a node-name path to indices, validating adjacency.
     pub fn path_by_names(&self, names: &[&str]) -> Result<Vec<NodeIdx>, NetsimError> {
-        if names.len() < 2 {
-            return Err(NetsimError::BadPath("need at least two nodes".into()));
-        }
         let idx: Vec<NodeIdx> = names
             .iter()
             .map(|n| self.node(n))
             .collect::<Result<_, _>>()?;
-        for w in idx.windows(2) {
+        self.check_path(&idx)?;
+        Ok(idx)
+    }
+
+    /// Checks that a node path has at least two nodes and a live link
+    /// under every hop, without collecting the links.
+    pub fn check_path(&self, path: &[NodeIdx]) -> Result<(), NetsimError> {
+        if path.len() < 2 {
+            return Err(NetsimError::BadPath("need at least two nodes".into()));
+        }
+        for w in path.windows(2) {
             self.link_between(w[0], w[1])?;
         }
-        Ok(idx)
+        Ok(())
     }
 
     /// The links along a node path.
     pub fn path_links(&self, path: &[NodeIdx]) -> Result<Vec<LinkId>, NetsimError> {
-        if path.len() < 2 {
-            return Err(NetsimError::BadPath("need at least two nodes".into()));
-        }
+        self.check_path(path)?;
         path.windows(2)
             .map(|w| self.link_between(w[0], w[1]))
             .collect()
@@ -1190,6 +1195,21 @@ mod tests {
         assert!(t.path_by_names(&["MIA", "AMS"]).is_err()); // no direct link
         assert!(t.path_by_names(&["MIA"]).is_err());
         assert!(t.path_by_names(&["MIA", "NOPE"]).is_err());
+        // `check_path` is `path_links` without the links: same errors.
+        let (mia, sao, ams) = (
+            t.node("MIA").unwrap(),
+            t.node("SAO").unwrap(),
+            t.node("AMS").unwrap(),
+        );
+        for path in [&[mia][..], &[mia, ams], &[mia, sao, ams, mia]] {
+            let want = t.path_links(path).err().map(|e| e.to_string());
+            assert_eq!(t.check_path(path).err().map(|e| e.to_string()), want);
+        }
+        assert!(t.check_path(&[mia, sao, ams]).is_ok());
+        assert_eq!(
+            t.check_path(&[mia]).unwrap_err().to_string(),
+            NetsimError::BadPath("need at least two nodes".into()).to_string()
+        );
     }
 
     #[test]

@@ -19,6 +19,7 @@ use netsim::topo::mesh;
 use netsim::{Event, FlowId, FlowSpec, NodeIdx, Simulation, Topology};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const TICK_MS: u64 = 100;
 const TAU_S: f64 = 1.2;
@@ -26,7 +27,7 @@ const EFFICIENCY: f64 = 0.86;
 
 struct LegacyFlow {
     spec: FlowSpec,
-    path: Vec<NodeIdx>,
+    path: Arc<[NodeIdx]>,
     rate: f64,
     share: f64,
 }
@@ -208,7 +209,7 @@ fn generate(topo: &Topology, seed: u64, n_flows: usize, until_ms: u64) -> Vec<(u
                     tos: 0,
                     label: format!("f{made}"),
                 },
-                path,
+                path: path.into(),
             },
         ));
         if rng.below(3) == 0 {

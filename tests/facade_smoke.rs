@@ -60,7 +60,7 @@ fn netsim_carries_one_flow() {
                 tos: 0,
                 label: "smoke".into(),
             },
-            path: path.clone(),
+            path: path[..].into(),
         },
     )
     .expect("valid path schedules");
