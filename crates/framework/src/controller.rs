@@ -60,6 +60,9 @@ pub struct BatchDecision {
     pub solver: Option<SolverKind>,
     /// Candidate series forecast for the batch: its pairs' tunnels.
     pub series: usize,
+    /// Each decision's candidate index: its tunnel is that candidate's
+    /// name.
+    pub(crate) rows: Vec<usize>,
 }
 
 /// The decision function: one Fig 4 consultation (getTelemetry →
@@ -73,7 +76,7 @@ pub struct BatchDecision {
 /// whole batch — the AMPF insight that per-flow ML path assignment only
 /// scales when classifier cost is shared across arriving flows.
 ///
-/// `tunnel_names` is the global candidate order (every pair's tunnels,
+/// `names` is the global candidate order (every pair's tunnels,
 /// pair-scoped series names) aligned with `model.tunnel_links`; the
 /// forecasts are therefore keyed `(pair, tunnel, metric)` in Hecate's
 /// cache — one trained model per pair-scoped series.
@@ -97,21 +100,21 @@ pub struct BatchDecision {
 ///   the assignment space is within its bound, greedily otherwise — so
 ///   no shared link is oversubscribed.
 #[allow(clippy::too_many_arguments)]
-pub fn decide_flows_pairs(
+pub fn decide_flows_pairs<N: AsRef<str> + Sync>(
     hecate: &HecateService,
     telemetry: &TelemetryService,
     requests: &[FlowRequest],
-    tunnel_names: &[String],
+    names: &[N],
     model: &SharedLinkModel,
     objective: Objective,
     config: &OptimizerConfig,
     log: &mut SequenceLog,
 ) -> Result<BatchDecision, FrameworkError> {
-    if tunnel_names.is_empty() || tunnel_names.len() != model.tunnel_links.len() {
+    if names.is_empty() || names.len() != model.tunnel_links.len() {
         return Err(FrameworkError::NoFeasiblePath);
     }
     // Each request's pair's candidates, all in range: the batch's series.
-    let mut needed = vec![false; tunnel_names.len()];
+    let mut needed = vec![false; names.len()];
     let mut first_of_flow = Vec::with_capacity(requests.len());
     for req in requests {
         let cands = model
@@ -127,7 +130,7 @@ pub fn decide_flows_pairs(
         first_of_flow.push(cands[0]);
     }
     if requests.is_empty() {
-        return Ok(BatchDecision::default());
+        return Ok(Default::default());
     }
     log.record("getTelemetry");
     let metric = match objective {
@@ -135,34 +138,34 @@ pub fn decide_flows_pairs(
         _ => Metric::AvailableBandwidth,
     };
     log.record("askHecatePath");
-    let (forecasts, forecastable) =
-        hecate.forecast_needed(telemetry, tunnel_names, &needed, metric);
+    let (forecast_of, forecastable) = hecate.forecast_needed(telemetry, names, &needed, metric);
     let series = needed.iter().filter(|&&n| n).count();
-    let decide = |decisions, solver| BatchDecision {
-        decisions,
+    // Each flow's `(candidate, used_forecast, score)`.
+    let decide = |picks: Vec<(usize, bool, Option<f64>)>, solver| BatchDecision {
+        decisions: picks
+            .iter()
+            .map(|&(t, used_forecast, score)| PathDecision {
+                tunnel: names[t].as_ref().to_string(),
+                used_forecast,
+                score,
+            })
+            .collect(),
         solver,
         series,
+        rows: picks.into_iter().map(|(t, ..)| t).collect(),
     };
     if !forecastable {
         // Cold start: each pair's phase-(i) arbitrary first candidate.
         log.record("fallbackArbitraryPath");
-        let decisions = first_of_flow
-            .iter()
-            .map(|&t| PathDecision {
-                tunnel: tunnel_names[t].clone(),
-                used_forecast: false,
-                score: None,
-            })
-            .collect();
-        return Ok(decide(decisions, None));
+        let picks = first_of_flow.iter().map(|&t| (t, false, None)).collect();
+        return Ok(decide(picks, None));
     }
-    let forecast_of = forecasts_by_tunnel(tunnel_names, &forecasts);
     let out = match objective {
         Objective::MaxBandwidth => {
             // Per-tunnel caps: forecast mean, else last sample, else 0.
             // A tunnel outside the batch carries none of its flows, so
             // no fill reads its cap.
-            let caps: Vec<f64> = tunnel_names
+            let caps: Vec<f64> = names
                 .iter()
                 .zip(&forecast_of)
                 .zip(&needed)
@@ -171,8 +174,9 @@ pub fn decide_flows_pairs(
                         return 0.0;
                     }
                     forecast
+                        .as_ref()
                         .map(|f| f.mean())
-                        .or_else(|| telemetry.last(&SeriesKey::new(name, metric)))
+                        .or_else(|| telemetry.last(&SeriesKey::new(name.as_ref(), metric)))
                         .unwrap_or(0.0)
                         .max(0.0)
                 })
@@ -186,65 +190,37 @@ pub fn decide_flows_pairs(
                 })
                 .collect();
             let (assignment, kind) = assign_flows_shared_with(&capped, &flows, config)?;
-            let decisions = assignment
+            let picks = assignment
                 .tunnel_of_flow
                 .iter()
-                .map(|&t| PathDecision {
-                    tunnel: tunnel_names[t].clone(),
-                    used_forecast: true,
-                    score: forecast_of[t].map(|f| f.mean()),
-                })
+                .map(|&t| (t, true, forecast_of[t].as_ref().map(|f| f.mean())))
                 .collect();
-            decide(decisions, Some(kind))
+            decide(picks, Some(kind))
         }
         _ => {
             // No flow-interaction model: each pair's flows take that
             // pair's winner among its own forecasts.
-            let decisions = requests
+            let picks = requests
                 .iter()
                 .zip(&first_of_flow)
                 .map(|(req, &first)| {
-                    let mine: Vec<_> = model.candidates[req.pair.index()]
-                        .iter()
-                        .filter_map(|&t| forecast_of[t].cloned())
-                        .collect();
+                    let (rows, mine): (Vec<usize>, Vec<PathForecast>) = model.candidates
+                        [req.pair.index()]
+                    .iter()
+                    .filter_map(|&t| Some((t, forecast_of[t].clone()?)))
+                    .unzip();
                     match select_path(objective, &mine) {
-                        Ok(best) => PathDecision {
-                            tunnel: best.path.clone(),
-                            used_forecast: true,
-                            score: Some(best.mean()),
-                        },
+                        Ok(best) => (rows[best], true, Some(mine[best].mean())),
                         // This pair is still cold: arbitrary first.
-                        Err(_) => PathDecision {
-                            tunnel: tunnel_names[first].clone(),
-                            used_forecast: false,
-                            score: None,
-                        },
+                        Err(_) => (first, false, None),
                     }
                 })
                 .collect();
-            decide(decisions, None)
+            decide(picks, None)
         }
     };
     log.record("optimizerReturn");
     Ok(out)
-}
-
-/// `forecasts` by tunnel index: entry `t` is the forecast whose path is
-/// `tunnel_names[t]` (the first, if several are), resolved for all
-/// tunnels in one pass.
-pub(crate) fn forecasts_by_tunnel<'a>(
-    tunnel_names: &[String],
-    forecasts: &'a [PathForecast],
-) -> Vec<Option<&'a PathForecast>> {
-    let mut by_name = std::collections::BTreeMap::new();
-    for f in forecasts.iter().rev() {
-        by_name.insert(f.path.as_str(), f);
-    }
-    tunnel_names
-        .iter()
-        .map(|n| by_name.get(n.as_str()).copied())
-        .collect()
 }
 
 #[cfg(test)]

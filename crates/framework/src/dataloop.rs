@@ -24,6 +24,10 @@ use dataplane::{FlowRoute, PacketNet, TrafficSpec};
 use netsim::NodeIdx;
 use std::collections::HashMap;
 
+/// The name prefix of the packet plane's per-tunnel probe flows
+/// (`probe:<tunnel>`); managed flow labels may not use it.
+pub(crate) const PROBE_PREFIX: &str = "probe:";
+
 /// Tuning for the attached packet plane.
 #[derive(Debug, Clone)]
 pub struct DataplaneConfig {
@@ -114,32 +118,29 @@ pub struct PacketEpochReport {
 }
 
 impl SelfDrivingNetwork {
-    /// The packet route for a compiled tunnel (host links are edge
+    /// The packet route for tunnel row `row` (host links are edge
     /// business; the label encodes the router path).
-    fn tunnel_packet_route(&self, tunnel: &str) -> Result<FlowRoute, FrameworkError> {
-        let compiled = self
-            .tunnels
-            .get(tunnel)
-            .ok_or(FrameworkError::NoFeasiblePath)?;
-        Ok(FlowRoute::polka(
+    fn tunnel_packet_route(&self, row: usize) -> FlowRoute {
+        let compiled = &self.rows[row].tunnel;
+        FlowRoute::polka(
             compiled.node_path[0],
             compiled.node_path[1],
             compiled.route.clone(),
             &compiled.spec,
-        ))
+        )
     }
 
     /// Starts the probe stream of every tunnel that has none yet: all of
     /// them at attach time, later the ones `discover_tunnels` added.
     fn start_missing_probes(&self, plane: &mut PacketPlane) -> Result<(), FrameworkError> {
-        for name in &self.tunnel_order[plane.probed..] {
+        for row in plane.probed..self.rows.len() {
             plane.net.add_flow(TrafficSpec {
-                name: format!("probe:{name}"),
-                route: self.tunnel_packet_route(name)?,
+                name: format!("{PROBE_PREFIX}{}", self.rows[row].name()),
+                route: self.tunnel_packet_route(row),
                 payload_bytes: plane.cfg.probe_bytes,
                 rate_mbps: plane.cfg.probe_rate_mbps,
             })?;
-            plane.probed += 1;
+            plane.probed = row + 1;
         }
         Ok(())
     }
@@ -247,19 +248,20 @@ impl SelfDrivingNetwork {
         let rewrites_before = plane.net.ingress_rewrites;
         self.start_missing_probes(plane)?;
         for f in &self.flows {
+            let tunnel = self.rows[f.tunnel].name();
             match plane.stamped.get(&f.label) {
-                Some(current) if *current == f.tunnel => continue,
+                Some(current) if current == tunnel => continue,
                 Some(_) => plane
                     .net
-                    .set_route(&f.label, self.tunnel_packet_route(&f.tunnel)?)?,
+                    .set_route(&f.label, self.tunnel_packet_route(f.tunnel))?,
                 None => plane.net.add_flow(TrafficSpec {
                     name: f.label.clone(),
-                    route: self.tunnel_packet_route(&f.tunnel)?,
+                    route: self.tunnel_packet_route(f.tunnel),
                     payload_bytes: plane.cfg.flow_bytes,
                     rate_mbps: f.demand.unwrap_or(plane.cfg.default_flow_mbps),
                 })?,
             }
-            plane.stamped.insert(f.label.clone(), f.tunnel.clone());
+            plane.stamped.insert(f.label.clone(), tunnel.to_string());
         }
 
         // (2) forward one window of packets; advance the fluid clock in
@@ -278,21 +280,21 @@ impl SelfDrivingNetwork {
         let mut probe_goodput: HashMap<&str, f64> = HashMap::new();
         for f in &window.flows {
             goodput_of.insert(&f.name, f.goodput_mbps);
-            if let Some(tunnel) = f.name.strip_prefix("probe:") {
+            if let Some(tunnel) = f.name.strip_prefix(PROBE_PREFIX) {
                 probe_goodput.insert(tunnel, f.goodput_mbps);
             }
         }
         // Summed in managed-flow order: the f64 lands in telemetry.
-        let mut managed_goodput: HashMap<&str, f64> = HashMap::new();
+        let mut managed_goodput = vec![0.0; self.rows.len()];
         for f in &self.flows {
             if let Some(g) = goodput_of.get(f.label.as_str()) {
-                *managed_goodput.entry(&f.tunnel).or_insert(0.0) += g;
+                managed_goodput[f.tunnel] += g;
             }
         }
-        let mut samples = Vec::with_capacity(self.tunnel_order.len() + self.flows.len());
+        let mut samples = Vec::with_capacity(self.rows.len() + self.flows.len());
         let mut tunnel_available = Vec::new();
-        for (name, &(avail_series, _)) in self.tunnel_order.iter().zip(&self.tunnel_series) {
-            let compiled = &self.tunnels[name];
+        for (row, managed) in self.rows.iter().zip(managed_goodput) {
+            let (compiled, name) = (&row.tunnel, row.name());
             let mut residual = f64::INFINITY;
             for hop in compiled.node_path.windows(2) {
                 let Some(lw) = by_dir.get(&(hop[0], hop[1])) else {
@@ -308,11 +310,10 @@ impl SelfDrivingNetwork {
             // Capacity visible to the optimizer: bottleneck residual
             // plus what this tunnel's own streams already deliver
             // (mirrors the fluid collector's accounting).
-            let own = probe_goodput.get(name.as_str()).copied().unwrap_or(0.0)
-                + managed_goodput.get(name.as_str()).copied().unwrap_or(0.0);
+            let own = probe_goodput.get(name).copied().unwrap_or(0.0) + managed;
             let avail = residual.max(0.0) + own;
-            samples.push((avail_series, avail));
-            tunnel_available.push((name.clone(), avail));
+            samples.push((row.series.0, avail));
+            tunnel_available.push((name.to_string(), avail));
         }
         let mut flow_goodput = Vec::new();
         for f in &self.flows {
@@ -478,7 +479,7 @@ mod tests {
             .1;
         assert!(avail1 < 3.0, "packet plane saw the squeeze: {r:?}");
         // The fluid plane agrees.
-        let t1 = sdn.tunnels["tunnel1"].node_path.clone();
+        let t1 = sdn.tunnel("tunnel1").unwrap().node_path.clone();
         let fluid = sdn.sim.path_available_mbps(&t1).unwrap();
         assert!(fluid < 3.0, "fluid plane saw the squeeze: {fluid}");
         // Restore.

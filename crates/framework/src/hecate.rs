@@ -546,90 +546,94 @@ impl HecateService {
         paths: &[String],
         metric: Metric,
     ) -> Vec<PathForecast> {
-        self.forecast_needed(telemetry, paths, &vec![true; paths.len()], metric)
-            .0
+        let (aligned, _) = self.forecast_needed(telemetry, paths, &vec![true; paths.len()], metric);
+        aligned.into_iter().flatten().collect()
     }
 
     /// [`HecateService::forecast_all`] for a decision that reads only
-    /// the paths with `needed[i]` set. Those get the full protocol, and
-    /// their forecasts come back in candidate order (unforecastable ones
-    /// skipped). Every other path is *deferred*: it refits when that
-    /// refit is due, and otherwise slides its fresh samples into the lag
-    /// window but skips the roll. Staleness counts from the fit and a
-    /// roll is a pure function of the window, so refits land where
+    /// the paths with `needed[i]` set. Those get the full protocol.
+    /// Every other path is *deferred*: it refits when that refit is
+    /// due, and otherwise slides its fresh samples into the lag window
+    /// but skips the roll. Staleness counts from the fit and a roll is
+    /// a pure function of the window, so refits land where
     /// `forecast_all` puts them and later forecasts carry its bits.
     ///
-    /// The flag says whether *any* path could be forecast, deferred ones
+    /// The forecasts come back aligned with `paths`: entry `i` is path
+    /// `i`'s, `None` when it was deferred or could not be forecast. The
+    /// flag says whether *any* path could be forecast, deferred ones
     /// included — what a cold-start fallback must test.
     ///
     /// An all-hit call runs sequentially (a lookup and a ten-float clone
     /// per path, which thread spawns would dominate); otherwise the
     /// needed paths and due refits fan out once over scoped workers.
-    pub fn forecast_needed(
+    pub fn forecast_needed<P: AsRef<str> + Sync>(
         &self,
         telemetry: &TelemetryService,
-        paths: &[String],
+        paths: &[P],
         needed: &[bool],
         metric: Metric,
-    ) -> (Vec<PathForecast>, bool) {
+    ) -> (Vec<Option<PathForecast>>, bool) {
         let mut forecastable = false;
-        // (path, needed) for every path that needs a forecast or a
-        // refit, in candidate order.
-        let mut work: Vec<(&String, bool)> = Vec::with_capacity(paths.len());
+        // (position, path, needed) for every path that needs a forecast
+        // or a refit, in candidate order.
+        let mut work: Vec<(usize, &str, bool)> = Vec::with_capacity(paths.len());
         for (i, path) in paths.iter().enumerate() {
+            let path = path.as_ref();
             if needed.get(i) == Some(&true) {
-                work.push((path, true));
+                work.push((i, path, true));
                 continue;
             }
             match self.defer(telemetry, &SeriesKey::new(path, metric)) {
                 Some(ok) => forecastable |= ok,
-                None => work.push((path, false)),
+                None => work.push((i, path, false)),
             }
         }
         let hits: Option<Vec<PathForecast>> = work
             .iter()
-            .map(|&(path, need)| {
+            .map(|&(_, path, need)| {
                 need.then(|| self.try_hit(telemetry, &SeriesKey::new(path, metric)))?
                     .map(|values| PathForecast {
-                        path: path.clone(),
+                        path: path.to_string(),
                         values,
                     })
             })
             .collect();
-        if let Some(forecasts) = hits {
+        let served: Vec<(Option<PathForecast>, bool)> = if let Some(forecasts) = hits {
             self.cache.hits.add(forecasts.len() as u64);
             if self.cache.scoped_on.load(Ordering::Relaxed) {
                 for f in &forecasts {
                     self.cache.bump_scoped(&f.path, |sc| &sc.hits);
                 }
             }
-            let forecastable = forecastable || !forecasts.is_empty();
-            return (forecasts, forecastable);
-        }
-        let serve = |&(path, need): &(&String, bool)| -> (Option<PathForecast>, bool) {
-            if need {
-                let forecast = self.forecast_path(telemetry, path, metric).ok();
-                let ok = forecast.is_some();
-                (forecast, ok)
-            } else {
-                let refit = self.refit(telemetry, SeriesKey::new(path, metric));
-                (None, refit.is_ok())
-            }
-        };
-        // A traced run fans out sequentially: `ml.fit`/`ml.roll` span
-        // emission order must be deterministic, and worker
-        // interleaving is not. Results are bitwise identical either
-        // way — forecasts are independent and `par_map` preserves
-        // candidate order — so only the trace artifact cares.
-        let served: Vec<(Option<PathForecast>, bool)> =
+            forecasts.into_iter().map(|f| (Some(f), true)).collect()
+        } else {
+            let serve = |&(_, path, need): &(usize, &str, bool)| {
+                if need {
+                    let forecast = self.forecast_path(telemetry, path, metric).ok();
+                    let ok = forecast.is_some();
+                    (forecast, ok)
+                } else {
+                    let refit = self.refit(telemetry, SeriesKey::new(path, metric));
+                    (None, refit.is_ok())
+                }
+            };
+            // A traced run fans out sequentially: `ml.fit`/`ml.roll` span
+            // emission order must be deterministic, and worker
+            // interleaving is not. Results are bitwise identical either
+            // way — forecasts are independent and `par_map` preserves
+            // candidate order — so only the trace artifact cares.
             if self.cache.trace_on.load(Ordering::Relaxed) {
                 work.iter().map(serve).collect()
             } else {
                 linalg::par::par_map(&work, serve)
-            };
+            }
+        };
         let forecastable = forecastable || served.iter().any(|&(_, ok)| ok);
-        let forecasts = served.into_iter().filter_map(|(f, _)| f).collect();
-        (forecasts, forecastable)
+        let mut aligned = vec![None; paths.len()];
+        for (&(i, ..), (forecast, _)) in work.iter().zip(served) {
+            aligned[i] = forecast;
+        }
+        (aligned, forecastable)
     }
 
     /// Refit-every-time variant of [`HecateService::forecast_all`] (the

@@ -36,24 +36,18 @@ pub enum Objective {
 
 /// Picks the best single path for a new flow given per-path forecasts of
 /// the relevant metric (RTT for [`Objective::MinLatency`], available
-/// bandwidth otherwise).
+/// bandwidth otherwise); returns its position in `forecasts`.
 pub fn select_path(
     objective: Objective,
     forecasts: &[PathForecast],
-) -> Result<&PathForecast, FrameworkError> {
-    if forecasts.is_empty() {
-        return Err(FrameworkError::NoFeasiblePath);
-    }
+) -> Result<usize, FrameworkError> {
+    let scored = forecasts.iter().enumerate();
     let best = match objective {
-        Objective::MinLatency => forecasts
-            .iter()
-            .min_by(|a, b| a.mean().total_cmp(&b.mean())),
-        Objective::MaxBandwidth => forecasts
-            .iter()
-            .max_by(|a, b| a.mean().total_cmp(&b.mean())),
-        Objective::MinMaxUtilization => forecasts.iter().max_by(|a, b| a.min().total_cmp(&b.min())),
+        Objective::MinLatency => scored.min_by(|(_, a), (_, b)| a.mean().total_cmp(&b.mean())),
+        Objective::MaxBandwidth => scored.max_by(|(_, a), (_, b)| a.mean().total_cmp(&b.mean())),
+        Objective::MinMaxUtilization => scored.max_by(|(_, a), (_, b)| a.min().total_cmp(&b.min())),
     };
-    best.ok_or(FrameworkError::NoFeasiblePath)
+    best.map(|(i, _)| i).ok_or(FrameworkError::NoFeasiblePath)
 }
 
 /// A managed flow presented to the shared-link assignment engine: which
@@ -554,7 +548,7 @@ mod tests {
             forecast("t2", vec![16.0, 17.0]),
         ];
         let best = select_path(Objective::MinLatency, &fs).unwrap();
-        assert_eq!(best.path, "t2");
+        assert_eq!(fs[best].path, "t2");
     }
 
     #[test]
@@ -564,10 +558,7 @@ mod tests {
             forecast("t2", vec![10.0]),
             forecast("t3", vec![5.0]),
         ];
-        assert_eq!(
-            select_path(Objective::MaxBandwidth, &fs).unwrap().path,
-            "t1"
-        );
+        assert_eq!(select_path(Objective::MaxBandwidth, &fs).unwrap(), 0);
     }
 
     #[test]
@@ -577,10 +568,7 @@ mod tests {
             forecast("t1", vec![30.0, 1.0]),
             forecast("t2", vec![12.0, 11.0]),
         ];
-        assert_eq!(
-            select_path(Objective::MinMaxUtilization, &fs).unwrap().path,
-            "t2"
-        );
+        assert_eq!(select_path(Objective::MinMaxUtilization, &fs).unwrap(), 1);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! [`SelfDrivingNetwork::run_flow_aggregation`] (Fig 12) and
 //! [`SelfDrivingNetwork::run_trace_driven_steering`] (extension).
 
-use crate::controller::{decide_flows_pairs, forecasts_by_tunnel, PathDecision, SequenceLog};
+use crate::controller::{decide_flows_pairs, PathDecision, SequenceLog};
 use crate::hecate::HecateService;
 use crate::optimizer::{
     assign_flows_shared_with, FlowDemand, Objective, OptimizerConfig, SharedLinkModel,
@@ -24,12 +24,38 @@ use netsim::{Event, FlowId, FlowSpec, NodeIdx, Simulation};
 use polka::NodeIdAllocator;
 use std::collections::BTreeMap;
 
+/// One candidate tunnel: a row of the network's tunnel table
+/// ([`SelfDrivingNetwork::rows`]). The row's index is the optimizer's
+/// tunnel index, Hecate's candidate position and a [`ManagedFlow`]'s
+/// tunnel.
+#[derive(Debug, Clone)]
+pub(crate) struct TunnelRow {
+    /// The compiled PolKA route; its `id` is the tunnel's (pair-scoped)
+    /// name.
+    pub(crate) tunnel: CompiledTunnel,
+    /// The pair the tunnel is a candidate of.
+    pub(crate) pair: PairId,
+    /// The tunnel's ([`Metric::AvailableBandwidth`], [`Metric::Rtt`])
+    /// series in [`SelfDrivingNetwork::telemetry`], resolved at
+    /// registration.
+    pub(crate) series: (SeriesId, SeriesId),
+}
+
+impl TunnelRow {
+    /// The tunnel's name: its edge interface and its series target.
+    pub(crate) fn name(&self) -> &str {
+        &self.tunnel.id
+    }
+}
+
 /// One managed flow's bookkeeping.
 #[derive(Debug, Clone)]
 pub(crate) struct ManagedFlow {
     pub(crate) id: FlowId,
     pub(crate) label: String,
-    pub(crate) tunnel: String,
+    /// The row of the tunnel the flow runs on; always a row of its own
+    /// pair.
+    pub(crate) tunnel: usize,
     pub(crate) demand: Option<f64>,
     pub(crate) pair: PairId,
     /// The flow's [`Metric::FlowRate`] series, resolved at install.
@@ -57,12 +83,9 @@ pub(crate) struct ManagedPair {
     /// Handle of this pair's ingress router (pairs sharing an ingress
     /// share one router — the handle is a clone).
     pub(crate) edge: RouterHandle,
-    /// This pair's candidate tunnels in discovery (delay) order, by
-    /// their pair-scoped names.
-    pub(crate) tunnel_order: Vec<String>,
-    /// The same tunnels as indices into the network-wide
-    /// [`SelfDrivingNetwork::tunnel_names`] order.
-    tunnel_idx: Vec<usize>,
+    /// This pair's candidate tunnels in discovery (delay) order, as
+    /// rows of [`SelfDrivingNetwork::rows`].
+    pub(crate) rows: Vec<usize>,
 }
 
 /// The edge transactions of one admit batch or one round of
@@ -128,14 +151,15 @@ pub struct SelfDrivingNetwork {
     /// The Fig 4 interaction log.
     pub log: SequenceLog,
     pub(crate) alloc: NodeIdAllocator,
-    pub(crate) tunnels: BTreeMap<String, CompiledTunnel>,
-    /// Every tunnel, all pairs, in pair-then-discovery order
-    /// (append-only).
-    pub(crate) tunnel_order: Vec<String>,
-    /// Each tunnel's ([`Metric::AvailableBandwidth`], [`Metric::Rtt`])
-    /// series in [`SelfDrivingNetwork::telemetry`], aligned with
-    /// `tunnel_order` and resolved at registration.
-    pub(crate) tunnel_series: Vec<(SeriesId, SeriesId)>,
+    /// The tunnel table: every candidate tunnel of every pair, in
+    /// registration (pair-then-discovery) order, append-only. Inside the
+    /// crate a tunnel is its row index; names are resolved only at the
+    /// public API. [`SelfDrivingNetwork::register_tunnel`] is its only
+    /// writer.
+    pub(crate) rows: Vec<TunnelRow>,
+    /// Tunnel name -> row, for the public by-name lookups; written only
+    /// by [`SelfDrivingNetwork::register_tunnel`].
+    row_of: BTreeMap<String, usize>,
     pub(crate) flows: Vec<ManagedFlow>,
     /// The managed ingress/egress pairs; single-pair deployments (the
     /// paper testbed, [`SelfDrivingNetwork::over_topology`]) have
@@ -184,12 +208,11 @@ impl SelfDrivingNetwork {
             src_node: sdn.sim.topo.node("host1")?,
             dst_node: sdn.sim.topo.node("host2")?,
             edge,
-            tunnel_order: Vec::new(),
-            tunnel_idx: Vec::new(),
+            rows: Vec::new(),
         });
         for t in &cfg.tunnels {
             let compiled = compile_tunnel(t, &sdn.sim.topo, &mut sdn.alloc)?;
-            sdn.register_tunnel(0, t.id.clone(), compiled);
+            sdn.register_tunnel(0, compiled);
         }
         Ok(sdn)
     }
@@ -203,9 +226,8 @@ impl SelfDrivingNetwork {
             scheduler: Scheduler::new(),
             log: SequenceLog::default(),
             alloc,
-            tunnels: BTreeMap::new(),
-            tunnel_order: Vec::new(),
-            tunnel_series: Vec::new(),
+            rows: Vec::new(),
+            row_of: BTreeMap::new(),
             flows: Vec::new(),
             pairs: Vec::new(),
             next_flow: 1,
@@ -218,18 +240,23 @@ impl SelfDrivingNetwork {
         }
     }
 
-    /// Registers a compiled tunnel as pair `owner`'s next candidate:
-    /// the network-wide order, the pair's own (by name and by global
-    /// index) and the tunnel's telemetry series.
-    fn register_tunnel(&mut self, owner: usize, id: String, compiled: CompiledTunnel) {
-        let pair = &mut self.pairs[owner];
-        pair.tunnel_idx.push(self.tunnel_order.len());
-        pair.tunnel_order.push(id.clone());
-        let series = |metric| self.telemetry.series_id(&SeriesKey::new(&id, metric));
-        self.tunnel_series
-            .push((series(Metric::AvailableBandwidth), series(Metric::Rtt)));
-        self.tunnel_order.push(id.clone());
-        self.tunnels.insert(id, compiled);
+    /// Registers a compiled tunnel as pair `owner`'s next candidate: a
+    /// new row of the tunnel table, with its telemetry series, appended
+    /// to the pair's rows and indexed by name.
+    fn register_tunnel(&mut self, owner: usize, tunnel: CompiledTunnel) {
+        let row = self.rows.len();
+        let series = |metric| {
+            self.telemetry
+                .series_id(&SeriesKey::new(&tunnel.id, metric))
+        };
+        let series = (series(Metric::AvailableBandwidth), series(Metric::Rtt));
+        self.pairs[owner].rows.push(row);
+        self.row_of.insert(tunnel.id.clone(), row);
+        self.rows.push(TunnelRow {
+            tunnel,
+            pair: PairId(owner),
+            series,
+        });
     }
 
     /// Assembles the self-driving network over an **arbitrary**
@@ -313,8 +340,7 @@ impl SelfDrivingNetwork {
                 src_node,
                 dst_node,
                 edge: edge.clone(),
-                tunnel_order: Vec::with_capacity(paths.len()),
-                tunnel_idx: Vec::with_capacity(paths.len()),
+                rows: Vec::with_capacity(paths.len()),
             });
             for (j, path) in paths.iter().enumerate() {
                 let id = scoped_target(&scope, &format!("tunnel{}", j + 1));
@@ -329,7 +355,7 @@ impl SelfDrivingNetwork {
                 };
                 let compiled = compile_tunnel(&cfg, &sdn.sim.topo, &mut sdn.alloc)?;
                 edge.ensure_tunnel(cfg)?;
-                sdn.register_tunnel(i, id, compiled);
+                sdn.register_tunnel(i, compiled);
             }
         }
         Ok(sdn)
@@ -337,7 +363,7 @@ impl SelfDrivingNetwork {
 
     /// Candidate tunnel names, all pairs, in pair-then-config order.
     pub fn tunnel_names(&self) -> Vec<String> {
-        self.tunnel_order.clone()
+        self.rows.iter().map(|r| r.tunnel.id.clone()).collect()
     }
 
     /// Number of managed ingress/egress pairs.
@@ -347,10 +373,9 @@ impl SelfDrivingNetwork {
 
     /// One pair's candidate tunnel names (pair-scoped), in discovery
     /// order — `None` for an unknown pair index.
-    pub fn pair_tunnel_names(&self, pair: PairId) -> Option<&[String]> {
-        self.pairs
-            .get(pair.index())
-            .map(|p| p.tunnel_order.as_slice())
+    pub fn pair_tunnel_names(&self, pair: PairId) -> Option<Vec<&str>> {
+        let p = self.pairs.get(pair.index())?;
+        Some(p.rows.iter().map(|&r| self.rows[r].name()).collect())
     }
 
     /// One pair's `(ingress, egress)` router names.
@@ -367,14 +392,19 @@ impl SelfDrivingNetwork {
         self.pairs.get(pair.index()).map(|p| p.scope.as_str())
     }
 
+    /// The managed flow labelled `label`.
+    fn flow(&self, label: &str) -> Option<&ManagedFlow> {
+        self.flows.iter().find(|f| f.label == label)
+    }
+
     /// The pair a managed flow belongs to.
     pub fn flow_pair(&self, label: &str) -> Option<PairId> {
-        self.flows.iter().find(|f| f.label == label).map(|f| f.pair)
+        self.flow(label).map(|f| f.pair)
     }
 
     /// A compiled tunnel.
     pub fn tunnel(&self, name: &str) -> Option<&CompiledTunnel> {
-        self.tunnels.get(name)
+        self.row_of.get(name).map(|&r| &self.rows[r].tunnel)
     }
 
     /// The node-ID allocator (exposed for data-plane validation in tests).
@@ -394,20 +424,15 @@ impl SelfDrivingNetwork {
         self.pairs.get(pair.index()).map(|p| &p.edge)
     }
 
-    /// Endpoint-to-endpoint node path through a tunnel of one pair: the
-    /// compiled router path, extended by the access hops when the
-    /// traffic endpoints sit outside the tunnel (the testbed's hosts).
-    /// The path is checked as [`Simulation::schedule`] checks a flow
-    /// path (every hop a live link), so scheduling it cannot fail.
-    fn host_path(&self, pair: PairId, tunnel: &str) -> Result<Vec<NodeIdx>, FrameworkError> {
-        let p = self
-            .pairs
-            .get(pair.index())
-            .ok_or(FrameworkError::NoFeasiblePath)?;
-        let compiled = self
-            .tunnels
-            .get(tunnel)
-            .ok_or(FrameworkError::NoFeasiblePath)?;
+    /// Endpoint-to-endpoint node path through tunnel `row`, between its
+    /// pair's traffic endpoints: the compiled router path, extended by
+    /// the access hops when the endpoints sit outside the tunnel (the
+    /// testbed's hosts). The path is checked as [`Simulation::schedule`]
+    /// checks a flow path (every hop a live link), so scheduling it
+    /// cannot fail.
+    fn host_path(&self, row: usize) -> Result<Vec<NodeIdx>, FrameworkError> {
+        let row = &self.rows[row];
+        let (compiled, p) = (&row.tunnel, &self.pairs[row.pair.index()]);
         let (Some(&first), Some(&last)) = (compiled.node_path.first(), compiled.node_path.last())
         else {
             return Err(FrameworkError::NoFeasiblePath);
@@ -489,14 +514,13 @@ impl SelfDrivingNetwork {
             .iter()
             .map(|f| self.sim.flow_rate(f.id).ok())
             .collect();
-        let mut usage_per_tunnel: BTreeMap<&str, f64> = BTreeMap::new();
+        let mut usage_per_tunnel = vec![0.0; self.rows.len()];
         for (f, rate) in self.flows.iter().zip(&rates) {
-            *usage_per_tunnel.entry(f.tunnel.as_str()).or_insert(0.0) += rate.unwrap_or(0.0);
+            usage_per_tunnel[f.tunnel] += rate.unwrap_or(0.0);
         }
-        let mut samples = Vec::with_capacity(2 * self.tunnel_order.len() + self.flows.len());
-        for (name, &(avail_series, rtt_series)) in self.tunnel_order.iter().zip(&self.tunnel_series)
-        {
-            let compiled = &self.tunnels[name];
+        let mut samples = Vec::with_capacity(2 * self.rows.len() + self.flows.len());
+        for (row, own) in self.rows.iter().zip(usage_per_tunnel) {
+            let (compiled, (avail_series, rtt_series)) = (&row.tunnel, row.series);
             // A tunnel crossing a failed link is honestly worth zero —
             // telemetry keeps flowing so the optimizer can route around
             // the failure instead of the whole loop erroring out.
@@ -504,7 +528,6 @@ impl SelfDrivingNetwork {
                 .sim
                 .path_available_mbps(&compiled.node_path)
                 .unwrap_or(0.0);
-            let own = usage_per_tunnel.get(name.as_str()).copied().unwrap_or(0.0);
             // Capacity visible to the optimizer: residual plus what our
             // own managed flows already occupy on this tunnel.
             samples.push((avail_series, avail + own));
@@ -583,11 +606,12 @@ impl SelfDrivingNetwork {
         // New flows are placed on top of the running assignment:
         // headroom is what the current flows leave behind.
         let model = self.link_model(false);
+        let names: Vec<&str> = self.rows.iter().map(TunnelRow::name).collect();
         let out = decide_flows_pairs(
             &self.hecate,
             &self.telemetry,
             reqs,
-            &self.tunnel_order,
+            &names,
             &model,
             objective,
             &self.opt,
@@ -627,7 +651,7 @@ impl SelfDrivingNetwork {
             });
         }
         let place = self.obsv.tracer.span("decide", "decide.place", now_ns);
-        self.install_flows(reqs, &out.decisions)?;
+        self.install_flows(reqs, &out.rows)?;
         let placed = out.decisions.len() as u64;
         place.end(self.sim.now_ns(), move || {
             vec![("flows", obsv::Value::U64(placed))]
@@ -653,14 +677,14 @@ impl SelfDrivingNetwork {
     fn install_flows(
         &mut self,
         reqs: &[FlowRequest],
-        decisions: &[PathDecision],
+        rows: &[usize],
     ) -> Result<(), FrameworkError> {
         let src = freertr::Ipv4Prefix::new(u32::from_be_bytes([40, 40, 1, 0]), 24);
         let dst = freertr::Ipv4Prefix::new(u32::from_be_bytes([40, 40, 2, 2]), 32);
         let mut edges = EdgeOps::new();
         let mut paths = Vec::with_capacity(reqs.len());
-        for (req, decision) in reqs.iter().zip(decisions) {
-            paths.push(self.host_path(req.pair, &decision.tunnel)?);
+        for (req, &row) in reqs.iter().zip(rows) {
+            paths.push(self.host_path(row)?);
             // SR service: install the flow's ACL if this is a new flow,
             // then bind it to the chosen tunnel.
             let edge = edge_slot(&mut edges, &self.pairs[req.pair.index()]);
@@ -674,7 +698,7 @@ impl SelfDrivingNetwork {
                 }),
                 ConfigOp::SetPbr {
                     acl: req.label.clone(),
-                    tunnel: decision.tunnel.clone(),
+                    tunnel: self.rows[row].tunnel.id.clone(),
                 },
             ]);
         }
@@ -683,7 +707,7 @@ impl SelfDrivingNetwork {
         }
         // Data plane: start each flow on its tunnel's host path.
         let now = self.sim.now_ms();
-        for ((req, decision), path) in reqs.iter().zip(decisions).zip(paths) {
+        for ((req, &row), path) in reqs.iter().zip(rows).zip(paths) {
             self.log.record("configureTunnel");
             let pair = &self.pairs[req.pair.index()];
             let id = FlowId(self.next_flow);
@@ -706,7 +730,7 @@ impl SelfDrivingNetwork {
             self.flows.push(ManagedFlow {
                 id,
                 label: req.label.clone(),
-                tunnel: decision.tunnel.clone(),
+                tunnel: row,
                 demand: req.demand_mbps,
                 pair: req.pair,
                 rate_series: self
@@ -727,35 +751,38 @@ impl SelfDrivingNetwork {
             .iter()
             .position(|f| f.label == label)
             .ok_or(FrameworkError::NoFeasiblePath)?;
-        self.migrate_flows(&[(flow, tunnel)])
+        let row = *self
+            .row_of
+            .get(tunnel)
+            .ok_or(FrameworkError::NoFeasiblePath)?;
+        self.migrate_flows(&[(flow, row)])
     }
 
-    /// Moves `self.flows[i]` to `tunnel` for every `(i, tunnel)`: one
-    /// edge transaction of PBR rewrites per ingress, then the
+    /// Moves `self.flows[i]` onto tunnel row `row` for every `(i, row)`:
+    /// one edge transaction of PBR rewrites per ingress, then the
     /// data-plane path swaps, in `moves` order.
     ///
-    /// Every move is resolved (target tunnel of the flow's own pair,
-    /// host path, a live link under each hop) before the first rewrite,
+    /// Every move is resolved (a row of the flow's own pair, its host
+    /// path, a live link under each hop) before the first rewrite,
     /// and a flow changes tunnel only after its edge accepted: when
     /// an edge refuses, its configuration and its flows stay as found,
     /// the other edges' moves are carried out, and the first refusal is
     /// returned.
-    fn migrate_flows(&mut self, moves: &[(usize, &str)]) -> Result<(), FrameworkError> {
+    fn migrate_flows(&mut self, moves: &[(usize, usize)]) -> Result<(), FrameworkError> {
         let mut edges = EdgeOps::new();
         let mut resolved = Vec::with_capacity(moves.len());
-        for &(i, tunnel) in moves {
+        for &(i, row) in moves {
             let flow = &self.flows[i];
-            let pair = &self.pairs[flow.pair.index()];
             // A tunnel of a *different* pair connects the wrong
             // endpoints — refuse rather than misroute.
-            if !pair.tunnel_order.iter().any(|t| t == tunnel) {
+            if self.rows.get(row).is_none_or(|r| r.pair != flow.pair) {
                 return Err(FrameworkError::NoFeasiblePath);
             }
-            let edge = edge_slot(&mut edges, pair);
-            resolved.push((edge, self.host_path(flow.pair, tunnel)?));
+            let edge = edge_slot(&mut edges, &self.pairs[flow.pair.index()]);
+            resolved.push((i, row, edge, self.host_path(row)?));
             edges[edge].1.push(ConfigOp::SetPbr {
                 acl: flow.label.clone(),
-                tunnel: tunnel.to_string(),
+                tunnel: self.rows[row].tunnel.id.clone(),
             });
         }
         let acks: Vec<_> = edges
@@ -763,22 +790,22 @@ impl SelfDrivingNetwork {
             .map(|(edge, ops)| edge.transact(ops))
             .collect();
         let now = self.sim.now_ms();
-        for (&(i, tunnel), (edge, path)) in moves.iter().zip(resolved) {
+        for (i, row, edge, path) in resolved {
             if acks[edge].is_err() {
                 continue;
             }
             let flow = &mut self.flows[i];
             self.sim
                 .schedule(now, Event::SetFlowPath(flow.id, path.into()))?;
-            let from = std::mem::replace(&mut flow.tunnel, tunnel.to_string());
-            let label = &flow.label;
+            let from = std::mem::replace(&mut flow.tunnel, row);
+            let (label, rows) = (&flow.label, &self.rows);
             self.obsv
                 .tracer
                 .instant("decide", "decide.migrate", self.sim.now_ns(), || {
                     vec![
                         ("flow", obsv::Value::Str(label.clone())),
-                        ("from", obsv::Value::Str(from)),
-                        ("to", obsv::Value::Str(tunnel.to_string())),
+                        ("from", obsv::Value::Str(rows[from].tunnel.id.clone())),
+                        ("to", obsv::Value::Str(rows[row].tunnel.id.clone())),
                     ]
                 });
             self.log.record("configureTunnel");
@@ -803,7 +830,7 @@ impl SelfDrivingNetwork {
             return Ok(Vec::new());
         }
         self.log.record("askHecatePath");
-        let names = &self.tunnel_order;
+        let names: Vec<&str> = self.rows.iter().map(TunnelRow::name).collect();
         let tracing = self.obsv.tracer.enabled();
         let cache_before = if tracing {
             self.hecate.cache_stats()
@@ -815,9 +842,12 @@ impl SelfDrivingNetwork {
             .obsv
             .tracer
             .span("decide", "decide.forecast", self.sim.now_ns());
-        let forecasts =
-            self.hecate
-                .forecast_all(&self.telemetry, names, Metric::AvailableBandwidth);
+        let (forecasts, _) = self.hecate.forecast_needed(
+            &self.telemetry,
+            &names,
+            &vec![true; names.len()],
+            Metric::AvailableBandwidth,
+        );
         let now_ns = self.sim.now_ns();
         if tracing {
             let after = self.hecate.cache_stats();
@@ -836,7 +866,7 @@ impl SelfDrivingNetwork {
         } else {
             forecast_span.end(now_ns, Vec::new);
         }
-        if forecasts.is_empty() {
+        if forecasts.iter().all(Option::is_none) {
             return Err(FrameworkError::NoFeasiblePath);
         }
         let solve = self.obsv.tracer.span("decide", "decide.solve", now_ns);
@@ -845,23 +875,21 @@ impl SelfDrivingNetwork {
         // whose path is physically broken is worth zero regardless of
         // what the forecast extrapolates — reachability is control-plane
         // truth, not a prediction.
-        let forecast_of = forecasts_by_tunnel(names, &forecasts);
-        let caps: Vec<f64> = names
+        let caps: Vec<f64> = self
+            .rows
             .iter()
-            .zip(forecast_of)
-            .map(|(n, forecast)| {
-                let reachable = self
-                    .sim
-                    .path_available_mbps(&self.tunnels[n].node_path)
-                    .is_ok();
+            .zip(&forecasts)
+            .map(|(row, forecast)| {
+                let reachable = self.sim.path_available_mbps(&row.tunnel.node_path).is_ok();
                 if !reachable {
                     return 0.0;
                 }
                 forecast
+                    .as_ref()
                     .map(|f| f.mean())
                     .or_else(|| {
                         self.telemetry
-                            .last(&SeriesKey::new(n, Metric::AvailableBandwidth))
+                            .last(&SeriesKey::new(row.name(), Metric::AvailableBandwidth))
                     })
                     .unwrap_or(0.0)
                     .max(0.0)
@@ -886,7 +914,7 @@ impl SelfDrivingNetwork {
             .flows
             .iter()
             .zip(&assignment.tunnel_of_flow)
-            .map(|(f, &t)| (f.label.clone(), self.tunnel_order[t].clone()))
+            .map(|(f, &t)| (f.label.clone(), self.rows[t].tunnel.id.clone()))
             .collect();
         let assigned = moves.len() as u64;
         solve.end(self.sim.now_ns(), move || {
@@ -896,12 +924,13 @@ impl SelfDrivingNetwork {
             ]
         });
         self.log.record("optimizerReturn");
-        // `moves[i]` is `self.flows[i]`'s: compare by position.
-        let changed: Vec<(usize, &str)> = moves
+        let changed: Vec<(usize, usize)> = self
+            .flows
             .iter()
+            .zip(assignment.tunnel_of_flow)
             .enumerate()
-            .filter(|(i, (_, tunnel))| self.flows[*i].tunnel != *tunnel)
-            .map(|(i, (_, tunnel))| (i, tunnel.as_str()))
+            .filter(|(_, (f, t))| f.tunnel != *t)
+            .map(|(i, (_, t))| (i, t))
             .collect();
         self.migrate_flows(&changed)?;
         Ok(moves)
@@ -921,17 +950,16 @@ impl SelfDrivingNetwork {
             return Ok(());
         }
         let admitted = self.flows.len() - reqs.len();
-        let pins: Vec<(usize, String)> = self
+        let pins: Vec<(usize, usize)> = self
             .flows
             .iter()
             .enumerate()
             .skip(admitted)
             .filter_map(|(i, f)| {
-                let first = self.pairs[f.pair.index()].tunnel_order.first()?;
-                (*first != f.tunnel).then(|| (i, first.clone()))
+                let first = *self.pairs[f.pair.index()].rows.first()?;
+                (first != f.tunnel).then_some((i, first))
             })
             .collect();
-        let pins: Vec<(usize, &str)> = pins.iter().map(|(i, t)| (*i, t.as_str())).collect();
         self.migrate_flows(&pins)
     }
 
@@ -956,7 +984,7 @@ impl SelfDrivingNetwork {
         match policy {
             Policy::StaticShortest => Vec::new(),
             Policy::Hecate => {
-                let before: Vec<String> = self.flows.iter().map(|f| f.tunnel.clone()).collect();
+                let before: Vec<usize> = self.flows.iter().map(|f| f.tunnel).collect();
                 // An error may follow moves already made: read them off
                 // the flows either way.
                 let _ = self.reoptimize_bandwidth();
@@ -976,17 +1004,20 @@ impl SelfDrivingNetwork {
     /// [`Policy::LastSample`]'s re-assignment of one pair; returns the
     /// pair once per flow moved.
     fn steer_on_last_samples(&mut self, pair: PairId) -> Vec<PairId> {
-        let names = self.pairs[pair.index()].tunnel_order.clone();
-        let caps: Vec<f64> = names
+        let rows = self.pairs[pair.index()].rows.clone();
+        let caps: Vec<f64> = rows
             .iter()
-            .map(|n| {
+            .map(|&r| {
                 self.telemetry
-                    .last(&SeriesKey::new(n, Metric::AvailableBandwidth))
+                    .last(&SeriesKey::new(
+                        self.rows[r].name(),
+                        Metric::AvailableBandwidth,
+                    ))
                     .unwrap_or(0.0)
                     .max(0.0)
             })
             .collect();
-        // Tunnel `t` of the model is `names[t]`, and its one pair is
+        // Tunnel `t` of the model is row `rows[t]`, and its one pair is
         // this one.
         let model = SharedLinkModel::one_pair(caps.len()).with_tunnel_caps(&caps);
         let mine: Vec<usize> = (0..self.flows.len())
@@ -1004,7 +1035,7 @@ impl SelfDrivingNetwork {
         };
         let mut moved = Vec::new();
         for (&i, &t) in mine.iter().zip(&assignment.tunnel_of_flow) {
-            let target = names[t].as_str();
+            let target = rows[t];
             // A move of one flow errs exactly when it did not happen.
             if self.flows[i].tunnel != target && self.migrate_flows(&[(i, target)]).is_ok() {
                 moved.push(pair);
@@ -1088,9 +1119,9 @@ impl SelfDrivingNetwork {
     pub fn link_model(&self, include_managed: bool) -> SharedLinkModel {
         let mut index: BTreeMap<(NodeIdx, NodeIdx), usize> = BTreeMap::new();
         let mut headroom: Vec<f64> = Vec::new();
-        let mut tunnel_links: Vec<Vec<usize>> = Vec::with_capacity(self.tunnel_order.len());
-        for name in &self.tunnel_order {
-            let path = &self.tunnels[name].node_path;
+        let mut tunnel_links: Vec<Vec<usize>> = Vec::with_capacity(self.rows.len());
+        for row in &self.rows {
+            let path = &row.tunnel.node_path;
             let mut links = Vec::with_capacity(path.len().saturating_sub(1));
             for hop in path.windows(2) {
                 let key = (hop[0], hop[1]);
@@ -1114,17 +1145,14 @@ impl SelfDrivingNetwork {
                 let Ok(rate) = self.sim.flow_rate(f.id) else {
                     continue;
                 };
-                let Some(compiled) = self.tunnels.get(&f.tunnel) else {
-                    continue;
-                };
-                for hop in compiled.node_path.windows(2) {
+                for hop in self.rows[f.tunnel].tunnel.node_path.windows(2) {
                     if let Some(&idx) = index.get(&(hop[0], hop[1])) {
                         headroom[idx] += rate;
                     }
                 }
             }
         }
-        let candidates = self.pairs.iter().map(|p| p.tunnel_idx.clone()).collect();
+        let candidates = self.pairs.iter().map(|p| p.rows.clone()).collect();
         SharedLinkModel::new(headroom, tunnel_links, candidates)
     }
 
@@ -1167,7 +1195,7 @@ impl SelfDrivingNetwork {
         let paths = self.sim.topo.k_shortest_paths(s, d, k);
         let mut created = Vec::new();
         for path in paths {
-            if self.tunnels.values().any(|t| t.node_path == path) {
+            if self.rows.iter().any(|r| r.tunnel.node_path == path) {
                 continue; // already declared (e.g. the Fig 10 tunnels)
             }
             let names: Vec<String> = path
@@ -1175,7 +1203,7 @@ impl SelfDrivingNetwork {
                 .map(|&n| self.sim.topo.node_name(n).to_string())
                 .collect();
             let scope = self.pairs[owner].scope.clone();
-            let id = scoped_target(&scope, &format!("auto{}", self.tunnels.len() + 1));
+            let id = scoped_target(&scope, &format!("auto{}", self.rows.len() + 1));
             let cfg = freertr::TunnelCfg {
                 id: id.clone(),
                 destination: None,
@@ -1184,7 +1212,7 @@ impl SelfDrivingNetwork {
             };
             let compiled = compile_tunnel(&cfg, &self.sim.topo, &mut self.alloc)?;
             self.pairs[owner].edge.ensure_tunnel(cfg)?;
-            self.register_tunnel(owner, id.clone(), compiled);
+            self.register_tunnel(owner, compiled);
             created.push(id);
         }
         Ok(created)
@@ -1192,18 +1220,12 @@ impl SelfDrivingNetwork {
 
     /// The current tunnel of a managed flow.
     pub fn flow_tunnel(&self, label: &str) -> Option<&str> {
-        self.flows
-            .iter()
-            .find(|f| f.label == label)
-            .map(|f| f.tunnel.as_str())
+        self.flow(label).map(|f| self.rows[f.tunnel].name())
     }
 
     /// A managed flow's current fluid-plane goodput (Mbps), by label.
     pub fn flow_rate(&self, label: &str) -> Option<f64> {
-        self.flows
-            .iter()
-            .find(|f| f.label == label)
-            .and_then(|f| self.sim.flow_rate(f.id).ok())
+        self.flow(label).and_then(|f| self.sim.flow_rate(f.id).ok())
     }
 
     /// A flow-rate telemetry series in seconds/Mbps.
@@ -1278,12 +1300,11 @@ impl SelfDrivingNetwork {
         }
         let mut rtt_series = Vec::new();
         let mut ping_on_current = |sdn: &mut Self| -> Result<(), FrameworkError> {
-            let tunnel = sdn
-                .flow_tunnel("icmp")
+            let row = sdn
+                .flow("icmp")
                 .ok_or(FrameworkError::NoFeasiblePath)?
-                .to_string();
-            let path = sdn.tunnels[&tunnel].node_path.clone();
-            let rtt = sdn.sim.ping(&path)?;
+                .tunnel;
+            let rtt = sdn.sim.ping(&sdn.rows[row].tunnel.node_path)?;
             rtt_series.push((sdn.sim.now_ms() as f64 / 1000.0, rtt));
             Ok(())
         };
@@ -1293,11 +1314,12 @@ impl SelfDrivingNetwork {
         }
         // Consult the optimizer for the stream with the min-latency
         // objective.
+        let names: Vec<&str> = self.rows.iter().map(TunnelRow::name).collect();
         let mut decision = decide_flows_pairs(
             &self.hecate,
             &self.telemetry,
             std::slice::from_ref(&req),
-            &self.tunnel_order,
+            &names,
             &self.link_model(false),
             Objective::MinLatency,
             &self.opt,
@@ -1698,7 +1720,7 @@ mod tests {
             .map(|f| {
                 (
                     f.label.clone(),
-                    f.tunnel.clone(),
+                    sdn.rows[f.tunnel].name().to_string(),
                     sdn.flow_rate(&f.label).map(f64::to_bits),
                     sdn.flow_series(&f.label),
                 )
@@ -1726,7 +1748,8 @@ mod tests {
         })?;
         pair.edge.set_pbr(&req.label, &decision.tunnel)?;
         let (src, dst) = (pair.src_node, pair.dst_node);
-        let path = sdn.host_path(req.pair, &decision.tunnel)?;
+        let row = sdn.row_of[&decision.tunnel];
+        let path = sdn.host_path(row)?;
         let id = FlowId(sdn.next_flow);
         sdn.next_flow += 1;
         let spec = FlowSpec {
@@ -1749,7 +1772,7 @@ mod tests {
         sdn.flows.push(ManagedFlow {
             id,
             label: req.label.clone(),
-            tunnel: decision.tunnel.clone(),
+            tunnel: row,
             demand: req.demand_mbps,
             pair: req.pair,
             rate_series: sdn.telemetry.series_id(&rate_key),
@@ -1822,6 +1845,15 @@ mod tests {
         assert_eq!(installed(&mut batched), installed(&mut reference));
     }
 
+    /// Appends a row the controller knows and no edge has: row `of`
+    /// under another name, a candidate of no pair.
+    fn ghost_of(sdn: &mut SelfDrivingNetwork, of: usize, name: &str) -> usize {
+        let mut ghost = sdn.rows[of].clone();
+        ghost.tunnel.id = name.into();
+        sdn.rows.push(ghost);
+        sdn.rows.len() - 1
+    }
+
     #[test]
     fn a_refused_batch_leaves_nothing_half_installed() {
         let reqs = batch(&[Some(3.0), Some(2.0), Some(1.5), Some(1.0)]);
@@ -1832,10 +1864,13 @@ mod tests {
         // The controller knows a tunnel the `n3` edge was never given:
         // its transaction — the second one — is refused at the last
         // flow's SetPbr, after that edge applied `f1`'s ops.
-        let ghost = refused.tunnels[&decisions[3].tunnel].clone();
-        refused.tunnels.insert("p3/ghost".into(), ghost);
-        let mut crafted = decisions.clone();
-        crafted[3].tunnel = "p3/ghost".into();
+        let rows: Vec<usize> = decisions
+            .iter()
+            .map(|d| refused.row_of[&d.tunnel])
+            .collect();
+        let ghost = ghost_of(&mut refused, rows[3], "p3/ghost");
+        let mut crafted = rows.clone();
+        crafted[3] = ghost;
         let n3_before = refused.pair_edge(PairId(1)).unwrap().running_config();
         let log_before = refused.log.steps().len();
         let err = refused.install_flows(&reqs, &crafted).unwrap_err();
@@ -1851,14 +1886,15 @@ mod tests {
         assert!(refused.flows.is_empty());
         assert_eq!(refused.next_flow, 1);
         assert_eq!(refused.log.steps().len(), log_before);
-        // A lookup that fails is caught before any edge is touched.
+        // A host path that fails is caught before any edge is touched.
         let n0_now = refused.pair_edge(PairId(0)).unwrap().running_config();
-        crafted[3].tunnel = "p3/nowhere".into();
+        refused.rows[ghost].tunnel.node_path.clear();
         assert!(refused.install_flows(&reqs, &crafted).is_err());
         assert_eq!(
             refused.pair_edge(PairId(0)).unwrap().running_config(),
             n0_now
         );
+        refused.rows.pop();
         // Admitting the same requests now succeeds, over what the `n0`
         // edge kept of the refused batch, and ends where a clean admit
         // does.
@@ -1875,14 +1911,13 @@ mod tests {
         let mut sdn = four_pairs_two_ingresses();
         sdn.admit_flows(&reqs, Objective::MaxBandwidth).unwrap();
         sdn.advance(5_000).unwrap();
-        // A candidate of pair 1 that its edge (`n3`) does not have.
-        let ghost = sdn.tunnels["p1/tunnel2"].clone();
-        sdn.tunnels.insert("p1/ghost".into(), ghost);
-        sdn.pairs[1].tunnel_order.push("p1/ghost".into());
+        // A tunnel of pair 1 that its edge (`n3`) does not have.
+        let p1_tunnel2 = sdn.row_of["p1/tunnel2"];
+        let ghost = ghost_of(&mut sdn, p1_tunnel2, "p1/ghost");
         let n3_before = sdn.pair_edge(PairId(1)).unwrap().running_config();
         // One round of moves over both edges: `n0` accepts, `n3` refuses.
         let err = sdn
-            .migrate_flows(&[(0, "p0/tunnel2"), (1, "p1/ghost")])
+            .migrate_flows(&[(0, sdn.row_of["p0/tunnel2"]), (1, ghost)])
             .unwrap_err();
         assert!(matches!(err, FrameworkError::Freertr(_)), "{err:?}");
         assert_eq!(sdn.flow_tunnel("f0"), Some("p0/tunnel2"));
@@ -1893,7 +1928,7 @@ mod tests {
         );
         sdn.advance(6_000).unwrap();
         for (i, tunnel) in [(0, "p0/tunnel2"), (1, "p1/tunnel1")] {
-            let want = sdn.host_path(PairId(i), tunnel).unwrap();
+            let want = sdn.host_path(sdn.row_of[tunnel]).unwrap();
             assert_eq!(sdn.sim.flow_path(sdn.flows[i].id).unwrap(), want);
         }
         let n0 = sdn.pair_edge(PairId(0)).unwrap().running_config();
@@ -1996,7 +2031,12 @@ mod tests {
         let moved = sdn.steer(Policy::LastSample);
         assert!(!moved.is_empty(), "the last samples spread the pile");
         assert!(moved.iter().all(|&p| p == PairId::default()));
-        let on = |t: &str| sdn.flows.iter().filter(|f| f.tunnel == t).count();
+        let on = |t: &str| {
+            sdn.flows
+                .iter()
+                .filter(|f| sdn.rows[f.tunnel].name() == t)
+                .count()
+        };
         assert_eq!(on("tunnel1") + on("tunnel2") + on("tunnel3"), 13);
         assert!(on("tunnel1") < 13, "{:?}", moved);
     }
@@ -2004,9 +2044,7 @@ mod tests {
     #[test]
     fn static_shortest_pins_admissions_to_the_first_tunnel() {
         let reqs = batch(&[None; 8]);
-        let first = |sdn: &SelfDrivingNetwork, f: &ManagedFlow| {
-            sdn.pairs[f.pair.index()].tunnel_order[0].clone()
-        };
+        let first = |sdn: &SelfDrivingNetwork, f: &ManagedFlow| sdn.pairs[f.pair.index()].rows[0];
         let mut free = four_pairs_two_ingresses();
         free.advance(30_000).unwrap();
         free.admit_under(Policy::Hecate, &reqs).unwrap();
@@ -2024,8 +2062,8 @@ mod tests {
             assert_eq!(f.tunnel, want);
             let cfg = pinned.pairs[f.pair.index()].edge.running_config();
             let bound = cfg.pbr.iter().find(|e| e.acl == f.label).unwrap();
-            assert_eq!(bound.tunnel, want);
-            let path = pinned.host_path(f.pair, &want).unwrap();
+            assert_eq!(bound.tunnel, pinned.rows[want].name());
+            let path = pinned.host_path(want).unwrap();
             assert_eq!(pinned.sim.flow_path(f.id).unwrap(), path);
         }
     }
@@ -2100,12 +2138,11 @@ mod tests {
         let by_name: Vec<Vec<usize>> = (0..sdn.pair_count())
             .map(|p| {
                 let mine = sdn.pair_tunnel_names(PairId(p)).unwrap();
-                let at = |t| names.iter().position(|n| n == t).unwrap();
+                let at = |t: &&str| names.iter().position(|n| n == t).unwrap();
                 mine.iter().map(at).collect()
             })
             .collect();
         assert!(by_name[1].iter().any(|&t| t >= 8), "{by_name:?}");
         assert_eq!(sdn.link_model(false).candidates, by_name);
-        assert_eq!(sdn.tunnel_series.len(), names.len());
     }
 }

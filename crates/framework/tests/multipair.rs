@@ -260,11 +260,11 @@ fn discovery_lands_in_the_owning_pairs_candidate_set() {
         assert!(sdn
             .pair_tunnel_names(PairId(1))
             .unwrap()
-            .contains(&id.to_string()));
+            .contains(&id.as_str()));
         assert!(!sdn
             .pair_tunnel_names(PairId(0))
             .unwrap()
-            .contains(&id.to_string()));
+            .contains(&id.as_str()));
         assert!(sdn
             .pair_edge(PairId(1))
             .unwrap()
