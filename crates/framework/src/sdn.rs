@@ -763,27 +763,36 @@ impl SelfDrivingNetwork {
     /// data-plane path swaps, in `moves` order.
     ///
     /// Every move is resolved (a row of the flow's own pair, its host
-    /// path, a live link under each hop) before the first rewrite,
-    /// and a flow changes tunnel only after its edge accepted: when
-    /// an edge refuses, its configuration and its flows stay as found,
-    /// the other edges' moves are carried out, and the first refusal is
-    /// returned.
+    /// path, a live link under each hop) before the first rewrite, and a
+    /// flow changes tunnel only after its edge accepted. A move that
+    /// does not resolve and a move whose edge refuses are alike: that
+    /// flow stays where it is, the other moves are carried out, and the
+    /// first error is returned (a resolution error before a refusal).
     fn migrate_flows(&mut self, moves: &[(usize, usize)]) -> Result<(), FrameworkError> {
         let mut edges = EdgeOps::new();
         let mut resolved = Vec::with_capacity(moves.len());
+        let mut unresolved = None;
         for &(i, row) in moves {
             let flow = &self.flows[i];
             // A tunnel of a *different* pair connects the wrong
             // endpoints — refuse rather than misroute.
-            if self.rows.get(row).is_none_or(|r| r.pair != flow.pair) {
-                return Err(FrameworkError::NoFeasiblePath);
-            }
+            let path = match self.rows.get(row) {
+                Some(r) if r.pair == flow.pair => self.host_path(row),
+                _ => Err(FrameworkError::NoFeasiblePath),
+            };
+            let path = match path {
+                Ok(path) => path,
+                Err(e) => {
+                    unresolved.get_or_insert(e);
+                    continue;
+                }
+            };
             let edge = edge_slot(&mut edges, &self.pairs[flow.pair.index()]);
-            resolved.push((i, row, edge, self.host_path(row)?));
             edges[edge].1.push(ConfigOp::SetPbr {
                 acl: flow.label.clone(),
                 tunnel: self.rows[row].tunnel.id.clone(),
             });
+            resolved.push((i, row, edge, path));
         }
         let acks: Vec<_> = edges
             .into_iter()
@@ -809,6 +818,9 @@ impl SelfDrivingNetwork {
                     ]
                 });
             self.log.record("configureTunnel");
+        }
+        if let Some(e) = unresolved {
+            return Err(e);
         }
         acks.into_iter().collect::<Result<(), _>>()?;
         Ok(())

@@ -286,3 +286,46 @@ fn single_pair_keeps_legacy_names_through_the_pairs_constructor() {
     assert_eq!(sdn.tunnel_names(), vec!["tunnel1", "tunnel2", "tunnel3"]);
     assert_eq!(sdn.pair_scope(PairId(0)), Some(""));
 }
+
+/// Flows `a` (pair 0, on `p0/tunnel2`) and `b` (pair 1, on
+/// `p1/tunnel1`, squeezed to 0.5 Mbps) after 40 s, then one consult.
+/// With `cut_pair0`, both of pair 0's tunnels are down.
+fn consult_with_pair0(cut_pair0: bool) -> (SelfDrivingNetwork, Result<(), String>) {
+    let mut sdn = two_pair_mesh();
+    let reqs = [req("a", 0, None), req("b", 1, None)];
+    sdn.admit_flows(&reqs, Objective::MaxBandwidth).unwrap();
+    sdn.advance(20_000).unwrap();
+    sdn.migrate_flow("a", "p0/tunnel2").unwrap();
+    assert_eq!(sdn.flow_tunnel("b"), Some("p1/tunnel1"));
+    if cut_pair0 {
+        sdn.set_link_state("n0", "n6", false).unwrap();
+        sdn.set_link_state("n0", "n1", false).unwrap();
+    }
+    sdn.set_link_capacity("n3", "n9", 0.5).unwrap();
+    sdn.advance(40_000).unwrap();
+    let out = sdn.reoptimize_bandwidth();
+    (sdn, out.map(drop).map_err(|e| e.to_string()))
+}
+
+#[test]
+fn a_pair_with_every_tunnel_down_blocks_no_other_pairs_migrations() {
+    // Pair 0 healthy: the consult moves `b` off its squeezed tunnel.
+    let (healthy, out) = consult_with_pair0(false);
+    assert_eq!(out, Ok(()));
+    assert_eq!(healthy.flow_tunnel("b"), Some("p1/tunnel2"));
+    // Pair 0 cut: `a`'s move onto the dead `p0/tunnel1` cannot resolve,
+    // so `a` stays and the consult errs, but `b` still moves, on its
+    // edge and in the data plane.
+    let (mut cut, out) = consult_with_pair0(true);
+    assert_eq!(
+        out,
+        Err("emulator failure: nodes n0 and n6 are not adjacent".into())
+    );
+    assert_eq!(cut.flow_tunnel("a"), Some("p0/tunnel2"));
+    assert_eq!(cut.flow_tunnel("b"), Some("p1/tunnel2"));
+    let n3 = cut.pair_edge(PairId(1)).unwrap().running_config();
+    let bound = n3.pbr.iter().find(|e| e.acl == "b").unwrap();
+    assert_eq!(bound.tunnel, "p1/tunnel2");
+    cut.advance(50_000).unwrap();
+    assert!(cut.flow_rate("b").unwrap() > 1.0);
+}
