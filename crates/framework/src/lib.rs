@@ -95,6 +95,10 @@ pub enum FrameworkError {
     Dataplane(dataplane::DataplaneError),
     /// A telemetry round named a series of another store.
     Telemetry(telemetry::ForeignSeries),
+    /// A flow label that would break flow identity: repeated in its
+    /// batch, already managed, or in the packet plane's reserved
+    /// `probe:` namespace.
+    FlowLabel(String),
     /// No candidate tunnel satisfies the request.
     NoFeasiblePath,
 }
@@ -110,6 +114,9 @@ impl std::fmt::Display for FrameworkError {
             FrameworkError::Netsim(e) => write!(f, "emulator failure: {e}"),
             FrameworkError::Dataplane(e) => write!(f, "data-plane failure: {e}"),
             FrameworkError::Telemetry(e) => write!(f, "telemetry failure: {e}"),
+            FrameworkError::FlowLabel(label) => {
+                write!(f, "flow label {label:?} is already taken or reserved")
+            }
             FrameworkError::NoFeasiblePath => write!(f, "no feasible path"),
         }
     }

@@ -8,6 +8,7 @@
 //! [`SelfDrivingNetwork::run_trace_driven_steering`] (extension).
 
 use crate::controller::{decide_flows_pairs, PathDecision, SequenceLog};
+use crate::dataloop::PROBE_PREFIX;
 use crate::hecate::HecateService;
 use crate::optimizer::{
     assign_flows_shared_with, FlowDemand, Objective, OptimizerConfig, SharedLinkModel,
@@ -572,6 +573,10 @@ impl SelfDrivingNetwork {
     /// tunnels have in common, and forecasts only the batch's pairs'
     /// tunnels.
     ///
+    /// A batch with a label that repeats, is already managed or starts
+    /// with `probe:` is refused before anything happens
+    /// ([`FrameworkError::FlowLabel`]).
+    ///
     /// The batch installs all or nothing, with one edge transaction per
     /// ingress router: on `Err` no flow of it is managed or running and
     /// an edge that refused keeps its configuration as found. ACL/PBR
@@ -589,6 +594,7 @@ impl SelfDrivingNetwork {
         if reqs.iter().any(|r| r.pair.index() >= self.pairs.len()) {
             return Err(FrameworkError::NoFeasiblePath);
         }
+        self.check_labels(reqs)?;
         // The consultation span covers forecast fetch + assignment;
         // its args attribute the batch to cache hits vs refits, diffed
         // around the call (only when tracing).
@@ -657,6 +663,24 @@ impl SelfDrivingNetwork {
             vec![("flows", obsv::Value::U64(placed))]
         });
         Ok(out.decisions)
+    }
+
+    /// Refuses a batch whose labels would break flow identity: a label
+    /// that repeats in the batch, is already managed, or lies in the
+    /// packet plane's probe namespace. A flow's label keys its ACL/PBR
+    /// entry, its rate series and its packet-plane stream, so two flows
+    /// under one label would share all three.
+    fn check_labels(&self, reqs: &[FlowRequest]) -> Result<(), FrameworkError> {
+        let mut batch = std::collections::BTreeSet::new();
+        for r in reqs {
+            if r.label.starts_with(PROBE_PREFIX) || !batch.insert(r.label.as_str()) {
+                return Err(FrameworkError::FlowLabel(r.label.clone()));
+            }
+        }
+        match self.flows.iter().find(|f| batch.contains(f.label.as_str())) {
+            Some(f) => Err(FrameworkError::FlowLabel(f.label.clone())),
+            None => Ok(()),
+        }
     }
 
     /// SR-service + data-plane half of admission: installs each flow's
@@ -1663,6 +1687,42 @@ mod tests {
         topo.add_node("a", netsim::topo::NodeKind::Core);
         topo.add_node("b", netsim::topo::NodeKind::Core);
         assert!(SelfDrivingNetwork::over_topology(topo, "a", "b", 2, 1).is_err());
+    }
+
+    #[test]
+    fn admission_refuses_labels_that_break_flow_identity() {
+        let mut sdn = SelfDrivingNetwork::testbed(11).unwrap();
+        let flow = |label: &str| FlowRequest {
+            label: label.into(),
+            tos: 32,
+            demand_mbps: None,
+            start_ms: 0,
+            pair: PairId::default(),
+        };
+        sdn.admit_flow(&flow("f"), Objective::MaxBandwidth).unwrap();
+        let (config, log) = (sdn.edge().running_config(), sdn.log.steps().len());
+        let taken = [
+            vec![flow("f")],
+            vec![flow("g"), flow("g")],
+            vec![flow("g"), flow("probe:tunnel1")],
+        ];
+        for batch in taken {
+            let err = sdn
+                .admit_flows(&batch, Objective::MaxBandwidth)
+                .unwrap_err();
+            assert!(matches!(err, FrameworkError::FlowLabel(_)), "{err:?}");
+            assert_eq!(sdn.edge().running_config(), config);
+            assert_eq!(sdn.flows.len(), 1);
+            assert_eq!(sdn.log.steps().len(), log);
+        }
+        // One `f`: one rate sample per round, and the packet plane's
+        // probe namespace stays free.
+        sdn.migrate_flow("f", "tunnel2").unwrap();
+        sdn.advance(3_000).unwrap();
+        assert_eq!(sdn.flow_series("f").len(), 3);
+        sdn.attach_dataplane(crate::dataloop::DataplaneConfig::default())
+            .unwrap();
+        sdn.packet_epoch().unwrap();
     }
 
     #[test]
