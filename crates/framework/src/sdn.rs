@@ -2217,4 +2217,115 @@ mod tests {
         assert!(by_name[1].iter().any(|&t| t >= 8), "{by_name:?}");
         assert_eq!(sdn.link_model(false).candidates, by_name);
     }
+
+    // ---- control plane vs data plane under random operations ----
+
+    /// What the control plane records agrees with the edges, the
+    /// simulator and the optimizer's model: each flow's PBR entry names
+    /// its row, the simulator runs it on that row's path, the row is of
+    /// the flow's pair, and pair `p`'s candidates are exactly its rows.
+    /// Flushes the events scheduled at this instant first (one
+    /// millisecond of simulation), so migrations have reached the
+    /// simulator.
+    fn assert_planes_agree(sdn: &mut SelfDrivingNetwork, step: &str) {
+        let now = sdn.sim.now_ms();
+        sdn.sim.run_until(now + 1, sdn.sample_ms);
+        for f in &sdn.flows {
+            let row = &sdn.rows[f.tunnel];
+            assert_eq!(row.pair, f.pair, "{step}: {} off its pair", f.label);
+            let cfg = sdn.pairs[f.pair.index()].edge.running_config();
+            let bound = cfg.pbr.iter().find(|e| e.acl == f.label).unwrap();
+            assert_eq!(bound.tunnel, row.name(), "{step}: {}'s PBR", f.label);
+            // Router-to-router flows: the host path is the tunnel's.
+            let path = sdn.sim.flow_path(f.id).unwrap();
+            assert_eq!(path, row.tunnel.node_path, "{step}: {}'s path", f.label);
+        }
+        let candidates = sdn.link_model(false).candidates;
+        assert_eq!(candidates.len(), sdn.pairs.len());
+        for (p, cands) in candidates.iter().enumerate() {
+            let mine: Vec<usize> = (0..sdn.rows.len())
+                .filter(|&r| sdn.rows[r].pair == PairId(p))
+                .collect();
+            assert_eq!(*cands, mine, "{step}: pair {p}'s candidates");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn control_and_data_plane_agree_under_random_operations(
+            ops in proptest::collection::vec((0u8..8, proptest::arbitrary::any::<u64>()), 8..24)
+        ) {
+            let mut sdn = four_pairs_two_ingresses();
+            sdn.advance(12_000).unwrap();
+            let mut admitted = 0;
+            let mut down = std::collections::BTreeSet::new();
+            for (step, &(op, seed)) in ops.iter().enumerate() {
+                let mut rng = proptest::test_runner::TestRng::from_seed(seed);
+                let mut pick = |n: usize| rng.below(n as u64) as usize;
+                let step = format!("step {step} (op {op})");
+                match op {
+                    0 => {
+                        // A batch of one to three flows with fresh labels.
+                        let reqs: Vec<FlowRequest> = (0..1 + pick(3))
+                            .map(|i| FlowRequest {
+                                label: format!("f{}", admitted + i),
+                                tos: 8,
+                                demand_mbps: [None, Some(1.0), Some(3.0)][pick(3)],
+                                start_ms: 0,
+                                pair: PairId(pick(4)),
+                            })
+                            .collect();
+                        admitted += reqs.len();
+                        // Refused when a chosen tunnel crosses a failed link.
+                        let _ = sdn.admit_flows(&reqs, Objective::MaxBandwidth);
+                    }
+                    1 | 2 if !sdn.flows.is_empty() => {
+                        // A move within the flow's pair, or to a foreign
+                        // pair's tunnel, which must be refused.
+                        let f = &sdn.flows[pick(sdn.flows.len())];
+                        let (label, pair, from) = (f.label.clone(), f.pair, f.tunnel);
+                        let foreign = op == 2;
+                        let rows: Vec<usize> = (0..sdn.rows.len())
+                            .filter(|&r| (sdn.rows[r].pair == pair) != foreign)
+                            .collect();
+                        let to = sdn.rows[rows[pick(rows.len())]].name().to_string();
+                        let moved = sdn.migrate_flow(&label, &to);
+                        if foreign {
+                            assert!(moved.is_err(), "{step}: {label} moved to {to}");
+                            assert_eq!(sdn.flow(&label).unwrap().tunnel, from);
+                        }
+                    }
+                    3 => {
+                        // New rows for one pair, behind every other pair's.
+                        let pair = &sdn.pairs[pick(4)];
+                        let (a, b) = (pair.ingress.clone(), pair.egress.clone());
+                        sdn.discover_tunnels(&a, &b, 3).unwrap();
+                    }
+                    4 => {
+                        // Fail, or restore, one hop of some tunnel.
+                        let path = &sdn.rows[pick(sdn.rows.len())].tunnel.node_path;
+                        let hop = pick(path.len() - 1);
+                        let name = |n: NodeIdx| sdn.sim.topo.node_name(n).to_string();
+                        let mut link = [name(path[hop]), name(path[hop + 1])];
+                        link.sort();
+                        let up = down.remove(&link);
+                        sdn.set_link_state(&link[0], &link[1], up).unwrap();
+                        if !up {
+                            down.insert(link);
+                        }
+                    }
+                    5 => {
+                        let until = sdn.sim.now_ms() + 1_000 * (1 + pick(4) as u64);
+                        sdn.advance(until).unwrap();
+                    }
+                    6 => drop(sdn.steer(Policy::Hecate)),
+                    7 => drop(sdn.steer(Policy::LastSample)),
+                    _ => {}
+                }
+                assert_planes_agree(&mut sdn, &step);
+            }
+        }
+    }
 }
