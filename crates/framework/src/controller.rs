@@ -204,11 +204,11 @@ pub fn decide_flows_pairs<N: AsRef<str> + Sync>(
                 .iter()
                 .zip(&first_of_flow)
                 .map(|(req, &first)| {
-                    let (rows, mine): (Vec<usize>, Vec<PathForecast>) = model.candidates
-                        [req.pair.index()]
-                    .iter()
-                    .filter_map(|&t| Some((t, forecast_of[t].clone()?)))
-                    .unzip();
+                    let cands = &model.candidates[req.pair.index()];
+                    let (rows, mine): (Vec<usize>, Vec<PathForecast>) = cands
+                        .iter()
+                        .filter_map(|&t| Some((t, forecast_of[t].clone()?)))
+                        .unzip();
                     match select_path(objective, &mine) {
                         Ok(best) => (rows[best], true, Some(mine[best].mean())),
                         // This pair is still cold: arbitrary first.

@@ -284,42 +284,33 @@ impl SelfDrivingNetwork {
                 probe_goodput.insert(tunnel, f.goodput_mbps);
             }
         }
-        // Summed in managed-flow order: the f64 lands in telemetry.
-        let mut managed_goodput = vec![0.0; self.rows.len()];
-        for f in &self.flows {
-            if let Some(g) = goodput_of.get(f.label.as_str()) {
-                managed_goodput[f.tunnel] += g;
-            }
-        }
+        // Per flow, its delivered goodput; per tunnel, its managed
+        // flows' sum, in flow order (the f64 lands in telemetry).
         let mut samples = Vec::with_capacity(self.rows.len() + self.flows.len());
+        let mut managed_goodput = vec![0.0; self.rows.len()];
+        let mut flow_goodput = Vec::with_capacity(self.flows.len());
+        for f in &self.flows {
+            let g = goodput_of.get(f.label.as_str()).copied().unwrap_or(0.0);
+            managed_goodput[f.tunnel] += g;
+            samples.push((f.rate_series, g));
+            flow_goodput.push((f.label.clone(), g));
+        }
         let mut tunnel_available = Vec::new();
         for (row, managed) in self.rows.iter().zip(managed_goodput) {
-            let (compiled, name) = (&row.tunnel, row.name());
-            let mut residual = f64::INFINITY;
-            for hop in compiled.node_path.windows(2) {
-                let Some(lw) = by_dir.get(&(hop[0], hop[1])) else {
-                    residual = 0.0;
-                    break;
-                };
-                if !lw.up {
-                    residual = 0.0;
-                    break;
-                }
-                residual = residual.min(lw.rate_mbps - lw.used_mbps);
-            }
+            // Bottleneck residual; zero across a failed or silent link.
+            let mut hops = row.tunnel.node_path.windows(2);
+            let residual = hops.try_fold(f64::INFINITY, |residual, hop| {
+                let lw = by_dir.get(&(hop[0], hop[1])).filter(|lw| lw.up)?;
+                Some(residual.min(lw.rate_mbps - lw.used_mbps))
+            });
+            let name = row.name();
             // Capacity visible to the optimizer: bottleneck residual
             // plus what this tunnel's own streams already deliver
             // (mirrors the fluid collector's accounting).
             let own = probe_goodput.get(name).copied().unwrap_or(0.0) + managed;
-            let avail = residual.max(0.0) + own;
+            let avail = residual.unwrap_or(0.0).max(0.0) + own;
             samples.push((row.series.0, avail));
             tunnel_available.push((name.to_string(), avail));
-        }
-        let mut flow_goodput = Vec::new();
-        for f in &self.flows {
-            let g = goodput_of.get(f.label.as_str()).copied().unwrap_or(0.0);
-            samples.push((f.rate_series, g));
-            flow_goodput.push((f.label.clone(), g));
         }
         self.telemetry.insert_batch(at, &samples)?;
         for lw in &window.links {

@@ -340,26 +340,35 @@ impl SelfDrivingNetwork {
                 egress: egress.to_string(),
                 src_node,
                 dst_node,
-                edge: edge.clone(),
+                edge,
                 rows: Vec::with_capacity(paths.len()),
             });
             for (j, path) in paths.iter().enumerate() {
-                let id = scoped_target(&scope, &format!("tunnel{}", j + 1));
-                let cfg = freertr::TunnelCfg {
-                    id: id.clone(),
-                    destination: None,
-                    domain_path: path
-                        .iter()
-                        .map(|&n| sdn.sim.topo.node_name(n).to_string())
-                        .collect(),
-                    mode: Default::default(),
-                };
-                let compiled = compile_tunnel(&cfg, &sdn.sim.topo, &mut sdn.alloc)?;
-                edge.ensure_tunnel(cfg)?;
-                sdn.register_tunnel(i, compiled);
+                sdn.add_tunnel(i, scoped_target(&scope, &format!("tunnel{}", j + 1)), path)?;
             }
         }
         Ok(sdn)
+    }
+
+    /// Compiles `path` as tunnel `id`, a candidate of pair `owner`,
+    /// installs it on the pair's edge and registers it.
+    fn add_tunnel(
+        &mut self,
+        owner: usize,
+        id: String,
+        path: &[NodeIdx],
+    ) -> Result<(), FrameworkError> {
+        let topo = &self.sim.topo;
+        let cfg = freertr::TunnelCfg {
+            id,
+            destination: None,
+            domain_path: path.iter().map(|&n| topo.node_name(n).into()).collect(),
+            mode: Default::default(),
+        };
+        let compiled = compile_tunnel(&cfg, topo, &mut self.alloc)?;
+        self.pairs[owner].edge.ensure_tunnel(cfg)?;
+        self.register_tunnel(owner, compiled);
+        Ok(())
     }
 
     /// Candidate tunnel names, all pairs, in pair-then-config order.
@@ -506,20 +515,17 @@ impl SelfDrivingNetwork {
     /// ("createTelemetry" in Fig 4).
     pub fn collect_telemetry(&mut self) -> Result<(), FrameworkError> {
         let t = self.sim.now_ms();
-        // Per-tunnel metrics measured on the router-to-router path.
-        // Each managed flow's rate is read once, for both its tunnel's
-        // sum (in `self.flows` order: the fold's bits depend on it) and
-        // its own series below.
-        let rates: Vec<Option<f64>> = self
-            .flows
-            .iter()
-            .map(|f| self.sim.flow_rate(f.id).ok())
-            .collect();
-        let mut usage_per_tunnel = vec![0.0; self.rows.len()];
-        for (f, rate) in self.flows.iter().zip(&rates) {
-            usage_per_tunnel[f.tunnel] += rate.unwrap_or(0.0);
-        }
+        // Each managed flow's rate is read once, for both its own series
+        // and its tunnel's sum (in `self.flows` order: the fold's bits
+        // depend on it).
         let mut samples = Vec::with_capacity(2 * self.rows.len() + self.flows.len());
+        let mut usage_per_tunnel = vec![0.0; self.rows.len()];
+        for f in &self.flows {
+            let rate = self.sim.flow_rate(f.id).ok();
+            usage_per_tunnel[f.tunnel] += rate.unwrap_or(0.0);
+            samples.extend(rate.map(|rate| (f.rate_series, rate)));
+        }
+        // Per-tunnel metrics measured on the router-to-router path.
         for (row, own) in self.rows.iter().zip(usage_per_tunnel) {
             let (compiled, (avail_series, rtt_series)) = (&row.tunnel, row.series);
             // A tunnel crossing a failed link is honestly worth zero —
@@ -536,12 +542,6 @@ impl SelfDrivingNetwork {
                 samples.push((rtt_series, rtt));
             }
         }
-        let flow_rates = self
-            .flows
-            .iter()
-            .zip(rates)
-            .filter_map(|(f, rate)| Some((f.rate_series, rate?)));
-        samples.extend(flow_rates);
         self.telemetry.insert_batch(t, &samples)?;
         Ok(())
     }
@@ -597,13 +597,8 @@ impl SelfDrivingNetwork {
         self.check_labels(reqs)?;
         // The consultation span covers forecast fetch + assignment;
         // its args attribute the batch to cache hits vs refits, diffed
-        // around the call (only when tracing).
-        let tracing = self.obsv.tracer.enabled();
-        let cache_before = if tracing {
-            self.hecate.cache_stats()
-        } else {
-            Default::default()
-        };
+        // around the call.
+        let before = self.hecate.cache_stats();
         self.ml_clock.set(self.sim.now_ns());
         let consult = self
             .obsv
@@ -624,38 +619,31 @@ impl SelfDrivingNetwork {
             &mut self.log,
         )?;
         let now_ns = self.sim.now_ns();
-        if tracing {
+        consult.end(now_ns, || {
             let after = self.hecate.cache_stats();
-            let (batch, hits, updates, refits) = (
-                reqs.len() as u64,
-                after.hits - cache_before.hits,
-                after.updates - cache_before.updates,
-                after.refits - cache_before.refits,
-            );
-            consult.end(now_ns, move || {
-                vec![
-                    ("batch", obsv::Value::U64(batch)),
-                    ("cache_hits", obsv::Value::U64(hits)),
-                    ("cache_updates", obsv::Value::U64(updates)),
-                    ("cache_refits", obsv::Value::U64(refits)),
-                ]
-            });
-        } else {
-            consult.end(now_ns, Vec::new);
-        }
-        if tracing {
-            // Stamps are pure sim time (zero width): traces are part of
-            // the bit-replay contract.
-            let (solver, series) = (out.solver, out.series);
-            let span = self.obsv.tracer.span("decide", "decide.solve", now_ns);
-            span.end(now_ns, move || {
-                let mut args = vec![("series", obsv::Value::U64(series as u64))];
-                if let Some(kind) = solver {
-                    args.push(("solver", obsv::Value::Str(kind.label().to_string())));
-                }
-                args
-            });
-        }
+            vec![
+                ("batch", obsv::Value::U64(reqs.len() as u64)),
+                ("cache_hits", obsv::Value::U64(after.hits - before.hits)),
+                (
+                    "cache_updates",
+                    obsv::Value::U64(after.updates - before.updates),
+                ),
+                (
+                    "cache_refits",
+                    obsv::Value::U64(after.refits - before.refits),
+                ),
+            ]
+        });
+        // Stamps are pure sim time (zero width): traces are part of the
+        // bit-replay contract.
+        let solve = self.obsv.tracer.span("decide", "decide.solve", now_ns);
+        solve.end(now_ns, || {
+            let mut args = vec![("series", obsv::Value::U64(out.series as u64))];
+            if let Some(kind) = out.solver {
+                args.push(("solver", obsv::Value::Str(kind.label().to_string())));
+            }
+            args
+        });
         let place = self.obsv.tracer.span("decide", "decide.place", now_ns);
         self.install_flows(reqs, &out.rows)?;
         let placed = out.decisions.len() as u64;
@@ -867,12 +855,7 @@ impl SelfDrivingNetwork {
         }
         self.log.record("askHecatePath");
         let names: Vec<&str> = self.rows.iter().map(TunnelRow::name).collect();
-        let tracing = self.obsv.tracer.enabled();
-        let cache_before = if tracing {
-            self.hecate.cache_stats()
-        } else {
-            Default::default()
-        };
+        let before = self.hecate.cache_stats();
         self.ml_clock.set(self.sim.now_ns());
         let forecast_span = self
             .obsv
@@ -885,23 +868,17 @@ impl SelfDrivingNetwork {
             Metric::AvailableBandwidth,
         );
         let now_ns = self.sim.now_ns();
-        if tracing {
+        forecast_span.end(now_ns, || {
             let after = self.hecate.cache_stats();
-            let (paths, hits, refits) = (
-                names.len() as u64,
-                after.hits - cache_before.hits,
-                after.refits - cache_before.refits,
-            );
-            forecast_span.end(now_ns, move || {
-                vec![
-                    ("paths", obsv::Value::U64(paths)),
-                    ("cache_hits", obsv::Value::U64(hits)),
-                    ("cache_refits", obsv::Value::U64(refits)),
-                ]
-            });
-        } else {
-            forecast_span.end(now_ns, Vec::new);
-        }
+            vec![
+                ("paths", obsv::Value::U64(names.len() as u64)),
+                ("cache_hits", obsv::Value::U64(after.hits - before.hits)),
+                (
+                    "cache_refits",
+                    obsv::Value::U64(after.refits - before.refits),
+                ),
+            ]
+        });
         if forecasts.iter().all(Option::is_none) {
             return Err(FrameworkError::NoFeasiblePath);
         }
@@ -923,10 +900,7 @@ impl SelfDrivingNetwork {
                 forecast
                     .as_ref()
                     .map(|f| f.mean())
-                    .or_else(|| {
-                        self.telemetry
-                            .last(&SeriesKey::new(row.name(), Metric::AvailableBandwidth))
-                    })
+                    .or_else(|| self.telemetry.last_of(row.series.0))
                     .unwrap_or(0.0)
                     .max(0.0)
             })
@@ -1044,13 +1018,8 @@ impl SelfDrivingNetwork {
         let caps: Vec<f64> = rows
             .iter()
             .map(|&r| {
-                self.telemetry
-                    .last(&SeriesKey::new(
-                        self.rows[r].name(),
-                        Metric::AvailableBandwidth,
-                    ))
-                    .unwrap_or(0.0)
-                    .max(0.0)
+                let last = self.telemetry.last_of(self.rows[r].series.0);
+                last.unwrap_or(0.0).max(0.0)
             })
             .collect();
         // Tunnel `t` of the model is row `rows[t]`, and its one pair is
@@ -1181,10 +1150,8 @@ impl SelfDrivingNetwork {
                 let Ok(rate) = self.sim.flow_rate(f.id) else {
                     continue;
                 };
-                for hop in self.rows[f.tunnel].tunnel.node_path.windows(2) {
-                    if let Some(&idx) = index.get(&(hop[0], hop[1])) {
-                        headroom[idx] += rate;
-                    }
+                for &link in &tunnel_links[f.tunnel] {
+                    headroom[link] += rate;
                 }
             }
         }
@@ -1234,21 +1201,9 @@ impl SelfDrivingNetwork {
             if self.rows.iter().any(|r| r.tunnel.node_path == path) {
                 continue; // already declared (e.g. the Fig 10 tunnels)
             }
-            let names: Vec<String> = path
-                .iter()
-                .map(|&n| self.sim.topo.node_name(n).to_string())
-                .collect();
-            let scope = self.pairs[owner].scope.clone();
-            let id = scoped_target(&scope, &format!("auto{}", self.rows.len() + 1));
-            let cfg = freertr::TunnelCfg {
-                id: id.clone(),
-                destination: None,
-                domain_path: names,
-                mode: Default::default(),
-            };
-            let compiled = compile_tunnel(&cfg, &self.sim.topo, &mut self.alloc)?;
-            self.pairs[owner].edge.ensure_tunnel(cfg)?;
-            self.register_tunnel(owner, compiled);
+            let id = format!("auto{}", self.rows.len() + 1);
+            let id = scoped_target(&self.pairs[owner].scope, &id);
+            self.add_tunnel(owner, id.clone(), &path)?;
             created.push(id);
         }
         Ok(created)

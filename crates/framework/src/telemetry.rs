@@ -324,6 +324,18 @@ impl TelemetryService {
         store.ring(key)?.window(self.capacity, 1).1.last().copied()
     }
 
+    /// The most recent value of a resolved series, if any: what
+    /// [`TelemetryService::last`] reads, without the key lookup. A
+    /// handle of another store reads nothing.
+    pub(crate) fn last_of(&self, id: SeriesId) -> Option<f64> {
+        let store = self.inner.read();
+        let ring = store
+            .rings
+            .get(id.index)
+            .filter(|r| id.store == self.id && r.total > 0)?;
+        ring.window(self.capacity, 1).1.last().copied()
+    }
+
     /// The full retained series as `(t_ms, value)` pairs.
     pub fn series(&self, key: &SeriesKey) -> Vec<(u64, f64)> {
         let store = self.inner.read();
