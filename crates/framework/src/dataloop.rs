@@ -297,18 +297,24 @@ impl SelfDrivingNetwork {
         }
         let mut tunnel_available = Vec::new();
         for (row, managed) in self.rows.iter().zip(managed_goodput) {
-            // Bottleneck residual; zero across a failed or silent link.
-            let mut hops = row.tunnel.node_path.windows(2);
-            let residual = hops.try_fold(f64::INFINITY, |residual, hop| {
-                let lw = by_dir.get(&(hop[0], hop[1])).filter(|lw| lw.up)?;
-                Some(residual.min(lw.rate_mbps - lw.used_mbps))
-            });
-            let name = row.name();
+            let (compiled, name) = (&row.tunnel, row.name());
+            let mut residual = f64::INFINITY;
+            for hop in compiled.node_path.windows(2) {
+                let Some(lw) = by_dir.get(&(hop[0], hop[1])) else {
+                    residual = 0.0;
+                    break;
+                };
+                if !lw.up {
+                    residual = 0.0;
+                    break;
+                }
+                residual = residual.min(lw.rate_mbps - lw.used_mbps);
+            }
             // Capacity visible to the optimizer: bottleneck residual
             // plus what this tunnel's own streams already deliver
             // (mirrors the fluid collector's accounting).
             let own = probe_goodput.get(name).copied().unwrap_or(0.0) + managed;
-            let avail = residual.unwrap_or(0.0).max(0.0) + own;
+            let avail = residual.max(0.0) + own;
             samples.push((row.series.0, avail));
             tunnel_available.push((name.to_string(), avail));
         }

@@ -114,9 +114,7 @@ impl std::fmt::Display for FrameworkError {
             FrameworkError::Netsim(e) => write!(f, "emulator failure: {e}"),
             FrameworkError::Dataplane(e) => write!(f, "data-plane failure: {e}"),
             FrameworkError::Telemetry(e) => write!(f, "telemetry failure: {e}"),
-            FrameworkError::FlowLabel(label) => {
-                write!(f, "flow label {label:?} is already taken or reserved")
-            }
+            FrameworkError::FlowLabel(l) => write!(f, "flow label {l:?} is taken or reserved"),
             FrameworkError::NoFeasiblePath => write!(f, "no feasible path"),
         }
     }

@@ -442,17 +442,13 @@ impl SelfDrivingNetwork {
     /// cannot fail.
     fn host_path(&self, row: usize) -> Result<Vec<NodeIdx>, FrameworkError> {
         let row = &self.rows[row];
-        let (compiled, p) = (&row.tunnel, &self.pairs[row.pair.index()]);
-        let (Some(&first), Some(&last)) = (compiled.node_path.first(), compiled.node_path.last())
-        else {
-            return Err(FrameworkError::NoFeasiblePath);
-        };
-        let mut path = Vec::with_capacity(compiled.node_path.len() + 2);
-        if p.src_node != first {
+        let (tunnel, p) = (&row.tunnel.node_path, &self.pairs[row.pair.index()]);
+        let mut path = Vec::with_capacity(tunnel.len() + 2);
+        if tunnel.first() != Some(&p.src_node) {
             path.push(p.src_node);
         }
-        path.extend_from_slice(&compiled.node_path);
-        if p.dst_node != last {
+        path.extend_from_slice(tunnel);
+        if tunnel.last() != Some(&p.dst_node) {
             path.push(p.dst_node);
         }
         self.sim.topo.check_path(&path)?;
@@ -621,17 +617,12 @@ impl SelfDrivingNetwork {
         let now_ns = self.sim.now_ns();
         consult.end(now_ns, || {
             let after = self.hecate.cache_stats();
+            let delta = |now: u64, then: u64| obsv::Value::U64(now - then);
             vec![
                 ("batch", obsv::Value::U64(reqs.len() as u64)),
-                ("cache_hits", obsv::Value::U64(after.hits - before.hits)),
-                (
-                    "cache_updates",
-                    obsv::Value::U64(after.updates - before.updates),
-                ),
-                (
-                    "cache_refits",
-                    obsv::Value::U64(after.refits - before.refits),
-                ),
+                ("cache_hits", delta(after.hits, before.hits)),
+                ("cache_updates", delta(after.updates, before.updates)),
+                ("cache_refits", delta(after.refits, before.refits)),
             ]
         });
         // Stamps are pure sim time (zero width): traces are part of the
@@ -788,9 +779,10 @@ impl SelfDrivingNetwork {
             let flow = &self.flows[i];
             // A tunnel of a *different* pair connects the wrong
             // endpoints — refuse rather than misroute.
-            let path = match self.rows.get(row) {
-                Some(r) if r.pair == flow.pair => self.host_path(row),
-                _ => Err(FrameworkError::NoFeasiblePath),
+            let path = if self.rows[row].pair == flow.pair {
+                self.host_path(row)
+            } else {
+                Err(FrameworkError::NoFeasiblePath)
             };
             let path = match path {
                 Ok(path) => path,
@@ -870,13 +862,11 @@ impl SelfDrivingNetwork {
         let now_ns = self.sim.now_ns();
         forecast_span.end(now_ns, || {
             let after = self.hecate.cache_stats();
+            let delta = |now: u64, then: u64| obsv::Value::U64(now - then);
             vec![
                 ("paths", obsv::Value::U64(names.len() as u64)),
-                ("cache_hits", obsv::Value::U64(after.hits - before.hits)),
-                (
-                    "cache_refits",
-                    obsv::Value::U64(after.refits - before.refits),
-                ),
+                ("cache_hits", delta(after.hits, before.hits)),
+                ("cache_refits", delta(after.refits, before.refits)),
             ]
         });
         if forecasts.iter().all(Option::is_none) {
@@ -1915,7 +1905,8 @@ mod tests {
         assert_eq!(refused.log.steps().len(), log_before);
         // A host path that fails is caught before any edge is touched.
         let n0_now = refused.pair_edge(PairId(0)).unwrap().running_config();
-        refused.rows[ghost].tunnel.node_path.clear();
+        let n3 = refused.pairs[3].src_node;
+        refused.rows[ghost].tunnel.node_path = vec![n3, n3];
         assert!(refused.install_flows(&reqs, &crafted).is_err());
         assert_eq!(
             refused.pair_edge(PairId(0)).unwrap().running_config(),
