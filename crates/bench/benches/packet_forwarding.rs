@@ -7,14 +7,14 @@
 //!   through a 4-hop route, PolKA (one GF(2) remainder per packet per
 //!   hop, header immutable) vs the port-switching baseline (pop per
 //!   hop, header rewritten). Cost per packet = reported time / 1024.
-//! * `sharded` — the same workload through the crossbeam-sharded
-//!   forwarder at 1 and 4 shards (wall clock; scales with cores).
+//! * `sharded` — the same workload through `forward_sharded` at 1 and
+//!   4 shards (wall clock; scales with cores).
 //! * `netem_window` — 100 ms of the queued deterministic emulator
 //!   (drop-tail queues, PoT verification at egress).
 
 use bench::figures::forwarding_workload;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dataplane::{PacketNet, ShardedForwarder, TrafficSpec};
+use dataplane::{forward_sharded, PacketNet, TrafficSpec};
 use std::hint::black_box;
 
 fn bench_batch_per_hop(c: &mut Criterion) {
@@ -37,15 +37,7 @@ fn bench_sharded(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("polka_8flows", shards),
             &shards,
-            |b, &shards| {
-                b.iter(|| {
-                    let fwd = ShardedForwarder::spawn(&plane, shards);
-                    for item in &items {
-                        fwd.submit(item.clone());
-                    }
-                    black_box(fwd.finish().0)
-                })
-            },
+            |b, &shards| b.iter(|| black_box(forward_sharded(&plane, &items, shards).0)),
         );
     }
     group.finish();

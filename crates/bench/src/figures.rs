@@ -373,7 +373,7 @@ pub struct ForwardingReport {
 /// Work is submitted in batches per ingress; counters are asserted
 /// identical across every configuration before a number is reported.
 pub fn forwarding_scaling(packets_per_flow: usize) -> ForwardingReport {
-    use dataplane::{shard_critical_path, ShardedForwarder, SourceRoute};
+    use dataplane::{forward_sharded, shard_critical_path, SourceRoute};
     let mut rows = Vec::new();
     let mut label_bits = (0usize, 0usize);
     for (mode, is_polka) in [("polka", true), ("seglist", false)] {
@@ -386,12 +386,8 @@ pub fn forwarding_scaling(packets_per_flow: usize) -> ForwardingReport {
         let mut reference = None;
         for shards in [1usize, 2, 4, 8] {
             // Threaded wall clock.
-            let fwd = ShardedForwarder::spawn(&plane, shards);
             let t0 = std::time::Instant::now();
-            for item in &items {
-                fwd.submit(item.clone());
-            }
-            let (merged, _) = fwd.finish();
+            let (merged, _) = forward_sharded(&plane, &items, shards);
             let wall_ns = t0.elapsed().as_nanos().max(1) as u64;
             // Isolated critical path.
             let (merged_cp, times) = shard_critical_path(&plane, &items, shards);
@@ -418,7 +414,7 @@ pub fn forwarding_scaling(packets_per_flow: usize) -> ForwardingReport {
     ForwardingReport {
         scaling_1_to_4: polka_at(4, |r| r.critical_mpps) / polka_at(1, |r| r.critical_mpps),
         wall_scaling_1_to_4: polka_at(4, |r| r.wall_mpps) / polka_at(1, |r| r.wall_mpps),
-        host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        host_cores: linalg::par::worker_count(usize::MAX),
         polka_label_bits: label_bits.0,
         seglist_label_bits: label_bits.1,
         rows,

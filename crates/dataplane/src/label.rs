@@ -5,8 +5,8 @@
 //! Per-packet mutable state is deliberately tiny ([`PacketState`]): the
 //! PolKA label itself is shared by every packet of a flow because core
 //! nodes *never rewrite it* — that immutability is the whole point of
-//! the architecture, and it is what makes the sharded engine
-//! allocation-free on the hot path.
+//! the architecture, and it is what makes the forwarding hot path
+//! allocation-free.
 
 use crate::DataplaneError;
 use polka::header::PolkaHeader;

@@ -16,9 +16,9 @@
 //! * [`plane::ForwardingPlane`] — per-node port tables precomputed from
 //!   a [`netsim::Topology`] plus one [`polka::CoreNode`] per router;
 //!   batch-of-packets-per-hop forwarding ([`plane::ForwardingPlane::forward_batch`]);
-//! * [`shard::ShardedForwarder`] — the pipeline sharded by ingress over
-//!   crossbeam channels and worker threads; core nodes are stateless so
-//!   shards share nothing and merged counters are deterministic;
+//! * [`shard::forward_sharded`] — the pipeline sharded by ingress, the
+//!   shards run on [`linalg::par`]; core nodes are stateless so shards
+//!   share nothing and merged counters are deterministic;
 //! * [`netem::PacketNet`] — the deterministic packet emulator: per-link
 //!   drop-tail queues with transmission + propagation delay, periodic
 //!   traffic sources, per-link/per-flow counters, and egress
@@ -36,7 +36,7 @@ pub mod shard;
 pub use label::{FlowLabel, FlowRoute, PacketState, SourceRoute};
 pub use netem::{FlowReport, LinkReport, PacketNet, TrafficSpec};
 pub use plane::{BatchReport, DropReason, ForwardingPlane, HopOutcome};
-pub use shard::{shard_critical_path, ShardReport, ShardedForwarder};
+pub use shard::{forward_sharded, shard_critical_path};
 
 /// Errors from data-plane construction and operation.
 #[derive(Debug, Clone, PartialEq)]

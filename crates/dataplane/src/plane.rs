@@ -4,7 +4,7 @@
 //!
 //! The plane is the *engine* — pure forwarding with no notion of time.
 //! Queueing, delay and drops-by-congestion live in [`crate::netem`];
-//! thread-sharding lives in [`crate::shard`]. Core nodes are stateless
+//! sharding by ingress lives in [`crate::shard`]. Core nodes are stateless
 //! (their entire forwarding state is one polynomial), so the plane is
 //! `Clone` and shards share nothing.
 

@@ -2,30 +2,26 @@
 //!
 //! Core nodes are stateless — a PolKA router's entire forwarding state
 //! is one polynomial — so packets from different ingress edges never
-//! share mutable state. That makes the pipeline embarrassingly
-//! parallel: each worker thread owns a full clone of the
-//! [`ForwardingPlane`] (port tables + core nodes, a few KB) and drains
-//! batches for its assigned ingresses from a crossbeam channel.
-//! Counters are accumulated per shard and merged once at the end, so
-//! the merged totals are bit-identical no matter how the OS schedules
-//! the workers.
+//! share mutable state. Shard `s` takes the work items with
+//! `ingress % shards == s` and forwards them on its own clone of the
+//! [`ForwardingPlane`] (port tables + core nodes, a few KB). Counters
+//! are accumulated per shard and merged in shard order, so the merged
+//! totals are bit-identical for any shard count and any schedule.
 //!
-//! Two measurement modes:
+//! Two ways to run the same per-shard kernel:
 //!
-//! * [`ShardedForwarder`] — real worker threads; wall-clock throughput
-//!   scales with *physical cores* (a 1-core CI box timeshares and shows
-//!   ~1× regardless of shard count);
-//! * [`shard_critical_path`] — the same partition executed shard-by-
-//!   shard in isolation on one thread, reporting the slowest shard's
-//!   time. `total_ns / critical_ns` is the parallel speedup an
-//!   unloaded machine with `cores >= shards` achieves; it is what the
-//!   scaling figure reports alongside wall clock, with the host core
-//!   count printed next to it.
+//! * [`forward_sharded`] — the shards on [`linalg::par`]'s scoped
+//!   threads; wall-clock throughput scales with *physical cores* (a
+//!   1-core CI box runs the shards one after another and shows ~1×
+//!   regardless of shard count);
+//! * [`shard_critical_path`] — the shards one after another on the
+//!   calling thread, each timed in isolation. `total_ns / critical_ns`
+//!   is the parallel speedup an unloaded machine with `cores >= shards`
+//!   achieves; it is what the scaling figure reports alongside wall
+//!   clock, with the host core count printed next to it.
 
 use crate::label::FlowRoute;
 use crate::plane::{BatchReport, ForwardingPlane};
-use crossbeam::channel::{bounded, Sender};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// One unit of work: `count` packets of one flow entering at
@@ -38,130 +34,60 @@ pub struct WorkItem {
     pub count: usize,
 }
 
-/// What one shard did.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardReport {
-    /// Merged forwarding counters for this shard's batches.
-    pub report: BatchReport,
-    /// Batches processed.
-    pub batches: u64,
-    /// Time spent forwarding (excludes waiting on the channel).
-    pub busy_ns: u64,
+/// Forwards shard `s`'s items on its own clone of `plane`; returns the
+/// shard's counters and busy nanoseconds.
+fn forward_shard(
+    plane: &ForwardingPlane,
+    items: &[WorkItem],
+    shards: usize,
+    s: usize,
+) -> (BatchReport, u64) {
+    let mut local = plane.clone();
+    let mut report = BatchReport::default();
+    // detlint: allow(wall-clock) — per-shard busy time is itself the
+    // measured quantity (reported, never fed back into a routing
+    // decision).
+    #[allow(clippy::disallowed_methods)]
+    let t0 = Instant::now();
+    for item in items
+        .iter()
+        .filter(|i| i.route.ingress.0 as usize % shards == s)
+    {
+        report.merge(&local.forward_batch(&item.route, item.count));
+    }
+    (report, t0.elapsed().as_nanos() as u64)
 }
 
-/// The sharded forwarder: one worker thread per shard, batches routed
-/// to `shard = ingress % shards`.
-pub struct ShardedForwarder {
-    txs: Vec<Sender<WorkItem>>,
-    handles: Vec<JoinHandle<ShardReport>>,
-    tracer: obsv::Tracer,
+/// Merges per-shard results in shard order.
+fn merge_shards(per_shard: Vec<(BatchReport, u64)>) -> (BatchReport, Vec<u64>) {
+    let mut merged = BatchReport::default();
+    let times = per_shard
+        .into_iter()
+        .map(|(report, busy_ns)| {
+            merged.merge(&report);
+            busy_ns
+        })
+        .collect();
+    (merged, times)
 }
 
-impl ShardedForwarder {
-    /// Spawns `shards` workers, each owning a clone of `plane`.
-    pub fn spawn(plane: &ForwardingPlane, shards: usize) -> Self {
-        Self::spawn_traced(plane, shards, obsv::Tracer::off())
-    }
-
-    /// [`ShardedForwarder::spawn`] with a tracer: [`finish`] emits one
-    /// `shard.forward` span per shard, laid end-to-end at cumulative
-    /// busy-time offsets. Spans are emitted *after* the join, in shard
-    /// order, so the record stream never depends on worker
-    /// interleaving. Stamps are wall-derived busy nanoseconds — this
-    /// forwarder is a bench harness (the measured quantity IS wall
-    /// time); nothing here feeds a bit-replayed scorecard.
-    ///
-    /// [`finish`]: ShardedForwarder::finish
-    pub fn spawn_traced(plane: &ForwardingPlane, shards: usize, tracer: obsv::Tracer) -> Self {
-        let shards = shards.max(1);
-        let mut txs = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for _ in 0..shards {
-            let (tx, rx) = bounded::<WorkItem>(64);
-            let mut local = plane.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut shard = ShardReport::default();
-                while let Ok(item) = rx.recv() {
-                    // detlint: allow(wall-clock) — per-shard busy time
-                    // is itself the measured quantity (reported, never
-                    // fed back into a routing decision).
-                    #[allow(clippy::disallowed_methods)]
-                    let t0 = Instant::now();
-                    let r = local.forward_batch(&item.route, item.count);
-                    shard.busy_ns += t0.elapsed().as_nanos() as u64;
-                    shard.report.merge(&r);
-                    shard.batches += 1;
-                }
-                shard
-            }));
-            txs.push(tx);
-        }
-        ShardedForwarder {
-            txs,
-            handles,
-            tracer,
-        }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.txs.len()
-    }
-
-    /// The shard an ingress maps to.
-    pub fn shard_of(&self, ingress: netsim::NodeIdx) -> usize {
-        ingress.0 as usize % self.txs.len()
-    }
-
-    /// Routes a batch to its ingress shard (blocks on backpressure).
-    pub fn submit(&self, item: WorkItem) {
-        let shard = self.shard_of(item.route.ingress);
-        // A send fails only if the worker panicked; surfacing that at
-        // join time (finish) keeps the hot path infallible.
-        let _ = self.txs[shard].send(item);
-    }
-
-    /// Closes the channels, joins the workers and returns the merged
-    /// counters plus each shard's report.
-    pub fn finish(self) -> (BatchReport, Vec<ShardReport>) {
-        drop(self.txs);
-        let mut merged = BatchReport::default();
-        let mut shards = Vec::with_capacity(self.handles.len());
-        for h in self.handles {
-            // detlint: allow(bare-panic) — a panicked worker's counters
-            // are gone; propagating the panic is the only honest
-            // outcome (a Result would report partial totals as truth).
-            let r = h.join().expect("shard worker panicked");
-            merged.merge(&r.report);
-            shards.push(r);
-        }
-        if self.tracer.enabled() {
-            // One span per shard at cumulative busy-time offsets: the
-            // trace reads as the shards' busy work laid end-to-end,
-            // and emission order (shard index) is deterministic.
-            let mut offset = 0u64;
-            for (i, s) in shards.iter().enumerate() {
-                let span = self.tracer.span("shard", "shard.forward", offset);
-                offset += s.busy_ns;
-                let (shard, batches, delivered, busy_ns) =
-                    (i as u64, s.batches, s.report.delivered, s.busy_ns);
-                span.end(offset, move || {
-                    vec![
-                        ("shard", obsv::Value::U64(shard)),
-                        ("batches", obsv::Value::U64(batches)),
-                        ("delivered", obsv::Value::U64(delivered)),
-                        ("busy_ns", obsv::Value::U64(busy_ns)),
-                    ]
-                });
-            }
-        }
-        (merged, shards)
-    }
+/// Forwards `items` split by `ingress % shards` (0 is taken as 1), the
+/// shards running in parallel on [`linalg::par::par_map_indexed`].
+/// Returns the merged counters and each shard's busy time. A panic in
+/// a shard is re-raised on the caller.
+pub fn forward_sharded(
+    plane: &ForwardingPlane,
+    items: &[WorkItem],
+    shards: usize,
+) -> (BatchReport, Vec<u64>) {
+    let shards = shards.max(1);
+    merge_shards(linalg::par::par_map_indexed(shards, |s| {
+        forward_shard(plane, items, shards, s)
+    }))
 }
 
-/// Critical-path measurement of the same partition: items are split by
-/// `ingress % shards` exactly as [`ShardedForwarder`] would, then each
-/// shard's batches run back-to-back in isolation on the calling thread.
+/// Critical-path measurement of the same partition: each shard's
+/// batches run back-to-back in isolation on the calling thread.
 /// Returns the merged counters and each shard's isolated busy time; the
 /// slowest shard is the parallel critical path.
 pub fn shard_critical_path(
@@ -170,24 +96,11 @@ pub fn shard_critical_path(
     shards: usize,
 ) -> (BatchReport, Vec<u64>) {
     let shards = shards.max(1);
-    let mut merged = BatchReport::default();
-    let mut times = Vec::with_capacity(shards);
-    for s in 0..shards {
-        let mut local = plane.clone();
-        // detlint: allow(wall-clock) — isolated per-shard wall timing
-        // IS the critical-path measurement this function exists for.
-        #[allow(clippy::disallowed_methods)]
-        let t0 = Instant::now();
-        for item in items
-            .iter()
-            .filter(|i| i.route.ingress.0 as usize % shards == s)
-        {
-            let r = local.forward_batch(&item.route, item.count);
-            merged.merge(&r);
-        }
-        times.push(t0.elapsed().as_nanos() as u64);
-    }
-    (merged, times)
+    merge_shards(
+        (0..shards)
+            .map(|s| forward_shard(plane, items, shards, s))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -198,8 +111,8 @@ mod tests {
     use netsim::NodeIdx;
     use polka::NodeIdAllocator;
 
-    /// A 16-node mesh with one flow per ingress, all of identical hop
-    /// count (consecutive ring walks), so every shard gets equal work.
+    /// A 16-node mesh with one flow per ingress 0..8, all of identical
+    /// hop count (consecutive ring walks), so every shard gets equal work.
     fn workload(count: usize) -> (ForwardingPlane, Vec<WorkItem>) {
         let topo = mesh(16, 4, 100.0);
         let mut alloc = NodeIdAllocator::for_network(topo.node_count(), topo.max_port().max(1));
@@ -224,58 +137,27 @@ mod tests {
         for item in &items {
             reference.merge(&single.forward_batch(&item.route, item.count));
         }
-        for shards in [1usize, 2, 4, 8] {
-            let fwd = ShardedForwarder::spawn(&plane, shards);
-            for item in &items {
-                fwd.submit(item.clone());
-            }
-            let (merged, per_shard) = fwd.finish();
-            assert_eq!(merged, reference, "{shards} shards");
-            assert_eq!(per_shard.len(), shards);
-            assert_eq!(
-                per_shard.iter().map(|s| s.batches).sum::<u64>(),
-                items.len() as u64
-            );
-        }
         assert_eq!(reference.delivered, 8 * 50);
         assert_eq!(reference.pot_rejected, 0);
-    }
-
-    #[test]
-    fn traced_forwarder_emits_one_span_per_shard_in_order() {
-        let (plane, items) = workload(10);
-        let sink = obsv::RecordingSink::shared();
-        let fwd = ShardedForwarder::spawn_traced(&plane, 4, obsv::Tracer::to(sink.clone()));
-        for item in &items {
-            fwd.submit(item.clone());
+        type Run = fn(&ForwardingPlane, &[WorkItem], usize) -> (BatchReport, Vec<u64>);
+        let runs: [(&str, Run); 2] = [
+            ("forward_sharded", forward_sharded),
+            ("shard_critical_path", shard_critical_path),
+        ];
+        for (name, run) in runs {
+            for shards in [0usize, 1, 2, 4, 8, 16] {
+                let (merged, times) = run(&plane, &items, shards);
+                assert_eq!(merged, reference, "{name}, {shards} shards");
+                // 0 shards is clamped to 1.
+                assert_eq!(times.len(), shards.max(1), "{name}, {shards} shards");
+            }
         }
-        let (merged, shards) = fwd.finish();
-        assert_eq!(merged.delivered, 8 * 10);
-        let recs = sink.snapshot();
-        assert_eq!(recs.len(), 8, "4 shards x (Begin + End)");
-        for i in 0..4usize {
-            let b = &recs[i * 2];
-            let e = &recs[i * 2 + 1];
-            assert_eq!((b.name, b.kind), ("shard.forward", obsv::RecordKind::Begin));
-            assert_eq!(e.kind, obsv::RecordKind::End);
-            assert!(
-                e.args
-                    .iter()
-                    .any(|(k, v)| *k == "shard" && *v == obsv::Value::U64(i as u64)),
-                "{e:?}"
-            );
+        // 16 shards over ingresses 0..8: shards 8..16 get no item and
+        // do no work.
+        for s in 0..16 {
+            let (report, _) = forward_shard(&plane, &items, 16, s);
+            assert_eq!(report == BatchReport::default(), s >= 8, "shard {s}");
         }
-        // Spans are laid end-to-end: the last End sits at the summed
-        // busy time.
-        let total: u64 = shards.iter().map(|s| s.busy_ns).sum();
-        assert_eq!(recs[7].at_ns, total);
-        // The untraced spawn emits nothing extra and still counts.
-        let fwd = ShardedForwarder::spawn(&plane, 2);
-        for item in &items {
-            fwd.submit(item.clone());
-        }
-        let (merged, _) = fwd.finish();
-        assert_eq!(merged.delivered, 8 * 10);
     }
 
     #[test]

@@ -91,6 +91,15 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "worker 3 failed")]
+    fn a_worker_panic_reaches_the_caller() {
+        par_map_indexed(8, |i| {
+            assert!(i != 3, "worker {i} failed");
+            i
+        });
+    }
+
+    #[test]
     fn par_map_over_slice() {
         let xs = vec![1.0f64, 4.0, 9.0];
         assert_eq!(par_map(&xs, |x| x.sqrt()), vec![1.0, 2.0, 3.0]);

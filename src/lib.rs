@@ -13,8 +13,8 @@
 //!   proof-of-transit and multipath extensions, port-switching baseline;
 //! * [`dataplane`] — the packet-level PolKA forwarding plane: route
 //!   labels behind one trait (routeID vs segment list), per-node port
-//!   tables, batch-of-packets-per-hop forwarding, an ingress-sharded
-//!   crossbeam pipeline, and a deterministic drop-tail-queue emulator
+//!   tables, batch-of-packets-per-hop forwarding sharded by ingress
+//!   over `linalg::par`, and a deterministic drop-tail-queue emulator
 //!   with egress proof-of-transit checks;
 //! * [`linalg`] — dense linear algebra + parallel helpers;
 //! * [`hecate_ml`] — the paper's eighteen regressors and the evaluation
