@@ -13,6 +13,7 @@
 //!   repro fig12          # flow aggregation experiment
 //!   repro ablation       # decision-policy ablation (Sec III)
 //!   repro throughput     # decisions/sec + the million-flow tick latency
+//!   repro forwarding     # packet plane: PolKA vs segment list, sharded by ingress
 //!   repro steering       # framework-in-the-loop steering extension
 //!   repro scenarios      # scenario-suite policy matrix (topology zoo)
 //!   repro sim            # event-core scale-out (scale-1k), `sim` report section

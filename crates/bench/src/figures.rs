@@ -177,34 +177,6 @@ pub fn throughput_testbed(
     (sdn.telemetry.clone(), names, model)
 }
 
-/// Telemetry, global tunnel names and the shared-link capacity model
-/// for a `pairs`-pair traffic matrix on a 40-node chorded-ring mesh
-/// (pair `i` runs `n{i} -> n{i+20}`, two disjoint tunnels each),
-/// warmed through the live control loop — the `decision_throughput`
-/// bench's multi-pair workload.
-pub fn multipair_testbed(
-    pairs: usize,
-) -> (
-    framework::TelemetryService,
-    Vec<String>,
-    framework::optimizer::SharedLinkModel,
-) {
-    let n = 40;
-    let topo = netsim::topo::mesh(n, 3, 20.0);
-    let endpoints: Vec<(String, String)> = (0..pairs.max(1))
-        .map(|i| (format!("n{i}"), format!("n{}", i + n / 2)))
-        .collect();
-    let refs: Vec<(&str, &str)> = endpoints
-        .iter()
-        .map(|(a, b)| (a.as_str(), b.as_str()))
-        .collect();
-    let mut sdn =
-        SelfDrivingNetwork::over_topology_pairs(topo, &refs, 2, 11).expect("multipair testbed");
-    sdn.advance(40_000).expect("telemetry warm-up");
-    let model = sdn.link_model(false);
-    (sdn.telemetry.clone(), sdn.tunnel_names(), model)
-}
-
 /// The decision-throughput artifact: cold (refit-every-decision, the
 /// seed's behavior) vs warm (trained-model cache) flow-arrival
 /// decisions over the same netsim-driven telemetry.
@@ -828,19 +800,6 @@ mod tests {
         // min-max utilization grows with demand
         let utils: Vec<f64> = rows.iter().map(|r| r.3).collect();
         assert!(utils.windows(2).all(|w| w[1] >= w[0] - 1e-9));
-    }
-
-    #[test]
-    fn multipair_testbed_scales_to_sixteen_pairs() {
-        let (telemetry, names, model) = multipair_testbed(16);
-        assert_eq!(names.len(), 32, "two disjoint tunnels per pair");
-        assert_eq!(model.candidates.len(), 16);
-        assert_eq!(model.tunnel_links.len(), 32);
-        for name in &names {
-            let key =
-                framework::telemetry::SeriesKey::new(name, framework::Metric::AvailableBandwidth);
-            assert!(telemetry.len(&key) >= 30, "{name}: {}", telemetry.len(&key));
-        }
     }
 
     #[test]

@@ -493,8 +493,9 @@ impl HecateService {
     }
 
     /// The seed reproduction's behavior: refit from history on every
-    /// single call, bypassing the cache. Kept as the cold baseline for
-    /// the `decision_throughput` bench and for A/B-testing the cache.
+    /// single call, bypassing the cache. Backs
+    /// [`HecateService::forecast_all_uncached`], the cold reference the
+    /// cache is checked against in `tests/forecast_engine.rs`.
     pub fn forecast_path_uncached(
         &self,
         telemetry: &TelemetryService,

@@ -535,50 +535,6 @@ impl Topology {
         }
         out
     }
-
-    /// All simple paths from `src` to `dst` with at most `max_hops` links,
-    /// in DFS order. Used to enumerate candidate tunnels.
-    pub fn simple_paths(&self, src: NodeIdx, dst: NodeIdx, max_hops: usize) -> Vec<Vec<NodeIdx>> {
-        let mut out = Vec::new();
-        let mut stack = vec![src];
-        let mut visited = vec![false; self.nodes.len()];
-        visited[src.0 as usize] = true;
-        self.dfs_paths(dst, max_hops, &mut stack, &mut visited, &mut out);
-        out
-    }
-
-    fn dfs_paths(
-        &self,
-        dst: NodeIdx,
-        max_hops: usize,
-        stack: &mut Vec<NodeIdx>,
-        visited: &mut Vec<bool>,
-        out: &mut Vec<Vec<NodeIdx>>,
-    ) {
-        let Some(&cur) = stack.last() else {
-            return;
-        };
-        if cur == dst {
-            out.push(stack.clone());
-            return;
-        }
-        if stack.len() > max_hops {
-            return;
-        }
-        // deterministic neighbor order
-        let mut neighbors = self.adj[cur.0 as usize].clone();
-        neighbors.sort_by_key(|(n, _)| n.0);
-        for (next, lid) in neighbors {
-            if visited[next.0 as usize] || !self.links[lid.0 as usize].up {
-                continue;
-            }
-            visited[next.0 as usize] = true;
-            stack.push(next);
-            self.dfs_paths(dst, max_hops, stack, visited, out);
-            stack.pop();
-            visited[next.0 as usize] = false;
-        }
-    }
 }
 
 /// The emulated Global P4 Lab subset of Fig 9: five experiment routers
@@ -1174,22 +1130,6 @@ mod tests {
     }
 
     #[test]
-    fn simple_paths_enumerates_tunnels() {
-        let t = global_p4_lab();
-        let mia = t.node("MIA").unwrap();
-        let ams = t.node("AMS").unwrap();
-        let paths = t.simple_paths(mia, ams, 4);
-        // Must include all three experiment tunnels.
-        let as_names: Vec<Vec<&str>> = paths
-            .iter()
-            .map(|p| p.iter().map(|&i| t.node_name(i)).collect())
-            .collect();
-        assert!(as_names.contains(&vec!["MIA", "SAO", "AMS"]));
-        assert!(as_names.contains(&vec!["MIA", "CHI", "AMS"]));
-        assert!(as_names.contains(&vec!["MIA", "CAL", "CHI", "AMS"]));
-    }
-
-    #[test]
     fn path_validation_rejects_non_adjacent() {
         let t = global_p4_lab();
         assert!(t.path_by_names(&["MIA", "AMS"]).is_err()); // no direct link
@@ -1217,8 +1157,13 @@ mod tests {
         let t = simple3(10.0);
         let s = t.node("s").unwrap();
         let d = t.node("d").unwrap();
-        let paths = t.simple_paths(s, d, 3);
-        assert_eq!(paths.len(), 2, "direct and via-i");
+        let paths = t.k_shortest_paths(s, d, 3);
+        let names: Vec<Vec<&str>> = paths
+            .iter()
+            .map(|p| p.iter().map(|&i| t.node_name(i)).collect())
+            .collect();
+        // Direct (5 ms) before via-i (6 ms); no third loop-free path.
+        assert_eq!(names, vec![vec!["s", "d"], vec!["s", "i", "d"]]);
     }
 
     #[test]

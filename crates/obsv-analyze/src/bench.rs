@@ -19,7 +19,8 @@
 //! Tolerances and floors live in the **baseline** metric: the committed
 //! baseline is the contract, and a fresh report is judged by it.
 //! Serialization is hand-rolled deterministic JSON (`BTreeMap` order,
-//! shortest-roundtrip floats) parsed back with `obsv::export`.
+//! shortest-roundtrip floats, `null` for NaN and ±∞) parsed back with
+//! `obsv::export`; `null` reads back as NaN.
 
 use obsv::export::{parse_json, Json};
 use std::collections::BTreeMap;
@@ -132,11 +133,22 @@ pub struct BenchReport {
     pub sections: BTreeMap<String, Section>,
 }
 
+/// Writes `x`, or `null` when it is not finite: JSON has no NaN or ±∞,
+/// and a stand-in number would record a measurement that never happened.
 fn num(out: &mut String, x: f64) {
     if x.is_finite() {
         let _ = write!(out, "{x}");
     } else {
-        out.push('0');
+        out.push_str("null");
+    }
+}
+
+/// Reads a number written by [`num`]: `null` is NaN.
+fn read_num(v: Option<&Json>) -> Option<f64> {
+    match v {
+        Some(Json::Num(x)) => Some(*x),
+        Some(Json::Null) => Some(f64::NAN),
+        _ => None,
     }
 }
 
@@ -202,23 +214,14 @@ impl BenchReport {
             };
             if let Some(Json::Obj(metrics)) = sv.get("metrics") {
                 for (mname, mv) in metrics {
-                    let value = match mv.get("value") {
-                        Some(Json::Num(x)) => *x,
-                        _ => return Err(format!("{sname}.{mname}: missing value")),
-                    };
+                    let value = read_num(mv.get("value"))
+                        .ok_or_else(|| format!("{sname}.{mname}: missing value"))?;
                     let class = mv
                         .get("class")
                         .and_then(Json::as_str)
                         .and_then(MetricClass::parse)
                         .ok_or_else(|| format!("{sname}.{mname}: bad class"))?;
-                    let getf = |key: &str| match mv.get(key) {
-                        Some(Json::Num(x)) => *x,
-                        _ => 0.0,
-                    };
-                    let floor = match mv.get("floor") {
-                        Some(Json::Num(x)) => Some(*x),
-                        _ => None,
-                    };
+                    let getf = |key: &str| read_num(mv.get(key)).unwrap_or(0.0);
                     sec.metrics.insert(
                         mname.clone(),
                         Metric {
@@ -226,7 +229,7 @@ impl BenchReport {
                             class,
                             tol_rel: getf("tol_rel"),
                             tol_abs: getf("tol_abs"),
-                            floor,
+                            floor: read_num(mv.get("floor")),
                         },
                     );
                 }
@@ -349,6 +352,15 @@ pub fn diff(old: &BenchReport, new: &BenchReport) -> DiffReport {
                 ));
                 continue;
             };
+            // NaN passes every `<` and `>` test below, so a reading that
+            // never happened is caught here.
+            if !nm.value.is_finite() {
+                lines.push(line(
+                    DiffKind::Regression,
+                    format!("non-finite value {} (baseline {})", nm.value, om.value),
+                ));
+                continue;
+            }
             let floored = om.floor.is_some_and(|f| nm.value < f);
             if floored {
                 lines.push(line(
@@ -457,6 +469,12 @@ mod tests {
         r
     }
 
+    /// Sets `sim.<metric>` in `r` to `value`.
+    fn set(r: &mut BenchReport, metric: &str, value: f64) {
+        let sim = r.sections.get_mut("sim").unwrap();
+        sim.metrics.get_mut(metric).unwrap().value = value;
+    }
+
     #[test]
     fn json_roundtrip_is_lossless_and_deterministic() {
         let r = sample();
@@ -465,6 +483,17 @@ mod tests {
         let back = BenchReport::parse(&json).expect("parses");
         assert_eq!(back, r);
         assert_eq!(back.to_json(), json);
+        // JSON has no NaN or ±∞: they are written as `null`, never as a
+        // stand-in number, and `null` reads back as NaN.
+        for x in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut r = sample();
+            set(&mut r, "epochs", x);
+            let json = r.to_json();
+            assert!(json.contains("\"epochs\":{\"value\":null,"), "{json}");
+            let back = BenchReport::parse(&json).expect("parses");
+            assert!(back.sections["sim"].metrics["epochs"].value.is_nan());
+            assert_eq!(back.to_json(), json);
+        }
     }
 
     #[test]
@@ -478,13 +507,7 @@ mod tests {
     fn exact_mismatch_and_missing_metric_are_regressions() {
         let old = sample();
         let mut new = sample();
-        new.sections
-            .get_mut("sim")
-            .unwrap()
-            .metrics
-            .get_mut("epochs")
-            .unwrap()
-            .value = 23.0;
+        set(&mut new, "epochs", 23.0);
         new.sections
             .get_mut("sim")
             .unwrap()
@@ -499,23 +522,18 @@ mod tests {
         let old = sample();
         let mut new = sample();
         // 4% drift: inside the 5% band.
-        new.sections
-            .get_mut("sim")
-            .unwrap()
-            .metrics
-            .get_mut("sim_events")
-            .unwrap()
-            .value = 12345.0 * 1.04;
+        set(&mut new, "sim_events", 12345.0 * 1.04);
         assert!(!diff(&old, &new).has_regressions());
         // 10% drift: outside.
-        new.sections
-            .get_mut("sim")
-            .unwrap()
-            .metrics
-            .get_mut("sim_events")
-            .unwrap()
-            .value = 12345.0 * 1.10;
+        set(&mut new, "sim_events", 12345.0 * 1.10);
         assert!(diff(&old, &new).has_regressions());
+        // A non-finite reading is outside every band.
+        for x in [f64::NAN, f64::INFINITY] {
+            set(&mut new, "sim_events", x);
+            let d = diff(&old, &new);
+            assert_eq!(d.regressions(), 1, "{}", d.render());
+            assert!(d.render().contains("sim.sim_events"), "{}", d.render());
+        }
     }
 
     #[test]
@@ -523,25 +541,22 @@ mod tests {
         let old = sample();
         let mut new = sample();
         // A 2x wall slowdown above the floor: info only.
-        new.sections
-            .get_mut("sim")
-            .unwrap()
-            .metrics
-            .get_mut("events_per_sec")
-            .unwrap()
-            .value = 125_000.0;
+        set(&mut new, "events_per_sec", 125_000.0);
         assert!(!diff(&old, &new).has_regressions());
         // Below the floor: the planted-regression case CI exercises.
-        new.sections
-            .get_mut("sim")
-            .unwrap()
-            .metrics
-            .get_mut("events_per_sec")
-            .unwrap()
-            .value = 5_000.0;
+        set(&mut new, "events_per_sec", 5_000.0);
         let d = diff(&old, &new);
         assert!(d.has_regressions());
         assert!(d.render().contains("below floor"));
+        // NaN is not below the floor and ∞ is above it; both gate.
+        for x in [f64::NAN, f64::INFINITY] {
+            set(&mut new, "events_per_sec", x);
+            let d = diff(&old, &new);
+            assert_eq!(d.regressions(), 1, "{}", d.render());
+            let line = d.render();
+            assert!(line.contains("REGRESSION  sim.events_per_sec"), "{line}");
+            assert!(line.contains("non-finite"), "{line}");
+        }
     }
 
     #[test]
