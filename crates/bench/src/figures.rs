@@ -528,8 +528,8 @@ pub struct SimScaleReport {
 /// WAN carrying ~100k elastic background flows, run under the Hecate
 /// policy. Runs the scenario **twice** and asserts the two scorecards
 /// are bit-identical, timing the first run untraced (the headline
-/// events/sec) and profiling the second through the obsv wall-clock
-/// sink for the water-fill vs dispatch phase split — which doubles as
+/// events/sec) and profiling the second through the wall-clock
+/// [`crate::profile::ProfilingSink`] for the water-fill vs dispatch phase split — which doubles as
 /// the proof that tracing never perturbs the simulation. `smoke`
 /// selects the 40%-horizon CI cut.
 pub fn sim_scale(smoke: bool) -> SimScaleReport {
@@ -541,7 +541,7 @@ pub fn sim_scale(smoke: bool) -> SimScaleReport {
     let t0 = std::time::Instant::now();
     let a = s.run(scenarios::Policy::Hecate).expect("scale-1k runs");
     let wall_s = t0.elapsed().as_secs_f64();
-    let profiler = obsv::profile::ProfilingSink::shared();
+    let profiler = crate::profile::ProfilingSink::shared();
     let opts = scenarios::ObsvOptions {
         extra_sink: Some(profiler.clone()),
         ..Default::default()

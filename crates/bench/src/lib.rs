@@ -11,6 +11,7 @@
 #![allow(clippy::disallowed_methods)]
 
 pub mod figures;
+pub mod profile;
 pub mod report;
 
 /// Formats a `(time, value)` series as aligned rows, one every `step`.

@@ -1,19 +1,16 @@
-//! Opt-in **wall-clock** profiling sink (cargo feature `profiling`).
+//! A **wall-clock** profiling sink for `obsv` traces.
 //!
-//! Everything else in this crate is sim-time-native; this sink is the
-//! one deliberate exception. It pairs `Begin`/`End` records by name on
-//! a stack and accumulates *wall* nanoseconds per span name, so bench
-//! harnesses (`repro sim`) can answer "where does the wall time go —
-//! water-fill or event dispatch?". It is bench-only by construction:
-//! the feature is enabled solely by `crates/bench`, and the sink is
-//! attached only when a harness explicitly asks for a profile.
+//! `obsv` stamps every record in simulation time; this sink adds the
+//! wall clock on the bench side. It pairs `Begin`/`End` records by
+//! name on a stack and accumulates *wall* nanoseconds per span name, so
+//! `repro sim` can answer "where does the wall time go — water-fill or
+//! event dispatch?". It is attached only when a harness explicitly asks
+//! for a profile.
 //!
-//! Sim-time records pass through untouched — attaching this sink in a
-//! [`crate::Fanout`] never perturbs the deterministic trace artifacts.
+//! Sim-time records pass through untouched — attaching this sink in an
+//! [`obsv::Fanout`] never perturbs the deterministic trace artifacts.
 
-#![allow(clippy::disallowed_methods)] // Instant::now is the point here; bench-only.
-
-use crate::trace::{RecordKind, TraceRecord, TraceSink};
+use obsv::{RecordKind, TraceRecord, TraceSink};
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -44,7 +41,7 @@ impl SpanTotal {
     }
 }
 
-/// The profiling sink. Attach via [`crate::Fanout`] (or alone) and
+/// The profiling sink. Attach via [`obsv::Fanout`] (or alone) and
 /// read [`ProfilingSink::totals`] after the run.
 #[derive(Default)]
 pub struct ProfilingSink {
@@ -78,9 +75,8 @@ impl TraceSink for ProfilingSink {
     fn emit(&self, rec: TraceRecord) {
         match rec.kind {
             RecordKind::Begin => {
-                // detlint: allow(wall-clock) — this is the opt-in
-                // profiling sink; wall time is a reported measurement,
-                // never fed back into any decision or trace artifact.
+                // Wall time is a reported measurement, never fed back
+                // into any decision or trace artifact.
                 let now = Instant::now();
                 self.lock().stack.push((rec.name, now));
             }
@@ -104,7 +100,7 @@ impl TraceSink for ProfilingSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Tracer;
+    use obsv::Tracer;
 
     #[test]
     fn accumulates_wall_time_per_span_name() {

@@ -270,7 +270,7 @@ impl SelfDrivingNetwork {
         let epoch_ms = plane.cfg.epoch_ms.max(1);
         let window = plane.net.run_window(epoch_ms * 1_000_000);
         self.sim
-            .run_until(self.sim.now_ms() + epoch_ms, self.sample_ms.max(1));
+            .run_until(self.sim.now_ms() + epoch_ms, self.sample_ms);
         let at = self.sim.now_ms();
 
         // (3) measured telemetry. Index the window by directed link.

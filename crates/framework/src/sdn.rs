@@ -167,7 +167,8 @@ pub struct SelfDrivingNetwork {
     /// exactly one entry with the legacy un-scoped namespace.
     pub(crate) pairs: Vec<ManagedPair>,
     next_flow: u64,
-    /// Telemetry sampling period (ms); the paper samples at 1 Hz.
+    /// Telemetry sampling period (ms); the paper samples at 1 Hz. 0
+    /// counts as 1.
     pub sample_ms: u64,
     /// The attached packet-level data plane, once
     /// [`SelfDrivingNetwork::attach_dataplane`] has been called.
@@ -500,8 +501,10 @@ impl SelfDrivingNetwork {
                 }
                 self.admit_flows(&due, Objective::MaxBandwidth)?;
             }
-            let next = (self.sim.now_ms() + self.sample_ms).min(until_ms);
-            self.sim.run_until(next, self.sample_ms);
+            // A zero interval steps 1 ms at a time, never in place.
+            let step = self.sample_ms.max(1);
+            let next = (self.sim.now_ms() + step).min(until_ms);
+            self.sim.run_until(next, step);
             self.collect_telemetry()?;
         }
         Ok(())
@@ -1499,6 +1502,16 @@ mod tests {
         );
         let rtt = SeriesKey::new("tunnel1", Metric::Rtt);
         assert!(sdn.telemetry.last(&rtt).unwrap() > 50.0); // ~58 ms idle
+    }
+
+    #[test]
+    fn zero_sample_interval_advances_one_ms_per_sample() {
+        let mut sdn = SelfDrivingNetwork::testbed(1).unwrap();
+        sdn.sample_ms = 0;
+        sdn.advance(50).unwrap();
+        assert_eq!(sdn.sim.now_ms(), 50);
+        let key = SeriesKey::new("tunnel1", Metric::AvailableBandwidth);
+        assert_eq!(sdn.telemetry.len(&key), 50);
     }
 
     #[test]

@@ -63,15 +63,6 @@ impl Poly {
         p
     }
 
-    /// Builds a polynomial from a `u128` bit pattern.
-    pub fn from_bits_u128(bits: u128) -> Self {
-        let mut p = Poly {
-            limbs: vec![bits as u64, (bits >> 64) as u64],
-        };
-        p.normalize();
-        p
-    }
-
     /// Builds a polynomial from limbs (little-endian).
     pub fn from_limbs(limbs: Vec<u64>) -> Self {
         let mut p = Poly { limbs };

@@ -290,11 +290,6 @@ impl HistGradientBoostingRegressor {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Number of fitted stages.
-    pub fn stage_count(&self) -> usize {
-        self.stages.len()
-    }
 }
 
 impl Regressor for HistGradientBoostingRegressor {

@@ -57,11 +57,6 @@ impl StandardScaler {
         Ok(())
     }
 
-    /// True once `fit` has run.
-    pub fn is_fitted(&self) -> bool {
-        !self.means.is_empty()
-    }
-
     /// Standardizes a matrix column-wise.
     pub fn transform(&self, x: &Matrix) -> Result<Matrix, MlError> {
         self.check(x.cols())?;

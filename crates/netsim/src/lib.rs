@@ -17,9 +17,10 @@
 //! * RTT probes with M/M/1-style queueing delay on utilized links
 //!   ([`sim::Simulation::ping`]), standing in for `ping`;
 //! * an event queue (start/stop/reroute flows, link capacity changes,
-//!   link failure, telemetry sampling) and a telemetry recorder — the
-//!   "agents \[that\] collect telemetry data from relevant network paths"
-//!   of Sec. IV.
+//!   link failure) with per-flow rate and per-path probe reads — what
+//!   the "agents \[that\] collect telemetry data from relevant network
+//!   paths" of Sec. IV measure. The simulator keeps no samples itself:
+//!   the loop's one telemetry store is `framework::TelemetryService`.
 //!
 //! Determinism: given the same seed and event schedule, a simulation run
 //! is bit-for-bit reproducible.
@@ -34,7 +35,7 @@ pub mod topo;
 pub use fairness::FairShareEngine;
 pub use flow::{Flow, FlowId, FlowSpec};
 pub use maxmin::{MaxMinKernel, WaterfillMetrics, WaterfillStats};
-pub use sim::{Event, Simulation, TelemetryRecord};
+pub use sim::{Event, Simulation};
 pub use topo::{LinkId, NodeIdx, ShortestPathTree, Topology};
 
 /// Errors from the emulator.

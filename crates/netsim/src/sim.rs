@@ -1,5 +1,6 @@
-//! The discrete-event simulation engine: events, TCP dynamics, probes,
-//! and telemetry recording.
+//! The discrete-event simulation engine: events, TCP dynamics and
+//! probes. It keeps no telemetry: the loop's samples live in
+//! `framework::TelemetryService`, fed from these probes and rates.
 //!
 //! # Event core
 //!
@@ -10,7 +11,7 @@
 //! scheduling order (the queue itself is two-tier, see `queue.rs`: a
 //! pre-loaded schedule's far future waits in per-window buckets, not in
 //! the heap). [`Simulation::run_until`] jumps straight to the next
-//! event or telemetry sample point, applies everything due at that
+//! event or sample point, applies everything due at that
 //! instant, and re-solves fair shares once per touched timestamp via
 //! the incremental [`FairShareEngine`]. Between events every flow's
 //! rate is advanced *analytically* ([`Flow::rate_at`]): the closed-form
@@ -36,7 +37,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use std::cell::{Ref, RefCell};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Simulation time in integer milliseconds (deterministic ordering).
@@ -73,19 +74,7 @@ pub enum Event {
     SetFlowDemand(FlowId, Option<f64>),
 }
 
-/// One telemetry sample.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TelemetryRecord {
-    /// Sample time (ms).
-    pub at_ms: SimTimeMs,
-    /// Series key, e.g. `flow:f1:rate` or `link:MIA-SAO:util` —
-    /// interned: every record of one series shares one allocation.
-    pub key: Arc<str>,
-    /// Value (Mbps, ratio, or ms depending on the series).
-    pub value: f64,
-}
-
-/// A live flow plus what the measurement plane keeps per flow.
+/// A live flow plus its dense link list.
 #[derive(Debug)]
 struct Tracked {
     flow: Flow,
@@ -93,10 +82,6 @@ struct Tracked {
     /// `Arc` the kernel holds, kept current across reroutes and link
     /// flips; `None` while the path crosses a failed link.
     links: Option<Arc<[usize]>>,
-    /// `flow:<label>:rate`, built at the flow's first sample.
-    key: Option<Arc<str>>,
-    /// Excluded from per-flow telemetry ([`Simulation::mark_background`]).
-    quiet: bool,
 }
 
 /// Per-directed-link utilization at one `(now, drained_ms,
@@ -108,8 +93,7 @@ struct LinkLoads {
     at: Option<(SimTimeMs, SimTimeMs, u64)>,
     /// Utilization in `[0, 1]`; 0 for links no live flow crosses.
     util: Vec<f64>,
-    /// Links some live flow crosses, in ascending dense index — the
-    /// `(LinkId, Forward < Reverse)` order telemetry enumerates.
+    /// Links some live flow crosses, in first-touch order.
     touched: Vec<usize>,
     is_touched: Vec<bool>,
 }
@@ -149,22 +133,15 @@ pub struct Simulation {
     /// Queueing delay scale (ms of queue at 50% utilization).
     pub queue_ms_at_half_util: f64,
     rng: StdRng,
-    telemetry: Vec<TelemetryRecord>,
-    /// `link:<from>-<to>:util` per dense directed link, built at the
-    /// link's first sample.
-    link_keys: Vec<Option<Arc<str>>>,
     engine: FairShareEngine,
-    /// Ids marked by [`Simulation::mark_background`], live or not yet
-    /// started; a live flow carries its mark as `Tracked::quiet`.
-    quiet: BTreeSet<FlowId>,
     /// External events popped and applied, for throughput reporting.
     events_processed: u64,
     /// Bumped by every external event; with `now` and `drained_ms`,
     /// keys the utilization cache.
     state_version: u64,
     /// Memoized `link_utilization` for the current
-    /// `(now, drained_ms, version)` — probes and telemetry at one
-    /// instant borrow one computation.
+    /// `(now, drained_ms, version)` — probes at one instant borrow one
+    /// computation.
     loads: RefCell<LinkLoads>,
     /// Sim-time trace facade (off by default; every record is stamped
     /// with the event clock, so traces replay bit-identically).
@@ -190,10 +167,7 @@ impl Simulation {
             efficiency: 0.86,
             queue_ms_at_half_util: 1.0,
             rng: StdRng::seed_from_u64(seed),
-            telemetry: Vec::new(),
-            link_keys: Vec::new(),
             engine: FairShareEngine::new(),
-            quiet: BTreeSet::new(),
             events_processed: 0,
             state_version: 0,
             loads: RefCell::default(),
@@ -254,21 +228,23 @@ impl Simulation {
         Ok(())
     }
 
-    /// Runs the simulation until `until_ms`, sampling telemetry every
-    /// `sample_ms`. Time jumps between events: each iteration applies
-    /// everything due at the current instant (events fire at their
-    /// *exact* timestamps), re-solves fair shares once if any event was
-    /// applied, samples if on a sample point, and then leaps to the
-    /// earliest of next event / next sample / the horizon. Events
-    /// scheduled at `until_ms` or later stay queued for the next call,
-    /// and no sample is taken at `until_ms` itself — the same boundary
+    /// Runs the simulation until `until_ms`, stopping at every multiple
+    /// of `sample_ms` (0 counts as 1). Time jumps between events: each
+    /// iteration applies everything due at the current instant (events
+    /// fire at their *exact* timestamps), re-solves fair shares once if
+    /// any event was applied, emits the `sim.queue_depth` counter on a
+    /// sample point, and then leaps to the earliest of next event /
+    /// next sample point / the horizon. A sample point is an instant
+    /// like any other: it drains the rates it passes. Events scheduled
+    /// at `until_ms` or later stay queued for the next call, and no
+    /// sample point is visited at `until_ms` itself — the same boundary
     /// convention as the historical tick loop, minus its skew: events
     /// that used to land strictly between tick boundaries are no longer
     /// applied up to one tick late. Rate convergence follows the same
     /// convention: on return, flows converge at instants before
     /// `until_ms`, not at it.
     pub fn run_until(&mut self, until_ms: SimTimeMs, sample_ms: u64) {
-        assert!(sample_ms > 0, "sample interval must be positive");
+        let sample_ms = sample_ms.max(1);
         if self.now_ms >= until_ms {
             return;
         }
@@ -350,7 +326,6 @@ impl Simulation {
                     self.now_ns(),
                     self.events.len() as u64,
                 );
-                self.sample_telemetry();
                 next_sample += sample_ms;
             }
             let mut next = until_ms.min(next_sample);
@@ -378,12 +353,7 @@ impl Simulation {
                     .insert_flow(&self.topo, id, links, spec.demand_mbps);
                 let mut flow = Flow::new(id, spec, path);
                 flow.rate_as_of_ms = self.now_ms;
-                let tracked = Tracked {
-                    flow,
-                    links,
-                    key: None,
-                    quiet: self.quiet.contains(&id),
-                };
+                let tracked = Tracked { flow, links };
                 // Re-starting a live id replaces it in place: fresh
                 // flow, position in `flows` retained.
                 match self.flow_index.get(&id) {
@@ -397,7 +367,6 @@ impl Simulation {
             Event::StopFlow(id) => {
                 self.engine.remove_flow(id);
                 if let Some(pos) = self.flow_index.remove(&id) {
-                    self.quiet.remove(&id);
                     self.flows.swap_remove(pos);
                     if let Some(moved) = self.flows.get(pos) {
                         self.flow_index.insert(moved.flow.id, pos);
@@ -487,8 +456,8 @@ impl Simulation {
     /// Each flow adds its rate along the dense link list the engine
     /// already keeps for it, so no path is resolved against the
     /// topology here. The computation is memoized per
-    /// `(now, drained_ms, state_version)` — probes and samples at one
-    /// instant share it.
+    /// `(now, drained_ms, state_version)` — probes at one instant share
+    /// it.
     fn link_utilization(&self) -> Ref<'_, LinkLoads> {
         self.refresh_loads();
         self.loads.borrow()
@@ -523,7 +492,6 @@ impl Simulation {
                 }
             }
         }
-        loads.touched.sort_unstable();
         for &l in &loads.touched {
             let cap = self.topo.link(directed_link(l).0).capacity_mbps.max(1e-9);
             loads.util[l] = (loads.util[l] / cap).min(1.0);
@@ -552,45 +520,6 @@ impl Simulation {
         used
     }
 
-    fn sample_telemetry(&mut self) {
-        let at = self.now_ms;
-        for f in self.flows.iter_mut().filter(|f| !f.quiet) {
-            let key = f
-                .key
-                .get_or_insert_with(|| format!("flow:{}:rate", f.flow.spec.label).into());
-            self.telemetry.push(TelemetryRecord {
-                at_ms: at,
-                key: Arc::clone(key),
-                value: f.flow.rate_at(at, self.drained_ms, self.tcp_tau_s),
-            });
-        }
-        // Borrows the memo field, not `self`: the log grows under it.
-        self.refresh_loads();
-        let loads = self.loads.borrow();
-        if self.link_keys.len() < loads.util.len() {
-            self.link_keys.resize(loads.util.len(), None);
-        }
-        // Ascending dense index: recorded telemetry replays
-        // byte-for-byte without an explicit sort.
-        for &l in &loads.touched {
-            let topo = &self.topo;
-            let key = self.link_keys[l].get_or_insert_with(|| {
-                let (lid, dir) = directed_link(l);
-                let link = topo.link(lid);
-                let (from, to) = match dir {
-                    Direction::Forward => (link.a, link.b),
-                    Direction::Reverse => (link.b, link.a),
-                };
-                format!("link:{}-{}:util", topo.node_name(from), topo.node_name(to)).into()
-            });
-            self.telemetry.push(TelemetryRecord {
-                at_ms: at,
-                key: Arc::clone(key),
-                value: loads.util[l],
-            });
-        }
-    }
-
     /// Drives a link's capacity from a bandwidth trace: sample `i` of
     /// `values` becomes the link's capacity at
     /// `start_ms + i * interval_ms`. This is how the UQ wireless traces
@@ -615,17 +544,11 @@ impl Simulation {
         }
     }
 
-    /// Excludes a flow from per-flow telemetry records — bulk
-    /// background traffic at scale would otherwise drown the recorder.
-    /// The flow still contributes to link utilization and fair-share
-    /// competition. Takes effect from the next sample, whether the flow
-    /// is live or not yet started, and lasts until it stops.
-    pub fn mark_background(&mut self, id: FlowId) {
-        self.quiet.insert(id);
-        if let Some(&i) = self.flow_index.get(&id) {
-            self.flows[i].quiet = true;
-        }
-    }
+    /// Does nothing. It once kept a flow out of the simulator's own
+    /// sample log, which is gone (the loop's telemetry is
+    /// `framework::TelemetryService`); the method stays only because
+    /// loopbench (`benchmark/`) still calls it.
+    pub fn mark_background(&mut self, _id: FlowId) {}
 
     /// Number of external events ([`Event`]s) applied so far — the
     /// numerator of events/sec throughput reporting. Rate convergence
@@ -642,20 +565,6 @@ impl Simulation {
     /// Incremental-allocator audit counters.
     pub fn waterfill_stats(&self) -> WaterfillStats {
         self.engine.stats()
-    }
-
-    /// All telemetry so far.
-    pub fn telemetry(&self) -> &[TelemetryRecord] {
-        &self.telemetry
-    }
-
-    /// Extracts one telemetry series as `(t_ms, value)` pairs.
-    pub fn series(&self, key: &str) -> Vec<(SimTimeMs, f64)> {
-        self.telemetry
-            .iter()
-            .filter(|r| &*r.key == key)
-            .map(|r| (r.at_ms, r.value))
-            .collect()
     }
 
     /// A live flow's current goodput.
@@ -969,12 +878,13 @@ mod tests {
             },
         )
         .unwrap();
-        sim.run_until(10_000, 1000);
-        let series = sim.series("flow:f1:rate");
-        assert_eq!(series.len(), 10, "one sample per second");
-        assert!(series.windows(2).all(|w| w[1].0 - w[0].0 == 1000));
-        // the ramp is visible in telemetry
-        assert!(series.first().unwrap().1 < series.last().unwrap().1);
+        // the ramp is visible at every sample point
+        let mut rates = Vec::new();
+        for t in (1_000..=10_000).step_by(1000) {
+            sim.run_until(t, 1000);
+            rates.push(sim.flow_rate(FlowId(1)).unwrap());
+        }
+        assert!(rates.windows(2).all(|w| w[0] < w[1]), "{rates:?}");
     }
 
     #[test]
@@ -1218,8 +1128,8 @@ mod tests {
     fn stop_flow_swap_remove_keeps_replay_deterministic() {
         // The flow table swap-removes on StopFlow; the resulting order
         // must be a pure function of the event sequence. Pin both the
-        // exact order (via telemetry record sequence) and bitwise
-        // replay equality across two identical runs.
+        // exact order and bitwise replay equality across two identical
+        // runs.
         let run = || {
             let topo = global_p4_lab();
             let path = tunnel1(&topo);
@@ -1240,28 +1150,17 @@ mod tests {
                 sim.schedule(t, Event::StopFlow(FlowId(id))).unwrap();
             }
             sim.run_until(5_000, 1000);
-            sim.telemetry().to_vec()
+            sim.flows
+                .iter()
+                .map(|f| (f.flow.id.0, sim.rate(&f.flow).to_bits()))
+                .collect::<Vec<_>>()
         };
         let a = run();
         assert_eq!(a, run(), "bitwise replay");
-        let last_at = a.last().unwrap().at_ms;
-        let final_flow_keys: Vec<&str> = a
-            .iter()
-            .filter(|r| r.at_ms == last_at && r.key.starts_with("flow:"))
-            .map(|r| &*r.key)
-            .collect();
+        let order: Vec<u64> = a.iter().map(|&(id, _)| id).collect();
         // [1..8], swap-remove 3 -> [1,2,8,4,5,6,7], 5 -> [1,2,8,4,7,6],
         // 2 -> [1,6,8,4,7]
-        assert_eq!(
-            final_flow_keys,
-            vec![
-                "flow:f1:rate",
-                "flow:f6:rate",
-                "flow:f8:rate",
-                "flow:f4:rate",
-                "flow:f7:rate"
-            ]
-        );
+        assert_eq!(order, vec![1, 6, 8, 4, 7]);
     }
 
     #[test]
@@ -1329,7 +1228,9 @@ mod tests {
     fn convergence_at_the_horizon_waits_for_the_next_call() {
         // Convergence due exactly at `until` is not drained on return:
         // reads between calls see the exponential, and the next call's
-        // first instant (a sample point here) sees the share.
+        // first instant (a sample point here) sees the share; the probe
+        // then folds the converged rate, not the memo the probe between
+        // the calls left behind.
         let mut sim = lone_flow();
         sim.run_until(28_282, 14_141);
         let r = sim.flow_rate(FlowId(1)).unwrap();
@@ -1338,13 +1239,30 @@ mod tests {
         let between = sim.path_available_mbps(&inner).unwrap();
         sim.run_until(28_283, 14_141);
         assert_eq!(sim.flow_rate(FlowId(1)).unwrap(), 17.2);
-        // The sample at 28 282 folds the converged rate, not the memo
-        // the probe between the calls left behind.
-        let util = sim.series("link:MIA-SAO:util");
-        assert_eq!(util.last(), Some(&(28_282, 17.2 / 20.0)));
         let converged = 20.0 * (1.0 - 17.2 / 20.0);
         assert_eq!(sim.path_available_mbps(&inner).unwrap(), converged);
         assert!(between > converged, "between {between}");
+    }
+
+    #[test]
+    fn zero_sample_interval_steps_like_one_ms() {
+        // 0 is clamped, not refused: the loop visits every millisecond.
+        let run = |sample_ms: u64| {
+            let mut sim = lone_flow();
+            let (mia, sao) = (sim.topo.node("MIA").unwrap(), sim.topo.node("SAO").unwrap());
+            let lid = sim.topo.link_between(mia, sao).unwrap();
+            sim.schedule(1_234, Event::SetLinkCapacity(lid, 4.0))
+                .unwrap();
+            sim.run_until(3_000, sample_ms);
+            let inner = sim.topo.path_by_names(&["MIA", "SAO", "AMS"]).unwrap();
+            (
+                sim.now_ms(),
+                sim.events_processed(),
+                sim.flow_rate(FlowId(1)).unwrap().to_bits(),
+                sim.path_available_mbps(&inner).unwrap().to_bits(),
+            )
+        };
+        assert_eq!(run(0), run(1));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! reimplementation of the retired tick-stepped simulator (full
 //! water-fill recompute on every change, per-tick
 //! `rate += (share - rate) * (1 - exp(-dt/tau))` stepping) is driven
-//! over random small scenarios, and every telemetry sample it produces
-//! must match the event core's.
+//! over random small scenarios, and every flow rate it samples must
+//! match the rate the event core reports at the same instant.
 //!
 //! All generated event timestamps are multiples of the legacy tick
 //! (100 ms) so both cores apply them at the same instant — the event
@@ -13,6 +13,12 @@
 //! `exp(-k*dt/tau)`, the two cores agree to float rounding; the 1e-6
 //! tolerance absorbs the event core's incremental water-fill and its
 //! convergence snap (<= 1e-9 Mbps).
+//!
+//! Both sides sample the state *before* an instant's events apply: the
+//! event core is stepped with `run_until(t)`, which leaves events due at
+//! `t` queued, and the legacy core samples at the top of its tick. A
+//! rate never jumps across an event (only its target share does), so
+//! this is the same trajectory the cores compared after the events.
 
 use netsim::fairness::{directed_links, max_min_allocation, AllocFlow};
 use netsim::topo::mesh;
@@ -33,8 +39,8 @@ struct LegacyFlow {
 }
 
 /// The retired tick core, kept only as a test oracle: advance time in
-/// fixed 100 ms ticks, apply due events, rerun the full water-fill,
-/// sample, then step every flow one tick toward its share.
+/// fixed 100 ms ticks; sample, apply due events, rerun the full
+/// water-fill, then step every flow one tick toward its share.
 fn legacy_run(
     mut topo: Topology,
     events: &[(u64, Event)],
@@ -57,6 +63,13 @@ fn legacy_run(
     let alpha = 1.0 - (-(TICK_MS as f64 / 1000.0) / TAU_S).exp();
 
     while now < until_ms {
+        if now >= next_sample {
+            for id in &order {
+                let f = &flows[id];
+                samples.insert((f.spec.label.clone(), now), f.rate);
+            }
+            next_sample += sample_ms;
+        }
         let mut dirty = false;
         while qi < queue.len() && queue[qi].0 <= now {
             match queue[qi].2.clone() {
@@ -120,13 +133,6 @@ fn legacy_run(
                 flows.get_mut(id).unwrap().share = raw * EFFICIENCY;
             }
         }
-        if now >= next_sample {
-            for id in &order {
-                let f = &flows[id];
-                samples.insert((f.spec.label.clone(), now), f.rate);
-            }
-            next_sample += sample_ms;
-        }
         for f in flows.values_mut() {
             f.rate += (f.share - f.rate) * alpha;
             f.rate = f.rate.max(0.0);
@@ -143,18 +149,20 @@ fn event_run(
     sample_ms: u64,
 ) -> BTreeMap<(String, u64), f64> {
     let mut sim = Simulation::new(topo, 7);
+    let mut labels = Vec::new();
     for (at, e) in events {
+        if let Event::StartFlow { id, spec, .. } = e {
+            labels.push((*id, spec.label.clone()));
+        }
         sim.schedule(*at, e.clone()).expect("generated event valid");
     }
-    sim.run_until(until_ms, sample_ms);
     let mut samples = BTreeMap::new();
-    for rec in sim.telemetry() {
-        if let Some(label) = rec
-            .key
-            .strip_prefix("flow:")
-            .and_then(|k| k.strip_suffix(":rate"))
-        {
-            samples.insert((label.to_string(), rec.at_ms), rec.value);
+    for t in (0..until_ms).step_by(sample_ms as usize) {
+        sim.run_until(t, sample_ms);
+        for (id, label) in &labels {
+            if let Ok(rate) = sim.flow_rate(*id) {
+                samples.insert((label.clone(), t), rate);
+            }
         }
     }
     samples
@@ -265,11 +273,11 @@ proptest! {
         let legacy = legacy_run(mesh(n, stride, 10.0), &events, until_ms, sample_ms);
         let evented = event_run(topo, &events, until_ms, sample_ms);
 
-        // Same sample grid: every (flow, time) the legacy core emitted
-        // must exist in the event core's telemetry and vice versa.
+        // Same sample grid: every (flow, time) the legacy core sampled
+        // must be live in the event core and vice versa.
         let lk: Vec<_> = legacy.keys().collect();
         let ek: Vec<_> = evented.keys().collect();
-        prop_assert_eq!(&lk, &ek, "telemetry sample keys diverge (seed {})", seed);
+        prop_assert_eq!(&lk, &ek, "sample keys diverge (seed {})", seed);
 
         for (key, want) in &legacy {
             let got = evented[key];

@@ -15,7 +15,7 @@
 //! from-full-trace recomputation (pinned by proptest in
 //! `tests/analyzer_equivalence.rs`).
 //!
-//! Span pairing is lexical, mirroring `obsv::profile`: an `End` closes
+//! Span pairing is lexical, as in `bench::profile`: an `End` closes
 //! the most recent unclosed `Begin` of the same name. An `End` with no
 //! open `Begin` is counted in [`TraceAnalyzer::dangling_ends`] and
 //! otherwise ignored; `Begin`s still open at read time show up in

@@ -18,8 +18,8 @@
 //!    a bounded ring of the most recent records for post-mortem dumps
 //!    on SLO violations and panics.
 //!
-//! A separate opt-in wall-clock profiling sink lives behind the
-//! `profiling` cargo feature (bench-only; see [`profile`]).
+//! Wall-clock profiling is not here: the bench harness attaches its
+//! own sink (`bench::profile::ProfilingSink`) through [`TraceSink`].
 //!
 //! Two runs of the same scenario with the same seed produce
 //! byte-identical JSONL traces — traces are testable artifacts, pinned
@@ -28,8 +28,6 @@
 pub mod export;
 mod flight;
 mod metrics;
-#[cfg(feature = "profiling")]
-pub mod profile;
 mod trace;
 
 pub use flight::{install_panic_dump, FlightRecorder};

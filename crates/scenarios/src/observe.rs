@@ -80,11 +80,6 @@ impl ObsvOptions {
             extra_sink: None,
         }
     }
-
-    /// Whether any sink needs to be attached at all.
-    pub fn any_sink(&self) -> bool {
-        self.trace || self.flight_capacity > 0 || self.extra_sink.is_some()
-    }
 }
 
 /// What one observed run produced besides its scorecard.

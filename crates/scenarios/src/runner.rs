@@ -220,8 +220,7 @@ impl Scenario {
             .clone();
         let actions = compile_events(&self.events, &sdn.sim.topo, &primary)?;
         // Elastic background rides the raw event queue: schedule every
-        // compiled arrival/departure up front and mark the flows
-        // background so per-flow telemetry stays managed-flows-only.
+        // compiled arrival/departure up front.
         if let Some(spec) = &self.elastic {
             if self.plane != PlaneMode::Fluid {
                 return Err(ScenarioError::Config(
@@ -235,9 +234,6 @@ impl Scenario {
                 self.seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1),
             );
             for (at_ms, ev) in compiled {
-                if let netsim::Event::StartFlow { id, .. } = &ev {
-                    sdn.sim.mark_background(*id);
-                }
                 sdn.sim.schedule(at_ms, ev)?;
             }
         }
