@@ -618,7 +618,6 @@ fn trace_artifact() {
         snapshots: true,
         flight_capacity: 0, // the runner's own ring is redundant here
         extra_sink: Some(flight),
-        ..Default::default()
     };
     let (card, art) = scenario
         .run_observed(scenarios::Policy::Hecate, &opts)

@@ -209,26 +209,22 @@ pub struct ThroughputReport {
 /// consult a network admits with, `decide_flows_pairs`.
 pub fn decision_throughput(paths: usize, cold_flows: usize, warm_flows: usize) -> ThroughputReport {
     use framework::controller::{decide_flows_pairs, BatchDecision, SequenceLog};
-    use framework::scheduler::FlowRequest;
+    use framework::optimizer::FlowDemand;
     use framework::{HecateService, Objective};
     let (telemetry, names, model) = throughput_testbed(paths);
     let config = framework::OptimizerConfig::default();
-    let consult = |hecate: &HecateService, reqs: &[FlowRequest], log: &mut SequenceLog| {
+    let consult = |hecate: &HecateService, reqs: &[FlowDemand], log: &mut SequenceLog| {
         let max = Objective::MaxBandwidth;
         decide_flows_pairs(hecate, &telemetry, reqs, &names, &model, max, &config, log)
             .expect("warm telemetry")
     };
     let tunnel = |out: BatchDecision| out.decisions[0].tunnel.clone();
-    let flows = |n: usize| -> Vec<FlowRequest> {
-        (0..n)
-            .map(|i| FlowRequest {
-                label: format!("f{i}"),
-                tos: 0,
-                demand_mbps: None,
-                start_ms: 0,
-                pair: framework::PairId::default(),
-            })
-            .collect()
+    let flows = |n: usize| {
+        let greedy = FlowDemand {
+            pair: framework::PairId::default(),
+            demand: None,
+        };
+        vec![greedy; n]
     };
     let (one, tick) = (flows(1), flows(64));
     let mut log = SequenceLog::default();

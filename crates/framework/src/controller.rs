@@ -11,7 +11,6 @@ use crate::optimizer::{
     assign_flows_shared_with, select_path, FlowDemand, Objective, OptimizerConfig, SharedLinkModel,
     SolverKind,
 };
-use crate::scheduler::FlowRequest;
 use crate::telemetry::{Metric, SeriesKey, TelemetryService};
 use crate::FrameworkError;
 
@@ -63,13 +62,18 @@ pub struct BatchDecision {
     /// Each decision's candidate index: its tunnel is that candidate's
     /// name.
     pub(crate) rows: Vec<usize>,
+    /// The per-tunnel caps the shared-link solve placed the batch
+    /// under ([`SharedLinkModel::with_tunnel_caps`]); empty when no
+    /// solve ran.
+    pub(crate) caps: Vec<f64>,
 }
 
 /// The decision function: one Fig 4 consultation (getTelemetry →
-/// askHecatePath → Optimizer) for every flow due in the scheduler tick,
-/// across *all* managed pairs, against the shared-link capacity model.
+/// askHecatePath → Optimizer) for a batch of flows across *all* managed
+/// pairs, against the shared-link capacity model: the flows due in a
+/// scheduler tick at admission, every managed flow at re-optimization.
 /// A single-pair network is the `N = 1` case; a lone arrival is a batch
-/// of one. Returns one decision per request, in request order.
+/// of one. Returns one decision per flow, in flow order.
 ///
 /// The per-path forecasts are computed once (fanned out in parallel,
 /// served from Hecate's trained-model cache) and amortized across the
@@ -103,7 +107,7 @@ pub struct BatchDecision {
 pub fn decide_flows_pairs<N: AsRef<str> + Sync>(
     hecate: &HecateService,
     telemetry: &TelemetryService,
-    requests: &[FlowRequest],
+    flows: &[FlowDemand],
     names: &[N],
     model: &SharedLinkModel,
     objective: Objective,
@@ -113,13 +117,13 @@ pub fn decide_flows_pairs<N: AsRef<str> + Sync>(
     if names.is_empty() || names.len() != model.tunnel_links.len() {
         return Err(FrameworkError::NoFeasiblePath);
     }
-    // Each request's pair's candidates, all in range: the batch's series.
+    // Each flow's pair's candidates, all in range: the batch's series.
     let mut needed = vec![false; names.len()];
-    let mut first_of_flow = Vec::with_capacity(requests.len());
-    for req in requests {
+    let mut first_of_flow = Vec::with_capacity(flows.len());
+    for flow in flows {
         let cands = model
             .candidates
-            .get(req.pair.index())
+            .get(flow.pair.index())
             .map_or(&[][..], Vec::as_slice);
         if cands.is_empty() || cands.iter().any(|&t| t >= needed.len()) {
             return Err(FrameworkError::NoFeasiblePath);
@@ -129,7 +133,7 @@ pub fn decide_flows_pairs<N: AsRef<str> + Sync>(
         }
         first_of_flow.push(cands[0]);
     }
-    if requests.is_empty() {
+    if flows.is_empty() {
         return Ok(Default::default());
     }
     log.record("getTelemetry");
@@ -140,8 +144,9 @@ pub fn decide_flows_pairs<N: AsRef<str> + Sync>(
     log.record("askHecatePath");
     let (forecast_of, forecastable) = hecate.forecast_needed(telemetry, names, &needed, metric);
     let series = needed.iter().filter(|&&n| n).count();
-    // Each flow's `(candidate, used_forecast, score)`.
-    let decide = |picks: Vec<(usize, bool, Option<f64>)>, solver| BatchDecision {
+    // Each flow's `(candidate, used_forecast, score)`, and the caps they
+    // were placed under.
+    let decide = |picks: Vec<(usize, bool, Option<f64>)>, solver, caps| BatchDecision {
         decisions: picks
             .iter()
             .map(|&(t, used_forecast, score)| PathDecision {
@@ -153,12 +158,13 @@ pub fn decide_flows_pairs<N: AsRef<str> + Sync>(
         solver,
         series,
         rows: picks.into_iter().map(|(t, ..)| t).collect(),
+        caps,
     };
     if !forecastable {
         // Cold start: each pair's phase-(i) arbitrary first candidate.
         log.record("fallbackArbitraryPath");
         let picks = first_of_flow.iter().map(|&t| (t, false, None)).collect();
-        return Ok(decide(picks, None));
+        return Ok(decide(picks, None, Vec::new()));
     }
     let out = match objective {
         Objective::MaxBandwidth => {
@@ -182,29 +188,22 @@ pub fn decide_flows_pairs<N: AsRef<str> + Sync>(
                 })
                 .collect();
             let capped = model.clone().with_tunnel_caps(&caps);
-            let flows: Vec<FlowDemand> = requests
-                .iter()
-                .map(|r| FlowDemand {
-                    pair: r.pair,
-                    demand: r.demand_mbps,
-                })
-                .collect();
-            let (assignment, kind) = assign_flows_shared_with(&capped, &flows, config)?;
+            let (assignment, kind) = assign_flows_shared_with(&capped, flows, config)?;
             let picks = assignment
                 .tunnel_of_flow
                 .iter()
                 .map(|&t| (t, true, forecast_of[t].as_ref().map(|f| f.mean())))
                 .collect();
-            decide(picks, Some(kind))
+            decide(picks, Some(kind), caps)
         }
         _ => {
             // No flow-interaction model: each pair's flows take that
             // pair's winner among its own forecasts.
-            let picks = requests
+            let picks = flows
                 .iter()
                 .zip(&first_of_flow)
-                .map(|(req, &first)| {
-                    let cands = &model.candidates[req.pair.index()];
+                .map(|(flow, &first)| {
+                    let cands = &model.candidates[flow.pair.index()];
                     let (rows, mine): (Vec<usize>, Vec<PathForecast>) = cands
                         .iter()
                         .filter_map(|&t| Some((t, forecast_of[t].clone()?)))
@@ -216,7 +215,7 @@ pub fn decide_flows_pairs<N: AsRef<str> + Sync>(
                     }
                 })
                 .collect();
-            decide(picks, None)
+            decide(picks, None, Vec::new())
         }
     };
     log.record("optimizerReturn");
@@ -246,16 +245,9 @@ mod tests {
         vec!["tunnel1".into(), "tunnel2".into(), "tunnel3".into()]
     }
 
-    fn reqs(n: usize) -> Vec<FlowRequest> {
-        (0..n)
-            .map(|i| FlowRequest {
-                label: format!("f{i}"),
-                tos: 32,
-                demand_mbps: None,
-                start_ms: 0,
-                pair: crate::PairId::default(),
-            })
-            .collect()
+    /// `n` greedy flows of pair 0.
+    fn reqs(n: usize) -> Vec<FlowDemand> {
+        pair_reqs(&vec![0; n])
     }
 
     /// Decides `reqs` on one pair over `names`, tunnels that cross no
@@ -263,7 +255,7 @@ mod tests {
     fn decide_one_pair(
         h: &HecateService,
         ts: &TelemetryService,
-        reqs: &[FlowRequest],
+        reqs: &[FlowDemand],
         names: &[String],
         objective: Objective,
         log: &mut SequenceLog,
@@ -476,16 +468,13 @@ mod tests {
         (model, names)
     }
 
-    fn pair_reqs(pairs: &[usize]) -> Vec<FlowRequest> {
+    /// One greedy flow per entry, of that pair.
+    fn pair_reqs(pairs: &[usize]) -> Vec<FlowDemand> {
         pairs
             .iter()
-            .enumerate()
-            .map(|(i, &p)| FlowRequest {
-                label: format!("f{i}"),
-                tos: 32,
-                demand_mbps: None,
-                start_ms: 0,
+            .map(|&p| FlowDemand {
                 pair: crate::PairId(p),
+                demand: None,
             })
             .collect()
     }

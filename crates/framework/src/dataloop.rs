@@ -11,14 +11,13 @@
 //! Every tunnel carries a periodic *probe* flow and every managed flow
 //! a traffic source in [`dataplane::PacketNet`]; one
 //! [`SelfDrivingNetwork::packet_epoch`] forwards a window of real
-//! packets, then feeds the **measured** counters (per-directed-link
-//! load, per-flow delivered goodput, egress-PoT verdicts) into the
-//! telemetry store — the same store Hecate forecasts from. Path
+//! packets, then feeds the **measured** counters (each tunnel's
+//! residual from its links' load, each flow's delivered goodput) into
+//! the telemetry store — the same store Hecate forecasts from. Path
 //! migration reaches the plane as exactly one ingress routeID swap
 //! ([`dataplane::PacketNet::set_route`]); core nodes are never touched.
 
 use crate::sdn::SelfDrivingNetwork;
-use crate::telemetry::{Metric, SeriesKey};
 use crate::FrameworkError;
 use dataplane::{FlowRoute, PacketNet, TrafficSpec};
 use netsim::NodeIdx;
@@ -67,8 +66,6 @@ pub struct PacketPlane {
     stamped: HashMap<String, String>,
     /// How many tunnels, in discovery order, carry a probe stream.
     probed: usize,
-    /// Epochs run so far.
-    pub epochs: u64,
 }
 
 impl PacketPlane {
@@ -155,7 +152,6 @@ impl SelfDrivingNetwork {
             cfg,
             stamped: HashMap::new(),
             probed: 0,
-            epochs: 0,
         };
         self.start_missing_probes(&mut plane)?;
         // A bundle attached before the plane existed still reaches it.
@@ -227,7 +223,7 @@ impl SelfDrivingNetwork {
     /// 3. per tunnel, insert the *measured* available bandwidth
     ///    (bottleneck residual from link counters, plus the tunnel's own
     ///    delivered traffic, zero across failed links) — and per flow,
-    ///    the delivered goodput; per directed link, the utilization.
+    ///    the delivered goodput.
     pub fn packet_epoch(&mut self) -> Result<PacketEpochReport, FrameworkError> {
         let mut plane = self.packet_plane.take().ok_or_else(|| {
             FrameworkError::Dataplane(dataplane::DataplaneError::Topology(
@@ -319,26 +315,6 @@ impl SelfDrivingNetwork {
             tunnel_available.push((name.to_string(), avail));
         }
         self.telemetry.insert_batch(at, &samples)?;
-        for lw in &window.links {
-            let key = SeriesKey::new(
-                &format!(
-                    "link:{}-{}",
-                    self.sim.topo.node_name(lw.from),
-                    self.sim.topo.node_name(lw.to)
-                ),
-                Metric::LinkUtilization,
-            );
-            // Keep the store to series that have ever carried packets —
-            // but once a series exists it must keep receiving samples,
-            // including zeros, or a link that went idle (migration,
-            // failure) would read as busy forever.
-            if lw.report.tx_pkts == 0 && lw.used_mbps == 0.0 && self.telemetry.is_empty(&key) {
-                continue;
-            }
-            self.telemetry
-                .insert(&key, at, (lw.used_mbps / lw.rate_mbps.max(1e-9)).min(1.0));
-        }
-        plane.epochs += 1;
         let sum = |f: fn(&dataplane::FlowReport) -> u64| -> u64 {
             window.flows.iter().map(|w| f(&w.report)).sum()
         };
@@ -361,6 +337,7 @@ mod tests {
     use super::*;
     use crate::optimizer::Objective;
     use crate::scheduler::FlowRequest;
+    use crate::telemetry::{Metric, SeriesKey};
     use crate::PairId;
 
     fn attached() -> SelfDrivingNetwork {
@@ -450,9 +427,6 @@ mod tests {
         let r = sdn.packet_epoch().unwrap();
         let g = r.flow_goodput.iter().find(|(l, _)| l == "flow1").unwrap().1;
         assert!((g - 6.0).abs() < 0.5, "goodput {g}");
-        // Link telemetry exists for the tunnel1 path.
-        let key = SeriesKey::new("link:MIA-SAO", Metric::LinkUtilization);
-        assert!(sdn.telemetry.last(&key).unwrap() > 0.2);
     }
 
     #[test]
@@ -507,13 +481,6 @@ mod tests {
         // failed epoch; the measured capacity collapses all the same.
         assert!(avail1 < 0.5, "{down:?}");
         assert!(down.dropped > 0);
-        // The link's utilization series keeps receiving samples (now
-        // zeros) instead of freezing at its pre-failure value.
-        let util = sdn
-            .telemetry
-            .last(&SeriesKey::new("link:MIA-SAO", Metric::LinkUtilization))
-            .unwrap();
-        assert!(util < 0.01, "stale link series: {util}");
         sdn.set_link_state("MIA", "SAO", true).unwrap();
         let up = sdn.packet_epoch().unwrap();
         let avail1 = up

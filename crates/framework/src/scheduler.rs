@@ -5,6 +5,7 @@
 //! starts when the Scheduler notifies the Controller of the intent to
 //! establish a new connection."
 
+use crate::optimizer::FlowDemand;
 use crate::PairId;
 
 /// A user-level flow request, as submitted from the Dashboard.
@@ -21,6 +22,16 @@ pub struct FlowRequest {
     /// Which managed ingress/egress pair carries the flow.
     /// `PairId(0)` on single-pair networks (the default).
     pub pair: PairId,
+}
+
+impl FlowRequest {
+    /// What the optimizer places: the flow's pair and offered load.
+    pub(crate) fn flow_demand(&self) -> FlowDemand {
+        FlowDemand {
+            pair: self.pair,
+            demand: self.demand_mbps,
+        }
+    }
 }
 
 /// A time-ordered queue of flow requests.

@@ -7,7 +7,7 @@
 //! [`SelfDrivingNetwork::run_flow_aggregation`] (Fig 12) and
 //! [`SelfDrivingNetwork::run_trace_driven_steering`] (extension).
 
-use crate::controller::{decide_flows_pairs, PathDecision, SequenceLog};
+use crate::controller::{decide_flows_pairs, BatchDecision, PathDecision, SequenceLog};
 use crate::dataloop::PROBE_PREFIX;
 use crate::hecate::HecateService;
 use crate::optimizer::{
@@ -594,43 +594,65 @@ impl SelfDrivingNetwork {
             return Err(FrameworkError::NoFeasiblePath);
         }
         self.check_labels(reqs)?;
-        // The consultation span covers forecast fetch + assignment;
-        // its args attribute the batch to cache hits vs refits, diffed
-        // around the call.
-        let before = self.hecate.cache_stats();
-        self.ml_clock.set(self.sim.now_ns());
-        let consult = self
-            .obsv
-            .tracer
-            .span("decide", "decide.consult", self.sim.now_ns());
+        let flows: Vec<FlowDemand> = reqs.iter().map(FlowRequest::flow_demand).collect();
         // New flows are placed on top of the running assignment:
         // headroom is what the current flows leave behind.
         let model = self.link_model(false);
+        let out = self.consult(&flows, &model, objective)?;
+        let place = self
+            .obsv
+            .tracer
+            .span("decide", "decide.place", self.sim.now_ns());
+        self.install_flows(reqs, &out.rows)?;
+        let placed = out.decisions.len() as u64;
+        place.end(self.sim.now_ns(), move || {
+            vec![("flows", obsv::Value::U64(placed))]
+        });
+        Ok(out.decisions)
+    }
+
+    /// One consult: [`decide_flows_pairs`] for `flows` on `model` over
+    /// every row, at the current sim time. Admission, re-optimization
+    /// and the Fig 11 migration all decide through it. The
+    /// `decide.consult` span covers the call (`batch`); inside it,
+    /// `decide.forecast` attributes the batch to cache hits, updates
+    /// and refits, diffed around the call, and the zero-width
+    /// `decide.solve` names the series forecast and the solver run.
+    /// Stamps are pure sim time: traces are part of the bit-replay
+    /// contract.
+    fn consult(
+        &mut self,
+        flows: &[FlowDemand],
+        model: &SharedLinkModel,
+        objective: Objective,
+    ) -> Result<BatchDecision, FrameworkError> {
+        let now_ns = self.sim.now_ns();
+        self.ml_clock.set(now_ns);
+        let tracer = &self.obsv.tracer;
+        let consult = tracer.span("decide", "decide.consult", now_ns);
+        let forecast = tracer.span("decide", "decide.forecast", now_ns);
+        let before = self.hecate.cache_stats();
         let names: Vec<&str> = self.rows.iter().map(TunnelRow::name).collect();
         let out = decide_flows_pairs(
             &self.hecate,
             &self.telemetry,
-            reqs,
+            flows,
             &names,
-            &model,
+            model,
             objective,
             &self.opt,
             &mut self.log,
         )?;
-        let now_ns = self.sim.now_ns();
-        consult.end(now_ns, || {
+        forecast.end(now_ns, || {
             let after = self.hecate.cache_stats();
             let delta = |now: u64, then: u64| obsv::Value::U64(now - then);
             vec![
-                ("batch", obsv::Value::U64(reqs.len() as u64)),
                 ("cache_hits", delta(after.hits, before.hits)),
                 ("cache_updates", delta(after.updates, before.updates)),
                 ("cache_refits", delta(after.refits, before.refits)),
             ]
         });
-        // Stamps are pure sim time (zero width): traces are part of the
-        // bit-replay contract.
-        let solve = self.obsv.tracer.span("decide", "decide.solve", now_ns);
+        let solve = tracer.span("decide", "decide.solve", now_ns);
         solve.end(now_ns, || {
             let mut args = vec![("series", obsv::Value::U64(out.series as u64))];
             if let Some(kind) = out.solver {
@@ -638,13 +660,10 @@ impl SelfDrivingNetwork {
             }
             args
         });
-        let place = self.obsv.tracer.span("decide", "decide.place", now_ns);
-        self.install_flows(reqs, &out.rows)?;
-        let placed = out.decisions.len() as u64;
-        place.end(self.sim.now_ns(), move || {
-            vec![("flows", obsv::Value::U64(placed))]
+        consult.end(now_ns, || {
+            vec![("batch", obsv::Value::U64(flows.len() as u64))]
         });
-        Ok(out.decisions)
+        Ok(out)
     }
 
     /// Refuses a batch whose labels would break flow identity: a label
@@ -833,76 +852,24 @@ impl SelfDrivingNetwork {
         Ok(())
     }
 
-    /// Re-optimizes the assignment of all managed flows using Hecate's
-    /// per-tunnel capacity forecasts and the assignment search
-    /// ("the controller consults an optimization engine that is able to
-    /// improve the previous allocation decision"). Returns the new
-    /// (label, tunnel) pairs.
+    /// Re-optimizes the assignment of all managed flows ("the controller
+    /// consults an optimization engine that is able to improve the
+    /// previous allocation decision"): one consult, as at admission, of
+    /// every managed flow with the max-bandwidth objective, then one
+    /// round of migrations for the flows whose tunnel changed. Returns
+    /// the new (label, tunnel) pairs.
     ///
-    /// Every network runs the shared-link engine
-    /// ([`assign_flows_shared_with`]), so the joint reassignment never
-    /// oversubscribes a link that candidate tunnels of different pairs
-    /// have in common, and patches the standing
-    /// [`SelfDrivingNetwork::waterfill`] to the new placement.
+    /// The consult runs on [`SelfDrivingNetwork::link_model`]`(true)`,
+    /// so the joint reassignment never oversubscribes a link that
+    /// candidate tunnels of different pairs have in common. A cold
+    /// consult (no series forecastable yet) is
+    /// [`FrameworkError::NoFeasiblePath`] and moves nothing; a warm one
+    /// patches the standing [`SelfDrivingNetwork::waterfill`] to the
+    /// new placement under the caps the consult placed it under.
     pub fn reoptimize_bandwidth(&mut self) -> Result<Vec<(String, String)>, FrameworkError> {
         if self.flows.is_empty() {
             return Ok(Vec::new());
         }
-        self.log.record("askHecatePath");
-        let names: Vec<&str> = self.rows.iter().map(TunnelRow::name).collect();
-        let before = self.hecate.cache_stats();
-        self.ml_clock.set(self.sim.now_ns());
-        let forecast_span = self
-            .obsv
-            .tracer
-            .span("decide", "decide.forecast", self.sim.now_ns());
-        let (forecasts, _) = self.hecate.forecast_needed(
-            &self.telemetry,
-            &names,
-            &vec![true; names.len()],
-            Metric::AvailableBandwidth,
-        );
-        let now_ns = self.sim.now_ns();
-        forecast_span.end(now_ns, || {
-            let after = self.hecate.cache_stats();
-            let delta = |now: u64, then: u64| obsv::Value::U64(now - then);
-            vec![
-                ("paths", obsv::Value::U64(names.len() as u64)),
-                ("cache_hits", delta(after.hits, before.hits)),
-                ("cache_refits", delta(after.refits, before.refits)),
-            ]
-        });
-        if forecasts.iter().all(Option::is_none) {
-            return Err(FrameworkError::NoFeasiblePath);
-        }
-        let solve = self.obsv.tracer.span("decide", "decide.solve", now_ns);
-        // Tunnels without a forecast (cold series) fall back to their
-        // last observed capacity, or zero if never measured. A tunnel
-        // whose path is physically broken is worth zero regardless of
-        // what the forecast extrapolates — reachability is control-plane
-        // truth, not a prediction.
-        let caps: Vec<f64> = self
-            .rows
-            .iter()
-            .zip(&forecasts)
-            .map(|(row, forecast)| {
-                let reachable = self.sim.path_available_mbps(&row.tunnel.node_path).is_ok();
-                if !reachable {
-                    return 0.0;
-                }
-                forecast
-                    .as_ref()
-                    .map(|f| f.mean())
-                    .or_else(|| self.telemetry.last_of(row.series.0))
-                    .unwrap_or(0.0)
-                    .max(0.0)
-            })
-            .collect();
-        // The whole traffic matrix is reassigned at once, so every
-        // link's headroom includes what our own flows currently occupy —
-        // and each tunnel is additionally capped by its forecast through
-        // a synthetic link.
-        let model = self.link_model(true).with_tunnel_caps(&caps);
         let flows: Vec<FlowDemand> = self
             .flows
             .iter()
@@ -911,30 +878,19 @@ impl SelfDrivingNetwork {
                 demand: f.demand,
             })
             .collect();
-        let (assignment, solver) = assign_flows_shared_with(&model, &flows, &self.opt)?;
-        self.patch_waterfill(&model, &assignment.tunnel_of_flow);
-        let moves: Vec<(String, String)> = self
-            .flows
-            .iter()
-            .zip(&assignment.tunnel_of_flow)
-            .map(|(f, &t)| (f.label.clone(), self.rows[t].tunnel.id.clone()))
-            .collect();
-        let assigned = moves.len() as u64;
-        solve.end(self.sim.now_ns(), move || {
-            vec![
-                ("flows", obsv::Value::U64(assigned)),
-                ("solver", obsv::Value::Str(solver.label().to_string())),
-            ]
-        });
-        self.log.record("optimizerReturn");
-        let changed: Vec<(usize, usize)> = self
-            .flows
-            .iter()
-            .zip(assignment.tunnel_of_flow)
-            .enumerate()
-            .filter(|(_, (f, t))| f.tunnel != *t)
-            .map(|(i, (_, t))| (i, t))
-            .collect();
+        let model = self.link_model(true);
+        let out = self.consult(&flows, &model, Objective::MaxBandwidth)?;
+        if out.solver.is_none() {
+            return Err(FrameworkError::NoFeasiblePath);
+        }
+        self.patch_waterfill(&model.with_tunnel_caps(&out.caps), &out.rows);
+        let (mut moves, mut changed) = (Vec::with_capacity(flows.len()), Vec::new());
+        for (i, (f, &t)) in self.flows.iter().zip(&out.rows).enumerate() {
+            moves.push((f.label.clone(), self.rows[t].tunnel.id.clone()));
+            if f.tunnel != t {
+                changed.push((i, t));
+            }
+        }
         self.migrate_flows(&changed)?;
         Ok(moves)
     }
@@ -1112,11 +1068,14 @@ impl SelfDrivingNetwork {
     /// control plane (zero across failures), plus — when
     /// `include_managed` is set, i.e. the whole assignment is being
     /// redone — the capacity our own managed flows currently occupy on
-    /// that link. Link indexing is first-seen in tunnel order, so the
-    /// model is deterministic.
+    /// that link if it is live. A failed link keeps its zero: a flow
+    /// stranded on it still reports a decaying rate, but no placement
+    /// may count on that capacity. Link indexing is first-seen in tunnel
+    /// order, so the model is deterministic.
     pub fn link_model(&self, include_managed: bool) -> SharedLinkModel {
         let mut index: BTreeMap<(NodeIdx, NodeIdx), usize> = BTreeMap::new();
         let mut headroom: Vec<f64> = Vec::new();
+        let mut live: Vec<bool> = Vec::new();
         let mut tunnel_links: Vec<Vec<usize>> = Vec::with_capacity(self.rows.len());
         for row in &self.rows {
             let path = &row.tunnel.node_path;
@@ -1126,12 +1085,9 @@ impl SelfDrivingNetwork {
                 let idx = *index.entry(key).or_insert_with(|| {
                     // Residual capacity on the directed link right now;
                     // a failed link is honestly worth zero.
-                    let residual = self
-                        .sim
-                        .path_available_mbps(&[hop[0], hop[1]])
-                        .unwrap_or(0.0)
-                        .max(0.0);
-                    headroom.push(residual);
+                    let residual = self.sim.path_available_mbps(&[hop[0], hop[1]]);
+                    live.push(residual.is_ok());
+                    headroom.push(residual.unwrap_or(0.0).max(0.0));
                     headroom.len() - 1
                 });
                 links.push(idx);
@@ -1144,7 +1100,9 @@ impl SelfDrivingNetwork {
                     continue;
                 };
                 for &link in &tunnel_links[f.tunnel] {
-                    headroom[link] += rate;
+                    if live[link] {
+                        headroom[link] += rate;
+                    }
                 }
             }
         }
@@ -1298,17 +1256,8 @@ impl SelfDrivingNetwork {
         }
         // Consult the optimizer for the stream with the min-latency
         // objective.
-        let names: Vec<&str> = self.rows.iter().map(TunnelRow::name).collect();
-        let mut decision = decide_flows_pairs(
-            &self.hecate,
-            &self.telemetry,
-            std::slice::from_ref(&req),
-            &names,
-            &self.link_model(false),
-            Objective::MinLatency,
-            &self.opt,
-            &mut self.log,
-        )?;
+        let model = self.link_model(false);
+        let mut decision = self.consult(&[req.flow_demand()], &model, Objective::MinLatency)?;
         let tunnel_after = decision
             .decisions
             .pop()

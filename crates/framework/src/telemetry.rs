@@ -19,8 +19,6 @@ pub enum Metric {
     Rtt,
     /// A flow's goodput (Mbps).
     FlowRate,
-    /// A link's utilization (0..1).
-    LinkUtilization,
 }
 
 impl Metric {
@@ -29,7 +27,6 @@ impl Metric {
             Metric::AvailableBandwidth => "avail",
             Metric::Rtt => "rtt",
             Metric::FlowRate => "rate",
-            Metric::LinkUtilization => "util",
         }
     }
 }

@@ -9,7 +9,7 @@
 //! admit, which is what admission did before it was narrowed.
 
 use framework::controller::{decide_flows_pairs, BatchDecision, SequenceLog};
-use framework::optimizer::{SharedLinkModel, SolverKind};
+use framework::optimizer::{FlowDemand, SharedLinkModel, SolverKind};
 use framework::scheduler::FlowRequest;
 use framework::telemetry::{Metric, SeriesKey};
 use framework::{
@@ -193,12 +193,9 @@ fn admit_pair0(
     config: &OptimizerConfig,
 ) -> (BatchDecision, Vec<String>) {
     let (model, names) = two_pairs();
-    let reqs = [FlowRequest {
-        label: "f".into(),
-        tos: 32,
-        demand_mbps: None,
-        start_ms: 0,
+    let reqs = [FlowDemand {
         pair: PairId(0),
+        demand: None,
     }];
     let mut log = SequenceLog::default();
     let objective = Objective::MaxBandwidth;

@@ -5,8 +5,7 @@
 
 use framework::controller::{decide_flows_pairs, PathDecision, SequenceLog};
 use framework::hecate::HecateService;
-use framework::optimizer::{Objective, SharedLinkModel};
-use framework::scheduler::FlowRequest;
+use framework::optimizer::{FlowDemand, Objective, SharedLinkModel};
 use framework::telemetry::{Metric, SeriesKey, TelemetryService};
 use hecate_ml::pipeline::forecast_next;
 use hecate_ml::RegressorKind;
@@ -31,20 +30,25 @@ fn store_with_paths(paths: usize, len: usize) -> (TelemetryService, Vec<String>)
     (ts, names)
 }
 
-/// One max-bandwidth consult of `reqs` on one pair over `names`,
-/// tunnels that cross no physical link: only the forecasts bind.
+/// One max-bandwidth consult of `flows` greedy flows on one pair over
+/// `names`, tunnels that cross no physical link: only the forecasts
+/// bind.
 fn decide(
     hecate: &HecateService,
     ts: &TelemetryService,
-    reqs: &[FlowRequest],
+    flows: usize,
     names: &[String],
 ) -> Vec<PathDecision> {
     let model = SharedLinkModel::one_pair(names.len());
+    let greedy = FlowDemand {
+        pair: framework::PairId::default(),
+        demand: None,
+    };
     let mut log = SequenceLog::default();
     decide_flows_pairs(
         hecate,
         ts,
-        reqs,
+        &vec![greedy; flows],
         names,
         &model,
         Objective::MaxBandwidth,
@@ -109,17 +113,8 @@ fn cached_recommendations_match_uncached_on_8_paths() {
     assert_eq!(best_cold, best_warm);
     assert_eq!(best_cold, "path7", "highest level wins");
     // ... and for a whole batch placed jointly.
-    let reqs: Vec<FlowRequest> = (0..4)
-        .map(|i| FlowRequest {
-            label: format!("f{i}"),
-            tos: 0,
-            demand_mbps: None,
-            start_ms: 0,
-            pair: framework::PairId::default(),
-        })
-        .collect();
-    let again = decide(&hecate, &ts, &reqs, &names);
-    let rerun = decide(&hecate, &ts, &reqs, &names);
+    let again = decide(&hecate, &ts, 4, &names);
+    let rerun = decide(&hecate, &ts, 4, &names);
     assert_eq!(again, rerun, "warm batch decisions are stable");
     let stats = hecate.cache_stats();
     assert_eq!(stats.refits, 8, "one fit per path, everything else served");
@@ -150,22 +145,13 @@ fn concurrent_decisions_and_writers_stay_fresh() {
             });
         }
         // Deciders: two threads batch-deciding flows the whole time.
-        for d in 0..2 {
+        for _ in 0..2 {
             let hecate = hecate.clone();
             let ts = ts.clone();
             let names = names.clone();
             scope.spawn(move || {
-                for r in 0..rounds {
-                    let reqs: Vec<FlowRequest> = (0..3)
-                        .map(|i| FlowRequest {
-                            label: format!("d{d}r{r}f{i}"),
-                            tos: 0,
-                            demand_mbps: None,
-                            start_ms: 0,
-                            pair: framework::PairId::default(),
-                        })
-                        .collect();
-                    let decisions = decide(&hecate, &ts, &reqs, &names);
+                for _ in 0..rounds {
+                    let decisions = decide(&hecate, &ts, 3, &names);
                     assert_eq!(decisions.len(), 3);
                     assert!(decisions.iter().all(|dec| dec.used_forecast));
                 }
@@ -175,14 +161,7 @@ fn concurrent_decisions_and_writers_stay_fresh() {
 
     // Writers are done: one more decision round must leave every cached
     // model within refit_after of the final series state.
-    let last = FlowRequest {
-        label: "final".into(),
-        tos: 0,
-        demand_mbps: None,
-        start_ms: 0,
-        pair: framework::PairId::default(),
-    };
-    decide(&hecate, &ts, &[last], &names);
+    decide(&hecate, &ts, 1, &names);
     for name in &names {
         let age = hecate
             .cache_age(&ts, name, Metric::AvailableBandwidth)

@@ -329,3 +329,71 @@ fn a_pair_with_every_tunnel_down_blocks_no_other_pairs_migrations() {
     cut.advance(50_000).unwrap();
     assert!(cut.flow_rate("b").unwrap() > 1.0);
 }
+
+#[test]
+fn a_failed_hop_keeps_zero_headroom_under_its_stranded_flow() {
+    // `a` runs on pair 0's second tunnel (several hops); its first hop
+    // fails. The flow's rate decays rather than vanishing, but a rebuilt
+    // assignment may not count on capacity the dead link cannot carry.
+    let mut sdn = two_pair_mesh();
+    sdn.admit_flows(&[req("a", 0, None)], Objective::MaxBandwidth)
+        .unwrap();
+    sdn.migrate_flow("a", "p0/tunnel2").unwrap();
+    sdn.advance(10_000).unwrap();
+    let row = 1;
+    let path = sdn.tunnel("p0/tunnel2").unwrap().node_path.clone();
+    let name = |n| sdn.sim.topo.node_name(n).to_string();
+    let (from, to) = (name(path[0]), name(path[1]));
+    sdn.set_link_state(&from, &to, false).unwrap();
+    sdn.advance(sdn.sim.now_ms() + 1).unwrap();
+    let rate = sdn.flow_rate("a").unwrap();
+    assert!(rate > 0.0, "the stranded flow still reports a rate");
+    let model = sdn.link_model(true);
+    let (dead, live) = (model.tunnel_links[row][0], model.tunnel_links[row][1]);
+    assert_eq!(model.headroom[dead], 0.0, "{from}-{to} is down");
+    // A live hop of the same tunnel still counts the flow's rate.
+    assert!(model.headroom[live] >= rate, "{:?}", model.headroom);
+}
+
+#[test]
+fn reoptimization_defers_the_pairs_without_flows() {
+    // Flows on pair 0 only. The consult forecasts pair 0's tunnels and
+    // defers pair 1's: no hit and no update lands on them. The twin
+    // forecasts every tunnel before each consult, as re-optimization
+    // did before it was narrowed, and makes the same moves.
+    let (mut narrowed, mut twin) = (two_pair_mesh(), two_pair_mesh());
+    let metrics = obsv::Registry::default();
+    narrowed.set_obsv(obsv::Obsv {
+        tracer: obsv::Tracer::off(),
+        metrics: metrics.clone(),
+    });
+    let reqs = [req("a", 0, None), req("b", 0, None), req("c", 0, Some(2.0))];
+    let pair1 = || {
+        let m = metrics.snapshot();
+        ["hits", "updates"].map(|stat| m.counter(&format!("hecate.cache.p1.{stat}")))
+    };
+    for sdn in [&mut narrowed, &mut twin] {
+        // Admitted cold: every flow starts on pair 0's first tunnel.
+        sdn.admit_flows(&reqs, Objective::MaxBandwidth).unwrap();
+    }
+    // Five samples apart: pair 1's models update rather than refit.
+    for until in [20_000, 25_000, 30_000] {
+        for sdn in [&mut narrowed, &mut twin] {
+            sdn.advance(until).unwrap();
+        }
+        let names = twin.tunnel_names();
+        twin.hecate
+            .forecast_all(&twin.telemetry, &names, Metric::AvailableBandwidth);
+        let before = pair1();
+        let moves = narrowed.reoptimize_bandwidth().unwrap();
+        assert_eq!(pair1(), before, "at {until} ms: pair 1 was deferred");
+        assert_eq!(moves, twin.reoptimize_bandwidth().unwrap(), "at {until} ms");
+        let (a, b) = (narrowed.hecate.cache_stats(), twin.hecate.cache_stats());
+        assert_eq!(a.refits, b.refits, "at {until} ms");
+    }
+    let on_first = ["a", "b", "c"]
+        .iter()
+        .filter(|l| narrowed.flow_tunnel(l) == Some("p0/tunnel1"))
+        .count();
+    assert!(on_first < 3, "the consults moved nothing");
+}

@@ -12,15 +12,14 @@
 
 use std::sync::Arc;
 
-/// Default cap on SLO-violation flight dumps per run. Violations can
-/// recur every epoch; the artifacts must stay bounded. Override per
-/// run via [`ObsvOptions::max_slo_dumps`].
+/// Cap on SLO-violation flight dumps per run (first violations win).
+/// Violations can recur every epoch; the artifacts must stay bounded.
 pub const MAX_SLO_DUMPS: usize = 4;
 
 /// What the runner should observe beyond the scorecard. The default is
 /// fully off — [`Scenario::run`](crate::Scenario::run) uses it, and the
 /// run then carries a no-op tracer that emits and allocates nothing.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub struct ObsvOptions {
     /// Buffer every trace record in memory for export.
     pub trace: bool,
@@ -29,26 +28,11 @@ pub struct ObsvOptions {
     pub snapshots: bool,
     /// Flight-recorder ring capacity in records; `0` disables it. When
     /// on, the tail of the trace is dumped on SLO-violation epochs
-    /// (bounded by [`ObsvOptions::max_slo_dumps`]).
+    /// (at most [`MAX_SLO_DUMPS`]).
     pub flight_capacity: usize,
-    /// How many SLO-violation flight dumps this run keeps (first
-    /// violations win). Defaults to [`MAX_SLO_DUMPS`]; `0` keeps none.
-    pub max_slo_dumps: usize,
     /// Extra sink fanned out alongside the built-ins — the bench
     /// harness hangs its wall-clock profiler here.
     pub extra_sink: Option<Arc<dyn obsv::TraceSink>>,
-}
-
-impl Default for ObsvOptions {
-    fn default() -> Self {
-        ObsvOptions {
-            trace: false,
-            snapshots: false,
-            flight_capacity: 0,
-            max_slo_dumps: MAX_SLO_DUMPS,
-            extra_sink: None,
-        }
-    }
 }
 
 impl std::fmt::Debug for ObsvOptions {
@@ -57,7 +41,6 @@ impl std::fmt::Debug for ObsvOptions {
             .field("trace", &self.trace)
             .field("snapshots", &self.snapshots)
             .field("flight_capacity", &self.flight_capacity)
-            .field("max_slo_dumps", &self.max_slo_dumps)
             .field("extra_sink", &self.extra_sink.is_some())
             .finish()
     }
@@ -76,7 +59,6 @@ impl ObsvOptions {
             trace: true,
             snapshots: true,
             flight_capacity: 4096,
-            max_slo_dumps: MAX_SLO_DUMPS,
             extra_sink: None,
         }
     }
@@ -91,7 +73,7 @@ pub struct ObsvArtifacts {
     /// Final registry snapshot (present when snapshots were on).
     pub metrics: Option<obsv::MetricsSnapshot>,
     /// `(epoch, JSONL dump)` flight-recorder captures from
-    /// SLO-violation epochs, at most [`ObsvOptions::max_slo_dumps`].
+    /// SLO-violation epochs, at most [`MAX_SLO_DUMPS`].
     pub slo_dumps: Vec<(u64, String)>,
 }
 

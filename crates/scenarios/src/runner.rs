@@ -15,7 +15,7 @@
 //! deterministic.
 
 use crate::events::{compile_events, EventSpec, LinkAction};
-use crate::observe::{ObsvArtifacts, ObsvOptions};
+use crate::observe::{ObsvArtifacts, ObsvOptions, MAX_SLO_DUMPS};
 use crate::scorecard::{percentile, MetricsSection, PairScore, Recovery, Scorecard};
 use crate::traffic::{headroom_scale, link_load, TrafficSpec};
 use crate::zoo::{endpoint_pairs, endpoints, TopologySpec};
@@ -474,7 +474,7 @@ impl Scenario {
                     || vec![("epoch", obsv::Value::U64(e))],
                 );
                 if let Some(fr) = &flight {
-                    if slo_dumps.len() < opts.max_slo_dumps {
+                    if slo_dumps.len() < MAX_SLO_DUMPS {
                         slo_dumps.push((e, fr.dump_jsonl()));
                     }
                 }
@@ -898,7 +898,8 @@ mod tests {
 
     #[test]
     fn slo_dump_cap_is_honored() {
-        // Same persistently-violating scenario; cap the dumps at 2.
+        // Same persistently-violating scenario: more violation epochs
+        // than the cap.
         let mut s = tiny(11);
         s.events = vec![EventSpec {
             at_epoch: 12,
@@ -908,20 +909,25 @@ mod tests {
             },
         }];
         s.horizon_epochs = 30;
-        let opts = |cap: usize| crate::observe::ObsvOptions {
+        let opts = crate::observe::ObsvOptions {
             flight_capacity: 512,
-            max_slo_dumps: cap,
             ..Default::default()
         };
-        let (card, art) = s.run_observed(Policy::StaticShortest, &opts(2)).unwrap();
-        assert!(card.slo_violation_epochs > 2);
-        assert_eq!(art.slo_dumps.len(), 2, "cap must bound the dumps");
-        // First violations win, and each dump names its epoch.
-        assert_eq!(art.slo_dumps[0].0, card.blames[0].epoch);
-        assert!(art.slo_dumps[0].0 < art.slo_dumps[1].0);
-        // A zero cap keeps the recorder attached but drops every dump.
-        let (_, none) = s.run_observed(Policy::StaticShortest, &opts(0)).unwrap();
-        assert!(none.slo_dumps.is_empty());
+        let (card, art) = s.run_observed(Policy::StaticShortest, &opts).unwrap();
+        assert!(card.slo_violation_epochs > MAX_SLO_DUMPS as u64);
+        assert_eq!(
+            art.slo_dumps.len(),
+            MAX_SLO_DUMPS,
+            "cap must bound the dumps"
+        );
+        // First violations win, in order, and each dump names its epoch.
+        let dumped: Vec<u64> = art.slo_dumps.iter().map(|(e, _)| *e).collect();
+        let first: Vec<u64> = card.blames[..MAX_SLO_DUMPS]
+            .iter()
+            .map(|b| b.epoch)
+            .collect();
+        assert_eq!(dumped, first);
+        assert!(art.slo_dumps.iter().all(|(_, dump)| !dump.is_empty()));
     }
 
     #[test]
