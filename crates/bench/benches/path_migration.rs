@@ -61,10 +61,7 @@ fn bench_fig11_end_to_end(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_secs(2));
     group.measurement_time(std::time::Duration::from_secs(10));
     group.bench_function("latency_migration_20s_phases", |b| {
-        b.iter(|| {
-            let mut sdn = framework::sdn::SelfDrivingNetwork::testbed(1).unwrap();
-            black_box(sdn.run_latency_migration(20).unwrap().mean_after_ms)
-        })
+        b.iter(|| black_box(bench::figures::fig11(20, 1).unwrap().mean_after_ms))
     });
     group.finish();
 }

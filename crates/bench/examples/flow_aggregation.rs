@@ -6,14 +6,13 @@
 //! and aggregate goodput rises to ≈ 30 Mbps, matching the paper's
 //! reported increase.
 //!
-//! Run with: `cargo run --release --example flow_aggregation`
+//! Run with: `cargo run --release -p bench --example flow_aggregation`
 
-use polka_hecate::framework::dashboard::{flow_row, sparkline};
-use polka_hecate::framework::sdn::SelfDrivingNetwork;
+use bench::figures::fig12;
+use framework::dashboard::{flow_row, sparkline};
 
 fn main() {
-    let mut sdn = SelfDrivingNetwork::testbed(42).expect("testbed builds");
-    let result = sdn.run_flow_aggregation(60).expect("experiment completes");
+    let result = fig12(60, 42).expect("experiment completes");
 
     println!("per-flow goodput (1 Hz):");
     for (label, series) in &result.per_flow {

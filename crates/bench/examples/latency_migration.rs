@@ -6,13 +6,14 @@
 //! (MIA-CHI-AMS) and the flow migrates with a single PBR rewrite at the
 //! MIA edge — no core-network change. The RTT drops ~4x.
 //!
-//! Run with: `cargo run --release --example latency_migration`
+//! Run with: `cargo run --release -p bench --example latency_migration`
 
-use polka_hecate::framework::dashboard::sparkline;
-use polka_hecate::framework::sdn::SelfDrivingNetwork;
+use bench::figures::fig11;
+use framework::dashboard::sparkline;
+use framework::sdn::SelfDrivingNetwork;
 
 fn main() {
-    let mut sdn = SelfDrivingNetwork::testbed(42).expect("testbed builds");
+    let sdn = SelfDrivingNetwork::testbed(42).expect("testbed builds");
     println!("tunnels: {:?}", sdn.tunnel_names());
     for name in sdn.tunnel_names() {
         let t = sdn.tunnel(&name).unwrap();
@@ -28,7 +29,7 @@ fn main() {
         );
     }
 
-    let result = sdn.run_latency_migration(60).expect("experiment completes");
+    let result = fig11(60, 42).expect("experiment completes");
 
     println!("\nping host1 -> host2, 1 Hz:");
     let rtts: Vec<f64> = result.rtt_series.iter().map(|(_, v)| *v).collect();

@@ -221,7 +221,7 @@ fn fig7_or_8(kind: RegressorKind, name: &str) {
 
 fn fig11() {
     banner("fig11", "agile migration to a lower-latency path");
-    let r = figures::fig11(60, 42);
+    let r = figures::fig11(60, 42).expect("experiment");
     print!("{}", format_series("RTT (ms) @1Hz:", &r.rtt_series, 5));
     println!(
         "migration at t={}s: {} -> {}",
@@ -237,7 +237,7 @@ fn fig11() {
 
 fn fig12() {
     banner("fig12", "flow aggregation with multiple paths");
-    let r = figures::fig12(60, 42);
+    let r = figures::fig12(60, 42).expect("experiment");
     for (label, series) in &r.per_flow {
         print!(
             "{}",
@@ -465,7 +465,14 @@ fn steering() {
         "{:<16} {:>14} {:>11}",
         "policy", "goodput Mbps", "migrations"
     );
-    for r in figures::ext_steering() {
+    let d = traces::UqDataset::generate(&traces::UqSpec {
+        len: 220,
+        outdoor_at: 50,
+        arrival_at: 200,
+        seed: 6,
+    });
+    for p in framework::Policy::all() {
+        let r = figures::ext_steering(p, &d, 200).expect("steering run");
         println!(
             "{:<16} {:>14.2} {:>11}",
             r.policy.name(),

@@ -4,12 +4,11 @@
 //! factor — not the authors' absolute numbers (our substrate is a
 //! simulator, theirs was VirtualBox + freeRtr).
 
-use polka_hecate::framework::sdn::SelfDrivingNetwork;
+use bench::figures::{fig11, fig12};
 
 #[test]
 fn fig11_latency_migration_shape() {
-    let mut sdn = SelfDrivingNetwork::testbed(42).unwrap();
-    let r = sdn.run_latency_migration(40).unwrap();
+    let r = fig11(40, 42).unwrap();
 
     // Migration happened, from tunnel1 to the low-latency tunnel2.
     assert_eq!(r.tunnel_before, "tunnel1");
@@ -41,8 +40,7 @@ fn fig11_latency_migration_shape() {
 
 #[test]
 fn fig12_flow_aggregation_shape() {
-    let mut sdn = SelfDrivingNetwork::testbed(42).unwrap();
-    let r = sdn.run_flow_aggregation(40).unwrap();
+    let r = fig12(40, 42).unwrap();
 
     // Phase 1: all three flows share tunnel1 -> total < 20 Mbps.
     assert!(
@@ -73,8 +71,7 @@ fn fig12_flow_aggregation_shape() {
 #[test]
 fn experiments_are_deterministic_given_seed() {
     let run = |seed| {
-        let mut sdn = SelfDrivingNetwork::testbed(seed).unwrap();
-        let r = sdn.run_latency_migration(20).unwrap();
+        let r = fig11(20, seed).unwrap();
         (r.mean_before_ms, r.mean_after_ms)
     };
     assert_eq!(run(9), run(9));

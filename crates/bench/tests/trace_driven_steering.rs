@@ -3,9 +3,9 @@
 //! at t≈70 s: the WiFi path (tunnel 1) collapses while LTE (tunnel 2)
 //! picks up — adaptive policies must follow, static must lose.
 
-use polka_hecate::framework::sdn::SelfDrivingNetwork;
-use polka_hecate::framework::Policy;
-use polka_hecate::traces::{UqDataset, UqSpec};
+use bench::figures::{ext_steering, SteeringResult};
+use framework::Policy;
+use traces::{UqDataset, UqSpec};
 
 fn traces() -> UqDataset {
     // The walk goes outdoors early, so most of the run happens where the
@@ -19,11 +19,8 @@ fn traces() -> UqDataset {
     })
 }
 
-fn run(policy: Policy) -> polka_hecate::framework::sdn::SteeringResult {
-    let d = traces();
-    let mut sdn = SelfDrivingNetwork::testbed(21).unwrap();
-    sdn.run_trace_driven_steering(policy, 180, 10, &d.wifi, &d.lte)
-        .unwrap()
+fn run(policy: Policy) -> SteeringResult {
+    ext_steering(policy, &traces(), 180).unwrap()
 }
 
 #[test]
@@ -50,7 +47,7 @@ fn adaptive_steering_beats_static() {
     // The decisive window is after the walk goes outdoors (t > 70 s):
     // the WiFi tunnel is collapsed, LTE is strong, and only adaptive
     // policies are on it.
-    let outdoor_mean = |r: &polka_hecate::framework::sdn::SteeringResult| {
+    let outdoor_mean = |r: &SteeringResult| {
         let v: Vec<f64> = r
             .goodput
             .iter()

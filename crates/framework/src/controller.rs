@@ -34,17 +34,17 @@ pub struct PathDecision {
 /// repro harness can assert the exact interaction order.
 #[derive(Debug, Clone, Default)]
 pub struct SequenceLog {
-    steps: Vec<String>,
+    steps: Vec<&'static str>,
 }
 
 impl SequenceLog {
     /// Records one interaction.
-    pub fn record(&mut self, step: &str) {
-        self.steps.push(step.to_string());
+    pub fn record(&mut self, step: &'static str) {
+        self.steps.push(step);
     }
 
     /// The recorded steps in order.
-    pub fn steps(&self) -> &[String] {
+    pub fn steps(&self) -> &[&'static str] {
         &self.steps
     }
 }
@@ -326,7 +326,7 @@ mod tests {
         assert_eq!(out.decisions[0].tunnel, "tunnel1");
         assert!(!out.decisions[0].used_forecast);
         assert_eq!(out.solver, None);
-        assert!(log.steps().contains(&"fallbackArbitraryPath".to_string()));
+        assert!(log.steps().contains(&"fallbackArbitraryPath"));
     }
 
     #[test]
@@ -430,7 +430,7 @@ mod tests {
         assert!(decisions
             .iter()
             .all(|d| d.tunnel == "tunnel1" && !d.used_forecast));
-        assert!(log.steps().contains(&"fallbackArbitraryPath".to_string()));
+        assert!(log.steps().contains(&"fallbackArbitraryPath"));
     }
 
     #[test]
@@ -541,7 +541,7 @@ mod tests {
         assert_eq!(decisions[1].tunnel, "p1/tunnel1");
         assert_eq!(decisions[2].tunnel, "p1/tunnel1");
         assert!(decisions.iter().all(|d| !d.used_forecast));
-        assert!(log.steps().contains(&"fallbackArbitraryPath".to_string()));
+        assert!(log.steps().contains(&"fallbackArbitraryPath"));
     }
 
     #[test]

@@ -17,10 +17,9 @@
 //! * [`scheduler::Scheduler`] — queued flow requests with start times;
 //! * [`dashboard`] — the "link occupation graphs" as ASCII rendering;
 //! * [`sdn::SelfDrivingNetwork`] — the assembled system: netsim substrate,
-//!   freeRtr agents, compiled PolKA tunnels, services; plus runnable
-//!   reproductions of the paper's two experiments
-//!   ([`sdn::SelfDrivingNetwork::run_latency_migration`] → Fig 11,
-//!   [`sdn::SelfDrivingNetwork::run_flow_aggregation`] → Fig 12);
+//!   freeRtr agents, compiled PolKA tunnels, services. The paper's two
+//!   experiments (Fig 11, Fig 12) run on its public API from the `bench`
+//!   crate's `figures` module;
 //! * [`Policy`] — the network's routing policy (Hecate, last-sample,
 //!   static shortest-path), the one place its arms live: the network
 //!   runs it through [`SelfDrivingNetwork::admit_under`] and
@@ -38,13 +37,15 @@ pub mod optimizer;
 pub mod policies;
 pub mod scheduler;
 pub mod sdn;
+mod steering;
 pub mod telemetry;
 pub mod waterfill;
 
 pub use hecate::HecateService;
 pub use optimizer::{Objective, OptimizerConfig};
 pub use scheduler::{FlowRequest, Scheduler};
-pub use sdn::{Policy, SelfDrivingNetwork};
+pub use sdn::SelfDrivingNetwork;
+pub use steering::Policy;
 pub use telemetry::{Metric, TelemetryService};
 pub use waterfill::SharedWaterfill;
 
@@ -52,11 +53,11 @@ pub use waterfill::SharedWaterfill;
 /// control plane keys everything on: candidate tunnel sets, telemetry
 /// namespaces, flow admission and the shared-link assignment.
 ///
-/// A single-pair deployment (the paper's testbed,
-/// [`SelfDrivingNetwork::over_topology`]) is `PairId(0)` everywhere and
-/// decides on the same shared-link engine as any other; only its
-/// series/tunnel names stay un-namespaced, as the Fig 10 configuration
-/// names its tunnels.
+/// A single-pair deployment (the paper's testbed, or
+/// [`SelfDrivingNetwork::over_topology_pairs`] with one pair) is
+/// `PairId(0)` everywhere and decides on the same shared-link engine as
+/// any other; only its series/tunnel names stay un-namespaced, as the
+/// Fig 10 configuration names its tunnels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct PairId(pub usize);
 

@@ -1,18 +1,18 @@
 //! The assembled self-driving network: netsim substrate, freeRtr agents,
-//! compiled PolKA tunnels and the Telemetry/Hecate/Optimizer services,
-//! the routing [`Policy`] it runs, plus runnable reproductions of the
-//! paper's two experiments.
+//! compiled PolKA tunnels and the Telemetry/Hecate/Optimizer services.
 //!
-//! See [`SelfDrivingNetwork::run_latency_migration`] (Fig 11),
-//! [`SelfDrivingNetwork::run_flow_aggregation`] (Fig 12) and
-//! [`SelfDrivingNetwork::run_trace_driven_steering`] (extension).
+//! This module holds the tunnel table (its rows and their registration),
+//! telemetry collection and admission. The routing [`crate::Policy`]
+//! and the moves it makes (steering, re-optimization, migration) live in
+//! `steering.rs`, the packet plane in [`crate::dataloop`]; both extend
+//! [`SelfDrivingNetwork`] with their own `impl` blocks. The paper's
+//! experiments (Figs 11 and 12, the trace-driven steering extension)
+//! run on this public API from the `bench` crate's `figures` module.
 
 use crate::controller::{decide_flows_pairs, BatchDecision, PathDecision, SequenceLog};
 use crate::dataloop::PROBE_PREFIX;
 use crate::hecate::HecateService;
-use crate::optimizer::{
-    assign_flows_shared_with, FlowDemand, Objective, OptimizerConfig, SharedLinkModel,
-};
+use crate::optimizer::{FlowDemand, Objective, OptimizerConfig, SharedLinkModel};
 use crate::scheduler::{FlowRequest, Scheduler};
 use crate::telemetry::{scoped_target, Metric, SeriesId, SeriesKey, TelemetryService};
 use crate::waterfill::SharedWaterfill;
@@ -93,50 +93,16 @@ pub(crate) struct ManagedPair {
 /// migrations: one op list per distinct ingress router, in the order
 /// the edges first appear, each list in request order — so every edge
 /// applies exactly the op sequence per-flow calls would have.
-type EdgeOps<'a> = Vec<(&'a RouterHandle, Vec<ConfigOp>)>;
+pub(crate) type EdgeOps<'a> = Vec<(&'a RouterHandle, Vec<ConfigOp>)>;
 
 /// The slot of `pair`'s ingress edge in `edges` (pairs sharing an
 /// ingress share it), added on first use.
-fn edge_slot<'a>(edges: &mut EdgeOps<'a>, pair: &'a ManagedPair) -> usize {
+pub(crate) fn edge_slot<'a>(edges: &mut EdgeOps<'a>, pair: &'a ManagedPair) -> usize {
     let known = edges.iter().position(|(e, _)| e.name() == pair.ingress);
     known.unwrap_or_else(|| {
         edges.push((&pair.edge, Vec::new()));
         edges.len() - 1
     })
-}
-
-/// The network's routing policy: where admitted flows land and how they
-/// are re-steered at each decision interval. The one definition of its
-/// arms; callers hand it to [`SelfDrivingNetwork::admit_under`] and
-/// [`SelfDrivingNetwork::steer`] and never branch on it themselves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Policy {
-    /// The framework's mode: Hecate capacity forecasts + the assignment
-    /// search, one consultation per decision interval.
-    Hecate,
-    /// Reactive baseline: each pair re-assigned on its tunnels' *last
-    /// observed* capacity samples — no forecasting, and blind to links
-    /// its tunnels share with other pairs.
-    LastSample,
-    /// Static shortest-path: every flow pinned to its pair's first
-    /// (shortest) tunnel forever.
-    StaticShortest,
-}
-
-impl Policy {
-    /// All policies, in scorecard order.
-    pub fn all() -> [Policy; 3] {
-        [Policy::Hecate, Policy::LastSample, Policy::StaticShortest]
-    }
-
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Policy::Hecate => "hecate",
-            Policy::LastSample => "last-sample",
-            Policy::StaticShortest => "static-shortest",
-        }
-    }
 }
 
 /// The assembled system.
@@ -160,11 +126,12 @@ pub struct SelfDrivingNetwork {
     pub(crate) rows: Vec<TunnelRow>,
     /// Tunnel name -> row, for the public by-name lookups; written only
     /// by [`SelfDrivingNetwork::register_tunnel`].
-    row_of: BTreeMap<String, usize>,
+    pub(crate) row_of: BTreeMap<String, usize>,
     pub(crate) flows: Vec<ManagedFlow>,
     /// The managed ingress/egress pairs; single-pair deployments (the
-    /// paper testbed, [`SelfDrivingNetwork::over_topology`]) have
-    /// exactly one entry with the legacy un-scoped namespace.
+    /// paper testbed, [`SelfDrivingNetwork::over_topology_pairs`] with
+    /// one pair) have exactly one entry with the legacy un-scoped
+    /// namespace.
     pub(crate) pairs: Vec<ManagedPair>,
     next_flow: u64,
     /// Telemetry sampling period (ms); the paper samples at 1 Hz. 0
@@ -261,46 +228,23 @@ impl SelfDrivingNetwork {
         });
     }
 
-    /// Assembles the self-driving network over an **arbitrary**
-    /// topology: gives the named ingress router a freeRtr agent,
-    /// discovers up to `k` **link-disjoint** candidate tunnels to the
-    /// egress ([`netsim::Topology::k_disjoint_shortest_paths`]),
-    /// compiles each to a PolKA routeID and installs it on the edge.
-    /// Disjointness mirrors the paper's hand-built testbed tunnels and
-    /// keeps the optimizer's bottleneck-per-tunnel capacity model
-    /// sound — overlapping tunnels would steal each other's measured
-    /// headroom. Tunnels are named `tunnel1..k` in increasing delay
-    /// order, so `tunnel1` is always the shortest path — the
-    /// static-routing baseline. Fewer than `k` tunnels come back when
-    /// the ingress/egress cut is smaller.
-    ///
-    /// This is the constructor the scenario engine drives: the same
-    /// control loop as [`SelfDrivingNetwork::testbed`], minus the
-    /// hand-written Fig 10 configuration, on any `netsim::Topology`.
-    /// Managed flows run router-to-router (ingress to egress).
-    pub fn over_topology(
-        topo: netsim::Topology,
-        ingress: &str,
-        egress: &str,
-        k: usize,
-        seed: u64,
-    ) -> Result<Self, FrameworkError> {
-        Self::over_topology_pairs(topo, &[(ingress, egress)], k, seed)
-    }
-
     /// Assembles the self-driving network over **N managed
-    /// ingress/egress pairs** — the traffic-matrix generalization of
-    /// [`SelfDrivingNetwork::over_topology`] (which is exactly the
-    /// `N = 1` case).
+    /// ingress/egress pairs** on an arbitrary topology: the same control
+    /// loop as [`SelfDrivingNetwork::testbed`], minus the hand-written
+    /// Fig 10 configuration. This is the constructor the scenario engine
+    /// drives; managed flows run router-to-router (ingress to egress).
     ///
     /// Per pair, up to `k` **link-disjoint** candidate tunnels are
     /// discovered with [`netsim::Topology::k_disjoint_shortest_paths`]
-    /// and compiled to PolKA routeIDs: disjoint *within* each pair
-    /// (mirroring the paper's hand-built testbed tunnels) but freely
-    /// **overlapping across pairs** — which is why the multi-pair
-    /// optimizer reasons about shared directed links instead of
-    /// per-tunnel bottlenecks. Each *distinct* ingress router gets one
-    /// freeRtr agent; pairs sharing an ingress share it.
+    /// and compiled to PolKA routeIDs, in increasing delay order (so a
+    /// pair's first tunnel is its shortest path, the static-routing
+    /// baseline; fewer than `k` come back when the cut is smaller).
+    /// They are disjoint *within* each pair (mirroring the paper's
+    /// hand-built testbed tunnels) but freely **overlapping across
+    /// pairs** — which is why the optimizer reasons about shared
+    /// directed links instead of per-tunnel bottlenecks. Each *distinct*
+    /// ingress router gets one freeRtr agent; pairs sharing an ingress
+    /// share it.
     ///
     /// Namespaces: with one pair, tunnels keep the legacy names
     /// `tunnel1..k`; with more, pair `i`'s tunnels are scoped
@@ -441,7 +385,7 @@ impl SelfDrivingNetwork {
     /// testbed's hosts). The path is checked as [`Simulation::schedule`]
     /// checks a flow path (every hop a live link), so scheduling it
     /// cannot fail.
-    fn host_path(&self, row: usize) -> Result<Vec<NodeIdx>, FrameworkError> {
+    pub(crate) fn host_path(&self, row: usize) -> Result<Vec<NodeIdx>, FrameworkError> {
         let row = &self.rows[row];
         let (tunnel, p) = (&row.tunnel.node_path, &self.pairs[row.pair.index()]);
         let mut path = Vec::with_capacity(tunnel.len() + 2);
@@ -612,15 +556,15 @@ impl SelfDrivingNetwork {
     }
 
     /// One consult: [`decide_flows_pairs`] for `flows` on `model` over
-    /// every row, at the current sim time. Admission, re-optimization
-    /// and the Fig 11 migration all decide through it. The
-    /// `decide.consult` span covers the call (`batch`); inside it,
-    /// `decide.forecast` attributes the batch to cache hits, updates
-    /// and refits, diffed around the call, and the zero-width
-    /// `decide.solve` names the series forecast and the solver run.
+    /// every row, at the current sim time. Admission and
+    /// re-optimization decide through it. The `decide.consult` span
+    /// covers the call (`batch`); inside it, `decide.forecast`
+    /// attributes the batch to cache hits, updates and refits, diffed
+    /// around the call, and the zero-width `decide.solve` names the
+    /// series forecast and the solver run.
     /// Stamps are pure sim time: traces are part of the bit-replay
     /// contract.
-    fn consult(
+    pub(crate) fn consult(
         &mut self,
         flows: &[FlowDemand],
         model: &SharedLinkModel,
@@ -767,237 +711,6 @@ impl SelfDrivingNetwork {
         Ok(())
     }
 
-    /// Migrates one managed flow to a different tunnel **of its own
-    /// pair**: one PBR rewrite on the pair's ingress edge plus the
-    /// data-plane path swap.
-    pub fn migrate_flow(&mut self, label: &str, tunnel: &str) -> Result<(), FrameworkError> {
-        let flow = self
-            .flows
-            .iter()
-            .position(|f| f.label == label)
-            .ok_or(FrameworkError::NoFeasiblePath)?;
-        let row = *self
-            .row_of
-            .get(tunnel)
-            .ok_or(FrameworkError::NoFeasiblePath)?;
-        self.migrate_flows(&[(flow, row)])
-    }
-
-    /// Moves `self.flows[i]` onto tunnel row `row` for every `(i, row)`:
-    /// one edge transaction of PBR rewrites per ingress, then the
-    /// data-plane path swaps, in `moves` order.
-    ///
-    /// Every move is resolved (a row of the flow's own pair, its host
-    /// path, a live link under each hop) before the first rewrite, and a
-    /// flow changes tunnel only after its edge accepted. A move that
-    /// does not resolve and a move whose edge refuses are alike: that
-    /// flow stays where it is, the other moves are carried out, and the
-    /// first error is returned (a resolution error before a refusal).
-    fn migrate_flows(&mut self, moves: &[(usize, usize)]) -> Result<(), FrameworkError> {
-        let mut edges = EdgeOps::new();
-        let mut resolved = Vec::with_capacity(moves.len());
-        let mut unresolved = None;
-        for &(i, row) in moves {
-            let flow = &self.flows[i];
-            // A tunnel of a *different* pair connects the wrong
-            // endpoints — refuse rather than misroute.
-            let path = if self.rows[row].pair == flow.pair {
-                self.host_path(row)
-            } else {
-                Err(FrameworkError::NoFeasiblePath)
-            };
-            let path = match path {
-                Ok(path) => path,
-                Err(e) => {
-                    unresolved.get_or_insert(e);
-                    continue;
-                }
-            };
-            let edge = edge_slot(&mut edges, &self.pairs[flow.pair.index()]);
-            edges[edge].1.push(ConfigOp::SetPbr {
-                acl: flow.label.clone(),
-                tunnel: self.rows[row].tunnel.id.clone(),
-            });
-            resolved.push((i, row, edge, path));
-        }
-        let acks: Vec<_> = edges
-            .into_iter()
-            .map(|(edge, ops)| edge.transact(ops))
-            .collect();
-        let now = self.sim.now_ms();
-        for (i, row, edge, path) in resolved {
-            if acks[edge].is_err() {
-                continue;
-            }
-            let flow = &mut self.flows[i];
-            self.sim
-                .schedule(now, Event::SetFlowPath(flow.id, path.into()))?;
-            let from = std::mem::replace(&mut flow.tunnel, row);
-            let (label, rows) = (&flow.label, &self.rows);
-            self.obsv
-                .tracer
-                .instant("decide", "decide.migrate", self.sim.now_ns(), || {
-                    vec![
-                        ("flow", obsv::Value::Str(label.clone())),
-                        ("from", obsv::Value::Str(rows[from].tunnel.id.clone())),
-                        ("to", obsv::Value::Str(rows[row].tunnel.id.clone())),
-                    ]
-                });
-            self.log.record("configureTunnel");
-        }
-        if let Some(e) = unresolved {
-            return Err(e);
-        }
-        acks.into_iter().collect::<Result<(), _>>()?;
-        Ok(())
-    }
-
-    /// Re-optimizes the assignment of all managed flows ("the controller
-    /// consults an optimization engine that is able to improve the
-    /// previous allocation decision"): one consult, as at admission, of
-    /// every managed flow with the max-bandwidth objective, then one
-    /// round of migrations for the flows whose tunnel changed. Returns
-    /// the new (label, tunnel) pairs.
-    ///
-    /// The consult runs on [`SelfDrivingNetwork::link_model`]`(true)`,
-    /// so the joint reassignment never oversubscribes a link that
-    /// candidate tunnels of different pairs have in common. A cold
-    /// consult (no series forecastable yet) is
-    /// [`FrameworkError::NoFeasiblePath`] and moves nothing; a warm one
-    /// patches the standing [`SelfDrivingNetwork::waterfill`] to the
-    /// new placement under the caps the consult placed it under.
-    pub fn reoptimize_bandwidth(&mut self) -> Result<Vec<(String, String)>, FrameworkError> {
-        if self.flows.is_empty() {
-            return Ok(Vec::new());
-        }
-        let flows: Vec<FlowDemand> = self
-            .flows
-            .iter()
-            .map(|f| FlowDemand {
-                pair: f.pair,
-                demand: f.demand,
-            })
-            .collect();
-        let model = self.link_model(true);
-        let out = self.consult(&flows, &model, Objective::MaxBandwidth)?;
-        if out.solver.is_none() {
-            return Err(FrameworkError::NoFeasiblePath);
-        }
-        self.patch_waterfill(&model.with_tunnel_caps(&out.caps), &out.rows);
-        let (mut moves, mut changed) = (Vec::with_capacity(flows.len()), Vec::new());
-        for (i, (f, &t)) in self.flows.iter().zip(&out.rows).enumerate() {
-            moves.push((f.label.clone(), self.rows[t].tunnel.id.clone()));
-            if f.tunnel != t {
-                changed.push((i, t));
-            }
-        }
-        self.migrate_flows(&changed)?;
-        Ok(moves)
-    }
-
-    /// Admits a batch under `policy`: [`SelfDrivingNetwork::admit_flows`]
-    /// with the max-bandwidth objective, after which
-    /// [`Policy::StaticShortest`] moves each new flow not on its pair's
-    /// first tunnel onto it.
-    pub fn admit_under(
-        &mut self,
-        policy: Policy,
-        reqs: &[FlowRequest],
-    ) -> Result<(), FrameworkError> {
-        self.admit_flows(reqs, Objective::MaxBandwidth)?;
-        if policy != Policy::StaticShortest {
-            return Ok(());
-        }
-        let admitted = self.flows.len() - reqs.len();
-        let pins: Vec<(usize, usize)> = self
-            .flows
-            .iter()
-            .enumerate()
-            .skip(admitted)
-            .filter_map(|(i, f)| {
-                let first = *self.pairs[f.pair.index()].rows.first()?;
-                (first != f.tunnel).then_some((i, first))
-            })
-            .collect();
-        self.migrate_flows(&pins)
-    }
-
-    /// One decision interval under `policy`; returns the pair of every
-    /// flow it moved, in move order.
-    ///
-    /// - [`Policy::StaticShortest`] moves nothing.
-    /// - [`Policy::Hecate`] runs [`SelfDrivingNetwork::reoptimize_bandwidth`].
-    ///   A consult that errs (too little telemetry during warm-up, an
-    ///   edge refusing) is skipped, but the moves its other edges
-    ///   accepted still count: a flow counts exactly when its
-    ///   tunnel changed.
-    /// - [`Policy::LastSample`] re-assigns each pair on its own, in pair
-    ///   order, with [`assign_flows_shared_with`] over the pair's flows
-    ///   (in admission order) on a caps-only model: one tunnel per cap,
-    ///   each cap its tunnel's last available-bandwidth sample (a
-    ///   missing sample reads 0), no physical link — so the policy is
-    ///   blind to links its tunnels share. Each move is its own edge
-    ///   transaction; a refused one is skipped and the pair's other
-    ///   moves still go.
-    pub fn steer(&mut self, policy: Policy) -> Vec<PairId> {
-        match policy {
-            Policy::StaticShortest => Vec::new(),
-            Policy::Hecate => {
-                let before: Vec<usize> = self.flows.iter().map(|f| f.tunnel).collect();
-                // An error may follow moves already made: read them off
-                // the flows either way.
-                let _ = self.reoptimize_bandwidth();
-                self.flows
-                    .iter()
-                    .zip(before)
-                    .filter(|(f, b)| f.tunnel != *b)
-                    .map(|(f, _)| f.pair)
-                    .collect()
-            }
-            Policy::LastSample => (0..self.pairs.len())
-                .flat_map(|p| self.steer_on_last_samples(PairId(p)))
-                .collect(),
-        }
-    }
-
-    /// [`Policy::LastSample`]'s re-assignment of one pair; returns the
-    /// pair once per flow moved.
-    fn steer_on_last_samples(&mut self, pair: PairId) -> Vec<PairId> {
-        let rows = self.pairs[pair.index()].rows.clone();
-        let caps: Vec<f64> = rows
-            .iter()
-            .map(|&r| {
-                let last = self.telemetry.last_of(self.rows[r].series.0);
-                last.unwrap_or(0.0).max(0.0)
-            })
-            .collect();
-        // Tunnel `t` of the model is row `rows[t]`, and its one pair is
-        // this one.
-        let model = SharedLinkModel::one_pair(caps.len()).with_tunnel_caps(&caps);
-        let mine: Vec<usize> = (0..self.flows.len())
-            .filter(|&i| self.flows[i].pair == pair)
-            .collect();
-        let flows: Vec<FlowDemand> = mine
-            .iter()
-            .map(|&i| FlowDemand {
-                pair: PairId(0),
-                demand: self.flows[i].demand,
-            })
-            .collect();
-        let Ok((assignment, _)) = assign_flows_shared_with(&model, &flows, &self.opt) else {
-            return Vec::new();
-        };
-        let mut moved = Vec::new();
-        for (&i, &t) in mine.iter().zip(&assignment.tunnel_of_flow) {
-            let target = rows[t];
-            // A move of one flow errs exactly when it did not happen.
-            if self.flows[i].tunnel != target && self.migrate_flows(&[(i, target)]).is_ok() {
-                moved.push(pair);
-            }
-        }
-        moved
-    }
-
     /// The optimizer configuration in force (the solver cutoff).
     pub fn optimizer_config(&self) -> &OptimizerConfig {
         &self.opt
@@ -1009,58 +722,6 @@ impl SelfDrivingNetwork {
     /// [`SharedWaterfill::audit`].
     pub fn waterfill(&self) -> Option<&SharedWaterfill> {
         self.waterfill.as_ref()
-    }
-
-    /// Patches the standing incremental engine to the just-decided
-    /// placement: headroom diffs (bitwise no-op per unchanged link),
-    /// then flow arrivals / departures / reroutes / demand changes,
-    /// then one batched resolve. The engine is rebuilt from scratch
-    /// only when the link universe itself changed (tunnel discovery
-    /// added links). Counters land in
-    /// `framework.waterfill.incremental.*`; the debug audit pins the
-    /// standing solution to the from-scratch recompute bit for bit.
-    fn patch_waterfill(&mut self, model: &SharedLinkModel, placement: &[usize]) {
-        if self.waterfill.as_ref().is_some_and(|wf| {
-            wf.link_count() != model.headroom.len() || wf.tunnel_count() != model.tunnel_links.len()
-        }) {
-            self.waterfill = None;
-        }
-        let wf = self.waterfill.get_or_insert_with(|| {
-            let wf = SharedWaterfill::new(model);
-            wf.metrics()
-                .register(&self.obsv.metrics, "framework.waterfill.incremental");
-            wf
-        });
-        for (l, &h) in model.headroom.iter().enumerate() {
-            wf.set_headroom(l, h);
-        }
-        let mut keep = std::collections::BTreeSet::new();
-        for (f, &t) in self.flows.iter().zip(placement) {
-            let id = f.id.0;
-            keep.insert(id);
-            match wf.tunnel_of(id) {
-                None => wf.insert(id, t, f.demand),
-                Some(cur) => {
-                    if cur != t {
-                        wf.set_tunnel(id, t);
-                    }
-                    if wf.demand_of(id) != Some(f.demand) {
-                        wf.set_demand(id, f.demand);
-                    }
-                }
-            }
-        }
-        let stale_ids: Vec<u64> = wf
-            .rates()
-            .into_iter()
-            .map(|(id, _)| id)
-            .filter(|id| !keep.contains(id))
-            .collect();
-        for id in stale_ids {
-            wf.remove(id);
-        }
-        wf.resolve();
-        debug_assert!(wf.audit(), "incremental waterfill diverged from recompute");
     }
 
     /// Builds the shared-link capacity model over every directed link
@@ -1180,251 +841,10 @@ impl SelfDrivingNetwork {
     }
 }
 
-/// Result of the Fig 11 latency-migration experiment.
-#[derive(Debug, Clone)]
-pub struct LatencyMigrationResult {
-    /// Per-second RTT of the user's ICMP stream (s, ms).
-    pub rtt_series: Vec<(f64, f64)>,
-    /// When the migration happened (s).
-    pub migration_at_s: f64,
-    /// Tunnel before migration.
-    pub tunnel_before: String,
-    /// Tunnel after migration.
-    pub tunnel_after: String,
-    /// Mean RTT before/after migration.
-    pub mean_before_ms: f64,
-    /// Mean RTT after migration.
-    pub mean_after_ms: f64,
-}
-
-/// Result of the Fig 12 flow-aggregation experiment.
-#[derive(Debug, Clone)]
-pub struct FlowAggregationResult {
-    /// Per-flow goodput series (label, (s, Mbps) pairs).
-    pub per_flow: Vec<(String, Vec<(f64, f64)>)>,
-    /// Aggregate goodput series (s, Mbps).
-    pub total: Vec<(f64, f64)>,
-    /// When the redistribution happened (s).
-    pub redistribution_at_s: f64,
-    /// Final (label, tunnel) assignment.
-    pub assignment: Vec<(String, String)>,
-    /// Mean aggregate goodput in the steady window before redistribution.
-    pub total_before_mbps: f64,
-    /// Mean aggregate goodput in the steady window after.
-    pub total_after_mbps: f64,
-}
-
-impl SelfDrivingNetwork {
-    /// **Experiment 1 (Fig 11)** — agile migration to a lower-latency
-    /// path. An ICMP stream runs on tunnel 1 (MIA-SAO-AMS) for
-    /// `phase_s` seconds; the optimizer is then consulted with the
-    /// min-latency objective and the flow is migrated (one PBR rewrite)
-    /// to its recommendation (MIA-CHI-AMS); the stream continues for
-    /// another `phase_s` seconds.
-    pub fn run_latency_migration(
-        &mut self,
-        phase_s: u64,
-    ) -> Result<LatencyMigrationResult, FrameworkError> {
-        let req = FlowRequest {
-            label: "icmp".into(),
-            tos: 0,
-            demand_mbps: Some(0.1), // ping stream: negligible load
-            start_ms: 0,
-            pair: PairId::default(),
-        };
-        // Phase (i): arbitrary allocation — tunnel1 per the Fig 10 PBR.
-        self.admit_flow(&req, Objective::MaxBandwidth)?;
-        // Force the paper's phase-(i) arbitrary choice to tunnel1 even if
-        // telemetry would have suggested otherwise (cold start does this
-        // naturally; this keeps the experiment deterministic).
-        if self.flow_tunnel("icmp") != Some("tunnel1") {
-            self.migrate_flow("icmp", "tunnel1")?;
-        }
-        let mut rtt_series = Vec::new();
-        let mut ping_on_current = |sdn: &mut Self| -> Result<(), FrameworkError> {
-            let row = sdn
-                .flow("icmp")
-                .ok_or(FrameworkError::NoFeasiblePath)?
-                .tunnel;
-            let rtt = sdn.sim.ping(&sdn.rows[row].tunnel.node_path)?;
-            rtt_series.push((sdn.sim.now_ms() as f64 / 1000.0, rtt));
-            Ok(())
-        };
-        for s in 1..=phase_s {
-            self.advance(s * 1000)?;
-            ping_on_current(self)?;
-        }
-        // Consult the optimizer for the stream with the min-latency
-        // objective.
-        let model = self.link_model(false);
-        let mut decision = self.consult(&[req.flow_demand()], &model, Objective::MinLatency)?;
-        let tunnel_after = decision
-            .decisions
-            .pop()
-            .ok_or(FrameworkError::NoFeasiblePath)?
-            .tunnel;
-        self.migrate_flow("icmp", &tunnel_after)?;
-        for s in phase_s + 1..=2 * phase_s {
-            self.advance(s * 1000)?;
-            ping_on_current(self)?;
-        }
-        let split = phase_s as usize;
-        let mean = |xs: &[(f64, f64)]| -> f64 {
-            xs.iter().map(|(_, v)| v).sum::<f64>() / xs.len().max(1) as f64
-        };
-        Ok(LatencyMigrationResult {
-            migration_at_s: phase_s as f64,
-            tunnel_before: "tunnel1".into(),
-            mean_before_ms: mean(&rtt_series[..split]),
-            mean_after_ms: mean(&rtt_series[split..]),
-            tunnel_after,
-            rtt_series,
-        })
-    }
-
-    /// **Experiment 2 (Fig 12)** — flow aggregation across multiple
-    /// paths. Three greedy TCP flows (ToS 32/64/96) start on tunnel 1;
-    /// after `phase_s` seconds the optimizer redistributes them across
-    /// the three tunnels; the run continues to `2 * phase_s`.
-    pub fn run_flow_aggregation(
-        &mut self,
-        phase_s: u64,
-    ) -> Result<FlowAggregationResult, FrameworkError> {
-        let labels = ["flow1", "flow2", "flow3"];
-        self.scheduler
-            .submit_all(labels.iter().enumerate().map(|(i, label)| FlowRequest {
-                label: label.to_string(),
-                tos: 32 * (i as u8 + 1),
-                demand_mbps: None,
-                start_ms: i as u64 * 1000,
-                pair: PairId::default(),
-            }));
-        self.advance(phase_s * 1000)?;
-        // All flows were PBR'd to tunnel1 in phase (i) (cold start).
-        let redistribution_at_s = self.sim.now_ms() as f64 / 1000.0;
-        let assignment = self.reoptimize_bandwidth()?;
-        self.advance(2 * phase_s * 1000)?;
-
-        let per_flow: Vec<(String, Vec<(f64, f64)>)> = labels
-            .iter()
-            .map(|l| (l.to_string(), self.flow_series(l)))
-            .collect();
-        // Aggregate by sample time.
-        let mut total_map: std::collections::BTreeMap<u64, f64> = std::collections::BTreeMap::new();
-        for (_, series) in &per_flow {
-            for (s, v) in series {
-                *total_map.entry((*s * 1000.0) as u64).or_insert(0.0) += v;
-            }
-        }
-        let total: Vec<(f64, f64)> = total_map
-            .into_iter()
-            .map(|(ms, v)| (ms as f64 / 1000.0, v))
-            .collect();
-        // Steady-state windows: the last third of each phase.
-        let window = |lo_s: f64, hi_s: f64| -> f64 {
-            let vals: Vec<f64> = total
-                .iter()
-                .filter(|(s, _)| *s >= lo_s && *s < hi_s)
-                .map(|(_, v)| *v)
-                .collect();
-            vals.iter().sum::<f64>() / vals.len().max(1) as f64
-        };
-        let p = phase_s as f64;
-        Ok(FlowAggregationResult {
-            total_before_mbps: window(p * 2.0 / 3.0, p),
-            total_after_mbps: window(p + p * 2.0 / 3.0, 2.0 * p),
-            per_flow,
-            total,
-            redistribution_at_s,
-            assignment,
-        })
-    }
-}
-
-/// Result of the trace-driven steering extension experiment.
-#[derive(Debug, Clone)]
-pub struct SteeringResult {
-    /// Which policy ran.
-    pub policy: Policy,
-    /// The managed flow's goodput series (s, Mbps).
-    pub goodput: Vec<(f64, f64)>,
-    /// Mean goodput over the run (after warm-up).
-    pub mean_goodput: f64,
-    /// Number of migrations performed.
-    pub migrations: usize,
-}
-
-impl SelfDrivingNetwork {
-    /// **Extension experiment** (paper future work: "evaluate path
-    /// selection performance" with the framework in the loop): the
-    /// UQ WiFi trace drives tunnel 1's bottleneck link and the LTE trace
-    /// drives tunnel 2's, mimicking wireless access links; one greedy
-    /// flow is re-steered every `reopt_every_s` seconds under the given
-    /// policy. The WiFi path collapses when the walk goes outdoors, so
-    /// static allocation loses badly while telemetry-driven policies
-    /// follow the capacity.
-    pub fn run_trace_driven_steering(
-        &mut self,
-        policy: Policy,
-        duration_s: u64,
-        reopt_every_s: u64,
-        wifi: &[f64],
-        lte: &[f64],
-    ) -> Result<SteeringResult, FrameworkError> {
-        // Attach traces to the tunnel bottlenecks and open up the links
-        // behind them so the wireless hop is the only constraint.
-        let mia = self.sim.topo.node("MIA")?;
-        let sao = self.sim.topo.node("SAO")?;
-        let chi = self.sim.topo.node("CHI")?;
-        let ams = self.sim.topo.node("AMS")?;
-        let mia_sao = self.sim.topo.link_between(mia, sao)?;
-        let mia_chi = self.sim.topo.link_between(mia, chi)?;
-        let sao_ams = self.sim.topo.link_between(sao, ams)?;
-        let chi_ams = self.sim.topo.link_between(chi, ams)?;
-        self.sim
-            .schedule(0, Event::SetLinkCapacity(sao_ams, 1000.0))?;
-        self.sim
-            .schedule(0, Event::SetLinkCapacity(chi_ams, 1000.0))?;
-        self.sim.schedule_capacity_trace(mia_sao, 0, 1000, wifi);
-        self.sim.schedule_capacity_trace(mia_chi, 0, 1000, lte);
-
-        // One greedy flow, admitted cold (lands on tunnel1 = the WiFi path).
-        let steered = FlowRequest {
-            label: "steered".into(),
-            tos: 32,
-            demand_mbps: None,
-            start_ms: 0,
-            pair: PairId::default(),
-        };
-        self.admit_under(policy, &[steered])?;
-        let mut migrations = 0usize;
-        let mut next_reopt = reopt_every_s.max(1) * 1000;
-        while self.sim.now_ms() < duration_s * 1000 {
-            let until = (self.sim.now_ms() + 1000).min(duration_s * 1000);
-            self.advance(until)?;
-            if self.sim.now_ms() >= next_reopt {
-                next_reopt += reopt_every_s.max(1) * 1000;
-                migrations += self.steer(policy).len();
-            }
-        }
-        let goodput = self.flow_series("steered");
-        let warm: Vec<f64> = goodput
-            .iter()
-            .filter(|(s, _)| *s >= 15.0)
-            .map(|(_, v)| *v)
-            .collect();
-        Ok(SteeringResult {
-            policy,
-            mean_goodput: warm.iter().sum::<f64>() / warm.len().max(1) as f64,
-            goodput,
-            migrations,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Policy;
 
     #[test]
     fn testbed_builds_with_three_tunnels() {
@@ -1551,7 +971,7 @@ mod tests {
         // walkable tunnels on a topology the Fig 10 config knows
         // nothing about — and admit router-to-router flows on them.
         let topo = netsim::topo::mesh(12, 3, 10.0);
-        let mut sdn = SelfDrivingNetwork::over_topology(topo, "n0", "n6", 3, 1).unwrap();
+        let mut sdn = SelfDrivingNetwork::over_topology_pairs(topo, &[("n0", "n6")], 3, 1).unwrap();
         assert_eq!(sdn.tunnel_names(), vec!["tunnel1", "tunnel2", "tunnel3"]);
         // tunnel1 is the shortest by delay; delays are non-decreasing.
         let delays: Vec<f64> = sdn
@@ -1593,7 +1013,7 @@ mod tests {
         let mut topo = netsim::Topology::new();
         topo.add_node("a", netsim::topo::NodeKind::Core);
         topo.add_node("b", netsim::topo::NodeKind::Core);
-        assert!(SelfDrivingNetwork::over_topology(topo, "a", "b", 2, 1).is_err());
+        assert!(SelfDrivingNetwork::over_topology_pairs(topo, &[("a", "b")], 2, 1).is_err());
     }
 
     #[test]
@@ -1768,7 +1188,7 @@ mod tests {
         assert_eq!(&whole[consult..], installs);
         assert!(whole[..consult]
             .iter()
-            .all(|s| s != "configureTunnel" && s != "flowStarted"));
+            .all(|&s| s != "configureTunnel" && s != "flowStarted"));
     }
 
     #[test]
@@ -1994,7 +1414,7 @@ mod tests {
         // 3^13 placements of one pair's flows: past the exhaustive
         // bound, so the pair is placed greedily rather than aborting.
         let topo = netsim::topo::mesh(12, 3, 10.0);
-        let mut sdn = SelfDrivingNetwork::over_topology(topo, "n0", "n6", 3, 1).unwrap();
+        let mut sdn = SelfDrivingNetwork::over_topology_pairs(topo, &[("n0", "n6")], 3, 1).unwrap();
         assert_eq!(sdn.tunnel_names().len(), 3);
         let reqs: Vec<FlowRequest> = (0..13)
             .map(|i| FlowRequest {

@@ -191,7 +191,7 @@ fn admit_pair0(
     h: &HecateService,
     ts: &TelemetryService,
     config: &OptimizerConfig,
-) -> (BatchDecision, Vec<String>) {
+) -> (BatchDecision, Vec<&'static str>) {
     let (model, names) = two_pairs();
     let reqs = [FlowDemand {
         pair: PairId(0),
@@ -207,7 +207,7 @@ fn admit_pair0(
 
 #[test]
 fn cold_batch_falls_back_only_when_no_series_anywhere_is_forecastable() {
-    let fell_back = |steps: &[String]| steps.iter().any(|s| s == "fallbackArbitraryPath");
+    let fell_back = |steps: &[&str]| steps.contains(&"fallbackArbitraryPath");
     let ts = TelemetryService::new(1000);
     let h = HecateService::new();
     // Nothing anywhere: phase (i).

@@ -24,9 +24,9 @@
 //! * [`netsim`] — the discrete-event flow-level network emulator;
 //! * [`freertr`] — control-plane emulation (config dialect, ACL/PBR,
 //!   transactional router agents);
-//! * [`framework`] — the integrated self-driving network and the two
-//!   experiment runners (Fig 11, Fig 12), built around the shared
-//!   ForecastEngine: a trained-model cache in `framework::hecate`
+//! * [`framework`] — the integrated self-driving network (the loop of
+//!   Figs 3–4; the workspace's `bench` crate runs the Fig 11 and Fig 12
+//!   experiments on it), built around the shared ForecastEngine: a trained-model cache in `framework::hecate`
 //!   (train once, roll/observe online, refit after N new samples),
 //!   batched scheduler-tick decisions via
 //!   `framework::controller::decide_flows_pairs`, and a mirrored-ring
@@ -41,11 +41,25 @@
 //! ## Quickstart
 //!
 //! ```
-//! use polka_hecate::framework::sdn::SelfDrivingNetwork;
+//! use polka_hecate::framework::{FlowRequest, Objective, PairId, SelfDrivingNetwork};
 //!
+//! // The paper testbed: Fig 9 topology, Fig 10 edge config, 3 tunnels.
 //! let mut sdn = SelfDrivingNetwork::testbed(42).unwrap();
-//! let result = sdn.run_latency_migration(20).unwrap();
-//! assert!(result.mean_after_ms < result.mean_before_ms);
+//! let flow = FlowRequest {
+//!     label: "flow1".into(),
+//!     tos: 32,
+//!     demand_mbps: None,
+//!     start_ms: 0,
+//!     pair: PairId::default(),
+//! };
+//! sdn.admit_flow(&flow, Objective::MaxBandwidth).unwrap();
+//! // 30 s of telemetry, then one re-optimization on Hecate's forecasts.
+//! sdn.advance(30_000).unwrap();
+//! sdn.reoptimize_bandwidth().unwrap();
+//! sdn.advance(35_000).unwrap();
+//! let tunnel = sdn.flow_tunnel("flow1").unwrap();
+//! assert!(sdn.tunnel_names().iter().any(|t| t == tunnel));
+//! assert!(sdn.flow_rate("flow1").unwrap() > 0.0);
 //! ```
 
 pub use dataplane;

@@ -38,7 +38,7 @@ fn fig4_sequence_order() {
     let idx = |name: &str| {
         steps
             .iter()
-            .position(|s| s == name)
+            .position(|&s| s == name)
             .unwrap_or_else(|| panic!("step {name} missing from {steps:?}"))
     };
     assert!(idx("newFlow") < idx("getTelemetry"));
