@@ -26,13 +26,12 @@
 //! * an on-wire [`header::PolkaHeader`] codec;
 //! * the classic **port-switching** baseline ([`baseline::SegmentListRoute`])
 //!   the paper compares against conceptually (pop-one-label-per-hop);
-//! * extensions the PolKA literature describes: proof-of-transit
-//!   ([`pot`]) and multipath/multicast route labels ([`mpolka`]).
+//! * proof-of-transit ([`pot`]), an extension the PolKA literature
+//!   describes.
 
 pub mod baseline;
 pub mod header;
 pub mod ids;
-pub mod mpolka;
 pub mod pot;
 pub mod route;
 

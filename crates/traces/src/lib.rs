@@ -15,45 +15,10 @@
 //! with path-dependent variance — is preserved; see DESIGN.md §4 for the
 //! substitution rationale.
 //!
-//! [`csv`] provides dependency-free load/save so traces can be inspected
-//! or swapped for real captures, and [`synth`] adds extra workload shapes
-//! (diurnal, bursty, constant) used by the extension benches.
+//! [`synth`] adds extra workload shapes (diurnal, bursty, constant) used
+//! by the extension benches.
 
-pub mod csv;
 pub mod synth;
 pub mod uq;
 
 pub use uq::{UqDataset, UqSpec};
-
-/// Errors from trace I/O.
-#[derive(Debug)]
-pub enum TraceError {
-    /// Underlying file I/O failure.
-    Io(std::io::Error),
-    /// Malformed CSV content.
-    Parse {
-        /// 1-based line number of the offending record.
-        line: usize,
-        /// What went wrong.
-        message: String,
-    },
-}
-
-impl std::fmt::Display for TraceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            TraceError::Io(e) => write!(f, "trace I/O error: {e}"),
-            TraceError::Parse { line, message } => {
-                write!(f, "trace parse error at line {line}: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for TraceError {}
-
-impl From<std::io::Error> for TraceError {
-    fn from(e: std::io::Error) -> Self {
-        TraceError::Io(e)
-    }
-}
