@@ -361,7 +361,8 @@ pub fn ext_steering(
 /// discovery (the Sec VII continent-wide direction), with UQ wireless
 /// traces driving the two experiment links so every per-tunnel
 /// bandwidth series is genuinely dynamic, advanced until every series
-/// has 75 telemetry samples. Returns the telemetry store, the first
+/// has 75 telemetry samples. Returns the telemetry store (moved out of
+/// the finished network), the first
 /// `paths` candidate tunnel names and the network's shared-link model
 /// (`link_model(false)`) cut to those tunnels.
 pub fn throughput_testbed(
@@ -397,7 +398,7 @@ pub fn throughput_testbed(
     let mut model = sdn.link_model(false);
     model.tunnel_links.truncate(paths);
     model.candidates[0].retain(|&t| t < paths);
-    (sdn.telemetry.clone(), names, model)
+    (sdn.telemetry, names, model)
 }
 
 /// The decision-throughput artifact: cold (refit-every-decision, the

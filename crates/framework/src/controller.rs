@@ -6,13 +6,13 @@
 //! Service, establishing the path and configuring a policy to route the
 //! flow through it by adjusting the edge routers."
 
-use crate::hecate::{HecateService, PathForecast};
+use crate::hecate::{Candidate, HecateService, PathForecast};
 use crate::optimizer::{
     assign_flows_shared_with, select_path, FlowDemand, Objective, OptimizerConfig, SharedLinkModel,
     SolverKind,
 };
-use crate::telemetry::{Metric, SeriesKey, TelemetryService};
-use crate::FrameworkError;
+use crate::telemetry::{Metric, SeriesId, SeriesKey, TelemetryService};
+use crate::{FrameworkError, PairId};
 
 /// The outcome of one path decision.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,8 +86,7 @@ pub struct BatchDecision {
 /// cache — one trained model per pair-scoped series.
 ///
 /// Only the candidate tunnels of the batch's pairs can change where its
-/// flows go, so only their series are forecast
-/// ([`HecateService::forecast_needed`]); every other series is
+/// flows go, so only their series are forecast; every other series is
 /// deferred, with its refits and bits unchanged.
 ///
 /// Placement semantics:
@@ -104,7 +103,7 @@ pub struct BatchDecision {
 ///   the assignment space is within its bound, greedily otherwise — so
 ///   no shared link is oversubscribed.
 #[allow(clippy::too_many_arguments)]
-pub fn decide_flows_pairs<N: AsRef<str> + Sync>(
+pub fn decide_flows_pairs<N: AsRef<str>>(
     hecate: &HecateService,
     telemetry: &TelemetryService,
     flows: &[FlowDemand],
@@ -114,36 +113,73 @@ pub fn decide_flows_pairs<N: AsRef<str> + Sync>(
     config: &OptimizerConfig,
     log: &mut SequenceLog,
 ) -> Result<BatchDecision, FrameworkError> {
+    let series = |t: usize, metric| telemetry.find(&SeriesKey::new(names[t].as_ref(), metric));
+    decide_flows(
+        hecate, telemetry, flows, names, series, model, objective, config, log,
+    )
+}
+
+/// [`decide_flows_pairs`] on resolved series: `series(t, metric)` is
+/// candidate `t`'s `metric` series in `telemetry` (`None`: the store
+/// has none).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn decide_flows<N: AsRef<str>>(
+    hecate: &HecateService,
+    telemetry: &TelemetryService,
+    flows: &[FlowDemand],
+    names: &[N],
+    series: impl Fn(usize, Metric) -> Option<SeriesId>,
+    model: &SharedLinkModel,
+    objective: Objective,
+    config: &OptimizerConfig,
+    log: &mut SequenceLog,
+) -> Result<BatchDecision, FrameworkError> {
     if names.is_empty() || names.len() != model.tunnel_links.len() {
         return Err(FrameworkError::NoFeasiblePath);
     }
+    let metric = match objective {
+        Objective::MinLatency => Metric::Rtt,
+        _ => Metric::AvailableBandwidth,
+    };
+    let mut cands: Vec<Candidate> = names
+        .iter()
+        .enumerate()
+        .map(|(t, name)| Candidate {
+            path: name.as_ref(),
+            series: series(t, metric),
+            pair: None,
+            needed: false,
+        })
+        .collect();
+    // Each candidate's pair: the counters its cache arm bumps.
+    for (p, own) in model.candidates.iter().enumerate() {
+        for &t in own {
+            if let Some(c) = cands.get_mut(t) {
+                c.pair = Some(PairId(p));
+            }
+        }
+    }
     // Each flow's pair's candidates, all in range: the batch's series.
-    let mut needed = vec![false; names.len()];
     let mut first_of_flow = Vec::with_capacity(flows.len());
     for flow in flows {
-        let cands = model
+        let own = model
             .candidates
             .get(flow.pair.index())
             .map_or(&[][..], Vec::as_slice);
-        if cands.is_empty() || cands.iter().any(|&t| t >= needed.len()) {
+        if own.is_empty() || own.iter().any(|&t| t >= cands.len()) {
             return Err(FrameworkError::NoFeasiblePath);
         }
-        for &t in cands {
-            needed[t] = true;
+        for &t in own {
+            cands[t].needed = true;
         }
-        first_of_flow.push(cands[0]);
+        first_of_flow.push(own[0]);
     }
     if flows.is_empty() {
         return Ok(Default::default());
     }
     log.record("getTelemetry");
-    let metric = match objective {
-        Objective::MinLatency => Metric::Rtt,
-        _ => Metric::AvailableBandwidth,
-    };
     log.record("askHecatePath");
-    let (forecast_of, forecastable) = hecate.forecast_needed(telemetry, names, &needed, metric);
-    let series = needed.iter().filter(|&&n| n).count();
+    let (forecast_of, forecastable) = hecate.forecast_candidates(telemetry, &cands);
     // Each flow's `(candidate, used_forecast, score)`, and the caps they
     // were placed under.
     let decide = |picks: Vec<(usize, bool, Option<f64>)>, solver, caps| BatchDecision {
@@ -156,7 +192,7 @@ pub fn decide_flows_pairs<N: AsRef<str> + Sync>(
             })
             .collect(),
         solver,
-        series,
+        series: cands.iter().filter(|c| c.needed).count(),
         rows: picks.into_iter().map(|(t, ..)| t).collect(),
         caps,
     };
@@ -171,18 +207,17 @@ pub fn decide_flows_pairs<N: AsRef<str> + Sync>(
             // Per-tunnel caps: forecast mean, else last sample, else 0.
             // A tunnel outside the batch carries none of its flows, so
             // no fill reads its cap.
-            let caps: Vec<f64> = names
+            let caps: Vec<f64> = cands
                 .iter()
                 .zip(&forecast_of)
-                .zip(&needed)
-                .map(|((name, forecast), &need)| {
-                    if !need {
+                .map(|(c, forecast)| {
+                    if !c.needed {
                         return 0.0;
                     }
                     forecast
                         .as_ref()
                         .map(|f| f.mean())
-                        .or_else(|| telemetry.last(&SeriesKey::new(name.as_ref(), metric)))
+                        .or_else(|| telemetry.last_of(c.series?))
                         .unwrap_or(0.0)
                         .max(0.0)
                 })
@@ -203,8 +238,8 @@ pub fn decide_flows_pairs<N: AsRef<str> + Sync>(
                 .iter()
                 .zip(&first_of_flow)
                 .map(|(flow, &first)| {
-                    let cands = &model.candidates[flow.pair.index()];
-                    let (rows, mine): (Vec<usize>, Vec<PathForecast>) = cands
+                    let own = &model.candidates[flow.pair.index()];
+                    let (rows, mine): (Vec<usize>, Vec<PathForecast>) = own
                         .iter()
                         .filter_map(|&t| Some((t, forecast_of[t].clone()?)))
                         .unzip();
@@ -228,7 +263,7 @@ mod tests {
     use crate::telemetry::SeriesKey;
 
     fn store_with(paths: &[(&str, f64)], metric: Metric) -> TelemetryService {
-        let ts = TelemetryService::new(1000);
+        let mut ts = TelemetryService::new(1000);
         for (name, level) in paths {
             for t in 0..40u64 {
                 ts.insert(

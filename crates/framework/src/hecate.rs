@@ -8,8 +8,8 @@
 //!
 //! The seed reproduction retrained the regressor from scratch on every
 //! decision. This module instead keeps one [`TrainedForecaster`] per
-//! `(path, metric)` series in a concurrent cache and *queries* it
-//! online (NeuRoute's train-once/query-many discipline):
+//! telemetry series, in a slot indexed by the series' [`SeriesId`], and
+//! *queries* it online (NeuRoute's train-once/query-many discipline):
 //!
 //! * **hit** — no new telemetry since the model last looked: roll the
 //!   cached model, no history read at all;
@@ -20,23 +20,22 @@
 //!   the service's model/lags/seed changed): fit fresh from history and
 //!   replace the entry.
 //!
-//! A decision that reads only some of the candidates
-//! ([`HecateService::forecast_needed`]) runs that protocol on those and
-//! only the cheap half of it on the rest: a due refit, or the window
-//! slide without the roll. Refits and forecast bits are unchanged.
+//! A consult that reads only some of the candidates runs that protocol
+//! on those and only the cheap half of it on the rest: a due refit, or
+//! the window slide without the roll. Refits and forecast bits are
+//! unchanged.
 //!
 //! Staleness is tracked with the telemetry store's monotonic per-series
-//! sample counter ([`TelemetryService::total`]), so invalidation costs
-//! one atomic-ish read, not a history diff.
+//! sample counter ([`TelemetryService::total`]), so invalidation is one
+//! integer compare, not a history diff. The slots are bound to the store
+//! that issued their ids: pointed at another store, the cache drops
+//! every entry and refits.
 
-use crate::telemetry::{Metric, SeriesKey, TelemetryService};
-use crate::FrameworkError;
+use crate::telemetry::{Metric, SeriesId, SeriesKey, TelemetryService};
+use crate::{FrameworkError, PairId};
 use hecate_ml::pipeline::{forecast_next, TrainedForecaster};
 use hecate_ml::{MlError, RegressorKind};
-use parking_lot::{Mutex, RwLock};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A per-path forecast.
 #[derive(Debug, Clone)]
@@ -80,7 +79,7 @@ struct CacheEntry {
     /// Memoized `forecaster.roll(rolled_horizon)` as of `rolled_at`: a
     /// roll is a pure function of the unchanged window, so a cache hit
     /// clones ten floats instead of re-running `horizon` model
-    /// inferences per path under the read lock.
+    /// inferences per path.
     rolled: Vec<f64>,
     rolled_horizon: usize,
     /// `observed` when `rolled` was rolled; behind it after a deferred
@@ -88,68 +87,80 @@ struct CacheEntry {
     rolled_at: u64,
 }
 
-/// Cache internals shared by every clone of a [`HecateService`].
-///
-/// Entries are individually locked (`Arc<Mutex<_>>` per series) so
-/// forecasts for *different* paths never serialize on the map: the
-/// map-wide `RwLock` is only held to look up or publish an entry, and
-/// the per-entry mutex covers the window slide + roll. Only calls for
-/// the same series contend — which is the correct serialization anyway.
-/// Entries are kept in a `BTreeMap` so any future enumeration of the
-/// cache (stats dumps, eviction sweeps) is deterministic by
-/// construction; lookups on the decision hot path are over a few
-/// hundred series at most, where the tree walk is noise next to a
-/// model roll.
+/// The cache arm a forecast took: the index of its counter.
+#[derive(Debug, Clone, Copy)]
+enum Arm {
+    Hit,
+    Update,
+    Refit,
+}
+
+/// The arms' counter names, in [`Arm`] order.
+const ARMS: [&str; 3] = ["hits", "updates", "refits"];
+
+/// One counter per [`Arm`]: `obsv` instruments, so a scenario's metrics
+/// registry can adopt them and its scorecard rows read live behavior.
+type ArmCounters = [obsv::Counter; 3];
+
+/// What every clone of a [`HecateService`] shares, behind the one lock
+/// a consult takes once: one model slot per telemetry series, indexed
+/// by [`SeriesId`], and the counters the slots' arms bump.
 #[derive(Debug, Default)]
-struct CacheInner {
-    entries: RwLock<BTreeMap<SeriesKey, Arc<Mutex<CacheEntry>>>>,
-    // Behavior counters are `obsv` instruments: the same atomics the
-    // accessors snapshot can be adopted into a scenario's metrics
-    // registry, so per-epoch scorecard rows read live cache behavior.
-    hits: obsv::Counter,
-    updates: obsv::Counter,
-    refits: obsv::Counter,
-    /// Fast gate for per-scope attribution: one relaxed load on the
-    /// hot path when disabled (the default).
-    scoped_on: AtomicBool,
-    /// Per-pair-scope counters, keyed by the scope prefix of a series
-    /// target (`"p0/tunnel1"` → `"p0"`). Populated only by
-    /// [`HecateService::register_metrics`].
-    scoped: RwLock<BTreeMap<String, ScopeCounters>>,
-    /// Fast gate for `ml.fit`/`ml.roll` span emission: one relaxed
-    /// load on the hot path when tracing is off (the default).
-    trace_on: AtomicBool,
+struct Cache {
+    /// Identity of the telemetry store whose ids index `entries`.
+    store: Option<u64>,
+    entries: Vec<Option<CacheEntry>>,
+    total: ArmCounters,
+    /// Per-pair counters, indexed by [`PairId`]; `None` for a pair
+    /// [`HecateService::register_metrics`] gave no scope.
+    pairs: Vec<Option<ArmCounters>>,
     /// Tracer plus the shared sim-time cell the controller keeps
-    /// current — the ML pipeline has no clock of its own. Installed by
-    /// [`HecateService::set_trace`].
-    trace: RwLock<(obsv::Tracer, obsv::SimClock)>,
+    /// current — the ML pipeline has no clock of its own — while
+    /// [`HecateService::set_trace`] has armed them.
+    tracer: Option<(obsv::Tracer, obsv::SimClock)>,
 }
 
-/// Per-scope cache behavior counters (multi-pair attribution).
-#[derive(Debug, Clone, Default)]
-struct ScopeCounters {
-    hits: obsv::Counter,
-    updates: obsv::Counter,
-    refits: obsv::Counter,
-}
-
-/// The pair scope of a series target: `"p0/tunnel1"` → `"p0"`, bare
-/// single-pair targets → `""`.
-fn scope_of(target: &str) -> &str {
-    target.split_once('/').map_or("", |(scope, _)| scope)
-}
-
-impl CacheInner {
-    /// Bumps one per-scope counter when scoped attribution is on.
-    /// `pick` selects hits/updates/refits off the scope's counters.
-    fn bump_scoped(&self, target: &str, pick: impl Fn(&ScopeCounters) -> &obsv::Counter) {
-        if !self.scoped_on.load(Ordering::Relaxed) {
-            return;
+impl Cache {
+    /// The slot of series `id`, grown on first use.
+    fn slot(&mut self, id: SeriesId) -> &mut Option<CacheEntry> {
+        if self.entries.len() <= id.index() {
+            self.entries.resize_with(id.index() + 1, || None);
         }
-        if let Some(sc) = self.scoped.read().get(scope_of(target)) {
-            pick(sc).inc();
+        &mut self.entries[id.index()]
+    }
+
+    /// Bumps `arm`'s counter, and `pair`'s when it has one.
+    fn count(&self, arm: Arm, pair: Option<PairId>) {
+        self.total[arm as usize].inc();
+        if let Some(c) = pair.and_then(|p| self.pairs.get(p.index())?.as_ref()) {
+            c[arm as usize].inc();
         }
     }
+
+    /// The installed tracer and the current sim time, when armed.
+    fn trace(&self) -> Option<(obsv::Tracer, u64)> {
+        let (tracer, clock) = self.tracer.as_ref()?;
+        Some((tracer.clone(), clock.get()))
+    }
+}
+
+/// Why one series could not be forecast: too few samples (this many),
+/// or the model failed.
+enum Miss {
+    Short(usize),
+    Ml(MlError),
+}
+
+/// One candidate series of a consult: the tunnel's name (its
+/// [`PathForecast::path`]), its series in the consulted store (`None`:
+/// nothing to forecast), the pair whose counters its cache arm bumps,
+/// and whether the decision reads its forecast (else it is deferred).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Candidate<'a> {
+    pub(crate) path: &'a str,
+    pub(crate) series: Option<SeriesId>,
+    pub(crate) pair: Option<PairId>,
+    pub(crate) needed: bool,
 }
 
 /// A snapshot of the forecast cache's behavior counters.
@@ -184,7 +195,7 @@ pub struct HecateService {
     /// any new sample arrived. Default 10 — one refit per forecast
     /// horizon at the paper's 1 Hz sampling.
     pub refit_after: u64,
-    cache: Arc<CacheInner>,
+    cache: Arc<Mutex<Cache>>,
 }
 
 impl std::fmt::Debug for HecateService {
@@ -195,7 +206,7 @@ impl std::fmt::Debug for HecateService {
             .field("horizon", &self.horizon)
             .field("seed", &self.seed)
             .field("refit_after", &self.refit_after)
-            .field("cached_series", &self.cache.entries.read().len())
+            .field("cached_series", &self.cache_stats().entries)
             .finish()
     }
 }
@@ -238,6 +249,26 @@ impl HecateService {
         120.max(self.min_history())
     }
 
+    /// The shared cache. A poisoned cache is still a valid cache: every
+    /// entry is replaced whole, and a fan-out that panicked leaves the
+    /// entries it had taken empty, so they refit.
+    fn lock(&self) -> MutexGuard<'_, Cache> {
+        self.cache
+            .lock()
+            .unwrap_or_else(|poison| poison.into_inner())
+    }
+
+    /// The shared cache, its slots bound to `telemetry`'s ids: every
+    /// entry goes when they indexed another store's.
+    fn bound(&self, telemetry: &TelemetryService) -> MutexGuard<'_, Cache> {
+        let mut cache = self.lock();
+        if cache.store != Some(telemetry.store_id()) {
+            cache.entries.clear();
+            cache.store = Some(telemetry.store_id());
+        }
+        cache
+    }
+
     /// True when the cached entry was produced by this service's current
     /// configuration (users may retarget `model`/`lags`/`seed` at any
     /// time; stale-config entries must refit, not roll).
@@ -247,63 +278,43 @@ impl HecateService {
             && e.forecaster.seed() == self.seed
     }
 
+    /// Samples the series gained since `e` last looked at a total of
+    /// `total`; `None` when a refit is due — the series moved
+    /// `refit_after` or more since the fit, or reads shorter than the
+    /// entry saw.
+    fn fresh(&self, e: &CacheEntry, total: u64) -> Option<u64> {
+        (total >= e.observed && total - e.fitted_at < self.refit_after.max(1))
+            .then(|| total - e.observed)
+    }
+
     /// Installs a tracer and the shared sim-time clock so the ML
     /// pipeline emits `ml.fit` (model fit + initial roll) and
     /// `ml.roll` (lag-window slide + re-roll) spans. The caller keeps
     /// the clock current (sim time does not advance while the
     /// controller thinks, so both endpoints of a span carry the
     /// decision instant — the analyzer leans on the spans' work args).
-    /// Passing `Tracer::off()` disarms the gate again.
+    /// Passing `Tracer::off()` disarms it again.
     pub fn set_trace(&self, tracer: obsv::Tracer, clock: obsv::SimClock) {
-        let on = tracer.enabled();
-        *self.cache.trace.write() = (tracer, clock);
-        self.cache.trace_on.store(on, Ordering::Relaxed);
+        self.lock().tracer = tracer.enabled().then_some((tracer, clock));
     }
 
-    /// The installed tracer and the current sim time, when armed.
-    fn ml_trace(&self) -> Option<(obsv::Tracer, u64)> {
-        if !self.cache.trace_on.load(Ordering::Relaxed) {
-            return None;
-        }
-        let guard = self.cache.trace.read();
-        if !guard.0.enabled() {
-            return None;
-        }
-        Some((guard.0.clone(), guard.1.get()))
-    }
-
-    /// Fits a fresh cache entry for `key`. The history window and the
-    /// series total are captured in one consistent telemetry read, then
-    /// copied out (<= 120 values, refits only) so the expensive model
-    /// fit runs without holding any lock — telemetry writers are never
-    /// stalled behind a fit.
+    /// Fits a fresh cache entry for series `id` on its trailing history
+    /// window.
     fn fit_entry(
         &self,
         telemetry: &TelemetryService,
-        key: &SeriesKey,
-    ) -> Result<CacheEntry, FrameworkError> {
-        let insufficient = |have: usize| FrameworkError::InsufficientTelemetry {
-            key: key.to_string(),
-            have,
-            need: self.min_history(),
-        };
-        let (total, history) = telemetry
-            .with_tail(key, |total, vals| {
-                let start = vals.len().saturating_sub(self.history_window());
-                (total, vals[start..].to_vec())
-            })
-            .ok_or_else(|| insufficient(0))?;
+        id: SeriesId,
+        trace: Option<&(obsv::Tracer, u64)>,
+    ) -> Result<CacheEntry, Miss> {
+        let (total, vals) = telemetry.tail(id).ok_or(Miss::Short(0))?;
+        let history = &vals[vals.len().saturating_sub(self.history_window())..];
         if history.len() < self.min_history() {
-            return Err(insufficient(history.len()));
+            return Err(Miss::Short(history.len()));
         }
-        let trace = self.ml_trace();
-        let span = trace.as_ref().map(|(t, at)| t.span("ml", "ml.fit", *at));
-        let fitted: Result<(TrainedForecaster, Vec<f64>), FrameworkError> = (|| {
-            let forecaster = TrainedForecaster::fit(self.model, &history, self.lags, self.seed)?;
-            let rolled = forecaster.roll(self.horizon)?;
-            Ok((forecaster, rolled))
-        })();
-        if let (Some(span), Some((_, at))) = (span, &trace) {
+        let span = trace.map(|(t, at)| t.span("ml", "ml.fit", *at));
+        let fitted = TrainedForecaster::fit(self.model, history, self.lags, self.seed)
+            .and_then(|forecaster| Ok((forecaster.roll(self.horizon)?, forecaster)));
+        if let (Some(span), Some((_, at))) = (span, trace) {
             let samples = history.len() as u64;
             let ok = fitted.is_ok() as u64;
             let lags = self.lags as u64;
@@ -315,7 +326,7 @@ impl HecateService {
                 ]
             });
         }
-        let (forecaster, rolled) = fitted?;
+        let (rolled, forecaster) = fitted.map_err(Miss::Ml)?;
         Ok(CacheEntry {
             forecaster,
             fitted_at: total,
@@ -326,76 +337,49 @@ impl HecateService {
         })
     }
 
-    /// The first half of the update arm on a usable entry: slides the
-    /// series' fresh samples (fewer than `refit_after`) into the lag
-    /// window without rolling. `false` when the series has outrun the
-    /// entry (refit); an error on a non-finite sample, after which the
-    /// window is spent.
+    /// The first half of the update arm: slides the series' fresh
+    /// samples (fewer than `refit_after`) into the lag window without
+    /// rolling. `false` when a refit is due; an error on a non-finite
+    /// sample, after which the window is spent.
     fn absorb(
         &self,
         telemetry: &TelemetryService,
-        key: &SeriesKey,
+        id: SeriesId,
         e: &mut CacheEntry,
     ) -> Result<bool, MlError> {
-        let threshold = self.refit_after.max(1);
-        // Read the series total and absorb the fresh tail (a scale and
-        // a ten-float rotate per value) in ONE short, consistent
-        // telemetry read — taking them separately would let a racing
-        // insert land in between, and the window would skip samples now
-        // and double-absorb them on the next call. `total < e.observed`
-        // means this service was pointed at a different (shorter)
-        // telemetry store than the one that populated the cache;
-        // anything inconsistent refits.
-        telemetry
-            .with_tail(key, |total, vals| {
-                if total < e.observed || total - e.fitted_at >= threshold {
-                    return Ok(false);
-                }
-                let fresh = (total - e.observed) as usize;
-                for &v in &vals[vals.len().saturating_sub(fresh)..] {
-                    e.forecaster.observe(v)?;
-                }
-                e.observed = total;
-                Ok(true)
-            })
-            .unwrap_or(Ok(false))
+        let Some((total, vals)) = telemetry.tail(id) else {
+            return Ok(false);
+        };
+        let Some(fresh) = self.fresh(e, total) else {
+            return Ok(false);
+        };
+        for &v in &vals[vals.len().saturating_sub(fresh as usize)..] {
+            e.forecaster.observe(v)?;
+        }
+        e.observed = total;
+        Ok(true)
     }
 
-    /// The hit and update arms of [`HecateService::forecast_path`] on a
-    /// usable entry: `None` when the series has outrun it (refit). A hit
-    /// clones the memoized roll — `horizon` floats, no model inference.
-    /// Otherwise the fresh samples slide into the lag window and the
+    /// The hit and update arms on an entry that has absorbed its
+    /// series: a hit clones the memoized roll — `horizon` floats, no
+    /// model inference. Otherwise (fresh samples, or a new horizon) the
     /// roll is re-memoized in place, no refit and no allocation but the
-    /// returned copy. The roll — all of the inference — runs after the
-    /// telemetry guard is dropped, under only this entry's lock, so
-    /// inserts and other series' readers are never stalled behind it.
-    fn serve_cached(
+    /// returned copy.
+    fn roll(
         &self,
-        telemetry: &TelemetryService,
-        key: &SeriesKey,
         e: &mut CacheEntry,
-    ) -> Result<Option<Vec<f64>>, MlError> {
-        if !self.absorb(telemetry, key, e)? {
-            return Ok(None);
-        }
+        trace: Option<&(obsv::Tracer, u64)>,
+    ) -> Result<(Arm, Vec<f64>), MlError> {
         let fresh = e.observed - e.rolled_at;
-        if fresh == 0 {
-            self.cache.hits.inc();
-            self.cache.bump_scoped(&key.target, |sc| &sc.hits);
-            if e.rolled_horizon == self.horizon {
-                return Ok(Some(e.rolled.clone()));
-            }
-            // Horizon changed: re-roll only.
-        } else {
-            self.cache.updates.inc();
-            self.cache.bump_scoped(&key.target, |sc| &sc.updates);
+        let arm = if fresh == 0 { Arm::Hit } else { Arm::Update };
+        if fresh == 0 && e.rolled_horizon == self.horizon {
+            return Ok((arm, e.rolled.clone()));
         }
-        let trace = self.ml_trace();
-        let span = trace.as_ref().map(|(t, at)| t.span("ml", "ml.roll", *at));
+        let span = trace.map(|(t, at)| t.span("ml", "ml.roll", *at));
         e.forecaster.roll_into(self.horizon, &mut e.rolled)?;
         e.rolled_horizon = self.horizon;
         e.rolled_at = e.observed;
-        if let (Some(span), Some((_, at))) = (span, &trace) {
+        if let (Some(span), Some((_, at))) = (span, trace) {
             let horizon = self.horizon as u64;
             span.end(*at, || {
                 vec![
@@ -404,7 +388,69 @@ impl HecateService {
                 ]
             });
         }
-        Ok(Some(e.rolled.clone()))
+        Ok((arm, e.rolled.clone()))
+    }
+
+    /// The whole protocol on series `id` and its slot: hit or update a
+    /// usable entry the series has not outrun, else refit — a failed
+    /// fit leaves the slot as it was. A non-finite sample spends the
+    /// entry: the window may have taken the samples before it, so the
+    /// path is skipped now and refits at the next consult.
+    fn serve(
+        &self,
+        telemetry: &TelemetryService,
+        id: SeriesId,
+        slot: &mut Option<CacheEntry>,
+        trace: Option<&(obsv::Tracer, u64)>,
+    ) -> Result<(Arm, Vec<f64>), Miss> {
+        if let Some(e) = slot.as_mut().filter(|e| self.entry_usable(e)) {
+            let served = self
+                .absorb(telemetry, id, e)
+                .and_then(|absorbed| absorbed.then(|| self.roll(e, trace)).transpose());
+            match served {
+                Ok(Some(served)) => return Ok(served),
+                Ok(None) => {} // stale: refit
+                Err(err) => {
+                    *slot = None;
+                    return Err(Miss::Ml(err));
+                }
+            }
+        }
+        let entry = self.fit_entry(telemetry, id, trace)?;
+        let values = entry.rolled.clone();
+        *slot = Some(entry);
+        Ok((Arm::Refit, values))
+    }
+
+    /// The deferred arm, minus the refit: `None` when one is due, else
+    /// whether the series is still forecastable. A usable entry takes
+    /// its fresh samples into the lag window without a roll; a
+    /// non-finite one spends it, as in [`HecateService::forecast_path`].
+    fn defer(
+        &self,
+        telemetry: &TelemetryService,
+        id: SeriesId,
+        slot: &mut Option<CacheEntry>,
+    ) -> Option<bool> {
+        let e = slot.as_mut().filter(|e| self.entry_usable(e))?;
+        match self.absorb(telemetry, id, e) {
+            Ok(absorbed) => absorbed.then_some(true),
+            Err(_) => {
+                *slot = None;
+                Some(false)
+            }
+        }
+    }
+
+    /// A memoized hit on `e` — it saw every sample of its series and
+    /// rolled this horizon — served without touching the model.
+    fn hit(&self, telemetry: &TelemetryService, id: SeriesId, e: &CacheEntry) -> Option<Vec<f64>> {
+        let (total, _) = telemetry.tail(id)?;
+        let hit = self.entry_usable(e)
+            && self.fresh(e, total) == Some(0)
+            && e.rolled_at == e.observed
+            && e.rolled_horizon == self.horizon;
+        hit.then(|| e.rolled.clone())
     }
 
     /// Forecasts the next `horizon` values of a metric for one path,
@@ -419,77 +465,24 @@ impl HecateService {
         metric: Metric,
     ) -> Result<PathForecast, FrameworkError> {
         let key = SeriesKey::new(path, metric);
-        let wrap = |values: Vec<f64>| PathForecast {
+        let error = |miss| match miss {
+            Miss::Short(have) => FrameworkError::InsufficientTelemetry {
+                key: key.to_string(),
+                have,
+                need: self.min_history(),
+            },
+            Miss::Ml(e) => e.into(),
+        };
+        let id = telemetry.find(&key).ok_or_else(|| error(Miss::Short(0)))?;
+        let mut cache = self.bound(telemetry);
+        let trace = cache.trace();
+        let served = self.serve(telemetry, id, cache.slot(id), trace.as_ref());
+        let (arm, values) = served.map_err(error)?;
+        cache.count(arm, None);
+        Ok(PathForecast {
             path: path.to_string(),
             values,
-        };
-        // Hit/update path: lock only this series' entry (the map read
-        // lock is dropped immediately), so forecasts for different
-        // paths proceed fully in parallel.
-        let cell = self.cache.entries.read().get(&key).cloned();
-        if let Some(cell) = cell {
-            let mut e = cell.lock();
-            if self.entry_usable(&e) {
-                match self.serve_cached(telemetry, &key, &mut e) {
-                    Ok(Some(values)) => return Ok(wrap(values)),
-                    Ok(None) => {} // stale: refit
-                    Err(err) => {
-                        drop(e);
-                        self.spend(&key);
-                        return Err(err.into());
-                    }
-                }
-            }
-        }
-        self.refit(telemetry, key).map(wrap)
-    }
-
-    /// Drops `key`'s entry after a non-finite sample. The window may
-    /// have taken the samples before it, so the entry is spent: the
-    /// path is skipped now and refits at the next consult.
-    fn spend(&self, key: &SeriesKey) {
-        self.cache.entries.write().remove(key);
-    }
-
-    /// The refit arm: fits outside any lock (fits are the expensive
-    /// part and must not serialize a parallel fan-out over many paths),
-    /// then publishes the entry and returns its roll. Concurrent misses
-    /// on the same key may fit twice; both fits are deterministic, so
-    /// last-write-wins is harmless.
-    fn refit(
-        &self,
-        telemetry: &TelemetryService,
-        key: SeriesKey,
-    ) -> Result<Vec<f64>, FrameworkError> {
-        let entry = self.fit_entry(telemetry, &key)?;
-        let values = entry.rolled.clone();
-        self.cache.refits.inc();
-        self.cache.bump_scoped(&key.target, |sc| &sc.refits);
-        self.cache
-            .entries
-            .write()
-            .insert(key, Arc::new(Mutex::new(entry)));
-        Ok(values)
-    }
-
-    /// The deferred arm, minus the refit: `None` when one is due, else
-    /// whether the series is still forecastable. A usable entry takes
-    /// its fresh samples into the lag window without a roll; a
-    /// non-finite one spends it, as in [`HecateService::forecast_path`].
-    fn defer(&self, telemetry: &TelemetryService, key: &SeriesKey) -> Option<bool> {
-        let cell = self.cache.entries.read().get(key).cloned()?;
-        let mut e = cell.lock();
-        if !self.entry_usable(&e) {
-            return None;
-        }
-        match self.absorb(telemetry, key, &mut e) {
-            Ok(absorbed) => absorbed.then_some(true),
-            Err(_) => {
-                drop(e);
-                self.spend(key);
-                Some(false)
-            }
-        }
+        })
     }
 
     /// The seed reproduction's behavior: refit from history on every
@@ -518,26 +511,6 @@ impl HecateService {
         })
     }
 
-    /// Serves a memoized cache hit for `key` — model saw every sample,
-    /// same horizon — without touching the model or any history;
-    /// `None` on anything that needs the full hit/update/refit
-    /// protocol. Does not touch the stats counters: the caller
-    /// attributes hits (a partial probe that falls back to
-    /// [`HecateService::forecast_path`] must not count paths twice).
-    fn try_hit(&self, telemetry: &TelemetryService, key: &SeriesKey) -> Option<Vec<f64>> {
-        let cell = self.cache.entries.read().get(key).cloned()?;
-        let e = cell.lock();
-        if self.entry_usable(&e)
-            && e.rolled_horizon == self.horizon
-            && e.rolled_at == e.observed
-            && e.observed == telemetry.total(key)
-        {
-            Some(e.rolled.clone())
-        } else {
-            None
-        }
-    }
-
     /// Forecasts every candidate path; paths with insufficient history
     /// are skipped (they cannot be recommended yet). Results come back
     /// in candidate order.
@@ -547,92 +520,89 @@ impl HecateService {
         paths: &[String],
         metric: Metric,
     ) -> Vec<PathForecast> {
-        let (aligned, _) = self.forecast_needed(telemetry, paths, &vec![true; paths.len()], metric);
+        let cands: Vec<Candidate> = paths
+            .iter()
+            .map(|path| Candidate {
+                path,
+                series: telemetry.find(&SeriesKey::new(path, metric)),
+                pair: None,
+                needed: true,
+            })
+            .collect();
+        let (aligned, _) = self.forecast_candidates(telemetry, &cands);
         aligned.into_iter().flatten().collect()
     }
 
-    /// [`HecateService::forecast_all`] for a decision that reads only
-    /// the paths with `needed[i]` set. Those get the full protocol.
-    /// Every other path is *deferred*: it refits when that refit is
-    /// due, and otherwise slides its fresh samples into the lag window
-    /// but skips the roll. Staleness counts from the fit and a roll is
-    /// a pure function of the window, so refits land where
-    /// `forecast_all` puts them and later forecasts carry its bits.
+    /// A consult's forecasts, under one lock. Every candidate the
+    /// decision reads gets the full protocol. Every other one is
+    /// *deferred*: it refits when that refit is due, and otherwise
+    /// slides its fresh samples into the lag window but skips the roll.
+    /// Staleness counts from the fit and a roll is a pure function of
+    /// the window, so refits land where a full consult puts them and
+    /// later forecasts carry its bits.
     ///
-    /// The forecasts come back aligned with `paths`: entry `i` is path
-    /// `i`'s, `None` when it was deferred or could not be forecast. The
-    /// flag says whether *any* path could be forecast, deferred ones
-    /// included — what a cold-start fallback must test.
+    /// The forecasts come back aligned with `cands`: entry `i` is
+    /// candidate `i`'s, `None` when it was deferred or could not be
+    /// forecast. The flag says whether *any* candidate could be
+    /// forecast, deferred ones included — what a cold-start fallback
+    /// must test.
     ///
-    /// An all-hit call runs sequentially (a lookup and a ten-float clone
-    /// per path, which thread spawns would dominate); otherwise the
-    /// needed paths and due refits fan out once over scoped workers.
-    pub fn forecast_needed<P: AsRef<str> + Sync>(
+    /// Hits are served in place (a ten-float clone, which a thread
+    /// spawn would dominate). The rest — rolls and refits — fan out
+    /// once over scoped workers, their entries moved out of the cache
+    /// for the duration so each worker owns its own.
+    pub(crate) fn forecast_candidates(
         &self,
         telemetry: &TelemetryService,
-        paths: &[P],
-        needed: &[bool],
-        metric: Metric,
+        cands: &[Candidate<'_>],
     ) -> (Vec<Option<PathForecast>>, bool) {
+        let mut cache = self.bound(telemetry);
         let mut forecastable = false;
-        // (position, path, needed) for every path that needs a forecast
-        // or a refit, in candidate order.
-        let mut work: Vec<(usize, &str, bool)> = Vec::with_capacity(paths.len());
-        for (i, path) in paths.iter().enumerate() {
-            let path = path.as_ref();
-            if needed.get(i) == Some(&true) {
-                work.push((i, path, true));
+        let mut aligned = vec![None; cands.len()];
+        let mut jobs = Vec::new();
+        for (pos, c) in cands.iter().enumerate() {
+            let Some(id) = c.series else { continue };
+            let slot = cache.slot(id);
+            if !c.needed {
+                if let Some(ok) = self.defer(telemetry, id, slot) {
+                    forecastable |= ok;
+                    continue;
+                }
+            } else if let Some(values) = slot.as_ref().and_then(|e| self.hit(telemetry, id, e)) {
+                cache.count(Arm::Hit, c.pair);
+                let path = c.path.to_string();
+                aligned[pos] = Some(PathForecast { path, values });
+                forecastable = true;
                 continue;
             }
-            match self.defer(telemetry, &SeriesKey::new(path, metric)) {
-                Some(ok) => forecastable |= ok,
-                None => work.push((i, path, false)),
-            }
+            // A deferred series lands here only when its refit is due.
+            jobs.push((pos, id, slot.take()));
         }
-        let hits: Option<Vec<PathForecast>> = work
-            .iter()
-            .map(|&(_, path, need)| {
-                need.then(|| self.try_hit(telemetry, &SeriesKey::new(path, metric)))?
-                    .map(|values| PathForecast {
-                        path: path.to_string(),
-                        values,
-                    })
-            })
-            .collect();
-        let served: Vec<(Option<PathForecast>, bool)> = if let Some(forecasts) = hits {
-            self.cache.hits.add(forecasts.len() as u64);
-            if self.cache.scoped_on.load(Ordering::Relaxed) {
-                for f in &forecasts {
-                    self.cache.bump_scoped(&f.path, |sc| &sc.hits);
-                }
-            }
-            forecasts.into_iter().map(|f| (Some(f), true)).collect()
-        } else {
-            let serve = |&(_, path, need): &(usize, &str, bool)| {
-                if need {
-                    let forecast = self.forecast_path(telemetry, path, metric).ok();
-                    let ok = forecast.is_some();
-                    (forecast, ok)
-                } else {
-                    let refit = self.refit(telemetry, SeriesKey::new(path, metric));
-                    (None, refit.is_ok())
-                }
-            };
-            // A traced run fans out sequentially: `ml.fit`/`ml.roll` span
-            // emission order must be deterministic, and worker
-            // interleaving is not. Results are bitwise identical either
-            // way — forecasts are independent and `par_map` preserves
-            // candidate order — so only the trace artifact cares.
-            if self.cache.trace_on.load(Ordering::Relaxed) {
-                work.iter().map(serve).collect()
-            } else {
-                linalg::par::par_map(&work, serve)
-            }
+        let trace = cache.trace();
+        let run = |(_, id, entry): &mut (usize, SeriesId, Option<CacheEntry>)| {
+            self.serve(telemetry, *id, entry, trace.as_ref())
         };
-        let forecastable = forecastable || served.iter().any(|&(_, ok)| ok);
-        let mut aligned = vec![None; paths.len()];
-        for (&(i, ..), (forecast, _)) in work.iter().zip(served) {
-            aligned[i] = forecast;
+        // A traced run fans out sequentially: `ml.fit`/`ml.roll` span
+        // emission order must be deterministic, and worker
+        // interleaving is not. Results are bitwise identical either
+        // way — forecasts are independent and `par_map_mut` preserves
+        // candidate order — so only the trace artifact cares.
+        let served: Vec<_> = if trace.is_some() {
+            jobs.iter_mut().map(run).collect()
+        } else {
+            linalg::par::par_map_mut(&mut jobs, run)
+        };
+        for ((pos, id, entry), served) in jobs.into_iter().zip(served) {
+            *cache.slot(id) = entry;
+            if let Ok((arm, values)) = served {
+                let c = &cands[pos];
+                cache.count(arm, c.pair);
+                forecastable = true;
+                if c.needed {
+                    let path = c.path.to_string();
+                    aligned[pos] = Some(PathForecast { path, values });
+                }
+            }
         }
         (aligned, forecastable)
     }
@@ -657,41 +627,35 @@ impl HecateService {
     /// live instruments can be exposed via
     /// [`HecateService::register_metrics`]).
     pub fn cache_stats(&self) -> CacheStats {
+        let cache = self.lock();
+        let [hits, updates, refits] = cache.total.each_ref().map(obsv::Counter::get);
         CacheStats {
-            hits: self.cache.hits.get(),
-            updates: self.cache.updates.get(),
-            refits: self.cache.refits.get(),
-            entries: self.cache.entries.read().len(),
+            hits,
+            updates,
+            refits,
+            entries: cache.entries.iter().flatten().count(),
         }
     }
 
     /// Exposes the cache's live counters in `registry` under
-    /// `{prefix}.hits` / `.updates` / `.refits`, and — for every scope
-    /// in `scopes` (pair names, multi-pair deployments) — per-scope
-    /// counters `{prefix}.{scope}.hits` etc., attributed by the scope
-    /// prefix of each series target. The per-scope path costs one
-    /// relaxed load until scopes are registered.
+    /// `{prefix}.hits` / `.updates` / `.refits`, and per-pair counters
+    /// `{prefix}.{scope}.hits` etc. for pair `i` under the non-empty
+    /// scope `scopes[i]` (pair names, multi-pair deployments). A
+    /// consult attributes each candidate's arm to its own pair.
     pub fn register_metrics(&self, registry: &obsv::Registry, prefix: &str, scopes: &[String]) {
-        registry.adopt_counter(&format!("{prefix}.hits"), &self.cache.hits);
-        registry.adopt_counter(&format!("{prefix}.updates"), &self.cache.updates);
-        registry.adopt_counter(&format!("{prefix}.refits"), &self.cache.refits);
-        let mut scoped = self.cache.scoped.write();
-        for scope in scopes {
-            if scope.is_empty() {
-                // The legacy single-pair scope has no prefix; the
-                // global counters already are its attribution.
-                continue;
-            }
-            let sc = ScopeCounters {
-                hits: registry.counter(&format!("{prefix}.{scope}.hits")),
-                updates: registry.counter(&format!("{prefix}.{scope}.updates")),
-                refits: registry.counter(&format!("{prefix}.{scope}.refits")),
-            };
-            scoped.insert(scope.clone(), sc);
+        let mut cache = self.lock();
+        for (arm, counter) in ARMS.iter().zip(&cache.total) {
+            registry.adopt_counter(&format!("{prefix}.{arm}"), counter);
         }
-        if !scoped.is_empty() {
-            self.cache.scoped_on.store(true, Ordering::Relaxed);
-        }
+        // The legacy single-pair scope has no prefix; the global
+        // counters already are its attribution.
+        cache.pairs = scopes
+            .iter()
+            .map(|scope| {
+                let scoped = |arm| registry.counter(&format!("{prefix}.{scope}.{arm}"));
+                (!scope.is_empty()).then(|| ARMS.map(scoped))
+            })
+            .collect();
     }
 
     /// How many samples the series has grown since the cached model for
@@ -704,16 +668,20 @@ impl HecateService {
         path: &str,
         metric: Metric,
     ) -> Option<u64> {
-        let key = SeriesKey::new(path, metric);
-        let cell = self.cache.entries.read().get(&key).cloned()?;
-        let fitted_at = cell.lock().fitted_at;
-        Some(telemetry.total(&key).saturating_sub(fitted_at))
+        let id = telemetry.find(&SeriesKey::new(path, metric))?;
+        let cache = self.lock();
+        if cache.store != Some(telemetry.store_id()) {
+            return None;
+        }
+        let fitted_at = cache.entries.get(id.index())?.as_ref()?.fitted_at;
+        let total = telemetry.tail(id).map_or(0, |(total, _)| total);
+        Some(total.saturating_sub(fitted_at))
     }
 
     /// Drops every cached model (e.g. after a topology change that
     /// makes old series semantics meaningless).
     pub fn clear_cache(&self) {
-        self.cache.entries.write().clear();
+        self.lock().entries.clear();
     }
 
     /// The paper's headline recommendation: the path with the most
@@ -737,7 +705,7 @@ mod tests {
     use super::*;
 
     fn seeded_store(paths: &[(&str, f64)]) -> TelemetryService {
-        let ts = TelemetryService::new(1000);
+        let mut ts = TelemetryService::new(1000);
         for (name, level) in paths {
             for t in 0..60u64 {
                 // mild sinusoidal wiggle around the level
@@ -766,7 +734,7 @@ mod tests {
 
     #[test]
     fn insufficient_history_is_reported() {
-        let ts = TelemetryService::new(100);
+        let mut ts = TelemetryService::new(100);
         for t in 0..5u64 {
             ts.insert(&SeriesKey::new("t1", Metric::AvailableBandwidth), t, 1.0);
         }
@@ -821,7 +789,7 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             // Five new samples: the update arm; `refit_after`: the refit.
             for fresh in [5, refit_after] {
-                let ts = seeded_store(&[("t1", 10.0), ("sick", 12.0), ("t3", 8.0)]);
+                let mut ts = seeded_store(&[("t1", 10.0), ("sick", 12.0), ("t3", 8.0)]);
                 let h = HecateService::new();
                 let healthy = h.forecast_all(&ts, &paths, Metric::AvailableBandwidth);
                 assert_eq!(healthy.len(), 3);
@@ -853,7 +821,7 @@ mod tests {
         let paths = ["t1".to_string(), "sick".to_string(), "t3".to_string()];
         for model in [RegressorKind::Hgbr, RegressorKind::Lr] {
             for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-                let ts = seeded_store(&[("t1", 10.0), ("sick", 12.0), ("t3", 8.0)]);
+                let mut ts = seeded_store(&[("t1", 10.0), ("sick", 12.0), ("t3", 8.0)]);
                 ts.insert(&sick, 60_000, bad);
                 ts.insert(&sick, 61_000, 12.0);
                 let got = HecateService::with_model(model).forecast_all(
@@ -915,7 +883,7 @@ mod tests {
 
     #[test]
     fn cache_updates_window_below_threshold_and_refits_at_it() {
-        let ts = seeded_store(&[("t1", 20.0)]);
+        let mut ts = seeded_store(&[("t1", 20.0)]);
         let mut h = HecateService::new();
         h.refit_after = 5;
         h.forecast_path(&ts, "t1", Metric::AvailableBandwidth)
@@ -982,8 +950,33 @@ mod tests {
     }
 
     #[test]
+    fn a_warm_cache_pointed_at_another_store_refits() {
+        // The same service asked for `t1` on store A, then on store B:
+        // same name, 63 different samples. B's last 3 samples must not
+        // slide into the model fitted on A.
+        let a = seeded_store(&[("t1", 20.0)]);
+        let mut b = seeded_store(&[("t1", 5.0)]);
+        for t in 60..63u64 {
+            b.insert(&SeriesKey::new("t1", Metric::AvailableBandwidth), t, 5.0);
+        }
+        let h = HecateService::new();
+        h.forecast_path(&a, "t1", Metric::AvailableBandwidth)
+            .unwrap();
+        let got = h
+            .forecast_path(&b, "t1", Metric::AvailableBandwidth)
+            .unwrap();
+        let want = h
+            .forecast_path_uncached(&b, "t1", Metric::AvailableBandwidth)
+            .unwrap();
+        assert_eq!(got.values, want.values, "rolled A's model on B");
+        let stats = h.cache_stats();
+        assert_eq!((stats.refits, stats.updates), (2, 0), "{stats:?}");
+        assert_eq!(h.cache_age(&a, "t1", Metric::AvailableBandwidth), None);
+    }
+
+    #[test]
     fn traced_cache_emits_fit_and_roll_spans_stamped_from_the_clock() {
-        let ts = seeded_store(&[("t1", 20.0)]);
+        let mut ts = seeded_store(&[("t1", 20.0)]);
         let mut h = HecateService::new();
         h.refit_after = 10;
         let sink = obsv::RecordingSink::shared();
@@ -1063,7 +1056,7 @@ mod tests {
     #[test]
     fn linear_model_tracks_trend() {
         // A rising series should yield a forecast above the recent mean.
-        let ts = TelemetryService::new(1000);
+        let mut ts = TelemetryService::new(1000);
         for t in 0..60u64 {
             ts.insert(
                 &SeriesKey::new("up", Metric::AvailableBandwidth),

@@ -9,7 +9,7 @@
 //! experiments (Figs 11 and 12, the trace-driven steering extension)
 //! run on this public API from the `bench` crate's `figures` module.
 
-use crate::controller::{decide_flows_pairs, BatchDecision, PathDecision, SequenceLog};
+use crate::controller::{decide_flows, BatchDecision, PathDecision, SequenceLog};
 use crate::dataloop::PROBE_PREFIX;
 use crate::hecate::HecateService;
 use crate::optimizer::{FlowDemand, Objective, OptimizerConfig, SharedLinkModel};
@@ -214,7 +214,7 @@ impl SelfDrivingNetwork {
     /// to the pair's rows and indexed by name.
     fn register_tunnel(&mut self, owner: usize, tunnel: CompiledTunnel) {
         let row = self.rows.len();
-        let series = |metric| {
+        let mut series = |metric| {
             self.telemetry
                 .series_id(&SeriesKey::new(&tunnel.id, metric))
         };
@@ -511,10 +511,10 @@ impl SelfDrivingNetwork {
     /// tick. Returns one decision per request, in request order.
     ///
     /// Every network, one pair or many, decides via
-    /// [`decide_flows_pairs`] against the shared-link capacity model, so
-    /// a batch spanning pairs never oversubscribes a link two candidate
-    /// tunnels have in common, and forecasts only the batch's pairs'
-    /// tunnels.
+    /// [`crate::controller::decide_flows_pairs`] against the shared-link
+    /// capacity model, so a batch spanning pairs never oversubscribes a
+    /// link two candidate tunnels have in common, and forecasts only the
+    /// batch's pairs' tunnels.
     ///
     /// A batch with a label that repeats, is already managed or starts
     /// with `probe:` is refused before anything happens
@@ -555,9 +555,10 @@ impl SelfDrivingNetwork {
         Ok(out.decisions)
     }
 
-    /// One consult: [`decide_flows_pairs`] for `flows` on `model` over
-    /// every row, at the current sim time. Admission and
-    /// re-optimization decide through it. The `decide.consult` span
+    /// One consult: [`crate::controller::decide_flows_pairs`] for
+    /// `flows` on `model` over every row, on the rows' resolved series,
+    /// at the current sim time. Admission and re-optimization decide
+    /// through it. The `decide.consult` span
     /// covers the call (`batch`); inside it, `decide.forecast`
     /// attributes the batch to cache hits, updates and refits, diffed
     /// around the call, and the zero-width `decide.solve` names the
@@ -577,11 +578,18 @@ impl SelfDrivingNetwork {
         let forecast = tracer.span("decide", "decide.forecast", now_ns);
         let before = self.hecate.cache_stats();
         let names: Vec<&str> = self.rows.iter().map(TunnelRow::name).collect();
-        let out = decide_flows_pairs(
+        let rows = &self.rows;
+        let series = |t: usize, metric| match metric {
+            Metric::AvailableBandwidth => Some(rows[t].series.0),
+            Metric::Rtt => Some(rows[t].series.1),
+            Metric::FlowRate => None,
+        };
+        let out = decide_flows(
             &self.hecate,
             &self.telemetry,
             flows,
             &names,
+            series,
             model,
             objective,
             &self.opt,

@@ -1,14 +1,16 @@
-//! The Telemetry Service: a concurrent time-series store.
+//! The Telemetry Service: the controller's time-series store.
 //!
 //! "At predefined intervals, the Controller activates agents to collect
 //! telemetry data from relevant network paths, focusing on metrics like
 //! flow rate and latency … This data is then transmitted to the Telemetry
 //! Service, where it is stored in a time series database for analysis."
+//!
+//! The store is plain owned state: the one controller that owns it
+//! writes through `&mut self` and every reader, Hecate's parallel
+//! fan-out included, borrows it through `&self`. No lock, no clone.
 
-use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// What a sample measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -156,6 +158,14 @@ pub struct SeriesId {
     index: usize,
 }
 
+impl SeriesId {
+    /// The series' slot in its store: dense from 0, in resolution
+    /// order, so per-series state elsewhere can live in a `Vec`.
+    pub(crate) fn index(self) -> usize {
+        self.index
+    }
+}
+
 /// A [`SeriesId`] handed to a store that did not issue it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ForeignSeries(pub SeriesId);
@@ -169,48 +179,21 @@ impl std::fmt::Display for ForeignSeries {
 impl std::error::Error for ForeignSeries {}
 
 /// The next store identity: each [`TelemetryService::new`] takes one,
-/// so no two stores of a process share it (clones share their store's).
-/// Only ever compared for equality, so the values themselves never
-/// reach an output.
+/// so no two stores of a process share it. Only ever compared for
+/// equality, so the values themselves never reach an output.
 static NEXT_STORE: AtomicU64 = AtomicU64::new(0);
 
-/// The one sample store: every series' ring, plus the key index.
+/// The time-series store: every series' ring, plus the key index.
 ///
 /// The index is a `BTreeMap` so every enumeration
 /// ([`TelemetryService::keys`]) comes back in sorted key order —
 /// hash-map iteration order varies per process, which is exactly the
 /// nondeterminism the replay contract (and the `detlint`
 /// `unordered-iter` rule) forbids.
-#[derive(Debug, Default)]
-struct Store {
+#[derive(Debug)]
+pub struct TelemetryService {
     index: BTreeMap<SeriesKey, usize>,
     rings: Vec<SampleRing>,
-}
-
-impl Store {
-    /// The ring of `key`, created empty if there is none.
-    fn resolve(&mut self, key: &SeriesKey) -> usize {
-        // The key is cloned only to create a series, not per sample.
-        if let Some(&id) = self.index.get(key) {
-            return id;
-        }
-        self.rings.push(SampleRing::default());
-        self.index.insert(key.clone(), self.rings.len() - 1);
-        self.rings.len() - 1
-    }
-
-    /// The ring a reader sees under `key`. A series that was resolved
-    /// to a handle but never sampled reads as unknown.
-    fn ring(&self, key: &SeriesKey) -> Option<&SampleRing> {
-        let ring = &self.rings[*self.index.get(key)?];
-        (ring.total > 0).then_some(ring)
-    }
-}
-
-/// The time-series store. Cheap to clone (shared behind an `Arc`).
-#[derive(Debug, Clone)]
-pub struct TelemetryService {
-    inner: Arc<RwLock<Store>>,
     /// Retained samples per series (ring semantics).
     capacity: usize,
     /// This store's identity, stamped on every [`SeriesId`] it issues.
@@ -229,48 +212,85 @@ impl TelemetryService {
     /// A store retaining up to `capacity` samples per series.
     pub fn new(capacity: usize) -> Self {
         TelemetryService {
-            inner: Arc::default(),
+            index: BTreeMap::new(),
+            rings: Vec::new(),
             capacity: capacity.max(1),
             id: NEXT_STORE.fetch_add(1, Ordering::Relaxed),
         }
     }
 
+    /// This store's identity: what every [`SeriesId`] it issues carries.
+    pub(crate) fn store_id(&self) -> u64 {
+        self.id
+    }
+
     /// Inserts one sample.
-    pub fn insert(&self, key: &SeriesKey, t_ms: u64, value: f64) {
-        let mut store = self.inner.write();
-        let id = store.resolve(key);
-        store.rings[id].push(self.capacity, t_ms, value);
+    pub fn insert(&mut self, key: &SeriesKey, t_ms: u64, value: f64) {
+        let id = self.series_id(key);
+        self.rings[id.index].push(self.capacity, t_ms, value);
     }
 
     /// Resolves `key` to a handle for [`TelemetryService::insert_batch`],
-    /// once. The series stays invisible to every reader (and to
-    /// [`TelemetryService::keys`]) until its first sample.
-    pub fn series_id(&self, key: &SeriesKey) -> SeriesId {
+    /// once, creating an empty ring if there is none. The series stays
+    /// invisible to every reader (and to [`TelemetryService::keys`])
+    /// until its first sample.
+    pub fn series_id(&mut self, key: &SeriesKey) -> SeriesId {
+        // The key is cloned only to create a series, not per sample.
+        let index = match self.index.get(key) {
+            Some(&index) => index,
+            None => {
+                self.rings.push(SampleRing::default());
+                self.index.insert(key.clone(), self.rings.len() - 1);
+                self.rings.len() - 1
+            }
+        };
         SeriesId {
             store: self.id,
-            index: self.inner.write().resolve(key),
+            index,
         }
     }
 
+    /// The handle `key` already resolved to, if any: the readers' way
+    /// from a name to a series, which never creates one.
+    pub(crate) fn find(&self, key: &SeriesKey) -> Option<SeriesId> {
+        let &index = self.index.get(key)?;
+        Some(SeriesId {
+            store: self.id,
+            index,
+        })
+    }
+
     /// Inserts one collection round — every sample stamped `t_ms` —
-    /// under a single write-lock, all or nothing.
+    /// all or nothing.
     ///
     /// # Errors
     /// [`ForeignSeries`] when another store issued one of the handles;
     /// nothing is inserted then.
     pub fn insert_batch(
-        &self,
+        &mut self,
         t_ms: u64,
         samples: &[(SeriesId, f64)],
     ) -> Result<(), ForeignSeries> {
         if let Some(&(id, _)) = samples.iter().find(|(id, _)| id.store != self.id) {
             return Err(ForeignSeries(id));
         }
-        let mut store = self.inner.write();
         for &(id, value) in samples {
-            store.rings[id.index].push(self.capacity, t_ms, value);
+            self.rings[id.index].push(self.capacity, t_ms, value);
         }
         Ok(())
+    }
+
+    /// The ring a reader sees under `key`. A series that was resolved
+    /// to a handle but never sampled reads as unknown.
+    fn ring(&self, key: &SeriesKey) -> Option<&SampleRing> {
+        self.ring_of(self.find(key)?)
+    }
+
+    /// [`TelemetryService::ring`] of a resolved series. A handle of
+    /// another store reads nothing.
+    fn ring_of(&self, id: SeriesId) -> Option<&SampleRing> {
+        let ring = self.rings.get(id.index)?;
+        (id.store == self.id && ring.total > 0).then_some(ring)
     }
 
     /// The most recent `n` values (oldest first); fewer if the series is
@@ -284,60 +304,40 @@ impl TelemetryService {
     /// Calls `f` with the most recent `n` values (oldest first) as one
     /// contiguous slice, without copying; fewer values if the series is
     /// short, `None` if the series is unknown.
-    ///
-    /// The read lock is held for the duration of `f`: keep the closure
-    /// short and never call a mutating [`TelemetryService`] method from
-    /// inside it.
     pub fn with_last_n<R>(
         &self,
         key: &SeriesKey,
         n: usize,
         f: impl FnOnce(&[f64]) -> R,
     ) -> Option<R> {
-        let store = self.inner.read();
-        let (_, vals) = store.ring(key)?.window(self.capacity, n);
+        let (_, vals) = self.ring(key)?.window(self.capacity, n);
         Some(f(vals))
     }
 
-    /// Calls `f` with the series' monotonic total *and* its full
-    /// retained value window (oldest first, one contiguous slice) under
-    /// a single lock acquisition, so the pair is consistent even while
-    /// writers race. `None` if the series is unknown.
-    ///
-    /// This is the read the forecast cache's bookkeeping depends on:
-    /// reading the total and the samples in two separate acquisitions
-    /// would let a concurrent insert land in between, and samples would
-    /// be skipped now and double-absorbed later.
-    pub fn with_tail<R>(&self, key: &SeriesKey, f: impl FnOnce(u64, &[f64]) -> R) -> Option<R> {
-        let store = self.inner.read();
-        let series = store.ring(key)?;
-        let (_, vals) = series.window(self.capacity, self.capacity);
-        Some(f(series.total, vals))
+    /// A resolved series' monotonic total and its full retained value
+    /// window (oldest first, one contiguous slice); `None` if the
+    /// series is unknown. What the forecast cache's bookkeeping reads.
+    pub(crate) fn tail(&self, id: SeriesId) -> Option<(u64, &[f64])> {
+        let ring = self.ring_of(id)?;
+        Some((ring.total, ring.window(self.capacity, self.capacity).1))
     }
 
     /// The most recent value, if any.
     pub fn last(&self, key: &SeriesKey) -> Option<f64> {
-        let store = self.inner.read();
-        store.ring(key)?.window(self.capacity, 1).1.last().copied()
+        self.last_of(self.find(key)?)
     }
 
     /// The most recent value of a resolved series, if any: what
     /// [`TelemetryService::last`] reads, without the key lookup. A
     /// handle of another store reads nothing.
     pub(crate) fn last_of(&self, id: SeriesId) -> Option<f64> {
-        let store = self.inner.read();
-        let ring = store
-            .rings
-            .get(id.index)
-            .filter(|r| id.store == self.id && r.total > 0)?;
+        let ring = self.ring_of(id)?;
         ring.window(self.capacity, 1).1.last().copied()
     }
 
     /// The full retained series as `(t_ms, value)` pairs.
     pub fn series(&self, key: &SeriesKey) -> Vec<(u64, f64)> {
-        let store = self.inner.read();
-        store
-            .ring(key)
+        self.ring(key)
             .map(|s| {
                 let (ts, vals) = s.window(self.capacity, self.capacity);
                 ts.iter().copied().zip(vals.iter().copied()).collect()
@@ -347,8 +347,7 @@ impl TelemetryService {
 
     /// Number of samples currently retained for a key.
     pub fn len(&self, key: &SeriesKey) -> usize {
-        let store = self.inner.read();
-        store.ring(key).map_or(0, |s| s.len(self.capacity))
+        self.ring(key).map_or(0, |s| s.len(self.capacity))
     }
 
     /// Number of samples *ever inserted* for a key — a monotonic
@@ -356,8 +355,7 @@ impl TelemetryService {
     /// The forecast cache uses it to decide when a cached model has
     /// gone stale.
     pub fn total(&self, key: &SeriesKey) -> u64 {
-        let store = self.inner.read();
-        store.ring(key).map_or(0, |s| s.total)
+        self.ring(key).map_or(0, |s| s.total)
     }
 
     /// True when no sample has ever been stored for the key.
@@ -367,11 +365,10 @@ impl TelemetryService {
 
     /// All known series keys, in sorted (deterministic) order.
     pub fn keys(&self) -> Vec<SeriesKey> {
-        let store = self.inner.read();
-        let sampled = store
+        let sampled = self
             .index
             .iter()
-            .filter(|(_, &id)| store.rings[id].total > 0);
+            .filter(|(_, &id)| self.rings[id].total > 0);
         sampled.map(|(k, _)| k.clone()).collect()
     }
 }
@@ -386,7 +383,7 @@ mod tests {
 
     #[test]
     fn insert_and_query() {
-        let ts = TelemetryService::new(100);
+        let mut ts = TelemetryService::new(100);
         for i in 0..10u64 {
             ts.insert(&key(), i * 1000, i as f64);
         }
@@ -398,7 +395,7 @@ mod tests {
 
     #[test]
     fn capacity_is_a_ring() {
-        let ts = TelemetryService::new(5);
+        let mut ts = TelemetryService::new(5);
         for i in 0..20u64 {
             ts.insert(&key(), i, i as f64);
         }
@@ -416,7 +413,7 @@ mod tests {
 
     #[test]
     fn metrics_are_separate_series() {
-        let ts = TelemetryService::new(10);
+        let mut ts = TelemetryService::new(10);
         ts.insert(&SeriesKey::new("t1", Metric::Rtt), 0, 50.0);
         ts.insert(&SeriesKey::new("t1", Metric::AvailableBandwidth), 0, 20.0);
         assert_eq!(ts.last(&SeriesKey::new("t1", Metric::Rtt)), Some(50.0));
@@ -428,26 +425,23 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_writers_do_not_lose_counts() {
-        let ts = TelemetryService::new(100_000);
-        let handles: Vec<_> = (0..8)
-            .map(|w| {
-                let ts = ts.clone();
-                std::thread::spawn(move || {
-                    for i in 0..1000u64 {
-                        ts.insert(
-                            &SeriesKey::new("shared", Metric::FlowRate),
-                            w * 10_000 + i,
-                            1.0,
-                        );
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+    fn interleaved_writers_do_not_lose_counts() {
+        // Eight writers' samples into one series, interleaved one by
+        // one, half by key and half by handle: all 8 000 are retained.
+        let mut ts = TelemetryService::new(100_000);
+        let key = SeriesKey::new("shared", Metric::FlowRate);
+        let id = ts.series_id(&key);
+        for i in 0..1000u64 {
+            for w in 0..8 {
+                if w % 2 == 0 {
+                    ts.insert(&key, w * 10_000 + i, 1.0);
+                } else {
+                    ts.insert_batch(w * 10_000 + i, &[(id, 1.0)]).unwrap();
+                }
+            }
         }
-        assert_eq!(ts.len(&SeriesKey::new("shared", Metric::FlowRate)), 8000);
+        assert_eq!(ts.len(&key), 8000);
+        assert_eq!(ts.total(&key), 8000);
     }
 
     #[test]
@@ -469,7 +463,7 @@ mod tests {
         assert_ne!(p0, legacy);
         assert_ne!(p1, legacy);
         // The store keeps all three series separate.
-        let ts = TelemetryService::new(10);
+        let mut ts = TelemetryService::new(10);
         ts.insert(&p0, 0, 1.0);
         ts.insert(&p1, 0, 2.0);
         ts.insert(&legacy, 0, 3.0);
@@ -495,7 +489,7 @@ mod tests {
 
     #[test]
     fn total_counts_past_eviction() {
-        let ts = TelemetryService::new(4);
+        let mut ts = TelemetryService::new(4);
         assert_eq!(ts.total(&key()), 0);
         for i in 0..10u64 {
             ts.insert(&key(), i, i as f64);
@@ -506,7 +500,7 @@ mod tests {
 
     #[test]
     fn with_last_n_sees_the_same_window_as_last_n() {
-        let ts = TelemetryService::new(6);
+        let mut ts = TelemetryService::new(6);
         for i in 0..15u64 {
             ts.insert(&key(), i, (i * i) as f64);
         }
@@ -528,7 +522,7 @@ mod tests {
         // API must agree with a naive keep-the-last-cap model.
         for cap in [1usize, 2, 3, 5, 8, 64] {
             for count in [0usize, 1, cap / 2, cap, cap + 1, 2 * cap, 5 * cap + 3] {
-                let ts = TelemetryService::new(cap);
+                let mut ts = TelemetryService::new(cap);
                 let mut reference: Vec<(u64, f64)> = Vec::new();
                 for i in 0..count {
                     let sample = (i as u64 * 7, (i as f64).sin() * 100.0);
@@ -559,7 +553,7 @@ mod tests {
         // The constructor clamps capacity to >= 1, so the ring's
         // modulo arithmetic never sees a zero divisor; a degenerate
         // store degrades to keep-latest-sample instead of panicking.
-        let ts = TelemetryService::new(0);
+        let mut ts = TelemetryService::new(0);
         for i in 0..5u64 {
             ts.insert(&key(), i, i as f64);
         }
@@ -570,7 +564,7 @@ mod tests {
 
     #[test]
     fn default_store_has_testbed_retention() {
-        let ts = TelemetryService::default();
+        let mut ts = TelemetryService::default();
         for i in 0..10u64 {
             ts.insert(&key(), i, i as f64);
         }
@@ -598,7 +592,9 @@ mod tests {
             ts.len(key),
             ts.total(key),
             ts.is_empty(key),
-            ts.with_tail(key, |total, tail| (total, tail.to_vec())),
+            ts.find(key)
+                .and_then(|id| ts.tail(id))
+                .map(|(total, tail)| (total, tail.to_vec())),
         )
     }
 
@@ -607,19 +603,21 @@ mod tests {
         // The same samples, by key only and by key and handle mixed,
         // across the ring's mirror transition: every reader agrees.
         let (a, b) = (key(), SeriesKey::new("f0", Metric::FlowRate));
-        let (keyed, mixed) = (TelemetryService::new(5), TelemetryService::new(5));
+        let (mut keyed, mut mixed) = (TelemetryService::new(5), TelemetryService::new(5));
         let a_id = mixed.series_id(&a);
         for i in 0..13u64 {
             let (t, va, vb) = (i * 10, i as f64, (i * i) as f64);
             keyed.insert(&a, t, va);
             keyed.insert(&b, t, vb);
             match i % 3 {
-                0 => mixed
-                    .insert_batch(t, &[(a_id, va), (mixed.series_id(&b), vb)])
-                    .unwrap(),
+                0 => {
+                    let b_id = mixed.series_id(&b);
+                    mixed.insert_batch(t, &[(a_id, va), (b_id, vb)]).unwrap()
+                }
                 1 => {
                     mixed.insert(&a, t, va);
-                    mixed.insert_batch(t, &[(mixed.series_id(&b), vb)]).unwrap();
+                    let b_id = mixed.series_id(&b);
+                    mixed.insert_batch(t, &[(b_id, vb)]).unwrap();
                 }
                 _ => {
                     mixed.insert_batch(t, &[(a_id, va)]).unwrap();
@@ -639,7 +637,7 @@ mod tests {
         // A handle from a larger store used to panic a smaller one, and
         // a handle from a smaller store wrote into whatever series of a
         // larger one sat at its index.
-        let (big, small) = (TelemetryService::new(8), TelemetryService::new(8));
+        let (mut big, mut small) = (TelemetryService::new(8), TelemetryService::new(8));
         let big_ids: Vec<SeriesId> = ["a", "b", "c"]
             .iter()
             .map(|t| big.series_id(&SeriesKey::new(t, Metric::Rtt)))
@@ -655,17 +653,11 @@ mod tests {
             Err(ForeignSeries(small_id))
         );
         assert!(big.keys().is_empty(), "a refused round inserts nothing");
-        // A clone is the same store.
-        big.clone().insert_batch(2, &[(big_ids[0], 5.0)]).unwrap();
-        assert_eq!(
-            big.series(&SeriesKey::new("a", Metric::Rtt)),
-            vec![(2, 5.0)]
-        );
     }
 
     #[test]
     fn a_series_is_invisible_until_sampled() {
-        let ts = TelemetryService::new(10);
+        let mut ts = TelemetryService::new(10);
         ts.insert(&SeriesKey::new("other", Metric::Rtt), 0, 1.0);
         let unknown = readers(&ts, &key());
         let id = ts.series_id(&key());

@@ -1,9 +1,9 @@
 //! Pins the narrowed admission consult to the behaviour it replaced.
 //!
-//! A multi-pair admit forecasts only its pairs' candidate tunnels
-//! ([`HecateService::forecast_needed`]); every other series is deferred:
-//! it refits when its refit is due and otherwise takes its fresh samples
-//! into the lag window without rolling. The claim is that this changes
+//! A multi-pair admit forecasts only its pairs' candidate tunnels;
+//! every other series is deferred: it refits when its refit is due and
+//! otherwise takes its fresh samples into the lag window without
+//! rolling. The claim is that this changes
 //! no decision, no refit and no cache age — only how many rolls run.
 //! The reference network forecasts *every* tunnel right before each
 //! admit, which is what admission did before it was narrowed.
@@ -143,7 +143,7 @@ fn narrowed_admission_matches_forecasting_every_tunnel() {
         if e >= 20 && poisoned_at.is_none() && young && (e + 1) % 5 != 4 {
             for (name, bad) in poisoned.iter().zip([f64::NAN, f64::INFINITY]) {
                 let key = SeriesKey::new(name, Metric::AvailableBandwidth);
-                for net in [&a, &b] {
+                for net in [&mut a, &mut b] {
                     net.telemetry.insert(&key, (e + 1) * 1000, bad);
                 }
             }
@@ -179,7 +179,7 @@ fn two_pairs() -> (SharedLinkModel, Vec<String>) {
     (model, names)
 }
 
-fn fill(ts: &TelemetryService, name: &str, from: u64, n: u64, v: f64) {
+fn fill(ts: &mut TelemetryService, name: &str, from: u64, n: u64, v: f64) {
     let key = SeriesKey::new(name, Metric::AvailableBandwidth);
     for t in from..from + n {
         ts.insert(&key, t * 1000, v + (t % 3) as f64);
@@ -208,19 +208,19 @@ fn admit_pair0(
 #[test]
 fn cold_batch_falls_back_only_when_no_series_anywhere_is_forecastable() {
     let fell_back = |steps: &[&str]| steps.contains(&"fallbackArbitraryPath");
-    let ts = TelemetryService::new(1000);
+    let mut ts = TelemetryService::new(1000);
     let h = HecateService::new();
     // Nothing anywhere: phase (i).
     let (d, steps) = admit_pair0(&h, &ts, &OptimizerConfig::default());
     assert!(fell_back(&steps) && !d.decisions[0].used_forecast);
     // Pair 1 warm, pair 0 (the batch) cold: a deferred series refits
     // and counts, so the batch is placed, not sent to the first tunnel.
-    fill(&ts, "p1/t1", 0, 30, 8.0);
+    fill(&mut ts, "p1/t1", 0, 30, 8.0);
     let (d, steps) = admit_pair0(&h, &ts, &OptimizerConfig::default());
     assert!(!fell_back(&steps) && d.decisions[0].used_forecast && d.decisions[0].score.is_none());
     assert_eq!(h.cache_stats().refits, 1);
     // Its entry is usable and not outrun: deferred, still forecastable.
-    fill(&ts, "p1/t1", 30, 1, 8.0);
+    fill(&mut ts, "p1/t1", 30, 1, 8.0);
     let (_, steps) = admit_pair0(&h, &ts, &OptimizerConfig::default());
     assert!(!fell_back(&steps));
     assert_eq!(h.cache_stats().refits, 1, "a deferred series refit early");
@@ -240,9 +240,9 @@ fn cold_batch_falls_back_only_when_no_series_anywhere_is_forecastable() {
 #[test]
 fn deferred_series_roll_later_to_the_bits_a_full_forecast_gives() {
     let (_, names) = two_pairs();
-    let ts = TelemetryService::new(1000);
+    let mut ts = TelemetryService::new(1000);
     for (i, name) in names.iter().enumerate() {
-        fill(&ts, name, 0, 40, 5.0 + 3.0 * i as f64);
+        fill(&mut ts, name, 0, 40, 5.0 + 3.0 * i as f64);
     }
     let narrowed = HecateService::new();
     let full = HecateService::new();
@@ -250,7 +250,7 @@ fn deferred_series_roll_later_to_the_bits_a_full_forecast_gives() {
         admit_pair0(&narrowed, &ts, &OptimizerConfig::default());
         full.forecast_all(&ts, &names, Metric::AvailableBandwidth);
         for (i, name) in names.iter().enumerate() {
-            fill(&ts, name, 40 + round, 1, 5.0 + 3.0 * i as f64);
+            fill(&mut ts, name, 40 + round, 1, 5.0 + 3.0 * i as f64);
         }
     }
     // Pair 1 took four samples without a roll; its next forecast
@@ -269,8 +269,8 @@ fn deferred_series_roll_later_to_the_bits_a_full_forecast_gives() {
 
 #[test]
 fn the_solver_cutoff_comes_from_the_config() {
-    let ts = TelemetryService::new(1000);
-    fill(&ts, "p0/t1", 0, 30, 9.0);
+    let mut ts = TelemetryService::new(1000);
+    fill(&mut ts, "p0/t1", 0, 30, 9.0);
     let h = HecateService::new();
     let (out, _) = admit_pair0(&h, &ts, &OptimizerConfig::default());
     assert_eq!(out.solver, Some(SolverKind::Exhaustive));

@@ -16,8 +16,7 @@
 
 use crate::config::{parse_config, AclRule, RouterConfig, TunnelCfg};
 use crate::FreertrError;
-use parking_lot::RwLock;
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// One configuration step of a transaction.
 #[derive(Debug, Clone, PartialEq)]
@@ -67,7 +66,10 @@ impl RouterHandle {
     /// configuration is put back exactly as the transaction found it and
     /// that op's error is returned.
     pub fn transact(&self, ops: Vec<ConfigOp>) -> Result<(), FreertrError> {
-        apply_transaction(&mut self.config.write(), ops)
+        // Every op leaves the configuration well-formed, so a lock
+        // poisoned by a panicking caller still guards a valid one.
+        let mut cfg = self.config.write().unwrap_or_else(PoisonError::into_inner);
+        apply_transaction(&mut cfg, ops)
     }
 
     /// Replaces the configuration with config text.
@@ -95,7 +97,8 @@ impl RouterHandle {
 
     /// A snapshot of the current running configuration.
     pub fn running_config(&self) -> RouterConfig {
-        self.config.read().clone()
+        let cfg = self.config.read().unwrap_or_else(PoisonError::into_inner);
+        cfg.clone()
     }
 }
 

@@ -28,16 +28,31 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = worker_count(n);
-    if workers <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
+    let mut indices: Vec<usize> = (0..n).collect();
+    par_map_mut(&mut indices, |&mut i| f(i))
+}
+
+/// Applies `f` to every item of a slice on a scoped thread pool, each
+/// worker owning one disjoint `chunks_mut` run, and returns the results
+/// in input order.
+pub fn par_map_mut<T, U, F>(items: &mut [T], f: F) -> Vec<U>
+where
+    T: Send,
+    U: Send,
+    F: Fn(&mut T) -> U + Sync,
+{
+    let n = items.len();
+    // One item needs no pool, nor the parallelism query (a syscall).
+    let workers = if n <= 1 { 1 } else { worker_count(n) };
+    if workers <= 1 {
+        return items.iter_mut().map(f).collect();
     }
     let chunk = n.div_ceil(workers);
     std::thread::scope(|scope| {
         let f = &f;
-        let workers: Vec<_> = (0..n)
-            .step_by(chunk)
-            .map(|lo| scope.spawn(move || (lo..n.min(lo + chunk)).map(f).collect::<Vec<T>>()))
+        let workers: Vec<_> = items
+            .chunks_mut(chunk)
+            .map(|run| scope.spawn(move || run.iter_mut().map(f).collect::<Vec<U>>()))
             .collect();
         let mut out = Vec::with_capacity(n);
         for worker in workers {
@@ -97,6 +112,17 @@ mod tests {
             assert!(i != 3, "worker {i} failed");
             i
         });
+    }
+
+    #[test]
+    fn par_map_mut_owns_each_item_once() {
+        let mut xs: Vec<u64> = (0..100).collect();
+        let out = par_map_mut(&mut xs, |x| {
+            *x *= 2;
+            *x + 1
+        });
+        assert_eq!(xs, (0..100).map(|i| 2 * i).collect::<Vec<_>>());
+        assert_eq!(out, (0..100).map(|i| 2 * i + 1).collect::<Vec<_>>());
     }
 
     #[test]
