@@ -441,7 +441,7 @@ pub fn scale_1k_smoke() -> Scenario {
     scale_1k().scaled(0.4)
 }
 
-/// The CI smoke subset: the same seven scenarios at 40% horizon —
+/// The CI smoke subset: every catalog scenario at 40% horizon —
 /// small topologies are unchanged (they are already small), event
 /// epochs scale along.
 pub fn catalog_smoke() -> Vec<Scenario> {

@@ -4,7 +4,7 @@
 //! through the framework's `set_link_state` / capacity hooks.
 
 use crate::ScenarioError;
-use netsim::{NodeIdx, Topology};
+use netsim::{LinkId, NodeIdx, Topology};
 
 /// How an event selects its victim link.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,16 +70,14 @@ pub enum LinkAction {
     SetScale(f64),
 }
 
-/// A compiled, concrete action: which named link, when, what — plus
-/// whether this action *starts* a failure (the recovery-time clock).
-#[derive(Debug, Clone, PartialEq)]
+/// A compiled, concrete action: which link, when, what — plus whether
+/// this action *starts* a failure (the recovery-time clock).
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CompiledAction {
     /// Epoch the action applies at.
     pub epoch: u64,
-    /// One endpoint (router name).
-    pub a: String,
-    /// Other endpoint (router name).
-    pub b: String,
+    /// The victim link.
+    pub link: LinkId,
     /// The action.
     pub action: LinkAction,
     /// True for the initial down of a `LinkDown` / `FlapStorm` — the
@@ -87,34 +85,26 @@ pub struct CompiledAction {
     pub starts_failure: bool,
 }
 
-fn resolve(
-    pick: &LinkPick,
-    topo: &Topology,
-    primary: &[NodeIdx],
-) -> Result<(String, String), ScenarioError> {
-    let named =
-        |a: NodeIdx, b: NodeIdx| (topo.node_name(a).to_string(), topo.node_name(b).to_string());
-    match pick {
-        LinkPick::Between(a, b) => {
-            let (na, nb) = (topo.node(a)?, topo.node(b)?);
-            topo.link_between(na, nb)?;
-            Ok((a.clone(), b.clone()))
-        }
+/// The link a pick names: the first link between its endpoints.
+fn resolve(pick: &LinkPick, topo: &Topology, primary: &[NodeIdx]) -> Result<LinkId, ScenarioError> {
+    let (a, b) = match pick {
+        LinkPick::Between(a, b) => (topo.node(a)?, topo.node(b)?),
         LinkPick::PrimaryHop(h) => {
             if primary.len() < 2 {
                 return Err(ScenarioError::Config("primary path too short".into()));
             }
             let h = (*h).min(primary.len() - 2);
-            Ok(named(primary[h], primary[h + 1]))
+            (primary[h], primary[h + 1])
         }
         LinkPick::ByIndex(i) => {
             let link = topo
                 .links()
                 .get(*i)
                 .ok_or_else(|| ScenarioError::Config(format!("no link #{i}")))?;
-            Ok(named(link.a, link.b))
+            (link.a, link.b)
         }
-    }
+    };
+    Ok(topo.link_between(a, b)?)
 }
 
 /// Compiles a timeline against a topology and the primary tunnel path.
@@ -127,27 +117,24 @@ pub fn compile_events(
 ) -> Result<Vec<CompiledAction>, ScenarioError> {
     let mut out = Vec::new();
     for spec in specs {
+        let at = spec.at_epoch;
+        let mut push = |epoch, link, action, starts_failure| {
+            out.push(CompiledAction {
+                epoch,
+                link,
+                action,
+                starts_failure,
+            })
+        };
         match &spec.kind {
             EventKind::LinkDown {
                 link,
                 restore_after,
             } => {
-                let (a, b) = resolve(link, topo, primary)?;
-                out.push(CompiledAction {
-                    epoch: spec.at_epoch,
-                    a: a.clone(),
-                    b: b.clone(),
-                    action: LinkAction::SetUp(false),
-                    starts_failure: true,
-                });
+                let link = resolve(link, topo, primary)?;
+                push(at, link, LinkAction::SetUp(false), true);
                 if let Some(d) = restore_after {
-                    out.push(CompiledAction {
-                        epoch: spec.at_epoch + (*d).max(1),
-                        a,
-                        b,
-                        action: LinkAction::SetUp(true),
-                        starts_failure: false,
-                    });
+                    push(at + (*d).max(1), link, LinkAction::SetUp(true), false);
                 }
             }
             EventKind::FlapStorm {
@@ -155,25 +142,13 @@ pub fn compile_events(
                 flaps,
                 period_epochs,
             } => {
-                let (a, b) = resolve(link, topo, primary)?;
+                let link = resolve(link, topo, primary)?;
                 let period = (*period_epochs).max(2);
                 let down_for = (period / 2).max(1);
                 for i in 0..*flaps {
-                    let at = spec.at_epoch + i as u64 * period;
-                    out.push(CompiledAction {
-                        epoch: at,
-                        a: a.clone(),
-                        b: b.clone(),
-                        action: LinkAction::SetUp(false),
-                        starts_failure: i == 0,
-                    });
-                    out.push(CompiledAction {
-                        epoch: at + down_for,
-                        a: a.clone(),
-                        b: b.clone(),
-                        action: LinkAction::SetUp(true),
-                        starts_failure: false,
-                    });
+                    let down = at + i as u64 * period;
+                    push(down, link, LinkAction::SetUp(false), i == 0);
+                    push(down + down_for, link, LinkAction::SetUp(true), false);
                 }
             }
             EventKind::Drain {
@@ -186,22 +161,10 @@ pub fn compile_events(
                         "drain factor {factor} outside (0, 1]"
                     )));
                 }
-                let (a, b) = resolve(link, topo, primary)?;
-                out.push(CompiledAction {
-                    epoch: spec.at_epoch,
-                    a: a.clone(),
-                    b: b.clone(),
-                    action: LinkAction::SetScale(*factor),
-                    starts_failure: false,
-                });
+                let link = resolve(link, topo, primary)?;
+                push(at, link, LinkAction::SetScale(*factor), false);
                 if let Some(d) = restore_after {
-                    out.push(CompiledAction {
-                        epoch: spec.at_epoch + (*d).max(1),
-                        a,
-                        b,
-                        action: LinkAction::SetScale(1.0),
-                        starts_failure: false,
-                    });
+                    push(at + (*d).max(1), link, LinkAction::SetScale(1.0), false);
                 }
             }
         }
@@ -243,8 +206,8 @@ mod tests {
         assert_eq!(acts[1].epoch, 15);
         assert_eq!(acts[1].action, LinkAction::SetUp(true));
         // The victim is the primary path's second hop.
-        assert_eq!(acts[0].a, t.node_name(p[1]));
-        assert_eq!(acts[0].b, t.node_name(p[2]));
+        assert_eq!(acts[0].link, t.link_between(p[1], p[2]).unwrap());
+        assert_eq!(acts[1].link, acts[0].link);
     }
 
     #[test]
@@ -305,7 +268,8 @@ mod tests {
             &p,
         )
         .unwrap();
-        assert_eq!(acts[0].a, t.node_name(p[p.len() - 2]));
+        let last_hop = t.link_between(p[p.len() - 2], p[p.len() - 1]).unwrap();
+        assert_eq!(acts[0].link, last_hop);
         assert_eq!(acts[0].action, LinkAction::SetScale(0.25));
         assert_eq!(acts[1].action, LinkAction::SetScale(1.0));
     }
@@ -337,8 +301,13 @@ mod tests {
         .unwrap();
         // Sorted by epoch.
         assert_eq!(acts[0].epoch, 0);
-        assert_eq!((acts[0].a.as_str(), acts[0].b.as_str()), ("SEAT", "SACR"));
-        assert_eq!((acts[1].a.as_str(), acts[1].b.as_str()), ("DENV", "KANS"));
+        let ends = |lid: LinkId| {
+            let l = t.link(lid);
+            (t.node_name(l.a), t.node_name(l.b))
+        };
+        assert_eq!(acts[0].link, LinkId(0));
+        assert_eq!(ends(acts[0].link), ("SEAT", "SACR"));
+        assert_eq!(ends(acts[1].link), ("DENV", "KANS"));
         // Unknown node errors.
         assert!(compile_events(
             &[EventSpec {

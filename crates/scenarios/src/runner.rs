@@ -3,18 +3,28 @@
 //! a routing policy, and scores the outcome.
 //!
 //! One epoch is one simulated second (the paper's telemetry cadence).
-//! Each epoch the runner (1) applies due scripted link events,
-//! (2) folds background traffic and drains into effective link
-//! capacities on both planes, (3) admits managed flows that are due,
-//! (4) advances the fluid plane — or forwards a packet window when the
-//! scenario runs the packet plane — and (5) lets the policy re-decide
-//! at its decision interval. Admission and re-decision are the
-//! network's ([`SelfDrivingNetwork::admit_under`] /
-//! [`SelfDrivingNetwork::steer`]); the runner only schedules and
-//! scores them. Everything downstream of the scenario's `u64` seed is
-//! deterministic.
+//! [`Scenario::run_observed`] builds the run's state (`Run::build`),
+//! then calls one phase method per step of each epoch:
+//!
+//! 1. `events` applies the scripted link actions that are due;
+//! 2. `capacities` folds background traffic and drains into effective
+//!    link capacities on both planes;
+//! 3. `admit` admits the managed flows that are due;
+//! 4. `advance` advances the fluid plane — or forwards a packet window
+//!    when the scenario runs the packet plane;
+//! 5. `score` records per-flow rates and SLO violations, and `blame`s
+//!    each violation epoch on a root cause;
+//! 6. `consult` lets the policy re-decide at its decision interval;
+//! 7. `snapshot` closes the epoch's metric window.
+//!
+//! `finish` then folds the series into the [`Scorecard`]. Admission
+//! and re-decision are the network's
+//! ([`SelfDrivingNetwork::admit_under`] / [`SelfDrivingNetwork::steer`]);
+//! the runner only schedules and scores them. Everything downstream of
+//! the scenario's `u64` seed is deterministic.
 
-use crate::events::{compile_events, EventSpec, LinkAction};
+use crate::elastic::compile_elastic;
+use crate::events::{compile_events, CompiledAction, EventSpec, LinkAction};
 use crate::observe::{ObsvArtifacts, ObsvOptions, MAX_SLO_DUMPS};
 use crate::scorecard::{percentile, MetricsSection, PairScore, Recovery, Scorecard};
 use crate::traffic::{headroom_scale, link_load, TrafficSpec};
@@ -23,7 +33,10 @@ use crate::ScenarioError;
 use framework::dataloop::DataplaneConfig;
 use framework::scheduler::FlowRequest;
 use framework::{PairId, Policy, SelfDrivingNetwork};
+use netsim::{LinkId, Topology};
 use std::collections::BTreeMap;
+use std::iter::Peekable;
+use std::sync::Arc;
 
 /// Which plane carries the traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,56 +172,117 @@ impl Scenario {
         policy: Policy,
         opts: &ObsvOptions,
     ) -> Result<(Scorecard, ObsvArtifacts), ScenarioError> {
-        if self.horizon_epochs == 0 || self.flows.is_empty() {
+        let mut run = Run::build(self, policy, opts)?;
+        for e in 0..self.horizon_epochs {
+            let now_ns = run.sdn.sim.now_ns();
+            let epoch_span = run.obsv.tracer.span("scenario", "scenario.epoch", now_ns);
+            run.events(e)?;
+            run.capacities(e)?;
+            run.admit(e)?;
+            let packet_goodput = run.advance(e)?;
+            run.score(e, &packet_goodput);
+            run.consult(e);
+            epoch_span.end(run.sdn.sim.now_ns(), || {
+                vec![("epoch", obsv::Value::U64(e))]
+            });
+            run.snapshot();
+        }
+        Ok(run.finish())
+    }
+
+    /// Runs the scenario under every policy, in [`Policy::all`] order.
+    pub fn run_matrix(&self) -> Result<Vec<Scorecard>, ScenarioError> {
+        Policy::all().iter().map(|p| self.run(*p)).collect()
+    }
+}
+
+/// One run's loop state: built by `build`, stepped one phase method at
+/// a time per epoch, folded into a scorecard by `finish`.
+struct Run<'s> {
+    scenario: &'s Scenario,
+    policy: Policy,
+    sdn: SelfDrivingNetwork,
+    /// Each managed pair's endpoints, by router name.
+    pair_names: Vec<(String, String)>,
+    /// The compiled event timeline, from the next action due.
+    actions: Peekable<std::vec::IntoIter<CompiledAction>>,
+    /// Scaled background load per link and epoch (empty: none).
+    bg_mbps: Vec<Vec<f64>>,
+    /// Per-link state, indexed by `LinkId`: the built capacity, the
+    /// capacity last applied, the scripted drain factor and the epoch
+    /// the link went down.
+    raw_caps: Vec<f64>,
+    applied: Vec<f64>,
+    drain: Vec<Option<f64>>,
+    down_since: Vec<Option<u64>>,
+    /// Whether each managed flow has been admitted.
+    started: Vec<bool>,
+    obsv: obsv::Obsv,
+    recording: Option<Arc<obsv::RecordingSink>>,
+    flight: Option<Arc<obsv::FlightRecorder>>,
+    /// The registry at the last epoch boundary: the base of the next
+    /// epoch's blame window and metric row.
+    snap: obsv::MetricsSnapshot,
+    /// Per-epoch counter increments; `None` unless `opts.snapshots`.
+    per_epoch: Option<Vec<Vec<(String, u64)>>>,
+    slo_dumps: Vec<(u64, String)>,
+    /// One blame per SLO-violation epoch.
+    blames: Vec<obsv_analyze::Blame>,
+    /// Epochs at which a scripted failure started.
+    failures: Vec<u64>,
+    /// Goodput per epoch: the aggregate, then each pair's share.
+    aggregate: Vec<f64>,
+    pair_series: Vec<Vec<f64>>,
+    /// Each pair's per-flow, per-epoch rate samples.
+    pair_samples: Vec<Vec<f64>>,
+    pair_migrations: Vec<u64>,
+}
+
+impl<'s> Run<'s> {
+    /// Validates the scenario, builds the network over its topology
+    /// and managed pairs (pair 0 is the classic farthest pair),
+    /// compiles background traffic and events, and attaches the
+    /// observability bundle.
+    fn build(
+        scenario: &'s Scenario,
+        policy: Policy,
+        opts: &ObsvOptions,
+    ) -> Result<Self, ScenarioError> {
+        let s = scenario;
+        if s.horizon_epochs == 0 || s.flows.is_empty() {
             return Err(ScenarioError::Config(
                 "scenario needs a horizon and at least one managed flow".into(),
             ));
         }
-        let npairs = self.pairs.max(1);
-        if let Some(f) = self.flows.iter().find(|f| f.pair >= npairs) {
+        let npairs = s.pairs.max(1);
+        if let Some(f) = s.flows.iter().find(|f| f.pair >= npairs) {
             return Err(ScenarioError::Config(format!(
                 "flow {} rides pair {} but the scenario declares {npairs} pair(s)",
                 f.label, f.pair
             )));
         }
-        // Build the graph, pick the managed endpoint pairs (pair 0 is
-        // the classic farthest pair), compile background + events.
-        let topo = self.topology.build(self.seed);
+        let topo = s.topology.build(s.seed);
         let pair_nodes = endpoint_pairs(&topo, npairs);
         debug_assert_eq!(pair_nodes[0], endpoints(&topo));
         let pair_names: Vec<(String, String)> = pair_nodes
             .iter()
-            .map(|&(s, d)| (topo.node_name(s).to_string(), topo.node_name(d).to_string()))
+            .map(|&(a, b)| (topo.node_name(a).to_string(), topo.node_name(b).to_string()))
             .collect();
-        let bg = self.traffic.background(
-            &topo,
-            self.horizon_epochs,
-            self.seed.wrapping_mul(0x9e3779b97f4a7c15),
-        );
-        let loads = link_load(&topo, &bg, self.horizon_epochs);
+        let bg_seed = s.seed.wrapping_mul(0x9e3779b97f4a7c15);
+        let bg = s.traffic.background(&topo, s.horizon_epochs, bg_seed);
+        let loads = link_load(&topo, &bg, s.horizon_epochs);
         let scale = headroom_scale(&topo, &loads);
+        let mut bg_mbps = vec![Vec::new(); topo.link_count()];
+        for (lid, series) in loads {
+            bg_mbps[lid.0 as usize] = series.into_iter().map(|l| l * scale).collect();
+        }
         let raw_caps: Vec<f64> = topo.links().iter().map(|l| l.capacity_mbps).collect();
-        let link_names: Vec<(String, String)> = topo
-            .links()
-            .iter()
-            .map(|l| {
-                (
-                    topo.node_name(l.a).to_string(),
-                    topo.node_name(l.b).to_string(),
-                )
-            })
-            .collect();
-
         let endpoint_refs: Vec<(&str, &str)> = pair_names
             .iter()
             .map(|(a, b)| (a.as_str(), b.as_str()))
             .collect();
-        let mut sdn = SelfDrivingNetwork::over_topology_pairs(
-            topo,
-            &endpoint_refs,
-            self.k_tunnels,
-            self.seed,
-        )?;
+        let mut sdn =
+            SelfDrivingNetwork::over_topology_pairs(topo, &endpoint_refs, s.k_tunnels, s.seed)?;
         // Events target pair 0's primary tunnel (the shortest path of
         // the classic farthest pair) — `tunnel1` on single-pair
         // scenarios, `p0/tunnel1` otherwise.
@@ -218,26 +292,21 @@ impl Scenario {
             .ok_or_else(|| ScenarioError::Config("pair 0 has no primary tunnel".into()))?
             .node_path
             .clone();
-        let actions = compile_events(&self.events, &sdn.sim.topo, &primary)?;
+        let actions = compile_events(&s.events, &sdn.sim.topo, &primary)?;
         // Elastic background rides the raw event queue: schedule every
         // compiled arrival/departure up front.
-        if let Some(spec) = &self.elastic {
-            if self.plane != PlaneMode::Fluid {
+        if let Some(spec) = &s.elastic {
+            if s.plane != PlaneMode::Fluid {
                 return Err(ScenarioError::Config(
                     "elastic background flows require the fluid plane".into(),
                 ));
             }
-            let compiled = crate::elastic::compile_elastic(
-                &sdn.sim.topo,
-                spec,
-                self.horizon_epochs,
-                self.seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1),
-            );
-            for (at_ms, ev) in compiled {
+            let seed = bg_seed.wrapping_add(1);
+            for (at_ms, ev) in compile_elastic(&sdn.sim.topo, spec, s.horizon_epochs, seed) {
                 sdn.sim.schedule(at_ms, ev)?;
             }
         }
-        if self.plane == PlaneMode::Packet {
+        if s.plane == PlaneMode::Packet {
             sdn.attach_dataplane(DataplaneConfig {
                 epoch_ms: 1000,
                 probe_rate_mbps: 0.2,
@@ -249,287 +318,277 @@ impl Scenario {
 
         // Observability: build the sink stack and hand the bundle to
         // every layer. With nothing to observe the tracer stays off and
-        // the run is exactly the un-observed one.
+        // the run is exactly the un-observed one. The registry is live
+        // either way (plain runs get a fresh one through `set_obsv`),
+        // so blames — scorecard data — come out identical.
         let recording = opts.trace.then(obsv::RecordingSink::shared);
         let flight =
             (opts.flight_capacity > 0).then(|| obsv::FlightRecorder::new(opts.flight_capacity));
-        let mut sinks: Vec<std::sync::Arc<dyn obsv::TraceSink>> = Vec::new();
-        if let Some(r) = &recording {
-            sinks.push(r.clone());
-        }
-        if let Some(fr) = &flight {
-            sinks.push(fr.clone());
-        }
-        if let Some(x) = &opts.extra_sink {
-            sinks.push(x.clone());
-        }
+        let mut sinks: Vec<Arc<dyn obsv::TraceSink>> = Vec::new();
+        sinks.extend(recording.clone().map(|r| r as _));
+        sinks.extend(flight.clone().map(|fr| fr as _));
+        sinks.extend(opts.extra_sink.clone());
         let tracer = if sinks.len() > 1 {
-            obsv::Tracer::to(std::sync::Arc::new(obsv::Fanout(sinks)))
+            obsv::Tracer::to(Arc::new(obsv::Fanout(sinks)))
         } else {
             sinks.pop().map_or_else(obsv::Tracer::off, obsv::Tracer::to)
         };
-        let bundle = obsv::Obsv {
+        let obsv = obsv::Obsv {
             tracer,
             metrics: obsv::Registry::default(),
         };
-        sdn.set_obsv(bundle.clone());
-        // Per-epoch snapshot base: taken after registration so the
-        // first epoch's delta covers exactly that epoch's increments.
-        let mut last_snap = opts.snapshots.then(|| bundle.metrics.snapshot());
-        let mut per_epoch: Vec<Vec<(String, u64)>> = Vec::new();
-        let mut slo_dumps: Vec<(u64, String)> = Vec::new();
-        // Blame bookkeeping: the registry is always live (plain runs
-        // get a fresh one through `set_obsv` too), so attribution is
-        // computed identically whether or not tracing is on — blames
-        // are scorecard data and must honor the bit-replay contract.
-        let mut blames: Vec<obsv_analyze::Blame> = Vec::new();
-        let mut blame_prev = bundle.metrics.snapshot();
-        let mut down_since: BTreeMap<usize, u64> = BTreeMap::new();
+        sdn.set_obsv(obsv.clone());
+        // Taken after registration, so the first epoch's window covers
+        // exactly that epoch's increments.
+        let snap = obsv.metrics.snapshot();
+        Ok(Run {
+            scenario,
+            policy,
+            sdn,
+            pair_names,
+            actions: actions.into_iter().peekable(),
+            bg_mbps,
+            applied: raw_caps.clone(),
+            drain: vec![None; raw_caps.len()],
+            down_since: vec![None; raw_caps.len()],
+            raw_caps,
+            started: vec![false; s.flows.len()],
+            obsv,
+            recording,
+            flight,
+            snap,
+            per_epoch: opts.snapshots.then(Vec::new),
+            slo_dumps: Vec::new(),
+            blames: Vec::new(),
+            failures: Vec::new(),
+            aggregate: Vec::with_capacity(s.horizon_epochs as usize),
+            pair_series: vec![Vec::new(); npairs],
+            pair_samples: vec![Vec::new(); npairs],
+            pair_migrations: vec![0; npairs],
+        })
+    }
 
-        // Per-link capacity state, applied only on change.
-        let mut drain: BTreeMap<usize, f64> = BTreeMap::new();
-        let mut applied: BTreeMap<usize, f64> = BTreeMap::new();
-        let mut started: Vec<bool> = vec![false; self.flows.len()];
-        let mut migrations: u64 = 0;
-        let mut failures: Vec<u64> = Vec::new();
-        let mut aggregate = Vec::with_capacity(self.horizon_epochs as usize);
-        let mut flow_samples: Vec<f64> = Vec::new();
-        let mut slo_violations: u64 = 0;
-        let mut cursor = 0usize;
-        // Per-pair attribution (tracked alongside, never feeding back
-        // into the aggregate accumulators).
-        let mut pair_series: Vec<Vec<f64>> = vec![Vec::new(); npairs];
-        let mut pair_samples: Vec<Vec<f64>> = vec![Vec::new(); npairs];
-        let mut pair_migrations: Vec<u64> = vec![0; npairs];
-
-        for e in 0..self.horizon_epochs {
-            let epoch_span = bundle
-                .tracer
-                .span("scenario", "scenario.epoch", sdn.sim.now_ns());
-            // (1) scripted link events due this epoch.
-            while cursor < actions.len() && actions[cursor].epoch <= e {
-                let act = &actions[cursor];
-                cursor += 1;
-                match act.action {
-                    LinkAction::SetUp(up) => {
-                        sdn.set_link_state(&act.a, &act.b, up)?;
-                        let lid = link_index(&link_names, &act.a, &act.b)?;
-                        if up {
-                            down_since.remove(&lid);
-                        } else {
-                            down_since.entry(lid).or_insert(e);
-                        }
-                        if act.starts_failure {
-                            failures.push(e);
-                        }
-                    }
-                    LinkAction::SetScale(f) => {
-                        let lid = link_index(&link_names, &act.a, &act.b)?;
-                        if (f - 1.0).abs() < 1e-12 {
-                            drain.remove(&lid);
-                        } else {
-                            drain.insert(lid, f);
-                        }
+    /// Applies the scripted link actions due by epoch `e`.
+    fn events(&mut self, e: u64) -> Result<(), ScenarioError> {
+        while let Some(act) = self.actions.next_if(|a| a.epoch <= e) {
+            let lid = act.link.0 as usize;
+            match act.action {
+                LinkAction::SetUp(up) => {
+                    let (a, b) = link_ends(&self.sdn.sim.topo, act.link);
+                    self.sdn.set_link_state(&a, &b, up)?;
+                    let since = &mut self.down_since[lid];
+                    *since = since.or(Some(e)).filter(|_| !up);
+                    if act.starts_failure {
+                        self.failures.push(e);
                     }
                 }
-            }
-            // (2) effective capacities: raw - background, times drain.
-            for (i, raw) in raw_caps.iter().enumerate() {
-                let bg_now = loads
-                    .get(&netsim::LinkId(i as u32))
-                    .map(|s| s[e as usize] * scale)
-                    .unwrap_or(0.0);
-                let factor = drain.get(&i).copied().unwrap_or(1.0);
-                let cap = ((raw - bg_now).max(raw * 0.05)) * factor;
-                let last = applied.get(&i).copied().unwrap_or(*raw);
-                if (cap - last).abs() > 1e-9 {
-                    let (a, b) = &link_names[i];
-                    sdn.set_link_capacity(a, b, cap)?;
-                    applied.insert(i, cap);
+                LinkAction::SetScale(f) => {
+                    self.drain[lid] = ((f - 1.0).abs() >= 1e-12).then_some(f);
                 }
-            }
-            // (3) admit managed flows due this epoch (batched, like the
-            // scheduler tick would).
-            let due_idx: Vec<usize> = (0..self.flows.len())
-                .filter(|&i| !started[i] && self.flows[i].start_epoch <= e)
-                .collect();
-            let due: Vec<FlowRequest> = due_idx
-                .iter()
-                .map(|&i| {
-                    started[i] = true;
-                    FlowRequest {
-                        label: self.flows[i].label.clone(),
-                        tos: 32u8.wrapping_mul(i as u8 + 1),
-                        demand_mbps: self.flows[i].demand_mbps,
-                        start_ms: e * 1000,
-                        pair: PairId(self.flows[i].pair),
-                    }
-                })
-                .collect();
-            if !due.is_empty() {
-                sdn.admit_under(policy, &due)?;
-            }
-            // (4) advance one epoch.
-            let mut packet_goodput: BTreeMap<String, f64> = BTreeMap::new();
-            match self.plane {
-                PlaneMode::Fluid => sdn.advance((e + 1) * 1000)?,
-                PlaneMode::Packet => {
-                    let report = sdn.packet_epoch()?;
-                    packet_goodput = report.flow_goodput.into_iter().collect();
-                }
-            }
-            // (5) record per-flow rates + SLO, attributed per pair.
-            let mut total = 0.0;
-            let mut pair_total = vec![0.0f64; npairs];
-            let mut violated_flows: Vec<usize> = Vec::new();
-            for (i, plan) in self.flows.iter().enumerate() {
-                if !started[i] {
-                    continue;
-                }
-                let rate = match self.plane {
-                    PlaneMode::Fluid => sdn.flow_rate(&plan.label).unwrap_or(0.0),
-                    PlaneMode::Packet => packet_goodput.get(&plan.label).copied().unwrap_or(0.0),
-                };
-                total += rate;
-                flow_samples.push(rate);
-                pair_total[plan.pair] += rate;
-                pair_samples[plan.pair].push(rate);
-                if let Some(demand) = plan.demand_mbps {
-                    // Two epochs of TCP-ramp grace after start.
-                    if e >= plan.start_epoch + 2 && rate < self.slo_fraction * demand {
-                        violated_flows.push(i);
-                    }
-                }
-            }
-            aggregate.push(total);
-            for (p, t) in pair_total.into_iter().enumerate() {
-                pair_series[p].push(t);
-            }
-            if !violated_flows.is_empty() {
-                slo_violations += 1;
-                // Root-cause attribution: join the scripted timeline
-                // (links down / drained), the metric deltas since the
-                // last epoch boundary, and the violated flows' current
-                // tunnel capacities into one classified blame line.
-                let window = bundle.metrics.snapshot().delta(&blame_prev);
-                let link_name = |lid: usize| {
-                    let (a, b) = &link_names[lid];
-                    format!("{a}-{b}")
-                };
-                let mut squeezed: Vec<(String, String, f64)> = Vec::new();
-                for &i in &violated_flows {
-                    let plan = &self.flows[i];
-                    let (Some(demand), Some(tname)) = (
-                        plan.demand_mbps,
-                        sdn.flow_tunnel(&plan.label).map(str::to_string),
-                    ) else {
-                        continue;
-                    };
-                    let Some(tunnel) = sdn.tunnel(&tname) else {
-                        continue;
-                    };
-                    // Tightest hop on the flow's current tunnel.
-                    let worst = tunnel
-                        .node_path
-                        .windows(2)
-                        .filter_map(|hop| {
-                            let a = sdn.sim.topo.node_name(hop[0]);
-                            let b = sdn.sim.topo.node_name(hop[1]);
-                            link_index(&link_names, a, b).ok()
-                        })
-                        .map(|lid| (lid, applied.get(&lid).copied().unwrap_or(raw_caps[lid])))
-                        .min_by(|(_, x), (_, y)| x.total_cmp(y));
-                    if let Some((lid, cap)) = worst {
-                        if cap < self.slo_fraction * demand {
-                            squeezed.push((plan.label.clone(), link_name(lid), cap));
-                        }
-                    }
-                }
-                let evidence = obsv_analyze::EpochEvidence {
-                    epoch: e,
-                    violated_flows: violated_flows
-                        .iter()
-                        .map(|&i| self.flows[i].label.clone())
-                        .collect(),
-                    down_links: down_since
-                        .iter()
-                        .map(|(&lid, &since)| (link_name(lid), e.saturating_sub(since)))
-                        .collect(),
-                    drained_links: drain.iter().map(|(&lid, &f)| (link_name(lid), f)).collect(),
-                    packet_drops: window.counter("dataplane.packet.drops"),
-                    pot_rejects: window.counter("dataplane.packet.pot_rejects"),
-                    waterfill_solves: window.counter("netsim.waterfill.incremental_solves")
-                        + window.counter("netsim.waterfill.full_solves"),
-                    cache_refits: window.counter("hecate.cache.refits"),
-                    squeezed,
-                };
-                blames.push(obsv_analyze::attribute(&evidence));
-                // Post-mortem material: mark the epoch in the trace and
-                // capture the flight-recorder tail (bounded — a
-                // persistently-violating run keeps only the first few).
-                bundle.tracer.instant(
-                    "scenario",
-                    "scenario.slo_violation",
-                    sdn.sim.now_ns(),
-                    || vec![("epoch", obsv::Value::U64(e))],
-                );
-                if let Some(fr) = &flight {
-                    if slo_dumps.len() < MAX_SLO_DUMPS {
-                        slo_dumps.push((e, fr.dump_jsonl()));
-                    }
-                }
-            }
-            // (6) policy consultation at the decision interval.
-            let decision_due = self.decision_every > 0
-                && (e + 1) % self.decision_every == 0
-                && e + 1 < self.horizon_epochs;
-            if decision_due {
-                let consult_span =
-                    bundle
-                        .tracer
-                        .span("scenario", "scenario.consult", sdn.sim.now_ns());
-                let moved_pairs = sdn.steer(policy);
-                for p in &moved_pairs {
-                    pair_migrations[p.index()] += 1;
-                }
-                let moved = moved_pairs.len() as u64;
-                migrations += moved;
-                consult_span.end(sdn.sim.now_ns(), || {
-                    vec![("migrations", obsv::Value::U64(moved))]
-                });
-            }
-            epoch_span.end(sdn.sim.now_ns(), || vec![("epoch", obsv::Value::U64(e))]);
-            // Next epoch's blame window starts here — after the
-            // consult, so refit/solve activity from the freshest
-            // decision lands in the epoch it affects.
-            blame_prev = bundle.metrics.snapshot();
-            if let Some(prev) = &mut last_snap {
-                let now = bundle.metrics.snapshot();
-                let delta = now.delta(prev);
-                per_epoch.push(
-                    delta
-                        .entries
-                        .iter()
-                        .filter_map(|(n, v)| {
-                            v.as_counter().filter(|&c| c > 0).map(|c| (n.clone(), c))
-                        })
-                        .collect(),
-                );
-                *prev = now;
             }
         }
+        Ok(())
+    }
 
-        // Score recoveries on the aggregate series.
-        let recoveries = failures
-            .iter()
+    /// Applies each link's effective capacity for epoch `e` — raw
+    /// minus background (floored at 5 % of raw), times its drain —
+    /// on both planes, where it changed.
+    fn capacities(&mut self, e: u64) -> Result<(), ScenarioError> {
+        for (i, &raw) in self.raw_caps.iter().enumerate() {
+            let bg = self.bg_mbps[i].get(e as usize).copied().unwrap_or(0.0);
+            let cap = (raw - bg).max(raw * 0.05) * self.drain[i].unwrap_or(1.0);
+            if (cap - self.applied[i]).abs() > 1e-9 {
+                let (a, b) = link_ends(&self.sdn.sim.topo, LinkId(i as u32));
+                self.sdn.set_link_capacity(&a, &b, cap)?;
+                self.applied[i] = cap;
+            }
+        }
+        Ok(())
+    }
+
+    /// Admits the managed flows due by epoch `e` in one batch, as the
+    /// scheduler tick would.
+    fn admit(&mut self, e: u64) -> Result<(), ScenarioError> {
+        let mut due = Vec::new();
+        for (i, plan) in self.scenario.flows.iter().enumerate() {
+            if self.started[i] || plan.start_epoch > e {
+                continue;
+            }
+            self.started[i] = true;
+            due.push(FlowRequest {
+                label: plan.label.clone(),
+                tos: ((i + 1) as u8).wrapping_mul(32),
+                demand_mbps: plan.demand_mbps,
+                start_ms: e * 1000,
+                pair: PairId(plan.pair),
+            });
+        }
+        if !due.is_empty() {
+            self.sdn.admit_under(self.policy, &due)?;
+        }
+        Ok(())
+    }
+
+    /// Advances the fluid plane through epoch `e`, or forwards one
+    /// packet window and returns its per-flow goodput.
+    fn advance(&mut self, e: u64) -> Result<BTreeMap<String, f64>, ScenarioError> {
+        Ok(match self.scenario.plane {
+            PlaneMode::Fluid => {
+                self.sdn.advance((e + 1) * 1000)?;
+                BTreeMap::new()
+            }
+            PlaneMode::Packet => self.sdn.packet_epoch()?.flow_goodput.into_iter().collect(),
+        })
+    }
+
+    /// Records every admitted flow's rate, attributed per pair, and
+    /// blames the epoch if a flow missed its SLO.
+    fn score(&mut self, e: u64, packet_goodput: &BTreeMap<String, f64>) {
+        let s = self.scenario;
+        let mut total = 0.0;
+        let mut pair_total = vec![0.0f64; self.pair_series.len()];
+        let mut violated: Vec<usize> = Vec::new();
+        for (i, plan) in s.flows.iter().enumerate() {
+            if !self.started[i] {
+                continue;
+            }
+            let rate = match s.plane {
+                PlaneMode::Fluid => self.sdn.flow_rate(&plan.label),
+                PlaneMode::Packet => packet_goodput.get(&plan.label).copied(),
+            }
+            .unwrap_or(0.0);
+            total += rate;
+            pair_total[plan.pair] += rate;
+            self.pair_samples[plan.pair].push(rate);
+            // Two epochs of TCP-ramp grace after start.
+            let grace_over = e >= plan.start_epoch + 2;
+            if grace_over && plan.demand_mbps.is_some_and(|d| rate < s.slo_fraction * d) {
+                violated.push(i);
+            }
+        }
+        self.aggregate.push(total);
+        for (series, t) in self.pair_series.iter_mut().zip(pair_total) {
+            series.push(t);
+        }
+        if !violated.is_empty() {
+            self.blame(e, &violated);
+        }
+    }
+
+    /// Root-cause attribution of violation epoch `e`: joins the
+    /// scripted timeline (links down / drained), the metric deltas
+    /// since the last epoch boundary and the violated flows' tightest
+    /// hops into one classified blame. Marks the epoch in the trace
+    /// and keeps the flight-recorder tail (bounded — a persistently
+    /// violating run keeps only the first few).
+    fn blame(&mut self, e: u64, violated: &[usize]) {
+        let s = self.scenario;
+        let topo = &self.sdn.sim.topo;
+        let window = self.obsv.metrics.snapshot().delta(&self.snap);
+        let name = |lid: usize| {
+            let (a, b) = link_ends(topo, LinkId(lid as u32));
+            format!("{a}-{b}")
+        };
+        let mut squeezed: Vec<(String, String, f64)> = Vec::new();
+        for &i in violated {
+            let plan = &s.flows[i];
+            let tunnel = self.sdn.flow_tunnel(&plan.label);
+            let (Some(demand), Some(tunnel)) =
+                (plan.demand_mbps, tunnel.and_then(|t| self.sdn.tunnel(t)))
+            else {
+                continue;
+            };
+            // Tightest hop on the flow's current tunnel, failed or not.
+            let worst = tunnel
+                .node_path
+                .windows(2)
+                .filter_map(|hop| topo.neighbors(hop[0]).iter().find(|(n, _)| *n == hop[1]))
+                .map(|&(_, lid)| (lid.0 as usize, self.applied[lid.0 as usize]))
+                .min_by(|(_, x), (_, y)| x.total_cmp(y));
+            if let Some((lid, cap)) = worst.filter(|&(_, cap)| cap < s.slo_fraction * demand) {
+                squeezed.push((plan.label.clone(), name(lid), cap));
+            }
+        }
+        let evidence = obsv_analyze::EpochEvidence {
+            epoch: e,
+            violated_flows: violated.iter().map(|&i| s.flows[i].label.clone()).collect(),
+            down_links: (self.down_since.iter().enumerate())
+                .filter_map(|(lid, since)| Some((name(lid), e.saturating_sub((*since)?))))
+                .collect(),
+            drained_links: (self.drain.iter().enumerate())
+                .filter_map(|(lid, f)| Some((name(lid), (*f)?)))
+                .collect(),
+            packet_drops: window.counter("dataplane.packet.drops"),
+            pot_rejects: window.counter("dataplane.packet.pot_rejects"),
+            waterfill_solves: window.counter("netsim.waterfill.incremental_solves")
+                + window.counter("netsim.waterfill.full_solves"),
+            cache_refits: window.counter("hecate.cache.refits"),
+            squeezed,
+        };
+        self.blames.push(obsv_analyze::attribute(&evidence));
+        let epoch_arg = || vec![("epoch", obsv::Value::U64(e))];
+        let now_ns = self.sdn.sim.now_ns();
+        (self.obsv.tracer).instant("scenario", "scenario.slo_violation", now_ns, epoch_arg);
+        if let Some(fr) = &self.flight {
+            if self.slo_dumps.len() < MAX_SLO_DUMPS {
+                self.slo_dumps.push((e, fr.dump_jsonl()));
+            }
+        }
+    }
+
+    /// Lets the policy re-decide when a decision interval ends with
+    /// epoch `e`, but not after the last epoch (nor ever when
+    /// `decision_every` is 0).
+    fn consult(&mut self, e: u64) {
+        let (every, horizon) = (self.scenario.decision_every, self.scenario.horizon_epochs);
+        if !(e + 1).is_multiple_of(every) || e + 1 >= horizon {
+            return;
+        }
+        let now_ns = self.sdn.sim.now_ns();
+        let span = (self.obsv.tracer).span("scenario", "scenario.consult", now_ns);
+        let moved = self.sdn.steer(self.policy);
+        for p in &moved {
+            self.pair_migrations[p.index()] += 1;
+        }
+        span.end(self.sdn.sim.now_ns(), || {
+            vec![("migrations", obsv::Value::U64(moved.len() as u64))]
+        });
+    }
+
+    /// Closes the epoch's metric window. It runs after the consult, so
+    /// refit/solve activity from the freshest decision lands in the
+    /// epoch it affects.
+    fn snapshot(&mut self) {
+        let now = self.obsv.metrics.snapshot();
+        if let Some(rows) = &mut self.per_epoch {
+            let delta = now.delta(&self.snap);
+            rows.push(counters(&delta).filter(|&(_, c)| c > 0).collect());
+        }
+        self.snap = now;
+    }
+
+    /// Scores the run: means over each series' active epochs, per-flow
+    /// percentiles, recoveries after each scripted failure, per-pair
+    /// attribution and the metrics section.
+    fn finish(self) -> (Scorecard, ObsvArtifacts) {
+        let s = self.scenario;
+        let first_start = |pair: Option<usize>| {
+            let flows = s.flows.iter().filter(|f| pair.is_none_or(|p| f.pair == p));
+            flows.map(|f| f.start_epoch).min().unwrap_or(0) as usize
+        };
+        let mean_from = |series: &[f64], from: usize| {
+            let active = series.get(from..).unwrap_or_default();
+            active.iter().sum::<f64>() / active.len().max(1) as f64
+        };
+        let aggregate = &self.aggregate;
+        let recoveries = (self.failures.iter())
             .map(|&f| {
-                let lo = f.saturating_sub(3) as usize;
-                let pre: Vec<f64> = aggregate[lo..f as usize].to_vec();
+                let pre = &aggregate[f.saturating_sub(3) as usize..f as usize];
                 let pre_mean = pre.iter().sum::<f64>() / pre.len().max(1) as f64;
                 let recovered_after_epochs = if pre_mean <= 1e-9 {
                     Some(0) // nothing was flowing; nothing to recover
                 } else {
-                    (f..self.horizon_epochs)
+                    (f..s.horizon_epochs)
                         .find(|&r| aggregate[r as usize] >= 0.8 * pre_mean)
                         .map(|r| r - f)
                 };
@@ -539,83 +598,57 @@ impl Scenario {
                 }
             })
             .collect();
-        let active: Vec<f64> = aggregate
-            .iter()
-            .copied()
-            .skip(self.flows.iter().map(|f| f.start_epoch).min().unwrap_or(0) as usize)
-            .collect();
-        let per_pair: Vec<PairScore> = (0..npairs)
-            .map(|p| {
-                let first_start = self
-                    .flows
-                    .iter()
-                    .filter(|f| f.pair == p)
-                    .map(|f| f.start_epoch)
-                    .min()
-                    .unwrap_or(0);
-                let active: Vec<f64> = pair_series[p]
-                    .iter()
-                    .copied()
-                    .skip(first_start as usize)
-                    .collect();
-                PairScore {
-                    pair: format!("p{p}"),
-                    route: format!("{}-{}", pair_names[p].0, pair_names[p].1),
-                    mean_goodput_mbps: active.iter().sum::<f64>() / active.len().max(1) as f64,
-                    p50_flow_mbps: percentile(&pair_samples[p], 0.50),
-                    p99_flow_mbps: percentile(&pair_samples[p], 0.99),
-                    migrations: pair_migrations[p],
-                }
+        let per_pair = (self.pair_names.iter().enumerate())
+            .map(|(p, (a, b))| PairScore {
+                pair: format!("p{p}"),
+                route: format!("{a}-{b}"),
+                mean_goodput_mbps: mean_from(&self.pair_series[p], first_start(Some(p))),
+                p50_flow_mbps: percentile(&self.pair_samples[p], 0.50),
+                p99_flow_mbps: percentile(&self.pair_samples[p], 0.99),
+                migrations: self.pair_migrations[p],
             })
             .collect();
-        let final_snap = opts.snapshots.then(|| bundle.metrics.snapshot());
-        let metrics = final_snap.as_ref().map(|snap| MetricsSection {
-            totals: snap
-                .entries
-                .iter()
-                .filter_map(|(n, v)| v.as_counter().map(|c| (n.clone(), c)))
-                .collect(),
-            per_epoch,
-        });
-        let artifacts = ObsvArtifacts {
-            records: recording.map(|r| r.take()).unwrap_or_default(),
-            metrics: final_snap,
-            slo_dumps,
+        let samples = self.pair_samples.concat();
+        let totals = counters(&self.snap).collect();
+        let metrics = (self.per_epoch).map(|per_epoch| MetricsSection { totals, per_epoch });
+        let final_snap = metrics.is_some().then_some(self.snap);
+        let card = Scorecard {
+            scenario: s.name.clone(),
+            policy: self.policy.name().to_string(),
+            seed: s.seed,
+            epochs: s.horizon_epochs,
+            mean_aggregate_mbps: mean_from(aggregate, first_start(None)),
+            p50_flow_mbps: percentile(&samples, 0.50),
+            p99_flow_mbps: percentile(&samples, 0.99),
+            slo_violation_epochs: self.blames.len() as u64,
+            blames: self.blames,
+            migrations: self.pair_migrations.iter().sum(),
+            sim_events: self.sdn.sim.events_processed(),
+            recoveries,
+            aggregate_series: self.aggregate,
+            per_pair,
+            metrics,
         };
-        Ok((
-            Scorecard {
-                scenario: self.name.clone(),
-                policy: policy.name().to_string(),
-                seed: self.seed,
-                epochs: self.horizon_epochs,
-                mean_aggregate_mbps: active.iter().sum::<f64>() / active.len().max(1) as f64,
-                p50_flow_mbps: percentile(&flow_samples, 0.50),
-                p99_flow_mbps: percentile(&flow_samples, 0.99),
-                slo_violation_epochs: slo_violations,
-                blames,
-                migrations,
-                sim_events: sdn.sim.events_processed(),
-                recoveries,
-                aggregate_series: aggregate,
-                per_pair,
-                metrics,
-            },
-            artifacts,
-        ))
-    }
-
-    /// Runs the scenario under every policy, in [`Policy::all`] order.
-    pub fn run_matrix(&self) -> Result<Vec<Scorecard>, ScenarioError> {
-        Policy::all().iter().map(|p| self.run(*p)).collect()
+        let artifacts = ObsvArtifacts {
+            records: self.recording.map(|r| r.take()).unwrap_or_default(),
+            metrics: final_snap,
+            slo_dumps: self.slo_dumps,
+        };
+        (card, artifacts)
     }
 }
 
-/// Index of the link between two named endpoints in the raw link list.
-fn link_index(names: &[(String, String)], a: &str, b: &str) -> Result<usize, ScenarioError> {
-    names
-        .iter()
-        .position(|(x, y)| (x == a && y == b) || (x == b && y == a))
-        .ok_or_else(|| ScenarioError::Config(format!("no link {a}-{b}")))
+/// A snapshot's counters, in name order.
+fn counters(snap: &obsv::MetricsSnapshot) -> impl Iterator<Item = (String, u64)> + '_ {
+    (snap.entries.iter()).filter_map(|(n, v)| v.as_counter().map(|c| (n.clone(), c)))
+}
+
+/// The router names at a link's ends, as the framework's by-name link
+/// hooks take them.
+fn link_ends(topo: &Topology, lid: LinkId) -> (String, String) {
+    let l = topo.link(lid);
+    let name = |n| topo.node_name(n).to_string();
+    (name(l.a), name(l.b))
 }
 
 #[cfg(test)]
@@ -928,6 +961,41 @@ mod tests {
             .collect();
         assert_eq!(dumped, first);
         assert!(art.slo_dumps.iter().all(|(_, dump)| !dump.is_empty()));
+    }
+
+    #[test]
+    fn per_epoch_metric_windows_tile_the_run() {
+        let (card, _) = tiny_multipair(7)
+            .run_observed(Policy::Hecate, &crate::observe::ObsvOptions::full())
+            .unwrap();
+        let m = card.metrics.as_ref().unwrap();
+        let mut sums: BTreeMap<&str, u64> = BTreeMap::new();
+        for window in &m.per_epoch {
+            for (name, c) in window {
+                *sums.entry(name).or_default() += c;
+            }
+        }
+        assert!(!m.totals.is_empty());
+        for (name, total) in &m.totals {
+            assert_eq!(sums.remove(name.as_str()).unwrap_or(0), *total, "{name}");
+        }
+        assert!(sums.is_empty(), "windows count unknown counters: {sums:?}");
+    }
+
+    #[test]
+    fn two_hundred_fifty_six_flows_get_a_tos_each() {
+        let mut s = tiny(7);
+        s.horizon_epochs = 2;
+        s.flows = (0..256)
+            .map(|i| FlowPlan {
+                label: format!("f{i}"),
+                demand_mbps: None,
+                start_epoch: 0,
+                pair: 0,
+            })
+            .collect();
+        let card = s.run(Policy::Hecate).unwrap();
+        assert_eq!(card.aggregate_series.len(), 2);
     }
 
     #[test]

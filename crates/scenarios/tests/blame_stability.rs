@@ -47,7 +47,12 @@ fn the_drain_produces_waterfill_saturation_blames() {
         card.blames
     );
     for b in &saturated {
-        assert!(b.detail.contains("drain"), "{b:?}");
         assert!(!b.flows.is_empty(), "{b:?}");
+        // "<flow> needs more than <cap> Mb/s on <hop> (drain <link> x<f>)":
+        // the squeezed hop is the drained link.
+        let (_, tail) = b.detail.split_once(" on ").expect("names the hop");
+        let (hop, drain) = tail.split_once(" (drain ").expect("names the drain");
+        let (drained, _) = drain.split_once(" x").expect("names the factor");
+        assert_eq!(hop, drained, "{b:?}");
     }
 }
