@@ -1,22 +1,6 @@
-//! The Dashboard: ASCII link-occupation graphs and series sparklines.
-//!
-//! "To maintain continuous monitoring and management of network traffic,
-//! the system offers visual feedback through link occupation graphs
-//! displayed on the Dashboard."
-
-/// Renders a utilization bar, e.g. `[######----] 60.0%`.
-pub fn utilization_bar(utilization: f64, width: usize) -> String {
-    let u = utilization.clamp(0.0, 1.0);
-    let filled = (u * width as f64).round() as usize;
-    let mut s = String::with_capacity(width + 10);
-    s.push('[');
-    for i in 0..width {
-        s.push(if i < filled { '#' } else { '-' });
-    }
-    s.push(']');
-    s.push_str(&format!(" {:5.1}%", u * 100.0));
-    s
-}
+//! The Dashboard's text renderers: series sparklines, per-flow rows and
+//! aligned tables, as the scenario scorecards and the examples print
+//! them.
 
 /// Renders a numeric series as a Unicode sparkline (`▁▂▃▄▅▆▇█`).
 /// Empty input renders as an empty string.
@@ -43,34 +27,9 @@ pub fn sparkline(values: &[f64]) -> String {
         .collect()
 }
 
-/// One dashboard row for a link.
-pub fn link_row(name: &str, utilization: f64) -> String {
-    format!("{name:<14} {}", utilization_bar(utilization, 20))
-}
-
 /// One dashboard row for a flow: label, current rate, history sparkline.
 pub fn flow_row(label: &str, rate_mbps: f64, history: &[f64]) -> String {
     format!("{label:<10} {rate_mbps:6.2} Mbps {}", sparkline(history))
-}
-
-/// Assembles a whole dashboard frame from link utilizations and flow
-/// histories.
-pub fn render_frame(
-    title: &str,
-    links: &[(String, f64)],
-    flows: &[(String, f64, Vec<f64>)],
-) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("=== {title} ===\n"));
-    out.push_str("links:\n");
-    for (name, u) in links {
-        out.push_str(&format!("  {}\n", link_row(name, *u)));
-    }
-    out.push_str("flows:\n");
-    for (label, rate, hist) in flows {
-        out.push_str(&format!("  {}\n", flow_row(label, *rate, hist)));
-    }
-    out
 }
 
 /// Renders an aligned ASCII table: header row, separator, one row per
@@ -125,19 +84,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bar_scales_with_utilization() {
-        assert_eq!(utilization_bar(0.0, 10), "[----------]   0.0%");
-        assert_eq!(utilization_bar(1.0, 10), "[##########] 100.0%");
-        assert_eq!(utilization_bar(0.5, 10), "[#####-----]  50.0%");
-    }
-
-    #[test]
-    fn bar_clamps_out_of_range() {
-        assert_eq!(utilization_bar(1.7, 4), "[####] 100.0%");
-        assert_eq!(utilization_bar(-0.3, 4), "[----]   0.0%");
-    }
-
-    #[test]
     fn sparkline_shape() {
         let s = sparkline(&[0.0, 1.0, 2.0, 3.0]);
         assert_eq!(s.chars().count(), 4);
@@ -180,18 +126,5 @@ mod tests {
         assert_eq!(end_of(lines[1], "goodput"), end_of(lines[4], "9.0"));
         // long labels widen the first column
         assert!(lines[4].starts_with("static-shortest"));
-    }
-
-    #[test]
-    fn frame_contains_everything() {
-        let frame = render_frame(
-            "t=60s",
-            &[("MIA->SAO".to_string(), 0.86)],
-            &[("flow1".to_string(), 5.7, vec![1.0, 3.0, 5.7])],
-        );
-        assert!(frame.contains("=== t=60s ==="));
-        assert!(frame.contains("MIA->SAO"));
-        assert!(frame.contains("flow1"));
-        assert!(frame.contains("5.70 Mbps"));
     }
 }

@@ -15,7 +15,7 @@
 //! * [`controller`] — the Fig 4 sequence: new flow → telemetry → Hecate →
 //!   optimizer → SR (PolKA) service → flow steered;
 //! * [`scheduler::Scheduler`] — queued flow requests with start times;
-//! * [`dashboard`] — the "link occupation graphs" as ASCII rendering;
+//! * [`dashboard`] — text rendering: sparklines, flow rows and tables;
 //! * [`sdn::SelfDrivingNetwork`] — the assembled system: netsim substrate,
 //!   freeRtr agents, compiled PolKA tunnels, services. The paper's two
 //!   experiments (Fig 11, Fig 12) run on its public API from the `bench`
