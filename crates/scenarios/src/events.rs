@@ -116,16 +116,16 @@ pub fn compile_events(
     primary: &[NodeIdx],
 ) -> Result<Vec<CompiledAction>, ScenarioError> {
     let mut out = Vec::new();
+    let mut push = |epoch, link, action, starts_failure| {
+        out.push(CompiledAction {
+            epoch,
+            link,
+            action,
+            starts_failure,
+        })
+    };
     for spec in specs {
         let at = spec.at_epoch;
-        let mut push = |epoch, link, action, starts_failure| {
-            out.push(CompiledAction {
-                epoch,
-                link,
-                action,
-                starts_failure,
-            })
-        };
         match &spec.kind {
             EventKind::LinkDown {
                 link,
