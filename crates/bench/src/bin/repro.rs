@@ -295,6 +295,10 @@ fn throughput() {
         "  speedup {:.0}x, recommendations matched: {}, cache {:?}",
         r.speedup, r.matched, r.cache
     );
+    println!(
+        "  warm work: {} assignments scored, {} progressive-fill rounds",
+        r.warm_scored, r.warm_fill_rounds
+    );
     let consults = r.cache.hits + r.cache.updates + r.cache.refits;
     let hit_rate = r.cache.hits as f64 / consults.max(1) as f64;
 
@@ -363,6 +367,11 @@ fn throughput() {
             ("cold_flows", Metric::exact(r.cold_flows as f64)),
             ("warm_flows", Metric::exact(r.warm_flows as f64)),
             ("matched", Metric::exact(f64::from(r.matched))),
+            // What the warm decisions did, not how fast: a placement
+            // search or fill change that does more or less work moves
+            // these.
+            ("warm_scored", Metric::exact(r.warm_scored as f64)),
+            ("warm_fill_rounds", Metric::exact(r.warm_fill_rounds as f64)),
             // libm exp() ULP drift can flip a handful of cache
             // decisions across toolchains; the rate still must not
             // collapse (that is the warm path's whole point).

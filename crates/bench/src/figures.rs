@@ -1,6 +1,6 @@
 //! One reproduction entry point per paper figure.
 
-use framework::controller::decide_flows_pairs;
+use framework::controller::{decide_flows_pairs, BatchDecision, SequenceLog};
 use framework::optimizer::FlowDemand;
 use framework::policies::{compare_policies, PolicyReport};
 use framework::sdn::SelfDrivingNetwork;
@@ -423,6 +423,12 @@ pub struct ThroughputReport {
     pub speedup: f64,
     /// Every cold and warm per-flow decision picked the same tunnel.
     pub matched: bool,
+    /// Assignments the warm decisions' placement searches scored, per
+    /// flow and batched ([`BatchDecision::scored`]).
+    pub warm_scored: u64,
+    /// Progressive-fill rounds over the warm decisions
+    /// ([`BatchDecision::fill_rounds`]).
+    pub warm_fill_rounds: u64,
     /// Cache behavior counters over the warm runs.
     pub cache: framework::hecate::CacheStats,
 }
@@ -432,7 +438,6 @@ pub struct ThroughputReport {
 /// recommendations must agree exactly). Every decision is the one
 /// consult a network admits with, `decide_flows_pairs`.
 pub fn decision_throughput(paths: usize, cold_flows: usize, warm_flows: usize) -> ThroughputReport {
-    use framework::controller::{BatchDecision, SequenceLog};
     use framework::HecateService;
     let (telemetry, names, model) = throughput_testbed(paths);
     let config = framework::OptimizerConfig::default();
@@ -465,10 +470,17 @@ pub fn decision_throughput(paths: usize, cold_flows: usize, warm_flows: usize) -
 
     // Warm: same per-flow decisions against the trained-model cache.
     let hecate = HecateService::new();
+    let (mut warm_scored, mut warm_fill_rounds) = (0, 0);
+    let mut count = |out: &BatchDecision| {
+        warm_scored += out.scored;
+        warm_fill_rounds += out.fill_rounds;
+    };
     let t1 = std::time::Instant::now();
     let mut warm_picks = Vec::with_capacity(warm_flows);
     for _ in 0..warm_flows {
-        warm_picks.push(tunnel(consult(&hecate, &one, &mut log)));
+        let out = consult(&hecate, &one, &mut log);
+        count(&out);
+        warm_picks.push(tunnel(out));
     }
     let warm_dps = warm_flows as f64 / t1.elapsed().as_secs_f64().max(1e-9);
 
@@ -477,7 +489,7 @@ pub fn decision_throughput(paths: usize, cold_flows: usize, warm_flows: usize) -
     let batches = warm_flows.div_ceil(64).max(1);
     let t2 = std::time::Instant::now();
     for _ in 0..batches {
-        consult(&hecate, &tick, &mut log);
+        count(&consult(&hecate, &tick, &mut log));
     }
     let warm_batch_dps = (batches * tick.len()) as f64 / t2.elapsed().as_secs_f64().max(1e-9);
 
@@ -496,6 +508,8 @@ pub fn decision_throughput(paths: usize, cold_flows: usize, warm_flows: usize) -
         warm_batch_dps,
         speedup: warm_dps / cold_dps.max(1e-9),
         matched,
+        warm_scored,
+        warm_fill_rounds,
         cache: hecate.cache_stats(),
     }
 }

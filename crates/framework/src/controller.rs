@@ -66,6 +66,12 @@ pub struct BatchDecision {
     /// under ([`SharedLinkModel::with_tunnel_caps`]); empty when no
     /// solve ran.
     pub(crate) caps: Vec<f64>,
+    /// The shared-link solve's [`crate::optimizer::SharedAssignment::scored`] (0
+    /// when no solve ran).
+    pub scored: u64,
+    /// The shared-link solve's [`crate::optimizer::SharedAssignment::fill_rounds`]
+    /// (0 when no solve ran).
+    pub fill_rounds: u64,
 }
 
 /// The decision function: one Fig 4 consultation (getTelemetry →
@@ -195,6 +201,8 @@ pub(crate) fn decide_flows<N: AsRef<str>>(
         series: cands.iter().filter(|c| c.needed).count(),
         rows: picks.into_iter().map(|(t, ..)| t).collect(),
         caps,
+        scored: 0,
+        fill_rounds: 0,
     };
     if !forecastable {
         // Cold start: each pair's phase-(i) arbitrary first candidate.
@@ -229,7 +237,11 @@ pub(crate) fn decide_flows<N: AsRef<str>>(
                 .iter()
                 .map(|&t| (t, true, forecast_of[t].as_ref().map(|f| f.mean())))
                 .collect();
-            decide(picks, Some(kind), caps)
+            BatchDecision {
+                scored: assignment.scored,
+                fill_rounds: assignment.fill_rounds,
+                ..decide(picks, Some(kind), caps)
+            }
         }
         _ => {
             // No flow-interaction model: each pair's flows take that

@@ -153,6 +153,12 @@ pub struct SharedAssignment {
     pub predicted_total: f64,
     /// Predicted rate of the worst-off flow (fairness tie-breaker).
     pub predicted_min_rate: f64,
+    /// Assignments the placement search scored with a fill (0 when it
+    /// placed greedily).
+    pub scored: u64,
+    /// Progressive-fill rounds over every fill the call ran, the final
+    /// scoring fill included.
+    pub fill_rounds: u64,
 }
 
 /// Exhaustive search is `∏ |candidates(pair)|` *water-fills*, each one
@@ -245,19 +251,23 @@ pub fn assign_flows_shared_with(
     let space = flows.iter().try_fold(1u64, |acc, f| {
         acc.checked_mul(model.candidates[f.pair.index()].len() as u64)
     });
-    let (choice, solver) = match space {
+    let mut fill = Fill::default();
+    let (choice, scored, solver) = match space {
         Some(s) if s <= config.exhaustive_bound => {
-            (exhaustive_shared(model, flows).0, SolverKind::Exhaustive)
+            let (choice, scored) = exhaustive_shared(model, flows, &mut fill);
+            (choice, scored, SolverKind::Exhaustive)
         }
-        _ => (greedy_shared(model, flows)?, SolverKind::Greedy),
+        _ => (greedy_shared(model, flows)?, 0, SolverKind::Greedy),
     };
-    let (rate_of_flow, predicted_total, predicted_min_rate) = water_fill(model, flows, &choice);
+    let (predicted_total, predicted_min_rate) = fill.run(model, flows, &choice);
     Ok((
         SharedAssignment {
             tunnel_of_flow: choice,
-            rate_of_flow,
+            rate_of_flow: std::mem::take(&mut fill.rate),
             predicted_total,
             predicted_min_rate,
+            scored,
+            fill_rounds: fill.rounds,
         },
         solver,
     ))
@@ -265,8 +275,8 @@ pub fn assign_flows_shared_with(
 
 /// Exhaustive placement: mixed-radix enumeration over each flow's
 /// candidate list, scored by the max-min fill of [`water_fill`] on a
-/// [`compact`] copy of the model, with one scratch for all assignments.
-/// Also returns how many assignments it scored.
+/// [`compact`] copy of the model, with `fill` as the scratch for all
+/// assignments. Also returns how many assignments it scored.
 ///
 /// The search stops at the first assignment when nothing can replace
 /// it: every flow declares a demand, so no fill exceeds `Σ demand` in
@@ -276,7 +286,11 @@ pub fn assign_flows_shared_with(
 /// to be that flow's smallest tunnel index, so none is lexicographically
 /// earlier either. A greedy flow, contention on the first assignment or
 /// a candidate list not led by its smallest index enumerates in full.
-fn exhaustive_shared(model: &SharedLinkModel, flows: &[FlowDemand]) -> (Vec<usize>, u64) {
+fn exhaustive_shared(
+    model: &SharedLinkModel,
+    flows: &[FlowDemand],
+    fill: &mut Fill,
+) -> (Vec<usize>, u64) {
     let n = flows.len();
     let model = &compact(model, flows);
     let radix: Vec<&[usize]> = flows
@@ -285,7 +299,6 @@ fn exhaustive_shared(model: &SharedLinkModel, flows: &[FlowDemand]) -> (Vec<usiz
         .collect();
     let mut counter = vec![0usize; n];
     let mut choice: Vec<usize> = radix.iter().map(|r| r[0]).collect();
-    let mut fill = Fill::default();
     let (total, min_rate) = fill.run(model, flows, &choice);
     let first_is_smallest = radix.iter().all(|r| r.iter().all(|&t| r[0] <= t));
     // A flow's rate never passes its demand, nor drops below zero.
@@ -414,12 +427,8 @@ fn greedy_shared(
     Ok(choice)
 }
 
-/// Max-min progressive filling of one concrete assignment: all active
-/// flows grow at the same rate until a link saturates or a demand is
-/// met; flows touching a saturated link (or at demand) freeze; repeat.
-/// Deterministic (fixed iteration order) and safe: a link's residual
-/// never goes below ~f64 epsilon of zero, so the sum of returned rates
-/// respects every link's headroom.
+/// One concrete assignment's rates, sum and minimum, by [`Fill::run`].
+#[cfg(test)]
 fn water_fill(
     model: &SharedLinkModel,
     flows: &[FlowDemand],
@@ -430,7 +439,13 @@ fn water_fill(
     (fill.rate, total, min_rate)
 }
 
-/// [`water_fill`]'s working state, reusable from one fill to the next.
+/// Max-min progressive filling of one concrete assignment: all active
+/// flows grow at the same rate until a link saturates or a demand is
+/// met; flows touching a saturated link (or at demand) freeze; repeat.
+/// Deterministic (fixed iteration order) and safe: a link's residual
+/// never goes below ~f64 epsilon of zero, so the sum of the rates
+/// respects every link's headroom. The working state is reusable from
+/// one fill to the next.
 #[derive(Default)]
 struct Fill {
     residual: Vec<f64>,
@@ -439,6 +454,8 @@ struct Fill {
     active: Vec<bool>,
     /// The per-flow rates of the last [`Fill::run`].
     rate: Vec<f64>,
+    /// Rounds over every [`Fill::run`] so far.
+    rounds: u64,
 }
 
 impl Fill {
@@ -456,6 +473,7 @@ impl Fill {
             count,
             active,
             rate,
+            rounds,
         } = self;
         residual.clear();
         residual.extend_from_slice(&model.headroom);
@@ -465,6 +483,7 @@ impl Fill {
         active.resize(n, true);
         let mut active_left = n;
         while active_left > 0 {
+            *rounds += 1;
             count.clear();
             count.resize(residual.len(), 0);
             for i in 0..n {
@@ -982,7 +1001,7 @@ mod tests {
                 // ...so the search picks the same placement — whether it
                 // enumerated or stopped at the bound — with the same rates.
                 let oracle = exhaustive_on_the_full_model(&model, &flows);
-                let (choice, scored) = exhaustive_shared(&model, &flows);
+                let (choice, scored) = exhaustive_shared(&model, &flows, &mut Fill::default());
                 proptest::prop_assert_eq!(&choice, &oracle, "{:?}", near);
                 let assigned = assign_flows_shared(&model, &flows).unwrap();
                 proptest::prop_assert_eq!(&assigned.tunnel_of_flow, &oracle);
