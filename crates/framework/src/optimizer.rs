@@ -445,13 +445,42 @@ fn water_fill(
 /// Deterministic (fixed iteration order) and safe: a link's residual
 /// never goes below ~f64 epsilon of zero, so the sum of the rates
 /// respects every link's headroom. The working state is reusable from
-/// one fill to the next.
+/// one fill to the next without allocating.
+///
+/// Every active flow starts at 0 and grows by the same deltas, so all
+/// active rates are one water `level`, bit for bit, and a flow's rate
+/// is the level it froze at. A round therefore costs O(links + the
+/// tunnels' hops) plus the flows it freezes, not O(flows):
+/// - per-link and per-tunnel active counts change only when a flow
+///   freezes;
+/// - the demand-limited flows wait in demand order: the freeze test
+///   `level >= d − 1e-12` is monotone in `d`, and rounding is monotone,
+///   so the smallest active demand alone bounds the growth;
+/// - saturation is a per-tunnel test (every flow of a tunnel crosses
+///   the same links), and a saturated tunnel finds its flows through
+///   an index built once per call.
+///
+/// `reference::water_fill` is the per-flow fill this replaces; a
+/// proptest holds the two to the same bits and rounds.
 #[derive(Default)]
 struct Fill {
     residual: Vec<f64>,
-    /// Flows per link among the still-active.
+    /// Active flow crossings per link (a tunnel that lists a link twice
+    /// counts twice).
     count: Vec<usize>,
+    /// Active flows per tunnel.
+    tunnel_active: Vec<usize>,
+    /// The tunnels some flow of the fill is placed on, ascending.
+    used: Vec<usize>,
+    /// Flows on tunnel `t`: `tunnel_flows[tunnel_start[t]..tunnel_start[t + 1]]`.
+    tunnel_start: Vec<usize>,
+    tunnel_flows: Vec<usize>,
     active: Vec<bool>,
+    /// Active flows whose demand is NaN: while there is one, no flow
+    /// grows (its `d − level` reads 0), and it never freezes on demand.
+    nan_active: usize,
+    /// The other demand-limited flows as `(demand, flow)`, ascending.
+    by_demand: Vec<(f64, usize)>,
     /// The per-flow rates of the last [`Fill::run`].
     rate: Vec<f64>,
     /// Rounds over every [`Fill::run`] so far.
@@ -468,24 +497,177 @@ impl Fill {
         choice: &[usize],
     ) -> (f64, f64) {
         let n = flows.len();
-        let Fill {
-            residual,
-            count,
-            active,
-            rate,
-            rounds,
-        } = self;
-        residual.clear();
-        residual.extend_from_slice(&model.headroom);
-        rate.clear();
-        rate.resize(n, 0.0);
-        active.clear();
-        active.resize(n, true);
-        let mut active_left = n;
+        self.index(model, flows, choice);
+        let (mut level, mut front, mut active_left) = (0.0f64, 0, n);
         while active_left > 0 {
-            *rounds += 1;
+            self.rounds += 1;
+            // uniform growth until the first constraint binds
+            let mut delta = f64::INFINITY;
+            for (l, &c) in self.count.iter().enumerate() {
+                if c > 0 {
+                    delta = delta.min(self.residual[l] / c as f64);
+                }
+            }
+            while front < self.by_demand.len() && !self.active[self.by_demand[front].1] {
+                front += 1;
+            }
+            if let Some(&(d, _)) = self.by_demand.get(front) {
+                delta = delta.min((d - level).max(0.0));
+            }
+            if self.nan_active > 0 {
+                delta = delta.min(0.0);
+            }
+            if !delta.is_finite() {
+                // Active flows crossing no capacitated link (degenerate
+                // model): freeze them at their current rate.
+                break;
+            }
+            let delta = delta.max(0.0);
+            level += delta;
+            for (l, &c) in self.count.iter().enumerate() {
+                if c > 0 {
+                    self.residual[l] -= delta * c as f64;
+                }
+            }
+            // freeze flows at demand or on a saturated link
+            let before = active_left;
+            while let Some(&(d, i)) = self.by_demand.get(front) {
+                let at_demand = level >= d - 1e-12;
+                if !at_demand {
+                    break;
+                }
+                front += 1;
+                if self.active[i] {
+                    self.freeze(model, flows, choice, i, level);
+                    active_left -= 1;
+                }
+            }
+            for u in 0..self.used.len() {
+                let t = self.used[u];
+                let residual = &self.residual;
+                if self.tunnel_active[t] == 0
+                    || !model.tunnel_links[t].iter().any(|&l| residual[l] <= 1e-12)
+                {
+                    continue;
+                }
+                for j in self.tunnel_start[t]..self.tunnel_start[t + 1] {
+                    let i = self.tunnel_flows[j];
+                    if self.active[i] {
+                        self.freeze(model, flows, choice, i, level);
+                        active_left -= 1;
+                    }
+                }
+            }
+            if active_left == before {
+                break; // numerical stall: stop growing rather than loop
+            }
+        }
+        for (rate, &active) in self.rate.iter_mut().zip(&self.active) {
+            if active {
+                *rate = level;
+            }
+        }
+        let total = self.rate.iter().sum();
+        let min_rate = self.rate.iter().copied().fold(f64::INFINITY, f64::min);
+        (total, if min_rate.is_finite() { min_rate } else { 0.0 })
+    }
+
+    /// Resets the working state to `choice` with every flow active at
+    /// rate 0: residuals, counts, the tunnel → flow index and the
+    /// demand order.
+    fn index(&mut self, model: &SharedLinkModel, flows: &[FlowDemand], choice: &[usize]) {
+        let n = flows.len();
+        self.residual.clear();
+        self.residual.extend_from_slice(&model.headroom);
+        self.rate.clear();
+        self.rate.resize(n, 0.0);
+        self.active.clear();
+        self.active.resize(n, true);
+        let tunnels = model.tunnel_links.len();
+        let (start, active) = (&mut self.tunnel_start, &mut self.tunnel_active);
+        active.clear();
+        active.resize(tunnels, 0);
+        for &t in choice {
+            active[t] += 1;
+        }
+        // `start[t + 1]` runs ahead as tunnel `t`'s slots fill.
+        start.clear();
+        start.push(0);
+        start.push(0);
+        for t in 0..tunnels.saturating_sub(1) {
+            start.push(start[t + 1] + active[t]);
+        }
+        self.tunnel_flows.clear();
+        self.tunnel_flows.resize(n, 0);
+        for (i, &t) in choice.iter().enumerate() {
+            self.tunnel_flows[start[t + 1]] = i;
+            start[t + 1] += 1;
+        }
+        self.used.clear();
+        self.used.extend((0..tunnels).filter(|&t| active[t] > 0));
+        self.count.clear();
+        self.count.resize(model.headroom.len(), 0);
+        for &t in &self.used {
+            for &l in &model.tunnel_links[t] {
+                self.count[l] += active[t];
+            }
+        }
+        self.by_demand.clear();
+        self.nan_active = 0;
+        for (i, f) in flows.iter().enumerate() {
+            match f.demand {
+                Some(d) if d.is_nan() => self.nan_active += 1,
+                Some(d) => self.by_demand.push((d, i)),
+                None => {}
+            }
+        }
+        self.by_demand.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+    }
+
+    /// Freezes active flow `i` at `level`.
+    fn freeze(
+        &mut self,
+        model: &SharedLinkModel,
+        flows: &[FlowDemand],
+        choice: &[usize],
+        i: usize,
+        level: f64,
+    ) {
+        self.active[i] = false;
+        self.rate[i] = level;
+        self.tunnel_active[choice[i]] -= 1;
+        for &l in &model.tunnel_links[choice[i]] {
+            self.count[l] -= 1;
+        }
+        self.nan_active -= flows[i].demand.is_some_and(f64::is_nan) as usize;
+    }
+}
+
+/// The per-flow progressive fill [`Fill`] replaced: every round
+/// re-counts every active flow's links, scans every demand, grows every
+/// active rate and re-checks every active flow's links. Kept as the
+/// oracle the level-based fill must match bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::{FlowDemand, SharedLinkModel};
+
+    /// `choice`'s rates, their sum, their minimum (0 when there is
+    /// none) and the rounds it took.
+    pub(super) fn water_fill(
+        model: &SharedLinkModel,
+        flows: &[FlowDemand],
+        choice: &[usize],
+    ) -> (Vec<f64>, f64, f64, u64) {
+        let n = flows.len();
+        let mut residual = model.headroom.clone();
+        let mut count = Vec::new();
+        let mut rate = vec![0.0f64; n];
+        let mut active = vec![true; n];
+        let (mut active_left, mut rounds) = (n, 0);
+        while active_left > 0 {
+            rounds += 1;
             count.clear();
-            count.resize(residual.len(), 0);
+            count.resize(residual.len(), 0usize);
             for i in 0..n {
                 if active[i] {
                     for &l in &model.tunnel_links[choice[i]] {
@@ -493,7 +675,6 @@ impl Fill {
                     }
                 }
             }
-            // uniform growth until the first constraint binds
             let mut delta = f64::INFINITY;
             for (l, &c) in count.iter().enumerate() {
                 if c > 0 {
@@ -508,8 +689,6 @@ impl Fill {
                 }
             }
             if !delta.is_finite() {
-                // Active flows crossing no capacitated link (degenerate
-                // model): freeze them at their current rate.
                 break;
             }
             let delta = delta.max(0.0);
@@ -523,7 +702,6 @@ impl Fill {
                     residual[l] -= delta * c as f64;
                 }
             }
-            // freeze flows at demand or on a saturated link
             let mut froze = false;
             for i in 0..n {
                 if !active[i] {
@@ -540,12 +718,13 @@ impl Fill {
                 }
             }
             if !froze {
-                break; // numerical stall: stop growing rather than loop
+                break;
             }
         }
         let total = rate.iter().sum();
         let min_rate = rate.iter().copied().fold(f64::INFINITY, f64::min);
-        (total, if min_rate.is_finite() { min_rate } else { 0.0 })
+        let min_rate = if min_rate.is_finite() { min_rate } else { 0.0 };
+        (rate, total, min_rate, rounds)
     }
 }
 
@@ -960,6 +1139,104 @@ mod tests {
             }
         }
         best.unwrap().0
+    }
+
+    /// A model for the fill oracle: up to 400 flows on a few demand
+    /// levels, greedy among them and, on some draws, NaN, ±∞ and
+    /// negative demands; zero-headroom links (and, rarely, infinite or
+    /// NaN ones), tunnels that cross no link or one link twice, caps
+    /// folded in on half the draws; and a random placement.
+    fn fill_model(seed: u64) -> (SharedLinkModel, Vec<FlowDemand>, Vec<usize>) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let links = rng.gen_range(1..24usize);
+        let headroom: Vec<f64> = (0..links)
+            .map(|_| match rng.gen_range(0..40u32) {
+                0 => f64::INFINITY,
+                1 => f64::NAN,
+                2..=7 => 0.0,
+                8..=17 => rng.gen_range(1..20u32) as f64,
+                _ => rng.gen_range(0.0..100.0),
+            })
+            .collect();
+        let tunnels = rng.gen_range(1..10usize);
+        let tunnel_links: Vec<Vec<usize>> = (0..tunnels)
+            .map(|_| {
+                let mut hops: Vec<usize> = (0..rng.gen_range(0..5usize))
+                    .map(|_| rng.gen_range(0..links))
+                    .collect();
+                if !hops.is_empty() && rng.gen_bool(0.1) {
+                    hops.push(hops[0]);
+                }
+                hops
+            })
+            .collect();
+        let pairs = rng.gen_range(1..4usize).min(tunnels);
+        let candidates: Vec<Vec<usize>> = (0..pairs)
+            .map(|p| (p..tunnels).step_by(pairs).collect())
+            .collect();
+        let mut model = SharedLinkModel::new(headroom, tunnel_links, candidates);
+        if rng.gen_bool(0.5) {
+            let caps: Vec<f64> = (0..tunnels)
+                .map(|_| match rng.gen_range(0..5u32) {
+                    0 => 0.0,
+                    1 => rng.gen_range(1..30u32) as f64,
+                    _ => rng.gen_range(0.0..30.0),
+                })
+                .collect();
+            model = model.with_tunnel_caps(&caps);
+        }
+        let levels: Vec<f64> = (0..rng.gen_range(1..6usize))
+            .map(|_| {
+                if rng.gen_bool(0.5) {
+                    rng.gen_range(0..12u32) as f64
+                } else {
+                    rng.gen_range(0.0..12.0)
+                }
+            })
+            .collect();
+        let odd = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.5, -0.0];
+        let odd_share = if rng.gen_bool(0.3) { 0.02 } else { 0.0 };
+        let greedy_share = rng.gen_range(0.0..0.5);
+        let n = rng.gen_range(1..=400usize);
+        let (mut flows, mut choice) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        for _ in 0..n {
+            let pair = rng.gen_range(0..pairs);
+            let demand = if rng.gen_bool(odd_share) {
+                Some(odd[rng.gen_range(0..odd.len())])
+            } else if rng.gen_bool(greedy_share) {
+                None
+            } else {
+                Some(levels[rng.gen_range(0..levels.len())])
+            };
+            let own = &model.candidates[pair];
+            choice.push(own[rng.gen_range(0..own.len())]);
+            flows.push(FlowDemand {
+                pair: PairId(pair),
+                demand,
+            });
+        }
+        (model, flows, choice)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1000))]
+
+        #[test]
+        fn level_fill_matches_the_per_flow_fill_bit_for_bit(seed in proptest::prelude::any::<u64>()) {
+            let (model, flows, choice) = fill_model(seed);
+            let bits = |r: &[f64]| r.iter().map(|r| r.to_bits()).collect::<Vec<u64>>();
+            let (rates, total, min_rate, rounds) = reference::water_fill(&model, &flows, &choice);
+            // One scratch for every fill, as the exhaustive search keeps it.
+            let mut fill = Fill::default();
+            for _ in 0..2 {
+                let before = fill.rounds;
+                let (t, m) = fill.run(&model, &flows, &choice);
+                proptest::prop_assert_eq!(bits(&fill.rate), bits(&rates), "seed {}", seed);
+                proptest::prop_assert_eq!((t.to_bits(), m.to_bits()), (total.to_bits(), min_rate.to_bits()));
+                proptest::prop_assert_eq!(fill.rounds - before, rounds);
+            }
+        }
     }
 
     proptest::proptest! {

@@ -300,10 +300,8 @@ impl SelfDrivingNetwork {
         for (l, &h) in model.headroom.iter().enumerate() {
             wf.set_headroom(l, h);
         }
-        let mut keep = std::collections::BTreeSet::new();
         for (f, &t) in self.flows.iter().zip(placement) {
             let id = f.id.0;
-            keep.insert(id);
             match wf.tunnel_of(id) {
                 None => wf.insert(id, t, f.demand),
                 Some(cur) => {
@@ -316,14 +314,19 @@ impl SelfDrivingNetwork {
                 }
             }
         }
-        let stale_ids: Vec<u64> = wf
-            .rates()
-            .into_iter()
-            .map(|(id, _)| id)
-            .filter(|id| !keep.contains(id))
-            .collect();
-        for id in stale_ids {
-            wf.remove(id);
+        // Every managed flow is in the engine now, so a departed one
+        // can linger only when the engine holds more flows than that.
+        if wf.flow_count() > self.flows.len() {
+            let keep: std::collections::BTreeSet<u64> = self.flows.iter().map(|f| f.id.0).collect();
+            let stale_ids: Vec<u64> = wf
+                .rates()
+                .into_iter()
+                .map(|(id, _)| id)
+                .filter(|id| !keep.contains(id))
+                .collect();
+            for id in stale_ids {
+                wf.remove(id);
+            }
         }
         wf.resolve();
         debug_assert!(wf.audit(), "incremental waterfill diverged from recompute");

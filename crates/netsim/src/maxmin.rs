@@ -32,7 +32,13 @@
 //!   decrementing a running residual — so a rate is a function of the
 //!   saturation structure, not of how the solver got there. (The fill
 //!   caches each link's sum between rounds and re-sums only when a
-//!   member froze; a cache hit returns the bits the re-summation would.)
+//!   member froze; a cache hit returns the bits the re-summation would.
+//!   Likewise the Σ member rates behind each link's residual gate is
+//!   cached as the sum of its member list's first `k` entries: `f64`
+//!   summation is a sequential left fold, so extending that sum by the
+//!   members past `k` yields the bits of a fresh id-order sum, and only
+//!   a patch inside the prefix forces a full re-sum. A debug build
+//!   checks every read against the fresh sum.)
 //!   Where the arithmetic is tie-free this makes incremental ≡ recompute
 //!   **bitwise** — asserted by `framework`'s `incremental_waterfill`
 //!   proptest through `audit()`. It is not a guarantee everywhere: on
@@ -55,7 +61,11 @@
 //! member visit), each link's members are a flow-id-sorted
 //! `Vec<(id, slot)>` — the canonical order is the `Vec` order, every
 //! walk is contiguous — and the solver indexes its per-solve state
-//! through reusable slot- and link-indexed scratch.
+//! through reusable slot- and link-indexed scratch. A new flow takes
+//! the largest id, so it lands at the end of each member list, past the
+//! folded prefix of the link's cached sum: an arrival's fast-path check
+//! adds its predecessors' new terms instead of re-summing a trunk's
+//! thousands of members.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -212,11 +222,11 @@ pub struct MaxMinKernel {
     /// Flows whose rate was written since the last resolve, with their
     /// slot and the rate they held before the first write.
     changed: BTreeMap<u64, (u32, f64)>,
-    /// Cached Σ member rates per link (flow-id order), for the O(1)
-    /// residual gates. Recomputed canonically on read when dirty — never
-    /// drifts.
+    /// Per link: Σ rates of its first `used_folded` members (flow-id
+    /// order), for the O(1) residual gates. A read folds in the members
+    /// past the prefix; a patch inside the prefix drops it.
     used_cache: Vec<f64>,
-    used_dirty: Vec<bool>,
+    used_folded: Vec<usize>,
     scratch: Scratch,
     stats: WaterfillMetrics,
 }
@@ -234,7 +244,7 @@ impl MaxMinKernel {
             seeds: BTreeMap::new(),
             changed: BTreeMap::new(),
             used_cache: vec![0.0; links],
-            used_dirty: vec![false; links],
+            used_folded: vec![0; links],
             scratch: Scratch::default(),
             stats: WaterfillMetrics::default(),
         }
@@ -250,7 +260,7 @@ impl MaxMinKernel {
         self.headroom.push(mbps);
         self.members.push(Vec::new());
         self.used_cache.push(0.0);
-        self.used_dirty.push(false);
+        self.used_folded.push(0);
     }
 
     /// Number of flows.
@@ -468,17 +478,30 @@ impl MaxMinKernel {
             self.changed.entry(id).or_insert((slot, f.rate));
             f.rate = rate;
             for &l in f.links.iter() {
-                self.used_dirty[l] = true;
+                Self::unfold(&mut self.used_folded[l], &self.members[l], id);
             }
+        }
+    }
+
+    /// Drops a link's folded sum (`folded`, its prefix length over
+    /// `members`) when member `id` is, or would be inserted, inside the
+    /// prefix. A flow
+    /// past the prefix keeps the fold: the next read adds only the new
+    /// terms. That covers the flow `insert` and `set_links` rate before
+    /// attaching: its id is not a member yet, and a largest id lands
+    /// past every prefix.
+    fn unfold(folded: &mut usize, members: &[(u64, u32)], id: u64) {
+        if *folded > 0 && id <= members[*folded - 1].0 {
+            *folded = 0;
         }
     }
 
     fn attach(&mut self, id: u64, slot: u32) {
         for &l in self.slots[slot as usize].links.iter() {
             let mem = &mut self.members[l];
+            Self::unfold(&mut self.used_folded[l], mem, id);
             let pos = mem.partition_point(|&(m, _)| m < id);
             mem.insert(pos, (id, slot));
-            self.used_dirty[l] = true;
         }
     }
 
@@ -486,23 +509,35 @@ impl MaxMinKernel {
         for &l in self.slots[slot as usize].links.iter() {
             let mem = &mut self.members[l];
             if let Ok(pos) = mem.binary_search_by_key(&id, |&(m, _)| m) {
+                Self::unfold(&mut self.used_folded[l], mem, id);
                 mem.remove(pos);
             }
-            self.used_dirty[l] = true;
         }
     }
 
     /// Remaining capacity of `link` under current rates. Canonical on
-    /// every read: the cache is recomputed (full member sum in id
-    /// order) whenever a member's rate or the membership changed.
+    /// every read: the cached sum is the full member sum in id order,
+    /// bit for bit, because `f64` summation is a sequential left fold —
+    /// extending the fold of a prefix by the members past it adds the
+    /// same terms in the same order as re-summing them all.
     fn residual(&mut self, link: usize) -> f64 {
-        if self.used_dirty[link] {
-            self.used_cache[link] = self.members[link]
+        let mem = &self.members[link];
+        let rate = |&(_, s): &(u64, u32)| self.slots[s as usize].rate;
+        let folded = self.used_folded[link];
+        if folded == 0 {
+            self.used_cache[link] = mem.iter().map(rate).sum();
+        } else if folded < mem.len() {
+            self.used_cache[link] = mem[folded..]
                 .iter()
-                .map(|&(_, s)| self.slots[s as usize].rate)
-                .sum();
-            self.used_dirty[link] = false;
+                .map(rate)
+                .fold(self.used_cache[link], |a, r| a + r);
         }
+        self.used_folded[link] = mem.len();
+        debug_assert_eq!(
+            self.used_cache[link].to_bits(),
+            mem.iter().map(rate).sum::<f64>().to_bits(),
+            "link {link}'s folded sum went stale"
+        );
         self.headroom[link] - self.used_cache[link]
     }
 
@@ -858,6 +893,29 @@ mod tests {
         k.insert(2, [], None);
         assert_eq!(k.resolve(), vec![(1, 2.5)]);
         assert_eq!(k.rates(), vec![(1, 2.5), (2, 0.0)]);
+        assert!(k.audit());
+    }
+
+    #[test]
+    fn a_patch_inside_the_folded_prefix_drops_the_fold() {
+        // Flows 1..=3 ride link 0 on the fast path, each read folding
+        // the members before it; the read after the last folds all
+        // three (1 + 2 + 3).
+        let mut k = MaxMinKernel::new(vec![100.0]);
+        for id in 1..=3 {
+            k.insert(id, [0], Some(id as f64));
+        }
+        assert_eq!(k.residual(0), 94.0);
+        // Detaching flow 2 (inside the prefix) must drop the whole fold:
+        // keeping its first member would leave flow 2's rate in the
+        // cache. Flow 4 then lands past the prefix.
+        k.remove(2);
+        k.insert(4, [0], Some(4.0));
+        assert_eq!(k.residual(0), 100.0 - (1.0 + 3.0 + 4.0));
+        // A re-rate inside the prefix drops it too.
+        k.set_demand(1, Some(0.5));
+        k.resolve();
+        assert_eq!(k.residual(0), 100.0 - (0.5 + 3.0 + 4.0));
         assert!(k.audit());
     }
 
