@@ -100,6 +100,9 @@ pub enum FrameworkError {
     /// batch, already managed, or in the packet plane's reserved
     /// `probe:` namespace.
     FlowLabel(String),
+    /// A flow (by label) declaring a demand that is NaN, infinite or
+    /// negative: no placement can honour it.
+    FlowDemand(String),
     /// No candidate tunnel satisfies the request.
     NoFeasiblePath,
 }
@@ -116,6 +119,12 @@ impl std::fmt::Display for FrameworkError {
             FrameworkError::Dataplane(e) => write!(f, "data-plane failure: {e}"),
             FrameworkError::Telemetry(e) => write!(f, "telemetry failure: {e}"),
             FrameworkError::FlowLabel(l) => write!(f, "flow label {l:?} is taken or reserved"),
+            FrameworkError::FlowDemand(l) => {
+                write!(
+                    f,
+                    "flow {l:?} declares a demand that is not finite and >= 0"
+                )
+            }
             FrameworkError::NoFeasiblePath => write!(f, "no feasible path"),
         }
     }

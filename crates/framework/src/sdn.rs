@@ -518,7 +518,8 @@ impl SelfDrivingNetwork {
     ///
     /// A batch with a label that repeats, is already managed or starts
     /// with `probe:` is refused before anything happens
-    /// ([`FrameworkError::FlowLabel`]).
+    /// ([`FrameworkError::FlowLabel`]), and so is one declaring a demand
+    /// that is NaN, infinite or negative ([`FrameworkError::FlowDemand`]).
     ///
     /// The batch installs all or nothing, with one edge transaction per
     /// ingress router: on `Err` no flow of it is managed or running and
@@ -538,6 +539,13 @@ impl SelfDrivingNetwork {
             return Err(FrameworkError::NoFeasiblePath);
         }
         self.check_labels(reqs)?;
+        // One NaN demand would stall the whole batch's fill at rate 0.
+        if let Some(r) = reqs
+            .iter()
+            .find(|r| r.demand_mbps.is_some_and(|d| !(d.is_finite() && d >= 0.0)))
+        {
+            return Err(FrameworkError::FlowDemand(r.label.clone()));
+        }
         let flows: Vec<FlowDemand> = reqs.iter().map(FlowRequest::flow_demand).collect();
         // New flows are placed on top of the running assignment:
         // headroom is what the current flows leave behind.
@@ -1058,6 +1066,44 @@ mod tests {
         sdn.attach_dataplane(crate::dataloop::DataplaneConfig::default())
             .unwrap();
         sdn.packet_epoch().unwrap();
+    }
+
+    #[test]
+    fn admission_refuses_demands_no_placement_can_honour() {
+        let mut sdn = SelfDrivingNetwork::testbed(11).unwrap();
+        let flow = |label: &str, demand_mbps| FlowRequest {
+            label: label.into(),
+            tos: 32,
+            demand_mbps,
+            start_ms: 0,
+            pair: PairId::default(),
+        };
+        sdn.advance(1_000).unwrap();
+        let live = sdn.sim.live_flow_count();
+        let (config, log) = (sdn.edge().running_config(), sdn.log.steps().len());
+        for bad in [f64::NAN, -1.0, f64::NEG_INFINITY, f64::INFINITY] {
+            let batch = [flow("ok", Some(1.0)), flow("bad", Some(bad))];
+            let err = sdn
+                .admit_flows(&batch, Objective::MaxBandwidth)
+                .unwrap_err();
+            assert!(
+                matches!(&err, FrameworkError::FlowDemand(l) if l == "bad"),
+                "{bad}: {err:?}"
+            );
+            assert_eq!(sdn.edge().running_config(), config, "{bad}");
+            assert!(sdn.flows.is_empty(), "{bad}");
+            sdn.advance(1_000).unwrap();
+            assert_eq!(sdn.sim.live_flow_count(), live, "{bad}");
+            assert_eq!(sdn.log.steps().len(), log, "{bad}");
+        }
+        // A zero demand is a demand.
+        let batch = [flow("ok", Some(1.0)), flow("idle", Some(0.0))];
+        assert_eq!(
+            sdn.admit_flows(&batch, Objective::MaxBandwidth)
+                .unwrap()
+                .len(),
+            2
+        );
     }
 
     #[test]
