@@ -162,7 +162,7 @@ pub struct SharedAssignment {
 }
 
 /// Exhaustive search is `∏ |candidates(pair)|` *water-fills*, each one
-/// a multi-round pass over every flow's links, so above this many
+/// linear in the batch's flows and links, so above this many
 /// assignments the placement goes greedy (e.g. a 16-pair tick with 2
 /// candidates each, 2^16 assignments, or 9 flows on one 3-tunnel pair,
 /// 3^9).
@@ -274,7 +274,7 @@ pub fn assign_flows_shared_with(
 }
 
 /// Exhaustive placement: mixed-radix enumeration over each flow's
-/// candidate list, scored by the max-min fill of [`water_fill`] on a
+/// candidate list, scored by the max-min [`Fill`] on a
 /// [`compact`] copy of the model, with `fill` as the scratch for all
 /// assignments. Also returns how many assignments it scored.
 ///

@@ -1,8 +1,10 @@
 //! Incremental shared-link water-fill: the million-flow control plane.
 //!
 //! [`crate::optimizer::assign_flows_shared`] recomputes the entire
-//! max-min matrix on every call — fine for hundreds of flows, hopeless
-//! for 100k. [`SharedWaterfill`] keeps a *standing* max-min solution
+//! max-min fill on every call: linear in flows plus one sort (a round
+//! costs O(links + tunnel hops) plus the flows it freezes), which is
+//! fine for a consult but still pays for 100k flows when a tick patches
+//! 32 of them. [`SharedWaterfill`] keeps a *standing* max-min solution
 //! over a [`SharedLinkModel`] and patches it: flow arrivals, departures,
 //! reroutes, demand changes and headroom changes re-water-fill only the
 //! affected links' saturation sets.
