@@ -470,8 +470,6 @@ struct Fill {
     count: Vec<usize>,
     /// Active flows per tunnel.
     tunnel_active: Vec<usize>,
-    /// The tunnels some flow of the fill is placed on, ascending.
-    used: Vec<usize>,
     /// Flows on tunnel `t`: `tunnel_flows[tunnel_start[t]..tunnel_start[t + 1]]`.
     tunnel_start: Vec<usize>,
     tunnel_flows: Vec<usize>,
@@ -542,8 +540,7 @@ impl Fill {
                     active_left -= 1;
                 }
             }
-            for u in 0..self.used.len() {
-                let t = self.used[u];
+            for t in 0..self.tunnel_active.len() {
                 let residual = &self.residual;
                 if self.tunnel_active[t] == 0
                     || !model.tunnel_links[t].iter().any(|&l| residual[l] <= 1e-12)
@@ -590,7 +587,9 @@ impl Fill {
         for &t in choice {
             active[t] += 1;
         }
-        // `start[t + 1]` runs ahead as tunnel `t`'s slots fill.
+        // A counting sort of the flows by tunnel: `start[t + 1]` holds
+        // where tunnel `t`'s flows begin until placing them advances it
+        // to where they end.
         start.clear();
         start.push(0);
         start.push(0);
@@ -603,13 +602,11 @@ impl Fill {
             self.tunnel_flows[start[t + 1]] = i;
             start[t + 1] += 1;
         }
-        self.used.clear();
-        self.used.extend((0..tunnels).filter(|&t| active[t] > 0));
         self.count.clear();
         self.count.resize(model.headroom.len(), 0);
-        for &t in &self.used {
-            for &l in &model.tunnel_links[t] {
-                self.count[l] += active[t];
+        for (links, &flows) in model.tunnel_links.iter().zip(active.iter()) {
+            for &l in links {
+                self.count[l] += flows;
             }
         }
         self.by_demand.clear();
