@@ -9,13 +9,20 @@
 //! computes the same thing).
 
 use std::num::NonZeroUsize;
+use std::sync::OnceLock;
 
 /// Number of worker threads to use: the available parallelism, capped by
-/// the task count so tiny workloads don't pay spawn overhead.
+/// the task count so tiny workloads don't pay spawn overhead. The
+/// parallelism is read once per process: on Linux each query re-reads
+/// the cgroup CPU quota. Fan-outs return the same results on any worker
+/// count, so a count fixed at the first call moves no output.
 pub fn worker_count(tasks: usize) -> usize {
-    let hw = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
+    static HW: OnceLock<usize> = OnceLock::new();
+    let hw = *HW.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1)
+    });
     hw.min(tasks).max(1)
 }
 
@@ -42,8 +49,7 @@ where
     F: Fn(&mut T) -> U + Sync,
 {
     let n = items.len();
-    // One item needs no pool, nor the parallelism query (a syscall).
-    let workers = if n <= 1 { 1 } else { worker_count(n) };
+    let workers = worker_count(n);
     if workers <= 1 {
         return items.iter_mut().map(f).collect();
     }
@@ -136,5 +142,16 @@ mod tests {
         assert_eq!(worker_count(0), 1);
         assert!(worker_count(1000) >= 1);
         assert!(worker_count(2) <= 2);
+    }
+
+    #[test]
+    fn repeated_worker_counts_agree_and_stay_in_bounds() {
+        for tasks in [1, 2, 3, 7, 64, 1000] {
+            let first = worker_count(tasks);
+            assert!((1..=tasks).contains(&first), "{tasks} tasks: {first}");
+            for _ in 0..100 {
+                assert_eq!(worker_count(tasks), first, "{tasks} tasks");
+            }
+        }
     }
 }
