@@ -18,6 +18,30 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
+/// The once-per-forest set-up: the column ranks every tree shares.
+fn presort(x: &Matrix, y: &[f64], n_estimators: usize) -> Result<Presort, MlError> {
+    if n_estimators == 0 {
+        return Err(MlError::BadHyperparameter(
+            "n_estimators must be > 0".into(),
+        ));
+    }
+    Presort::new(x, y)
+}
+
+/// Tree `k`'s draws, all from its own RNG stream: its bootstrap, into
+/// `sample` (as many rows as the data has), and its config's seed.
+fn draw_tree(seed: u64, k: usize, base_config: &TreeConfig, sample: &mut [u32]) -> TreeConfig {
+    let mut rng = StdRng::seed_from_u64(seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    let n = sample.len();
+    for row in sample.iter_mut() {
+        *row = rng.gen_range(0..n) as u32;
+    }
+    TreeConfig {
+        seed: rng.gen(),
+        ..*base_config
+    }
+}
+
 /// Fits `n_estimators` bootstrap trees over one shared [`Presort`].
 /// Trees are dealt to `workers` scoped threads in contiguous chunks,
 /// one reusable [`TreeBuilder`] each; tree `k` draws everything from
@@ -31,33 +55,51 @@ fn fit_forest(
     seed: u64,
     workers: usize,
 ) -> Result<Forest, MlError> {
-    if n_estimators == 0 {
-        return Err(MlError::BadHyperparameter(
-            "n_estimators must be > 0".into(),
-        ));
-    }
-    let pre = Presort::new(x, y)?;
-    let n = x.rows();
+    let pre = presort(x, y, n_estimators)?;
     let chunk = n_estimators.div_ceil(workers.max(1));
     let chunks = par_map_indexed(n_estimators.div_ceil(chunk), |c| {
         let mut builder = TreeBuilder::new(&pre);
-        let mut sample = vec![0u32; n];
+        let mut sample = vec![0u32; x.rows()];
         let mut trees = Forest::default();
         for k in c * chunk..n_estimators.min((c + 1) * chunk) {
-            let mut rng =
-                StdRng::seed_from_u64(seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            for row in &mut sample {
-                *row = rng.gen_range(0..n) as u32;
-            }
-            let config = TreeConfig {
-                seed: rng.gen(),
-                ..*base_config
-            };
+            let config = draw_tree(seed, k, base_config, &mut sample);
             builder.fit(config, &sample, y, None, &mut trees);
         }
         trees
     });
     Ok(Forest::concat(chunks))
+}
+
+/// The forest [`fit_forest`] grows, grown only where `run`'s queries
+/// walk, on one thread. `run` gets the forest's predictor: the mean over
+/// trees, summed in tree order like [`row_mean`], of each tree's leaf,
+/// growing [`TreeBuilder::lazy_leaf`]'s way. Bit for bit the fitted
+/// forest's prediction for every row; `base_config` has no feature
+/// subset. Errors as [`fit_forest`] does, before `run` is called.
+fn sketch_forest<T>(
+    x: &Matrix,
+    y: &[f64],
+    n_estimators: usize,
+    base_config: &TreeConfig,
+    seed: u64,
+    run: impl FnOnce(&mut dyn FnMut(&[f64]) -> f64) -> T,
+) -> Result<T, MlError> {
+    let pre = presort(x, y, n_estimators)?;
+    let mut builder = TreeBuilder::new(&pre);
+    let mut sample = vec![0u32; x.rows()];
+    let mut trees: Vec<_> = (0..n_estimators)
+        .map(|k| {
+            let config = draw_tree(seed, k, base_config, &mut sample);
+            builder.lazy(config, &sample, y)
+        })
+        .collect();
+    Ok(run(&mut |row| {
+        let mut acc = 0.0;
+        for tree in &mut trees {
+            acc += builder.lazy_leaf(tree, row);
+        }
+        acc / trees.len() as f64
+    }))
 }
 
 /// Mean over trees, summed in tree order, of one row's predictions.
@@ -125,15 +167,46 @@ impl RandomForestRegressor {
     pub fn tree_count(&self) -> usize {
         self.trees.len()
     }
+
+    fn tree_config(&self) -> TreeConfig {
+        TreeConfig {
+            max_depth: self.max_depth,
+            max_features: self.max_features,
+            ..TreeConfig::default()
+        }
+    }
+
+    /// What [`Regressor::fit`] on `(x, y)` and then `run` over
+    /// [`Regressor::predict_row`] would compute, bit for bit, without
+    /// the forest: `run` gets a predictor that grows each tree only along
+    /// the paths its rows take, on one thread. For a fit that serves a
+    /// handful of queries, all known before the next fit. Errors as the
+    /// fit does. `None` under a feature subset (`max_features`), whose
+    /// draws only the eager pre-order growth reproduces: fit instead.
+    pub(crate) fn sketch<T>(
+        &self,
+        x: &Matrix,
+        y: &[f64],
+        run: impl FnOnce(&mut dyn FnMut(&[f64]) -> f64) -> T,
+    ) -> Option<Result<T, MlError>> {
+        if self.max_features.is_some() {
+            return None;
+        }
+        let config = self.tree_config();
+        Some(sketch_forest(
+            x,
+            y,
+            self.n_estimators,
+            &config,
+            self.seed,
+            run,
+        ))
+    }
 }
 
 impl Regressor for RandomForestRegressor {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), MlError> {
-        let config = TreeConfig {
-            max_depth: self.max_depth,
-            max_features: self.max_features,
-            ..TreeConfig::default()
-        };
+        let config = self.tree_config();
         let workers = worker_count(self.n_estimators);
         self.trees = fit_forest(x, y, self.n_estimators, &config, self.seed, workers)?;
         Ok(())

@@ -6,6 +6,7 @@
 //! inverse-transform → RMSE in the original (Mbps) scale.
 
 use crate::data::{make_supervised, sequential_split};
+use crate::ensemble::RandomForestRegressor;
 use crate::metrics::{mae, r2, rmse};
 use crate::model::{Regressor, RegressorKind};
 use crate::scale::StandardScaler;
@@ -122,10 +123,16 @@ pub fn evaluate_all(series: &[f64], config: &PipelineConfig) -> Vec<Result<EvalR
 /// samples into the lag window (still without refitting). Callers decide
 /// when drift warrants a fresh [`TrainedForecaster::fit`]; the framework
 /// layer does so after a configurable number of new samples.
+///
+/// A forecaster made by [`TrainedForecaster::sketch`] holds its scaled
+/// history instead of a model until its first roll, which fits it.
 pub struct TrainedForecaster {
     kind: RegressorKind,
     scaler: StandardScaler,
-    model: Box<dyn Regressor>,
+    /// `None` until the deferred fit of a sketch has run.
+    model: Option<Box<dyn Regressor>>,
+    /// The scaled history a deferred fit trains on; empty once fitted.
+    history: Vec<f64>,
     /// Scaled trailing window of the most recent `lags` samples.
     window: Vec<f64>,
     lags: usize,
@@ -140,8 +147,51 @@ impl std::fmt::Debug for TrainedForecaster {
             .field("lags", &self.lags)
             .field("seed", &self.seed)
             .field("trained_on", &self.trained_on)
+            .field("fitted", &self.is_fitted())
             .finish()
     }
+}
+
+/// Lag-window supervision over a scaled history, and one fit.
+fn fit_model(
+    kind: RegressorKind,
+    scaled: &[f64],
+    lags: usize,
+    seed: u64,
+) -> Result<Box<dyn Regressor>, MlError> {
+    let (x, y) = supervised(scaled, lags)?;
+    let mut model = kind.build(seed);
+    model.fit(&x, &y)?;
+    Ok(model)
+}
+
+fn supervised(scaled: &[f64], lags: usize) -> Result<(Matrix, Vec<f64>), MlError> {
+    make_supervised(scaled, lags).ok_or(MlError::BadShape("history".into()))
+}
+
+/// The roll over any predictor: feeds each prediction back into a copy
+/// of the scaled lag `window` to forecast `horizon` steps ahead, into
+/// `out` in the original scale.
+fn roll_window(
+    window: &[f64],
+    scaler: &StandardScaler,
+    horizon: usize,
+    out: &mut Vec<f64>,
+    mut predict: impl FnMut(&[f64]) -> Result<f64, MlError>,
+) -> Result<(), MlError> {
+    // The buffer is the window followed by the predictions so far,
+    // so the last `lags` values are always the next model input.
+    out.clear();
+    out.extend_from_slice(window);
+    for step in 0..horizon {
+        let pred = predict(&out[step..])?;
+        out.push(pred);
+    }
+    out.drain(..window.len());
+    for v in out {
+        *v = scaler.inverse_transform_value(*v, 0)?;
+    }
+    Ok(())
 }
 
 impl TrainedForecaster {
@@ -151,6 +201,57 @@ impl TrainedForecaster {
     /// NaN or ±∞ fails every model's fit here, where some would panic
     /// and others would return a non-finite forecast.
     pub fn fit(
+        kind: RegressorKind,
+        history: &[f64],
+        lags: usize,
+        seed: u64,
+    ) -> Result<Self, MlError> {
+        let mut f = Self::unfitted(kind, history, lags, seed)?;
+        f.model = Some(fit_model(kind, &f.history, lags, seed)?);
+        f.history = Vec::new();
+        Ok(f)
+    }
+
+    /// [`TrainedForecaster::fit`] and then
+    /// [`TrainedForecaster::roll`]`(horizon)`, for a fit that may serve
+    /// no other roll: the same forecaster and, bit for bit, the same
+    /// forecast, with the same errors from the same checks. For RFR
+    /// (without a feature subset) it grows no forest: each tree grows
+    /// only the nodes the roll's walks reach, with the fit's own growth
+    /// step, on one thread. The forecaster then keeps its scaled history
+    /// and fits the whole forest on its first roll, if one ever comes.
+    /// Every other kind fits, then rolls.
+    pub fn sketch(
+        kind: RegressorKind,
+        history: &[f64],
+        lags: usize,
+        seed: u64,
+        horizon: usize,
+    ) -> Result<(Self, Vec<f64>), MlError> {
+        let mut f = Self::unfitted(kind, history, lags, seed)?;
+        let mut out = Vec::new();
+        let sketched = match kind {
+            RegressorKind::Rfr => {
+                let (x, y) = supervised(&f.history, lags)?;
+                let forest = RandomForestRegressor::with_seed(seed);
+                forest.sketch(&x, &y, |predict| {
+                    roll_window(&f.window, &f.scaler, horizon, &mut out, |row| {
+                        Ok(predict(row))
+                    })
+                })
+            }
+            _ => None,
+        };
+        match sketched {
+            Some(rolled) => rolled??,
+            None => f.roll_into(horizon, &mut out)?,
+        }
+        Ok((f, out))
+    }
+
+    /// Everything of a fit but the model: the history checked, the
+    /// scaler fitted on it, the history scaled and its trailing window.
+    fn unfitted(
         kind: RegressorKind,
         history: &[f64],
         lags: usize,
@@ -168,15 +269,12 @@ impl TrainedForecaster {
         let col = Matrix::from_vec(history.len(), 1, history.to_vec());
         scaler.fit(&col)?;
         let scaled = scaler.transform_column(history, 0)?;
-        let (x, y) = make_supervised(&scaled, lags).ok_or(MlError::BadShape("history".into()))?;
-        let mut model = kind.build(seed);
-        model.fit(&x, &y)?;
-        let window = scaled[scaled.len() - lags..].to_vec();
         Ok(TrainedForecaster {
             kind,
             scaler,
-            model,
-            window,
+            model: None,
+            window: scaled[scaled.len() - lags..].to_vec(),
+            history: scaled,
             lags,
             seed,
             trained_on: history.len(),
@@ -203,10 +301,18 @@ impl TrainedForecaster {
         self.trained_on
     }
 
+    /// Whether the model is fitted: `false` for a sketch until its
+    /// first roll.
+    pub fn is_fitted(&self) -> bool {
+        self.model.is_some()
+    }
+
     /// Roll phase: feeds each prediction back into a copy of the lag
     /// window to forecast `horizon` steps ahead, in the original scale.
-    /// Deterministic and side-effect free — repeated rolls are identical.
-    pub fn roll(&self, horizon: usize) -> Result<Vec<f64>, MlError> {
+    /// Deterministic — repeated rolls of one window are identical. On a
+    /// sketch, the first roll runs the deferred fit first (hence
+    /// `&mut self`); the forecast is the bits an eager fit would roll.
+    pub fn roll(&mut self, horizon: usize) -> Result<Vec<f64>, MlError> {
         let mut out = Vec::new();
         self.roll_into(horizon, &mut out)?;
         Ok(out)
@@ -215,20 +321,18 @@ impl TrainedForecaster {
     /// [`TrainedForecaster::roll`] into a caller-owned buffer, which it
     /// overwrites: a buffer that has held one roll makes the next
     /// allocation-free. `out` is left unspecified on an error.
-    pub fn roll_into(&self, horizon: usize, out: &mut Vec<f64>) -> Result<(), MlError> {
-        // The buffer is the window followed by the predictions so far,
-        // so the last `lags` values are always the next model input.
-        out.clear();
-        out.extend_from_slice(&self.window);
-        for step in 0..horizon {
-            let pred = self.model.predict_row(&out[step..])?;
-            out.push(pred);
-        }
-        out.drain(..self.lags);
-        for v in out {
-            *v = self.scaler.inverse_transform_value(*v, 0)?;
-        }
-        Ok(())
+    pub fn roll_into(&mut self, horizon: usize, out: &mut Vec<f64>) -> Result<(), MlError> {
+        let model = match &mut self.model {
+            Some(model) => model,
+            deferred => {
+                let model = fit_model(self.kind, &self.history, self.lags, self.seed)?;
+                self.history = Vec::new();
+                deferred.insert(model)
+            }
+        };
+        roll_window(&self.window, &self.scaler, horizon, out, |row| {
+            model.predict_row(row)
+        })
     }
 
     /// Slides one new raw sample into the lag window using the frozen
@@ -249,10 +353,10 @@ impl TrainedForecaster {
 /// Recursive multi-step forecaster: "Hecate computes the predicted values
 /// for the next 10 steps and returns the best path."
 ///
-/// One-shot convenience over [`TrainedForecaster`]: fit on the whole
-/// history, then roll `horizon` steps. By construction, a
-/// [`TrainedForecaster`] fitted on the same history rolls a bitwise
-/// identical forecast. Returns forecasts in the original scale.
+/// One-shot convenience over [`TrainedForecaster::sketch`]: the forecast
+/// that fitting on the whole history and rolling `horizon` steps gives,
+/// bit for bit, with an RFR's forest grown only where the roll walks.
+/// Returns forecasts in the original scale.
 pub fn forecast_next(
     kind: RegressorKind,
     history: &[f64],
@@ -260,12 +364,15 @@ pub fn forecast_next(
     horizon: usize,
     seed: u64,
 ) -> Result<Vec<f64>, MlError> {
-    TrainedForecaster::fit(kind, history, lags, seed)?.roll(horizon)
+    Ok(TrainedForecaster::sketch(kind, history, lags, seed, horizon)?.1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn synthetic_series(n: usize) -> Vec<f64> {
         (0..n)
@@ -353,7 +460,7 @@ mod tests {
         let series = synthetic_series(150);
         for kind in [RegressorKind::Lr, RegressorKind::Rfr, RegressorKind::Gbr] {
             let one_shot = forecast_next(kind, &series, 10, 10, 7).unwrap();
-            let trained = TrainedForecaster::fit(kind, &series, 10, 7).unwrap();
+            let mut trained = TrainedForecaster::fit(kind, &series, 10, 7).unwrap();
             assert_eq!(trained.roll(10).unwrap(), one_shot, "{kind}");
             // Rolling is pure: a second roll is identical.
             assert_eq!(trained.roll(10).unwrap(), one_shot, "{kind} reroll");
@@ -367,12 +474,13 @@ mod tests {
         // the model overrides the row path (RFR, GBR) or not (LR).
         let series = synthetic_series(120);
         for kind in [RegressorKind::Rfr, RegressorKind::Gbr, RegressorKind::Lr] {
-            let f = TrainedForecaster::fit(kind, &series, 10, 42).unwrap();
+            let mut f = TrainedForecaster::fit(kind, &series, 10, 42).unwrap();
+            let model = f.model.as_ref().unwrap();
             let mut window = f.window.clone();
             let mut scaled = Vec::new();
             for _ in 0..10 {
                 let x_next = Matrix::from_vec(1, f.lags, window.clone());
-                let pred = f.model.predict(&x_next).unwrap()[0];
+                let pred = model.predict(&x_next).unwrap()[0];
                 scaled.push(pred);
                 window.rotate_left(1);
                 window[f.lags - 1] = pred;
@@ -487,5 +595,117 @@ mod tests {
         // An LR model is linear in the window, so the updated forecast
         // stays in the series' envelope.
         assert!(after.iter().all(|v| v.is_finite() && *v > 0.0 && *v < 60.0));
+    }
+    /// A telemetry-like series drawn from `seed`: smooth, quantized to a
+    /// few levels (exact ties in every lag column), flat-lined with
+    /// steps, or smooth with constant stretches and repeated runs.
+    fn drawn_series(seed: u64, len: usize) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let level: f64 = rng.gen_range(5.0..100.0);
+        let amp: f64 = rng.gen_range(0.5..20.0);
+        let period: f64 = rng.gen_range(2.0..30.0);
+        let mut series: Vec<f64> = match rng.gen_range(0..4u32) {
+            0 => (0..len)
+                .map(|i| level + amp * (i as f64 / period).sin() + rng.gen_range(-1.0..1.0))
+                .collect(),
+            1 => (0..len)
+                .map(|_| level + amp * rng.gen_range(0..4u32) as f64)
+                .collect(),
+            2 => {
+                let mut v = level;
+                (0..len)
+                    .map(|_| {
+                        if rng.gen_bool(0.1) {
+                            v = level + amp * rng.gen_range(-2..3i32) as f64;
+                        }
+                        v
+                    })
+                    .collect()
+            }
+            _ => (0..len)
+                .map(|i| level + amp * (i as f64 / period).cos())
+                .collect(),
+        };
+        // constant stretches and repeated runs
+        for _ in 0..rng.gen_range(0..4u32) {
+            let (from, run) = (rng.gen_range(0..len), rng.gen_range(1..20usize));
+            let v = series[from];
+            let to = rng.gen_range(0..len);
+            for x in series.iter_mut().skip(to).take(run) {
+                *x = v;
+            }
+        }
+        series
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The sketch oracle: a sketched RFR forecast is the eager
+        /// fit-then-roll's bits, and so is every roll of the sketched
+        /// forecaster after `k` observed samples (its deferred fit).
+        #[test]
+        fn rfr_sketch_rolls_the_eager_fit_bit_for_bit(
+            series_seed in any::<u64>(),
+            lags in 1usize..=12,
+            extra in 0usize..190,
+            horizon in 0usize..=12,
+            seed in (0usize..4).prop_map(|i| [0u64, 7, 42, 0x5eed][i]),
+            observed in 0usize..6,
+        ) {
+            let series = drawn_series(series_seed, lags + 2 + extra + observed);
+            let (history, later) = series.split_at(series.len() - observed);
+            let kind = RegressorKind::Rfr;
+            let mut eager = TrainedForecaster::fit(kind, history, lags, seed).unwrap();
+            let (mut sketched, rolled) =
+                TrainedForecaster::sketch(kind, history, lags, seed, horizon).unwrap();
+            prop_assert_eq!(bits(&rolled), bits(&eager.roll(horizon).unwrap()));
+            prop_assert!(!sketched.is_fitted());
+            for &v in later {
+                eager.observe(v).unwrap();
+                sketched.observe(v).unwrap();
+            }
+            let want = bits(&eager.roll(horizon).unwrap());
+            prop_assert_eq!(bits(&sketched.roll(horizon).unwrap()), want);
+            prop_assert!(sketched.is_fitted());
+            prop_assert_eq!(sketched.trained_on(), eager.trained_on());
+        }
+    }
+
+    #[test]
+    fn every_other_kind_sketches_by_fitting_then_rolling() {
+        let series = drawn_series(3, 120);
+        for kind in RegressorKind::all() {
+            let mut eager = TrainedForecaster::fit(kind, &series, 10, 42).unwrap();
+            let (sketched, rolled) = TrainedForecaster::sketch(kind, &series, 10, 42, 10).unwrap();
+            assert_eq!(bits(&rolled), bits(&eager.roll(10).unwrap()), "{kind}");
+            let deferred = kind == RegressorKind::Rfr;
+            assert_eq!(sketched.is_fitted(), !deferred, "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_sketch_fails_as_the_fit_does() {
+        let mut nan = synthetic_series(120);
+        nan[60] = f64::NAN;
+        let mut inf = synthetic_series(120);
+        inf[119] = f64::INFINITY;
+        // Finite, but its mean overflows.
+        let huge: Vec<f64> = (0..40).map(|i| f64::MAX * (i % 3) as f64 / 2.0).collect();
+        let bad: [&[f64]; 5] = [&[1.0; 11], &[], &nan, &inf, &huge];
+        for kind in [RegressorKind::Rfr, RegressorKind::Lr, RegressorKind::Gbr] {
+            for history in bad {
+                let want = TrainedForecaster::fit(kind, history, 10, 42).err();
+                assert!(want.is_some(), "{kind} on {} samples", history.len());
+                let got = TrainedForecaster::sketch(kind, history, 10, 42, 10).err();
+                assert_eq!(got, want, "{kind} on {} samples", history.len());
+                let got = forecast_next(kind, history, 10, 10, 42).err();
+                assert_eq!(got, want, "{kind} on {} samples", history.len());
+            }
+        }
     }
 }

@@ -14,6 +14,12 @@
 //! place: `O(features · n)` per node, no allocation. Sums run in the
 //! order a per-node stable sort would visit the rows, so trees are bit
 //! for bit those of the textbook builder kept as the test oracle.
+//!
+//! Growth is one per-node step (value, stop rules, best split,
+//! partition) with two drivers: `TreeBuilder::fit` runs it eagerly in
+//! pre-order into the node arena; `TreeBuilder::lazy_leaf` runs it only
+//! on the nodes a prediction's walk reaches, for a forest whose every
+//! query is known while it grows (a sketched forecast).
 
 use crate::model::Regressor;
 use crate::{check_finite, check_xy, MlError};
@@ -336,15 +342,22 @@ impl Presort {
     }
 }
 
+/// One tree's sample, ordered for growth: `features + 1` orders of its
+/// `len` rows. Order `f` is sorted by feature `f`, equal values in sample
+/// order; the last is the sample itself. A node is one `[lo, hi)` range
+/// of every order, and only its own step partitions that range.
+#[derive(Default)]
+pub(crate) struct Orders {
+    order: Vec<u32>,
+    len: usize,
+}
+
 /// The per-tree half: scratch over a [`Presort`], reused by every tree
 /// a worker fits so that growing allocates per tree, never per node.
 pub(crate) struct TreeBuilder<'a> {
     pre: &'a Presort,
-    /// `features + 1` orders of the sample's `len` rows: order `f` is
-    /// sorted by feature `f`, equal values in sample order; the last is
-    /// the sample itself. A node is one `[lo, hi)` range of every order.
-    order: Vec<u32>,
-    len: usize,
+    /// The orders of the tree [`TreeBuilder::fit`] is growing.
+    orders: Orders,
     /// Rows going right while a range is partitioned.
     scratch: Vec<u32>,
     /// Per source row: left of the split being applied?
@@ -360,16 +373,24 @@ pub(crate) struct TreeBuilder<'a> {
     xs: Vec<f64>,
 }
 
-/// One fit's inputs and the arena the tree is appended to.
+/// One tree's growth inputs.
 struct Task<'t> {
     config: TreeConfig,
     y: &'t [f64],
     w: Option<&'t [f64]>,
     rng: StdRng,
-    nodes: &'t mut Vec<Node>,
 }
 
-impl Task<'_> {
+impl<'t> Task<'t> {
+    fn new(config: TreeConfig, y: &'t [f64], w: Option<&'t [f64]>) -> Self {
+        Task {
+            config,
+            y,
+            w,
+            rng: StdRng::seed_from_u64(config.seed),
+        }
+    }
+
     /// `(w, w·y)` of one source row.
     fn weigh(&self, row: u32) -> (f64, f64) {
         let w = self.w.map_or(1.0, |w| w[row as usize]);
@@ -377,12 +398,45 @@ impl Task<'_> {
     }
 }
 
+/// A node's split, as one growth step chose and applied it.
+struct Split {
+    feature: usize,
+    threshold: f64,
+    /// Rows of the node's range that went left, to its front.
+    n_left: usize,
+}
+
+/// A tree that grows only where walks go: see [`TreeBuilder::lazy_leaf`].
+pub(crate) struct LazyTree<'t> {
+    task: Task<'t>,
+    orders: Orders,
+    /// The root first; a split's children sit side by side.
+    nodes: Vec<Lazy>,
+}
+
+/// One node of a [`LazyTree`].
+#[derive(Debug, Clone, Copy)]
+enum Lazy {
+    /// Not grown yet: its range of the orders, and its depth.
+    Pending {
+        lo: u32,
+        hi: u32,
+        depth: u32,
+    },
+    Leaf(f64),
+    /// Grown into a split; the left child is `left`, the right `left + 1`.
+    Split {
+        feature: u32,
+        threshold: f64,
+        left: u32,
+    },
+}
+
 impl<'a> TreeBuilder<'a> {
     pub(crate) fn new(pre: &'a Presort) -> Self {
         TreeBuilder {
             pre,
-            order: Vec::new(),
-            len: 0,
+            orders: Orders::default(),
             scratch: Vec::new(),
             goes_left: vec![false; pre.rows],
             cursor: Vec::new(),
@@ -390,6 +444,40 @@ impl<'a> TreeBuilder<'a> {
             prefix: Vec::new(),
             xs: Vec::new(),
         }
+    }
+
+    /// The per-tree set-up: counting-sorts `sample` into `orders` and
+    /// sizes the scratch for it.
+    fn sort(&mut self, sample: &[u32], orders: &mut Orders) {
+        let (n, nf, len) = (self.pre.rows, self.pre.features, sample.len());
+        orders.len = len;
+        orders.order.resize((nf + 1) * len, 0);
+        // Grown, never shrunk: a sketch steps trees it sorted earlier.
+        let room = len.max(self.scratch.len());
+        self.scratch.resize(room, 0);
+        self.prefix.resize(room, (0.0, 0.0));
+        self.xs.resize(room, 0.0);
+        for f in 0..nf {
+            // Counting sort by rank. It is stable, so rows with equal
+            // values stay in sample order: what a stable sort of the
+            // gathered rows by value yields, without comparing.
+            let rank = &self.pre.rank[f * n..][..n];
+            self.cursor.clear();
+            self.cursor.resize(n + 1, 0);
+            for &r in sample {
+                self.cursor[rank[r as usize] as usize + 1] += 1;
+            }
+            for g in 1..n {
+                self.cursor[g] += self.cursor[g - 1];
+            }
+            let sorted = &mut orders.order[f * len..][..len];
+            for &r in sample {
+                let at = &mut self.cursor[rank[r as usize] as usize];
+                sorted[*at as usize] = r;
+                *at += 1;
+            }
+        }
+        orders.order[nf * len..].copy_from_slice(sample);
     }
 
     /// Grows one tree on `sample` — source-row indices, repeats allowed
@@ -404,65 +492,151 @@ impl<'a> TreeBuilder<'a> {
         w: Option<&[f64]>,
         forest: &mut Forest,
     ) {
-        let (n, nf, len) = (self.pre.rows, self.pre.features, sample.len());
-        self.len = len;
-        self.order.resize((nf + 1) * len, 0);
-        self.scratch.resize(len, 0);
-        self.prefix.resize(len, (0.0, 0.0));
-        self.xs.resize(len, 0.0);
-        for f in 0..nf {
-            // Counting sort by rank. It is stable, so rows with equal
-            // values stay in sample order: what a stable sort of the
-            // gathered rows by value yields, without comparing.
-            let rank = &self.pre.rank[f * n..][..n];
-            self.cursor.clear();
-            self.cursor.resize(n + 1, 0);
-            for &r in sample {
-                self.cursor[rank[r as usize] as usize + 1] += 1;
-            }
-            for g in 1..n {
-                self.cursor[g] += self.cursor[g - 1];
-            }
-            let sorted = &mut self.order[f * len..][..len];
-            for &r in sample {
-                let at = &mut self.cursor[rank[r as usize] as usize];
-                sorted[*at as usize] = r;
-                *at += 1;
-            }
-        }
-        self.order[nf * len..].copy_from_slice(sample);
+        let mut orders = std::mem::take(&mut self.orders);
+        self.sort(sample, &mut orders);
         let root = forest.nodes.len();
-        let mut task = Task {
-            config,
-            y,
-            w,
-            rng: StdRng::seed_from_u64(config.seed),
-            nodes: &mut forest.nodes,
-        };
-        let depth = self.node(&mut task, 0, len, 0);
+        let mut task = Task::new(config, y, w);
+        let depth = self.node(
+            &mut task,
+            &mut orders,
+            &mut forest.nodes,
+            0,
+            sample.len(),
+            0,
+        );
         forest.trees.push(TreeRef { root, depth });
-        forest.n_features = nf;
+        forest.n_features = self.pre.features;
+        self.orders = orders;
     }
 
-    /// Grows the node holding `[lo, hi)` of every order, in pre-order;
-    /// returns the depth of the subtree below it.
-    fn node(&mut self, t: &mut Task, lo: usize, hi: usize, depth: usize) -> usize {
+    /// The eager driver: grows the node holding `[lo, hi)` and everything
+    /// below it, in pre-order, onto `nodes`; returns the subtree's depth.
+    fn node(
+        &mut self,
+        t: &mut Task,
+        orders: &mut Orders,
+        nodes: &mut Vec<Node>,
+        lo: usize,
+        hi: usize,
+        depth: usize,
+    ) -> usize {
+        let me = nodes.len();
+        let (value, split) = self.step(t, orders, lo, hi, depth);
+        nodes.push(Node::leaf(value));
+        let Some(Split {
+            feature,
+            threshold,
+            n_left,
+        }) = split
+        else {
+            return 0;
+        };
+        let left = self.node(t, orders, nodes, lo, lo + n_left, depth + 1);
+        // `Presort::new` bounds rows and features, so both fit 31 bits.
+        let right = (nodes.len() - me) as u32;
+        let below = left.max(self.node(t, orders, nodes, lo + n_left, hi, depth + 1));
+        nodes[me] = Node {
+            value: threshold,
+            right,
+            feature: feature as u32 | SPLIT,
+        };
+        1 + below
+    }
+
+    /// Sets up a tree on `sample` for [`TreeBuilder::lazy_leaf`]: sorted,
+    /// with nothing grown. Unweighted, and `config.max_features` must be
+    /// `None`: a feature subset draws from the tree's RNG at every split,
+    /// in the order nodes grow, and only pre-order draws what
+    /// [`TreeBuilder::fit`] draws.
+    pub(crate) fn lazy<'t>(
+        &mut self,
+        config: TreeConfig,
+        sample: &[u32],
+        y: &'t [f64],
+    ) -> LazyTree<'t> {
+        debug_assert!(config.max_features.is_none());
+        let mut orders = Orders::default();
+        self.sort(sample, &mut orders);
+        LazyTree {
+            task: Task::new(config, y, None),
+            orders,
+            nodes: vec![Lazy::Pending {
+                lo: 0,
+                hi: sample.len() as u32,
+                depth: 0,
+            }],
+        }
+    }
+
+    /// The lazy driver: `tree`'s prediction for `row`, growing each
+    /// pending node the walk reaches with the one [`TreeBuilder::step`].
+    /// A walk goes left on `row[feature] <= threshold`, so NaN goes
+    /// right, as [`Node::step`] does. The order nodes grow in does not
+    /// matter: a step reads and partitions only its own range, which its
+    /// parent's step fixed and no other node's touches. So every node a
+    /// walk reaches is, bit for bit, the one [`TreeBuilder::fit`] grows.
+    pub(crate) fn lazy_leaf(&mut self, tree: &mut LazyTree, row: &[f64]) -> f64 {
+        let mut at = 0;
+        loop {
+            match tree.nodes[at] {
+                Lazy::Leaf(value) => return value,
+                Lazy::Split {
+                    feature,
+                    threshold,
+                    left,
+                } => {
+                    let went_left = row[feature as usize] <= threshold;
+                    at = left as usize + !went_left as usize;
+                }
+                Lazy::Pending { lo, hi, depth } => {
+                    let (value, split) = {
+                        let (lo, hi, depth) = (lo as usize, hi as usize, depth as usize);
+                        self.step(&mut tree.task, &mut tree.orders, lo, hi, depth)
+                    };
+                    tree.nodes[at] = match split {
+                        None => Lazy::Leaf(value),
+                        Some(s) => {
+                            let (left, mid) = (tree.nodes.len() as u32, lo + s.n_left as u32);
+                            let depth = depth + 1;
+                            tree.nodes.push(Lazy::Pending { lo, hi: mid, depth });
+                            tree.nodes.push(Lazy::Pending { lo: mid, hi, depth });
+                            Lazy::Split {
+                                feature: s.feature as u32,
+                                threshold: s.threshold,
+                                left,
+                            }
+                        }
+                    };
+                }
+            }
+        }
+    }
+
+    /// The one growth step, shared by both drivers: the value of the
+    /// node holding `[lo, hi)` of every order (the weighted mean, summed
+    /// in sample order) and, unless a stop rule holds or no split pays,
+    /// its split, already applied to the orders.
+    fn step(
+        &mut self,
+        t: &mut Task,
+        orders: &mut Orders,
+        lo: usize,
+        hi: usize,
+        depth: usize,
+    ) -> (f64, Option<Split>) {
         let nf = self.pre.features;
-        // Node mean and parent score: sums in sample order.
         let (mut sw, mut swy) = (0.0, 0.0);
-        for &r in &self.order[nf * self.len..][lo..hi] {
+        for &r in &orders.order[nf * orders.len..][lo..hi] {
             let (w, wy) = t.weigh(r);
             sw += w;
             swy += wy;
         }
-        let me = t.nodes.len();
         let value = if sw <= 0.0 { 0.0 } else { swy / sw };
-        t.nodes.push(Node::leaf(value));
         if hi - lo < t.config.min_samples_split
             || t.config.max_depth.is_some_and(|d| depth >= d)
             || sw <= 0.0
         {
-            return 0;
+            return (value, None);
         }
         // candidate features (random subset for forests)
         self.features.clear();
@@ -471,22 +645,16 @@ impl<'a> TreeBuilder<'a> {
             self.features.shuffle(&mut t.rng);
             self.features.truncate(k.clamp(1, nf));
         }
-        let Some((feature, threshold)) = self.best_split(t, lo, hi, swy * swy / sw) else {
-            return 0;
+        let Some((feature, threshold)) = self.best_split(t, orders, lo, hi, swy * swy / sw) else {
+            return (value, None);
         };
-        let Some(n_left) = self.partition(lo, hi, feature, threshold) else {
-            return 0;
-        };
-        let left = self.node(t, lo, lo + n_left, depth + 1);
-        // `Presort::new` bounds rows and features, so both fit 31 bits.
-        let right = (t.nodes.len() - me) as u32;
-        let below = left.max(self.node(t, lo + n_left, hi, depth + 1));
-        t.nodes[me] = Node {
-            value: threshold,
-            right,
-            feature: feature as u32 | SPLIT,
-        };
-        1 + below
+        let split = self.partition(orders, lo, hi, feature, threshold);
+        let split = split.map(|n_left| Split {
+            feature,
+            threshold,
+            n_left,
+        });
+        (value, split)
     }
 
     /// The weighted-variance-minimizing `(feature, threshold)` over the
@@ -508,7 +676,14 @@ impl<'a> TreeBuilder<'a> {
     /// scan drops no cut that holds it, and it keeps the first. The two
     /// would part ways only on a NaN score, which [`Presort::new`] rules
     /// out.
-    fn best_split(&mut self, t: &Task, lo: usize, hi: usize, parent: f64) -> Option<(usize, f64)> {
+    fn best_split(
+        &mut self,
+        t: &Task,
+        orders: &Orders,
+        lo: usize,
+        hi: usize,
+        parent: f64,
+    ) -> Option<(usize, f64)> {
         let n = hi - lo;
         let min_leaf = t.config.min_samples_leaf;
         // Cut `k` leaves `k + 1` rows left and `n - k - 1` right.
@@ -518,7 +693,7 @@ impl<'a> TreeBuilder<'a> {
         let (mut best, mut split) = (f64::NEG_INFINITY, (0, 0.0));
         for &feature in &self.features {
             let col = &self.pre.cols[feature * self.pre.rows..][..self.pre.rows];
-            let order = &self.order[feature * self.len..][lo..hi];
+            let order = &orders.order[feature * orders.len..][lo..hi];
             let (mut sw, mut swy) = (0.0, 0.0);
             for ((&r, p), x) in order.iter().zip(prefix.iter_mut()).zip(xs.iter_mut()) {
                 let (w, wy) = t.weigh(r);
@@ -562,10 +737,17 @@ impl<'a> TreeBuilder<'a> {
     /// Stable-partitions `[lo, hi)` of every order by
     /// `x[feature] <= threshold` and returns how many samples went left;
     /// `None`, orders untouched, when that is none or all of them.
-    fn partition(&mut self, lo: usize, hi: usize, feature: usize, at: f64) -> Option<usize> {
+    fn partition(
+        &mut self,
+        orders: &mut Orders,
+        lo: usize,
+        hi: usize,
+        feature: usize,
+        at: f64,
+    ) -> Option<usize> {
         let col = &self.pre.cols[feature * self.pre.rows..][..self.pre.rows];
         let mut n_left = 0;
-        for &r in &self.order[self.pre.features * self.len..][lo..hi] {
+        for &r in &orders.order[self.pre.features * orders.len..][lo..hi] {
             let left = col[r as usize] <= at;
             self.goes_left[r as usize] = left;
             n_left += left as usize;
@@ -573,7 +755,7 @@ impl<'a> TreeBuilder<'a> {
         if n_left == 0 || n_left == hi - lo {
             return None;
         }
-        for order in self.order.chunks_exact_mut(self.len) {
+        for order in orders.order.chunks_exact_mut(orders.len) {
             let range = &mut order[lo..hi];
             let (mut l, mut r) = (0, 0);
             for k in 0..range.len() {
@@ -1187,6 +1369,44 @@ mod tests {
         ) {
             assert_builder_grows_the_reference_tree(&random_case(seed, n));
             assert_builder_grows_the_reference_tree(&with_ties(random_case(seed, n), seed));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(100))]
+
+        /// The lazy driver reaches the eager tree's leaf for every row,
+        /// whichever order the walks grow it in.
+        #[test]
+        fn a_lazy_tree_walks_to_the_eager_trees_leaves(
+            seed in any::<u64>(),
+            n in (0usize..3).prop_map(|i| [2usize, 12, 110][i]),
+        ) {
+            let mut c = with_ties(random_case(seed, n), seed);
+            c.config.max_features = None;
+            let pre = Presort::new(&c.x, &c.y).unwrap();
+            let sample = c.sample.clone().unwrap_or_else(|| pre.all_rows());
+            let mut builder = TreeBuilder::new(&pre);
+            let mut eager = Forest::default();
+            builder.fit(c.config, &sample, &c.y, None, &mut eager);
+            let mut lazy = builder.lazy(c.config, &sample, &c.y);
+            // Training rows backwards, then each split's threshold and
+            // its neighbours, then NaN.
+            let mut rows: Vec<Vec<f64>> = (0..n).rev().map(|i| c.x.row(i).to_vec()).collect();
+            for (i, node) in eager.nodes.iter().enumerate() {
+                if node.feature & SPLIT != 0 {
+                    for t in [node.value, node.value.next_up(), node.value.next_down()] {
+                        let mut row = rows[i % n].clone();
+                        row[(node.feature & !SPLIT) as usize] = t;
+                        rows.push(row);
+                    }
+                }
+            }
+            rows.push(vec![f64::NAN; c.x.cols()]);
+            for row in &rows {
+                let want = eager.leaf(0, row).to_bits();
+                prop_assert_eq!(builder.lazy_leaf(&mut lazy, row).to_bits(), want);
+            }
         }
     }
 
