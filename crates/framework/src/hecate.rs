@@ -20,6 +20,14 @@
 //!   the service's model/lags/seed changed): fit fresh from history and
 //!   replace the entry.
 //!
+//! A refit whose replaced model was never re-rolled — it served the roll
+//! its fit made, hits, and no update arm — *sketches*
+//! ([`TrainedForecaster::sketch`]): an RFR grows only the tree paths
+//! that one roll walks, on one thread, and keeps its history instead of
+//! a forest. An update arm on a sketched entry first runs its deferred
+//! fit, so the refit after it is eager again, as is a series' first
+//! fit. Either way the forecast carries the eager fit's bits.
+//!
 //! A consult that reads only some of the candidates runs that protocol
 //! on those and only the cheap half of it on the rest: a due refit, or
 //! the window slide without the roll. Refits and forecast bits are
@@ -299,11 +307,13 @@ impl HecateService {
     }
 
     /// Fits a fresh cache entry for series `id` on its trailing history
-    /// window.
+    /// window, and rolls it: eagerly, or as a [`TrainedForecaster::sketch`]
+    /// when `sketch` is set.
     fn fit_entry(
         &self,
         telemetry: &TelemetryService,
         id: SeriesId,
+        sketch: bool,
         trace: Option<&(obsv::Tracer, u64)>,
     ) -> Result<CacheEntry, Miss> {
         let (total, vals) = telemetry.tail(id).ok_or(Miss::Short(0))?;
@@ -312,12 +322,19 @@ impl HecateService {
             return Err(Miss::Short(history.len()));
         }
         let span = trace.map(|(t, at)| t.span("ml", "ml.fit", *at));
-        let fitted = TrainedForecaster::fit(self.model, history, self.lags, self.seed)
-            .and_then(|forecaster| Ok((forecaster.roll(self.horizon)?, forecaster)));
+        let (model, lags, seed, horizon) = (self.model, self.lags, self.seed, self.horizon);
+        let fitted = if sketch {
+            TrainedForecaster::sketch(model, history, lags, seed, horizon)
+        } else {
+            TrainedForecaster::fit(model, history, lags, seed).and_then(|mut forecaster| {
+                let rolled = forecaster.roll(horizon)?;
+                Ok((forecaster, rolled))
+            })
+        };
         if let (Some(span), Some((_, at))) = (span, trace) {
             let samples = history.len() as u64;
             let ok = fitted.is_ok() as u64;
-            let lags = self.lags as u64;
+            let lags = lags as u64;
             span.end(*at, || {
                 vec![
                     ("samples", obsv::Value::U64(samples)),
@@ -326,7 +343,7 @@ impl HecateService {
                 ]
             });
         }
-        let (rolled, forecaster) = fitted.map_err(Miss::Ml)?;
+        let (forecaster, rolled) = fitted.map_err(Miss::Ml)?;
         Ok(CacheEntry {
             forecaster,
             fitted_at: total,
@@ -364,7 +381,7 @@ impl HecateService {
     /// series: a hit clones the memoized roll — `horizon` floats, no
     /// model inference. Otherwise (fresh samples, or a new horizon) the
     /// roll is re-memoized in place, no refit and no allocation but the
-    /// returned copy.
+    /// returned copy. A sketched entry's deferred fit runs here.
     fn roll(
         &self,
         e: &mut CacheEntry,
@@ -392,8 +409,9 @@ impl HecateService {
     }
 
     /// The whole protocol on series `id` and its slot: hit or update a
-    /// usable entry the series has not outrun, else refit — a failed
-    /// fit leaves the slot as it was. A non-finite sample spends the
+    /// usable entry the series has not outrun, else refit — a sketch
+    /// when the entry it replaces was never re-rolled; a failed fit
+    /// leaves the slot as it was. A non-finite sample spends the
     /// entry: the window may have taken the samples before it, so the
     /// path is skipped now and refits at the next consult.
     fn serve(
@@ -416,7 +434,9 @@ impl HecateService {
                 }
             }
         }
-        let entry = self.fit_entry(telemetry, id, trace)?;
+        // Served no update arm: every roll was at the fit's total.
+        let sketch = slot.as_ref().is_some_and(|e| e.rolled_at == e.fitted_at);
+        let entry = self.fit_entry(telemetry, id, sketch, trace)?;
         let values = entry.rolled.clone();
         *slot = Some(entry);
         Ok((Arm::Refit, values))
@@ -676,6 +696,22 @@ impl HecateService {
         let fitted_at = cache.entries.get(id.index())?.as_ref()?.fitted_at;
         let total = telemetry.tail(id).map_or(0, |(total, _)| total);
         Some(total.saturating_sub(fitted_at))
+    }
+
+    /// Whether the model cached for `(path, metric)` is fitted: `false`
+    /// for a sketch whose deferred fit has not run; `None` when nothing
+    /// is cached.
+    #[cfg(test)]
+    pub(crate) fn cached_model_fitted(
+        &self,
+        telemetry: &TelemetryService,
+        path: &str,
+        metric: Metric,
+    ) -> Option<bool> {
+        let id = telemetry.find(&SeriesKey::new(path, metric))?;
+        let cache = self.lock();
+        let entry = cache.entries.get(id.index())?.as_ref()?;
+        Some(entry.forecaster.is_fitted())
     }
 
     /// Drops every cached model (e.g. after a topology change that
@@ -1069,5 +1105,86 @@ mod tests {
             .forecast_path(&ts, "up", Metric::AvailableBandwidth)
             .unwrap();
         assert!(f.values[0] > 55.0, "first forecast {}", f.values[0]);
+    }
+    #[test]
+    fn sketched_refits_keep_every_forecast_and_count_of_the_eager_cadence() {
+        // Three phases on three series: new samples at the refit cadence
+        // (each refit replaces a model that was never re-rolled, so it
+        // sketches), then one sample per consult (the update arm runs a
+        // sketch's deferred fit; the refit after it is eager), then the
+        // cadence again. The reference is the protocol run by hand on
+        // eager forecasters: a refit is `forecast_path_uncached`, an
+        // update the last fit's forecaster, slid and rolled.
+        let paths: Vec<String> = ["a", "b", "c"].map(String::from).to_vec();
+        let mut ts = seeded_store(&[("a", 20.0), ("b", 12.0), ("c", 6.0)]);
+        let h = HecateService::new();
+        let metric = Metric::AvailableBandwidth;
+        let history = |ts: &TelemetryService, p: &str| {
+            ts.last_n(&SeriesKey::new(p, metric), h.history_window())
+        };
+        let mut eager: Vec<TrainedForecaster> = Vec::new();
+        let mut last: Vec<Vec<f64>> = Vec::new();
+        let mut fitted_after_refit = Vec::new();
+        let mut t = 60u64;
+        let step = h.refit_after;
+        let schedule = [0, step, step, step, 0]
+            .into_iter()
+            .chain([1; 12])
+            .chain([step, 0, step]);
+        for fresh in schedule {
+            for _ in 0..fresh {
+                for (i, p) in paths.iter().enumerate() {
+                    let v = 10.0 + 4.0 * i as f64 + (t as f64 / 3.0).sin() + (t % 7) as f64;
+                    ts.insert(&SeriesKey::new(p, metric), t * 1000, v);
+                }
+                t += 1;
+            }
+            let before = h.cache_stats();
+            let got = h.forecast_all(&ts, &paths, metric);
+            let after = h.cache_stats();
+            let arms = (
+                after.hits - before.hits,
+                after.updates - before.updates,
+                after.refits - before.refits,
+            );
+            assert_eq!(got.len(), paths.len());
+            for (i, (p, f)) in paths.iter().zip(&got).enumerate() {
+                let want = match arms {
+                    (0, 0, 3) => {
+                        let fit = TrainedForecaster::fit(h.model, &history(&ts, p), h.lags, h.seed);
+                        let uncached = h.forecast_path_uncached(&ts, p, metric).unwrap();
+                        if eager.len() <= i {
+                            eager.push(fit.unwrap());
+                        } else {
+                            eager[i] = fit.unwrap();
+                        }
+                        fitted_after_refit.push(h.cached_model_fitted(&ts, p, metric).unwrap());
+                        uncached.values
+                    }
+                    (0, 3, 0) => {
+                        eager[i].observe(*history(&ts, p).last().unwrap()).unwrap();
+                        assert_eq!(h.cached_model_fitted(&ts, p, metric), Some(true));
+                        eager[i].roll(h.horizon).unwrap()
+                    }
+                    (3, 0, 0) => last[i].clone(),
+                    other => panic!("arms {other:?} after {fresh} samples"),
+                };
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&f.values), bits(&want), "{p} after {fresh} samples");
+            }
+            last = got.into_iter().map(|f| f.values).collect();
+        }
+        // The counts this call sequence gave while every refit was
+        // eager: sketching moves none of them.
+        let stats = h.cache_stats();
+        assert_eq!((stats.hits, stats.updates, stats.refits), (6, 33, 21));
+        // First fit eager; three sketches; in phase two the eager refit
+        // after re-rolls; in phase three an eager refit (its predecessor
+        // was re-rolled), then a sketch.
+        let per_refit: Vec<bool> = fitted_after_refit.chunks(3).map(|c| c[0]).collect();
+        assert!(fitted_after_refit
+            .chunks(3)
+            .all(|c| c.iter().all(|f| *f == c[0])));
+        assert_eq!(per_refit, [true, false, false, false, true, true, false]);
     }
 }

@@ -7,7 +7,7 @@ use framework::controller::{decide_flows_pairs, PathDecision, SequenceLog};
 use framework::hecate::HecateService;
 use framework::optimizer::{FlowDemand, Objective, SharedLinkModel};
 use framework::telemetry::{Metric, SeriesKey, TelemetryService};
-use hecate_ml::pipeline::forecast_next;
+use hecate_ml::pipeline::TrainedForecaster;
 use hecate_ml::RegressorKind;
 use proptest::prelude::*;
 
@@ -63,7 +63,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Satellite: a cache-hit forecast is bitwise-identical to a fresh
-    /// `forecast_next` when no new samples arrived — for arbitrary
+    /// eager fit-then-roll when no new samples arrived — for arbitrary
     /// series content, arbitrary history length and both a
     /// deterministic and a seeded-stochastic model.
     #[test]
@@ -82,9 +82,11 @@ proptest! {
         let first = h.forecast_path(&ts, "p", Metric::AvailableBandwidth).unwrap();
         // ... then hit, with zero new samples in between
         let hit = h.forecast_path(&ts, "p", Metric::AvailableBandwidth).unwrap();
-        // the reference: fitting from scratch on the exact same history
+        // the reference: an eager fit from scratch on the exact same
+        // history, rolled (`forecast_next` sketches, as a refit may)
         let history = ts.last_n(&key, 120.max(h.min_history()));
-        let fresh = forecast_next(kind, &history, h.lags, h.horizon, h.seed).unwrap();
+        let mut eager = TrainedForecaster::fit(kind, &history, h.lags, h.seed).unwrap();
+        let fresh = eager.roll(h.horizon).unwrap();
         prop_assert_eq!(&hit.values, &fresh, "cache hit must not change bits");
         prop_assert_eq!(&hit.values, &first.values);
         let stats = h.cache_stats();
