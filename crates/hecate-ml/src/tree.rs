@@ -415,7 +415,7 @@ pub(crate) struct LazyTree<'t> {
 }
 
 /// One node of a [`LazyTree`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 enum Lazy {
     /// Not grown yet: its range of the orders, and its depth.
     Pending {
