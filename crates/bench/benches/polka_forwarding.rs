@@ -1,7 +1,7 @@
 //! Bench: the PolKA forwarding primitive vs the port-switching baseline.
 //!
 //! Measures (a) per-hop work: one polynomial `mod` (PolKA, the node's
-//! byte-table reduction) vs one list pop + header rewrite (segment list); and
+//! position-table reduction) vs one list pop + header rewrite (segment list); and
 //! (b) controller-side route compilation (CRT) as path length grows —
 //! the ablation called out in DESIGN.md §6.
 

@@ -54,12 +54,6 @@ impl PolkaHeader {
     /// Encodes into a fresh buffer.
     pub fn encode(&self) -> Bytes {
         let mut buf = BytesMut::with_capacity(self.wire_len());
-        self.encode_into(&mut buf);
-        buf.freeze()
-    }
-
-    /// Appends the encoding to an existing buffer.
-    pub fn encode_into(&self, buf: &mut BytesMut) {
         buf.put_u8(self.version);
         buf.put_u8(self.ttl);
         let limbs = self.route.poly().limbs();
@@ -68,6 +62,7 @@ impl PolkaHeader {
         for &l in limbs {
             buf.put_u64(l);
         }
+        buf.freeze()
     }
 
     /// Decodes a header, consuming bytes from the front of `buf`.

@@ -21,8 +21,10 @@
 //! * [`NodeId`] / [`PortId`] and a deterministic [`NodeIdAllocator`]
 //!   (distinct irreducible polynomials are pairwise coprime, as CRT needs);
 //! * [`RouteSpec`] → [`RouteId`] compilation ([`RouteSpec::compile`]) and
-//!   per-hop forwarding ([`CoreNode::forward`], a byte-table reduction —
-//!   the CRC datapath — of the routeID by the nodeID);
+//!   per-hop forwarding ([`CoreNode::forward`]: the routeID reduced by
+//!   the nodeID through ten byte-position tables per 64-bit limb, the
+//!   sliced CRC datapath, for nodeIDs of degree 1..=16; wider ones
+//!   divide);
 //! * an on-wire [`header::PolkaHeader`] codec;
 //! * the classic **port-switching** baseline ([`baseline::SegmentListRoute`])
 //!   the paper compares against conceptually (pop-one-label-per-hop);

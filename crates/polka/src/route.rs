@@ -84,93 +84,95 @@ impl RouteSpec {
 
 /// `routeID mod nodeID` by long division: what a walker that visits each
 /// node once uses instead of building a [`CoreNode`], and what a
-/// `CoreNode` wider than its byte table falls back to. `None` when the
-/// remainder is not a port label.
+/// `CoreNode` wider than its position tables falls back to. `None` when
+/// the remainder is not a port label.
 pub fn port_by_division(route: &RouteId, node: &NodeId) -> Option<PortId> {
     let rem = route.0.rem_ref(node.poly()).ok()?;
     PortId::from_poly(&rem)
 }
 
-/// The CRC datapath of one node: `T[b] = (b·t^d) mod nodeID` for every
-/// byte `b`, `d = deg(nodeID)`. Reducing `r·t^8 + byte` (with
-/// `deg r < d`) is then one shift, one mask and one lookup, because its
-/// bits at and above `t^d` are exactly one byte.
+/// The CRC datapath of one node, sliced by byte position: `T_i[b] =
+/// (b·t^(8i)) mod nodeID` for the eight bytes of a limb (`i < 8`) and
+/// the two bytes of the remainder carried into the next limb (`i = 8,
+/// 9`). Reducing `r·t^64 + limb` is then, by linearity, the XOR of ten
+/// lookups that do not wait on one another: the slicing-by-8 CRC
+/// technique, where a serial byte table needs eight dependent ones.
 #[derive(Clone)]
-struct ByteTable {
-    degree: u32,
-    table: [u64; 256],
+struct PositionTables {
+    tables: [[u16; 256]; 10],
 }
 
-impl ByteTable {
-    /// The widest nodeID whose `d + 8`-bit intermediate fits a `u64`.
-    const MAX_DEGREE: usize = 56;
+impl PositionTables {
+    /// The widest nodeID whose remainder fits the two carried bytes,
+    /// and the `u16` entries: every port label.
+    const MAX_DEGREE: usize = 16;
 
-    /// `None` for a nodeID the table cannot serve (degree 0 or above
-    /// [`ByteTable::MAX_DEGREE`]).
-    fn new(node: &Poly) -> Option<ByteTable> {
+    /// `None` for a nodeID the tables cannot serve (degree 0 or above
+    /// [`PositionTables::MAX_DEGREE`]).
+    fn new(node: &Poly) -> Option<PositionTables> {
         let degree = node.degree()?;
         if !(1..=Self::MAX_DEGREE).contains(&degree) {
             return None;
         }
-        let g = node.low_bits();
-        let mut table = [0u64; 256];
-        // t^(d+k) mod g for k = 0..8, then every byte by linearity.
-        let mut power = g ^ (1 << degree);
-        for k in 0..8 {
-            table[1 << k] = power;
-            power <<= 1;
-            if (power >> degree) & 1 == 1 {
-                power ^= g;
+        let g = node.low_bits() as u32;
+        let mut tables = [[0u16; 256]; 10];
+        // t^j mod g for j = 0..80, eight per table, then every byte by
+        // linearity.
+        let mut power = 1u32;
+        for table in &mut tables {
+            for k in 0..8 {
+                table[1 << k] = power as u16;
+                power <<= 1;
+                if (power >> degree) & 1 == 1 {
+                    power ^= g;
+                }
+            }
+            for b in 1..256usize {
+                let low = b & b.wrapping_neg();
+                table[b] = table[b ^ low] ^ table[low];
             }
         }
-        for b in 1..256usize {
-            let low = b & b.wrapping_neg();
-            table[b] = table[b ^ low] ^ table[low];
-        }
-        Some(ByteTable {
-            degree: degree as u32,
-            table,
-        })
+        Some(PositionTables { tables })
     }
 
-    /// `limbs mod nodeID`, most-significant byte first.
+    /// `limbs mod nodeID`, most-significant limb first.
     #[inline]
-    fn reduce(&self, limbs: &[u64]) -> u64 {
-        let mask = (1u64 << self.degree) - 1;
-        let mut r = 0u64;
+    fn reduce(&self, limbs: &[u64]) -> u16 {
+        let t = &self.tables;
+        let mut r = 0u16;
         for limb in limbs.iter().rev() {
-            for byte in limb.to_be_bytes() {
-                // r < 2^d, so x < 2^(d+8) and x >> d is one byte.
-                let x = (r << 8) ^ byte as u64;
-                r = (x & mask) ^ self.table[(x >> self.degree) as u8 as usize];
-            }
+            let b = limb.to_le_bytes().map(usize::from);
+            let [lo, hi] = r.to_le_bytes().map(usize::from);
+            r = (t[0][b[0]] ^ t[1][b[1]] ^ t[2][b[2]] ^ t[3][b[3]])
+                ^ (t[4][b[4]] ^ t[5][b[5]] ^ t[6][b[6]] ^ t[7][b[7]])
+                ^ (t[8][lo] ^ t[9][hi]);
         }
         r
     }
 }
 
-impl std::fmt::Debug for ByteTable {
+impl std::fmt::Debug for PositionTables {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "ByteTable(degree {})", self.degree)
+        f.write_str("PositionTables")
     }
 }
 
 /// A stateless PolKA core node. Its entire forwarding state is one
-/// polynomial — there is no route table, only the byte table that
+/// polynomial — there is no route table, only the position tables that
 /// polynomial expands to (what a switch's CRC unit is configured with).
 #[derive(Debug, Clone)]
 pub struct CoreNode {
     id: NodeId,
-    /// `None` when the nodeID is wider than the table covers; such a
+    /// `None` when the nodeID is wider than the tables cover; such a
     /// node divides.
-    table: Option<ByteTable>,
+    tables: Option<PositionTables>,
 }
 
 impl CoreNode {
     /// Instantiates the data-plane element for a node.
     pub fn new(id: NodeId) -> Self {
-        let table = ByteTable::new(id.poly());
-        CoreNode { id, table }
+        let tables = PositionTables::new(id.poly());
+        CoreNode { id, tables }
     }
 
     /// The node's identity.
@@ -183,11 +185,10 @@ impl CoreNode {
     /// Returns `None` when the remainder does not decode to a port label,
     /// which a real switch would treat as "not for me / punt".
     pub fn forward(&mut self, route: &RouteId) -> Option<PortId> {
-        let Some(table) = &self.table else {
-            return port_by_division(route, &self.id);
-        };
-        let rem = table.reduce(route.0.limbs());
-        u16::try_from(rem).ok().map(PortId)
+        match &self.tables {
+            Some(tables) => Some(PortId(tables.reduce(route.0.limbs()))),
+            None => port_by_division(route, &self.id),
+        }
     }
 }
 

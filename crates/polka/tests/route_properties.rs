@@ -11,10 +11,10 @@ use proptest::test_runner::TestRng;
 use std::sync::OnceLock;
 
 /// Every nodeID an allocator can hand out for a `u16` port space — all
-/// irreducibles of degree 2..=16, where a remainder is always a port —
-/// plus the first irreducible of a few wider degrees: up to 56 the byte
-/// table still serves (and most remainders overflow a port), above it
-/// the node divides.
+/// irreducibles of degree 2..=16, which the position tables serve and
+/// where a remainder is always a port — plus the first irreducible of a
+/// few wider degrees, where the node divides and most remainders
+/// overflow a port.
 fn forwarding_nodes() -> &'static [NodeId] {
     static NODES: OnceLock<Vec<NodeId>> = OnceLock::new();
     NODES.get_or_init(|| {
