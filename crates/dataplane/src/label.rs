@@ -154,7 +154,7 @@ impl FlowRoute {
     }
 
     /// Compiles a PolKA route from a spec (CRT) and wraps it.
-    pub fn compile_polka(
+    fn compile_polka(
         ingress: netsim::NodeIdx,
         first_hop: netsim::NodeIdx,
         spec: &RouteSpec,
@@ -200,15 +200,6 @@ impl FlowRoute {
             Self::compile_polka(path[0], path[1], &spec)
         } else {
             Ok(Self::segments(path[0], path[1], &spec))
-        }
-    }
-
-    /// The on-wire PolKA shim header an ingress edge would emit for this
-    /// flow, or `None` for the segment-list baseline.
-    pub fn stamp_header(&self) -> Option<PolkaHeader> {
-        match &self.label {
-            FlowLabel::Polka(route) => Some(PolkaHeader::new(route.clone())),
-            FlowLabel::Segments(_) => None,
         }
     }
 }
@@ -278,11 +269,15 @@ mod tests {
         let spec = spec3();
         let polka =
             FlowRoute::compile_polka(netsim::NodeIdx(0), netsim::NodeIdx(1), &spec).unwrap();
-        let hdr = polka.stamp_header().unwrap();
-        let mut wire = hdr.encode();
+        let FlowLabel::Polka(route) = &polka.label else {
+            panic!("a PolKA route carries a routeID: {:?}", polka.label);
+        };
+        let mut wire = PolkaHeader::new(route.clone()).encode();
+        assert_eq!(
+            wire.len(),
+            polka.label.header_bytes(&PacketState::stamped())
+        );
         let back = PolkaHeader::decode(&mut wire).unwrap();
         assert_eq!(FlowLabel::Polka(back.route), polka.label);
-        let segs = FlowRoute::segments(netsim::NodeIdx(0), netsim::NodeIdx(1), &spec);
-        assert!(segs.stamp_header().is_none());
     }
 }

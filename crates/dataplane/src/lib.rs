@@ -28,6 +28,7 @@
 //! Everything is integer-nanosecond, allocation-light and free of RNG:
 //! two runs with the same inputs produce bit-identical counters.
 
+mod calendar;
 pub mod label;
 pub mod netem;
 pub mod plane;
@@ -49,6 +50,9 @@ pub enum DataplaneError {
     Topology(String),
     /// An unknown flow was referenced.
     UnknownFlow(String),
+    /// A traffic source the emulator cannot run (no payload, or a rate
+    /// that is NaN, negative or infinite).
+    Traffic(String),
 }
 
 impl std::fmt::Display for DataplaneError {
@@ -58,6 +62,7 @@ impl std::fmt::Display for DataplaneError {
             DataplaneError::Polka(e) => write!(f, "polka error: {e}"),
             DataplaneError::Topology(m) => write!(f, "topology error: {m}"),
             DataplaneError::UnknownFlow(n) => write!(f, "unknown flow {n:?}"),
+            DataplaneError::Traffic(m) => write!(f, "traffic error: {m}"),
         }
     }
 }

@@ -15,18 +15,19 @@
 //! `busy_until_ns` never decreases and its propagation delay is
 //! constant, so packets leave it in the order they entered — hence
 //! packets in flight wait in one `VecDeque` per directed link, and the
-//! heap holds only each non-empty link's front packet plus each
-//! source's next emission, keyed `(t_ns, seq)` with `seq` drawn from one
-//! global counter. That is the order a single heap of every packet
-//! would pop, at a fraction of the heap.
+//! queue of heads holds only each non-empty link's front packet plus
+//! each source's next emission, keyed `(t_ns, seq)` with `seq` drawn
+//! from one global counter. That is the order a single heap of every
+//! packet would pop. The heads sit in a calendar of time buckets
+//! (`crate::calendar`), which pops that order without a heap's sifts.
 
+use crate::calendar::Calendar;
 use crate::label::{PacketState, SourceRoute};
 use crate::plane::{DropReason, ForwardingPlane, HopOutcome};
 use crate::{DataplaneError, FlowRoute};
 use netsim::{LinkId, NodeIdx, Topology};
 use polka::NodeIdAllocator;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 /// Default drop-tail queue depth per directed link (bytes): ~25 ms at
@@ -45,6 +46,30 @@ pub struct TrafficSpec {
     pub payload_bytes: u32,
     /// Offered load in Mbps (payload basis).
     pub rate_mbps: f64,
+}
+
+/// Refuses a source the emulator cannot run: one without payload, or
+/// one offered a rate that is NaN, negative or infinite. An infinite
+/// rate or an empty packet would emit every nanosecond, and NaN or a
+/// negative rate would silently emit at the floor. A zero rate is a
+/// source that emits at the 1e-6 Mbps floor. `source` names it in the
+/// error.
+pub fn check_source(
+    source: &str,
+    payload_bytes: u32,
+    rate_mbps: f64,
+) -> Result<(), DataplaneError> {
+    if payload_bytes == 0 {
+        return Err(DataplaneError::Traffic(format!(
+            "{source}: a packet needs a payload"
+        )));
+    }
+    if !(0.0..f64::INFINITY).contains(&rate_mbps) {
+        return Err(DataplaneError::Traffic(format!(
+            "{source}: rate {rate_mbps} Mbps is not finite and non-negative"
+        )));
+    }
+    Ok(())
 }
 
 /// Cumulative per-flow counters.
@@ -71,14 +96,6 @@ pub struct FlowReport {
 }
 
 impl FlowReport {
-    /// Mean one-way delivery latency in milliseconds.
-    pub fn mean_latency_ms(&self) -> f64 {
-        if self.delivered == 0 {
-            return 0.0;
-        }
-        self.latency_sum_ns as f64 / self.delivered as f64 / 1e6
-    }
-
     /// Delivered payload goodput over a window (Mbps).
     pub fn goodput_mbps(&self, window_ns: u64) -> f64 {
         if window_ns == 0 {
@@ -247,18 +264,15 @@ fn directed_links(topo: &Topology) -> Result<Vec<DirLink>, DataplaneError> {
     Ok(dirs)
 }
 
-/// Where the head heap's entry comes from.
+/// Where a head comes from. Heads are keyed `(t_ns, seq)`, and `seq`
+/// is unique, so the source never decides an order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Source {
     /// A flow's next emission.
-    Flow(usize),
+    Flow(u32),
     /// The front packet of a directed link's FIFO.
-    Link(usize),
+    Link(u32),
 }
-
-/// `(t_ns, seq, source)`, min-first; `seq` is unique, so the source
-/// never decides an order.
-type Head = Reverse<(u64, u64, Source)>;
 
 #[derive(Debug)]
 struct FlowState {
@@ -306,7 +320,7 @@ pub struct PacketNet {
     by_name: HashMap<String, usize>,
     /// One entry per flow (its next emission) and one per directed link
     /// with packets in flight (its front packet).
-    heads: BinaryHeap<Head>,
+    heads: Calendar<Source>,
     now_ns: u64,
     /// Event sequence counter, shared by emissions and packets.
     seq: u64,
@@ -339,7 +353,7 @@ impl PacketNet {
             dirs,
             flows: Vec::new(),
             by_name: HashMap::new(),
-            heads: BinaryHeap::new(),
+            heads: Calendar::new(),
             now_ns: 0,
             seq: 0,
             window_open_ns: 0,
@@ -391,8 +405,10 @@ impl PacketNet {
     }
 
     /// Registers a traffic source. The first packet is emitted with a
-    /// per-flow phase offset so sources do not burst in lockstep.
+    /// per-flow phase offset so sources do not burst in lockstep. A
+    /// source [`check_source`] refuses is not registered.
     pub fn add_flow(&mut self, spec: TrafficSpec) -> Result<(), DataplaneError> {
+        check_source(&spec.name, spec.payload_bytes, spec.rate_mbps)?;
         if self.by_name.contains_key(&spec.name) {
             return Err(DataplaneError::Route(format!(
                 "flow {:?} already exists",
@@ -474,8 +490,7 @@ impl PacketNet {
 
     fn schedule_emit(&mut self, t_ns: u64, flow: usize) {
         self.seq += 1;
-        self.heads
-            .push(Reverse((t_ns, self.seq, Source::Flow(flow))));
+        self.heads.push(t_ns, self.seq, Source::Flow(flow as u32));
     }
 
     /// Puts a packet on directed link `dir`, due at the far end at
@@ -489,8 +504,7 @@ impl PacketNet {
             "a directed link delivers in the order it was entered"
         );
         if fifo.is_empty() {
-            self.heads
-                .push(Reverse((t_ns, self.seq, Source::Link(dir))));
+            self.heads.push(t_ns, self.seq, Source::Link(dir as u32));
         }
         fifo.push_back((t_ns, self.seq, packet));
     }
@@ -501,21 +515,17 @@ impl PacketNet {
     /// window.
     pub fn run_window(&mut self, window_ns: u64) -> WindowReport {
         let end = self.now_ns + window_ns;
-        while let Some(&Reverse((t_ns, _, source))) = self.heads.peek() {
-            if t_ns > end {
-                break;
-            }
-            self.heads.pop();
+        while let Some((t_ns, _, source)) = self.heads.pop_through(end) {
             self.now_ns = t_ns;
             match source {
-                Source::Flow(flow) => self.emit(flow),
+                Source::Flow(flow) => self.emit(flow as usize),
                 Source::Link(dir) => {
-                    let link = &mut self.dirs[dir];
+                    let link = &mut self.dirs[dir as usize];
                     let Some((_, _, packet)) = link.in_flight.pop_front() else {
                         continue;
                     };
                     if let Some(&(t_ns, seq, _)) = link.in_flight.front() {
-                        self.heads.push(Reverse((t_ns, seq, Source::Link(dir))));
+                        self.heads.push(t_ns, seq, Source::Link(dir));
                     }
                     let at = link.to;
                     self.arrive(at, packet);
@@ -715,6 +725,7 @@ fn window_report(
 #[cfg(test)]
 mod reference {
     use super::*;
+    use std::collections::BinaryHeap;
 
     enum EvKind {
         Emit {
@@ -964,7 +975,8 @@ mod tests {
         );
         assert_eq!(f.report.pot_rejected, 0);
         // Latency ~ serialization + 29 ms propagation on MIA-SAO-AMS.
-        let lat = net.flow_report("f1").unwrap().mean_latency_ms();
+        let r = net.flow_report("f1").unwrap();
+        let lat = r.latency_sum_ns as f64 / r.delivered as f64 / 1e6;
         assert!((25.0..40.0).contains(&lat), "latency {lat}");
     }
 
@@ -1173,6 +1185,64 @@ mod tests {
         assert!(net.add_flow(spec).is_err());
         assert!(net.set_route("ghost", route).is_err());
         assert!(net.flow_report("ghost").is_none());
+    }
+
+    /// Adds `f1` with the given payload and rate to a fresh lab net.
+    fn add_source(payload_bytes: u32, rate_mbps: f64) -> (PacketNet, Result<(), DataplaneError>) {
+        let (topo, mut alloc, mut net) = lab_net();
+        let route = route_for(&topo, &mut alloc, &["MIA", "SAO", "AMS"]);
+        let added = net.add_flow(TrafficSpec {
+            name: "f1".into(),
+            route,
+            payload_bytes,
+            rate_mbps,
+        });
+        (net, added)
+    }
+
+    /// A refused source leaves nothing behind: no flow, no emission.
+    fn assert_refused(payload_bytes: u32, rate_mbps: f64) {
+        let (mut net, added) = add_source(payload_bytes, rate_mbps);
+        assert!(
+            matches!(added, Err(DataplaneError::Traffic(_))),
+            "{payload_bytes} B at {rate_mbps} Mbps: {added:?}"
+        );
+        assert!(net.flow_report("f1").is_none());
+        let w = net.run_window(10 * MS);
+        assert!(w.flows.is_empty());
+        assert!(w.links.iter().all(|l| l.report.tx_pkts == 0));
+    }
+
+    #[test]
+    fn an_empty_payload_is_refused() {
+        assert_refused(0, 8.0);
+    }
+
+    #[test]
+    fn an_infinite_rate_is_refused() {
+        assert_refused(1250, f64::INFINITY);
+    }
+
+    #[test]
+    fn a_nan_rate_is_refused() {
+        assert_refused(1250, f64::NAN);
+    }
+
+    #[test]
+    fn a_negative_rate_is_refused() {
+        assert_refused(1250, -2.0);
+        assert_refused(1250, f64::NEG_INFINITY);
+    }
+
+    #[test]
+    fn a_zero_rate_emits_at_the_floor() {
+        // 1250 B at 1e-6 Mbps is one packet per 10^4 s: the first one
+        // goes out within a second (its phase offset), then no more.
+        let (mut net, added) = add_source(1250, 0.0);
+        added.unwrap();
+        let w = net.run_window(1000 * MS);
+        assert_eq!(w.flows[0].report.emitted, 1);
+        assert_eq!(net.run_window(1000 * MS).flows[0].report.emitted, 0);
     }
 
     /// The equivalence cases below are seeded, not sampled.

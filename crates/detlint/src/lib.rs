@@ -104,6 +104,7 @@ const BARE_PANIC_FILES: &[&str] = &[
     "crates/dataplane/src/plane.rs",
     "crates/dataplane/src/shard.rs",
     "crates/dataplane/src/netem.rs",
+    "crates/dataplane/src/calendar.rs",
     // `CoreNode::forward` runs once per packet per hop.
     "crates/polka/src/route.rs",
     // Every model's fit and roll runs inside a consult, whichever model

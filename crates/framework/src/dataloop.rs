@@ -19,6 +19,7 @@
 
 use crate::sdn::SelfDrivingNetwork;
 use crate::FrameworkError;
+use dataplane::netem::check_source;
 use dataplane::{FlowRoute, PacketNet, TrafficSpec};
 use netsim::NodeIdx;
 use std::collections::HashMap;
@@ -145,8 +146,12 @@ impl SelfDrivingNetwork {
     /// Builds the packet-level data plane over the current topology and
     /// starts one probe stream per tunnel. Uses the same node-ID
     /// allocator that compiled the tunnels, so stamped routeIDs and the
-    /// plane's core nodes agree.
+    /// plane's core nodes agree. A config whose probe or managed-flow
+    /// source [`dataplane::netem::check_source`] refuses attaches
+    /// nothing.
     pub fn attach_dataplane(&mut self, cfg: DataplaneConfig) -> Result<(), FrameworkError> {
+        check_source("probe streams", cfg.probe_bytes, cfg.probe_rate_mbps)?;
+        check_source("managed flows", cfg.flow_bytes, cfg.default_flow_mbps)?;
         let mut plane = PacketPlane {
             net: PacketNet::new(&self.sim.topo, &mut self.alloc)?,
             cfg,
@@ -344,6 +349,46 @@ mod tests {
         let mut sdn = SelfDrivingNetwork::testbed(5).unwrap();
         sdn.attach_dataplane(DataplaneConfig::default()).unwrap();
         sdn
+    }
+
+    #[test]
+    fn a_config_the_emulator_cannot_run_attaches_nothing() {
+        let bad = [
+            DataplaneConfig {
+                probe_bytes: 0,
+                ..DataplaneConfig::default()
+            },
+            DataplaneConfig {
+                probe_rate_mbps: f64::INFINITY,
+                ..DataplaneConfig::default()
+            },
+            DataplaneConfig {
+                flow_bytes: 0,
+                ..DataplaneConfig::default()
+            },
+            DataplaneConfig {
+                default_flow_mbps: f64::NAN,
+                ..DataplaneConfig::default()
+            },
+            DataplaneConfig {
+                default_flow_mbps: -1.0,
+                ..DataplaneConfig::default()
+            },
+        ];
+        for cfg in bad {
+            let mut sdn = SelfDrivingNetwork::testbed(5).unwrap();
+            let refused = sdn.attach_dataplane(cfg.clone());
+            assert!(
+                matches!(
+                    refused,
+                    Err(FrameworkError::Dataplane(
+                        dataplane::DataplaneError::Traffic(_)
+                    ))
+                ),
+                "{cfg:?}: {refused:?}"
+            );
+            assert!(sdn.dataplane().is_none());
+        }
     }
 
     #[test]

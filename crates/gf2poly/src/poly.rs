@@ -46,7 +46,8 @@ impl Poly {
     /// Builds a polynomial from the exponents with non-zero coefficients.
     ///
     /// `Poly::from_coeffs(&[0, 1, 3])` is `t^3 + t + 1`.
-    pub fn from_coeffs(exponents: &[usize]) -> Self {
+    #[cfg(test)]
+    fn from_coeffs(exponents: &[usize]) -> Self {
         let mut p = Poly::zero();
         for &e in exponents {
             // Duplicate exponents cancel in GF(2); use XOR semantics.
@@ -139,7 +140,7 @@ impl Poly {
     }
 
     /// Sets the coefficient of `t^i`.
-    pub fn set_coeff(&mut self, i: usize, value: bool) {
+    fn set_coeff(&mut self, i: usize, value: bool) {
         let (limb, bit) = (i / LIMB_BITS, i % LIMB_BITS);
         if value {
             if self.limbs.len() <= limb {
@@ -159,7 +160,7 @@ impl Poly {
     }
 
     /// In-place addition (XOR).
-    pub fn add_assign_ref(&mut self, rhs: &Poly) {
+    fn add_assign_ref(&mut self, rhs: &Poly) {
         if self.limbs.len() < rhs.limbs.len() {
             self.limbs.resize(rhs.limbs.len(), 0);
         }
@@ -170,7 +171,7 @@ impl Poly {
     }
 
     /// Multiplies by `t^k` (left shift).
-    pub fn shl(&self, k: usize) -> Poly {
+    fn shl(&self, k: usize) -> Poly {
         if self.is_zero() {
             return Poly::zero();
         }
