@@ -20,7 +20,7 @@ use std::hint::black_box;
 fn bench_batch_per_hop(c: &mut Criterion) {
     let mut group = c.benchmark_group("packet_forwarding/batch_per_hop");
     for (mode, is_polka) in [("polka", true), ("seglist", false)] {
-        let (plane, items) = forwarding_workload(is_polka, 1024);
+        let (plane, items, _) = forwarding_workload(is_polka, 1024);
         let route = items[0].route.clone();
         let mut local = plane.clone();
         group.bench_function(BenchmarkId::new(mode, "1024pkts_4hops"), |b| {
@@ -32,7 +32,7 @@ fn bench_batch_per_hop(c: &mut Criterion) {
 
 fn bench_sharded(c: &mut Criterion) {
     let mut group = c.benchmark_group("packet_forwarding/sharded");
-    let (plane, items) = forwarding_workload(true, 2048);
+    let (plane, items, _) = forwarding_workload(true, 2048);
     for shards in [1usize, 4] {
         group.bench_with_input(
             BenchmarkId::new("polka_8flows", shards),

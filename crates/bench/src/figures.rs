@@ -516,26 +516,74 @@ pub fn decision_throughput(paths: usize, cold_flows: usize, warm_flows: usize) -
 
 /// The packet-forwarding workload shared by the scaling figure and its
 /// tests: a 16-node mesh, 8 ingress flows on identical-length (4-hop)
-/// ring walks, each expressible as a PolKA routeID or a segment list.
+/// ring walks, each expressible as a PolKA routeID or a segment list,
+/// plus each item's encoded hops (the nodeIDs its packets visit, in
+/// path order).
 pub fn forwarding_workload(
     polka: bool,
     packets_per_flow: usize,
-) -> (dataplane::ForwardingPlane, Vec<dataplane::shard::WorkItem>) {
+) -> (
+    dataplane::ForwardingPlane,
+    Vec<dataplane::shard::WorkItem>,
+    Vec<Vec<polka::NodeId>>,
+) {
     use netsim::NodeIdx;
     let topo = netsim::topo::mesh(16, 4, 100.0);
     let mut alloc = polka::NodeIdAllocator::for_network(topo.node_count(), topo.max_port().max(1));
-    let items: Vec<dataplane::shard::WorkItem> = (0..8u32)
-        .map(|i| {
-            let path: Vec<NodeIdx> = (0..5).map(|k| NodeIdx((i + k) % 16)).collect();
-            dataplane::shard::WorkItem {
-                route: dataplane::FlowRoute::along_path(&topo, &mut alloc, &path, polka)
-                    .expect("route compiles"),
-                count: packets_per_flow,
-            }
+    let paths: Vec<Vec<NodeIdx>> = (0..8u32)
+        .map(|i| (0..5).map(|k| NodeIdx((i + k) % 16)).collect())
+        .collect();
+    let items: Vec<dataplane::shard::WorkItem> = (paths.iter())
+        .map(|path| dataplane::shard::WorkItem {
+            route: dataplane::FlowRoute::along_path(&topo, &mut alloc, path, polka)
+                .expect("route compiles"),
+            count: packets_per_flow,
+        })
+        .collect();
+    let hops = (paths.iter())
+        .map(|path| {
+            path[1..]
+                .iter()
+                .map(|&n| alloc.get(topo.node_name(n)).expect("assigned").clone())
+                .collect()
         })
         .collect();
     let plane = dataplane::ForwardingPlane::new(&topo, &mut alloc).expect("plane");
-    (plane, items)
+    (plane, items, hops)
+}
+
+/// How many times faster the 1-shard PolKA batch forwards than long
+/// division ([`polka::route::port_by_division`]) reduces the same hops:
+/// the median of `rounds` rounds, each timing the two back to back. A
+/// ratio of two kernels timed in one process moves with the code, not
+/// with the host's clock, which is what `repro forwarding` gates.
+pub fn polka_over_division(packets_per_flow: usize, rounds: usize) -> f64 {
+    use dataplane::{shard_critical_path, FlowLabel};
+    use std::hint::black_box;
+    let (plane, items, hops) = forwarding_workload(true, packets_per_flow);
+    let mut ratios: Vec<f64> = (0..rounds.max(1))
+        .map(|_| {
+            let (_, batch_ns) = shard_critical_path(&plane, &items, 1);
+            let t0 = std::time::Instant::now();
+            let mut ports = 0u64;
+            for (item, nodes) in items.iter().zip(&hops) {
+                let FlowLabel::Polka(route) = &item.route.label else {
+                    unreachable!("the mesh was built with PolKA labels");
+                };
+                for _ in 0..item.count {
+                    for node in nodes {
+                        let port = polka::route::port_by_division(black_box(route), node);
+                        ports += port.map_or(0, |p| u64::from(p.0));
+                    }
+                }
+            }
+            black_box(ports);
+            let division_ns = t0.elapsed().as_nanos().max(1) as f64;
+            division_ns / batch_ns[0].max(1) as f64
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
 }
 
 /// One row of the forwarding-throughput figure.
@@ -582,7 +630,7 @@ pub fn forwarding_scaling(packets_per_flow: usize) -> ForwardingReport {
     let mut rows = Vec::new();
     let mut label_bits = (0usize, 0usize);
     for (mode, is_polka) in [("polka", true), ("seglist", false)] {
-        let (plane, items) = forwarding_workload(is_polka, packets_per_flow);
+        let (plane, items, _) = forwarding_workload(is_polka, packets_per_flow);
         if is_polka {
             label_bits.0 = items[0].route.label.label_bits();
         } else {
