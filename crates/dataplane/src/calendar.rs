@@ -2,7 +2,7 @@
 //!
 //! [`crate::netem::PacketNet`] keeps one head per flow (its next
 //! emission) and one per backlogged directed link (its front packet):
-//! about 150 on the loopbench fat tree, each due within milliseconds of
+//! about 160 on the loopbench fat tree, each due within milliseconds of
 //! the clock. A ring of `RING` buckets, `2^WIDTH_BITS` ns each, covers
 //! the next 16.8 ms. A bucket is a list kept in `(t_ns, seq)` order,
 //! threaded through one slab with a free list, and a two-level bitmap
