@@ -9,7 +9,7 @@
 //!   max_depth=3, loss="squared_error")` — stage-wise fitting of residuals.
 
 use crate::model::Regressor;
-use crate::tree::{DecisionTreeRegressor, Forest, Presort, TreeBuilder};
+use crate::tree::{Forest, Presort, TreeBuilder};
 use crate::MlError;
 use linalg::stats::weighted_median;
 use linalg::Matrix;
@@ -61,11 +61,11 @@ impl Regressor for AdaBoostRegressor {
         self.estimators = Forest::default();
         self.log_betas.clear();
         let (mut builder, rows) = (TreeBuilder::new(&pre), pre.all_rows());
-        let config = DecisionTreeRegressor::with_max_depth(self.max_depth).config;
+        let max_depth = Some(self.max_depth);
         // Every round that goes on keeps its tree, so round `k` fits
         // tree `k`.
         for round in 0..self.n_estimators {
-            builder.fit(config, &rows, y, Some(&w), &mut self.estimators);
+            builder.fit(max_depth, &rows, y, Some(&w), &mut self.estimators);
             let pred = self.estimators.predict_tree(round, x);
             // linear loss normalized by the max absolute error
             let abs_err: Vec<f64> = y.iter().zip(&pred).map(|(a, b)| (a - b).abs()).collect();
@@ -190,10 +190,10 @@ impl Regressor for GradientBoostingRegressor {
         self.stages = Forest::default();
         let mut current: Vec<f64> = vec![self.init; y.len()];
         let (mut builder, rows) = (TreeBuilder::new(&pre), pre.all_rows());
-        let config = DecisionTreeRegressor::with_max_depth(self.max_depth).config;
+        let max_depth = Some(self.max_depth);
         for stage in 0..self.n_estimators {
             let residual: Vec<f64> = y.iter().zip(&current).map(|(a, b)| a - b).collect();
-            builder.fit(config, &rows, &residual, None, &mut self.stages);
+            builder.fit(max_depth, &rows, &residual, None, &mut self.stages);
             let update = self.stages.predict_tree(stage, x);
             for (c, u) in current.iter_mut().zip(&update) {
                 *c += self.learning_rate * u;
@@ -221,6 +221,7 @@ impl Regressor for GradientBoostingRegressor {
 mod tests {
     use super::*;
     use crate::metrics::rmse;
+    use crate::tree::DecisionTreeRegressor;
 
     fn smooth_data(n: usize) -> (Matrix, Vec<f64>) {
         let rows: Vec<Vec<f64>> = (0..n)

@@ -2,15 +2,16 @@
 //!
 //! scikit-learn defaults mirrored: `RandomForestRegressor(n_estimators=100,
 //! max_features=1.0, bootstrap=True)` and `BaggingRegressor(n_estimators=10,
-//! max_samples=1.0, bootstrap=True)` over full-depth CART trees.
+//! max_samples=1.0, bootstrap=True)` over full-depth CART trees. With
+//! every feature at every split the two differ only in their tree count.
 //!
 //! Tree fitting is embarrassingly parallel and runs on scoped threads
-//! ([`linalg::par::par_map_indexed`]); per-tree RNG streams are derived
-//! deterministically from the ensemble seed so parallel and sequential
-//! fits produce identical forests.
+//! ([`linalg::par::par_map_indexed`]); per-tree bootstrap streams are
+//! derived deterministically from the ensemble seed so parallel and
+//! sequential fits produce identical forests.
 
 use crate::model::Regressor;
-use crate::tree::{Forest, Presort, TreeBuilder, TreeConfig};
+use crate::tree::{Forest, Presort, TreeBuilder};
 use crate::MlError;
 use linalg::par::{par_map_indexed, worker_count};
 use linalg::Matrix;
@@ -28,30 +29,26 @@ fn presort(x: &Matrix, y: &[f64], n_estimators: usize) -> Result<Presort, MlErro
     Presort::new(x, y)
 }
 
-/// Tree `k`'s draws, all from its own RNG stream: its bootstrap, into
-/// `sample` (as many rows as the data has), and its config's seed.
-fn draw_tree(seed: u64, k: usize, base_config: &TreeConfig, sample: &mut [u32]) -> TreeConfig {
+/// Tree `k`'s bootstrap, into `sample` (as many rows as the data has),
+/// from its own RNG stream.
+fn draw_tree(seed: u64, k: usize, sample: &mut [u32]) {
     let mut rng = StdRng::seed_from_u64(seed ^ (k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let n = sample.len();
     for row in sample.iter_mut() {
         *row = rng.gen_range(0..n) as u32;
     }
-    TreeConfig {
-        seed: rng.gen(),
-        ..*base_config
-    }
 }
 
-/// Fits `n_estimators` bootstrap trees over one shared [`Presort`].
-/// Trees are dealt to `workers` scoped threads in contiguous chunks,
-/// one reusable [`TreeBuilder`] each; tree `k` draws everything from
-/// its own RNG stream and a worker writes its trees into one chunk of
-/// the arena, so the forest does not depend on `workers`.
+/// Fits `n_estimators` full-depth bootstrap trees over one shared
+/// [`Presort`]. Trees are dealt to `workers` scoped threads in
+/// contiguous chunks, one reusable [`TreeBuilder`] each; tree `k` draws
+/// its bootstrap from its own RNG stream and a worker writes its trees
+/// into one chunk of the arena, so the forest does not depend on
+/// `workers`.
 fn fit_forest(
     x: &Matrix,
     y: &[f64],
     n_estimators: usize,
-    base_config: &TreeConfig,
     seed: u64,
     workers: usize,
 ) -> Result<Forest, MlError> {
@@ -62,8 +59,8 @@ fn fit_forest(
         let mut sample = vec![0u32; x.rows()];
         let mut trees = Forest::default();
         for k in c * chunk..n_estimators.min((c + 1) * chunk) {
-            let config = draw_tree(seed, k, base_config, &mut sample);
-            builder.fit(config, &sample, y, None, &mut trees);
+            draw_tree(seed, k, &mut sample);
+            builder.fit(None, &sample, y, None, &mut trees);
         }
         trees
     });
@@ -74,13 +71,12 @@ fn fit_forest(
 /// walk, on one thread. `run` gets the forest's predictor: the mean over
 /// trees, summed in tree order like [`row_mean`], of each tree's leaf,
 /// growing [`TreeBuilder::lazy_leaf`]'s way. Bit for bit the fitted
-/// forest's prediction for every row; `base_config` has no feature
-/// subset. Errors as [`fit_forest`] does, before `run` is called.
+/// forest's prediction for every row. Errors as [`fit_forest`] does,
+/// before `run` is called.
 fn sketch_forest<T>(
     x: &Matrix,
     y: &[f64],
     n_estimators: usize,
-    base_config: &TreeConfig,
     seed: u64,
     run: impl FnOnce(&mut dyn FnMut(&[f64]) -> f64) -> T,
 ) -> Result<T, MlError> {
@@ -89,8 +85,8 @@ fn sketch_forest<T>(
     let mut sample = vec![0u32; x.rows()];
     let mut trees: Vec<_> = (0..n_estimators)
         .map(|k| {
-            let config = draw_tree(seed, k, base_config, &mut sample);
-            builder.lazy(config, &sample, y)
+            draw_tree(seed, k, &mut sample);
+            builder.lazy(None, &sample, y)
         })
         .collect();
     Ok(run(&mut |row| {
@@ -119,11 +115,6 @@ fn predict_mean(trees: &Forest, x: &Matrix) -> Result<Vec<f64>, MlError> {
 pub struct RandomForestRegressor {
     /// Number of trees (scikit-learn default 100).
     pub n_estimators: usize,
-    /// Features considered per split (`None` = all, sklearn's regression
-    /// default `max_features=1.0`).
-    pub max_features: Option<usize>,
-    /// Maximum tree depth (`None` = unlimited).
-    pub max_depth: Option<usize>,
     /// Ensemble seed.
     pub seed: u64,
     trees: Forest,
@@ -133,8 +124,6 @@ impl Default for RandomForestRegressor {
     fn default() -> Self {
         RandomForestRegressor {
             n_estimators: 100,
-            max_features: None,
-            max_depth: None,
             seed: 0,
             trees: Forest::default(),
         }
@@ -168,47 +157,26 @@ impl RandomForestRegressor {
         self.trees.len()
     }
 
-    fn tree_config(&self) -> TreeConfig {
-        TreeConfig {
-            max_depth: self.max_depth,
-            max_features: self.max_features,
-            ..TreeConfig::default()
-        }
-    }
-
     /// What [`Regressor::fit`] on `(x, y)` and then `run` over
     /// [`Regressor::predict_row`] would compute, bit for bit, without
     /// the forest: `run` gets a predictor that grows each tree only along
     /// the paths its rows take, on one thread. For a fit that serves a
     /// handful of queries, all known before the next fit. Errors as the
-    /// fit does. `None` under a feature subset (`max_features`), whose
-    /// draws only the eager pre-order growth reproduces: fit instead.
+    /// fit does.
     pub(crate) fn sketch<T>(
         &self,
         x: &Matrix,
         y: &[f64],
         run: impl FnOnce(&mut dyn FnMut(&[f64]) -> f64) -> T,
-    ) -> Option<Result<T, MlError>> {
-        if self.max_features.is_some() {
-            return None;
-        }
-        let config = self.tree_config();
-        Some(sketch_forest(
-            x,
-            y,
-            self.n_estimators,
-            &config,
-            self.seed,
-            run,
-        ))
+    ) -> Result<T, MlError> {
+        sketch_forest(x, y, self.n_estimators, self.seed, run)
     }
 }
 
 impl Regressor for RandomForestRegressor {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), MlError> {
-        let config = self.tree_config();
         let workers = worker_count(self.n_estimators);
-        self.trees = fit_forest(x, y, self.n_estimators, &config, self.seed, workers)?;
+        self.trees = fit_forest(x, y, self.n_estimators, self.seed, workers)?;
         Ok(())
     }
 
@@ -264,8 +232,7 @@ impl BaggingRegressor {
 impl Regressor for BaggingRegressor {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), MlError> {
         let workers = worker_count(self.n_estimators);
-        let config = TreeConfig::default();
-        self.trees = fit_forest(x, y, self.n_estimators, &config, self.seed, workers)?;
+        self.trees = fit_forest(x, y, self.n_estimators, self.seed, workers)?;
         Ok(())
     }
 
@@ -377,14 +344,10 @@ mod tests {
         // Chunking trees over workers must not leak into a single bit:
         // tree k owns its RNG stream, builders carry no state over.
         let (x, y) = wavy_data(110);
-        let config = TreeConfig {
-            max_features: Some(2),
-            ..TreeConfig::default()
-        };
-        let one = fit_forest(&x, &y, 23, &config, 9, 1).unwrap();
+        let one = fit_forest(&x, &y, 23, 9, 1).unwrap();
         assert_eq!(one.len(), 23);
         for workers in [0, 2, 3, 8, 23, 50] {
-            let many = fit_forest(&x, &y, 23, &config, 9, workers).unwrap();
+            let many = fit_forest(&x, &y, 23, 9, workers).unwrap();
             assert_eq!(many.bits(), one.bits(), "{workers} workers");
         }
     }

@@ -215,12 +215,12 @@ impl TrainedForecaster {
     /// [`TrainedForecaster::fit`] and then
     /// [`TrainedForecaster::roll`]`(horizon)`, for a fit that may serve
     /// no other roll: the same forecaster and, bit for bit, the same
-    /// forecast, with the same errors from the same checks. For RFR
-    /// (without a feature subset) it grows no forest: each tree grows
-    /// only the nodes the roll's walks reach, with the fit's own growth
-    /// step, on one thread. The forecaster then keeps its scaled history
-    /// and fits the whole forest on its first roll, if one ever comes.
-    /// Every other kind fits, then rolls.
+    /// forecast, with the same errors from the same checks. For RFR it
+    /// grows no forest: each tree grows only the nodes the roll's walks
+    /// reach, with the fit's own growth function, on one thread. The
+    /// forecaster then keeps its scaled history and fits the whole
+    /// forest on its first roll, if one ever comes. Every other kind
+    /// fits, then rolls.
     pub fn sketch(
         kind: RegressorKind,
         history: &[f64],
@@ -230,7 +230,7 @@ impl TrainedForecaster {
     ) -> Result<(Self, Vec<f64>), MlError> {
         let mut f = Self::unfitted(kind, history, lags, seed)?;
         let mut out = Vec::new();
-        let sketched = match kind {
+        match kind {
             RegressorKind::Rfr => {
                 let (x, y) = supervised(&f.history, lags)?;
                 let forest = RandomForestRegressor::with_seed(seed);
@@ -238,13 +238,9 @@ impl TrainedForecaster {
                     roll_window(&f.window, &f.scaler, horizon, &mut out, |row| {
                         Ok(predict(row))
                     })
-                })
+                })??
             }
-            _ => None,
-        };
-        match sketched {
-            Some(rolled) => rolled??,
-            None => f.roll_into(horizon, &mut out)?,
+            _ => f.roll_into(horizon, &mut out)?,
         }
         Ok((f, out))
     }

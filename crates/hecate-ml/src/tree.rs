@@ -1,11 +1,11 @@
 //! R4: CART regression tree with exact best-split search.
 //!
 //! scikit-learn defaults mirrored: squared-error criterion, unlimited
-//! depth, `min_samples_split = 2`, `min_samples_leaf = 1`. The builder
-//! additionally supports sample weights (needed by AdaBoost.R2), depth
-//! caps (gradient boosting uses depth 3), random feature subsetting
-//! (random forests) and fitting a bootstrap given as row indices, so a
-//! single implementation backs R1, R3, R4, R6 and R13.
+//! depth, `min_samples_split = 2`, `min_samples_leaf = 1`, every feature
+//! at every split. The builder additionally supports sample weights
+//! (needed by AdaBoost.R2), depth caps (gradient boosting uses depth 3)
+//! and fitting a bootstrap given as row indices, so a single
+//! implementation backs R1, R3, R4, R6 and R13.
 //!
 //! Growth is presorted: X is copied column-major and every column ranked
 //! once per fit (per *forest*, per boosting run); a tree derives each
@@ -15,83 +15,80 @@
 //! order a per-node stable sort would visit the rows, so trees are bit
 //! for bit those of the textbook builder kept as the test oracle.
 //!
-//! Growth is one per-node step (value, stop rules, best split,
-//! partition) with two drivers: `TreeBuilder::fit` runs it eagerly in
-//! pre-order into the node arena; `TreeBuilder::lazy_leaf` runs it only
-//! on the nodes a prediction's walk reaches, for a forest whose every
-//! query is known while it grows (a sketched forecast).
+//! A tree is one arena of nodes, each a split, a leaf or pending, and
+//! one function, `TreeBuilder::grow`, turns a pending node into a leaf
+//! or into a split with two pending children. `TreeBuilder::fit` runs it
+//! from a worklist until nothing is pending; `TreeBuilder::lazy_leaf`
+//! runs it only on the nodes a prediction's walk reaches, for a forest
+//! whose every query is known while it grows (a sketched forecast).
 
 use crate::model::Regressor;
 use crate::{check_finite, check_xy, MlError};
 use linalg::Matrix;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 use std::cmp::Ordering;
 use std::ops::Range;
 
-/// Tree growth hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TreeConfig {
-    /// Maximum depth (`None` = grow until pure / exhausted).
-    pub max_depth: Option<usize>,
-    /// Minimum weighted samples to attempt a split.
-    pub min_samples_split: usize,
-    /// Minimum samples in each child.
-    pub min_samples_leaf: usize,
-    /// Number of features examined per split (`None` = all).
-    pub max_features: Option<usize>,
-    /// Seed for feature subsampling.
-    pub seed: u64,
-}
-
-impl Default for TreeConfig {
-    fn default() -> Self {
-        TreeConfig {
-            max_depth: None,
-            min_samples_split: 2,
-            min_samples_leaf: 1,
-            max_features: None,
-            seed: 0,
-        }
-    }
-}
-
-/// One tree node, 16 bytes. A tree is stored in pre-order: a split's left
-/// child is the next node and its right child `right` nodes further on,
+/// One tree node, 16 bytes: a split, a leaf or pending. A split's two
+/// children sit side by side, the left one `children` nodes further on,
 /// so whole trees concatenate into one arena without rebasing. A leaf
-/// has `right == 0` and no [`SPLIT`] bit, so a walk that reaches it
-/// steps to itself.
+/// has `children == 0` and no [`SPLIT`] bit, so a walk that reaches it
+/// steps to itself. A pending node holds what its growth needs: see
+/// [`Node::pending`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Node {
     /// Split threshold, or the leaf's value.
     value: f64,
-    /// Offset to the right child; `0` on a leaf.
-    right: u32,
+    /// Offset to the left of the two children; `0` on a leaf.
+    children: u32,
     /// Split feature with [`SPLIT`] set; `0` on a leaf.
     feature: u32,
 }
 
-/// Flag on [`Node::feature`]: shifted down it is the step to the left
-/// child (1 on a split, 0 on a leaf).
+/// Flag on [`Node::feature`]: shifted down it is 1 on a split, 0 on a
+/// leaf.
 const SPLIT: u32 = 1 << 31;
+
+/// [`Node::feature`] of a pending node: not a split, and a feature no
+/// row has, so a walk that steps it panics instead of misreading it.
+const PENDING: u32 = !SPLIT;
 
 impl Node {
     fn leaf(value: f64) -> Node {
         Node {
             value,
-            right: 0,
+            children: 0,
             feature: 0,
         }
     }
 
-    /// How far the walk moves for `row`: 1 (left) when
-    /// `row[feature] <= threshold`, else `right` — so NaN goes right —
-    /// and 0 on a leaf. An arithmetic select, not a branch: which way a
-    /// fresh row goes is a coin flip to the predictor.
+    /// A node not grown yet: `[lo, hi)` of its tree's orders, packed
+    /// into `value`'s bits, and its depth in `children`.
+    fn pending(lo: usize, hi: usize, depth: usize) -> Node {
+        Node {
+            value: f64::from_bits(lo as u64 | (hi as u64) << 32),
+            children: depth as u32,
+            feature: PENDING,
+        }
+    }
+
+    /// `(lo, hi, depth)` of a pending node; `None` once it has grown.
+    fn range(self) -> Option<(usize, usize, usize)> {
+        let bits = self.value.to_bits();
+        (self.feature == PENDING).then_some((
+            bits as u32 as usize,
+            (bits >> 32) as usize,
+            self.children as usize,
+        ))
+    }
+
+    /// How far the walk moves for `row` from a grown node: `children` to
+    /// the left child when `row[feature] <= threshold`, one more to the
+    /// right child otherwise — so NaN goes right — and 0 on a leaf. An
+    /// arithmetic select, not a branch: which way a fresh row goes is a
+    /// coin flip to the predictor.
     fn step(self, row: &[f64]) -> usize {
         let left = (row[(self.feature & !SPLIT) as usize] <= self.value) as u32;
-        (left * (self.feature >> 31) + (1 - left) * self.right) as usize
+        (self.children + (1 - left) * (self.feature >> 31)) as usize
     }
 }
 
@@ -204,8 +201,8 @@ impl Forest {
 /// A fitted regression tree.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DecisionTreeRegressor {
-    /// Growth configuration.
-    pub config: TreeConfig,
+    /// Maximum depth (`None` = grow until pure / exhausted).
+    pub max_depth: Option<usize>,
     /// One tree, or none before a fit.
     tree: Forest,
 }
@@ -216,20 +213,12 @@ impl DecisionTreeRegressor {
         Self::default()
     }
 
-    /// A tree with a custom configuration.
-    pub fn with_config(config: TreeConfig) -> Self {
+    /// Depth-limited tree.
+    pub fn with_max_depth(depth: usize) -> Self {
         DecisionTreeRegressor {
-            config,
+            max_depth: Some(depth),
             tree: Forest::default(),
         }
-    }
-
-    /// Depth-limited tree (used by boosting).
-    pub fn with_max_depth(depth: usize) -> Self {
-        Self::with_config(TreeConfig {
-            max_depth: Some(depth),
-            ..TreeConfig::default()
-        })
     }
 
     /// Number of nodes in the fitted tree.
@@ -242,28 +231,27 @@ impl DecisionTreeRegressor {
         self.tree.trees.first().map_or(0, |t| t.depth)
     }
 
-    /// Fits with per-sample weights (AdaBoost.R2 requires this).
-    pub fn fit_weighted(&mut self, x: &Matrix, y: &[f64], weights: &[f64]) -> Result<(), MlError> {
-        self.fit_checked(x, y, Some(weights))
+    /// Grows the tree on every row `pre` ranked.
+    fn fit_presorted(&mut self, pre: &Presort, y: &[f64], w: Option<&[f64]>) {
+        self.tree = Forest::default();
+        TreeBuilder::new(pre).fit(self.max_depth, &pre.all_rows(), y, w, &mut self.tree);
     }
 
-    /// Validates once — shapes, weight signs, every value finite — so
-    /// the builder below has no failure path.
-    fn fit_checked(&mut self, x: &Matrix, y: &[f64], w: Option<&[f64]>) -> Result<(), MlError> {
+    /// Fits with per-sample weights, checked — shapes, signs, every
+    /// value finite — as a fit checks `x` and `y`.
+    #[cfg(test)]
+    fn fit_weighted(&mut self, x: &Matrix, y: &[f64], w: &[f64]) -> Result<(), MlError> {
         let pre = Presort::new(x, y)?;
-        if let Some(w) = w {
-            if w.len() != y.len() {
-                return Err(MlError::BadShape("weights length mismatch".into()));
-            }
-            if w.iter().any(|w| *w < 0.0) {
-                return Err(MlError::BadHyperparameter("negative sample weight".into()));
-            }
-            check_finite("sample weights", w)?;
-            check_split_sums("sample weights", w.iter().copied())?;
-            check_split_sums("weighted y", w.iter().zip(y).map(|(w, y)| w * y))?;
+        if w.len() != y.len() {
+            return Err(MlError::BadShape("weights length mismatch".into()));
         }
-        self.tree = Forest::default();
-        TreeBuilder::new(&pre).fit(self.config, &pre.all_rows(), y, w, &mut self.tree);
+        if w.iter().any(|w| *w < 0.0) {
+            return Err(MlError::BadHyperparameter("negative sample weight".into()));
+        }
+        check_finite("sample weights", w)?;
+        check_split_sums("sample weights", w.iter().copied())?;
+        check_split_sums("weighted y", w.iter().zip(y).map(|(w, y)| w * y))?;
+        self.fit_presorted(&pre, y, Some(w));
         Ok(())
     }
 }
@@ -345,7 +333,7 @@ impl Presort {
 /// One tree's sample, ordered for growth: `features + 1` orders of its
 /// `len` rows. Order `f` is sorted by feature `f`, equal values in sample
 /// order; the last is the sample itself. A node is one `[lo, hi)` range
-/// of every order, and only its own step partitions that range.
+/// of every order, and only its own growth partitions that range.
 #[derive(Default)]
 pub(crate) struct Orders {
     order: Vec<u32>,
@@ -364,8 +352,6 @@ pub(crate) struct TreeBuilder<'a> {
     goes_left: Vec<bool>,
     /// Counting-sort cursors, one per rank.
     cursor: Vec<u32>,
-    /// Candidate features of the node being split.
-    features: Vec<usize>,
     /// Per position of the range being scanned, in the feature's order:
     /// the running `(Σw, Σw·y)` up to and including that row.
     prefix: Vec<(f64, f64)>,
@@ -375,22 +361,12 @@ pub(crate) struct TreeBuilder<'a> {
 
 /// One tree's growth inputs.
 struct Task<'t> {
-    config: TreeConfig,
+    max_depth: Option<usize>,
     y: &'t [f64],
     w: Option<&'t [f64]>,
-    rng: StdRng,
 }
 
-impl<'t> Task<'t> {
-    fn new(config: TreeConfig, y: &'t [f64], w: Option<&'t [f64]>) -> Self {
-        Task {
-            config,
-            y,
-            w,
-            rng: StdRng::seed_from_u64(config.seed),
-        }
-    }
-
+impl Task<'_> {
     /// `(w, w·y)` of one source row.
     fn weigh(&self, row: u32) -> (f64, f64) {
         let w = self.w.map_or(1.0, |w| w[row as usize]);
@@ -398,38 +374,13 @@ impl<'t> Task<'t> {
     }
 }
 
-/// A node's split, as one growth step chose and applied it.
-struct Split {
-    feature: usize,
-    threshold: f64,
-    /// Rows of the node's range that went left, to its front.
-    n_left: usize,
-}
-
 /// A tree that grows only where walks go: see [`TreeBuilder::lazy_leaf`].
 pub(crate) struct LazyTree<'t> {
     task: Task<'t>,
     orders: Orders,
-    /// The root first; a split's children sit side by side.
-    nodes: Vec<Lazy>,
-}
-
-/// One node of a [`LazyTree`].
-#[derive(Clone, Copy)]
-enum Lazy {
-    /// Not grown yet: its range of the orders, and its depth.
-    Pending {
-        lo: u32,
-        hi: u32,
-        depth: u32,
-    },
-    Leaf(f64),
-    /// Grown into a split; the left child is `left`, the right `left + 1`.
-    Split {
-        feature: u32,
-        threshold: f64,
-        left: u32,
-    },
+    /// The root first, then every pair of children in the order their
+    /// parents grew.
+    nodes: Vec<Node>,
 }
 
 impl<'a> TreeBuilder<'a> {
@@ -440,7 +391,6 @@ impl<'a> TreeBuilder<'a> {
             scratch: Vec::new(),
             goes_left: vec![false; pre.rows],
             cursor: Vec::new(),
-            features: Vec::new(),
             prefix: Vec::new(),
             xs: Vec::new(),
         }
@@ -486,7 +436,7 @@ impl<'a> TreeBuilder<'a> {
     /// The tree's nodes are written straight onto the end of `forest`.
     pub(crate) fn fit(
         &mut self,
-        config: TreeConfig,
+        max_depth: Option<usize>,
         sample: &[u32],
         y: &[f64],
         w: Option<&[f64]>,
@@ -495,135 +445,91 @@ impl<'a> TreeBuilder<'a> {
         let mut orders = std::mem::take(&mut self.orders);
         self.sort(sample, &mut orders);
         let root = forest.nodes.len();
-        let mut task = Task::new(config, y, w);
-        let depth = self.node(
-            &mut task,
-            &mut orders,
-            &mut forest.nodes,
-            0,
-            sample.len(),
-            0,
-        );
+        forest.nodes.push(Node::pending(0, sample.len(), 0));
+        let task = Task { max_depth, y, w };
+        let depth = self.finish(&task, &mut orders, &mut forest.nodes, root);
         forest.trees.push(TreeRef { root, depth });
         forest.n_features = self.pre.features;
         self.orders = orders;
     }
 
-    /// The eager driver: grows the node holding `[lo, hi)` and everything
-    /// below it, in pre-order, onto `nodes`; returns the subtree's depth.
-    fn node(
+    /// The worklist: walks the tree rooted at `nodes[root]` depth
+    /// first, left subtree first, growing every pending node it meets,
+    /// and returns the depth of the deepest one it grew. A split appends
+    /// its children to the arena, so a left child's children land right
+    /// behind it; in level order each level would land past the whole
+    /// level above, farther from the walk's last load.
+    fn finish(
         &mut self,
-        t: &mut Task,
+        t: &Task,
         orders: &mut Orders,
         nodes: &mut Vec<Node>,
-        lo: usize,
-        hi: usize,
-        depth: usize,
+        root: usize,
     ) -> usize {
-        let me = nodes.len();
-        let (value, split) = self.step(t, orders, lo, hi, depth);
-        nodes.push(Node::leaf(value));
-        let Some(Split {
-            feature,
-            threshold,
-            n_left,
-        }) = split
-        else {
-            return 0;
-        };
-        let left = self.node(t, orders, nodes, lo, lo + n_left, depth + 1);
-        // `Presort::new` bounds rows and features, so both fit 31 bits.
-        let right = (nodes.len() - me) as u32;
-        let below = left.max(self.node(t, orders, nodes, lo + n_left, hi, depth + 1));
-        nodes[me] = Node {
-            value: threshold,
-            right,
-            feature: feature as u32 | SPLIT,
-        };
-        1 + below
+        let (mut stack, mut depth) = (vec![root], 0);
+        while let Some(at) = stack.pop() {
+            if let Some(grown) = self.grow(t, orders, nodes, at) {
+                depth = depth.max(grown);
+            }
+            if nodes[at].feature & SPLIT != 0 {
+                let left = at + nodes[at].children as usize;
+                stack.extend([left + 1, left]);
+            }
+        }
+        depth
     }
 
     /// Sets up a tree on `sample` for [`TreeBuilder::lazy_leaf`]: sorted,
-    /// with nothing grown. Unweighted, and `config.max_features` must be
-    /// `None`: a feature subset draws from the tree's RNG at every split,
-    /// in the order nodes grow, and only pre-order draws what
-    /// [`TreeBuilder::fit`] draws.
+    /// with only its root, pending.
     pub(crate) fn lazy<'t>(
         &mut self,
-        config: TreeConfig,
+        max_depth: Option<usize>,
         sample: &[u32],
         y: &'t [f64],
     ) -> LazyTree<'t> {
-        debug_assert!(config.max_features.is_none());
         let mut orders = Orders::default();
         self.sort(sample, &mut orders);
         LazyTree {
-            task: Task::new(config, y, None),
+            task: Task {
+                max_depth,
+                y,
+                w: None,
+            },
             orders,
-            nodes: vec![Lazy::Pending {
-                lo: 0,
-                hi: sample.len() as u32,
-                depth: 0,
-            }],
+            nodes: vec![Node::pending(0, sample.len(), 0)],
         }
     }
 
-    /// The lazy driver: `tree`'s prediction for `row`, growing each
-    /// pending node the walk reaches with the one [`TreeBuilder::step`].
-    /// A walk goes left on `row[feature] <= threshold`, so NaN goes
-    /// right, as [`Node::step`] does. The order nodes grow in does not
-    /// matter: a step reads and partitions only its own range, which its
-    /// parent's step fixed and no other node's touches. So every node a
-    /// walk reaches is, bit for bit, the one [`TreeBuilder::fit`] grows.
+    /// `tree`'s prediction for `row`, growing each pending node the walk
+    /// reaches. The order nodes grow in does not matter: a node's growth
+    /// reads and partitions only its own range, which its parent's
+    /// growth fixed and no other node's touches. So every node a walk
+    /// reaches is, bit for bit, the one [`TreeBuilder::fit`] grows.
     pub(crate) fn lazy_leaf(&mut self, tree: &mut LazyTree, row: &[f64]) -> f64 {
         let mut at = 0;
         loop {
-            match tree.nodes[at] {
-                Lazy::Leaf(value) => return value,
-                Lazy::Split {
-                    feature,
-                    threshold,
-                    left,
-                } => {
-                    let went_left = row[feature as usize] <= threshold;
-                    at = left as usize + !went_left as usize;
-                }
-                Lazy::Pending { lo, hi, depth } => {
-                    let (value, split) = {
-                        let (lo, hi, depth) = (lo as usize, hi as usize, depth as usize);
-                        self.step(&mut tree.task, &mut tree.orders, lo, hi, depth)
-                    };
-                    tree.nodes[at] = match split {
-                        None => Lazy::Leaf(value),
-                        Some(s) => {
-                            let (left, mid) = (tree.nodes.len() as u32, lo + s.n_left as u32);
-                            let depth = depth + 1;
-                            tree.nodes.push(Lazy::Pending { lo, hi: mid, depth });
-                            tree.nodes.push(Lazy::Pending { lo: mid, hi, depth });
-                            Lazy::Split {
-                                feature: s.feature as u32,
-                                threshold: s.threshold,
-                                left,
-                            }
-                        }
-                    };
-                }
+            self.grow(&tree.task, &mut tree.orders, &mut tree.nodes, at);
+            match tree.nodes[at].step(row) {
+                0 => return tree.nodes[at].value,
+                step => at += step,
             }
         }
     }
 
-    /// The one growth step, shared by both drivers: the value of the
-    /// node holding `[lo, hi)` of every order (the weighted mean, summed
-    /// in sample order) and, unless a stop rule holds or no split pays,
-    /// its split, already applied to the orders.
-    fn step(
+    /// The one growth function. A pending `nodes[at]` becomes a leaf
+    /// holding the weighted mean of its range (summed in sample order)
+    /// or, unless a stop rule holds or no split pays, a split, applied
+    /// to the orders, whose two pending children go onto the end of
+    /// `nodes`. Returns the grown node's depth; `None`, touching
+    /// nothing, if it had grown already.
+    fn grow(
         &mut self,
-        t: &mut Task,
+        t: &Task,
         orders: &mut Orders,
-        lo: usize,
-        hi: usize,
-        depth: usize,
-    ) -> (f64, Option<Split>) {
+        nodes: &mut Vec<Node>,
+        at: usize,
+    ) -> Option<usize> {
+        let (lo, hi, depth) = nodes[at].range()?;
         let nf = self.pre.features;
         let (mut sw, mut swy) = (0.0, 0.0);
         for &r in &orders.order[nf * orders.len..][lo..hi] {
@@ -631,43 +537,37 @@ impl<'a> TreeBuilder<'a> {
             sw += w;
             swy += wy;
         }
-        let value = if sw <= 0.0 { 0.0 } else { swy / sw };
-        if hi - lo < t.config.min_samples_split
-            || t.config.max_depth.is_some_and(|d| depth >= d)
-            || sw <= 0.0
-        {
-            return (value, None);
-        }
-        // candidate features (random subset for forests)
-        self.features.clear();
-        self.features.extend(0..nf);
-        if let Some(k) = t.config.max_features {
-            self.features.shuffle(&mut t.rng);
-            self.features.truncate(k.clamp(1, nf));
+        nodes[at] = Node::leaf(if sw <= 0.0 { 0.0 } else { swy / sw });
+        if hi - lo < 2 || t.max_depth.is_some_and(|d| depth >= d) || sw <= 0.0 {
+            return Some(depth);
         }
         let Some((feature, threshold)) = self.best_split(t, orders, lo, hi, swy * swy / sw) else {
-            return (value, None);
+            return Some(depth);
         };
-        let split = self.partition(orders, lo, hi, feature, threshold);
-        let split = split.map(|n_left| Split {
-            feature,
-            threshold,
-            n_left,
-        });
-        (value, split)
+        let Some(n_left) = self.partition(orders, lo, hi, feature, threshold) else {
+            return Some(depth);
+        };
+        // `Presort::new` bounds rows and features, so both fit 31 bits.
+        nodes[at] = Node {
+            value: threshold,
+            children: (nodes.len() - at) as u32,
+            feature: feature as u32 | SPLIT,
+        };
+        nodes.push(Node::pending(lo, lo + n_left, depth + 1));
+        nodes.push(Node::pending(lo + n_left, hi, depth + 1));
+        Some(depth)
     }
 
-    /// The weighted-variance-minimizing `(feature, threshold)` over the
-    /// candidate features, or `None` if no valid split improves on the
-    /// parent by more than `1e-12`.
+    /// The weighted-variance-minimizing `(feature, threshold)`, or `None`
+    /// if no split improves on the parent by more than `1e-12`.
     ///
     /// Two passes per feature, neither with a data-dependent branch. The
     /// first walks the feature's order once, recording the running sums
     /// and the values; its last sums are the totals, from the adds of a
     /// separate total loop in the same order. The second scores every cut
     /// `k` (rows `..=k` go left) and keeps the running maximum by select,
-    /// a cut between equal values scoring `-∞`. Cuts that leave a side
-    /// fewer than `min_samples_leaf` rows, or no weight, are not scanned.
+    /// a cut between equal values scoring `-∞`. Cuts that leave a side no
+    /// weight are not scanned.
     ///
     /// Strict `>` over cuts, then over features, keeps the first
     /// `(feature, k)` holding the maximum. That is the cut a sequential
@@ -685,13 +585,9 @@ impl<'a> TreeBuilder<'a> {
         parent: f64,
     ) -> Option<(usize, f64)> {
         let n = hi - lo;
-        let min_leaf = t.config.min_samples_leaf;
-        // Cut `k` leaves `k + 1` rows left and `n - k - 1` right.
-        let end = n.saturating_sub(min_leaf.max(1));
-        let start = min_leaf.saturating_sub(1).min(end);
         let (prefix, xs) = (&mut self.prefix[..n], &mut self.xs[..n]);
         let (mut best, mut split) = (f64::NEG_INFINITY, (0, 0.0));
-        for &feature in &self.features {
+        for feature in 0..self.pre.features {
             let col = &self.pre.cols[feature * self.pre.rows..][..self.pre.rows];
             let order = &orders.order[feature * orders.len..][lo..hi];
             let (mut sw, mut swy) = (0.0, 0.0);
@@ -705,11 +601,12 @@ impl<'a> TreeBuilder<'a> {
             // Weights are non-negative, so the running `Σw` never falls:
             // the cuts with weight on both sides are one range, past the
             // leading positions where it is still 0 and short of the
-            // trailing ones where it has reached the total. With unit
-            // weights both scans stop within two rows.
+            // trailing ones where it has reached the total (the last
+            // position always has). With unit weights both scans stop
+            // within two rows.
             let empty = prefix.iter().take_while(|p| p.0 <= 0.0).count();
             let full = prefix.iter().rev().take_while(|p| p.0 >= sw).count();
-            let (from, to) = (start.max(empty), end.min(n - full));
+            let (from, to) = (empty, n - full);
             let (mut top, mut at) = (f64::NEG_INFINITY, 0);
             let cuts = prefix[from..to.max(from)].iter().zip(xs[from..].windows(2));
             for (k, (&(lw, lwy), x)) in (from..).zip(cuts) {
@@ -775,7 +672,9 @@ impl<'a> TreeBuilder<'a> {
 
 impl Regressor for DecisionTreeRegressor {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), MlError> {
-        self.fit_checked(x, y, None)
+        let pre = Presort::new(x, y)?;
+        self.fit_presorted(&pre, y, None);
+        Ok(())
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
@@ -835,13 +734,16 @@ mod reference {
         }
     }
 
-    /// The oracle's tree in the flat layout (it numbers nodes in
-    /// pre-order too, so every left child is the next node).
+    /// The oracle's pre-order tree renumbered in the order the
+    /// builder's worklist grows one: depth first, left subtree first,
+    /// each split's two children side by side at the end of the arena
+    /// when the split is placed.
     pub(super) fn flatten(nodes: &[Node]) -> Vec<super::Node> {
-        nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| match *n {
+        let mut flat = vec![super::Node::leaf(0.0)];
+        // (oracle index, flat index) of the nodes still to place.
+        let mut stack = vec![(0, 0)];
+        while let Some((i, at)) = stack.pop() {
+            flat[at] = match nodes[i] {
                 Node::Leaf { value } => super::Node::leaf(value),
                 Node::Split {
                     feature,
@@ -849,54 +751,45 @@ mod reference {
                     left,
                     right,
                 } => {
-                    assert_eq!(left, i + 1);
+                    let pair = flat.len();
+                    flat.extend([super::Node::leaf(0.0); 2]);
+                    stack.extend([(right, pair + 1), (left, pair)]);
                     super::Node {
                         value: threshold,
-                        right: (right - i) as u32,
+                        children: (pair - at) as u32,
                         feature: feature as u32 | super::SPLIT,
                     }
                 }
-            })
-            .collect()
+            };
+        }
+        flat
     }
 
-    pub(super) fn fit(config: &TreeConfig, x: &Matrix, y: &[f64], w: &[f64]) -> Vec<Node> {
+    pub(super) fn fit(max_depth: Option<usize>, x: &Matrix, y: &[f64], w: &[f64]) -> Vec<Node> {
         let mut nodes = Vec::new();
         let idx: Vec<u32> = (0..x.rows() as u32).collect();
-        let mut rng = StdRng::seed_from_u64(config.seed);
-        grow(&mut nodes, config, x, y, w, idx, 0, &mut rng);
+        grow(&mut nodes, max_depth, x, y, w, idx, 0);
         nodes
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn grow(
         nodes: &mut Vec<Node>,
-        config: &TreeConfig,
+        max_depth: Option<usize>,
         x: &Matrix,
         y: &[f64],
         w: &[f64],
         idx: Vec<u32>,
         depth: usize,
-        rng: &mut StdRng,
     ) -> usize {
         let (w_sum, mean) = weighted_mean(y, w, &idx);
         let make_leaf = |nodes: &mut Vec<Node>| {
             nodes.push(Node::Leaf { value: mean });
             nodes.len() - 1
         };
-        if idx.len() < config.min_samples_split
-            || config.max_depth.is_some_and(|d| depth >= d)
-            || w_sum <= 0.0
-        {
+        if idx.len() < 2 || max_depth.is_some_and(|d| depth >= d) || w_sum <= 0.0 {
             return make_leaf(nodes);
         }
-        // candidate features (random subset for forests)
-        let mut features: Vec<usize> = (0..x.cols()).collect();
-        if let Some(k) = config.max_features {
-            features.shuffle(rng);
-            features.truncate(k.clamp(1, x.cols()));
-        }
-        let Some(best) = best_split(x, y, w, &idx, &features, config.min_samples_leaf) else {
+        let Some(best) = best_split(x, y, w, &idx) else {
             return make_leaf(nodes);
         };
         let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
@@ -913,8 +806,8 @@ mod reference {
         // reserve this node's slot, then grow children
         let me = nodes.len();
         nodes.push(Node::Leaf { value: mean }); // placeholder
-        let left = grow(nodes, config, x, y, w, left_idx, depth + 1, rng);
-        let right = grow(nodes, config, x, y, w, right_idx, depth + 1, rng);
+        let left = grow(nodes, max_depth, x, y, w, left_idx, depth + 1);
+        let right = grow(nodes, max_depth, x, y, w, right_idx, depth + 1);
         nodes[me] = Node::Split {
             feature: best.feature,
             threshold: best.threshold,
@@ -943,16 +836,9 @@ mod reference {
         }
     }
 
-    /// Finds the weighted-variance-minimizing split over the candidate
-    /// features, or `None` if no valid split improves on the parent.
-    fn best_split(
-        x: &Matrix,
-        y: &[f64],
-        w: &[f64],
-        idx: &[u32],
-        features: &[usize],
-        min_leaf: usize,
-    ) -> Option<SplitCandidate> {
+    /// Finds the weighted-variance-minimizing split, or `None` if no
+    /// valid split improves on the parent.
+    fn best_split(x: &Matrix, y: &[f64], w: &[f64], idx: &[u32]) -> Option<SplitCandidate> {
         let mut best: Option<(f64, SplitCandidate)> = None;
         // Splits must strictly improve on the parent's score, otherwise a
         // constant target would split forever on noise-free ties.
@@ -964,7 +850,7 @@ mod reference {
             0.0
         };
         let mut order: Vec<u32> = Vec::with_capacity(idx.len());
-        for &feature in features {
+        for feature in 0..x.cols() {
             order.clear();
             order.extend_from_slice(idx);
             order.sort_by(|&a, &b| {
@@ -988,11 +874,6 @@ mod reference {
                 let xn = x[(order[k + 1] as usize, feature)];
                 if xv == xn {
                     continue; // cannot split between equal values
-                }
-                let left_n = k + 1;
-                let right_n = order.len() - left_n;
-                if left_n < min_leaf || right_n < min_leaf {
-                    continue;
                 }
                 let right_w = total_w - left_w;
                 if left_w <= 0.0 || right_w <= 0.0 {
@@ -1025,6 +906,8 @@ mod tests {
     use super::*;
     use crate::metrics::rmse;
     use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn step_data() -> (Matrix, Vec<f64>) {
         // piecewise-constant target: perfect for a tree
@@ -1067,17 +950,6 @@ mod tests {
         assert!(t.depth() <= 3);
         // At most 2^3 = 8 leaves -> at most 15 nodes.
         assert!(t.node_count() <= 15);
-    }
-
-    #[test]
-    fn min_samples_leaf_respected() {
-        let (x, y) = step_data();
-        let mut t = DecisionTreeRegressor::with_config(TreeConfig {
-            min_samples_leaf: 25, // cannot split 40 into 25+25
-            ..TreeConfig::default()
-        });
-        t.fit(&x, &y).unwrap();
-        assert_eq!(t.node_count(), 1, "must stay a single leaf");
     }
 
     #[test]
@@ -1186,7 +1058,7 @@ mod tests {
     fn bits(nodes: &[Node]) -> Vec<(u64, u32, u32)> {
         nodes
             .iter()
-            .map(|n| (n.value.to_bits(), n.right, n.feature))
+            .map(|n| (n.value.to_bits(), n.children, n.feature))
             .collect()
     }
 
@@ -1208,14 +1080,14 @@ mod tests {
     }
 
     /// One randomized fit: data with every kind of tie the builder must
-    /// order exactly as a per-node stable sort does, a growth config,
+    /// order exactly as a per-node stable sort does, a depth cap,
     /// optional weights and an optional bootstrap.
     struct Case {
         x: Matrix,
         y: Vec<f64>,
         w: Option<Vec<f64>>,
         sample: Option<Vec<u32>>,
-        config: TreeConfig,
+        max_depth: Option<usize>,
     }
 
     fn random_case(seed: u64, n: usize) -> Case {
@@ -1284,19 +1156,12 @@ mod tests {
         let sample = rng
             .gen_bool(0.5)
             .then(|| (0..n).map(|_| rng.gen_range(0..n) as u32).collect());
-        let config = TreeConfig {
-            max_depth: rng.gen_bool(0.4).then(|| rng.gen_range(0..6usize)),
-            min_samples_split: rng.gen_range(2..5usize),
-            min_samples_leaf: rng.gen_range(1..4usize),
-            max_features: rng.gen_bool(0.5).then(|| rng.gen_range(0..nf + 2)),
-            seed: rng.gen(),
-        };
         Case {
             x: Matrix::from_rows(&rows),
             y,
             w,
             sample,
-            config,
+            max_depth: rng.gen_bool(0.4).then(|| rng.gen_range(0..6usize)),
         }
     }
 
@@ -1335,7 +1200,7 @@ mod tests {
         let pre = Presort::new(&c.x, &c.y).unwrap();
         let sample = c.sample.clone().unwrap_or_else(|| pre.all_rows());
         let mut got = Forest::default();
-        TreeBuilder::new(&pre).fit(c.config, &sample, &c.y, c.w.as_deref(), &mut got);
+        TreeBuilder::new(&pre).fit(c.max_depth, &sample, &c.y, c.w.as_deref(), &mut got);
 
         // The oracle fits the gathered rows with explicit weights.
         let picked: Vec<usize> = sample.iter().map(|&r| r as usize).collect();
@@ -1345,12 +1210,15 @@ mod tests {
             .iter()
             .map(|&r| c.w.as_ref().map_or(1.0, |w| w[r]))
             .collect();
-        let want = reference::flatten(&reference::fit(&c.config, &xs, &ys, &ws));
+        let want = reference::flatten(&reference::fit(c.max_depth, &xs, &ys, &ws));
         assert_eq!(bits(&got.nodes), bits(&want));
 
         // Without a bootstrap the public entry points are that fit.
         if c.sample.is_none() {
-            let mut t = DecisionTreeRegressor::with_config(c.config);
+            let mut t = DecisionTreeRegressor {
+                max_depth: c.max_depth,
+                ..Default::default()
+            };
             match &c.w {
                 Some(w) => t.fit_weighted(&c.x, &c.y, w).unwrap(),
                 None => t.fit(&c.x, &c.y).unwrap(),
@@ -1372,40 +1240,78 @@ mod tests {
         }
     }
 
+    /// Rows that tell a tree's leaves apart: the training rows, rows of
+    /// specials (NaN, ±0, ±∞) whole and in one feature, and for every
+    /// split in `nodes` a row exactly on its threshold and one ulp to
+    /// either side of it.
+    fn probe_rows(x: &Matrix, nodes: &[Node]) -> Vec<Vec<f64>> {
+        let (n, nf) = (x.rows(), x.cols());
+        let mut rows: Vec<Vec<f64>> = (0..n).map(|i| x.row(i).to_vec()).collect();
+        for special in [f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY] {
+            rows.push(vec![special; nf]);
+            let mut one = rows[rows.len() % n].clone();
+            one[rows.len() % nf] = special;
+            rows.push(one);
+        }
+        for (i, node) in nodes.iter().enumerate() {
+            if node.feature & SPLIT != 0 {
+                for t in [node.value, node.value.next_up(), node.value.next_down()] {
+                    let mut row = rows[i % n].clone();
+                    row[(node.feature & !SPLIT) as usize] = t;
+                    rows.push(row);
+                }
+            }
+        }
+        rows
+    }
+
+    /// Depth of the subtree at `nodes[i]`, read off the layout alone.
+    fn depth(nodes: &[Node], i: usize) -> usize {
+        match nodes[i].feature & SPLIT {
+            0 => 0,
+            _ => {
+                let left = i + nodes[i].children as usize;
+                1 + depth(nodes, left).max(depth(nodes, left + 1))
+            }
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(100))]
 
-        /// The lazy driver reaches the eager tree's leaf for every row,
-        /// whichever order the walks grow it in.
+        /// The lazy walk reaches the eager tree's leaf for every row,
+        /// whichever order the walks grow it in; and the worklist then
+        /// finishes the walked tree into one that [`Forest::leaves`]
+        /// walks to the same leaves.
         #[test]
         fn a_lazy_tree_walks_to_the_eager_trees_leaves(
             seed in any::<u64>(),
             n in (0usize..3).prop_map(|i| [2usize, 12, 110][i]),
         ) {
-            let mut c = with_ties(random_case(seed, n), seed);
-            c.config.max_features = None;
+            let c = with_ties(random_case(seed, n), seed);
             let pre = Presort::new(&c.x, &c.y).unwrap();
             let sample = c.sample.clone().unwrap_or_else(|| pre.all_rows());
             let mut builder = TreeBuilder::new(&pre);
             let mut eager = Forest::default();
-            builder.fit(c.config, &sample, &c.y, None, &mut eager);
-            let mut lazy = builder.lazy(c.config, &sample, &c.y);
-            // Training rows backwards, then each split's threshold and
-            // its neighbours, then NaN.
-            let mut rows: Vec<Vec<f64>> = (0..n).rev().map(|i| c.x.row(i).to_vec()).collect();
-            for (i, node) in eager.nodes.iter().enumerate() {
-                if node.feature & SPLIT != 0 {
-                    for t in [node.value, node.value.next_up(), node.value.next_down()] {
-                        let mut row = rows[i % n].clone();
-                        row[(node.feature & !SPLIT) as usize] = t;
-                        rows.push(row);
-                    }
-                }
+            builder.fit(c.max_depth, &sample, &c.y, None, &mut eager);
+            let rows = probe_rows(&c.x, &eager.nodes);
+            let want: Vec<u64> = rows.iter().map(|row| eager.leaf(0, row).to_bits()).collect();
+            // Walked last row first: not the order the worklist grows.
+            let mut lazy = builder.lazy(c.max_depth, &sample, &c.y);
+            for (row, want) in rows.iter().zip(&want).rev() {
+                prop_assert_eq!(builder.lazy_leaf(&mut lazy, row).to_bits(), *want);
             }
-            rows.push(vec![f64::NAN; c.x.cols()]);
-            for row in &rows {
-                let want = eager.leaf(0, row).to_bits();
-                prop_assert_eq!(builder.lazy_leaf(&mut lazy, row).to_bits(), want);
+            builder.finish(&lazy.task, &mut lazy.orders, &mut lazy.nodes, 0);
+            let depth = depth(&lazy.nodes, 0);
+            prop_assert_eq!(depth, eager.trees[0].depth);
+            prop_assert_eq!(lazy.nodes.len(), eager.nodes.len());
+            let finished = Forest {
+                nodes: lazy.nodes,
+                trees: vec![TreeRef { root: 0, depth }],
+                n_features: c.x.cols(),
+            };
+            for (row, want) in rows.iter().zip(&want) {
+                prop_assert_eq!(finished.leaf(0, row).to_bits(), *want);
             }
         }
     }
@@ -1422,23 +1328,16 @@ mod tests {
         stump.fit(&x, &y).unwrap();
         let root = stump.tree.nodes[0];
         assert_eq!((root.feature, root.value), (SPLIT, 1.5));
-        // Under feature subsets the first candidate drawn wins: the
-        // oracle's scan, whatever the shuffle.
-        for (seed, max_features) in (0..32).zip([None, Some(1), Some(2), Some(3)].iter().cycle()) {
-            let rows: Vec<Vec<f64>> = (0..6).map(|i| vec![i as f64; 3]).collect();
-            let c = Case {
-                x: Matrix::from_rows(&rows),
-                y: y.to_vec(),
-                w: None,
-                sample: None,
-                config: TreeConfig {
-                    max_features: *max_features,
-                    seed,
-                    ..TreeConfig::default()
-                },
-            };
-            assert_builder_grows_the_reference_tree(&c);
-        }
+        // Three copies, grown out: the oracle's scan at every node.
+        let rows: Vec<Vec<f64>> = (0..6).map(|i| vec![i as f64; 3]).collect();
+        let c = Case {
+            x: Matrix::from_rows(&rows),
+            y: y.to_vec(),
+            w: None,
+            sample: None,
+            max_depth: None,
+        };
+        assert_builder_grows_the_reference_tree(&c);
     }
 
     #[test]
@@ -1452,7 +1351,7 @@ mod tests {
             y: vec![0.0, 0.0, 1e17, 1e17],
             w: Some(vec![1.0, 1.0, 1e-17, 1e-17]),
             sample: None,
-            config: TreeConfig::default(),
+            max_depth: None,
         };
         assert_builder_grows_the_reference_tree(&c);
         let mut t = DecisionTreeRegressor::with_max_depth(1);
@@ -1490,7 +1389,7 @@ mod tests {
             y: big,
             w: None,
             sample: None,
-            config: TreeConfig::default(),
+            max_depth: None,
         };
         assert_builder_grows_the_reference_tree(&c);
     }
@@ -1508,17 +1407,13 @@ mod tests {
         let (mut forest, mut oracle) = (Forest::default(), Vec::new());
         for k in 0..trees {
             let sample: Vec<u32> = (0..110).map(|_| rng.gen_range(0..110u32)).collect();
-            let config = TreeConfig {
-                // root-only trees, boosting-stage stumps, full depth
-                max_depth: [None, Some(3), Some(0), None][(seed as usize + k) % 4],
-                seed: rng.gen(),
-                ..c.config
-            };
-            builder.fit(config, &sample, &c.y, None, &mut forest);
+            // root-only trees, boosting-stage stumps, full depth
+            let max_depth = [None, Some(3), Some(0), None][(seed as usize + k) % 4];
+            builder.fit(max_depth, &sample, &c.y, None, &mut forest);
             let picked: Vec<usize> = sample.iter().map(|&r| r as usize).collect();
             let ys: Vec<f64> = picked.iter().map(|&r| c.y[r]).collect();
             oracle.push(reference::fit(
-                &config,
+                max_depth,
                 &c.x.select_rows(&picked),
                 &ys,
                 &[1.0; 110],
@@ -1536,27 +1431,7 @@ mod tests {
             assert_eq!(forest.len(), trees);
             let deepest = forest.trees.iter().map(|t| t.depth).max().unwrap();
             assert!(trees < 9 || deepest > 3, "{trees} trees, deepest {deepest}");
-            let nf = c.x.cols();
-            // Training rows, rows of specials, and for every split of
-            // the forest a row exactly on the threshold and one ulp to
-            // either side of it.
-            let mut rows: Vec<Vec<f64>> = (0..c.x.rows()).map(|i| c.x.row(i).to_vec()).collect();
-            for special in [f64::NAN, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY] {
-                rows.push(vec![special; nf]);
-                let mut one = rows[rows.len() % 110].clone();
-                one[rows.len() % nf] = special;
-                rows.push(one);
-            }
-            for (i, n) in forest.nodes.iter().enumerate() {
-                if n.feature & SPLIT != 0 {
-                    for t in [n.value, n.value.next_up(), n.value.next_down()] {
-                        let mut row = rows[i % 110].clone();
-                        row[(n.feature & !SPLIT) as usize] = t;
-                        rows.push(row);
-                    }
-                }
-            }
-            for row in &rows {
+            for row in &probe_rows(&c.x, &forest.nodes) {
                 let mut lock_step = Vec::new();
                 forest.leaves(0..trees, row, |leaf| lock_step.push(leaf.to_bits()));
                 let scalar: Vec<u64> = (0..trees).map(|k| forest.leaf(k, row).to_bits()).collect();
@@ -1572,12 +1447,6 @@ mod tests {
 
     #[test]
     fn a_shallow_tree_waits_on_its_leaf_while_its_group_descends() {
-        fn depth(nodes: &[Node], i: usize) -> usize {
-            match nodes[i].right as usize {
-                0 => 0,
-                right => 1 + depth(nodes, i + 1).max(depth(nodes, i + right)),
-            }
-        }
         let (_, forest, _) = forest_and_oracle(7, 9);
         let depths: Vec<usize> = forest.trees.iter().map(|t| t.depth).collect();
         assert!(depths.contains(&0) && depths.contains(&3), "{depths:?}");
@@ -1587,7 +1456,7 @@ mod tests {
         }
         // A leaf steps to itself whatever the row holds.
         let leaf = forest.nodes[forest.trees[depths.iter().position(|d| *d == 0).unwrap()].root];
-        assert_eq!((leaf.right, leaf.feature), (0, 0));
+        assert_eq!((leaf.children, leaf.feature), (0, 0));
         for x in [f64::NAN, -1e300, leaf.value, 1e300] {
             assert_eq!(leaf.step(&[x]), 0);
         }
@@ -1605,8 +1474,8 @@ mod tests {
                 .sample
                 .unwrap_or_else(|| (0..(seed as u32 % 110 + 1)).collect());
             let (mut fresh, mut again) = (Forest::default(), Forest::default());
-            TreeBuilder::new(&pre).fit(c.config, &sample, &a.y, None, &mut fresh);
-            reused.fit(c.config, &sample, &a.y, None, &mut again);
+            TreeBuilder::new(&pre).fit(c.max_depth, &sample, &a.y, None, &mut fresh);
+            reused.fit(c.max_depth, &sample, &a.y, None, &mut again);
             assert_eq!(again.bits(), fresh.bits(), "seed {seed}");
         }
     }
