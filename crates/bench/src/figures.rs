@@ -699,7 +699,7 @@ pub fn ext_cv() -> Vec<hecate_ml::select::CvReport> {
 /// pipeline. Returns (model name, wifi RMSE, lte RMSE).
 pub fn ext_mlp() -> Vec<(String, f64, f64)> {
     use hecate_ml::nn::MlpRegressor;
-    use hecate_ml::Regressor;
+    use hecate_ml::pipeline::evaluate_model;
     let d = UqDataset::default_dataset();
     let cfg = PipelineConfig::default();
     let mut rows = Vec::new();
@@ -708,24 +708,11 @@ pub fn ext_mlp() -> Vec<(String, f64, f64)> {
         let l = evaluate_regressor(kind, &d.lte, &cfg).expect("lte");
         rows.push((kind.label().to_string(), w.rmse, l.rmse));
     }
-    // MLP goes through the same protocol by hand (it is not part of the
-    // paper's eighteen, so it lives outside the registry).
+    // The MLP is not one of the paper's eighteen, so it lives outside
+    // the registry; it runs the same protocol.
     let run_mlp = |series: &[f64]| -> f64 {
-        use hecate_ml::data::{make_supervised, sequential_split};
-        use hecate_ml::StandardScaler;
-        let (train, test) = sequential_split(series, cfg.train_fraction);
-        let mut scaler = StandardScaler::new();
-        let col = linalg::Matrix::from_vec(train.len(), 1, train.to_vec());
-        scaler.fit(&col).expect("scaler");
-        let ts = scaler.transform_column(train, 0).expect("scale train");
-        let vs = scaler.transform_column(test, 0).expect("scale test");
-        let (x, y) = make_supervised(&ts, cfg.lags).expect("train windows");
-        let (xt, yt) = make_supervised(&vs, cfg.lags).expect("test windows");
         let mut mlp = MlpRegressor::compact(cfg.seed);
-        mlp.fit(&x, &y).expect("mlp fit");
-        let pred = mlp.predict(&xt).expect("mlp predict");
-        let obs = scaler.inverse_transform_column(&yt, 0).expect("inv obs");
-        let prd = scaler.inverse_transform_column(&pred, 0).expect("inv pred");
+        let (obs, prd, _) = evaluate_model(&mut mlp, series, &cfg).expect("mlp");
         hecate_ml::metrics::rmse(&obs, &prd)
     };
     rows.push(("MLP".to_string(), run_mlp(&d.wifi), run_mlp(&d.lte)));

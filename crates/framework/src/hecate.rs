@@ -33,6 +33,11 @@
 //! the window slide without the roll. Refits and forecast bits are
 //! unchanged.
 //!
+//! Every forecast goes through one driver of that protocol, the
+//! consult's crate-private `forecast_candidates`;
+//! [`HecateService::forecast_all`] is the same driver over a plain list
+//! of paths, every one read.
+//!
 //! Staleness is tracked with the telemetry store's monotonic per-series
 //! sample counter ([`TelemetryService::total`]), so invalidation is one
 //! integer compare, not a history diff. The slots are bound to the store
@@ -40,8 +45,8 @@
 //! every entry and refits.
 
 use crate::telemetry::{Metric, SeriesId, SeriesKey, TelemetryService};
-use crate::{FrameworkError, PairId};
-use hecate_ml::pipeline::{forecast_next, TrainedForecaster};
+use crate::PairId;
+use hecate_ml::pipeline::TrainedForecaster;
 use hecate_ml::{MlError, RegressorKind};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -150,13 +155,6 @@ impl Cache {
         let (tracer, clock) = self.tracer.as_ref()?;
         Some((tracer.clone(), clock.get()))
     }
-}
-
-/// Why one series could not be forecast: too few samples (this many),
-/// or the model failed.
-enum Miss {
-    Short(usize),
-    Ml(MlError),
 }
 
 /// One candidate series of a consult: the tunnel's name (its
@@ -308,18 +306,19 @@ impl HecateService {
 
     /// Fits a fresh cache entry for series `id` on its trailing history
     /// window, and rolls it: eagerly, or as a [`TrainedForecaster::sketch`]
-    /// when `sketch` is set.
+    /// when `sketch` is set. `None` when the series is shorter than
+    /// [`HecateService::min_history`] or the fit fails.
     fn fit_entry(
         &self,
         telemetry: &TelemetryService,
         id: SeriesId,
         sketch: bool,
         trace: Option<&(obsv::Tracer, u64)>,
-    ) -> Result<CacheEntry, Miss> {
-        let (total, vals) = telemetry.tail(id).ok_or(Miss::Short(0))?;
+    ) -> Option<CacheEntry> {
+        let (total, vals) = telemetry.tail(id)?;
         let history = &vals[vals.len().saturating_sub(self.history_window())..];
         if history.len() < self.min_history() {
-            return Err(Miss::Short(history.len()));
+            return None;
         }
         let span = trace.map(|(t, at)| t.span("ml", "ml.fit", *at));
         let (model, lags, seed, horizon) = (self.model, self.lags, self.seed, self.horizon);
@@ -343,8 +342,8 @@ impl HecateService {
                 ]
             });
         }
-        let (forecaster, rolled) = fitted.map_err(Miss::Ml)?;
-        Ok(CacheEntry {
+        let (forecaster, rolled) = fitted.ok()?;
+        Some(CacheEntry {
             forecaster,
             fitted_at: total,
             observed: total,
@@ -413,24 +412,25 @@ impl HecateService {
     /// when the entry it replaces was never re-rolled; a failed fit
     /// leaves the slot as it was. A non-finite sample spends the
     /// entry: the window may have taken the samples before it, so the
-    /// path is skipped now and refits at the next consult.
+    /// path is skipped now and refits at the next consult. `None`: the
+    /// path is skipped.
     fn serve(
         &self,
         telemetry: &TelemetryService,
         id: SeriesId,
         slot: &mut Option<CacheEntry>,
         trace: Option<&(obsv::Tracer, u64)>,
-    ) -> Result<(Arm, Vec<f64>), Miss> {
+    ) -> Option<(Arm, Vec<f64>)> {
         if let Some(e) = slot.as_mut().filter(|e| self.entry_usable(e)) {
             let served = self
                 .absorb(telemetry, id, e)
                 .and_then(|absorbed| absorbed.then(|| self.roll(e, trace)).transpose());
             match served {
-                Ok(Some(served)) => return Ok(served),
+                Ok(Some(served)) => return Some(served),
                 Ok(None) => {} // stale: refit
-                Err(err) => {
+                Err(_) => {
                     *slot = None;
-                    return Err(Miss::Ml(err));
+                    return None;
                 }
             }
         }
@@ -439,13 +439,13 @@ impl HecateService {
         let entry = self.fit_entry(telemetry, id, sketch, trace)?;
         let values = entry.rolled.clone();
         *slot = Some(entry);
-        Ok((Arm::Refit, values))
+        Some((Arm::Refit, values))
     }
 
     /// The deferred arm, minus the refit: `None` when one is due, else
     /// whether the series is still forecastable. A usable entry takes
     /// its fresh samples into the lag window without a roll; a
-    /// non-finite one spends it, as in [`HecateService::forecast_path`].
+    /// non-finite one spends it, as in `serve`.
     fn defer(
         &self,
         telemetry: &TelemetryService,
@@ -471,64 +471,6 @@ impl HecateService {
             && e.rolled_at == e.observed
             && e.rolled_horizon == self.horizon;
         hit.then(|| e.rolled.clone())
-    }
-
-    /// Forecasts the next `horizon` values of a metric for one path,
-    /// serving from the trained-model cache whenever the series has not
-    /// outrun [`HecateService::refit_after`] — see the module docs for
-    /// the hit/update/refit protocol. A refit-every-time baseline is
-    /// kept as [`HecateService::forecast_path_uncached`].
-    pub fn forecast_path(
-        &self,
-        telemetry: &TelemetryService,
-        path: &str,
-        metric: Metric,
-    ) -> Result<PathForecast, FrameworkError> {
-        let key = SeriesKey::new(path, metric);
-        let error = |miss| match miss {
-            Miss::Short(have) => FrameworkError::InsufficientTelemetry {
-                key: key.to_string(),
-                have,
-                need: self.min_history(),
-            },
-            Miss::Ml(e) => e.into(),
-        };
-        let id = telemetry.find(&key).ok_or_else(|| error(Miss::Short(0)))?;
-        let mut cache = self.bound(telemetry);
-        let trace = cache.trace();
-        let served = self.serve(telemetry, id, cache.slot(id), trace.as_ref());
-        let (arm, values) = served.map_err(error)?;
-        cache.count(arm, None);
-        Ok(PathForecast {
-            path: path.to_string(),
-            values,
-        })
-    }
-
-    /// The seed reproduction's behavior: refit from history on every
-    /// single call, bypassing the cache. Backs
-    /// [`HecateService::forecast_all_uncached`], the cold reference the
-    /// cache is checked against in `tests/forecast_engine.rs`.
-    pub fn forecast_path_uncached(
-        &self,
-        telemetry: &TelemetryService,
-        path: &str,
-        metric: Metric,
-    ) -> Result<PathForecast, FrameworkError> {
-        let key = SeriesKey::new(path, metric);
-        let history = telemetry.last_n(&key, self.history_window());
-        if history.len() < self.min_history() {
-            return Err(FrameworkError::InsufficientTelemetry {
-                key: key.to_string(),
-                have: history.len(),
-                need: self.min_history(),
-            });
-        }
-        let values = forecast_next(self.model, &history, self.lags, self.horizon, self.seed)?;
-        Ok(PathForecast {
-            path: path.to_string(),
-            values,
-        })
     }
 
     /// Forecasts every candidate path; paths with insufficient history
@@ -614,7 +556,7 @@ impl HecateService {
         };
         for ((pos, id, entry), served) in jobs.into_iter().zip(served) {
             *cache.slot(id) = entry;
-            if let Ok((arm, values)) = served {
+            if let Some((arm, values)) = served {
                 let c = &cands[pos];
                 cache.count(arm, c.pair);
                 forecastable = true;
@@ -625,22 +567,6 @@ impl HecateService {
             }
         }
         (aligned, forecastable)
-    }
-
-    /// Refit-every-time variant of [`HecateService::forecast_all`] (the
-    /// cold baseline), with the same parallel fan-out.
-    pub fn forecast_all_uncached(
-        &self,
-        telemetry: &TelemetryService,
-        paths: &[String],
-        metric: Metric,
-    ) -> Vec<PathForecast> {
-        linalg::par::par_map(paths, |p| {
-            self.forecast_path_uncached(telemetry, p, metric).ok()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
     }
 
     /// Behavior counters plus the live entry count (a snapshot; the
@@ -680,8 +606,8 @@ impl HecateService {
 
     /// How many samples the series has grown since the cached model for
     /// `(path, metric)` was fitted; `None` when nothing is cached. After
-    /// any successful [`HecateService::forecast_path`] this is always
-    /// `< max(refit_after, 1)` as of the telemetry state that call saw.
+    /// a consult that forecast the path this is always
+    /// `< max(refit_after, 1)` as of the telemetry state that consult saw.
     pub fn cache_age(
         &self,
         telemetry: &TelemetryService,
@@ -719,26 +645,26 @@ impl HecateService {
     pub fn clear_cache(&self) {
         self.lock().entries.clear();
     }
-
-    /// The paper's headline recommendation: the path with the most
-    /// predicted available bandwidth over the horizon.
-    pub fn best_path_by_bandwidth(
-        &self,
-        telemetry: &TelemetryService,
-        paths: &[String],
-    ) -> Result<String, FrameworkError> {
-        let forecasts = self.forecast_all(telemetry, paths, Metric::AvailableBandwidth);
-        forecasts
-            .into_iter()
-            .max_by(|a, b| a.mean().total_cmp(&b.mean()))
-            .map(|f| f.path)
-            .ok_or(FrameworkError::NoFeasiblePath)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const BW: Metric = Metric::AvailableBandwidth;
+
+    /// One path's forecast: the consult over that path alone.
+    fn forecast(h: &HecateService, ts: &TelemetryService, path: &str) -> Option<PathForecast> {
+        h.forecast_all(ts, &[path.to_string()], BW).pop()
+    }
+
+    /// The reference a cached forecast must equal: an eager fit on the
+    /// path's history window, rolled.
+    fn eager(h: &HecateService, ts: &TelemetryService, path: &str) -> Vec<f64> {
+        let history = ts.last_n(&SeriesKey::new(path, BW), h.history_window());
+        let mut fit = TrainedForecaster::fit(h.model, &history, h.lags, h.seed).unwrap();
+        fit.roll(h.horizon).unwrap()
+    }
 
     fn seeded_store(paths: &[(&str, f64)]) -> TelemetryService {
         let mut ts = TelemetryService::new(1000);
@@ -760,9 +686,7 @@ mod tests {
     fn forecast_has_horizon_length() {
         let ts = seeded_store(&[("t1", 20.0)]);
         let h = HecateService::new();
-        let f = h
-            .forecast_path(&ts, "t1", Metric::AvailableBandwidth)
-            .unwrap();
+        let f = forecast(&h, &ts, "t1").unwrap();
         assert_eq!(f.values.len(), 10);
         // forecast of a ~20 Mbps series stays near 20
         assert!((f.mean() - 20.0).abs() < 3.0, "mean {}", f.mean());
@@ -770,28 +694,18 @@ mod tests {
 
     #[test]
     fn insufficient_history_is_reported() {
+        // A path is skipped until its series holds `min_history()`
+        // samples, and forecast from then on.
+        let h = HecateService::new();
+        let key = SeriesKey::new("t1", BW);
         let mut ts = TelemetryService::new(100);
-        for t in 0..5u64 {
-            ts.insert(&SeriesKey::new("t1", Metric::AvailableBandwidth), t, 1.0);
+        for t in 0..h.min_history() as u64 - 1 {
+            ts.insert(&key, t, 1.0 + (t % 3) as f64);
         }
-        let h = HecateService::new();
-        match h.forecast_path(&ts, "t1", Metric::AvailableBandwidth) {
-            Err(FrameworkError::InsufficientTelemetry { have, need, .. }) => {
-                assert_eq!(have, 5);
-                assert_eq!(need, 12);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn best_path_picks_highest_forecast() {
-        let ts = seeded_store(&[("t1", 20.0), ("t2", 10.0), ("t3", 5.0)]);
-        let h = HecateService::new();
-        let best = h
-            .best_path_by_bandwidth(&ts, &["t1".to_string(), "t2".to_string(), "t3".to_string()])
-            .unwrap();
-        assert_eq!(best, "t1");
+        assert!(forecast(&h, &ts, "t1").is_none());
+        ts.insert(&key, 99, 2.0);
+        assert_eq!(forecast(&h, &ts, "t1").unwrap().values.len(), h.horizon);
+        assert_eq!(h.cache_stats().refits, 1);
     }
 
     #[test]
@@ -873,16 +787,6 @@ mod tests {
     }
 
     #[test]
-    fn no_candidates_is_an_error() {
-        let ts = TelemetryService::new(10);
-        let h = HecateService::new();
-        assert!(matches!(
-            h.best_path_by_bandwidth(&ts, &[]),
-            Err(FrameworkError::NoFeasiblePath)
-        ));
-    }
-
-    #[test]
     fn empty_forecast_min_is_zero_not_infinity() {
         let f = PathForecast {
             path: "t1".into(),
@@ -901,17 +805,14 @@ mod tests {
     fn cache_hit_when_no_new_samples_is_identical_to_uncached() {
         let ts = seeded_store(&[("t1", 20.0)]);
         let h = HecateService::new();
-        let first = h
-            .forecast_path(&ts, "t1", Metric::AvailableBandwidth)
-            .unwrap();
-        let hit = h
-            .forecast_path(&ts, "t1", Metric::AvailableBandwidth)
-            .unwrap();
-        let uncached = h
-            .forecast_path_uncached(&ts, "t1", Metric::AvailableBandwidth)
-            .unwrap();
+        let first = forecast(&h, &ts, "t1").unwrap();
+        let hit = forecast(&h, &ts, "t1").unwrap();
         assert_eq!(first.values, hit.values);
-        assert_eq!(hit.values, uncached.values, "cache must not change bits");
+        assert_eq!(
+            hit.values,
+            eager(&h, &ts, "t1"),
+            "cache must not change bits"
+        );
         let stats = h.cache_stats();
         assert_eq!((stats.refits, stats.hits), (1, 1));
         assert_eq!(stats.entries, 1);
@@ -922,8 +823,7 @@ mod tests {
         let mut ts = seeded_store(&[("t1", 20.0)]);
         let mut h = HecateService::new();
         h.refit_after = 5;
-        h.forecast_path(&ts, "t1", Metric::AvailableBandwidth)
-            .unwrap();
+        forecast(&h, &ts, "t1").unwrap();
         // 3 new samples < 5: window update, no refit.
         for t in 60..63u64 {
             ts.insert(
@@ -932,8 +832,7 @@ mod tests {
                 20.0,
             );
         }
-        h.forecast_path(&ts, "t1", Metric::AvailableBandwidth)
-            .unwrap();
+        forecast(&h, &ts, "t1").unwrap();
         let stats = h.cache_stats();
         assert_eq!((stats.refits, stats.updates), (1, 1), "{stats:?}");
         assert_eq!(h.cache_age(&ts, "t1", Metric::AvailableBandwidth), Some(3));
@@ -945,8 +844,7 @@ mod tests {
                 20.0,
             );
         }
-        h.forecast_path(&ts, "t1", Metric::AvailableBandwidth)
-            .unwrap();
+        forecast(&h, &ts, "t1").unwrap();
         let stats = h.cache_stats();
         assert_eq!(stats.refits, 2, "{stats:?}");
         assert_eq!(h.cache_age(&ts, "t1", Metric::AvailableBandwidth), Some(0));
@@ -956,16 +854,14 @@ mod tests {
     fn changing_the_model_invalidates_cached_entries() {
         let ts = seeded_store(&[("t1", 20.0)]);
         let mut h = HecateService::new();
-        h.forecast_path(&ts, "t1", Metric::AvailableBandwidth)
-            .unwrap();
+        forecast(&h, &ts, "t1").unwrap();
         h.model = RegressorKind::Lr;
-        let cached = h
-            .forecast_path(&ts, "t1", Metric::AvailableBandwidth)
-            .unwrap();
-        let fresh = h
-            .forecast_path_uncached(&ts, "t1", Metric::AvailableBandwidth)
-            .unwrap();
-        assert_eq!(cached.values, fresh.values, "stale-config entry reused");
+        let cached = forecast(&h, &ts, "t1").unwrap();
+        assert_eq!(
+            cached.values,
+            eager(&h, &ts, "t1"),
+            "stale-config entry reused"
+        );
         assert_eq!(h.cache_stats().refits, 2);
     }
 
@@ -973,12 +869,9 @@ mod tests {
     fn clones_share_the_cache() {
         let ts = seeded_store(&[("t1", 20.0)]);
         let h = HecateService::new();
-        h.forecast_path(&ts, "t1", Metric::AvailableBandwidth)
-            .unwrap();
+        forecast(&h, &ts, "t1").unwrap();
         let clone = h.clone();
-        clone
-            .forecast_path(&ts, "t1", Metric::AvailableBandwidth)
-            .unwrap();
+        forecast(&clone, &ts, "t1").unwrap();
         let stats = clone.cache_stats();
         assert_eq!((stats.refits, stats.hits), (1, 1), "{stats:?}");
         h.clear_cache();
@@ -996,15 +889,9 @@ mod tests {
             b.insert(&SeriesKey::new("t1", Metric::AvailableBandwidth), t, 5.0);
         }
         let h = HecateService::new();
-        h.forecast_path(&a, "t1", Metric::AvailableBandwidth)
-            .unwrap();
-        let got = h
-            .forecast_path(&b, "t1", Metric::AvailableBandwidth)
-            .unwrap();
-        let want = h
-            .forecast_path_uncached(&b, "t1", Metric::AvailableBandwidth)
-            .unwrap();
-        assert_eq!(got.values, want.values, "rolled A's model on B");
+        forecast(&h, &a, "t1").unwrap();
+        let got = forecast(&h, &b, "t1").unwrap();
+        assert_eq!(got.values, eager(&h, &b, "t1"), "rolled A's model on B");
         let stats = h.cache_stats();
         assert_eq!((stats.refits, stats.updates), (2, 0), "{stats:?}");
         assert_eq!(h.cache_age(&a, "t1", Metric::AvailableBandwidth), None);
@@ -1021,8 +908,7 @@ mod tests {
         h.set_trace(obsv::Tracer::to(sink.clone()), clock.clone());
 
         // Cold call: refit -> one ml.fit span at the clock's time.
-        h.forecast_path(&ts, "t1", Metric::AvailableBandwidth)
-            .unwrap();
+        forecast(&h, &ts, "t1").unwrap();
         // Fresh samples below the refit threshold: update -> ml.roll.
         for t in 60..63u64 {
             ts.insert(
@@ -1032,12 +918,10 @@ mod tests {
             );
         }
         clock.set(9_500);
-        h.forecast_path(&ts, "t1", Metric::AvailableBandwidth)
-            .unwrap();
+        forecast(&h, &ts, "t1").unwrap();
         // Pure hit: no model work, no span.
         clock.set(11_000);
-        h.forecast_path(&ts, "t1", Metric::AvailableBandwidth)
-            .unwrap();
+        forecast(&h, &ts, "t1").unwrap();
 
         let recs = sink.snapshot();
         let spans: Vec<(&str, obsv::RecordKind, u64)> =
@@ -1066,8 +950,7 @@ mod tests {
         // Disarming stops emission.
         h.set_trace(obsv::Tracer::off(), obsv::SimClock::new());
         h.clear_cache();
-        h.forecast_path(&ts, "t1", Metric::AvailableBandwidth)
-            .unwrap();
+        forecast(&h, &ts, "t1").unwrap();
         assert_eq!(sink.len(), 4, "disarmed cache emitted a span");
     }
 
@@ -1101,9 +984,7 @@ mod tests {
             );
         }
         let h = HecateService::with_model(RegressorKind::Lr);
-        let f = h
-            .forecast_path(&ts, "up", Metric::AvailableBandwidth)
-            .unwrap();
+        let f = forecast(&h, &ts, "up").unwrap();
         assert!(f.values[0] > 55.0, "first forecast {}", f.values[0]);
     }
     #[test]
@@ -1113,7 +994,7 @@ mod tests {
         // sketches), then one sample per consult (the update arm runs a
         // sketch's deferred fit; the refit after it is eager), then the
         // cadence again. The reference is the protocol run by hand on
-        // eager forecasters: a refit is `forecast_path_uncached`, an
+        // eager forecasters: a refit is an eager fit, rolled, an
         // update the last fit's forecaster, slid and rolled.
         let paths: Vec<String> = ["a", "b", "c"].map(String::from).to_vec();
         let mut ts = seeded_store(&[("a", 20.0), ("b", 12.0), ("c", 6.0)]);
@@ -1151,15 +1032,17 @@ mod tests {
             for (i, (p, f)) in paths.iter().zip(&got).enumerate() {
                 let want = match arms {
                     (0, 0, 3) => {
-                        let fit = TrainedForecaster::fit(h.model, &history(&ts, p), h.lags, h.seed);
-                        let uncached = h.forecast_path_uncached(&ts, p, metric).unwrap();
+                        let mut fit =
+                            TrainedForecaster::fit(h.model, &history(&ts, p), h.lags, h.seed)
+                                .unwrap();
+                        let rolled = fit.roll(h.horizon).unwrap();
                         if eager.len() <= i {
-                            eager.push(fit.unwrap());
+                            eager.push(fit);
                         } else {
-                            eager[i] = fit.unwrap();
+                            eager[i] = fit;
                         }
                         fitted_after_refit.push(h.cached_model_fitted(&ts, p, metric).unwrap());
-                        uncached.values
+                        rolled
                     }
                     (0, 3, 0) => {
                         eager[i].observe(*history(&ts, p).last().unwrap()).unwrap();

@@ -77,15 +77,6 @@ impl std::fmt::Display for PairId {
 /// Errors from the framework layer.
 #[derive(Debug)]
 pub enum FrameworkError {
-    /// Not enough telemetry history to make a decision.
-    InsufficientTelemetry {
-        /// Series that is too short.
-        key: String,
-        /// Samples available.
-        have: usize,
-        /// Samples needed.
-        need: usize,
-    },
     /// The ML layer failed.
     Ml(hecate_ml::MlError),
     /// The control plane failed.
@@ -110,9 +101,6 @@ pub enum FrameworkError {
 impl std::fmt::Display for FrameworkError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FrameworkError::InsufficientTelemetry { key, have, need } => {
-                write!(f, "series {key:?} has {have} samples, need {need}")
-            }
             FrameworkError::Ml(e) => write!(f, "ML failure: {e}"),
             FrameworkError::Freertr(e) => write!(f, "control-plane failure: {e}"),
             FrameworkError::Netsim(e) => write!(f, "emulator failure: {e}"),

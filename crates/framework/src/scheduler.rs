@@ -73,7 +73,8 @@ impl Scheduler {
     }
 
     /// Time of the next pending request, if any.
-    pub fn next_start(&self) -> Option<u64> {
+    #[cfg(test)]
+    fn next_start(&self) -> Option<u64> {
         self.queue.first().map(|r| r.start_ms)
     }
 

@@ -294,8 +294,7 @@ impl TelemetryService {
     }
 
     /// The most recent `n` values (oldest first); fewer if the series is
-    /// short, empty vec if the series is unknown. Clones the window —
-    /// prefer [`TelemetryService::with_last_n`] on hot paths.
+    /// short, empty vec if the series is unknown. Clones the window.
     pub fn last_n(&self, key: &SeriesKey, n: usize) -> Vec<f64> {
         self.with_last_n(key, n, |vals| vals.to_vec())
             .unwrap_or_default()
@@ -304,12 +303,7 @@ impl TelemetryService {
     /// Calls `f` with the most recent `n` values (oldest first) as one
     /// contiguous slice, without copying; fewer values if the series is
     /// short, `None` if the series is unknown.
-    pub fn with_last_n<R>(
-        &self,
-        key: &SeriesKey,
-        n: usize,
-        f: impl FnOnce(&[f64]) -> R,
-    ) -> Option<R> {
+    fn with_last_n<R>(&self, key: &SeriesKey, n: usize, f: impl FnOnce(&[f64]) -> R) -> Option<R> {
         let (_, vals) = self.ring(key)?.window(self.capacity, n);
         Some(f(vals))
     }

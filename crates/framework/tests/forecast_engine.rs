@@ -78,10 +78,11 @@ proptest! {
             ts.insert(&key, t as u64 * 1000, *v);
         }
         let h = HecateService::with_model(kind);
+        let path = ["p".to_string()];
         // populate (refit) ...
-        let first = h.forecast_path(&ts, "p", Metric::AvailableBandwidth).unwrap();
+        let first = h.forecast_all(&ts, &path, Metric::AvailableBandwidth).pop().unwrap();
         // ... then hit, with zero new samples in between
-        let hit = h.forecast_path(&ts, "p", Metric::AvailableBandwidth).unwrap();
+        let hit = h.forecast_all(&ts, &path, Metric::AvailableBandwidth).pop().unwrap();
         // the reference: an eager fit from scratch on the exact same
         // history, rolled (`forecast_next` sketches, as a refit may)
         let history = ts.last_n(&key, 120.max(h.min_history()));
@@ -94,26 +95,39 @@ proptest! {
     }
 }
 
-/// Acceptance: the cached engine's recommendations match the uncached
-/// engine's on identical telemetry — RFR, 8 candidate paths, both the
-/// single best-path question and a batched greedy-flow placement.
+/// Acceptance: the cached engine's recommendations match an eager
+/// fit-then-roll's on identical telemetry — RFR, 8 candidate paths, both
+/// the single best-path question and a batched greedy-flow placement.
 #[test]
 fn cached_recommendations_match_uncached_on_8_paths() {
     let (ts, names) = store_with_paths(8, 60);
     let hecate = HecateService::new(); // the paper's RFR
-    let cold = hecate.forecast_all_uncached(&ts, &names, Metric::AvailableBandwidth);
+    let cold: Vec<Vec<f64>> = names
+        .iter()
+        .map(|name| {
+            let key = SeriesKey::new(name, Metric::AvailableBandwidth);
+            let history = ts.last_n(&key, 120.max(hecate.min_history()));
+            let mut eager =
+                TrainedForecaster::fit(hecate.model, &history, hecate.lags, hecate.seed).unwrap();
+            eager.roll(hecate.horizon).unwrap()
+        })
+        .collect();
     let warm = hecate.forecast_all(&ts, &names, Metric::AvailableBandwidth);
-    assert_eq!(cold.len(), 8);
+    let hit = hecate.forecast_all(&ts, &names, Metric::AvailableBandwidth);
     assert_eq!(warm.len(), 8);
-    for (c, w) in cold.iter().zip(&warm) {
-        assert_eq!(c.path, w.path);
-        assert_eq!(c.values, w.values, "{}: cached forecast diverged", c.path);
+    for ((c, w), name) in cold.iter().zip(&warm).zip(&names) {
+        assert_eq!(&w.path, name);
+        assert_eq!(c, &w.values, "{name}: cached forecast diverged");
     }
     // Same recommendation for a single flow...
-    let best_cold = hecate.best_path_by_bandwidth(&ts, &names).unwrap();
-    let best_warm = hecate.best_path_by_bandwidth(&ts, &names).unwrap();
-    assert_eq!(best_cold, best_warm);
-    assert_eq!(best_cold, "path7", "highest level wins");
+    let best = |forecasts: &[framework::hecate::PathForecast]| {
+        let best = forecasts
+            .iter()
+            .max_by(|a, b| a.mean().total_cmp(&b.mean()));
+        best.unwrap().path.clone()
+    };
+    assert_eq!(best(&warm), best(&hit));
+    assert_eq!(best(&warm), "path7", "highest level wins");
     // ... and for a whole batch placed jointly.
     let again = decide(&hecate, &ts, 4, &names);
     let rerun = decide(&hecate, &ts, 4, &names);

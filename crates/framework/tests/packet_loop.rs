@@ -44,7 +44,12 @@ fn failure_recovery_is_one_ingress_rewrite_and_refuels_the_forecast() {
     assert_eq!(plane.ingress_rewrites(), 0, "no migration yet");
     let f1 = sdn
         .hecate
-        .forecast_path(&sdn.telemetry, "tunnel1", Metric::AvailableBandwidth)
+        .forecast_all(
+            &sdn.telemetry,
+            &["tunnel1".into()],
+            Metric::AvailableBandwidth,
+        )
+        .pop()
         .expect("warm series forecasts");
     assert!(f1.mean() > 15.0, "tunnel1 forecast {}", f1.mean());
 
@@ -89,7 +94,12 @@ fn failure_recovery_is_one_ingress_rewrite_and_refuels_the_forecast() {
     assert!((goodput - 6.0).abs() < 0.6, "post-migration {goodput}");
     let f2 = sdn
         .hecate
-        .forecast_path(&sdn.telemetry, &after, Metric::AvailableBandwidth)
+        .forecast_all(
+            &sdn.telemetry,
+            std::slice::from_ref(&after),
+            Metric::AvailableBandwidth,
+        )
+        .pop()
         .expect("packet-fed series re-forecasts");
     assert!(f2.mean() > 5.0, "{} forecast {}", after, f2.mean());
 }

@@ -29,7 +29,6 @@ pub struct ArdRegression {
     pub threshold_lambda: f64,
     coef: Option<Vec<f64>>,
     intercept: f64,
-    lambdas: Vec<f64>,
 }
 
 impl Default for ArdRegression {
@@ -40,7 +39,6 @@ impl Default for ArdRegression {
             threshold_lambda: 1e4,
             coef: None,
             intercept: 0.0,
-            lambdas: Vec::new(),
         }
     }
 }
@@ -54,11 +52,6 @@ impl ArdRegression {
     /// Fitted coefficients.
     pub fn coefficients(&self) -> Option<&[f64]> {
         self.coef.as_deref()
-    }
-
-    /// Per-feature precisions after fitting (large = pruned/irrelevant).
-    pub fn lambdas(&self) -> &[f64] {
-        &self.lambdas
     }
 }
 
@@ -134,7 +127,6 @@ impl Regressor for ArdRegression {
             }
         }
         self.intercept = y_mean - linalg::matrix::dot(&x_means, &mu);
-        self.lambdas = lambda;
         self.coef = Some(mu);
         Ok(())
     }
@@ -142,10 +134,6 @@ impl Regressor for ArdRegression {
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
         let coef = self.coef.as_ref().ok_or(MlError::NotFitted)?;
         Ok(predict_linear(x, coef, self.intercept))
-    }
-
-    fn name(&self) -> &'static str {
-        "ARDR"
     }
 }
 

@@ -120,10 +120,6 @@ impl Regressor for AdaBoostRegressor {
             })
             .collect())
     }
-
-    fn name(&self) -> &'static str {
-        "AdaBoostR"
-    }
 }
 
 /// R6: gradient boosting with squared-error loss.
@@ -168,7 +164,8 @@ impl GradientBoostingRegressor {
     }
 
     /// GBR with a custom stage count.
-    pub fn with_stages(n_estimators: usize) -> Self {
+    #[cfg(test)]
+    fn with_stages(n_estimators: usize) -> Self {
         GradientBoostingRegressor {
             n_estimators,
             ..Self::default()
@@ -210,10 +207,6 @@ impl Regressor for GradientBoostingRegressor {
     fn predict_row(&self, row: &[f64]) -> Result<f64, MlError> {
         self.stages.check_cols(row.len())?;
         Ok(self.boosted(row))
-    }
-
-    fn name(&self) -> &'static str {
-        "GBR"
     }
 }
 

@@ -1,8 +1,9 @@
-//! L1-regularized linear models by coordinate descent:
-//! Lasso (R10) and Elastic Net (R5).
+//! L1-regularized linear models by coordinate descent: Elastic Net (R5),
+//! and Lasso (R10), which is Elastic Net at `l1_ratio = 1`.
 //!
 //! scikit-learn defaults mirrored: `alpha = 1.0`, `l1_ratio = 0.5` (for
-//! ElasticNet), `max_iter = 1000`, `tol = 1e-4`, intercept by centering.
+//! ElasticNet; `RegressorKind::Lasso` builds `with_params(1.0, 1.0)`),
+//! `max_iter = 1000`, `tol = 1e-4`, intercept by centering.
 //! With `alpha = 1.0` on standardized lag features both models shrink
 //! aggressively — which is precisely why they sit far from the origin in
 //! the paper's Fig 6 RMSE scatter.
@@ -16,7 +17,7 @@ use crate::model::Regressor;
 use crate::{check_xy, MlError};
 use linalg::Matrix;
 
-/// Shared coordinate-descent engine for the elastic-net objective.
+/// Coordinate descent on the elastic-net objective.
 fn coordinate_descent(
     x: &Matrix,
     y: &[f64],
@@ -80,75 +81,7 @@ fn soft_threshold(z: f64, gamma: f64) -> f64 {
     }
 }
 
-/// R10: Lasso — elastic net with `l1_ratio = 1`.
-#[derive(Debug, Clone)]
-pub struct Lasso {
-    /// L1 penalty strength (scikit-learn default 1.0).
-    pub alpha: f64,
-    /// Maximum coordinate-descent sweeps.
-    pub max_iter: usize,
-    /// Convergence tolerance on the largest coefficient update.
-    pub tol: f64,
-    coef: Option<Vec<f64>>,
-    intercept: f64,
-}
-
-impl Default for Lasso {
-    fn default() -> Self {
-        Lasso {
-            alpha: 1.0,
-            max_iter: 1000,
-            tol: 1e-4,
-            coef: None,
-            intercept: 0.0,
-        }
-    }
-}
-
-impl Lasso {
-    /// Lasso with scikit-learn defaults.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Lasso with a custom penalty.
-    pub fn with_alpha(alpha: f64) -> Self {
-        Lasso {
-            alpha,
-            ..Self::default()
-        }
-    }
-
-    /// Fitted coefficients.
-    pub fn coefficients(&self) -> Option<&[f64]> {
-        self.coef.as_deref()
-    }
-}
-
-impl Regressor for Lasso {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), MlError> {
-        check_xy(x, y)?;
-        if self.alpha < 0.0 {
-            return Err(MlError::BadHyperparameter("alpha must be >= 0".into()));
-        }
-        let (xc, yc, x_means, y_mean) = center_xy(x, y);
-        let coef = coordinate_descent(&xc, &yc, self.alpha, 1.0, self.max_iter, self.tol);
-        self.intercept = y_mean - linalg::matrix::dot(&x_means, &coef);
-        self.coef = Some(coef);
-        Ok(())
-    }
-
-    fn predict(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
-        let coef = self.coef.as_ref().ok_or(MlError::NotFitted)?;
-        Ok(predict_linear(x, coef, self.intercept))
-    }
-
-    fn name(&self) -> &'static str {
-        "Lasso"
-    }
-}
-
-/// R5: Elastic Net.
+/// R5: Elastic Net (and R10: Lasso, at `l1_ratio = 1`).
 #[derive(Debug, Clone)]
 pub struct ElasticNet {
     /// Overall penalty strength (scikit-learn default 1.0).
@@ -200,7 +133,7 @@ impl ElasticNet {
 impl Regressor for ElasticNet {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), MlError> {
         check_xy(x, y)?;
-        if self.alpha < 0.0 || !(0.0..=1.0).contains(&self.l1_ratio) {
+        if !(0.0..).contains(&self.alpha) || !(0.0..=1.0).contains(&self.l1_ratio) {
             return Err(MlError::BadHyperparameter(
                 "alpha >= 0 and 0 <= l1_ratio <= 1 required".into(),
             ));
@@ -215,10 +148,6 @@ impl Regressor for ElasticNet {
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
         let coef = self.coef.as_ref().ok_or(MlError::NotFitted)?;
         Ok(predict_linear(x, coef, self.intercept))
-    }
-
-    fn name(&self) -> &'static str {
-        "ElasticNet"
     }
 }
 
@@ -242,7 +171,7 @@ mod tests {
     #[test]
     fn lasso_small_alpha_fits_signal() {
         let (x, y) = strong_signal();
-        let mut m = Lasso::with_alpha(0.01);
+        let mut m = ElasticNet::with_params(0.01, 1.0);
         m.fit(&x, &y).unwrap();
         let pred = m.predict(&x).unwrap();
         assert!(rmse(&y, &pred) < 0.5);
@@ -251,7 +180,7 @@ mod tests {
     #[test]
     fn lasso_selects_sparse_support() {
         let (x, y) = strong_signal();
-        let mut m = Lasso::with_alpha(0.5);
+        let mut m = ElasticNet::with_params(0.5, 1.0);
         m.fit(&x, &y).unwrap();
         let c = m.coefficients().unwrap();
         assert!(c[0].abs() > 1.0, "signal coefficient survives");
@@ -261,7 +190,7 @@ mod tests {
     #[test]
     fn lasso_huge_alpha_predicts_mean() {
         let (x, y) = strong_signal();
-        let mut m = Lasso::with_alpha(1e6);
+        let mut m = ElasticNet::with_params(1e6, 1.0);
         m.fit(&x, &y).unwrap();
         let c = m.coefficients().unwrap();
         assert!(c.iter().all(|v| *v == 0.0));
@@ -281,29 +210,43 @@ mod tests {
 
     #[test]
     fn elastic_net_l1_ratio_one_matches_lasso() {
+        // The Lasso kind is the elastic net at `l1_ratio = 1`: pure L1,
+        // so the signal survives and the noise coefficient is exactly 0.
         let (x, y) = strong_signal();
-        let mut en = ElasticNet::with_params(0.3, 1.0);
-        let mut la = Lasso::with_alpha(0.3);
-        en.fit(&x, &y).unwrap();
+        let mut la = crate::RegressorKind::Lasso.build(0);
+        let mut en = ElasticNet::with_params(1.0, 1.0);
         la.fit(&x, &y).unwrap();
-        let pe = en.predict(&x).unwrap();
-        let pl = la.predict(&x).unwrap();
-        assert!(rmse(&pe, &pl) < 1e-6);
+        en.fit(&x, &y).unwrap();
+        assert_eq!(la.predict(&x).unwrap(), en.predict(&x).unwrap());
+        let c = en.coefficients().unwrap();
+        assert!(c[0].abs() > 1.0 && c[1] == 0.0, "{c:?}");
     }
 
     #[test]
     fn bad_hyperparameters_rejected() {
         let (x, y) = strong_signal();
-        assert!(Lasso::with_alpha(-0.1).fit(&x, &y).is_err());
+        assert!(ElasticNet::with_params(-0.1, 1.0).fit(&x, &y).is_err());
         assert!(ElasticNet::with_params(1.0, 1.5).fit(&x, &y).is_err());
     }
 
     #[test]
+    fn nan_alpha_is_rejected() {
+        // `alpha < 0.0` is false for NaN, and a NaN penalty fit
+        // "successfully" and predicted NaN.
+        let (x, y) = strong_signal();
+        let models: [Box<dyn Regressor>; 3] = [
+            Box::new(ElasticNet::with_params(f64::NAN, 0.5)),
+            Box::new(ElasticNet::with_params(f64::NAN, 1.0)),
+            Box::new(crate::linear::Ridge::with_alpha(f64::NAN)),
+        ];
+        for mut m in models {
+            let got = m.fit(&x, &y);
+            assert!(matches!(got, Err(MlError::BadHyperparameter(_))), "{got:?}");
+        }
+    }
+
+    #[test]
     fn unfitted_predict_errors() {
-        assert_eq!(
-            Lasso::new().predict(&Matrix::zeros(1, 1)).unwrap_err(),
-            MlError::NotFitted
-        );
         assert_eq!(
             ElasticNet::new().predict(&Matrix::zeros(1, 1)).unwrap_err(),
             MlError::NotFitted

@@ -35,39 +35,6 @@ pub fn sequential_split(series: &[f64], train_fraction: f64) -> (&[f64], &[f64])
     series.split_at(cut)
 }
 
-/// A windowed train/test pair with the window construction applied to each
-/// side independently (matching the paper: "The training dataset is further
-/// split to fit the models based on the historical values, while the
-/// testing dataset is utilized for predicting t_{i+1} values").
-#[derive(Debug, Clone)]
-pub struct SupervisedSplit {
-    /// Training design matrix (`n_train x lags`).
-    pub x_train: Matrix,
-    /// Training targets.
-    pub y_train: Vec<f64>,
-    /// Test design matrix.
-    pub x_test: Matrix,
-    /// Test targets.
-    pub y_test: Vec<f64>,
-}
-
-/// Builds the full supervised split the evaluation uses.
-pub fn supervised_split(
-    series: &[f64],
-    lags: usize,
-    train_fraction: f64,
-) -> Option<SupervisedSplit> {
-    let (train, test) = sequential_split(series, train_fraction);
-    let (x_train, y_train) = make_supervised(train, lags)?;
-    let (x_test, y_test) = make_supervised(test, lags)?;
-    Some(SupervisedSplit {
-        x_train,
-        y_train,
-        x_test,
-        y_test,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,7 +58,6 @@ mod tests {
     #[test]
     fn zero_lags_returns_none() {
         assert!(make_supervised(&[1.0, 2.0, 3.0], 0).is_none());
-        assert!(supervised_split(&[1.0; 40], 0, 0.75).is_none());
     }
 
     #[test]
@@ -114,19 +80,25 @@ mod tests {
 
     #[test]
     fn supervised_split_shapes() {
+        // Each side of the split is windowed on its own, as the
+        // evaluation protocol does.
         let series: Vec<f64> = (0..100).map(|i| (i as f64).sin()).collect();
-        let s = supervised_split(&series, 10, 0.75).unwrap();
-        assert_eq!(s.x_train.rows(), 75 - 10);
-        assert_eq!(s.x_test.rows(), 25 - 10);
-        assert_eq!(s.x_train.cols(), 10);
-        assert_eq!(s.y_train.len(), 65);
-        assert_eq!(s.y_test.len(), 15);
+        let (train, test) = sequential_split(&series, 0.75);
+        let (x_train, y_train) = make_supervised(train, 10).unwrap();
+        let (x_test, y_test) = make_supervised(test, 10).unwrap();
+        assert_eq!(x_train.rows(), 75 - 10);
+        assert_eq!(x_test.rows(), 25 - 10);
+        assert_eq!(x_train.cols(), 10);
+        assert_eq!(y_train.len(), 65);
+        assert_eq!(y_test.len(), 15);
     }
 
     #[test]
     fn supervised_split_too_short_test_side() {
         let series: Vec<f64> = (0..20).map(|i| i as f64).collect();
         // test side has 5 points < lags+1
-        assert!(supervised_split(&series, 10, 0.75).is_none());
+        let (train, test) = sequential_split(&series, 0.75);
+        assert!(make_supervised(train, 10).is_some());
+        assert!(make_supervised(test, 10).is_none());
     }
 }

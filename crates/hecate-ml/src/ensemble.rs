@@ -1,9 +1,11 @@
-//! Averaging ensembles: Random Forest (R13) and Bagging (R3).
+//! Averaging ensembles: Random Forest (R13), which is also Bagging (R3).
 //!
 //! scikit-learn defaults mirrored: `RandomForestRegressor(n_estimators=100,
-//! max_features=1.0, bootstrap=True)` and `BaggingRegressor(n_estimators=10,
-//! max_samples=1.0, bootstrap=True)` over full-depth CART trees. With
-//! every feature at every split the two differ only in their tree count.
+//! max_features=1.0, bootstrap=True)` over full-depth CART trees. With
+//! every feature at every split, `BaggingRegressor(n_estimators=10,
+//! max_samples=1.0, bootstrap=True)` is the same forest with ten trees,
+//! so [`crate::RegressorKind::Bagging`] builds a ten-tree
+//! [`RandomForestRegressor`].
 //!
 //! Tree fitting is embarrassingly parallel and runs on scoped threads
 //! ([`linalg::par::par_map_indexed`]); per-tree bootstrap streams are
@@ -188,66 +190,6 @@ impl Regressor for RandomForestRegressor {
         self.trees.check_cols(row.len())?;
         Ok(row_mean(&self.trees, row))
     }
-
-    fn name(&self) -> &'static str {
-        "RFR"
-    }
-}
-
-/// R3: Bagging regressor over full-depth trees.
-#[derive(Debug, Clone)]
-pub struct BaggingRegressor {
-    /// Number of bootstrap replicas (scikit-learn default 10).
-    pub n_estimators: usize,
-    /// Ensemble seed.
-    pub seed: u64,
-    trees: Forest,
-}
-
-impl Default for BaggingRegressor {
-    fn default() -> Self {
-        BaggingRegressor {
-            n_estimators: 10,
-            seed: 0,
-            trees: Forest::default(),
-        }
-    }
-}
-
-impl BaggingRegressor {
-    /// Bagging with scikit-learn defaults.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Bagging with a fixed seed.
-    pub fn with_seed(seed: u64) -> Self {
-        BaggingRegressor {
-            seed,
-            ..Self::default()
-        }
-    }
-}
-
-impl Regressor for BaggingRegressor {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), MlError> {
-        let workers = worker_count(self.n_estimators);
-        self.trees = fit_forest(x, y, self.n_estimators, self.seed, workers)?;
-        Ok(())
-    }
-
-    fn predict(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
-        predict_mean(&self.trees, x)
-    }
-
-    fn predict_row(&self, row: &[f64]) -> Result<f64, MlError> {
-        self.trees.check_cols(row.len())?;
-        Ok(row_mean(&self.trees, row))
-    }
-
-    fn name(&self) -> &'static str {
-        "Bagging"
-    }
 }
 
 #[cfg(test)]
@@ -333,7 +275,7 @@ mod tests {
     #[test]
     fn bagging_fits_and_averages() {
         let (x, y) = wavy_data(100);
-        let mut b = BaggingRegressor::with_seed(2);
+        let mut b = crate::RegressorKind::Bagging.build(2);
         b.fit(&x, &y).unwrap();
         let pred = b.predict(&x).unwrap();
         assert!(rmse(&y, &pred) < 0.5);
@@ -363,8 +305,6 @@ mod tests {
             let mut f = RandomForestRegressor::with_trees(5);
             assert!(matches!(f.fit(&xb, &y), Err(MlError::Numeric(_))));
             assert!(matches!(f.fit(&x, &yb), Err(MlError::Numeric(_))));
-            let mut b = BaggingRegressor::new();
-            assert!(matches!(b.fit(&xb, &y), Err(MlError::Numeric(_))));
         }
     }
 
@@ -373,23 +313,12 @@ mod tests {
         let (x, y) = wavy_data(20);
         let mut f = RandomForestRegressor::with_trees(0);
         assert!(f.fit(&x, &y).is_err());
-        let mut b = BaggingRegressor {
-            n_estimators: 0,
-            ..Default::default()
-        };
-        assert!(b.fit(&x, &y).is_err());
     }
 
     #[test]
     fn unfitted_errors() {
         assert_eq!(
             RandomForestRegressor::new()
-                .predict(&Matrix::zeros(1, 3))
-                .unwrap_err(),
-            MlError::NotFitted
-        );
-        assert_eq!(
-            BaggingRegressor::new()
                 .predict(&Matrix::zeros(1, 3))
                 .unwrap_err(),
             MlError::NotFitted

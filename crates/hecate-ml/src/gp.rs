@@ -25,7 +25,6 @@ pub struct GaussianProcessRegressor {
     pub alpha: f64,
     x_train: Option<Matrix>,
     dual_coef: Vec<f64>,
-    chol: Option<Matrix>,
 }
 
 impl Default for GaussianProcessRegressor {
@@ -36,7 +35,6 @@ impl Default for GaussianProcessRegressor {
             alpha: 1e-10,
             x_train: None,
             dual_coef: Vec::new(),
-            chol: None,
         }
     }
 }
@@ -47,8 +45,9 @@ impl GaussianProcessRegressor {
         Self::default()
     }
 
-    /// GPR with a custom length scale (for the ablation bench).
-    pub fn with_length_scale(length_scale: f64) -> Self {
+    /// GPR with a custom length scale.
+    #[cfg(test)]
+    fn with_length_scale(length_scale: f64) -> Self {
         GaussianProcessRegressor {
             length_scale,
             ..Self::default()
@@ -58,17 +57,6 @@ impl GaussianProcessRegressor {
     fn kernel(&self, a: &[f64], b: &[f64]) -> f64 {
         let sq: f64 = a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum();
         self.amplitude * (-0.5 * sq / (self.length_scale * self.length_scale)).exp()
-    }
-
-    /// Log marginal likelihood of the training data under the fitted
-    /// kernel (diagnostic; the paper's pipeline does not optimize it).
-    pub fn log_marginal_likelihood(&self, y: &[f64]) -> Result<f64, MlError> {
-        let chol = self.chol.as_ref().ok_or(MlError::NotFitted)?;
-        let n = y.len() as f64;
-        let fit_term: f64 = y.iter().zip(&self.dual_coef).map(|(a, b)| a * b).sum();
-        Ok(-0.5 * fit_term
-            - 0.5 * chol.cholesky_logdet()
-            - 0.5 * n * (2.0 * std::f64::consts::PI).ln())
     }
 }
 
@@ -104,7 +92,6 @@ impl Regressor for GaussianProcessRegressor {
             }
         };
         self.dual_coef = chol.cholesky_solve(y);
-        self.chol = Some(chol);
         self.x_train = Some(x.clone());
         Ok(())
     }
@@ -125,10 +112,6 @@ impl Regressor for GaussianProcessRegressor {
                     .sum()
             })
             .collect())
-    }
-
-    fn name(&self) -> &'static str {
-        "GPR"
     }
 }
 
@@ -211,15 +194,6 @@ mod tests {
         m.fit(&Matrix::from_rows(&rows), &y).unwrap();
         let pred = m.predict(&Matrix::from_rows(&rows)).unwrap();
         assert!((pred[0] - 3.0).abs() < 0.1);
-    }
-
-    #[test]
-    fn log_marginal_likelihood_is_finite() {
-        let rows: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64]).collect();
-        let y: Vec<f64> = (0..10).map(|i| (i as f64).sin()).collect();
-        let mut m = GaussianProcessRegressor::new();
-        m.fit(&Matrix::from_rows(&rows), &y).unwrap();
-        assert!(m.log_marginal_likelihood(&y).unwrap().is_finite());
     }
 
     #[test]

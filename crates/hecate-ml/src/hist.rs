@@ -345,10 +345,6 @@ impl Regressor for HistGradientBoostingRegressor {
             })
             .collect())
     }
-
-    fn name(&self) -> &'static str {
-        "HGBR"
-    }
 }
 
 #[cfg(test)]

@@ -86,10 +86,6 @@ impl Regressor for LinearRegression {
         let coef = self.coef.as_ref().ok_or(MlError::NotFitted)?;
         Ok(predict_linear(x, coef, self.intercept))
     }
-
-    fn name(&self) -> &'static str {
-        "LR"
-    }
 }
 
 /// R14: Ridge regression (`alpha = 1.0` by default).
@@ -139,7 +135,7 @@ impl Ridge {
 impl Regressor for Ridge {
     fn fit(&mut self, x: &Matrix, y: &[f64]) -> Result<(), MlError> {
         check_xy(x, y)?;
-        if self.alpha < 0.0 {
+        if !(0.0..).contains(&self.alpha) {
             return Err(MlError::BadHyperparameter("alpha must be >= 0".into()));
         }
         let (xc, yc, x_means, y_mean) = center_xy(x, y);
@@ -161,10 +157,6 @@ impl Regressor for Ridge {
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
         let coef = self.coef.as_ref().ok_or(MlError::NotFitted)?;
         Ok(predict_linear(x, coef, self.intercept))
-    }
-
-    fn name(&self) -> &'static str {
-        "Ridge"
     }
 }
 

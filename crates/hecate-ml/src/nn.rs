@@ -160,7 +160,8 @@ impl MlpRegressor {
     }
 
     /// Number of trainable parameters (after `fit`).
-    pub fn parameter_count(&self) -> usize {
+    #[cfg(test)]
+    fn parameter_count(&self) -> usize {
         self.layers
             .iter()
             .map(|l| l.weights.rows() * l.weights.cols() + l.bias.len())
@@ -337,10 +338,6 @@ impl Regressor for MlpRegressor {
                 outs[self.layers.len() - 1][0]
             })
             .collect())
-    }
-
-    fn name(&self) -> &'static str {
-        "MLP"
     }
 }
 

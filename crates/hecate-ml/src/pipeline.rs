@@ -60,6 +60,27 @@ pub fn evaluate_regressor(
     series: &[f64],
     config: &PipelineConfig,
 ) -> Result<EvalReport, MlError> {
+    let mut model = kind.build(config.seed);
+    let (observed, predicted, fit_time) = evaluate_model(model.as_mut(), series, config)?;
+    Ok(EvalReport {
+        kind,
+        rmse: rmse(&observed, &predicted),
+        mae: mae(&observed, &predicted),
+        r2: r2(&observed, &predicted),
+        observed,
+        predicted,
+        fit_time,
+    })
+}
+
+/// The protocol itself, on any model, which it fits: returns the
+/// observed and predicted test targets, both in the original scale, and
+/// the fit's wall time. `config.seed` is the caller's to build with.
+pub fn evaluate_model(
+    model: &mut dyn Regressor,
+    series: &[f64],
+    config: &PipelineConfig,
+) -> Result<(Vec<f64>, Vec<f64>, std::time::Duration), MlError> {
     check_finite("series", series)?;
     let (train, test) = sequential_split(series, config.train_fraction);
     if train.len() <= config.lags || test.len() <= config.lags {
@@ -82,7 +103,6 @@ pub fn evaluate_regressor(
     let (x_test, y_test) =
         make_supervised(&test_scaled, config.lags).ok_or(MlError::BadShape("test".into()))?;
 
-    let mut model = kind.build(config.seed);
     // detlint: allow(wall-clock) — fit_time is a reported measurement
     // (the paper's training-time column); it never feeds a decision,
     // a forecast, or anything replayed bit-for-bit.
@@ -95,15 +115,7 @@ pub fn evaluate_regressor(
     // Back to the original scale for RMSE, as the paper does.
     let observed = scaler.inverse_transform_column(&y_test, 0)?;
     let predicted = scaler.inverse_transform_column(&pred_scaled, 0)?;
-    Ok(EvalReport {
-        kind,
-        rmse: rmse(&observed, &predicted),
-        mae: mae(&observed, &predicted),
-        r2: r2(&observed, &predicted),
-        observed,
-        predicted,
-        fit_time,
-    })
+    Ok((observed, predicted, fit_time))
 }
 
 /// Evaluates all eighteen regressors on a series, in parallel
@@ -293,7 +305,8 @@ impl TrainedForecaster {
     }
 
     /// Number of history samples the current fit saw.
-    pub fn trained_on(&self) -> usize {
+    #[cfg(test)]
+    fn trained_on(&self) -> usize {
         self.trained_on
     }
 

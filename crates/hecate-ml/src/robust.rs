@@ -142,10 +142,6 @@ impl Regressor for HuberRegressor {
         let coef = self.coef.as_ref().ok_or(MlError::NotFitted)?;
         Ok(predict_linear(x, coef, self.intercept))
     }
-
-    fn name(&self) -> &'static str {
-        "HuberR"
-    }
 }
 
 /// R12: RANSAC with an OLS base estimator.
@@ -160,7 +156,6 @@ pub struct RansacRegressor {
     /// RNG seed.
     pub seed: u64,
     inner: Option<LinearRegression>,
-    inlier_mask: Vec<bool>,
 }
 
 impl Default for RansacRegressor {
@@ -171,7 +166,6 @@ impl Default for RansacRegressor {
             max_trials: 100,
             seed: 0,
             inner: None,
-            inlier_mask: Vec::new(),
         }
     }
 }
@@ -188,11 +182,6 @@ impl RansacRegressor {
             seed,
             ..Self::default()
         }
-    }
-
-    /// The inlier mask from the winning consensus set.
-    pub fn inlier_mask(&self) -> &[bool] {
-        &self.inlier_mask
     }
 }
 
@@ -245,17 +234,12 @@ impl Regressor for RansacRegressor {
         let yi: Vec<f64> = best_inliers.iter().map(|&i| y[i]).collect();
         let mut final_model = LinearRegression::new();
         final_model.fit(&xi, &yi)?;
-        self.inlier_mask = (0..n).map(|i| best_inliers.contains(&i)).collect();
         self.inner = Some(final_model);
         Ok(())
     }
 
     fn predict(&self, x: &Matrix) -> Result<Vec<f64>, MlError> {
         self.inner.as_ref().ok_or(MlError::NotFitted)?.predict(x)
-    }
-
-    fn name(&self) -> &'static str {
-        "RANSACR"
     }
 }
 
@@ -398,10 +382,6 @@ impl Regressor for TheilSenRegressor {
         let coef = self.coef.as_ref().ok_or(MlError::NotFitted)?;
         Ok(predict_linear(x, coef, self.intercept))
     }
-
-    fn name(&self) -> &'static str {
-        "TheilSenR"
-    }
 }
 
 #[cfg(test)]
@@ -439,15 +419,15 @@ mod tests {
         let (x, y) = outlier_data();
         let mut m = RansacRegressor::with_seed(3);
         m.fit(&x, &y).unwrap();
-        // Outliers excluded from the consensus set.
-        let inliers = m.inlier_mask().iter().filter(|&&b| b).count();
-        assert!(inliers >= 40, "found {inliers} inliers");
-        assert!(!m.inlier_mask()[3], "index 3 is an outlier");
+        // Outliers excluded from the consensus set: the fitted line
+        // passes far from them and only them.
+        let pred = m.predict(&x).unwrap();
+        let far: Vec<usize> = (0..50).filter(|&i| (y[i] - pred[i]).abs() > 1.0).collect();
+        assert_eq!(far, [3, 17, 29, 41, 47]);
         // Clean-point predictions are accurate.
         let clean_idx: Vec<usize> = (0..50)
             .filter(|i| ![3, 17, 29, 41, 47].contains(i))
             .collect();
-        let pred = m.predict(&x).unwrap();
         let clean_rmse = rmse(
             &clean_idx.iter().map(|&i| y[i]).collect::<Vec<_>>(),
             &clean_idx.iter().map(|&i| pred[i]).collect::<Vec<_>>(),

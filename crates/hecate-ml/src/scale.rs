@@ -128,11 +128,6 @@ impl StandardScaler {
         &self.means
     }
 
-    /// Learned standard deviations.
-    pub fn stds(&self) -> &[f64] {
-        &self.stds
-    }
-
     fn check(&self, cols: usize) -> Result<(), MlError> {
         if self.means.is_empty() {
             return Err(MlError::NotFitted);

@@ -32,7 +32,7 @@ pub struct CvReport {
 /// The series is cut into `folds + 1` contiguous blocks; fold `i` trains
 /// on blocks `0..=i` and tests on block `i + 1`. Scaling is refit per
 /// fold from training data only.
-pub fn walk_forward(
+fn walk_forward(
     kind: RegressorKind,
     series: &[f64],
     lags: usize,

@@ -122,10 +122,6 @@ impl Regressor for SgdRegressor {
         let coef = self.coef.as_ref().ok_or(MlError::NotFitted)?;
         Ok(predict_linear(x, coef, self.intercept))
     }
-
-    fn name(&self) -> &'static str {
-        "SGDR"
-    }
 }
 
 #[cfg(test)]

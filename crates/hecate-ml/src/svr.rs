@@ -77,7 +77,8 @@ impl SvrRegressor {
     }
 
     /// Number of support vectors (|beta_i| > 0 after fitting).
-    pub fn support_vector_count(&self) -> usize {
+    #[cfg(test)]
+    fn support_vector_count(&self) -> usize {
         self.beta.iter().filter(|b| b.abs() > 1e-9).count()
     }
 
@@ -268,13 +269,6 @@ impl Regressor for SvrRegressor {
                 s
             })
             .collect())
-    }
-
-    fn name(&self) -> &'static str {
-        match self.kernel {
-            SvrKernel::Linear => "SVM_Linear",
-            SvrKernel::Rbf { .. } => "SVM_RBF",
-        }
     }
 }
 

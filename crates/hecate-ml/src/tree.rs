@@ -686,10 +686,6 @@ impl Regressor for DecisionTreeRegressor {
         self.tree.check_cols(row.len())?;
         Ok(self.tree.leaf(0, row))
     }
-
-    fn name(&self) -> &'static str {
-        "DTR"
-    }
 }
 
 /// The builder and the node layout this module's replaced, kept as the
