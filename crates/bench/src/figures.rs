@@ -365,7 +365,7 @@ pub fn ext_steering(
 /// the finished network), the first
 /// `paths` candidate tunnel names and the network's shared-link model
 /// (`link_model(false)`) cut to those tunnels.
-pub fn throughput_testbed(
+fn throughput_testbed(
     paths: usize,
 ) -> (
     framework::TelemetryService,
@@ -519,7 +519,7 @@ pub fn decision_throughput(paths: usize, cold_flows: usize, warm_flows: usize) -
 /// ring walks, each expressible as a PolKA routeID or a segment list,
 /// plus each item's encoded hops (the nodeIDs its packets visit, in
 /// path order).
-pub fn forwarding_workload(
+fn forwarding_workload(
     polka: bool,
     packets_per_flow: usize,
 ) -> (
@@ -876,7 +876,7 @@ const TICK_MOUSE_MBPS: f64 = 0.05;
 /// incremental machinery is exercised on most events, while the trunks
 /// keep slack so components stay local to the touched pairs — the
 /// access-bottleneck shape of a real multi-site WAN.
-pub fn tick_model(pairs: usize) -> framework::optimizer::SharedLinkModel {
+fn tick_model(pairs: usize) -> framework::optimizer::SharedLinkModel {
     let groups = pairs.div_ceil(2);
     let mut headroom = vec![40.0; pairs];
     headroom.extend(std::iter::repeat_n(100.0, 2 * groups));
@@ -932,7 +932,7 @@ pub struct TickLatencyReport {
 
 /// The million-flow control-plane tick (the perf tentpole's headline
 /// artifact): a standing [`framework::SharedWaterfill`] over
-/// [`tick_model`]`(pairs)` seeded with two greedy elephants per pair
+/// `tick_model(pairs)` seeded with two greedy elephants per pair
 /// plus demand-limited mice up to `flows` total, then driven through
 /// `ticks` scheduler ticks of `events_per_tick` mixed flow events
 /// (arrival / departure / demand ramp / reroute, xorshift-drawn from

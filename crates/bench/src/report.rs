@@ -17,7 +17,7 @@ use std::path::PathBuf;
 
 /// Where the unified report lives: `$BENCH_REPORT`, defaulting to
 /// `BENCH_report.json` in the working directory.
-pub fn report_path() -> PathBuf {
+fn report_path() -> PathBuf {
     std::env::var("BENCH_REPORT")
         .unwrap_or_else(|_| "BENCH_report.json".into())
         .into()

@@ -249,10 +249,7 @@ fn bare_panic_target(vpath: &str) -> bool {
 }
 
 fn is_test_path(vpath: &str) -> bool {
-    vpath.starts_with("tests/")
-        || vpath.contains("/tests/")
-        || vpath.contains("/benches/")
-        || vpath.ends_with("/tests.rs")
+    vpath.starts_with("tests/") || vpath.contains("/tests/") || vpath.ends_with("/tests.rs")
 }
 
 /// Scan one file's source. `vpath` is the workspace-relative path used

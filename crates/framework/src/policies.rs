@@ -69,7 +69,7 @@ pub struct PolicyReport {
 /// the payoff is that path's actual bandwidth over the committed
 /// interval. Committing an interval is what makes snapshot whipsaw
 /// costly: one blip or fade-edge sample misallocates the whole block.
-pub fn run_policy(
+fn run_policy(
     policy: Policy,
     path1: &[f64],
     path2: &[f64],

@@ -134,9 +134,9 @@ pub fn allocator_for(topo: &Topology) -> NodeIdAllocator {
 
 /// Compiles a tunnel in the **port-switching baseline** mode: the same
 /// domain path expressed as an ordered segment list (one popped label per
-/// hop). Used for the header-size and per-hop-work comparisons against
-/// the PolKA label.
-pub fn compile_segment_list(
+/// hop). The tests' oracle for the ports a compiled PolKA label drives.
+#[cfg(test)]
+fn compile_segment_list(
     tunnel: &TunnelCfg,
     topo: &Topology,
 ) -> Result<polka::SegmentListRoute, FreertrError> {

@@ -138,8 +138,9 @@ impl RandomForestRegressor {
         Self::default()
     }
 
-    /// Forest with a custom size (used by the ablation bench).
-    pub fn with_trees(n_estimators: usize) -> Self {
+    /// Forest with a custom size.
+    #[cfg(test)]
+    fn with_trees(n_estimators: usize) -> Self {
         RandomForestRegressor {
             n_estimators,
             ..Self::default()
@@ -155,7 +156,8 @@ impl RandomForestRegressor {
     }
 
     /// Number of fitted trees.
-    pub fn tree_count(&self) -> usize {
+    #[cfg(test)]
+    fn tree_count(&self) -> usize {
         self.trees.len()
     }
 

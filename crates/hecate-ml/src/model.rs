@@ -139,12 +139,11 @@ impl RegressorKind {
                 Box::new(bagging)
             }
             Dtr => Box::new(crate::tree::DecisionTreeRegressor::new()),
-            ElasticNet => Box::new(crate::coordinate::ElasticNet::new()),
+            ElasticNet | Lasso => Box::new(self.penalised(1.0)),
             Gbr => Box::new(crate::boost::GradientBoostingRegressor::new()),
             Gpr => Box::new(crate::gp::GaussianProcessRegressor::new()),
             Hgbr => Box::new(crate::hist::HistGradientBoostingRegressor::new()),
             HuberR => Box::new(crate::robust::HuberRegressor::new()),
-            Lasso => Box::new(crate::coordinate::ElasticNet::with_params(1.0, 1.0)),
             Lr => Box::new(crate::linear::LinearRegression::new()),
             RansacR => Box::new(crate::robust::RansacRegressor::with_seed(seed)),
             Rfr => Box::new(crate::ensemble::RandomForestRegressor::with_seed(seed)),
@@ -154,6 +153,14 @@ impl RegressorKind {
             SvmRbf => Box::new(crate::svr::SvrRegressor::rbf()),
             TheilSenR => Box::new(crate::robust::TheilSenRegressor::with_seed(seed)),
         }
+    }
+
+    /// A coordinate-descent kind at penalty `alpha`: ElasticNet at
+    /// scikit-learn's `l1_ratio = 0.5`, Lasso at `l1_ratio = 1`.
+    /// [`RegressorKind::build`] passes scikit-learn's `alpha = 1`.
+    fn penalised(self, alpha: f64) -> crate::coordinate::ElasticNet {
+        let l1_ratio = if self == Self::Lasso { 1.0 } else { 0.5 };
+        crate::coordinate::ElasticNet::with_params(alpha, l1_ratio)
     }
 
     /// Parses a paper id (`"R13"`) or label (`"RFR"`, case-insensitive).
@@ -256,6 +263,19 @@ mod tests {
             assert_eq!(p.len(), y.len(), "{k}");
             assert!(p.iter().all(|v| v.is_finite()), "{k} produced non-finite");
             assert_eq!(fnv1a(&p), want, "{k}: {:#018x}", fnv1a(&p));
+        }
+        // At alpha = 1 the Lasso shrinks this signal to its mean (60
+        // equal predictions), so the table cannot see an L1 change.
+        // Lightly penalised, both kinds keep every coefficient.
+        let light = [
+            (RegressorKind::ElasticNet, 0x8f7676ce9369c1f8),
+            (RegressorKind::Lasso, 0x1aef8e640030ec14),
+        ];
+        for (k, want) in light {
+            let mut m = k.penalised(0.01);
+            m.fit(&x, &y).unwrap();
+            let p = m.predict(&x).unwrap();
+            assert_eq!(fnv1a(&p), want, "{k} at alpha 0.01: {:#018x}", fnv1a(&p));
         }
     }
 }

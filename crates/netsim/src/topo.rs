@@ -271,15 +271,6 @@ impl Topology {
             .sum())
     }
 
-    /// Bottleneck (minimum) capacity along a path in Mbps.
-    pub fn path_capacity_mbps(&self, path: &[NodeIdx]) -> Result<f64, NetsimError> {
-        Ok(self
-            .path_links(path)?
-            .iter()
-            .map(|l| self.link(*l).capacity_mbps)
-            .fold(f64::INFINITY, f64::min))
-    }
-
     /// The 1-based physical port on `a` that faces neighbor `b`. Ports
     /// are numbered by ascending neighbor index, so the mapping is
     /// deterministic for a given topology — this is what the PolKA
@@ -577,7 +568,8 @@ pub fn global_p4_lab() -> Topology {
 
 /// The 3-node illustration topology of Fig 2: source, intermediate,
 /// destination, with a direct s-d link and an s-i-d detour.
-pub fn simple3(capacity_mbps: f64) -> Topology {
+#[cfg(test)]
+fn simple3(capacity_mbps: f64) -> Topology {
     let mut t = Topology::new();
     let s = t.add_node("s", NodeKind::Edge);
     let i = t.add_node("i", NodeKind::Core);
@@ -1017,9 +1009,14 @@ mod tests {
         let t1 = t.path_by_names(&["MIA", "SAO", "AMS"]).unwrap();
         let t2 = t.path_by_names(&["MIA", "CHI", "AMS"]).unwrap();
         let t3 = t.path_by_names(&["MIA", "CAL", "CHI", "AMS"]).unwrap();
-        assert_eq!(t.path_capacity_mbps(&t1).unwrap(), 20.0);
-        assert_eq!(t.path_capacity_mbps(&t2).unwrap(), 10.0);
-        assert_eq!(t.path_capacity_mbps(&t3).unwrap(), 5.0);
+        let bottleneck = |p: &[NodeIdx]| {
+            let links = t.path_links(p).unwrap();
+            let caps = links.iter().map(|&l| t.link(l).capacity_mbps);
+            caps.fold(f64::INFINITY, f64::min)
+        };
+        assert_eq!(bottleneck(&t1), 20.0);
+        assert_eq!(bottleneck(&t2), 10.0);
+        assert_eq!(bottleneck(&t3), 5.0);
     }
 
     #[test]

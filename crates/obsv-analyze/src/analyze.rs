@@ -192,13 +192,12 @@ struct Edge {
 
 /// The streaming analyzer. Feed records in emission order via
 /// [`push_record`](TraceAnalyzer::push_record) or
-/// [`push_jsonl_line`](TraceAnalyzer::push_jsonl_line); read aggregates
-/// at any point.
+/// [`push_jsonl`](TraceAnalyzer::push_jsonl); read aggregates at any
+/// point. Instant events count as records and aggregate nowhere.
 #[derive(Debug, Default)]
 pub struct TraceAnalyzer {
     stack: Vec<OpenSpan>,
     spans: BTreeMap<String, SpanAgg>,
-    instants: BTreeMap<String, u64>,
     counters: BTreeMap<String, CounterAgg>,
     /// Parent name ("" at the root) → child name edges.
     edges: BTreeMap<(String, String), Edge>,
@@ -250,7 +249,7 @@ impl TraceAnalyzer {
 
     /// Feeds one JSONL line as written by [`obsv::export::jsonl`].
     /// Blank lines are ignored.
-    pub fn push_jsonl_line(&mut self, line: &str) -> Result<(), String> {
+    fn push_jsonl_line(&mut self, line: &str) -> Result<(), String> {
         let line = line.trim();
         if line.is_empty() {
             return Ok(());
@@ -342,9 +341,7 @@ impl TraceAnalyzer {
                 agg.self_ns += dur.saturating_sub(open.child_ns);
                 agg.hist.record(dur);
             }
-            RecordKind::Instant => {
-                *self.instants.entry(name.to_string()).or_default() += 1;
-            }
+            RecordKind::Instant => {}
             RecordKind::Counter => {
                 let c = self.counters.entry(name.to_string()).or_default();
                 c.samples += 1;
@@ -374,11 +371,6 @@ impl TraceAnalyzer {
     /// All span aggregates, sorted by name.
     pub fn spans(&self) -> impl Iterator<Item = (&str, &SpanAgg)> {
         self.spans.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// How many times an instant event fired.
-    pub fn instant_count(&self, name: &str) -> u64 {
-        self.instants.get(name).copied().unwrap_or(0)
     }
 
     /// The aggregate for one counter track.
@@ -537,7 +529,6 @@ mod tests {
             (300, 300, 300, 300)
         );
         assert_eq!(d.arg_sums.get("events"), Some(&7));
-        assert_eq!(a.instant_count("packet.drop"), 1);
         assert_eq!(a.counter("sim.queue_depth").unwrap().last, 5);
         assert_eq!(a.open_spans(), 0);
         assert_eq!(a.dangling_ends(), 0);

@@ -8,11 +8,11 @@
 //!    instant events with `&'static str` names and lazily-built
 //!    arguments. The disabled tracer is a `None` sink: every call is an
 //!    inlined branch that emits nothing and allocates nothing.
-//! 2. **Metrics** ([`Registry`], [`Counter`], [`Gauge`],
-//!    [`Histogram`]) — deterministic instruments with sorted,
-//!    bit-replayable [`Registry::snapshot`]s. The hand-rolled stats
-//!    structs that used to live in `netsim::fairness` and
-//!    `framework::hecate` are now thin snapshots over these counters.
+//! 2. **Metrics** ([`Registry`], [`Counter`]) — deterministic counters
+//!    with sorted, bit-replayable [`Registry::snapshot`]s. The
+//!    hand-rolled stats structs that used to live in `netsim::fairness`
+//!    and `framework::hecate` are now thin snapshots over these
+//!    counters.
 //! 3. **Exporters + flight recorder** ([`export`], [`FlightRecorder`])
 //!    — JSONL and Chrome trace-event (Perfetto-loadable) writers, plus
 //!    a bounded ring of the most recent records for post-mortem dumps
@@ -31,7 +31,7 @@ mod metrics;
 mod trace;
 
 pub use flight::{install_panic_dump, FlightRecorder};
-pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot, Registry, SnapshotValue};
+pub use metrics::{Counter, MetricsSnapshot, Registry};
 pub use trace::{
     Fanout, RecordKind, RecordingSink, SimClock, SimNs, Span, TraceRecord, TraceSink, Tracer, Value,
 };

@@ -1,10 +1,10 @@
-//! Deterministic metrics: counters, gauges, fixed-bucket histograms,
-//! and a registry with sorted, bit-replayable snapshots.
+//! Deterministic metrics: counters and a registry with sorted,
+//! bit-replayable snapshots.
 //!
-//! Instruments are `Arc`-shared atomics — a component keeps a cheap
-//! clone for its hot path while the registry retains another for
-//! snapshotting. All updates are `Relaxed`: instruments are
-//! monotone-ish telemetry, never synchronization.
+//! Counters are `Arc`-shared atomics — a component keeps a cheap clone
+//! for its hot path while the registry retains another for
+//! snapshotting. All updates are `Relaxed`: counters are monotone
+//! telemetry, never synchronization.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,181 +40,46 @@ impl std::fmt::Debug for Counter {
     }
 }
 
-/// A last-value-wins gauge (f64 stored as bits).
-#[derive(Clone, Default)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        self.0.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[inline]
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-}
-
-impl std::fmt::Debug for Gauge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Gauge({})", self.get())
-    }
-}
-
-/// A fixed-bucket histogram. Bucket `i` counts observations `v <=
-/// bounds[i]`; one implicit overflow bucket counts the rest. Bounds
-/// are fixed at construction — no dynamic rebinning, so two runs bin
-/// identically.
-#[derive(Clone)]
-pub struct Histogram {
-    bounds: Arc<[f64]>,
-    counts: Arc<[AtomicU64]>,
-}
-
-impl Histogram {
-    /// Builds a histogram over `bounds` (must be sorted ascending).
-    pub fn new(bounds: &[f64]) -> Self {
-        debug_assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly ascending"
-        );
-        let counts: Vec<AtomicU64> = (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect();
-        Histogram {
-            bounds: bounds.into(),
-            counts: counts.into(),
-        }
-    }
-
-    /// Records one observation.
-    #[inline]
-    pub fn observe(&self, v: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| v <= b)
-            .unwrap_or(self.bounds.len());
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Bucket bounds.
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Per-bucket counts (`bounds.len() + 1` entries; last is
-    /// overflow).
-    pub fn counts(&self) -> Vec<u64> {
-        self.counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// Total observations.
-    pub fn total(&self) -> u64 {
-        self.counts().iter().sum()
-    }
-}
-
-impl std::fmt::Debug for Histogram {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Histogram")
-            .field("bounds", &self.bounds)
-            .field("counts", &self.counts())
-            .finish()
-    }
-}
-
-#[derive(Clone, Debug)]
-enum Instrument {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
-}
-
-/// The value of one instrument at snapshot time.
-#[derive(Clone, Debug, PartialEq)]
-pub enum SnapshotValue {
-    /// Counter value.
-    Counter(u64),
-    /// Gauge value.
-    Gauge(f64),
-    /// Histogram `(bound, count)` rows plus the overflow count keyed
-    /// under `f64::INFINITY`.
-    Histogram(Vec<(f64, u64)>),
-}
-
-impl SnapshotValue {
-    /// The counter value, if this is a counter.
-    pub fn as_counter(&self) -> Option<u64> {
-        match self {
-            SnapshotValue::Counter(v) => Some(*v),
-            _ => None,
-        }
-    }
-}
-
-/// A point-in-time, name-sorted view of every registered instrument.
+/// A point-in-time, name-sorted view of every registered counter.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// `(name, value)` rows in ascending name order.
-    pub entries: Vec<(String, SnapshotValue)>,
+    pub entries: Vec<(String, u64)>,
 }
 
 impl MetricsSnapshot {
-    /// Looks up a counter by name (0 when absent or not a counter).
+    /// Looks up a counter by name (0 when absent).
     pub fn counter(&self, name: &str) -> u64 {
-        self.get(name)
-            .and_then(SnapshotValue::as_counter)
-            .unwrap_or(0)
-    }
-
-    /// Looks up any instrument by name.
-    pub fn get(&self, name: &str) -> Option<&SnapshotValue> {
         self.entries
             .binary_search_by(|(n, _)| n.as_str().cmp(name))
-            .ok()
-            .map(|i| &self.entries[i].1)
+            .map_or(0, |i| self.entries[i].1)
     }
 
-    /// Counter-wise difference `self - earlier` (gauges and histograms
-    /// keep `self`'s value). Used for per-epoch deltas.
+    /// Counter-wise difference `self - earlier`. Used for per-epoch
+    /// deltas.
     pub fn delta(&self, earlier: &MetricsSnapshot) -> MetricsSnapshot {
-        let entries = self
-            .entries
-            .iter()
-            .map(|(name, v)| {
-                let v = match v {
-                    SnapshotValue::Counter(now) => {
-                        SnapshotValue::Counter(now.saturating_sub(earlier.counter(name)))
-                    }
-                    other => other.clone(),
-                };
-                (name.clone(), v)
-            })
+        let entries = (self.entries.iter())
+            .map(|(name, now)| (name.clone(), now.saturating_sub(earlier.counter(name))))
             .collect();
         MetricsSnapshot { entries }
     }
 }
 
-/// A shared registry of named instruments. Get-or-create semantics:
+/// A shared registry of named counters. Get-or-create semantics:
 /// asking twice for the same name yields handles on the same atomic.
 #[derive(Clone, Default)]
 pub struct Registry {
-    inner: Arc<Mutex<BTreeMap<String, Instrument>>>,
+    inner: Arc<Mutex<BTreeMap<String, Counter>>>,
 }
 
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "Registry({} instruments)", self.lock().len())
+        write!(f, "Registry({} counters)", self.lock().len())
     }
 }
 
 impl Registry {
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Instrument>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Counter>> {
         self.inner
             .lock()
             .unwrap_or_else(|poison| poison.into_inner())
@@ -222,50 +87,17 @@ impl Registry {
 
     /// Gets or creates a counter.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut map = self.lock();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Instrument::Counter(Counter::default()))
-        {
-            Instrument::Counter(c) => c.clone(),
-            other => panic!("metric {name:?} already registered as {other:?}, wanted a counter"),
-        }
+        self.lock().entry(name.to_string()).or_default().clone()
     }
 
     /// Adopts an existing counter under `name`, so a component's
     /// already-live instrument becomes visible to snapshots. Replaces
     /// any previous registration of the name.
     pub fn adopt_counter(&self, name: &str, counter: &Counter) {
-        self.lock()
-            .insert(name.to_string(), Instrument::Counter(counter.clone()));
+        self.lock().insert(name.to_string(), counter.clone());
     }
 
-    /// Gets or creates a gauge.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut map = self.lock();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Instrument::Gauge(Gauge::default()))
-        {
-            Instrument::Gauge(g) => g.clone(),
-            other => panic!("metric {name:?} already registered as {other:?}, wanted a gauge"),
-        }
-    }
-
-    /// Gets or creates a fixed-bucket histogram. Bounds are taken from
-    /// the first registration.
-    pub fn histogram(&self, name: &str, bounds: &[f64]) -> Histogram {
-        let mut map = self.lock();
-        match map
-            .entry(name.to_string())
-            .or_insert_with(|| Instrument::Histogram(Histogram::new(bounds)))
-        {
-            Instrument::Histogram(h) => h.clone(),
-            other => panic!("metric {name:?} already registered as {other:?}, wanted a histogram"),
-        }
-    }
-
-    /// Number of registered instruments.
+    /// Number of registered counters.
     pub fn len(&self) -> usize {
         self.lock().len()
     }
@@ -275,26 +107,12 @@ impl Registry {
         self.lock().is_empty()
     }
 
-    /// A name-sorted snapshot of every instrument. `BTreeMap` order is
-    /// the sort; byte-identical across runs that updated instruments
+    /// A name-sorted snapshot of every counter. `BTreeMap` order is
+    /// the sort; byte-identical across runs that updated counters
     /// identically.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let entries = self
-            .lock()
-            .iter()
-            .map(|(name, inst)| {
-                let v = match inst {
-                    Instrument::Counter(c) => SnapshotValue::Counter(c.get()),
-                    Instrument::Gauge(g) => SnapshotValue::Gauge(g.get()),
-                    Instrument::Histogram(h) => {
-                        let mut rows: Vec<(f64, u64)> =
-                            h.bounds().iter().copied().zip(h.counts()).collect();
-                        rows.push((f64::INFINITY, *h.counts().last().unwrap_or(&0)));
-                        SnapshotValue::Histogram(rows)
-                    }
-                };
-                (name.clone(), v)
-            })
+        let entries = (self.lock().iter())
+            .map(|(name, c)| (name.clone(), c.get()))
             .collect();
         MetricsSnapshot { entries }
     }
@@ -324,28 +142,6 @@ mod tests {
         assert_eq!(reg.snapshot().counter("pre.existing"), 3);
         c.inc();
         assert_eq!(reg.snapshot().counter("pre.existing"), 4);
-    }
-
-    #[test]
-    fn gauge_round_trips_f64() {
-        let reg = Registry::default();
-        let g = reg.gauge("depth");
-        g.set(2.5);
-        assert_eq!(g.get(), 2.5);
-        assert_eq!(
-            reg.snapshot().get("depth"),
-            Some(&SnapshotValue::Gauge(2.5))
-        );
-    }
-
-    #[test]
-    fn histogram_bins_deterministically_with_overflow() {
-        let h = Histogram::new(&[1.0, 10.0, 100.0]);
-        for v in [0.5, 1.0, 3.0, 50.0, 1e6] {
-            h.observe(v);
-        }
-        assert_eq!(h.counts(), vec![2, 1, 1, 1]);
-        assert_eq!(h.total(), 5);
     }
 
     #[test]

@@ -562,7 +562,7 @@ impl<'s> Run<'s> {
         let now = self.obsv.metrics.snapshot();
         if let Some(rows) = &mut self.per_epoch {
             let delta = now.delta(&self.snap);
-            rows.push(counters(&delta).filter(|&(_, c)| c > 0).collect());
+            rows.push(delta.entries.into_iter().filter(|&(_, c)| c > 0).collect());
         }
         self.snap = now;
     }
@@ -609,7 +609,7 @@ impl<'s> Run<'s> {
             })
             .collect();
         let samples = self.pair_samples.concat();
-        let totals = counters(&self.snap).collect();
+        let totals = self.snap.entries.clone();
         let metrics = (self.per_epoch).map(|per_epoch| MetricsSection { totals, per_epoch });
         let final_snap = metrics.is_some().then_some(self.snap);
         let card = Scorecard {
@@ -636,11 +636,6 @@ impl<'s> Run<'s> {
         };
         (card, artifacts)
     }
-}
-
-/// A snapshot's counters, in name order.
-fn counters(snap: &obsv::MetricsSnapshot) -> impl Iterator<Item = (String, u64)> + '_ {
-    (snap.entries.iter()).filter_map(|(n, v)| v.as_counter().map(|c| (n.clone(), c)))
 }
 
 /// The router names at a link's ends, as the framework's by-name link

@@ -151,7 +151,7 @@ impl Scorecard {
     /// the pair has no SLO/recovery bookkeeping of its own, so those
     /// cells read `-`). Empty on single-pair scorecards — the aggregate
     /// line already *is* the one pair.
-    pub fn pair_rows(&self) -> Vec<Vec<String>> {
+    fn pair_rows(&self) -> Vec<Vec<String>> {
         if self.per_pair.len() <= 1 {
             return Vec::new();
         }
@@ -196,7 +196,7 @@ impl Scorecard {
     /// line (water-fill solve counters + global cache behavior), then
     /// one cache-attribution line per pair on multi-pair runs. Empty
     /// when the run was not observed with snapshots.
-    pub fn metrics_lines(&self) -> Vec<String> {
+    fn metrics_lines(&self) -> Vec<String> {
         let Some(m) = &self.metrics else {
             return Vec::new();
         };

@@ -208,7 +208,7 @@ pub fn waxman(n: usize, alpha: f64, beta: f64, seed: u64) -> Topology {
 
 /// Erdős–Rényi G(n, p); see [`TopologySpec::ErdosRenyi`]. Uniform
 /// 20 Mbps capacities, delays uniform in 1..6 ms.
-pub fn erdos_renyi(n: usize, link_prob: f64, seed: u64) -> Topology {
+fn erdos_renyi(n: usize, link_prob: f64, seed: u64) -> Topology {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut t = Topology::new();
     let nodes: Vec<NodeIdx> = (0..n)
