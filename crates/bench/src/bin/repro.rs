@@ -269,6 +269,9 @@ fn ablation() {
     }
 }
 
+/// Floor on the million-flow tick's full-recompute / p99 ratio.
+const RECOMPUTE_OVER_TICK_FLOOR: f64 = 10.0;
+
 fn throughput() {
     banner(
         "throughput",
@@ -309,25 +312,37 @@ fn throughput() {
     // identical reruns estimates the machine's true latency while a
     // real solver regression slows every rep. The solve counters must
     // not move across reps — same seed, same event stream, same
-    // structure — which doubles as a determinism check.
-    let t = (0..5)
+    // structure — which doubles as a determinism check. Each rep also
+    // times one full recompute of its own standing solution; the median
+    // over the reps of recompute / tick p99 is the gated figure, since
+    // both sides of it run seconds apart on the same host.
+    let reps: Vec<_> = (0..5)
         .map(|_| figures::million_flow_tick(100_000, 256, 200, 32, 11))
+        .collect();
+    let counters = |r: &figures::TickLatencyReport| {
+        (
+            r.incremental_solves,
+            r.full_solves,
+            r.expansions,
+            r.fast_path_events,
+        )
+    };
+    for r in &reps[1..] {
+        assert_eq!(
+            counters(r),
+            counters(&reps[0]),
+            "tick counters moved across identical reruns"
+        );
+    }
+    let mut ratios: Vec<f64> = reps
+        .iter()
+        .map(|r| r.full_recompute_us / r.tick_p99_us.max(1e-9))
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let recompute_over_p99 = ratios[ratios.len() / 2];
+    let t = reps
+        .into_iter()
         .reduce(|best, r| {
-            assert_eq!(
-                (
-                    r.incremental_solves,
-                    r.full_solves,
-                    r.expansions,
-                    r.fast_path_events
-                ),
-                (
-                    best.incremental_solves,
-                    best.full_solves,
-                    best.expansions,
-                    best.fast_path_events
-                ),
-                "tick counters moved across identical reruns"
-            );
             if r.tick_p99_us < best.tick_p99_us {
                 r
             } else {
@@ -355,6 +370,10 @@ fn throughput() {
         t.full_solves,
         t.expansions,
         t.fast_path_events
+    );
+    println!(
+        "  full recompute / tick p99 (median of 5 reps): {:.1}",
+        recompute_over_p99
     );
     println!("  audit (incremental == recompute, bitwise): {}", t.audited);
     assert!(t.audited, "incremental water-fill diverged from recompute");
@@ -390,8 +409,9 @@ fn throughput() {
             // solve counters gate exactly (and the flow count carries
             // the >= 100k floor): the counters are deterministic per
             // seed, so any move is a changed decision. The p99 gets a
-            // generous shared-runner band PLUS the hard sub-ms line,
-            // expressed as a floor on sustainable ticks/sec.
+            // generous shared-runner band; ticks/sec is report-only (a
+            // bare rate reads the host), and the floor sits on the
+            // tick's p99 against a full recompute timed in the same reps.
             (
                 "tick_flows",
                 Metric::exact(t.flows as f64).with_floor(100_000.0),
@@ -408,9 +428,10 @@ fn throughput() {
             ),
             ("tick_p50_us", Metric::wall(t.tick_p50_us)),
             ("tick_p99_us", Metric::band(t.tick_p99_us, 3.0, 500.0)),
+            ("tick_rate_hz", Metric::wall(1e6 / t.tick_p99_us.max(1e-9))),
             (
-                "tick_rate_hz",
-                Metric::wall(1e6 / t.tick_p99_us.max(1e-9)).with_floor(1_000.0),
+                "recompute_over_tick_p99",
+                Metric::wall(recompute_over_p99).with_floor(RECOMPUTE_OVER_TICK_FLOOR),
             ),
             ("full_recompute_us", Metric::wall(t.full_recompute_us)),
         ],

@@ -15,7 +15,7 @@
 //! links mapped onto its dense link indices.
 
 use crate::flow::FlowId;
-use crate::maxmin::{MaxMinKernel, WaterfillMetrics, WaterfillStats};
+use crate::maxmin::{trim, MaxMinKernel, WaterfillMetrics, WaterfillStats};
 use crate::topo::{LinkId, NodeIdx, Topology};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -176,6 +176,10 @@ pub struct FairShareEngine {
     dead: BTreeMap<FlowId, Option<f64>>,
     /// Flows that died since the last resolve (its rate-0 reports).
     died: BTreeSet<FlowId>,
+    /// Reused buffers: the kernel's change list, and one path's kernel
+    /// link indices before they are frozen into their `Arc`.
+    report: Vec<(u64, f64)>,
+    hops: Vec<usize>,
 }
 
 impl Default for FairShareEngine {
@@ -191,6 +195,8 @@ impl FairShareEngine {
             kernel: MaxMinKernel::new(Vec::new()),
             dead: BTreeMap::new(),
             died: BTreeSet::new(),
+            report: Vec::new(),
+            hops: Vec::new(),
         }
     }
 
@@ -209,8 +215,31 @@ impl FairShareEngine {
         links: Option<Vec<(LinkId, Direction)>>,
         demand: Option<f64>,
     ) -> Option<Arc<[usize]>> {
-        self.exhume(id);
         let links = links.map(|links| self.dense(topo, &links));
+        self.insert_dense(id, links, demand)
+    }
+
+    /// [`FairShareEngine::insert_flow`] on a node path, dead when a hop
+    /// has no live link: the simulator's start, with one allocation (the
+    /// returned list).
+    pub(crate) fn insert_path(
+        &mut self,
+        topo: &Topology,
+        id: FlowId,
+        path: &[NodeIdx],
+        demand: Option<f64>,
+    ) -> Option<Arc<[usize]>> {
+        let links = self.dense_path(topo, path);
+        self.insert_dense(id, links, demand)
+    }
+
+    fn insert_dense(
+        &mut self,
+        id: FlowId,
+        links: Option<Arc<[usize]>>,
+        demand: Option<f64>,
+    ) -> Option<Arc<[usize]>> {
+        self.exhume(id);
         match &links {
             Some(links) => self.kernel.insert(id.0, Arc::clone(links), demand),
             None => {
@@ -239,6 +268,22 @@ impl FairShareEngine {
         links: Option<Vec<(LinkId, Direction)>>,
     ) -> Option<Arc<[usize]>> {
         let links = links.map(|links| self.dense(topo, &links));
+        self.set_dense(id, links)
+    }
+
+    /// [`FairShareEngine::set_links`] on a node path, as
+    /// [`FairShareEngine::insert_path`] is to `insert_flow`.
+    pub(crate) fn set_path(
+        &mut self,
+        topo: &Topology,
+        id: FlowId,
+        path: &[NodeIdx],
+    ) -> Option<Arc<[usize]>> {
+        let links = self.dense_path(topo, path);
+        self.set_dense(id, links)
+    }
+
+    fn set_dense(&mut self, id: FlowId, links: Option<Arc<[usize]>>) -> Option<Arc<[usize]>> {
         match &links {
             None => {
                 // An already-dead (or unknown) flow is not in the kernel.
@@ -280,9 +325,18 @@ impl FairShareEngine {
     /// rate changed — sorted by flow id, so downstream share updates
     /// replay deterministically.
     pub fn resolve(&mut self) -> Vec<(FlowId, f64)> {
-        let solved = self.kernel.resolve();
+        let mut out = Vec::new();
+        self.resolve_with(|id, rate| out.push((id, rate)));
+        out
+    }
+
+    /// [`FairShareEngine::resolve`], handing each `(flow, new raw rate)`
+    /// to `f` in the same order instead of collecting them.
+    pub(crate) fn resolve_with(&mut self, f: impl FnMut(FlowId, f64)) {
+        self.kernel.resolve_into(&mut self.report);
         let died = std::mem::take(&mut self.died);
-        merge_by_id(solved, died.into_iter().map(|id| (id, 0.0)))
+        merge_by_id(&self.report, died.into_iter(), f);
+        trim(&mut self.report);
     }
 
     /// Current raw rate of a flow (0 for dead flows).
@@ -296,7 +350,13 @@ impl FairShareEngine {
 
     /// All `(flow, raw rate)` pairs, sorted by flow id.
     pub fn rates(&self) -> Vec<(FlowId, f64)> {
-        merge_by_id(self.kernel.rates(), self.dead.keys().map(|id| (*id, 0.0)))
+        let mut out = Vec::new();
+        merge_by_id(
+            &self.kernel.rates(),
+            self.dead.keys().copied(),
+            |id, rate| out.push((id, rate)),
+        );
+        out
     }
 
     /// Number of live (non-dead) flows.
@@ -342,6 +402,19 @@ impl FairShareEngine {
             .map(|&(lid, dir)| dense_link(lid, dir))
             .collect()
     }
+
+    /// A node path's kernel links ([`directed_links`] then [`dense_link`]),
+    /// built in the reused `hops` buffer so the returned `Arc` is the one
+    /// allocation; `None` when a hop has no live link.
+    fn dense_path(&mut self, topo: &Topology, path: &[NodeIdx]) -> Option<Arc<[usize]>> {
+        self.hops.clear();
+        for w in path.windows(2) {
+            let (lid, dir) = directed_hop(topo, w[0], w[1]).ok()?;
+            self.hops.push(dense_link(lid, dir));
+        }
+        self.grow(topo);
+        Some(Arc::from(&self.hops[..]))
+    }
 }
 
 /// Kernel index of a directed link.
@@ -359,19 +432,22 @@ pub(crate) fn directed_link(dense: usize) -> (LinkId, Direction) {
     (LinkId((dense / 2) as u32), dir)
 }
 
-/// The kernel's id-sorted `(flow, rate)` list with the adapter's dead
-/// flows merged in (a flow is never both).
+/// Walks the kernel's id-sorted `(flow, rate)` list with the adapter's
+/// id-sorted dead flows merged in at rate 0 (a flow is never both),
+/// handing each pair to `f` in id order.
 fn merge_by_id(
-    kernel: Vec<(u64, f64)>,
-    dead: impl Iterator<Item = (FlowId, f64)>,
-) -> Vec<(FlowId, f64)> {
-    let mut out: Vec<(FlowId, f64)> = kernel.into_iter().map(|(id, r)| (FlowId(id), r)).collect();
-    let live = out.len();
-    out.extend(dead);
-    if out.len() > live {
-        out.sort_by_key(|&(id, _)| id);
+    kernel: &[(u64, f64)],
+    dead: impl Iterator<Item = FlowId>,
+    mut f: impl FnMut(FlowId, f64),
+) {
+    let mut dead = dead.peekable();
+    for &(id, rate) in kernel {
+        while let Some(d) = dead.next_if(|d| d.0 < id) {
+            f(d, 0.0);
+        }
+        f(FlowId(id), rate);
     }
-    out
+    dead.for_each(|d| f(d, 0.0));
 }
 
 #[cfg(test)]
@@ -633,6 +709,23 @@ mod tests {
         e.insert_flow(&t, FlowId(1), hops(&t, &[b, c]), Some(3.0));
         assert_eq!(e.resolve(), vec![(FlowId(1), 3.0), (FlowId(2), 10.0)]);
         assert_eq!(e.live_flows(), 2);
+    }
+
+    #[test]
+    fn dead_flows_merge_into_the_change_list_in_id_order() {
+        let (t, [a, b, c]) = chain();
+        let mut e = FairShareEngine::new();
+        for id in 1..=4 {
+            e.insert_flow(&t, FlowId(id), hops(&t, &[a, b, c]), None);
+        }
+        e.resolve();
+        // Flows 1 and 4 die around the live flows 2 and 3, which split
+        // the chain between them.
+        e.set_links(&t, FlowId(1), None);
+        e.set_links(&t, FlowId(4), None);
+        let want = [(1, 0.0), (2, 5.0), (3, 5.0), (4, 0.0)].map(|(id, r)| (FlowId(id), r));
+        assert_eq!(e.resolve(), want);
+        assert_eq!(e.rates(), want);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!   taken over the link's full member list in flow-id order — never by
 //!   decrementing a running residual — so a rate is a function of the
 //!   saturation structure, not of how the solver got there. (The fill
-//!   caches each link's sum between rounds and re-sums only when a
+//!   caches each link's share between rounds and re-sums only when a
 //!   member froze; a cache hit returns the bits the re-summation would.
 //!   Likewise the Σ member rates behind each link's residual gate is
 //!   cached as the sum of its member list's first `k` entries: `f64`
@@ -66,6 +66,26 @@
 //! folded prefix of the link's cached sum: an arrival's fast-path check
 //! adds its predecessors' new terms instead of re-summing a trunk's
 //! thousands of members.
+//!
+//! The batch lists are arrays too. The flows the next resolve starts
+//! from (`seeds`) and the flows whose rate moved since the last one
+//! (`changed`, with the rate each held before its first write) are
+//! `Vec`s in patch order, and each flow carries its position in each
+//! list as a mark, so adding a flow twice is one load and a departure
+//! voids its pending entries by zeroing two marks. `resolve` keeps the
+//! entries their flows still point at and sorts them by id once —
+//! the order and the first-write-wins semantics of the sorted maps they
+//! replace.
+//!
+//! A fill allocates nothing in steady state. Its per-position state
+//! (rates, frozen flags, demands), the touched links and every touched
+//! link's members live in one reusable scratch, the members as one flat
+//! list of indices into the rate array (inside members by position,
+//! outside members at their pinned rate past the end), so a link's
+//! canonical re-summation is one branch-free walk: an undetermined
+//! member's entry is `+0.0`, and adding it leaves the sum's bits as
+//! skipping it did. A buffer past 64 KiB is released after the solve,
+//! so a full solve's size is not kept.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -150,6 +170,12 @@ struct Flow {
     links: Arc<[usize]>,
     demand: Option<f64>,
     rate: f64,
+    /// 1 + this flow's position in the kernel's `seeds` list, 0 when it
+    /// is not seeded: an entry counts only while its slot points back
+    /// at it, so a departure voids its entry by zeroing the mark.
+    seed_at: u32,
+    /// The same for the `changed` list.
+    changed_at: u32,
 }
 
 impl Flow {
@@ -160,33 +186,117 @@ impl Flow {
     }
 }
 
-/// Slot → position in the current fill's order and link → position in
-/// its touched-link list, `-1` outside. Reusable so membership tests in
-/// the solver hot loops are indexed loads, not map probes; a fill sets
-/// the entries it needs on entry and resets them on exit.
+/// The solver's reusable per-solve state, sized to the largest solve so
+/// far and cleared (not freed) between solves — except that a buffer
+/// past [`KEEP_BYTES`] is released, so one large solve does not pin its
+/// memory for the kernel's lifetime.
+///
+/// `flow_pos` (slot → position in the current fill's order) and
+/// `link_pos` (link → position in its touched-link list) are `-1`
+/// outside, so membership tests in the hot loops are indexed loads, not
+/// map probes; a fill sets the entries it needs on entry and resets
+/// them on exit. The rest is what one fill produced.
 #[derive(Debug, Default)]
 struct Scratch {
     flow_pos: Vec<i32>,
     link_pos: Vec<i32>,
+    /// Size of the solved set.
+    n: usize,
+    /// Rates by order position (`0..n`: `+0.0` until frozen, then the
+    /// frozen rate), then the pinned rate of each outside member entry
+    /// of a touched link. Every member entry reads its rate here.
+    rates: Vec<f64>,
+    frozen: Vec<bool>,
+    /// Demands by position (greedy = ∞), so the per-round
+    /// demand-limited scan is one contiguous pass.
+    demand: Vec<f64>,
+    froze: Vec<usize>,
+    links: Vec<LinkState>,
+    /// Every touched link's members in flow-id order, one flat list
+    /// each [`LinkState`] owns a range of: the member's index in
+    /// `rates` (`< n`: inside the solved set, by position; `≥ n`:
+    /// outside).
+    mem: Vec<u32>,
+    /// The solved set's slots, in flow-id order.
+    order: Vec<u32>,
+    /// Outside flows the expansion scan pulls in.
+    joins: Vec<(u64, u32)>,
 }
 
-/// A member of a touched link, as one fill sees it.
-enum Member {
-    /// Inside the solved set, by order position.
-    In(usize),
-    /// Outside it, pinned at this rate.
-    Out(f64),
+/// Bytes a reusable buffer ([`Scratch`]'s, the batch lists) may keep
+/// between solves.
+const KEEP_BYTES: usize = 1 << 16;
+
+/// Releases `v`'s storage when it grew past [`KEEP_BYTES`].
+pub(crate) fn trim<T>(v: &mut Vec<T>) {
+    let keep = KEEP_BYTES / std::mem::size_of::<T>().max(1);
+    if v.capacity() > keep {
+        v.clear();
+        v.shrink_to(keep);
+    }
+}
+
+/// Appends `entry` to a batch list unless its flow is already on it;
+/// `at` is the flow's mark (1 + its entry's position, 0 = none), so an
+/// entry stays live only while its flow's mark points back at it.
+fn push_once<T>(list: &mut Vec<T>, at: &mut u32, entry: T) {
+    if *at == 0 {
+        list.push(entry);
+        *at = list.len() as u32;
+    }
+}
+
+/// Keeps the live entries of a batch list, in order: `take(entry, at)`
+/// is [`take_mark`] on the entry's flow's mark, `at` the entry's
+/// 1-based position.
+fn retain_live<T: Copy>(list: &mut Vec<T>, mut take: impl FnMut(T, u32) -> bool) {
+    let mut kept = 0;
+    for i in 0..list.len() {
+        let e = list[i];
+        if take(e, i as u32 + 1) {
+            list[kept] = e;
+            kept += 1;
+        }
+    }
+    list.truncate(kept);
+}
+
+/// `true` when `mark` points at position `at`, zeroing it: the entry
+/// there is live and leaves the list.
+fn take_mark(mark: &mut u32, at: u32) -> bool {
+    let live = *mark == at;
+    if live {
+        *mark = 0;
+    }
+    live
+}
+
+impl Scratch {
+    /// Releases any buffer past [`KEEP_BYTES`].
+    fn trim(&mut self) {
+        trim(&mut self.rates);
+        trim(&mut self.frozen);
+        trim(&mut self.demand);
+        trim(&mut self.froze);
+        trim(&mut self.links);
+        trim(&mut self.mem);
+        trim(&mut self.order);
+        trim(&mut self.joins);
+    }
 }
 
 /// One touched link's state through a fill, plus what the expansion
 /// scan needs afterwards.
+#[derive(Debug)]
 struct LinkState {
     link: usize,
-    /// Members in flow-id order (parallel to the kernel's member list).
-    mem: Vec<Member>,
-    /// Cached canonical `(Σ determined rates, undetermined count)` for
-    /// the current frozen state; re-summed when `dirty`.
-    used: f64,
+    /// Its members: `Scratch::mem[mem.0..mem.1]`, parallel to the
+    /// kernel's member list.
+    mem: (usize, usize),
+    /// Cached canonical share `(headroom − Σ determined rates) / active`
+    /// for the current frozen state; recomputed when `dirty`.
+    share: f64,
+    /// Undetermined members (entries), decremented as they freeze.
     active: usize,
     dirty: bool,
     /// Pre-solve Σ member rates (id order) and water-level anchor (max
@@ -197,13 +307,6 @@ struct LinkState {
     picked: Option<f64>,
     /// Σ (new − old) over the solved members: the O(comp) overload gate.
     delta: f64,
-}
-
-/// What one restricted fill produced.
-struct Fill {
-    /// New rates by order position.
-    rates: Vec<f64>,
-    links: Vec<LinkState>,
 }
 
 /// A standing incremental max-min solution over `L` links.
@@ -217,11 +320,14 @@ pub struct MaxMinKernel {
     free: Vec<u32>,
     /// Per link: `(id, slot)` members sorted by flow id.
     members: Vec<Vec<(u64, u32)>>,
-    /// Flows (with their slots) the next resolve starts from.
-    seeds: BTreeMap<u64, u32>,
+    /// Flows (with their slots) the next resolve starts from, in seeding
+    /// order; an entry counts while its flow's `seed_at` points at it.
+    /// `resolve` drops the void ones and sorts the rest by id.
+    seeds: Vec<(u64, u32)>,
     /// Flows whose rate was written since the last resolve, with their
-    /// slot and the rate they held before the first write.
-    changed: BTreeMap<u64, (u32, f64)>,
+    /// slot and the rate they held before the first write (the entry
+    /// its flow's `changed_at` points at; a departure voids it).
+    changed: Vec<(u64, u32, f64)>,
     /// Per link: Σ rates of its first `used_folded` members (flow-id
     /// order), for the O(1) residual gates. A read folds in the members
     /// past the prefix; a patch inside the prefix drops it.
@@ -241,8 +347,8 @@ impl MaxMinKernel {
             slots: Vec::new(),
             free: Vec::new(),
             members: vec![Vec::new(); links],
-            seeds: BTreeMap::new(),
-            changed: BTreeMap::new(),
+            seeds: Vec::new(),
+            changed: Vec::new(),
             used_cache: vec![0.0; links],
             used_folded: vec![0; links],
             scratch: Scratch::default(),
@@ -289,6 +395,8 @@ impl MaxMinKernel {
             links,
             demand,
             rate: 0.0,
+            seed_at: 0,
+            changed_at: 0,
         };
         let slot = match self.free.pop() {
             Some(s) => {
@@ -312,7 +420,7 @@ impl MaxMinKernel {
                 // the same solve, so the restricted solve converges
                 // without an expansion iteration discovering them.
                 self.level_seeds(slot, id);
-                self.seeds.insert(id, slot);
+                self.seed(id, slot);
             }
         }
         self.attach(id, slot);
@@ -332,8 +440,9 @@ impl MaxMinKernel {
         }
         self.detach(id, slot);
         self.free.push(slot);
-        self.seeds.remove(&id);
-        self.changed.remove(&id);
+        // Void its pending seed and change entries.
+        let f = &mut self.slots[slot as usize];
+        (f.seed_at, f.changed_at) = (0, 0);
     }
 
     /// Reroutes a flow onto a new link list, seeding the release side,
@@ -359,7 +468,7 @@ impl MaxMinKernel {
         self.set_rate(id, slot, 0.0);
         self.level_seeds(slot, id);
         self.attach(id, slot);
-        self.seeds.insert(id, slot);
+        self.seed(id, slot);
     }
 
     /// Changes a flow's offered load (`None` = greedy). Both directions
@@ -376,7 +485,7 @@ impl MaxMinKernel {
         }
         self.level_seeds(slot, id);
         self.slots[slot as usize].demand = demand;
-        self.seeds.insert(id, slot);
+        self.seed(id, slot);
     }
 
     /// Changes a link's headroom; its member flows re-solve — unless the
@@ -396,24 +505,49 @@ impl MaxMinKernel {
         if was_slack && self.residual(link) > EPS {
             return;
         }
-        self.seeds.extend(self.members[link].iter().copied());
+        for &(m, s) in &self.members[link] {
+            push_once(&mut self.seeds, &mut self.slots[s as usize].seed_at, (m, s));
+        }
     }
 
     /// Re-solves everything the batched patches since the last resolve
     /// touched, returning `(flow, new rate)` for every flow whose rate
     /// changed — sorted by flow id.
     pub fn resolve(&mut self) -> Vec<(u64, f64)> {
-        let seeds = std::mem::take(&mut self.seeds);
-        if !seeds.is_empty() {
-            self.solve(seeds);
+        let mut out = Vec::new();
+        self.resolve_into(&mut out);
+        out
+    }
+
+    /// [`Self::resolve`] into a caller-held buffer (cleared first), so a
+    /// caller that resolves once per event batch allocates nothing.
+    pub(crate) fn resolve_into(&mut self, out: &mut Vec<(u64, f64)>) {
+        out.clear();
+        let mut comp = std::mem::take(&mut self.seeds);
+        let slots = &mut self.slots;
+        retain_live(&mut comp, |(_, s), at| {
+            take_mark(&mut slots[s as usize].seed_at, at)
+        });
+        comp.sort_unstable_by_key(|&(id, _)| id);
+        if !comp.is_empty() {
+            self.solve(&mut comp);
         }
-        std::mem::take(&mut self.changed)
-            .into_iter()
-            .filter_map(|(id, (slot, was))| {
-                let now = self.slots[slot as usize].rate;
-                (now != was).then_some((id, now))
-            })
-            .collect()
+        comp.clear();
+        trim(&mut comp);
+        self.seeds = comp;
+        let mut changed = std::mem::take(&mut self.changed);
+        let slots = &mut self.slots;
+        retain_live(&mut changed, |(_, s, _), at| {
+            take_mark(&mut slots[s as usize].changed_at, at)
+        });
+        changed.sort_unstable_by_key(|&(id, _, _)| id);
+        out.extend(changed.iter().filter_map(|&(id, slot, was)| {
+            let now = self.slots[slot as usize].rate;
+            (now != was).then_some((id, now))
+        }));
+        changed.clear();
+        trim(&mut changed);
+        self.changed = changed;
     }
 
     /// Current rate of a flow.
@@ -439,8 +573,9 @@ impl MaxMinKernel {
     /// every flow, ignoring (and not touching) the standing solution.
     pub fn full_rates(&self) -> Vec<(u64, f64)> {
         let order_slots: Vec<u32> = self.ids.values().copied().collect();
-        let out = self.fill(&order_slots, &mut Scratch::default());
-        self.ids.keys().copied().zip(out.rates).collect()
+        let mut scratch = Scratch::default();
+        self.fill(&order_slots, &mut scratch);
+        self.ids.keys().copied().zip(scratch.rates).collect()
     }
 
     /// `true` when the standing solution equals the full recompute bit
@@ -475,7 +610,8 @@ impl MaxMinKernel {
     fn set_rate(&mut self, id: u64, slot: u32, rate: f64) {
         let f = &mut self.slots[slot as usize];
         if f.rate != rate {
-            self.changed.entry(id).or_insert((slot, f.rate));
+            let was = f.rate;
+            push_once(&mut self.changed, &mut f.changed_at, (id, slot, was));
             f.rate = rate;
             for &l in f.links.iter() {
                 Self::unfold(&mut self.used_folded[l], &self.members[l], id);
@@ -557,44 +693,61 @@ impl MaxMinKernel {
                 .map(rate_of)
                 .fold(f64::NEG_INFINITY, f64::max);
             for &(m, s) in &self.members[l] {
-                let mf = &self.slots[s as usize];
+                let mf = &mut self.slots[s as usize];
                 if m != skip && !mf.at_demand() && mf.rate >= level - EPS {
-                    self.seeds.insert(m, s);
+                    push_once(&mut self.seeds, &mut mf.seed_at, (m, s));
                 }
             }
         }
     }
 
-    fn solve(&mut self, mut comp: BTreeMap<u64, u32>) {
+    /// Adds a flow to the next resolve's seeds (once).
+    fn seed(&mut self, id: u64, slot: u32) {
+        push_once(
+            &mut self.seeds,
+            &mut self.slots[slot as usize].seed_at,
+            (id, slot),
+        );
+    }
+
+    /// Solves `comp` (id-sorted `(id, slot)`, no repeats), growing it
+    /// by the expansion scan's joins until no outside flow triggers or
+    /// it escalates to every flow, then commits its rates.
+    fn solve(&mut self, comp: &mut Vec<(u64, u32)>) {
         let mut scratch = std::mem::take(&mut self.scratch);
+        let mut order = std::mem::take(&mut scratch.order);
         let mut iterations = 0usize;
         loop {
             let full = iterations >= MAX_EXPANSIONS || comp.len() * 2 > self.ids.len();
             if full {
-                comp = self.ids.clone();
+                comp.clear();
+                comp.extend(self.ids.iter().map(|(&id, &slot)| (id, slot)));
             }
-            let order_slots: Vec<u32> = comp.values().copied().collect();
-            let out = self.fill(&order_slots, &mut scratch);
-            let joins = if full {
-                BTreeMap::new()
-            } else {
-                self.invalidated(&out)
-            };
-            if joins.is_empty() {
+            order.clear();
+            order.extend(comp.iter().map(|&(_, slot)| slot));
+            self.fill(&order, &mut scratch);
+            if !full {
+                self.invalidated(&mut scratch);
+            }
+            if full || scratch.joins.is_empty() {
                 if full {
                     self.stats.full_solves.inc();
                 } else {
                     self.stats.incremental_solves.inc();
                 }
-                for ((&id, &slot), &rate) in comp.iter().zip(&out.rates) {
+                for (&(id, slot), &rate) in comp.iter().zip(&scratch.rates) {
                     self.set_rate(id, slot, rate);
                 }
                 break;
             }
             self.stats.expansions.inc();
-            comp.extend(joins);
+            comp.extend_from_slice(&scratch.joins);
+            comp.sort_unstable_by_key(|&(id, _)| id);
+            comp.dedup_by_key(|&mut (id, _)| id);
             iterations += 1;
         }
+        scratch.order = order;
+        scratch.trim();
         self.scratch = scratch;
     }
 
@@ -602,22 +755,32 @@ impl MaxMinKernel {
     /// pinned rate differs from what the full recompute would assign at
     /// that link. Slack links (no pre-solve saturation, not picked)
     /// classify nobody and skip without a member walk — backbone trunks
-    /// with headroom never pay it.
-    fn invalidated(&self, out: &Fill) -> BTreeMap<u64, u32> {
-        let mut joins = BTreeMap::new();
-        for ls in &out.links {
+    /// with headroom never pay it. The joins land in `scratch.joins`
+    /// (in scan order, possibly repeated).
+    fn invalidated(&self, scratch: &mut Scratch) {
+        let Scratch {
+            n,
+            rates,
+            links,
+            mem,
+            joins,
+            ..
+        } = scratch;
+        let n = *n;
+        joins.clear();
+        for ls in links.iter() {
             let members = &self.members[ls.link];
+            let lmem = &mem[ls.mem.0..ls.mem.1];
             let headroom = self.headroom[ls.link];
-            let outside = |(&(m, s), mem): (&(u64, u32), &Member)| match mem {
-                Member::Out(r) => Some((m, s, *r)),
-                Member::In(_) => None,
+            let outside = |(&(m, s), &v): (&(u64, u32), &u32)| {
+                (v as usize >= n).then(|| (m, s, rates[v as usize]))
             };
             if headroom - (ls.pre_used + ls.delta) < -EPS {
                 // Overload safety net: pull everyone in.
                 joins.extend(
                     members
                         .iter()
-                        .zip(&ls.mem)
+                        .zip(lmem)
                         .filter_map(outside)
                         .map(|(m, s, _)| (m, s)),
                 );
@@ -640,11 +803,8 @@ impl MaxMinKernel {
             // as a bottleneck.
             let mut below_sum = 0.0;
             let mut count = 0usize;
-            for (&(_, s), mem) in members.iter().zip(&ls.mem) {
-                let r = match mem {
-                    Member::In(pos) => out.rates[*pos],
-                    Member::Out(r) => *r,
-                };
+            for (&(_, s), &v) in members.iter().zip(lmem) {
+                let r = rates[v as usize];
                 if at_level(s, r) {
                     count += 1;
                 } else {
@@ -656,13 +816,12 @@ impl MaxMinKernel {
             }
             let joint = (headroom - below_sum).max(0.0) / count as f64;
             let lam_mismatch = ls.picked.is_some_and(|lam| lam != joint);
-            for (m, s, r) in members.iter().zip(&ls.mem).filter_map(outside) {
+            for (m, s, r) in members.iter().zip(lmem).filter_map(outside) {
                 if r > joint || (at_level(s, r) && (joint != r || lam_mismatch)) {
-                    joins.insert(m, s);
+                    joins.push((m, s));
                 }
             }
         }
-        joins
     }
 
     /// The canonical water-fill restricted to `order_slots` (flow-id
@@ -674,10 +833,22 @@ impl MaxMinKernel {
     /// bit-identical to re-summing every round (no member state changed
     /// means the same walk yields the same bits) and turns the
     /// per-round cost from O(all touched members) into O(members of
-    /// links whose state moved).
-    fn fill(&self, order_slots: &[u32], scratch: &mut Scratch) -> Fill {
+    /// links whose state moved). The result is `scratch`'s `rates`,
+    /// `links` and `mem`.
+    fn fill(&self, order_slots: &[u32], scratch: &mut Scratch) {
         let n = order_slots.len();
-        let Scratch { flow_pos, link_pos } = scratch;
+        let Scratch {
+            flow_pos,
+            link_pos,
+            n: in_set,
+            rates,
+            frozen,
+            demand,
+            froze,
+            links,
+            mem,
+            ..
+        } = scratch;
         if flow_pos.len() < self.slots.len() {
             flow_pos.resize(self.slots.len(), -1);
         }
@@ -687,12 +858,15 @@ impl MaxMinKernel {
         for (i, &s) in order_slots.iter().enumerate() {
             flow_pos[s as usize] = i as i32;
         }
-        let mut rates = vec![0.0f64; n];
-        let mut frozen = vec![false; n];
-        // Demands by position (greedy = ∞), so the per-round
-        // demand-limited scan is one contiguous pass.
-        let mut demand = vec![f64::INFINITY; n];
-        let mut links: Vec<LinkState> = Vec::new();
+        *in_set = n;
+        rates.clear();
+        rates.resize(n, 0.0);
+        frozen.clear();
+        frozen.resize(n, false);
+        demand.clear();
+        demand.resize(n, f64::INFINITY);
+        links.clear();
+        mem.clear();
         for (i, &slot) in order_slots.iter().enumerate() {
             let f = &self.slots[slot as usize];
             demand[i] = f.demand.unwrap_or(f64::INFINITY);
@@ -710,23 +884,28 @@ impl MaxMinKernel {
                 // expansion scan anchors on.
                 let mut pre_used = 0.0f64;
                 let mut pre_max = f64::NEG_INFINITY;
-                let mem = self.members[l]
-                    .iter()
-                    .map(|&(_, s)| {
-                        let r = self.slots[s as usize].rate;
-                        pre_used += r;
-                        pre_max = pre_max.max(r);
-                        match flow_pos[s as usize] {
-                            p if p >= 0 => Member::In(p as usize),
-                            _ => Member::Out(r),
+                let mut active = 0;
+                let start = mem.len();
+                for &(_, s) in &self.members[l] {
+                    let r = self.slots[s as usize].rate;
+                    pre_used += r;
+                    pre_max = pre_max.max(r);
+                    match flow_pos[s as usize] {
+                        p if p >= 0 => {
+                            mem.push(p as u32);
+                            active += 1;
                         }
-                    })
-                    .collect();
+                        _ => {
+                            mem.push(rates.len() as u32);
+                            rates.push(r);
+                        }
+                    }
+                }
                 links.push(LinkState {
                     link: l,
-                    mem,
-                    used: 0.0,
-                    active: 0,
+                    mem: (start, mem.len()),
+                    share: 0.0,
+                    active,
                     dirty: true,
                     pre_used,
                     pre_max,
@@ -736,7 +915,6 @@ impl MaxMinKernel {
             }
         }
         let mut unfrozen = frozen.iter().filter(|f| !**f).count();
-        let mut froze: Vec<usize> = Vec::new();
         for _round in 0..n + links.len() + 1 {
             if unfrozen == 0 {
                 break;
@@ -744,23 +922,22 @@ impl MaxMinKernel {
             // (share, link index, position in `links`) of the bottleneck.
             let mut min: Option<(f64, usize, usize)> = None;
             for (k, ls) in links.iter_mut().enumerate() {
-                if ls.dirty {
-                    // The canonical full re-summation, id order.
-                    let mut used = 0.0;
-                    let mut active = 0usize;
-                    for m in &ls.mem {
-                        match m {
-                            Member::Out(r) => used += r,
-                            Member::In(pos) if frozen[*pos] => used += rates[*pos],
-                            Member::In(_) => active += 1,
-                        }
-                    }
-                    (ls.used, ls.active, ls.dirty) = (used, active, false);
-                }
                 if ls.active == 0 {
                     continue;
                 }
-                let share = (self.headroom[ls.link] - ls.used).max(0.0) / ls.active as f64;
+                if ls.dirty {
+                    // The canonical full re-summation, id order. An
+                    // undetermined member's entry is still its initial
+                    // +0.0, and adding +0.0 to a sum that starts at +0.0
+                    // leaves every bit as skipping it would.
+                    let mut used = 0.0;
+                    for &v in &mem[ls.mem.0..ls.mem.1] {
+                        used += rates[v as usize];
+                    }
+                    ls.share = (self.headroom[ls.link] - used).max(0.0) / ls.active as f64;
+                    ls.dirty = false;
+                }
+                let share = ls.share;
                 if min.is_none_or(|(s, l, _)| share < s || (share == s && ls.link < l)) {
                     min = Some((share, ls.link, k));
                 }
@@ -779,22 +956,22 @@ impl MaxMinKernel {
             if froze.is_empty() {
                 let ls = &mut links[bottleneck];
                 ls.picked = Some(min_share);
-                for m in &ls.mem {
-                    if let Member::In(pos) = m {
-                        if !frozen[*pos] {
-                            frozen[*pos] = true;
-                            rates[*pos] = min_share;
-                            froze.push(*pos);
-                        }
+                for &v in &mem[ls.mem.0..ls.mem.1] {
+                    let pos = v as usize;
+                    if pos < n && !frozen[pos] {
+                        frozen[pos] = true;
+                        rates[pos] = min_share;
+                        froze.push(pos);
                     }
                 }
             }
             unfrozen -= froze.len();
-            for &i in &froze {
+            for &i in froze.iter() {
                 let f = &self.slots[order_slots[i] as usize];
                 for &l in f.links.iter() {
                     let ls = &mut links[link_pos[l] as usize];
                     ls.dirty = true;
+                    ls.active -= 1;
                     ls.delta += rates[i] - f.rate;
                 }
             }
@@ -802,10 +979,9 @@ impl MaxMinKernel {
         for &s in order_slots {
             flow_pos[s as usize] = -1;
         }
-        for ls in &links {
+        for ls in links.iter() {
             link_pos[ls.link] = -1;
         }
-        Fill { rates, links }
     }
 }
 
@@ -916,6 +1092,42 @@ mod tests {
         k.set_demand(1, Some(0.5));
         k.resolve();
         assert_eq!(k.residual(0), 100.0 - (0.5 + 3.0 + 4.0));
+        assert!(k.audit());
+    }
+
+    #[test]
+    fn a_departure_voids_its_pending_entries() {
+        let mut k = kernel();
+        k.insert(1, [0], None);
+        k.insert(2, [1, 2], None);
+        k.resolve();
+        // Flow 3 is rated on the fast path (a pending change) and flow 4
+        // is seeded; both leave before the resolve, and flow 1 leaves
+        // and comes back into the slot it left.
+        k.insert(3, [3], Some(2.0));
+        k.insert(4, [2], None);
+        k.remove(3);
+        k.remove(4);
+        k.insert(1, [0], None);
+        assert_eq!(k.resolve(), vec![(1, 20.0)]);
+        assert_eq!(k.rates(), vec![(1, 20.0), (2, 10.0)]);
+        assert!(k.audit());
+    }
+
+    #[test]
+    fn a_large_solve_does_not_keep_its_scratch() {
+        let mut k = MaxMinKernel::new(vec![1e4; 64]);
+        for id in 0..20_000u64 {
+            k.insert(id, [id as usize % 64, (id as usize / 64) % 64], None);
+        }
+        k.resolve();
+        assert_eq!(k.stats().full_solves, 1);
+        let s = &k.scratch;
+        let bytes = |cap: usize, size: usize| cap * size <= KEEP_BYTES;
+        assert!(bytes(s.rates.capacity(), 8) && bytes(s.mem.capacity(), 4));
+        assert!(bytes(s.order.capacity(), 4) && bytes(s.demand.capacity(), 8));
+        assert!(k.seeds.capacity() * 16 <= KEEP_BYTES);
+        assert!(k.changed.capacity() * 24 <= KEEP_BYTES);
         assert!(k.audit());
     }
 

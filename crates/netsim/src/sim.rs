@@ -25,9 +25,9 @@
 //! it. The next share change overwrites the instant, so no stale
 //! completion can outlive its trajectory.
 
-use crate::fairness::{
-    dense_link, directed_hop, directed_link, directed_links, Direction, FairShareEngine,
-};
+#[cfg(test)]
+use crate::fairness::directed_links;
+use crate::fairness::{dense_link, directed_hop, directed_link, Direction, FairShareEngine};
 use crate::flow::{Flow, FlowId, FlowSpec};
 use crate::maxmin::WaterfillStats;
 use crate::queue::{EventQueue, Scheduled};
@@ -38,6 +38,7 @@ use rand::Rng;
 use rand::SeedableRng;
 use std::cell::{Ref, RefCell};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 /// Simulation time in integer milliseconds (deterministic ordering).
@@ -84,6 +85,30 @@ struct Tracked {
     links: Option<Arc<[usize]>>,
 }
 
+/// `flow_index`'s hasher: one multiply and a fold of the high half
+/// into the low, in place of SipHash, for a table the simulator probes
+/// on every start, stop, demand change and share change. It is never
+/// iterated, so the hash decides no order.
+#[derive(Debug, Default)]
+struct FlowIdHasher(u64);
+
+impl Hasher for FlowIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+
+    fn finish(&self) -> u64 {
+        let x = self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        x ^ (x >> 32)
+    }
+}
+
 /// Per-directed-link utilization at one `(now, drained_ms,
 /// state_version)`, indexed by the engine's dense link index
 /// (`2·LinkId + dir`). The buffers are reused from instant to instant.
@@ -115,7 +140,7 @@ pub struct Simulation {
     flows: Vec<Tracked>,
     /// Position of each live flow in `flows` (lookup only, never
     /// iterated), so `StopFlow` is O(1) instead of an O(n) retain.
-    flow_index: HashMap<FlowId, usize>,
+    flow_index: HashMap<FlowId, usize, BuildHasherDefault<FlowIdHasher>>,
     events: EventQueue<Event>,
     seq: u64,
     now_ms: SimTimeMs,
@@ -158,7 +183,7 @@ impl Simulation {
         Simulation {
             topo,
             flows: Vec::new(),
-            flow_index: HashMap::new(),
+            flow_index: HashMap::default(),
             events: EventQueue::new(),
             seq: 0,
             now_ms: 0,
@@ -347,10 +372,9 @@ impl Simulation {
         self.state_version += 1;
         match event {
             Event::StartFlow { spec, path, id } => {
-                let links = directed_links(&self.topo, &path).ok();
                 let links = self
                     .engine
-                    .insert_flow(&self.topo, id, links, spec.demand_mbps);
+                    .insert_path(&self.topo, id, &path, spec.demand_mbps);
                 let mut flow = Flow::new(id, spec, path);
                 flow.rate_as_of_ms = self.now_ms;
                 let tracked = Tracked { flow, links };
@@ -374,11 +398,10 @@ impl Simulation {
                 }
             }
             Event::SetFlowPath(id, path) => {
-                let links = directed_links(&self.topo, &path).ok();
                 if let Some(&i) = self.flow_index.get(&id) {
                     let f = &mut self.flows[i];
+                    f.links = self.engine.set_path(&self.topo, id, &path);
                     f.flow.path = path;
-                    f.links = self.engine.set_links(&self.topo, id, links);
                 }
             }
             Event::SetLinkCapacity(lid, cap) => {
@@ -415,8 +438,7 @@ impl Simulation {
                     hit.sort_unstable_by_key(|&i| self.flows[i].flow.id);
                     for i in hit {
                         let f = &mut self.flows[i];
-                        let links = directed_links(&self.topo, &f.flow.path).ok();
-                        f.links = self.engine.set_links(&self.topo, f.flow.id, links);
+                        f.links = self.engine.set_path(&self.topo, f.flow.id, &f.flow.path);
                     }
                 }
             }
@@ -427,17 +449,17 @@ impl Simulation {
     /// trajectory is materialized at `now`, its share updated, and the
     /// instant the new exponential effectively flattens stored on it.
     fn resolve_shares(&mut self) {
-        let changes = self.engine.resolve();
         let (now, drained, tau) = (self.now_ms, self.drained_ms, self.tcp_tau_s);
-        for (id, raw) in changes {
-            let Some(&i) = self.flow_index.get(&id) else {
-                continue;
+        let (flows, index, efficiency) = (&mut self.flows, &self.flow_index, self.efficiency);
+        self.engine.resolve_with(|id, raw| {
+            let Some(&i) = index.get(&id) else {
+                return;
             };
-            let f = &mut self.flows[i].flow;
+            let f = &mut flows[i].flow;
             f.materialize(now, drained, tau);
-            f.fair_share_mbps = raw * self.efficiency;
+            f.fair_share_mbps = raw * efficiency;
             f.conv_at_ms = now + f.convergence_in_ms(tau, CONV_EPS_MBPS);
-        }
+        });
     }
 
     /// A flow's goodput at the current instant.

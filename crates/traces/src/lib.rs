@@ -1,5 +1,5 @@
 //! Bandwidth-trace substrate: a synthetic stand-in for the UQ wireless
-//! dataset plus generic workload generators.
+//! dataset.
 //!
 //! The paper trains Hecate on a real dataset: LTE and WiFi bandwidth
 //! measured with iperf once per second for 500 s along a walking path at
@@ -14,11 +14,7 @@
 //! Everything the paper's evaluation consumes — two nonstationary series
 //! with path-dependent variance — is preserved; see DESIGN.md §4 for the
 //! substitution rationale.
-//!
-//! [`synth`] adds extra workload shapes (diurnal, bursty, constant) used
-//! by the extension benches.
 
-pub mod synth;
 pub mod uq;
 
 pub use uq::{UqDataset, UqSpec};

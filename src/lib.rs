@@ -19,7 +19,7 @@
 //! * [`linalg`] — dense linear algebra + parallel helpers;
 //! * [`hecate_ml`] — the paper's eighteen regressors and the evaluation
 //!   pipeline;
-//! * [`traces`] — the synthetic UQ wireless dataset and workload shapes;
+//! * [`traces`] — the synthetic UQ wireless dataset;
 //! * [`lp`] — simplex and the Sec. III TE formulations;
 //! * [`netsim`] — the discrete-event flow-level network emulator;
 //! * [`freertr`] — control-plane emulation (config dialect, ACL/PBR,
