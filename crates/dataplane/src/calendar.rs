@@ -1,17 +1,19 @@
 //! The emulator's event queue: a calendar of time buckets.
 //!
-//! [`crate::netem::PacketNet`] keeps one head per flow (its next
-//! emission) and one per backlogged directed link (its front packet):
-//! about 160 on the loopbench fat tree, each due within milliseconds of
-//! the clock. A ring of `RING` buckets, `2^WIDTH_BITS` ns each, covers
-//! the next 16.8 ms. A bucket is a list kept in `(t_ns, seq)` order,
+//! Each shard of [`crate::netem::PacketNet`] keeps one calendar of its
+//! own heads: one per source whose ingress node it owns (the next
+//! emission) and one per backlogged directed link into its nodes (the
+//! front packet). That is about 160 heads on the loopbench fat tree,
+//! split between the shards, each due within milliseconds of the
+//! clock. A ring of `RING` buckets, `2^WIDTH_BITS` ns each, covers the
+//! next 16.8 ms. A bucket is a list kept in `(t_ns, seq, item)` order,
 //! threaded through one slab with a free list, and a two-level bitmap
 //! finds the next non-empty bucket in three word scans. Entries due
 //! beyond the ring wait in a small heap and move into the ring as the
 //! clock reaches them, so every ring entry precedes every far one.
 //!
-//! Entries come out least `(t_ns, seq)` first, the order a
-//! `BinaryHeap<Reverse<(t_ns, seq, _)>>` pops, provided no entry is
+//! Entries come out least `(t_ns, seq, item)` first, the order a
+//! `BinaryHeap<Reverse<(t_ns, seq, item)>>` pops, provided no entry is
 //! pushed earlier than the last one popped (the emulator's clock never
 //! runs backwards).
 
@@ -37,7 +39,7 @@ struct Slot<T> {
     next: u32,
 }
 
-/// A min-queue of `(t_ns, seq, item)` entries with unique `(t_ns, seq)`.
+/// A min-queue of unique `(t_ns, seq, item)` entries.
 #[derive(Debug)]
 pub(crate) struct Calendar<T> {
     /// The absolute bucket (`t_ns >> WIDTH_BITS`) the ring starts at:
@@ -115,14 +117,28 @@ impl<T: Copy + Ord> Calendar<T> {
         Some((slot.t_ns, slot.seq, slot.item))
     }
 
-    /// Links an entry into its ring bucket, in `(t_ns, seq)` order.
+    /// Every entry, in no particular order.
+    pub(crate) fn into_entries(self) -> Vec<(u64, u64, T)> {
+        let mut out: Vec<(u64, u64, T)> = (self.far.into_iter()).map(|Reverse(e)| e).collect();
+        for &head in self.first.iter() {
+            let mut next = head;
+            while next != NIL {
+                let s = &self.slots[next as usize];
+                out.push((s.t_ns, s.seq, s.item));
+                next = s.next;
+            }
+        }
+        out
+    }
+
+    /// Links an entry into its ring bucket, in `(t_ns, seq, item)` order.
     fn insert(&mut self, t_ns: u64, seq: u64, item: T) {
         let at = ((t_ns >> WIDTH_BITS) & MASK) as usize;
         let mut next = self.first[at];
         let mut prev = NIL;
         while next != NIL {
             let s = &self.slots[next as usize];
-            if (s.t_ns, s.seq) > (t_ns, seq) {
+            if (s.t_ns, s.seq, s.item) > (t_ns, seq, item) {
                 break;
             }
             prev = next;
@@ -361,6 +377,21 @@ mod tests {
         assert_eq!(pair.popped, 167);
         pair.drain(u64::MAX, |_, _| {});
         assert_eq!(pair.popped, 500);
+    }
+
+    #[test]
+    fn equal_times_and_seqs_pop_by_item_and_every_entry_drains() {
+        let mut cal = Calendar::new();
+        for item in [5u32, 1, 3] {
+            cal.push(7, 2, item);
+        }
+        cal.push(7, 1, 9);
+        cal.push(3 * SPAN, 0, 4);
+        assert_eq!(cal.pop_through(7), Some((7, 1, 9)));
+        assert_eq!(cal.pop_through(7), Some((7, 2, 1)));
+        let mut rest = cal.into_entries();
+        rest.sort_unstable();
+        assert_eq!(rest, [(7, 2, 3), (7, 2, 5), (3 * SPAN, 0, 4)]);
     }
 
     #[test]

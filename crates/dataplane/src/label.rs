@@ -42,7 +42,7 @@ impl PacketState {
 pub trait SourceRoute {
     /// Computes the output port at `core` and updates `state` (PoT fold,
     /// plus the cursor advance for header-rewriting encodings).
-    fn next_port(&self, state: &mut PacketState, core: &mut CoreNode) -> Option<PortId>;
+    fn next_port(&self, state: &mut PacketState, core: &CoreNode) -> Option<PortId>;
 
     /// On-wire label size in bits as stamped at ingress.
     fn label_bits(&self) -> usize;
@@ -68,9 +68,9 @@ pub enum FlowLabel {
 }
 
 impl SourceRoute for FlowLabel {
-    fn next_port(&self, state: &mut PacketState, core: &mut CoreNode) -> Option<PortId> {
+    fn next_port(&self, state: &mut PacketState, core: &CoreNode) -> Option<PortId> {
         let port = match self {
-            FlowLabel::Polka(route) => core.forward(route)?,
+            FlowLabel::Polka(route) => core.port(route)?,
             FlowLabel::Segments(ports) => {
                 let port = *ports.get(state.cursor as usize)?;
                 state.cursor += 1; // the per-hop header rewrite
@@ -227,9 +227,9 @@ mod tests {
         let mut sp = PacketState::stamped();
         let mut ss = PacketState::stamped();
         for (node, want) in spec.hops() {
-            let mut core = CoreNode::new(node.clone());
-            assert_eq!(polka.label.next_port(&mut sp, &mut core), Some(*want));
-            assert_eq!(segs.label.next_port(&mut ss, &mut core), Some(*want));
+            let core = CoreNode::new(node.clone());
+            assert_eq!(polka.label.next_port(&mut sp, &core), Some(*want));
+            assert_eq!(segs.label.next_port(&mut ss, &core), Some(*want));
         }
         assert_eq!(sp.pot, ss.pot);
         assert_eq!(sp.pot, polka.expected_pot);
@@ -260,8 +260,8 @@ mod tests {
         let mut state = PacketState::stamped();
         state.cursor = 3;
         let (node, _) = &spec.hops()[0];
-        let mut core = CoreNode::new(node.clone());
-        assert_eq!(segs.label.next_port(&mut state, &mut core), None);
+        let core = CoreNode::new(node.clone());
+        assert_eq!(segs.label.next_port(&mut state, &core), None);
     }
 
     #[test]

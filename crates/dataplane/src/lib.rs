@@ -23,10 +23,13 @@
 //!   drop-tail queues with transmission + propagation delay, periodic
 //!   traffic sources, per-link/per-flow counters, and egress
 //!   proof-of-transit verification ([`polka::pot`]) that rejects
-//!   tampered or detoured packets.
+//!   tampered or detoured packets; its nodes run as shards on
+//!   [`linalg::par::settle`], in conservative windows as long as the
+//!   soonest a packet can cross between two shards.
 //!
 //! Everything is integer-nanosecond, allocation-light and free of RNG:
-//! two runs with the same inputs produce bit-identical counters.
+//! two runs with the same inputs produce bit-identical counters, on any
+//! number of cores.
 
 mod calendar;
 pub mod label;

@@ -9,22 +9,54 @@
 //! individually dropped when a queue is full — so link counters and
 //! flow goodput are *measured from forwarded packets*, not computed
 //! from an allocation model. The whole machine is integer-nanosecond
-//! and RNG-free: identical inputs produce identical counters.
+//! and RNG-free: identical inputs produce identical counters, on any
+//! number of cores.
 //!
 //! The event core is a k-way merge. A directed link is a FIFO — its
 //! `busy_until_ns` never decreases and its propagation delay is
 //! constant, so packets leave it in the order they entered — hence
 //! packets in flight wait in one `VecDeque` per directed link, and the
 //! queue of heads holds only each non-empty link's front packet plus
-//! each source's next emission, keyed `(t_ns, seq)` with `seq` drawn
-//! from one global counter. That is the order a single heap of every
-//! packet would pop. The heads sit in a calendar of time buckets
-//! (`crate::calendar`), which pops that order without a heap's sifts.
+//! each source's next emission. The heads sit in a calendar of time
+//! buckets (`crate::calendar`), which pops them without a heap's sifts.
+//!
+//! The nodes are dealt to shards. Links shorter than a cut join nodes
+//! into clusters (on a fat tree: each pod, and each core alone), and
+//! the clusters are dealt by size to [`linalg::par::worker_count`]
+//! shards, then re-dealt by the packets each window put on them. A
+//! shard owns its nodes' send side (each outgoing link's
+//! `busy_until_ns` and counters), its incoming links' FIFOs, their
+//! heads and its sources' heads, and keeps per-flow counters that are
+//! summed in shard order when the window closes. The shards run
+//! concurrently on [`linalg::par::settle`] as conservative windows:
+//! each publishes a clock, how far it has run, and pops only heads due
+//! by the others' least clock plus the *lookahead* — the soonest a
+//! packet sent across a link between two shards can arrive
+//! (propagation plus the smallest packet's serialization; ≈ 0.6 ms on
+//! the loopbench fat tree). A packet crossing shards is handed to its
+//! receiver's mailbox, which it always reads before that packet can be
+//! due. One shard (one core, an armed tracer, or a lookahead too short
+//! to pay for the handoffs) runs the same code with nothing to wait
+//! for.
+//!
+//! Heads due in the same nanosecond pop by the instant the event that
+//! scheduled them ran — a packet's send time on its link, a source's
+//! previous emission, or just after every event of the instant it was
+//! registered at — then by the instant that event was scheduled at, and
+//! the one before (three instants in all), then by origin
+//! (source, then link index). The first instant is the `seq` word of
+//! the calendar key. A single counter bumped at every scheduling, which
+//! a single heap of every packet would pop by, gives the same order
+//! whenever those instants differ; events at different nodes touch
+//! disjoint state, so only ties at one node can matter.
+//! [`EventWork::tie_fallbacks`] counts the ties at one node whose
+//! instants all agree, where origin order stands in for the counter's.
 
 use crate::calendar::Calendar;
 use crate::label::{PacketState, SourceRoute};
 use crate::plane::{DropReason, ForwardingPlane, HopOutcome};
 use crate::{DataplaneError, FlowRoute};
+use linalg::par;
 use netsim::{LinkId, NodeIdx, Topology};
 use polka::NodeIdAllocator;
 use std::collections::{HashMap, VecDeque};
@@ -33,6 +65,18 @@ use std::sync::Arc;
 /// Default drop-tail queue depth per directed link (bytes): ~25 ms at
 /// 20 Mbps, the classic "small buffer" regime.
 pub const DEFAULT_QUEUE_BYTES: u64 = 64 * 1024;
+
+/// Heads a shard pops between publishing its clock to the others.
+const PUBLISH_EVERY: u32 = 32;
+
+/// The most clusters a re-deal weighs the traffic between.
+const REFINED_CLUSTERS: usize = 64;
+
+/// The shortest lookahead worth a second shard: with none a shard could
+/// never run ahead of another, and with a shorter one the shards wait
+/// on each other more than they run (a fat tree's is 500 µs before
+/// serialization).
+const MIN_LOOKAHEAD_NS: u64 = 100_000;
 
 /// A periodic traffic source.
 #[derive(Debug, Clone)]
@@ -52,7 +96,8 @@ pub struct TrafficSpec {
 /// one offered a rate that is NaN, negative or infinite. An infinite
 /// rate or an empty packet would emit every nanosecond, and NaN or a
 /// negative rate would silently emit at the floor. A zero rate is a
-/// source that emits at the 1e-6 Mbps floor. `source` names it in the
+/// source that emits at the 1e-6 Mbps floor; one whose interval runs
+/// past the end of the clock emits once. `source` names it in the
 /// error.
 pub fn check_source(
     source: &str,
@@ -118,6 +163,20 @@ impl FlowReport {
             latency_sum_ns: self.latency_sum_ns - earlier.latency_sum_ns,
         }
     }
+
+    /// Moves a shard's counters into these.
+    fn absorb(&mut self, shard: &mut FlowReport) {
+        let d = std::mem::take(shard);
+        self.emitted += d.emitted;
+        self.delivered += d.delivered;
+        self.delivered_bytes += d.delivered_bytes;
+        self.pot_rejected += d.pot_rejected;
+        self.dropped_no_route += d.dropped_no_route;
+        self.dropped_link_down += d.dropped_link_down;
+        self.dropped_ttl += d.dropped_ttl;
+        self.dropped_queue += d.dropped_queue;
+        self.latency_sum_ns += d.latency_sum_ns;
+    }
 }
 
 /// Cumulative per-directed-link counters.
@@ -182,20 +241,89 @@ pub struct WindowReport {
     pub flows: Vec<FlowWindow>,
 }
 
+/// The event core's work since the net was built. The first five
+/// counts are the same on any number of shards; the rest depend on how
+/// many there were.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct EventWork {
+    /// Source heads popped: one per emitted packet.
+    pub emissions: u64,
+    /// Link heads popped: one per packet reaching a node, each one
+    /// forwarding decision.
+    pub arrivals: u64,
+    /// Arrivals forwarded onto a next link (delivered and dropped
+    /// packets end their walk instead).
+    pub hops: u64,
+    /// Groups of two or more heads popped at one node in one
+    /// nanosecond.
+    pub tie_groups: u64,
+    /// Heads tied at one node with the head before them down all the
+    /// scheduling instants the tie rule reads, so popped in origin
+    /// order.
+    pub tie_fallbacks: u64,
+    /// Lookaheads the runs spanned: how many windows as long as the
+    /// lookahead would have covered them (one per run on one shard).
+    pub windows: u64,
+    /// Packets handed from one shard to another.
+    pub handoffs: u64,
+    /// Heads popped per shard, by shard index.
+    pub shard_events: Vec<u64>,
+}
+
+impl EventWork {
+    /// Moves shard `index`'s counts into these.
+    fn absorb(&mut self, index: usize, shard: &mut EventWork) {
+        let s = std::mem::take(shard);
+        self.emissions += s.emissions;
+        self.arrivals += s.arrivals;
+        self.hops += s.hops;
+        self.tie_groups += s.tie_groups;
+        self.tie_fallbacks += s.tie_fallbacks;
+        self.handoffs += s.handoffs;
+        if self.shard_events.len() <= index {
+            self.shard_events.resize(index + 1, 0);
+        }
+        self.shard_events[index] += s.emissions + s.arrivals;
+    }
+}
+
 /// A packet between two nodes. It carries the route it was *stamped*
-/// with — an ingress rewrite never retroactively changes packets
-/// already in flight.
+/// with, by its index in [`Shared::stamped`] — an ingress rewrite never
+/// retroactively changes packets already in flight, and no shard
+/// touches another's reference counts.
 #[derive(Debug)]
 struct Packet {
-    flow: usize,
+    flow: u32,
+    route: u32,
     state: PacketState,
     emitted_ns: u64,
-    route: Arc<FlowRoute>,
 }
+
+/// How many scheduling instants back a tie looks before it falls back
+/// on origin order. Two on the loopbench fat tree are not enough: two
+/// packets sent in one nanosecond from two aggregation switches, whose
+/// edges sent them in one nanosecond, part only at their sources'
+/// emission instants.
+const TIE_DEPTH: usize = 3;
+
+/// When a head is due, and how it ties with heads due in the same
+/// nanosecond: `seq` is the instant the event that scheduled it ran
+/// ([`scheduled_at`]), `earlier` that event's own `seq` and `earlier`,
+/// shifted by one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord)]
+struct Due {
+    t_ns: u64,
+    seq: u64,
+    earlier: [u64; TIE_DEPTH - 1],
+}
+
+/// A packet crossing to another shard: its directed link, when it is
+/// due at the far end, and the packet.
+type Handoff = (u32, Due, Packet);
 
 /// One directed link: a drop-tail queue feeding a constant-rate
 /// transmitter with propagation delay.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct DirLink {
     from: NodeIdx,
     to: NodeIdx,
@@ -205,9 +333,6 @@ struct DirLink {
     queue_cap_bytes: u64,
     busy_until_ns: u64,
     report: LinkReport,
-    /// Packets serialized and not yet arrived, each with the `(t_ns,
-    /// seq)` it is due at the far end — ascending front to back.
-    in_flight: VecDeque<(u64, u64, Packet)>,
 }
 
 impl DirLink {
@@ -257,21 +382,38 @@ fn directed_links(topo: &Topology) -> Result<Vec<DirLink>, DataplaneError> {
                 queue_cap_bytes: DEFAULT_QUEUE_BYTES,
                 busy_until_ns: 0,
                 report: LinkReport::default(),
-                in_flight: VecDeque::new(),
             });
         }
     }
     Ok(dirs)
 }
 
-/// Where a head comes from. Heads are keyed `(t_ns, seq)`, and `seq`
-/// is unique, so the source never decides an order.
+/// Where a head comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Source {
     /// A flow's next emission.
     Flow(u32),
     /// The front packet of a directed link's FIFO.
     Link(u32),
+}
+
+/// A calendar entry past its `(t_ns, seq)`: the earlier scheduling
+/// instants of its [`Due`], then the origin.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Head {
+    earlier: [u64; TIE_DEPTH - 1],
+    source: Source,
+}
+
+/// The `seq` word of a head scheduled by an event at `t_ns`.
+fn scheduled_at(t_ns: u64) -> u64 {
+    2 * t_ns
+}
+
+/// The `seq` word of a source's first emission, registered between
+/// windows at `t_ns`: after every event of that instant.
+fn registered_at(t_ns: u64) -> u64 {
+    2 * t_ns + 1
 }
 
 #[derive(Debug)]
@@ -281,6 +423,8 @@ struct FlowState {
     /// The route currently stamped at the ingress; packets snapshot it
     /// at emission time.
     route: Arc<FlowRoute>,
+    /// Its index in [`Shared::stamped`].
+    stamp: u32,
     interval_ns: u64,
     report: FlowReport,
     prev: FlowReport,
@@ -294,6 +438,7 @@ impl FlowState {
             name: spec.name,
             payload_bytes: spec.payload_bytes,
             route: Arc::new(spec.route),
+            stamp: 0,
             interval_ns: ((bits * 1000.0 / spec.rate_mbps.max(1e-6)).round() as u64).max(1),
             report: FlowReport::default(),
             prev: FlowReport::default(),
@@ -308,90 +453,252 @@ impl FlowState {
     }
 }
 
-/// The packet network: a [`ForwardingPlane`] plus queued links, traffic
-/// sources and counters.
+/// What every shard reads and none writes while a window runs.
 #[derive(Debug)]
-pub struct PacketNet {
+struct Shared {
     plane: ForwardingPlane,
-    /// Link `l`'s two directions sit at `2·l` (a→b) and `2·l + 1`
-    /// (b→a); see [`PacketNet::dir`].
-    dirs: Vec<DirLink>,
     flows: Vec<FlowState>,
-    by_name: HashMap<String, usize>,
-    /// One entry per flow (its next emission) and one per directed link
-    /// with packets in flight (its front packet).
-    heads: Calendar<Source>,
-    now_ns: u64,
-    /// Event sequence counter, shared by emissions and packets.
-    seq: u64,
-    window_open_ns: u64,
-    prev_links: Vec<LinkReport>,
-    /// Ingress routeID rewrites performed via [`PacketNet::set_route`].
-    pub ingress_rewrites: u64,
+    /// Every route stamped at an ingress, in stamping order.
+    stamped: Vec<Arc<FlowRoute>>,
+    /// The shard each node is dealt to.
+    shard_of: Vec<u32>,
     /// Sim-time tracer for the packet plane (off by default). Drops
     /// and PoT rejections are instants; queue occupancy is sampled at
-    /// window close. Stamps are the emulator's own `now_ns` clock.
+    /// window close. Stamps are the emulator's own clock. An armed
+    /// tracer runs the net on one shard, so its records keep one order.
     tracer: obsv::Tracer,
-    /// Live total-drop counter (always on — one atomic add per drop).
-    /// Adoptable into a metrics registry via
-    /// [`PacketNet::register_metrics`], where per-epoch deltas feed
-    /// SLO blame attribution.
+    /// Live total-drop counter (always on — shards count their drops
+    /// and add them when the window closes). Adoptable into a metrics
+    /// registry via [`PacketNet::register_metrics`], where per-epoch
+    /// deltas feed SLO blame attribution.
     drops: obsv::Counter,
     /// Live PoT-rejection counter, same lifecycle as `drops`.
     pot_rejects: obsv::Counter,
 }
 
-impl PacketNet {
-    /// Builds the packet network over a topology. `alloc` must be the
-    /// same allocator the controller compiles routeIDs with.
-    pub fn new(topo: &Topology, alloc: &mut NodeIdAllocator) -> Result<Self, DataplaneError> {
-        let plane = ForwardingPlane::new(topo, alloc)?;
-        let dirs = directed_links(topo)?;
-        let prev_links = vec![LinkReport::default(); dirs.len()];
-        Ok(PacketNet {
-            plane,
+impl Shared {
+    /// The shard a head belongs to: a source's ingress node's, a link
+    /// head's receiving node's.
+    fn owner(&self, dirs: &[DirLink], source: Source) -> usize {
+        let node = match source {
+            Source::Flow(flow) => dirs[self.flows[flow as usize].ingress_dir].from,
+            Source::Link(dir) => dirs[dir as usize].to,
+        };
+        self.shard_of[node.0 as usize] as usize
+    }
+}
+
+/// One shard of the event core: the nodes [`Shared::shard_of`] deals
+/// it, their outgoing links' send side and their incoming links' FIFOs.
+/// Aligned so that two shards' hot fields never share a cache line.
+#[derive(Debug)]
+#[repr(align(128))]
+struct Shard {
+    index: u32,
+    /// Every directed link. Only the shard that owns a link's `from`
+    /// sends on it, so only its copy's `busy_until_ns` and `report`
+    /// move; rates are set on every copy.
+    dirs: Vec<DirLink>,
+    /// Per directed link into one of this shard's nodes: the packets
+    /// serialized and not yet arrived, each with when it is due at the
+    /// far end — ascending front to back.
+    in_flight: Vec<VecDeque<(Due, Packet)>>,
+    /// One entry per source this shard emits for (its next emission)
+    /// and one per directed link into it with packets in flight (its
+    /// front packet).
+    heads: Calendar<Head>,
+    /// Per flow: what befell its packets here since the last fold.
+    flows: Vec<FlowReport>,
+    /// The node of the last head popped, and the heads popped at the
+    /// current instant with their nodes once two have been.
+    last_at: NodeIdx,
+    instant: Vec<(NodeIdx, Due)>,
+    work: EventWork,
+    /// Drops and PoT rejections since the last fold.
+    drops: u64,
+    pot_rejects: u64,
+    /// The head being run.
+    now: Due,
+    /// Handoffs taken from the other shards, and bound for each of them.
+    inbox: Vec<Handoff>,
+    outboxes: Vec<Vec<Handoff>>,
+}
+
+impl Shard {
+    fn new((index, shards): (usize, usize), dirs: Vec<DirLink>, flows: usize) -> Self {
+        Shard {
+            index: index as u32,
+            last_at: NodeIdx(0),
+            instant: Vec::new(),
+            in_flight: (0..dirs.len()).map(|_| VecDeque::new()).collect(),
             dirs,
-            flows: Vec::new(),
-            by_name: HashMap::new(),
             heads: Calendar::new(),
-            now_ns: 0,
-            seq: 0,
-            window_open_ns: 0,
-            prev_links,
-            ingress_rewrites: 0,
-            tracer: obsv::Tracer::off(),
-            drops: obsv::Counter::default(),
-            pot_rejects: obsv::Counter::default(),
-        })
+            flows: vec![FlowReport::default(); flows],
+            work: EventWork::default(),
+            drops: 0,
+            pot_rejects: 0,
+            now: Due::default(),
+            inbox: Vec::new(),
+            outboxes: (0..shards).map(|_| Vec::new()).collect(),
+        }
     }
 
-    /// Current emulator time (ns).
-    pub fn now_ns(&self) -> u64 {
-        self.now_ns
+    /// When a head this event schedules for `t_ns` is due.
+    fn due(&self, t_ns: u64) -> Due {
+        let mut earlier = [self.now.seq; TIE_DEPTH - 1];
+        earlier[1..].copy_from_slice(&self.now.earlier[..TIE_DEPTH - 2]);
+        Due {
+            t_ns,
+            seq: scheduled_at(self.now.t_ns),
+            earlier,
+        }
     }
 
-    /// Attaches (or detaches) the sim-time tracer.
-    pub fn set_tracer(&mut self, tracer: obsv::Tracer) {
-        self.tracer = tracer;
+    /// The directed-link index of `link` transmitting from `from`.
+    fn dir(&self, link: LinkId, from: NodeIdx) -> usize {
+        let base = link.0 as usize * 2;
+        base + usize::from(self.dirs[base].from != from)
     }
 
-    /// Exposes the packet plane's live loss counters in `registry`
-    /// (`dataplane.packet.drops`, `dataplane.packet.pot_rejects`).
-    /// The counters are the same atomics the per-flow reports already
-    /// charge, so adopting them costs nothing on the hot path.
-    pub fn register_metrics(&self, registry: &obsv::Registry) {
-        registry.adopt_counter("dataplane.packet.drops", &self.drops);
-        registry.adopt_counter("dataplane.packet.pot_rejects", &self.pot_rejects);
+    /// Runs this shard as far as the others allow in a window that ends
+    /// at `end`: lands the packets they handed over, pops every head due
+    /// by their least clock plus `lookahead` (none of their packets
+    /// still to come can be due sooner), and publishes how far it got.
+    /// Returns whether it reached `end`.
+    fn advance(
+        &mut self,
+        shared: &Shared,
+        end: u64,
+        lookahead: u64,
+        peers: &par::Peers<'_, Handoff>,
+    ) -> bool {
+        let mut inbox = std::mem::take(&mut self.inbox);
+        let horizon = peers.receive(&mut inbox);
+        for (dir, due, packet) in inbox.drain(..) {
+            self.land(dir as usize, due, packet);
+        }
+        self.inbox = inbox;
+        let through = horizon.saturating_add(lookahead).min(end);
+        let mut popped = 0u32;
+        while let Some((t_ns, seq, head)) = self.heads.pop_through(through) {
+            self.run_head(shared, t_ns, seq, head);
+            popped += 1;
+            // Everything this shard sends from now on leaves at `t_ns`
+            // or later: let the others run on meanwhile.
+            if popped.is_multiple_of(PUBLISH_EVERY) {
+                peers.publish(t_ns - 1, &mut self.outboxes);
+            }
+        }
+        let done = through == end;
+        peers.publish(if done { u64::MAX } else { through }, &mut self.outboxes);
+        done
+    }
+
+    fn run_head(&mut self, shared: &Shared, t_ns: u64, seq: u64, head: Head) {
+        let due = Due {
+            t_ns,
+            seq,
+            earlier: head.earlier,
+        };
+        let prev = std::mem::replace(&mut self.now, due);
+        match head.source {
+            Source::Flow(flow) => {
+                let at = self.dirs[shared.flows[flow as usize].ingress_dir].from;
+                self.count_tie(at, prev, due);
+                self.work.emissions += 1;
+                self.emit(shared, flow as usize);
+            }
+            Source::Link(dir) => {
+                let fifo = &mut self.in_flight[dir as usize];
+                let Some((_, packet)) = fifo.pop_front() else {
+                    return;
+                };
+                if let Some(&(next, _)) = fifo.front() {
+                    self.push_head(next, Source::Link(dir));
+                }
+                let at = self.dirs[dir as usize].to;
+                self.count_tie(at, prev, due);
+                self.work.arrivals += 1;
+                self.arrive(shared, at, packet);
+            }
+        }
+    }
+
+    fn push_head(&mut self, due: Due, source: Source) {
+        let head = Head {
+            earlier: due.earlier,
+            source,
+        };
+        self.heads.push(due.t_ns, due.seq, head);
+    }
+
+    /// Counts a head popped at node `at` that ties with the one before
+    /// it there; `prev` is the head the shard popped last, at
+    /// `self.last_at`. A shard pops every head of one instant in a row,
+    /// so only a run of pops at one instant needs remembering.
+    fn count_tie(&mut self, at: NodeIdx, prev: Due, due: Due) {
+        if prev.t_ns != due.t_ns {
+            self.instant.clear();
+        } else {
+            if self.instant.is_empty() {
+                self.instant.push((self.last_at, prev));
+            }
+            let mut before = (self.instant.iter().rev()).filter(|(n, _)| *n == at);
+            if let Some((_, last)) = before.next() {
+                self.work.tie_groups += u64::from(before.next().is_none());
+                // Registrations at one instant pop in registration
+                // order, which origin order is; only event-scheduled
+                // heads can differ from the counter's order.
+                let same = (last.seq, last.earlier) == (due.seq, due.earlier);
+                self.work.tie_fallbacks += u64::from(same && due.seq.is_multiple_of(2));
+            }
+            self.instant.push((at, due));
+        }
+        self.last_at = at;
+    }
+
+    /// Puts a packet on directed link `dir`, due at the far end at
+    /// `t_ns`: into this shard's FIFO, or out to the shard that owns
+    /// the far end.
+    fn send(&mut self, shared: &Shared, dir: usize, t_ns: u64, packet: Packet) {
+        let due = self.due(t_ns);
+        let owner = shared.shard_of[self.dirs[dir].to.0 as usize];
+        if owner == self.index {
+            self.land(dir, due, packet);
+        } else {
+            self.work.handoffs += 1;
+            self.outboxes[owner as usize].push((dir as u32, due, packet));
+        }
+    }
+
+    /// Queues a packet on the FIFO of `dir`, a link into this shard.
+    fn land(&mut self, dir: usize, due: Due, packet: Packet) {
+        let fifo = &mut self.in_flight[dir];
+        debug_assert!(
+            fifo.back().is_none_or(|(back, _)| *back <= due),
+            "a directed link delivers in the order it was entered"
+        );
+        fifo.push_back((due, packet));
+        if fifo.len() == 1 {
+            self.push_head(due, Source::Link(dir as u32));
+        }
     }
 
     /// Charges the aggregate drop counter and emits a per-packet drop
     /// instant (the instant only when tracing).
-    fn trace_drop(&self, flow: usize, reason: &'static str, link: Option<LinkId>) {
-        self.drops.inc();
-        if self.tracer.enabled() {
-            let name = self.flows[flow].name.clone();
-            self.tracer
-                .instant("packet", "packet.drop", self.now_ns, move || {
+    fn trace_drop(
+        &mut self,
+        shared: &Shared,
+        flow: usize,
+        reason: &'static str,
+        link: Option<LinkId>,
+    ) {
+        self.drops += 1;
+        if shared.tracer.enabled() {
+            let name = shared.flows[flow].name.clone();
+            shared
+                .tracer
+                .instant("packet", "packet.drop", self.now.t_ns, move || {
                     let mut args = vec![
                         ("reason", obsv::Value::Str(reason.to_string())),
                         ("flow", obsv::Value::Str(name)),
@@ -402,6 +709,459 @@ impl PacketNet {
                     args
                 });
         }
+    }
+
+    fn emit(&mut self, shared: &Shared, flow: usize) {
+        let f = &shared.flows[flow];
+        self.flows[flow].emitted += 1;
+        let state = PacketState::stamped();
+        let route = f.stamp; // the packet's stamped route
+        let header = shared.stamped[route as usize].label.header_bytes(&state);
+        let bytes = f.payload_bytes as u64 + header as u64;
+        // An interval past the end of the clock never comes round.
+        let next_emit = self.now.t_ns.saturating_add(f.interval_ns);
+        let dir = f.ingress_dir;
+        let link = self.dirs[dir].link;
+        if !shared.plane.link_up(link) {
+            self.flows[flow].dropped_link_down += 1;
+            self.dirs[dir].report.drops += 1;
+            self.trace_drop(shared, flow, "link_down", Some(link));
+        } else {
+            match self.dirs[dir].enqueue(self.now.t_ns, bytes) {
+                Some(arrival) => {
+                    let packet = Packet {
+                        flow: flow as u32,
+                        route,
+                        state,
+                        emitted_ns: self.now.t_ns,
+                    };
+                    self.send(shared, dir, arrival, packet);
+                }
+                None => {
+                    self.flows[flow].dropped_queue += 1;
+                    self.trace_drop(shared, flow, "queue_full", Some(link));
+                }
+            }
+        }
+        self.push_head(self.due(next_emit), Source::Flow(flow as u32));
+    }
+
+    fn arrive(&mut self, shared: &Shared, at: NodeIdx, mut packet: Packet) {
+        let flow = packet.flow as usize;
+        let route = &shared.stamped[packet.route as usize];
+        let outcome = shared.plane.hop(at, &route.label, &mut packet.state);
+        let payload_bytes = shared.flows[flow].payload_bytes as u64;
+        let f = &mut self.flows[flow];
+        match outcome {
+            HopOutcome::Delivered => {
+                if packet.state.pot == route.expected_pot {
+                    f.delivered += 1;
+                    f.delivered_bytes += payload_bytes;
+                    f.latency_sum_ns += self.now.t_ns - packet.emitted_ns;
+                } else {
+                    f.pot_rejected += 1;
+                    self.pot_rejects += 1;
+                    // The PoT verdict is the security-relevant event a
+                    // trace reader wants pinpointed in sim time.
+                    if shared.tracer.enabled() {
+                        let name = shared.flows[flow].name.clone();
+                        shared.tracer.instant(
+                            "packet",
+                            "packet.pot_reject",
+                            self.now.t_ns,
+                            move || vec![("flow", obsv::Value::Str(name))],
+                        );
+                    }
+                }
+            }
+            HopOutcome::Drop { reason, link } => {
+                let reason_str = match reason {
+                    DropReason::NoRoute => {
+                        f.dropped_no_route += 1;
+                        "no_route"
+                    }
+                    DropReason::LinkDown => {
+                        f.dropped_link_down += 1;
+                        "link_down"
+                    }
+                    DropReason::TtlExpired => {
+                        f.dropped_ttl += 1;
+                        "ttl_expired"
+                    }
+                    DropReason::QueueFull => {
+                        f.dropped_queue += 1;
+                        "queue_full"
+                    }
+                };
+                self.trace_drop(shared, flow, reason_str, link);
+                // Charge the loss to the killing link's directed
+                // counters too (mid-path failures must be visible in
+                // per-link telemetry, not just per-flow).
+                if let Some(lid) = link {
+                    let dir = self.dir(lid, at);
+                    self.dirs[dir].report.drops += 1;
+                }
+            }
+            HopOutcome::Forwarded { link, .. } => {
+                self.work.hops += 1;
+                let header = route.label.header_bytes(&packet.state);
+                let bytes = payload_bytes + header as u64;
+                let dir = self.dir(link, at);
+                match self.dirs[dir].enqueue(self.now.t_ns, bytes) {
+                    Some(arrival) => self.send(shared, dir, arrival, packet),
+                    None => {
+                        self.flows[flow].dropped_queue += 1;
+                        self.trace_drop(shared, flow, "queue_full", Some(link));
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Groups the nodes into clusters joined by links shorter than a cut,
+/// largest first. The cut is the longest link delay that leaves no
+/// cluster with more than half the nodes, so clusters can be dealt
+/// evenly and windows run as long as possible.
+fn clusters(dirs: &[DirLink], nodes: usize) -> Vec<Vec<u32>> {
+    let mut cuts: Vec<u64> = dirs.iter().map(|d| d.delay_ns).filter(|&d| d > 0).collect();
+    cuts.sort_unstable();
+    cuts.dedup();
+    let joined = |cut: u64| {
+        let mut root: Vec<u32> = (0..nodes as u32).collect();
+        fn find(root: &mut [u32], mut n: u32) -> u32 {
+            while root[n as usize] != n {
+                root[n as usize] = root[root[n as usize] as usize];
+                n = root[n as usize];
+            }
+            n
+        }
+        for d in dirs.iter().filter(|d| d.delay_ns < cut) {
+            let (a, b) = (find(&mut root, d.from.0), find(&mut root, d.to.0));
+            root[a.max(b) as usize] = a.min(b);
+        }
+        let mut by_root: Vec<Vec<u32>> = vec![Vec::new(); nodes];
+        for n in 0..nodes as u32 {
+            let r = find(&mut root, n);
+            by_root[r as usize].push(n);
+        }
+        let mut clusters: Vec<Vec<u32>> = by_root.into_iter().filter(|c| !c.is_empty()).collect();
+        // Largest first; equal sizes by their lowest node.
+        clusters.sort_by_key(|c| std::cmp::Reverse(c.len()));
+        clusters
+    };
+    (cuts.iter().rev())
+        .map(|&cut| joined(cut))
+        .find(|c| c.first().is_none_or(|big| 2 * big.len() <= nodes))
+        .unwrap_or_else(|| joined(cuts.first().copied().unwrap_or(0)))
+}
+
+/// Deals `weights.len()` clusters to shards, heaviest first, each to
+/// the lightest shard (the lowest index among equals). Then, while one
+/// helps, it makes the move or swap of clusters that keeps the most
+/// packets from crossing shards (`traffic[a·n + b]` crossed between
+/// clusters `a` and `b`; empty for none) without loading a shard past a
+/// twentieth over the heaviest the dealing left. Returns each
+/// cluster's shard.
+fn deal(weights: &[u64], traffic: &[u64], shards: usize) -> Vec<usize> {
+    let n = weights.len();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&c| std::cmp::Reverse(weights[c]));
+    let mut load = vec![0u64; shards.max(1)];
+    let mut of = vec![0; n];
+    for c in order {
+        let (s, _) = (load.iter().enumerate())
+            .min_by_key(|&(s, &l)| (l, s))
+            .unwrap_or((0, &0));
+        load[s] += weights[c];
+        of[c] = s;
+    }
+    if traffic.is_empty() {
+        return of;
+    }
+    let heaviest = load.iter().copied().max().unwrap_or(0);
+    let cap = heaviest + heaviest / 20;
+    let k = load.len();
+    for _ in 0..n {
+        // toward[a·k + t]: what cluster `a` exchanges with shard `t`.
+        let mut toward = vec![0i64; n * k];
+        for a in 0..n {
+            for b in (0..n).filter(|&b| b != a) {
+                toward[a * k + of[b]] += traffic[a * n + b] as i64;
+            }
+        }
+        let gain = |a: usize, t: usize| toward[a * k + t] - toward[a * k + of[a]];
+        let fits = |s: usize, out: usize, inn: usize| load[s] - weights[out] + weights[inn] <= cap;
+        let mut best = (0, None);
+        for a in 0..n {
+            for t in (0..k).filter(|&t| t != of[a] && load[t] + weights[a] <= cap) {
+                if gain(a, t) > best.0 {
+                    best = (gain(a, t), Some((a, None, t)));
+                }
+            }
+            for b in a + 1..n {
+                let (sa, sb) = (of[a], of[b]);
+                if sa != sb && fits(sa, a, b) && fits(sb, b, a) {
+                    let swap = gain(a, sb) + gain(b, sa) - 2 * traffic[a * n + b] as i64;
+                    if swap > best.0 {
+                        best = (swap, Some((a, Some(b), sb)));
+                    }
+                }
+            }
+        }
+        let Some((a, b, t)) = best.1 else { break };
+        let from = of[a];
+        if let Some(b) = b {
+            load[t] = load[t] - weights[b] + weights[a];
+            load[from] = load[from] - weights[a] + weights[b];
+            of[b] = from;
+        } else {
+            load[t] += weights[a];
+            load[from] -= weights[a];
+        }
+        of[a] = t;
+    }
+    of
+}
+
+/// The packets crossing between clusters dealt as `of` (none counted
+/// without `traffic`), and the busiest shard's weight.
+fn cost(of: &[usize], weights: &[u64], traffic: &[u64]) -> (u64, u64) {
+    let n = of.len();
+    let mut load = vec![0u64; of.iter().max().map_or(1, |&s| s + 1)];
+    let mut crossing = 0;
+    for a in 0..n {
+        load[of[a]] += weights[a];
+        crossing += (a + 1..n)
+            .filter(|&b| of[a] != of[b])
+            .filter_map(|b| traffic.get(a * n + b))
+            .sum::<u64>();
+    }
+    (crossing, load.into_iter().max().unwrap_or(0))
+}
+
+/// How far one shard may run ahead of another: the soonest a packet of
+/// at least `min_bytes` can arrive over a link between two shards
+/// after it is sent (serialization plus propagation). `u64::MAX` when
+/// no link crosses.
+fn lookahead(dirs: &[DirLink], shard_of: &[u32], min_bytes: u64) -> u64 {
+    (dirs.iter())
+        .filter(|d| shard_of[d.from.0 as usize] != shard_of[d.to.0 as usize])
+        .map(|d| d.delay_ns + d.tx_ns(min_bytes))
+        .min()
+        .unwrap_or(u64::MAX)
+}
+
+/// The packet network: a [`ForwardingPlane`] plus queued links, traffic
+/// sources and counters, run on node shards.
+#[derive(Debug)]
+pub struct PacketNet {
+    shared: Shared,
+    /// At least one; the first one's link copies stand for the whole
+    /// net where any copy will do.
+    shards: Vec<Shard>,
+    by_name: HashMap<String, usize>,
+    /// The node clusters the shards are dealt from, each node's
+    /// cluster, and what each cluster weighs: its size until a window
+    /// has run, then the packets sent into and emitted at its nodes in
+    /// the last window that had any; and the packets that window sent
+    /// between each two clusters.
+    clusters: Vec<Vec<u32>>,
+    cluster_of: Vec<usize>,
+    weights: Vec<u64>,
+    traffic: Vec<u64>,
+    /// How many shards the windows run on while no tracer is armed, and
+    /// how many the nodes are dealt to now.
+    wide: usize,
+    dealt: usize,
+    now_ns: u64,
+    window_open_ns: u64,
+    prev_links: Vec<LinkReport>,
+    work: EventWork,
+    /// Ingress routeID rewrites performed via [`PacketNet::set_route`].
+    pub ingress_rewrites: u64,
+}
+
+impl PacketNet {
+    /// Builds the packet network over a topology. `alloc` must be the
+    /// same allocator the controller compiles routeIDs with.
+    pub fn new(topo: &Topology, alloc: &mut NodeIdAllocator) -> Result<Self, DataplaneError> {
+        Self::with_shards(topo, alloc, None)
+    }
+
+    /// [`PacketNet::new`] on `shards` shards, or on as many as
+    /// [`par::worker_count`] gives the topology's clusters.
+    pub(crate) fn with_shards(
+        topo: &Topology,
+        alloc: &mut NodeIdAllocator,
+        shards: Option<usize>,
+    ) -> Result<Self, DataplaneError> {
+        let plane = ForwardingPlane::new(topo, alloc)?;
+        let dirs = directed_links(topo)?;
+        let clusters = clusters(&dirs, topo.node_count());
+        let wide = shards.unwrap_or_else(|| par::worker_count(clusters.len()));
+        let weights = clusters.iter().map(|c| c.len() as u64).collect();
+        let mut cluster_of = vec![0; topo.node_count()];
+        for (c, cluster) in clusters.iter().enumerate() {
+            for &n in cluster {
+                cluster_of[n as usize] = c;
+            }
+        }
+        let traffic = Vec::new();
+        let mut net = PacketNet {
+            shared: Shared {
+                plane,
+                flows: Vec::new(),
+                stamped: Vec::new(),
+                shard_of: vec![0; topo.node_count()],
+                tracer: obsv::Tracer::off(),
+                drops: obsv::Counter::default(),
+                pot_rejects: obsv::Counter::default(),
+            },
+            prev_links: vec![LinkReport::default(); dirs.len()],
+            shards: vec![Shard::new((0, 1), dirs, 0)],
+            by_name: HashMap::new(),
+            clusters,
+            cluster_of,
+            weights,
+            traffic,
+            wide,
+            dealt: 1,
+            now_ns: 0,
+            window_open_ns: 0,
+            work: EventWork::default(),
+            ingress_rewrites: 0,
+        };
+        net.reshard(wide);
+        Ok(net)
+    }
+
+    /// Deals the clusters to `shards` shards by weight.
+    fn reshard(&mut self, shards: usize) {
+        self.dealt = shards;
+        self.move_to(&deal(&self.weights, &self.traffic, shards));
+    }
+
+    /// Re-deals the clusters by the work the window put on them — the
+    /// packets sent into their nodes and emitted at them — and the
+    /// packets it sent between them, when that keeps a tenth more of
+    /// those packets in their shard or the busiest shard is over the
+    /// new deal's bound. The counts are the same on any number of
+    /// shards, and so is every deal made from them.
+    fn rebalance(&mut self, window: &WindowReport) {
+        let n = self.clusters.len();
+        let mut weights = vec![0u64; n];
+        // The refinement is quadratic in clusters per step: past
+        // `REFINED_CLUSTERS` the deal goes by weight alone.
+        let mut traffic = vec![0u64; if n <= REFINED_CLUSTERS { n * n } else { 0 }];
+        for l in &window.links {
+            let (a, b) = (
+                self.cluster_of[l.from.0 as usize],
+                self.cluster_of[l.to.0 as usize],
+            );
+            weights[b] += l.report.tx_pkts;
+            if a != b && !traffic.is_empty() {
+                traffic[a * n + b] += l.report.tx_pkts;
+                traffic[b * n + a] += l.report.tx_pkts;
+            }
+        }
+        for (f, w) in self.shared.flows.iter().zip(&window.flows) {
+            let ingress = self.shards[0].dirs[f.ingress_dir].from;
+            weights[self.cluster_of[ingress.0 as usize]] += w.report.emitted;
+        }
+        if weights.iter().all(|&w| w == 0) {
+            return;
+        }
+        (self.weights, self.traffic) = (weights, traffic);
+        if self.shards.len() == 1 {
+            return;
+        }
+        let now: Vec<usize> = (self.clusters.iter())
+            .map(|c| self.shared.shard_of[c[0] as usize] as usize)
+            .collect();
+        let new = deal(&self.weights, &self.traffic, self.shards.len());
+        let (now_crossing, now_busiest) = cost(&now, &self.weights, &self.traffic);
+        let (crossing, busiest) = cost(&new, &self.weights, &self.traffic);
+        if 10 * crossing < 9 * now_crossing || 20 * now_busiest > 21 * busiest {
+            self.move_to(&new);
+        }
+    }
+
+    /// Moves every link's send side, every FIFO and every head to the
+    /// shard its node's cluster is dealt to in `of` (all to one when two
+    /// would be less than [`MIN_LOOKAHEAD_NS`] apart). Between windows
+    /// no tie can straddle, so the tie memory starts afresh.
+    fn move_to(&mut self, of: &[usize]) {
+        self.fold();
+        let nodes = self.shared.shard_of.len();
+        let mut shard_of: Vec<u32> = (0..nodes).map(|n| of[self.cluster_of[n]] as u32).collect();
+        if lookahead(&self.shards[0].dirs, &shard_of, 0) < MIN_LOOKAHEAD_NS {
+            shard_of = vec![0; nodes];
+        }
+        let count = shard_of.iter().max().map_or(1, |&s| s as usize + 1);
+        let mut old = std::mem::take(&mut self.shards);
+        let old_of = |n: NodeIdx| self.shared.shard_of[n.0 as usize] as usize;
+        let dirs: Vec<DirLink> = (0..old[0].dirs.len())
+            .map(|d| old[old_of(old[0].dirs[d].from)].dirs[d].clone())
+            .collect();
+        let in_flight: Vec<_> = (0..dirs.len())
+            .map(|d| std::mem::take(&mut old[old_of(dirs[d].to)].in_flight[d]))
+            .collect();
+        let heads: Vec<(u64, u64, Head)> = (old.into_iter())
+            .flat_map(|s| s.heads.into_entries())
+            .collect();
+        self.shared.shard_of = shard_of;
+        let flows = self.shared.flows.len();
+        self.shards = (0..count)
+            .map(|i| Shard::new((i, count), dirs.clone(), flows))
+            .collect();
+        for (d, fifo) in in_flight.into_iter().enumerate() {
+            let owner = self.shared.shard_of[dirs[d].to.0 as usize] as usize;
+            self.shards[owner].in_flight[d] = fifo;
+        }
+        for (t_ns, seq, head) in heads {
+            let owner = self.shared.owner(&dirs, head.source);
+            self.shards[owner].heads.push(t_ns, seq, head);
+        }
+    }
+
+    /// Moves every shard's per-flow counters into the flows' totals,
+    /// its loss counts into the live counters and its work counts into
+    /// the net's.
+    fn fold(&mut self) {
+        for (i, shard) in self.shards.iter_mut().enumerate() {
+            for (flow, counts) in self.shared.flows.iter_mut().zip(&mut shard.flows) {
+                flow.report.absorb(counts);
+            }
+            self.shared.drops.add(std::mem::take(&mut shard.drops));
+            (self.shared.pot_rejects).add(std::mem::take(&mut shard.pot_rejects));
+            self.work.absorb(i, &mut shard.work);
+        }
+    }
+
+    /// Current emulator time (ns).
+    pub fn now_ns(&self) -> u64 {
+        self.now_ns
+    }
+
+    /// The event core's work so far.
+    pub fn work(&self) -> &EventWork {
+        &self.work
+    }
+
+    /// Attaches (or detaches) the sim-time tracer. An armed tracer runs
+    /// the net on one shard.
+    pub fn set_tracer(&mut self, tracer: obsv::Tracer) {
+        self.shared.tracer = tracer;
+    }
+
+    /// Exposes the packet plane's live loss counters in `registry`
+    /// (`dataplane.packet.drops`, `dataplane.packet.pot_rejects`).
+    /// The counters are the same atomics the per-flow reports already
+    /// charge, so adopting them costs nothing on the hot path.
+    pub fn register_metrics(&self, registry: &obsv::Registry) {
+        registry.adopt_counter("dataplane.packet.drops", &self.shared.drops);
+        registry.adopt_counter("dataplane.packet.pot_rejects", &self.shared.pot_rejects);
     }
 
     /// Registers a traffic source. The first packet is emitted with a
@@ -416,12 +1176,23 @@ impl PacketNet {
             )));
         }
         let ingress_dir = self.resolve_ingress(&spec.route)?;
-        let idx = self.flows.len();
+        let idx = self.shared.flows.len();
         self.by_name.insert(spec.name.clone(), idx);
-        let flow = FlowState::new(spec, ingress_dir);
+        let mut flow = FlowState::new(spec, ingress_dir);
         let first = flow.first_emit_ns(self.now_ns, idx);
-        self.flows.push(flow);
-        self.schedule_emit(first, idx);
+        flow.stamp = self.shared.stamped.len() as u32;
+        self.shared.stamped.push(Arc::clone(&flow.route));
+        self.shared.flows.push(flow);
+        for shard in &mut self.shards {
+            shard.flows.push(FlowReport::default());
+        }
+        let source = Source::Flow(idx as u32);
+        let owner = self.shared.owner(&self.shards[0].dirs, source);
+        let head = Head {
+            earlier: [0; TIE_DEPTH - 1],
+            source,
+        };
+        (self.shards[owner].heads).push(first, registered_at(self.now_ns), head);
         Ok(())
     }
 
@@ -434,20 +1205,29 @@ impl PacketNet {
             .get(name)
             .ok_or_else(|| DataplaneError::UnknownFlow(name.to_string()))?;
         let ingress_dir = self.resolve_ingress(&route)?;
-        self.flows[idx].route = Arc::new(route);
-        self.flows[idx].ingress_dir = ingress_dir;
+        let source = Source::Flow(idx as u32);
+        let was = self.shared.owner(&self.shards[0].dirs, source);
+        let route = Arc::new(route);
+        self.shared.flows[idx].route = Arc::clone(&route);
+        self.shared.flows[idx].stamp = self.shared.stamped.len() as u32;
+        self.shared.stamped.push(route);
+        self.shared.flows[idx].ingress_dir = ingress_dir;
         self.ingress_rewrites += 1;
+        // A new ingress in another shard takes the source's head there.
+        if self.shared.owner(&self.shards[0].dirs, source) != was {
+            self.reshard(self.dealt);
+        }
         Ok(())
     }
 
     /// A flow's current route.
     pub fn route(&self, name: &str) -> Option<&FlowRoute> {
-        self.by_name.get(name).map(|&i| &*self.flows[i].route)
+        (self.by_name.get(name)).map(|&i| &*self.shared.flows[i].route)
     }
 
     /// Fails or restores a link (both directions).
     pub fn set_link_up(&mut self, link: LinkId, up: bool) {
-        self.plane.set_link_up(link, up);
+        self.shared.plane.set_link_up(link, up);
     }
 
     /// Re-rates a link (both directions) — trace-driven or scenario
@@ -458,28 +1238,24 @@ impl PacketNet {
     pub fn set_link_rate(&mut self, link: LinkId, mbps: f64) {
         let rate_kbps = (mbps * 1000.0).round().max(1.0) as u64;
         let base = link.0 as usize * 2;
-        if let Some(pair) = self.dirs.get_mut(base..base + 2) {
-            for d in pair {
-                d.rate_kbps = rate_kbps;
+        for shard in &mut self.shards {
+            if let Some(pair) = shard.dirs.get_mut(base..base + 2) {
+                for d in pair {
+                    d.rate_kbps = rate_kbps;
+                }
             }
         }
     }
 
     /// Cumulative counters for one flow.
     pub fn flow_report(&self, name: &str) -> Option<FlowReport> {
-        self.by_name.get(name).map(|&i| self.flows[i].report)
-    }
-
-    /// The directed-link index of `link` transmitting from `from`.
-    fn dir(&self, link: LinkId, from: NodeIdx) -> usize {
-        let base = link.0 as usize * 2;
-        base + usize::from(self.dirs[base].from != from)
+        (self.by_name.get(name)).map(|&i| self.shared.flows[i].report)
     }
 
     fn resolve_ingress(&self, route: &FlowRoute) -> Result<usize, DataplaneError> {
-        self.plane
+        (self.shared.plane)
             .link_between(route.ingress, route.first_hop)
-            .map(|link| self.dir(link, route.ingress))
+            .map(|link| self.shards[0].dir(link, route.ingress))
             .ok_or_else(|| {
                 DataplaneError::Topology(format!(
                     "ingress {:?} is not adjacent to first hop {:?}",
@@ -488,198 +1264,93 @@ impl PacketNet {
             })
     }
 
-    fn schedule_emit(&mut self, t_ns: u64, flow: usize) {
-        self.seq += 1;
-        self.heads.push(t_ns, self.seq, Source::Flow(flow as u32));
-    }
-
-    /// Puts a packet on directed link `dir`, due at the far end at
-    /// `t_ns`.
-    fn send(&mut self, dir: usize, t_ns: u64, packet: Packet) {
-        self.seq += 1;
-        let fifo = &mut self.dirs[dir].in_flight;
-        debug_assert!(
-            fifo.back()
-                .is_none_or(|&(t, seq, _)| (t, seq) < (t_ns, self.seq)),
-            "a directed link delivers in the order it was entered"
-        );
-        if fifo.is_empty() {
-            self.heads.push(t_ns, self.seq, Source::Link(dir as u32));
-        }
-        fifo.push_back((t_ns, self.seq, packet));
-    }
-
     /// Runs the packet machine for `window_ns`, then closes the window
     /// and returns its counters (per directed link with measured load,
     /// per flow with goodput). In-flight packets carry over to the next
     /// window.
     pub fn run_window(&mut self, window_ns: u64) -> WindowReport {
+        let shards = match self.shared.tracer.enabled() {
+            true => 1,
+            false => self.wide,
+        };
+        if shards != self.dealt {
+            self.reshard(shards);
+        }
+        let min_bytes = (self.shared.flows.iter()).map(|f| f.payload_bytes).min();
+        let step = lookahead(
+            &self.shards[0].dirs,
+            &self.shared.shard_of,
+            min_bytes.unwrap_or(0).into(),
+        );
         let end = self.now_ns + window_ns;
-        while let Some((t_ns, _, source)) = self.heads.pop_through(end) {
-            self.now_ns = t_ns;
-            match source {
-                Source::Flow(flow) => self.emit(flow as usize),
-                Source::Link(dir) => {
-                    let link = &mut self.dirs[dir as usize];
-                    let Some((_, _, packet)) = link.in_flight.pop_front() else {
-                        continue;
-                    };
-                    if let Some(&(t_ns, seq, _)) = link.in_flight.front() {
-                        self.heads.push(t_ns, seq, Source::Link(dir));
-                    }
-                    let at = link.to;
-                    self.arrive(at, packet);
-                }
+        self.work.windows += window_ns.div_ceil(step).max(1);
+        let shared = &self.shared;
+        let handed = par::settle(&mut self.shards, self.now_ns, |shard, peers| {
+            shard.advance(shared, end, step, peers)
+        });
+        // Handoffs no shard took are due after `end`.
+        for (shard, mail) in self.shards.iter_mut().zip(handed) {
+            for (dir, due, packet) in mail {
+                shard.land(dir as usize, due, packet);
             }
         }
         self.now_ns = end;
-        self.close_window()
-    }
-
-    fn emit(&mut self, flow: usize) {
-        let f = &mut self.flows[flow];
-        f.report.emitted += 1;
-        let state = PacketState::stamped();
-        let route = Arc::clone(&f.route); // the packet's stamped route
-        let bytes = f.payload_bytes as u64 + route.label.header_bytes(&state) as u64;
-        let next_emit = self.now_ns + f.interval_ns;
-        let dir = f.ingress_dir;
-        let link = self.dirs[dir].link;
-        if !self.plane.link_up(link) {
-            self.flows[flow].report.dropped_link_down += 1;
-            self.dirs[dir].report.drops += 1;
-            self.trace_drop(flow, "link_down", Some(link));
-        } else {
-            match self.dirs[dir].enqueue(self.now_ns, bytes) {
-                Some(arrival) => {
-                    let packet = Packet {
-                        flow,
-                        state,
-                        emitted_ns: self.now_ns,
-                        route,
-                    };
-                    self.send(dir, arrival, packet);
-                }
-                None => {
-                    self.flows[flow].report.dropped_queue += 1;
-                    self.trace_drop(flow, "queue_full", Some(link));
-                }
-            }
-        }
-        self.schedule_emit(next_emit, flow);
-    }
-
-    fn arrive(&mut self, at: NodeIdx, mut packet: Packet) {
-        let flow = packet.flow;
-        let outcome = self.plane.hop(at, &packet.route.label, &mut packet.state);
-        let f = &mut self.flows[flow];
-        match outcome {
-            HopOutcome::Delivered => {
-                if packet.state.pot == packet.route.expected_pot {
-                    f.report.delivered += 1;
-                    f.report.delivered_bytes += f.payload_bytes as u64;
-                    f.report.latency_sum_ns += self.now_ns - packet.emitted_ns;
-                } else {
-                    f.report.pot_rejected += 1;
-                    self.pot_rejects.inc();
-                    // The PoT verdict is the security-relevant event a
-                    // trace reader wants pinpointed in sim time.
-                    if self.tracer.enabled() {
-                        let name = self.flows[flow].name.clone();
-                        self.tracer.instant(
-                            "packet",
-                            "packet.pot_reject",
-                            self.now_ns,
-                            move || vec![("flow", obsv::Value::Str(name))],
-                        );
-                    }
-                }
-            }
-            HopOutcome::Drop { reason, link } => {
-                let reason_str = match reason {
-                    DropReason::NoRoute => {
-                        f.report.dropped_no_route += 1;
-                        "no_route"
-                    }
-                    DropReason::LinkDown => {
-                        f.report.dropped_link_down += 1;
-                        "link_down"
-                    }
-                    DropReason::TtlExpired => {
-                        f.report.dropped_ttl += 1;
-                        "ttl_expired"
-                    }
-                    DropReason::QueueFull => {
-                        f.report.dropped_queue += 1;
-                        "queue_full"
-                    }
-                };
-                self.trace_drop(flow, reason_str, link);
-                // Charge the loss to the killing link's directed
-                // counters too (mid-path failures must be visible in
-                // per-link telemetry, not just per-flow).
-                if let Some(lid) = link {
-                    let dir = self.dir(lid, at);
-                    self.dirs[dir].report.drops += 1;
-                }
-            }
-            HopOutcome::Forwarded { link, .. } => {
-                let header = packet.route.label.header_bytes(&packet.state);
-                let bytes = f.payload_bytes as u64 + header as u64;
-                let dir = self.dir(link, at);
-                match self.dirs[dir].enqueue(self.now_ns, bytes) {
-                    Some(arrival) => self.send(dir, arrival, packet),
-                    None => {
-                        self.flows[flow].report.dropped_queue += 1;
-                        self.trace_drop(flow, "queue_full", Some(link));
-                    }
-                }
-            }
-        }
+        let report = self.close_window();
+        self.rebalance(&report);
+        report
     }
 
     fn close_window(&mut self) -> WindowReport {
+        self.fold();
         let elapsed_ns = self.now_ns - self.window_open_ns;
         self.window_open_ns = self.now_ns;
         // Per-link queue occupancy, sampled at the window boundary
         // (only backlogged directions, so idle links cost nothing).
-        if self.tracer.enabled() {
-            for d in &self.dirs {
+        let tracer = &self.shared.tracer;
+        if tracer.enabled() {
+            for d in senders(&self.shards, &self.shared.shard_of) {
                 let backlog_ns = d.busy_until_ns.saturating_sub(self.now_ns);
                 let backlog_bytes = backlog_ns * d.rate_kbps / 8_000_000;
                 if backlog_bytes > 0 {
-                    self.tracer
-                        .instant("packet", "packet.queue", self.now_ns, || {
-                            vec![
-                                ("link", obsv::Value::U64(d.link.0 as u64)),
-                                ("from", obsv::Value::U64(d.from.0 as u64)),
-                                ("bytes", obsv::Value::U64(backlog_bytes)),
-                            ]
-                        });
+                    tracer.instant("packet", "packet.queue", self.now_ns, || {
+                        vec![
+                            ("link", obsv::Value::U64(d.link.0 as u64)),
+                            ("from", obsv::Value::U64(d.from.0 as u64)),
+                            ("bytes", obsv::Value::U64(backlog_bytes)),
+                        ]
+                    });
                 }
             }
         }
         window_report(
             elapsed_ns,
-            &self.dirs,
+            senders(&self.shards, &self.shared.shard_of),
             &mut self.prev_links,
-            &mut self.flows,
-            &self.plane,
+            &mut self.shared.flows,
+            &self.shared.plane,
         )
     }
 }
 
+/// Every directed link as its sending shard keeps it.
+fn senders<'a>(shards: &'a [Shard], shard_of: &'a [u32]) -> impl Iterator<Item = &'a DirLink> {
+    (0..shards[0].dirs.len()).map(move |d| {
+        let from = shards[0].dirs[d].from;
+        &shards[shard_of[from.0 as usize] as usize].dirs[d]
+    })
+}
+
 /// The counters accumulated since the previous close, per directed link
 /// (with measured load) and per flow (with goodput).
-fn window_report(
+fn window_report<'a>(
     elapsed_ns: u64,
-    dirs: &[DirLink],
+    dirs: impl IntoIterator<Item = &'a DirLink>,
     prev_links: &mut [LinkReport],
     flows: &mut [FlowState],
     plane: &ForwardingPlane,
 ) -> WindowReport {
     let links = dirs
-        .iter()
+        .into_iter()
         .zip(prev_links.iter_mut())
         .map(|(d, prev)| {
             let report = d.report.sub(prev);
@@ -1245,6 +1916,114 @@ mod tests {
         assert_eq!(net.run_window(1000 * MS).flows[0].report.emitted, 0);
     }
 
+    #[test]
+    fn a_source_whose_interval_outruns_the_clock_emits_once() {
+        // u32::MAX bytes at the 1e-6 Mbps floor: an interval past the
+        // end of the clock. The first packet goes out (too big for any
+        // queue); the next emission never comes round.
+        let (mut net, added) = add_source(u32::MAX, 0.0);
+        added.unwrap();
+        let w = net.run_window(1000 * MS);
+        assert_eq!(w.flows[0].report.emitted, 1);
+        assert_eq!(w.flows[0].report.dropped_queue, 1);
+        for _ in 0..3 {
+            assert_eq!(net.run_window(1000 * MS).flows[0].report.emitted, 0);
+        }
+    }
+
+    #[test]
+    fn a_fat_tree_splits_into_pods_and_cores_half_a_millisecond_apart() {
+        let topo = fat_tree(8);
+        let mut alloc = NodeIdAllocator::for_network(topo.node_count(), topo.max_port().max(1));
+        let net = PacketNet::with_shards(&topo, &mut alloc, Some(2)).unwrap();
+        let sizes: Vec<usize> = net.clusters.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [vec![8; 8], vec![1; 16]].concat());
+        assert_eq!(net.shards.len(), 2);
+        let first = net.shared.shard_of.iter().filter(|&&s| s == 0).count();
+        assert_eq!(first, 40, "dealt by size");
+        let dirs = &net.shards[0].dirs;
+        assert_eq!(lookahead(dirs, &net.shared.shard_of, 0), 500_000);
+        // A 250-byte packet adds its serialization at 20 Mbps.
+        assert_eq!(lookahead(dirs, &net.shared.shard_of, 250), 600_000);
+    }
+
+    #[test]
+    fn a_deal_keeps_busy_pairs_of_clusters_together() {
+        // Dealing by weight alone splits both pairs; the refinement
+        // swaps them back together.
+        let mut traffic = vec![0; 16];
+        for (a, b) in [(0, 1), (2, 3)] {
+            traffic[a * 4 + b] = 100;
+            traffic[b * 4 + a] = 100;
+        }
+        assert_eq!(deal(&[4; 4], &[], 2), [0, 1, 0, 1]);
+        let of = deal(&[4; 4], &traffic, 2);
+        assert!(of[0] == of[1] && of[2] == of[3] && of[0] != of[2], "{of:?}");
+        assert_eq!(cost(&of, &[4; 4], &traffic), (0, 8));
+    }
+
+    #[test]
+    fn a_net_of_many_clusters_deals_by_weight_alone() {
+        // 120 routers one delay apart: 120 one-node clusters, past the
+        // traffic-aware re-deal's reach.
+        let topo = netsim::topo::mesh(120, 7, 10.0);
+        let run = |shards| {
+            let mut alloc = NodeIdAllocator::for_network(topo.node_count(), topo.max_port().max(1));
+            let mut net = PacketNet::with_shards(&topo, &mut alloc, Some(shards)).unwrap();
+            let rng = &mut TestRng::from_seed(7);
+            for i in 0..6 {
+                net.add_flow(random_spec(&topo, &mut alloc, rng, i))
+                    .unwrap();
+            }
+            let windows: Vec<WindowReport> = (0..3).map(|_| net.run_window(50 * MS)).collect();
+            assert_eq!(net.clusters.len(), 120);
+            assert!(net.traffic.is_empty());
+            windows
+        };
+        assert_eq!(run(1), run(2));
+    }
+
+    #[test]
+    fn lockstep_sources_tie_in_origin_order_alike_on_any_shard_count() {
+        // MIA and CHI both reach CAL over 5 Mbps, 2 ms links. Two
+        // sources there with one interval (9973 ns, which the phase
+        // offset divides) emit in the same nanoseconds, so their packets
+        // reach CAL in the same nanoseconds down identical histories,
+        // and only origin order parts them.
+        let topo = global_p4_lab();
+        let run = |shards| {
+            let mut alloc = NodeIdAllocator::for_network(topo.node_count(), topo.max_port().max(1));
+            let mut net = PacketNet::with_shards(&topo, &mut alloc, Some(shards)).unwrap();
+            for (i, names) in [["MIA", "CAL", "CHI"], ["CHI", "CAL", "MIA"]]
+                .iter()
+                .enumerate()
+            {
+                net.add_flow(TrafficSpec {
+                    name: format!("f{i}"),
+                    route: route_for(&topo, &mut alloc, names),
+                    payload_bytes: 1250,
+                    rate_mbps: 1e7 / 9973.0,
+                })
+                .unwrap();
+            }
+            let windows: Vec<WindowReport> = (0..3).map(|_| net.run_window(100 * MS)).collect();
+            (windows, net.work().clone())
+        };
+        let (one, two) = (run(1), run(2));
+        assert!(one.1.tie_fallbacks > 0, "{:?}", one.1);
+        assert_eq!(one.0, two.0);
+        let exact = |w: &EventWork| {
+            [
+                w.emissions,
+                w.arrivals,
+                w.hops,
+                w.tie_groups,
+                w.tie_fallbacks,
+            ]
+        };
+        assert_eq!(exact(&one.1), exact(&two.1));
+    }
+
     /// The equivalence cases below are seeded, not sampled.
     fn below(rng: &mut TestRng, n: usize) -> usize {
         rng.below(n as u64) as usize
@@ -1283,55 +2062,90 @@ mod tests {
         }
     }
 
-    /// Drives the FIFO machine and the heap reference through one
-    /// seeded script — flows of mixed size, rate and label, then
-    /// windows of unequal length with re-routes, failures, restores,
-    /// re-rates (down to the 1 kbps floor and back) and late flows
-    /// landing while packets are in flight — and demands equal
-    /// reports after every window.
+    /// Drives the FIFO machine on one and on two shards and the heap
+    /// reference through one seeded script — flows of mixed size, rate
+    /// and label, then windows of unequal length with re-routes (some
+    /// to an ingress in the other shard), failures, restores, re-rates
+    /// (down to the 1 kbps floor and back) and late flows landing while
+    /// packets are in flight — and demands equal reports after every
+    /// window, then equal flow totals and exact work counts.
     fn fifo_core_matches_heap_reference(topo: &Topology, seed: u64) {
         let rng = &mut TestRng::from_seed(seed);
         let mut alloc = NodeIdAllocator::for_network(topo.node_count(), topo.max_port().max(1));
-        let mut net = PacketNet::new(topo, &mut alloc).unwrap();
+        let mut nets: Vec<PacketNet> = (1..=2)
+            .map(|shards| PacketNet::with_shards(topo, &mut alloc, Some(shards)).unwrap())
+            .collect();
+        assert_eq!(nets[1].shards.len(), 2, "{} splits", topo.node_count());
         let mut oracle = reference::HeapNet::new(topo, &mut alloc);
-        for _ in 0..2 + below(rng, 5) {
-            let spec = random_spec(topo, &mut alloc, rng, net.flows.len());
-            net.add_flow(spec.clone()).unwrap();
+        let add_flow = |nets: &mut [PacketNet], oracle: &mut reference::HeapNet, spec| {
+            for net in nets.iter_mut() {
+                net.add_flow(TrafficSpec::clone(&spec)).unwrap();
+            }
             oracle.add_flow(spec);
+        };
+        for _ in 0..2 + below(rng, 5) {
+            let spec = random_spec(topo, &mut alloc, rng, nets[0].shared.flows.len());
+            add_flow(&mut nets, &mut oracle, spec);
         }
         for window in 0..4 + below(rng, 4) {
             let window_ns = (1 + below(rng, 90) as u64) * MS + below(rng, 1000) as u64;
-            assert_eq!(
-                net.run_window(window_ns),
-                oracle.run_window(window_ns),
-                "seed {seed}, window {window}"
-            );
+            let want = oracle.run_window(window_ns);
+            for net in &mut nets {
+                let shards = net.shards.len();
+                assert_eq!(
+                    net.run_window(window_ns),
+                    want,
+                    "seed {seed}, window {window}, {shards} shards"
+                );
+            }
             let link = LinkId(below(rng, topo.link_count()) as u32);
             match below(rng, 8) {
                 0 | 1 => {
-                    let flow = below(rng, net.flows.len());
+                    let flow = below(rng, nets[0].shared.flows.len());
                     let route = random_route(topo, &mut alloc, rng);
-                    net.set_route(&format!("f{flow}"), route.clone()).unwrap();
+                    for net in &mut nets {
+                        net.set_route(&format!("f{flow}"), route.clone()).unwrap();
+                    }
                     oracle.set_route(flow, route);
                 }
                 2 | 3 => {
                     let up = below(rng, 2) == 0;
-                    net.set_link_up(link, up);
+                    for net in &mut nets {
+                        net.set_link_up(link, up);
+                    }
                     oracle.set_link_up(link, up);
                 }
                 4 | 5 => {
                     let mbps = [0.0, topo.link(link).capacity_mbps, 3.5][below(rng, 3)];
-                    net.set_link_rate(link, mbps);
+                    for net in &mut nets {
+                        net.set_link_rate(link, mbps);
+                    }
                     oracle.set_link_rate(link, mbps);
                 }
                 6 => {
-                    let spec = random_spec(topo, &mut alloc, rng, net.flows.len());
-                    net.add_flow(spec.clone()).unwrap();
-                    oracle.add_flow(spec);
+                    let spec = random_spec(topo, &mut alloc, rng, nets[0].shared.flows.len());
+                    add_flow(&mut nets, &mut oracle, spec);
                 }
                 _ => {}
             }
         }
+        let totals = |net: &PacketNet| {
+            let w = net.work();
+            let flows: Vec<_> = (0..net.shared.flows.len())
+                .map(|f| net.flow_report(&format!("f{f}")))
+                .collect();
+            (
+                flows,
+                [
+                    w.emissions,
+                    w.arrivals,
+                    w.hops,
+                    w.tie_groups,
+                    w.tie_fallbacks,
+                ],
+            )
+        };
+        assert_eq!(totals(&nets[0]), totals(&nets[1]), "seed {seed}");
     }
 
     #[test]
@@ -1379,68 +2193,74 @@ mod tests {
     fn fat_tree_8_counters_are_pinned() {
         // The loopbench `fattree-packet` shape — fat_tree(8), 8 pod
         // pairs × 3 tunnels, 250-byte packets, a probe per tunnel plus
-        // 64 flows — squeezed and failed between windows. The totals
-        // were captured on the global-heap machine.
-        let topo = fat_tree(8);
-        let mut alloc = NodeIdAllocator::for_network(topo.node_count(), topo.max_port().max(1));
-        let mut net = PacketNet::new(&topo, &mut alloc).unwrap();
-        let mut tunnels = Vec::new();
-        for pod in 0..8 {
-            let src = topo.node(&format!("p{pod}e0")).unwrap();
-            let dst = topo.node(&format!("p{}e1", (pod + 4) % 8)).unwrap();
-            for path in topo.k_shortest_paths(src, dst, 3) {
-                tunnels.push(FlowRoute::along_path(&topo, &mut alloc, &path, true).unwrap());
+        // 64 flows — squeezed and failed between windows, on one shard
+        // and on two. The totals were captured on the global-heap
+        // machine; no tie there falls back on origin order.
+        for shards in 1..=2 {
+            let topo = fat_tree(8);
+            let mut alloc = NodeIdAllocator::for_network(topo.node_count(), topo.max_port().max(1));
+            let mut net = PacketNet::with_shards(&topo, &mut alloc, Some(shards)).unwrap();
+            let mut tunnels = Vec::new();
+            for pod in 0..8 {
+                let src = topo.node(&format!("p{pod}e0")).unwrap();
+                let dst = topo.node(&format!("p{}e1", (pod + 4) % 8)).unwrap();
+                for path in topo.k_shortest_paths(src, dst, 3) {
+                    tunnels.push(FlowRoute::along_path(&topo, &mut alloc, &path, true).unwrap());
+                }
             }
-        }
-        assert_eq!(tunnels.len(), 24);
-        for (i, route) in tunnels.iter().enumerate() {
-            net.add_flow(TrafficSpec {
-                name: format!("probe:{i}"),
-                route: route.clone(),
-                payload_bytes: 250,
-                rate_mbps: 0.4,
-            })
-            .unwrap();
-        }
-        for f in 0..64 {
-            net.add_flow(TrafficSpec {
-                name: format!("f{f}"),
-                route: tunnels[f * 7 % 24].clone(),
-                payload_bytes: 250,
-                rate_mbps: 2.0 + (f % 5) as f64 * 0.2,
-            })
-            .unwrap();
-        }
-        let mut windows = vec![net.run_window(1000 * MS)];
-        for (i, link) in topo.links().iter().enumerate() {
-            net.set_link_rate(LinkId(i as u32), link.capacity_mbps * 0.55);
-        }
-        windows.push(net.run_window(1000 * MS));
-        let first_hop = topo.link_between(tunnels[0].ingress, tunnels[0].first_hop);
-        net.set_link_up(first_hop.unwrap(), false);
-        windows.push(net.run_window(1000 * MS));
+            assert_eq!(tunnels.len(), 24);
+            for (i, route) in tunnels.iter().enumerate() {
+                net.add_flow(TrafficSpec {
+                    name: format!("probe:{i}"),
+                    route: route.clone(),
+                    payload_bytes: 250,
+                    rate_mbps: 0.4,
+                })
+                .unwrap();
+            }
+            for f in 0..64 {
+                net.add_flow(TrafficSpec {
+                    name: format!("f{f}"),
+                    route: tunnels[f * 7 % 24].clone(),
+                    payload_bytes: 250,
+                    rate_mbps: 2.0 + (f % 5) as f64 * 0.2,
+                })
+                .unwrap();
+            }
+            let mut windows = vec![net.run_window(1000 * MS)];
+            for (i, link) in topo.links().iter().enumerate() {
+                net.set_link_rate(LinkId(i as u32), link.capacity_mbps * 0.55);
+            }
+            windows.push(net.run_window(1000 * MS));
+            let first_hop = topo.link_between(tunnels[0].ingress, tunnels[0].first_hop);
+            net.set_link_up(first_hop.unwrap(), false);
+            windows.push(net.run_window(1000 * MS));
 
-        let flows = windows.iter().flat_map(|w| &w.flows).map(|f| f.report);
-        let (delivered, dropped) = flows.fold((0, 0), |(ok, lost), r| {
-            let drops = r.dropped_queue + r.dropped_link_down + r.dropped_no_route + r.dropped_ttl;
-            (ok + r.delivered, lost + drops)
-        });
-        let mut tx_bytes = vec![0u64; 2 * topo.link_count()];
-        for w in &windows {
-            for (total, l) in tx_bytes.iter_mut().zip(&w.links) {
-                *total += l.report.tx_bytes;
+            let flows = windows.iter().flat_map(|w| &w.flows).map(|f| f.report);
+            let (delivered, dropped) = flows.fold((0, 0), |(ok, lost), r| {
+                let drops =
+                    r.dropped_queue + r.dropped_link_down + r.dropped_no_route + r.dropped_ttl;
+                (ok + r.delivered, lost + drops)
+            });
+            let mut tx_bytes = vec![0u64; 2 * topo.link_count()];
+            for w in &windows {
+                for (total, l) in tx_bytes.iter_mut().zip(&w.links) {
+                    *total += l.report.tx_bytes;
+                }
             }
+            // Per-link totals, order-sensitive.
+            let fingerprint = (tx_bytes.iter()).fold(0u64, |h, &b| h.wrapping_mul(1_000_003) ^ b);
+            assert_eq!(
+                (
+                    delivered,
+                    dropped,
+                    tx_bytes.iter().sum::<u64>(),
+                    fingerprint
+                ),
+                (142_315, 97_863, 155_462_490, 926_488_733_534_887_822),
+                "{shards} shards"
+            );
+            assert_eq!(net.work().tie_fallbacks, 0, "{shards} shards");
         }
-        // Per-link totals, order-sensitive.
-        let fingerprint = (tx_bytes.iter()).fold(0u64, |h, &b| h.wrapping_mul(1_000_003) ^ b);
-        assert_eq!(
-            (
-                delivered,
-                dropped,
-                tx_bytes.iter().sum::<u64>(),
-                fingerprint
-            ),
-            (142_315, 97_863, 155_462_490, 926_488_733_534_887_822)
-        );
     }
 }

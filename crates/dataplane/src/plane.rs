@@ -175,7 +175,7 @@ impl ForwardingPlane {
     /// One forwarding operation: the packet (with mutable `state`) shows
     /// up at `at` carrying `label`.
     pub fn hop(
-        &mut self,
+        &self,
         at: NodeIdx,
         label: &impl SourceRoute,
         state: &mut PacketState,
@@ -186,8 +186,8 @@ impl ForwardingPlane {
                 link: None,
             };
         }
-        let node = &mut self.nodes[at.0 as usize];
-        let Some(core) = node.core.as_mut() else {
+        let node = &self.nodes[at.0 as usize];
+        let Some(core) = node.core.as_ref() else {
             return HopOutcome::Drop {
                 reason: DropReason::NoRoute,
                 link: None,

@@ -185,6 +185,12 @@ impl CoreNode {
     /// Returns `None` when the remainder does not decode to a port label,
     /// which a real switch would treat as "not for me / punt".
     pub fn forward(&mut self, route: &RouteId) -> Option<PortId> {
+        self.port(route)
+    }
+
+    /// [`CoreNode::forward`] on a shared node: the node has no state for
+    /// forwarding to change, so threads forward through one copy.
+    pub fn port(&self, route: &RouteId) -> Option<PortId> {
         match &self.tables {
             Some(tables) => Some(PortId(tables.reduce(route.0.limbs()))),
             None => port_by_division(route, &self.id),

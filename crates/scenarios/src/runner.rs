@@ -624,6 +624,9 @@ impl<'s> Run<'s> {
             blames: self.blames,
             migrations: self.pair_migrations.iter().sum(),
             sim_events: self.sdn.sim.events_processed(),
+            packet_work: (self.sdn.dataplane())
+                .map(|plane| plane.net().work().clone())
+                .unwrap_or_default(),
             recoveries,
             aggregate_series: self.aggregate,
             per_pair,

@@ -5,6 +5,7 @@
 //! every float bit-for-bit, which is exactly the replay contract the
 //! determinism proptest enforces.
 
+use dataplane::netem::EventWork;
 use framework::dashboard::{render_table, sparkline};
 
 /// Recovery bookkeeping for one scripted failure.
@@ -98,6 +99,11 @@ pub struct Scorecard {
     /// event core's events/sec throughput reporting. Deterministic like
     /// every other field.
     pub sim_events: u64,
+    /// The packet plane's event-core work (all zero on the fluid
+    /// plane). Its counts of packets, hops and ties are the same on any
+    /// number of cores; its windows, handoffs and per-shard events are
+    /// not.
+    pub packet_work: EventWork,
     /// Per-scripted-failure recovery times.
     pub recoveries: Vec<Recovery>,
     /// Aggregate managed goodput per epoch (Mbps) — the sparkline, and
@@ -294,6 +300,7 @@ mod tests {
             blames: vec![],
             migrations: 3,
             sim_events: 99,
+            packet_work: EventWork::default(),
             recoveries: vec![
                 Recovery {
                     failed_at_epoch: 10,
