@@ -23,8 +23,7 @@
 //! The nodes are dealt to shards. Links shorter than a cut join nodes
 //! into clusters (on a fat tree: each pod, and each core alone), and
 //! the clusters are dealt by size to [`linalg::par::worker_count`]
-//! shards, then re-dealt by the packets each window put on them. A
-//! shard owns its nodes' send side (each outgoing link's
+//! shards. A shard owns its nodes' send side (each outgoing link's
 //! `busy_until_ns` and counters), its incoming links' FIFOs, their
 //! heads and its sources' heads, and keeps per-flow counters that are
 //! summed in shard order when the window closes. The shards run
@@ -35,9 +34,9 @@
 //! (propagation plus the smallest packet's serialization; ≈ 0.6 ms on
 //! the loopbench fat tree). A packet crossing shards is handed to its
 //! receiver's mailbox, which it always reads before that packet can be
-//! due. One shard (one core, an armed tracer, or a lookahead too short
-//! to pay for the handoffs) runs the same code with nothing to wait
-//! for.
+//! due. One shard (one core, an armed tracer, or a net whose links all
+//! have zero delay, so that no shard could run ahead of another) runs
+//! the same code with nothing to wait for.
 //!
 //! Heads due in the same nanosecond pop by the instant the event that
 //! scheduled them ran — a packet's send time on its link, a source's
@@ -68,15 +67,6 @@ pub const DEFAULT_QUEUE_BYTES: u64 = 64 * 1024;
 
 /// Heads a shard pops between publishing its clock to the others.
 const PUBLISH_EVERY: u32 = 32;
-
-/// The most clusters a re-deal weighs the traffic between.
-const REFINED_CLUSTERS: usize = 64;
-
-/// The shortest lookahead worth a second shard: with none a shard could
-/// never run ahead of another, and with a shorter one the shards wait
-/// on each other more than they run (a fat tree's is 500 µs before
-/// serialization).
-const MIN_LOOKAHEAD_NS: u64 = 100_000;
 
 /// A periodic traffic source.
 #[derive(Debug, Clone)]
@@ -458,7 +448,8 @@ impl FlowState {
 struct Shared {
     plane: ForwardingPlane,
     flows: Vec<FlowState>,
-    /// Every route stamped at an ingress, in stamping order.
+    /// Every route stamped at an ingress that a flow or a packet in
+    /// flight still carries, and slots [`PacketNet::reclaim`] freed.
     stamped: Vec<Arc<FlowRoute>>,
     /// The shard each node is dealt to.
     shard_of: Vec<u32>,
@@ -856,88 +847,22 @@ fn clusters(dirs: &[DirLink], nodes: usize) -> Vec<Vec<u32>> {
         .unwrap_or_else(|| joined(cuts.first().copied().unwrap_or(0)))
 }
 
-/// Deals `weights.len()` clusters to shards, heaviest first, each to
-/// the lightest shard (the lowest index among equals). Then, while one
-/// helps, it makes the move or swap of clusters that keeps the most
-/// packets from crossing shards (`traffic[a·n + b]` crossed between
-/// clusters `a` and `b`; empty for none) without loading a shard past a
-/// twentieth over the heaviest the dealing left. Returns each
+/// Deals node clusters to shards, largest first, each to the shard
+/// with the fewest nodes (the lowest index among equals). Returns each
 /// cluster's shard.
-fn deal(weights: &[u64], traffic: &[u64], shards: usize) -> Vec<usize> {
-    let n = weights.len();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&c| std::cmp::Reverse(weights[c]));
-    let mut load = vec![0u64; shards.max(1)];
-    let mut of = vec![0; n];
+fn deal(clusters: &[Vec<u32>], shards: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..clusters.len()).collect();
+    order.sort_by_key(|&c| std::cmp::Reverse(clusters[c].len()));
+    let mut load = vec![0; shards.max(1)];
+    let mut of = vec![0; clusters.len()];
     for c in order {
         let (s, _) = (load.iter().enumerate())
             .min_by_key(|&(s, &l)| (l, s))
             .unwrap_or((0, &0));
-        load[s] += weights[c];
+        load[s] += clusters[c].len();
         of[c] = s;
     }
-    if traffic.is_empty() {
-        return of;
-    }
-    let heaviest = load.iter().copied().max().unwrap_or(0);
-    let cap = heaviest + heaviest / 20;
-    let k = load.len();
-    for _ in 0..n {
-        // toward[a·k + t]: what cluster `a` exchanges with shard `t`.
-        let mut toward = vec![0i64; n * k];
-        for a in 0..n {
-            for b in (0..n).filter(|&b| b != a) {
-                toward[a * k + of[b]] += traffic[a * n + b] as i64;
-            }
-        }
-        let gain = |a: usize, t: usize| toward[a * k + t] - toward[a * k + of[a]];
-        let fits = |s: usize, out: usize, inn: usize| load[s] - weights[out] + weights[inn] <= cap;
-        let mut best = (0, None);
-        for a in 0..n {
-            for t in (0..k).filter(|&t| t != of[a] && load[t] + weights[a] <= cap) {
-                if gain(a, t) > best.0 {
-                    best = (gain(a, t), Some((a, None, t)));
-                }
-            }
-            for b in a + 1..n {
-                let (sa, sb) = (of[a], of[b]);
-                if sa != sb && fits(sa, a, b) && fits(sb, b, a) {
-                    let swap = gain(a, sb) + gain(b, sa) - 2 * traffic[a * n + b] as i64;
-                    if swap > best.0 {
-                        best = (swap, Some((a, Some(b), sb)));
-                    }
-                }
-            }
-        }
-        let Some((a, b, t)) = best.1 else { break };
-        let from = of[a];
-        if let Some(b) = b {
-            load[t] = load[t] - weights[b] + weights[a];
-            load[from] = load[from] - weights[a] + weights[b];
-            of[b] = from;
-        } else {
-            load[t] += weights[a];
-            load[from] -= weights[a];
-        }
-        of[a] = t;
-    }
     of
-}
-
-/// The packets crossing between clusters dealt as `of` (none counted
-/// without `traffic`), and the busiest shard's weight.
-fn cost(of: &[usize], weights: &[u64], traffic: &[u64]) -> (u64, u64) {
-    let n = of.len();
-    let mut load = vec![0u64; of.iter().max().map_or(1, |&s| s + 1)];
-    let mut crossing = 0;
-    for a in 0..n {
-        load[of[a]] += weights[a];
-        crossing += (a + 1..n)
-            .filter(|&b| of[a] != of[b])
-            .filter_map(|b| traffic.get(a * n + b))
-            .sum::<u64>();
-    }
-    (crossing, load.into_iter().max().unwrap_or(0))
 }
 
 /// How far one shard may run ahead of another: the soonest a packet of
@@ -961,19 +886,18 @@ pub struct PacketNet {
     /// net where any copy will do.
     shards: Vec<Shard>,
     by_name: HashMap<String, usize>,
-    /// The node clusters the shards are dealt from, each node's
-    /// cluster, and what each cluster weighs: its size until a window
-    /// has run, then the packets sent into and emitted at its nodes in
-    /// the last window that had any; and the packets that window sent
-    /// between each two clusters.
+    /// The node clusters the shards are dealt from, and each node's
+    /// cluster.
     clusters: Vec<Vec<u32>>,
     cluster_of: Vec<usize>,
-    weights: Vec<u64>,
-    traffic: Vec<u64>,
     /// How many shards the windows run on while no tracer is armed, and
     /// how many the nodes are dealt to now.
     wide: usize,
     dealt: usize,
+    /// Stamps no flow carries any more, which packets in flight may,
+    /// and the slots of [`Shared::stamped`] free to stamp again.
+    retired: Vec<u32>,
+    free: Vec<u32>,
     now_ns: u64,
     window_open_ns: u64,
     prev_links: Vec<LinkReport>,
@@ -1000,14 +924,12 @@ impl PacketNet {
         let dirs = directed_links(topo)?;
         let clusters = clusters(&dirs, topo.node_count());
         let wide = shards.unwrap_or_else(|| par::worker_count(clusters.len()));
-        let weights = clusters.iter().map(|c| c.len() as u64).collect();
         let mut cluster_of = vec![0; topo.node_count()];
         for (c, cluster) in clusters.iter().enumerate() {
             for &n in cluster {
                 cluster_of[n as usize] = c;
             }
         }
-        let traffic = Vec::new();
         let mut net = PacketNet {
             shared: Shared {
                 plane,
@@ -1023,10 +945,10 @@ impl PacketNet {
             by_name: HashMap::new(),
             clusters,
             cluster_of,
-            weights,
-            traffic,
             wide,
             dealt: 1,
+            retired: Vec::new(),
+            free: Vec::new(),
             now_ns: 0,
             window_open_ns: 0,
             work: EventWork::default(),
@@ -1036,66 +958,21 @@ impl PacketNet {
         Ok(net)
     }
 
-    /// Deals the clusters to `shards` shards by weight.
+    /// Deals the clusters to `shards` shards by size.
     fn reshard(&mut self, shards: usize) {
         self.dealt = shards;
-        self.move_to(&deal(&self.weights, &self.traffic, shards));
-    }
-
-    /// Re-deals the clusters by the work the window put on them — the
-    /// packets sent into their nodes and emitted at them — and the
-    /// packets it sent between them, when that keeps a tenth more of
-    /// those packets in their shard or the busiest shard is over the
-    /// new deal's bound. The counts are the same on any number of
-    /// shards, and so is every deal made from them.
-    fn rebalance(&mut self, window: &WindowReport) {
-        let n = self.clusters.len();
-        let mut weights = vec![0u64; n];
-        // The refinement is quadratic in clusters per step: past
-        // `REFINED_CLUSTERS` the deal goes by weight alone.
-        let mut traffic = vec![0u64; if n <= REFINED_CLUSTERS { n * n } else { 0 }];
-        for l in &window.links {
-            let (a, b) = (
-                self.cluster_of[l.from.0 as usize],
-                self.cluster_of[l.to.0 as usize],
-            );
-            weights[b] += l.report.tx_pkts;
-            if a != b && !traffic.is_empty() {
-                traffic[a * n + b] += l.report.tx_pkts;
-                traffic[b * n + a] += l.report.tx_pkts;
-            }
-        }
-        for (f, w) in self.shared.flows.iter().zip(&window.flows) {
-            let ingress = self.shards[0].dirs[f.ingress_dir].from;
-            weights[self.cluster_of[ingress.0 as usize]] += w.report.emitted;
-        }
-        if weights.iter().all(|&w| w == 0) {
-            return;
-        }
-        (self.weights, self.traffic) = (weights, traffic);
-        if self.shards.len() == 1 {
-            return;
-        }
-        let now: Vec<usize> = (self.clusters.iter())
-            .map(|c| self.shared.shard_of[c[0] as usize] as usize)
-            .collect();
-        let new = deal(&self.weights, &self.traffic, self.shards.len());
-        let (now_crossing, now_busiest) = cost(&now, &self.weights, &self.traffic);
-        let (crossing, busiest) = cost(&new, &self.weights, &self.traffic);
-        if 10 * crossing < 9 * now_crossing || 20 * now_busiest > 21 * busiest {
-            self.move_to(&new);
-        }
+        self.move_to(&deal(&self.clusters, shards));
     }
 
     /// Moves every link's send side, every FIFO and every head to the
-    /// shard its node's cluster is dealt to in `of` (all to one when two
-    /// would be less than [`MIN_LOOKAHEAD_NS`] apart). Between windows
+    /// shard its node's cluster is dealt to in `of` (all to one when a
+    /// packet could cross between two in no time). Between windows
     /// no tie can straddle, so the tie memory starts afresh.
     fn move_to(&mut self, of: &[usize]) {
         self.fold();
         let nodes = self.shared.shard_of.len();
         let mut shard_of: Vec<u32> = (0..nodes).map(|n| of[self.cluster_of[n]] as u32).collect();
-        if lookahead(&self.shards[0].dirs, &shard_of, 0) < MIN_LOOKAHEAD_NS {
+        if lookahead(&self.shards[0].dirs, &shard_of, 0) == 0 {
             shard_of = vec![0; nodes];
         }
         let count = shard_of.iter().max().map_or(1, |&s| s as usize + 1);
@@ -1180,8 +1057,7 @@ impl PacketNet {
         self.by_name.insert(spec.name.clone(), idx);
         let mut flow = FlowState::new(spec, ingress_dir);
         let first = flow.first_emit_ns(self.now_ns, idx);
-        flow.stamp = self.shared.stamped.len() as u32;
-        self.shared.stamped.push(Arc::clone(&flow.route));
+        flow.stamp = self.stamp(Arc::clone(&flow.route));
         self.shared.flows.push(flow);
         for shard in &mut self.shards {
             shard.flows.push(FlowReport::default());
@@ -1208,9 +1084,10 @@ impl PacketNet {
         let source = Source::Flow(idx as u32);
         let was = self.shared.owner(&self.shards[0].dirs, source);
         let route = Arc::new(route);
-        self.shared.flows[idx].route = Arc::clone(&route);
-        self.shared.flows[idx].stamp = self.shared.stamped.len() as u32;
-        self.shared.stamped.push(route);
+        let stamp = self.stamp(Arc::clone(&route));
+        let old = std::mem::replace(&mut self.shared.flows[idx].stamp, stamp);
+        self.retired.push(old);
+        self.shared.flows[idx].route = route;
         self.shared.flows[idx].ingress_dir = ingress_dir;
         self.ingress_rewrites += 1;
         // A new ingress in another shard takes the source's head there.
@@ -1218,6 +1095,37 @@ impl PacketNet {
             self.reshard(self.dealt);
         }
         Ok(())
+    }
+
+    /// Stamps `route` into a free slot of [`Shared::stamped`], or a new
+    /// one; returns the slot.
+    fn stamp(&mut self, route: Arc<FlowRoute>) -> u32 {
+        match self.free.pop() {
+            Some(slot) => {
+                self.shared.stamped[slot as usize] = route;
+                slot
+            }
+            None => {
+                self.shared.stamped.push(route);
+                self.shared.stamped.len() as u32 - 1
+            }
+        }
+    }
+
+    /// Frees the retired stamps no packet in flight carries. Between
+    /// windows every packet in flight is in a FIFO.
+    fn reclaim(&mut self) {
+        if self.retired.is_empty() {
+            return;
+        }
+        let mut carried = vec![false; self.shared.stamped.len()];
+        let fifos = self.shards.iter().flat_map(|s| &s.in_flight);
+        for (_, packet) in fifos.flatten() {
+            carried[packet.route as usize] = true;
+        }
+        let (kept, freed) = (self.retired.iter()).partition(|&&s| carried[s as usize]);
+        self.retired = kept;
+        self.free.extend::<Vec<u32>>(freed);
     }
 
     /// A flow's current route.
@@ -1295,9 +1203,8 @@ impl PacketNet {
             }
         }
         self.now_ns = end;
-        let report = self.close_window();
-        self.rebalance(&report);
-        report
+        self.reclaim();
+        self.close_window()
     }
 
     fn close_window(&mut self) -> WindowReport {
@@ -1791,6 +1698,36 @@ mod tests {
     }
 
     #[test]
+    fn route_swaps_reuse_the_stamps_no_packet_carries() {
+        let (topo, mut alloc, mut net) = lab_net();
+        let routes = [
+            route_for(&topo, &mut alloc, &["MIA", "SAO", "AMS"]),
+            route_for(&topo, &mut alloc, &["MIA", "CHI", "AMS"]),
+        ];
+        net.add_flow(TrafficSpec {
+            name: "f1".into(),
+            route: routes[0].clone(),
+            payload_bytes: 1250,
+            rate_mbps: 4.0,
+        })
+        .unwrap();
+        for i in 0..200 {
+            // Two swaps in one gap retire a stamp no packet ever carried.
+            for route in [&routes[(i + 1) % 2], &routes[i % 2], &routes[(i + 1) % 2]] {
+                net.set_route("f1", route.clone()).unwrap();
+            }
+            let w = net.run_window(10 * MS);
+            assert_eq!(w.flows[0].report.pot_rejected, 0);
+            // The current stamp, those packets in flight still carry,
+            // and the slots freed for the next swaps: 5 here, not 601.
+            let stamps = net.shared.stamped.len();
+            assert!(stamps <= 8, "{stamps}");
+        }
+        assert_eq!(net.ingress_rewrites, 600);
+        assert!(net.flow_report("f1").unwrap().delivered > 0);
+    }
+
+    #[test]
     fn detoured_packets_are_rejected_by_egress_pot() {
         // The adversary re-stamps the label with a different path to the
         // same egress; the expected PoT still describes the original
@@ -1948,24 +1885,8 @@ mod tests {
     }
 
     #[test]
-    fn a_deal_keeps_busy_pairs_of_clusters_together() {
-        // Dealing by weight alone splits both pairs; the refinement
-        // swaps them back together.
-        let mut traffic = vec![0; 16];
-        for (a, b) in [(0, 1), (2, 3)] {
-            traffic[a * 4 + b] = 100;
-            traffic[b * 4 + a] = 100;
-        }
-        assert_eq!(deal(&[4; 4], &[], 2), [0, 1, 0, 1]);
-        let of = deal(&[4; 4], &traffic, 2);
-        assert!(of[0] == of[1] && of[2] == of[3] && of[0] != of[2], "{of:?}");
-        assert_eq!(cost(&of, &[4; 4], &traffic), (0, 8));
-    }
-
-    #[test]
-    fn a_net_of_many_clusters_deals_by_weight_alone() {
-        // 120 routers one delay apart: 120 one-node clusters, past the
-        // traffic-aware re-deal's reach.
+    fn a_net_of_many_one_node_clusters_runs_alike_on_any_shard_count() {
+        // 120 routers one delay apart: 120 one-node clusters.
         let topo = netsim::topo::mesh(120, 7, 10.0);
         let run = |shards| {
             let mut alloc = NodeIdAllocator::for_network(topo.node_count(), topo.max_port().max(1));
@@ -1977,7 +1898,7 @@ mod tests {
             }
             let windows: Vec<WindowReport> = (0..3).map(|_| net.run_window(50 * MS)).collect();
             assert_eq!(net.clusters.len(), 120);
-            assert!(net.traffic.is_empty());
+            assert_eq!(net.shards.len(), shards);
             windows
         };
         assert_eq!(run(1), run(2));
