@@ -635,8 +635,15 @@ fn sim_scale() {
     );
     let r = figures::sim_scale(smoke);
     println!(
-        "{}: {} epochs, {} external events, {:.2} s wall, {:.0} events/s, {:.2} Mbps managed aggregate",
-        r.scenario, r.epochs, r.sim_events, r.wall_s, r.events_per_sec, r.mean_aggregate_mbps
+        "{}: {} epochs, {} external events (at most {} queued at once), {:.2} s wall, \
+         {:.0} events/s, {:.2} Mbps managed aggregate",
+        r.scenario,
+        r.epochs,
+        r.sim_events,
+        r.queue_peak_events,
+        r.wall_s,
+        r.events_per_sec,
+        r.mean_aggregate_mbps
     );
     println!("replay check: untraced and profiled runs produced bit-identical scorecards");
     println!(
@@ -655,6 +662,10 @@ fn sim_scale() {
         vec![
             ("epochs", Metric::exact(r.epochs as f64)),
             ("sim_events", Metric::exact(r.sim_events as f64)),
+            (
+                "queue_peak_events",
+                Metric::exact(r.queue_peak_events as f64),
+            ),
             (
                 "mean_aggregate_mbps",
                 Metric::band(r.mean_aggregate_mbps, 0.02, 0.0),

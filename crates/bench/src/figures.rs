@@ -318,9 +318,9 @@ pub fn ext_steering(
     sdn.sim
         .schedule(0, Event::SetLinkCapacity(chi_ams, 1000.0))?;
     sdn.sim
-        .schedule_capacity_trace(mia_sao, 0, 1000, &traces.wifi);
+        .schedule_capacity_trace(mia_sao, 0, 1000, &traces.wifi)?;
     sdn.sim
-        .schedule_capacity_trace(mia_chi, 0, 1000, &traces.lte);
+        .schedule_capacity_trace(mia_chi, 0, 1000, &traces.lte)?;
 
     // One greedy flow, admitted cold (lands on tunnel1 = the WiFi path).
     let steered = FlowRequest {
@@ -390,8 +390,12 @@ fn throughput_testbed(
     let chi = sdn.sim.topo.node("CHI").expect("CHI");
     let mia_sao = sdn.sim.topo.link_between(mia, sao).expect("link");
     let mia_chi = sdn.sim.topo.link_between(mia, chi).expect("link");
-    sdn.sim.schedule_capacity_trace(mia_sao, 0, 1000, &d.wifi);
-    sdn.sim.schedule_capacity_trace(mia_chi, 0, 1000, &d.lte);
+    sdn.sim
+        .schedule_capacity_trace(mia_sao, 0, 1000, &d.wifi)
+        .expect("the lab has the MIA-SAO link");
+    sdn.sim
+        .schedule_capacity_trace(mia_chi, 0, 1000, &d.lte)
+        .expect("the lab has the MIA-CHI link");
     sdn.advance(75_000).expect("telemetry warm-up");
     let mut names = sdn.tunnel_names();
     names.truncate(paths);
@@ -766,6 +770,8 @@ pub struct SimScaleReport {
     pub epochs: u64,
     /// External simulator events applied.
     pub sim_events: u64,
+    /// The most events the simulator's queue held at once.
+    pub queue_peak_events: u64,
     /// Wall-clock seconds of the first (timed, untraced) run.
     pub wall_s: f64,
     /// `sim_events / wall_s` of the untraced run — the headline number,
@@ -829,6 +835,7 @@ pub fn sim_scale(smoke: bool) -> SimScaleReport {
         scenario: s.name.clone(),
         epochs: a.epochs,
         sim_events: a.sim_events,
+        queue_peak_events: a.queue_peak_events,
         wall_s,
         events_per_sec: a.sim_events as f64 / wall_s.max(1e-9),
         mean_aggregate_mbps: a.mean_aggregate_mbps,

@@ -53,6 +53,10 @@ pub enum NetsimError {
     UnknownFlow(u64),
     /// Link id does not exist.
     UnknownLink(usize),
+    /// A link capacity (Mbps) that is NaN, infinite or negative.
+    BadCapacity(usize, f64),
+    /// A flow demand (Mbps) that is NaN, infinite or negative.
+    BadDemand(u64, f64),
 }
 
 impl std::fmt::Display for NetsimError {
@@ -64,6 +68,18 @@ impl std::fmt::Display for NetsimError {
             NetsimError::BadPath(m) => write!(f, "bad path: {m}"),
             NetsimError::UnknownFlow(id) => write!(f, "unknown flow {id}"),
             NetsimError::UnknownLink(id) => write!(f, "unknown link {id}"),
+            NetsimError::BadCapacity(id, mbps) => {
+                write!(
+                    f,
+                    "link {id}: capacity {mbps} Mbps is not a finite, non-negative rate"
+                )
+            }
+            NetsimError::BadDemand(id, mbps) => {
+                write!(
+                    f,
+                    "flow {id}: demand {mbps} Mbps is not a finite, non-negative rate"
+                )
+            }
         }
     }
 }

@@ -3,11 +3,19 @@
 //!
 //! An elastic schedule is loaded whole before the run, so a single heap
 //! would hold every event of the horizon and sift each pop through all
-//! of them — hundreds of thousands of fat elements in memory no cache
+//! of them — hundreds of thousands of elements in memory no cache
 //! holds. Here time is cut into windows of `2^WINDOW_SHIFT` ms: events
 //! of the windows loaded so far sit in a small *near* heap, everything
 //! later waits in an unsorted *far* bucket per window, and when the
 //! near heap runs dry the earliest bucket is heapified in one O(n) pass.
+//!
+//! Those queued events are most of a pre-loaded run's memory, so the
+//! element is kept small: the simulator queues its private 40-byte
+//! event form (`sim::Queued`), not the 80-byte public `Event`, and an
+//! entry is 56 bytes with its `(at, seq)` key. Every entry of a window
+//! is one size in one `Vec`: a layout that split events by kind into
+//! side buffers of other sizes peaked higher, because the allocator
+//! could not reuse the odd-sized chunks a finished run freed.
 //!
 //! Ordering argument: windows are disjoint time ranges, so every near
 //! event is earlier than every far one, and the near heap orders by the
@@ -61,6 +69,8 @@ pub(crate) struct EventQueue<E> {
     /// Latest window loaded into `near`.
     horizon: u64,
     far_len: usize,
+    /// Most events ever queued at once.
+    peak: usize,
 }
 
 impl<E> EventQueue<E> {
@@ -70,12 +80,18 @@ impl<E> EventQueue<E> {
             far: BTreeMap::new(),
             horizon: 0,
             far_len: 0,
+            peak: 0,
         }
     }
 
     /// Events queued, both tiers.
     pub(crate) fn len(&self) -> usize {
         self.near.len() + self.far_len
+    }
+
+    /// The high-water mark of [`EventQueue::len`].
+    pub(crate) fn peak(&self) -> usize {
+        self.peak
     }
 
     pub(crate) fn push(&mut self, s: Scheduled<E>) {
@@ -87,6 +103,7 @@ impl<E> EventQueue<E> {
             self.far_len += 1;
             self.refill();
         }
+        self.peak = self.peak.max(self.len());
     }
 
     /// The earliest event, by `(at, seq)`.

@@ -47,7 +47,28 @@ pub type SimTimeMs = u64;
 /// Residual (Mbps) below which a converging rate snaps to its share.
 const CONV_EPS_MBPS: f64 = 1e-9;
 
+/// A capacity or demand the fair-share fill can use: finite and not
+/// negative (zero is legal).
+fn is_rate(mbps: f64) -> bool {
+    mbps.is_finite() && mbps >= 0.0
+}
+
+fn check_demand(id: FlowId, demand_mbps: Option<f64>) -> Result<(), NetsimError> {
+    match demand_mbps {
+        Some(mbps) if !is_rate(mbps) => Err(NetsimError::BadDemand(id.0, mbps)),
+        _ => Ok(()),
+    }
+}
+
 /// Scheduled events.
+///
+/// The queue does not hold an `Event` (80 bytes: one label-carrying
+/// [`Event::StartFlow`] sizes them all) but a private 40-byte form of
+/// it, converted in [`Simulation::schedule`] and back at dispatch, so a
+/// queued entry with its `(at, seq)` key is 56 bytes. Only a start with
+/// a non-empty label — a managed flow, a few thousand per run at most —
+/// or with endpoints other than its path's ends leaves its spec on the
+/// heap; a pre-loaded elastic schedule queues none.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// Start a flow on an explicit node path.
@@ -73,6 +94,102 @@ pub enum Event {
     /// mouse ramping up mid-life, an elephant backing off. The flow
     /// keeps its path and identity; only the fair-share fill reflows.
     SetFlowDemand(FlowId, Option<f64>),
+}
+
+/// An [`Event`] as the queue holds it: 40 bytes, where `Event` is 80.
+/// A plain start — no label, and its spec's `src` and `dst` are its
+/// path's ends — keeps only what the path does not already say, the
+/// demand as an `f64` plus a greedy flag in place of the 16-byte
+/// `Option<f64>`; any other start boxes its spec. Every other variant
+/// is `Event`'s own.
+#[derive(Debug)]
+pub(crate) enum Queued {
+    /// A plain start (every elastic flow).
+    Start {
+        id: FlowId,
+        path: Arc<[NodeIdx]>,
+        /// The demand's bits; meaningless when `greedy`.
+        demand_mbps: f64,
+        tos: u8,
+        /// `demand_mbps: None`.
+        greedy: bool,
+    },
+    /// A start with a label (a managed flow) or with endpoints other
+    /// than its path's ends.
+    Boxed {
+        id: FlowId,
+        path: Arc<[NodeIdx]>,
+        spec: Box<FlowSpec>,
+    },
+    StopFlow(FlowId),
+    SetFlowPath(FlowId, Arc<[NodeIdx]>),
+    SetLinkCapacity(LinkId, f64),
+    SetLinkUp(LinkId, bool),
+    SetFlowDemand(FlowId, Option<f64>),
+}
+
+impl From<Event> for Queued {
+    fn from(event: Event) -> Self {
+        match event {
+            Event::StartFlow { spec, path, id }
+                if spec.label.is_empty()
+                    && path.first() == Some(&spec.src)
+                    && path.last() == Some(&spec.dst) =>
+            {
+                Queued::Start {
+                    id,
+                    path,
+                    demand_mbps: spec.demand_mbps.unwrap_or(0.0),
+                    tos: spec.tos,
+                    greedy: spec.demand_mbps.is_none(),
+                }
+            }
+            Event::StartFlow { spec, path, id } => Queued::Boxed {
+                id,
+                path,
+                spec: Box::new(spec),
+            },
+            Event::StopFlow(id) => Queued::StopFlow(id),
+            Event::SetFlowPath(id, path) => Queued::SetFlowPath(id, path),
+            Event::SetLinkCapacity(lid, cap) => Queued::SetLinkCapacity(lid, cap),
+            Event::SetLinkUp(lid, up) => Queued::SetLinkUp(lid, up),
+            Event::SetFlowDemand(id, demand) => Queued::SetFlowDemand(id, demand),
+        }
+    }
+}
+
+impl From<Queued> for Event {
+    fn from(queued: Queued) -> Self {
+        match queued {
+            Queued::Start {
+                id,
+                path,
+                demand_mbps,
+                tos,
+                greedy,
+            } => Event::StartFlow {
+                spec: FlowSpec {
+                    src: path[0],
+                    dst: path[path.len() - 1],
+                    demand_mbps: (!greedy).then_some(demand_mbps),
+                    tos,
+                    label: String::new(),
+                },
+                path,
+                id,
+            },
+            Queued::Boxed { id, path, spec } => Event::StartFlow {
+                spec: *spec,
+                path,
+                id,
+            },
+            Queued::StopFlow(id) => Event::StopFlow(id),
+            Queued::SetFlowPath(id, path) => Event::SetFlowPath(id, path),
+            Queued::SetLinkCapacity(lid, cap) => Event::SetLinkCapacity(lid, cap),
+            Queued::SetLinkUp(lid, up) => Event::SetLinkUp(lid, up),
+            Queued::SetFlowDemand(id, demand) => Event::SetFlowDemand(id, demand),
+        }
+    }
 }
 
 /// A live flow plus its dense link list.
@@ -141,7 +258,7 @@ pub struct Simulation {
     /// Position of each live flow in `flows` (lookup only, never
     /// iterated), so `StopFlow` is O(1) instead of an O(n) retain.
     flow_index: HashMap<FlowId, usize, BuildHasherDefault<FlowIdHasher>>,
-    events: EventQueue<Event>,
+    events: EventQueue<Queued>,
     seq: u64,
     now_ms: SimTimeMs,
     /// The last instant whose events are all applied: `now` after each
@@ -231,26 +348,52 @@ impl Simulation {
     /// simulating an impossible path (a later link failure can still
     /// invalidate an admitted path — that shows up as a stalled flow,
     /// which is the physical behavior).
+    ///
+    /// The other fields are checked too, so no event can fault the run
+    /// it is applied in:
+    /// * a [`Event::SetLinkCapacity`] or [`Event::SetLinkUp`] on a link
+    ///   the topology does not have is [`NetsimError::UnknownLink`];
+    /// * a capacity that is NaN, infinite or negative is
+    ///   [`NetsimError::BadCapacity`];
+    /// * a demand ([`Event::StartFlow`]'s spec, [`Event::SetFlowDemand`])
+    ///   that is NaN, infinite or negative is [`NetsimError::BadDemand`].
+    ///
+    /// Zero capacity and zero demand are legal.
     pub fn schedule(&mut self, at_ms: SimTimeMs, event: Event) -> Result<(), NetsimError> {
         match &event {
-            Event::StartFlow { path, .. } | Event::SetFlowPath(_, path) => {
+            Event::StartFlow { spec, path, id } => {
                 // Only live links count, so this checks both adjacency
                 // and link state.
                 self.topo.check_path(path)?;
+                check_demand(*id, spec.demand_mbps)?;
             }
-            Event::StopFlow(_)
-            | Event::SetLinkCapacity(_, _)
-            | Event::SetLinkUp(_, _)
-            | Event::SetFlowDemand(_, _) => {}
+            Event::SetFlowPath(_, path) => self.topo.check_path(path)?,
+            Event::SetFlowDemand(id, demand) => check_demand(*id, *demand)?,
+            Event::SetLinkCapacity(lid, cap) => {
+                self.check_link(*lid)?;
+                if !is_rate(*cap) {
+                    return Err(NetsimError::BadCapacity(lid.0 as usize, *cap));
+                }
+            }
+            Event::SetLinkUp(lid, _) => self.check_link(*lid)?,
+            Event::StopFlow(_) => {}
         }
         let at = at_ms.max(self.now_ms);
         self.seq += 1;
         self.events.push(Scheduled {
             at,
             seq: self.seq,
-            event,
+            event: event.into(),
         });
         Ok(())
+    }
+
+    fn check_link(&self, lid: LinkId) -> Result<(), NetsimError> {
+        if (lid.0 as usize) < self.topo.link_count() {
+            Ok(())
+        } else {
+            Err(NetsimError::UnknownLink(lid.0 as usize))
+        }
     }
 
     /// Runs the simulation until `until_ms`, stopping at every multiple
@@ -295,7 +438,7 @@ impl Simulation {
                 let Some(due) = self.events.pop() else { break };
                 self.events_processed += 1;
                 batch += 1;
-                self.apply_external(due.event);
+                self.apply_external(due.event.into());
             }
             self.drained_ms = self.now_ms;
             if let Some(span) = dispatch {
@@ -546,24 +689,24 @@ impl Simulation {
     /// `values` becomes the link's capacity at
     /// `start_ms + i * interval_ms`. This is how the UQ wireless traces
     /// are attached to the emulated access links in the trace-driven
-    /// steering extension.
+    /// steering extension. A negative or NaN sample is clamped to 0;
+    /// an unknown link or an infinite sample is refused like
+    /// [`Simulation::schedule`] refuses it, and the samples before it
+    /// stay scheduled.
     pub fn schedule_capacity_trace(
         &mut self,
         link: LinkId,
         start_ms: SimTimeMs,
         interval_ms: u64,
         values: &[f64],
-    ) {
+    ) -> Result<(), NetsimError> {
         for (i, &v) in values.iter().enumerate() {
             self.schedule(
                 start_ms + i as u64 * interval_ms,
                 Event::SetLinkCapacity(link, v.max(0.0)),
-            )
-            // detlint: allow(bare-panic) — SetLinkCapacity carries no
-            // path, so schedule's adjacency validation cannot fail; a
-            // panic here means schedule() itself changed contract.
-            .expect("capacity events are always schedulable");
+            )?;
         }
+        Ok(())
     }
 
     /// Does nothing. It once kept a flow out of the simulator's own
@@ -577,6 +720,12 @@ impl Simulation {
     /// is flow state, not an event, so it never counts.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
+    }
+
+    /// The most events the queue has held at once: a pre-loaded
+    /// schedule's length plus what was scheduled before it drained.
+    pub fn queue_peak_events(&self) -> u64 {
+        self.events.peak() as u64
     }
 
     /// Live flow count (excluding flows stalled on failed links).
@@ -964,11 +1113,189 @@ mod tests {
 
     #[test]
     #[cfg(target_pointer_width = "64")]
-    fn a_queued_event_is_96_bytes() {
+    fn a_queued_event_is_56_bytes() {
         // A pre-loaded elastic schedule is ~500k of these: the path is
-        // one shared pointer, not a `Vec` per event.
+        // one shared pointer, not a `Vec` per event, and the queue
+        // holds the 40-byte form, not the 80-byte `Event`.
         assert_eq!(std::mem::size_of::<Event>(), 80);
-        assert_eq!(std::mem::size_of::<Scheduled<Event>>(), 96);
+        assert_eq!(std::mem::size_of::<Queued>(), 40);
+        assert_eq!(std::mem::size_of::<Scheduled<Queued>>(), 56);
+    }
+
+    /// The bits of every rate an event carries: `PartialEq` reads
+    /// `-0.0` and `0.0` as equal, the queue must not.
+    fn rate_bits(event: &Event) -> Option<Option<u64>> {
+        match event {
+            Event::StartFlow { spec, .. } => Some(spec.demand_mbps.map(f64::to_bits)),
+            Event::SetFlowDemand(_, demand) => Some(demand.map(f64::to_bits)),
+            Event::SetLinkCapacity(_, cap) => Some(Some(cap.to_bits())),
+            Event::StopFlow(_) | Event::SetFlowPath(..) | Event::SetLinkUp(..) => None,
+        }
+    }
+
+    #[test]
+    fn every_event_round_trips_through_the_queued_form() {
+        let topo = global_p4_lab();
+        let path = tunnel1(&topo);
+        let start = |id: u64, demand_mbps: Option<f64>, label: &str| Event::StartFlow {
+            spec: FlowSpec {
+                demand_mbps,
+                ..greedy_spec(&topo, label, 46)
+            },
+            path: path.clone(),
+            id: FlowId(id),
+        };
+        // A spec whose endpoints are not its path's ends keeps them.
+        let inner = |id: u64, src: &str, dst: &str| Event::StartFlow {
+            spec: FlowSpec {
+                src: topo.node(src).unwrap(),
+                dst: topo.node(dst).unwrap(),
+                ..greedy_spec(&topo, "", 0)
+            },
+            path: path.clone(),
+            id: FlowId(id),
+        };
+        let events = [
+            start(1, None, ""),
+            start(2, Some(-0.0), ""),
+            start(3, Some(12.5), ""),
+            start(4, Some(-0.0), "managed"),
+            start(5, None, "managed"),
+            inner(9, "MIA", "host2"),
+            inner(10, "host1", "AMS"),
+            Event::StopFlow(FlowId(6)),
+            Event::SetFlowPath(FlowId(7), path.clone()),
+            Event::SetLinkCapacity(LinkId(3), 0.1),
+            Event::SetLinkCapacity(LinkId(3), -0.0),
+            Event::SetLinkUp(LinkId(2), false),
+            Event::SetLinkUp(LinkId(2), true),
+            Event::SetFlowDemand(FlowId(8), None),
+            Event::SetFlowDemand(FlowId(8), Some(-0.0)),
+            Event::SetFlowDemand(FlowId(8), Some(2.75)),
+        ];
+        for event in events {
+            let queued = Queued::from(event.clone());
+            if let Event::StartFlow { spec, path, .. } = &event {
+                let plain = spec.label.is_empty()
+                    && (spec.src, spec.dst) == (path[0], path[path.len() - 1]);
+                let boxed = matches!(queued, Queued::Boxed { .. });
+                assert_eq!(boxed, !plain, "{event:?}");
+            }
+            let back = Event::from(queued);
+            assert_eq!(back, event);
+            assert_eq!(rate_bits(&back), rate_bits(&event), "{event:?}");
+            match (&back, &event) {
+                (Event::StartFlow { path: a, .. }, Event::StartFlow { path: b, .. })
+                | (Event::SetFlowPath(_, a), Event::SetFlowPath(_, b)) => {
+                    assert!(Arc::ptr_eq(a, b), "{event:?} copied its path");
+                }
+                _ => {}
+            }
+        }
+    }
+
+    /// Two hosts joined by one 100 Mbps link (`LinkId(0)`).
+    fn one_link() -> (Simulation, Arc<[NodeIdx]>) {
+        let mut topo = Topology::new();
+        let a = topo.add_node("a", crate::topo::NodeKind::Host);
+        let b = topo.add_node("b", crate::topo::NodeKind::Host);
+        topo.add_link(a, b, 100.0, 1.0);
+        (Simulation::new(topo, 1), [a, b].into())
+    }
+
+    fn start_on(path: &Arc<[NodeIdx]>, demand_mbps: Option<f64>) -> Event {
+        Event::StartFlow {
+            spec: FlowSpec {
+                src: path[0],
+                dst: path[1],
+                demand_mbps,
+                tos: 0,
+                label: String::new(),
+            },
+            path: path.clone(),
+            id: FlowId(1),
+        }
+    }
+
+    #[test]
+    fn events_on_an_unknown_link_are_rejected_at_schedule_time() {
+        // Accepted, these used to panic in `run_until` (index out of
+        // bounds in `Topology::link`).
+        let (mut sim, _) = one_link();
+        let err = sim.schedule(0, Event::SetLinkCapacity(LinkId(7), 10.0));
+        assert_eq!(err, Err(NetsimError::UnknownLink(7)));
+        let err = sim.schedule(0, Event::SetLinkUp(LinkId(1), false));
+        assert_eq!(err, Err(NetsimError::UnknownLink(1)));
+        assert!(sim
+            .schedule_capacity_trace(LinkId(1), 0, 10, &[5.0])
+            .is_err());
+        sim.run_until(100, 10);
+        assert_eq!(sim.events_processed(), 0);
+        sim.schedule(0, Event::SetLinkUp(LinkId(0), false)).unwrap();
+    }
+
+    #[test]
+    fn capacities_that_are_not_rates_are_rejected_at_schedule_time() {
+        // Accepted, a NaN capacity left a greedy flow on the 100 Mbps
+        // link reading a fraction of a megabit.
+        let (mut sim, _) = one_link();
+        for cap in [f64::NAN, f64::INFINITY, -1.0] {
+            let err = sim.schedule(0, Event::SetLinkCapacity(LinkId(0), cap));
+            assert!(
+                matches!(err, Err(NetsimError::BadCapacity(0, c)) if c.to_bits() == cap.to_bits()),
+                "{cap}: {err:?}"
+            );
+        }
+        assert!(sim
+            .schedule_capacity_trace(LinkId(0), 0, 10, &[f64::INFINITY])
+            .is_err());
+        // Zero (a dead link's capacity) stays legal, and so does -0.0.
+        sim.schedule(0, Event::SetLinkCapacity(LinkId(0), 0.0))
+            .unwrap();
+        sim.schedule(0, Event::SetLinkCapacity(LinkId(0), -0.0))
+            .unwrap();
+        assert_eq!(sim.queue_peak_events(), 2);
+    }
+
+    #[test]
+    fn demands_that_are_not_rates_are_rejected_at_schedule_time() {
+        // Accepted, a `Some(NaN)` demand read as tens of megabits.
+        let (mut sim, path) = one_link();
+        for demand in [f64::NAN, f64::NEG_INFINITY, -0.5] {
+            let err = sim.schedule(0, start_on(&path, Some(demand)));
+            assert!(
+                matches!(err, Err(NetsimError::BadDemand(1, d)) if d.to_bits() == demand.to_bits()),
+                "{demand}: {err:?}"
+            );
+            let err = sim.schedule(0, Event::SetFlowDemand(FlowId(2), Some(demand)));
+            assert!(
+                matches!(err, Err(NetsimError::BadDemand(2, _))),
+                "{demand}: {err:?}"
+            );
+        }
+        // Zero demand and greedy flows stay legal.
+        sim.schedule(0, start_on(&path, Some(0.0))).unwrap();
+        sim.schedule(10, Event::SetFlowDemand(FlowId(1), None))
+            .unwrap();
+        sim.run_until(20_000, 1_000);
+        let r = sim.flow_rate(FlowId(1)).unwrap();
+        assert!((r - 100.0 * 0.86).abs() < 0.2, "greedy rate {r}");
+    }
+
+    #[test]
+    fn the_queue_peak_counts_events_held_at_once() {
+        let (mut sim, path) = one_link();
+        for at in [0, 5_000, 9_000] {
+            sim.schedule(at, Event::SetLinkUp(LinkId(0), true)).unwrap();
+        }
+        sim.run_until(6_000, 1_000);
+        sim.schedule(7_000, start_on(&path, None)).unwrap();
+        assert_eq!(sim.queue_peak_events(), 3);
+        sim.schedule(8_000, Event::StopFlow(FlowId(1))).unwrap();
+        sim.schedule(8_000, Event::StopFlow(FlowId(1))).unwrap();
+        assert_eq!(sim.queue_peak_events(), 4);
+        sim.run_until(10_000, 1_000);
+        assert_eq!((sim.events_processed(), sim.queue_peak_events()), (6, 4));
     }
 
     #[test]
@@ -1025,7 +1352,7 @@ mod tests {
         let mut sim = Simulation::new(topo, 1);
         // capacity drops to 4 Mbps between t=10s and t=20s, then recovers
         let trace = [20.0, 4.0, 20.0];
-        sim.schedule_capacity_trace(lid, 0, 10_000, &trace);
+        sim.schedule_capacity_trace(lid, 0, 10_000, &trace).unwrap();
         let spec = greedy_spec(&sim.topo, "f1", 0);
         sim.schedule(
             0,

@@ -99,6 +99,10 @@ pub struct Scorecard {
     /// event core's events/sec throughput reporting. Deterministic like
     /// every other field.
     pub sim_events: u64,
+    /// The most events the simulator's queue held at once
+    /// ([`netsim::Simulation::queue_peak_events`]): what a pre-loaded
+    /// schedule costs in memory, in entries.
+    pub queue_peak_events: u64,
     /// The packet plane's event-core work (all zero on the fluid
     /// plane). Its counts of packets, hops and ties are the same on any
     /// number of cores; its windows, handoffs and per-shard events are
@@ -300,6 +304,7 @@ mod tests {
             blames: vec![],
             migrations: 3,
             sim_events: 99,
+            queue_peak_events: 7,
             packet_work: EventWork::default(),
             recoveries: vec![
                 Recovery {
