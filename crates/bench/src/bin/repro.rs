@@ -578,6 +578,12 @@ fn scenario_suite() {
                 "hecate_sim_events",
                 Metric::exact(sum_u(|c| c.sim_events) as f64),
             ),
+            // The stamps the telemetry stores keep, in runs: a store
+            // that kept one stamp per sample moves this count.
+            (
+                "hecate_telemetry_runs",
+                Metric::exact(sum_u(|c| c.telemetry_runs) as f64),
+            ),
             // The packet plane's event core over every card (the
             // fat-tree packet scenarios run it): the same counts on any
             // number of cores, so exact.

@@ -8,8 +8,18 @@
 //! The store is plain owned state: the one controller that owns it
 //! writes through `&mut self` and every reader, Hecate's parallel
 //! fan-out included, borrows it through `&self`. No lock, no clone.
+//!
+//! Each series keeps its values and its timestamps apart. Values sit in
+//! a mirrored ring, so every window a reader asks for is one contiguous
+//! slice. Timestamps sit as runs `{first, step, count}`: a collection
+//! round stamps every sample with one `t_ms`, so a series written every
+//! round is one run, and each skipped round adds one. Only
+//! [`TelemetryService::series`] expands them. A series whose
+//! consecutive steps never repeat costs one run per two samples, 12
+//! bytes per sample against 8 for a stamp each; no collector writes
+//! one.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What a sample measures.
@@ -87,21 +97,49 @@ impl std::fmt::Display for SeriesKey {
     }
 }
 
+/// A run of evenly spaced timestamps: `first`, `first + step`, …,
+/// `first + step·(count − 1)`, in wrapping `u64` arithmetic. A run of
+/// one sample has no step yet (its `step` is meaningless).
+#[derive(Debug)]
+struct StampRun {
+    first: u64,
+    step: u64,
+    count: u64,
+}
+
+impl StampRun {
+    /// The run's `k`-th stamp; `at(count)` is the one that extends it.
+    fn at(&self, k: u64) -> u64 {
+        self.first.wrapping_add(self.step.wrapping_mul(k))
+    }
+}
+
 /// A fixed-capacity sample ring with O(1) insert and contiguous
 /// zero-copy windowed reads.
 ///
-/// While the series is shorter than its capacity, timestamps and values
-/// live in plain append-only vectors. On first overflow each vector is
-/// mirrored to length `2 * capacity`: logical sample `i` is written to
-/// both `i % cap` and `i % cap + cap`, so *any* window of the most
-/// recent `n <= cap` samples is one contiguous slice of the mirror —
-/// no wraparound case, no copying on read. Inserts stay O(1) (two
-/// writes); the old `Vec::drain(..)` store paid an O(capacity) memmove
-/// on every insert once full.
+/// **Values.** While the series is shorter than its capacity, values
+/// live in a plain append-only vector. On first overflow it is mirrored
+/// to length `2 * capacity`: logical sample `i` is written to both
+/// `i % cap` and `i % cap + cap`, so *any* window of the most recent
+/// `n <= cap` values is one contiguous slice of the mirror — no
+/// wraparound case, no copying on read. Inserts stay O(1) (two
+/// writes).
+///
+/// **Stamps.** Every collector stamps a whole round with one `t_ms`,
+/// so a series' stamps form an arithmetic run that breaks only where a
+/// round skipped it (a dead flow, a failed ping). They are kept as a
+/// deque of [`StampRun`]s, oldest first: a stamp that continues the
+/// last run extends it, a run of one sample takes any second stamp
+/// (the difference becomes its step), any other stamp opens a new run,
+/// and eviction advances the front run. A cadenced series holds one
+/// 24-byte run however long it is. The worst case — no two
+/// consecutive steps equal — is one run per two samples, 12 bytes per
+/// sample against 8 for one stamp each; no collector writes such a
+/// series.
 #[derive(Debug, Default)]
 struct SampleRing {
-    ts: Vec<u64>,
     vals: Vec<f64>,
+    runs: VecDeque<StampRun>,
     /// Samples ever pushed (monotonic) — the staleness counter the
     /// framework's forecast cache keys invalidation on.
     total: u64,
@@ -109,41 +147,70 @@ struct SampleRing {
 
 impl SampleRing {
     fn push(&mut self, cap: usize, t_ms: u64, value: f64) {
-        if self.ts.len() < cap {
-            self.ts.push(t_ms);
+        if self.vals.len() < cap {
             self.vals.push(value);
         } else {
-            if self.ts.len() == cap {
+            if self.vals.len() == cap {
                 // One-time transition to the mirrored layout: entries
                 // 0..cap are already at their `i % cap` positions.
-                self.ts.extend_from_within(..);
                 self.vals.extend_from_within(..);
             }
             let i = (self.total % cap as u64) as usize;
-            self.ts[i] = t_ms;
-            self.ts[i + cap] = t_ms;
             self.vals[i] = value;
             self.vals[i + cap] = value;
+            self.evict_stamp();
         }
+        self.push_stamp(t_ms);
         self.total += 1;
+    }
+
+    fn push_stamp(&mut self, t_ms: u64) {
+        match self.runs.back_mut() {
+            Some(run) if run.count == 1 => {
+                run.step = t_ms.wrapping_sub(run.first);
+                run.count = 2;
+            }
+            Some(run) if run.at(run.count) == t_ms => run.count += 1,
+            _ => self.runs.push_back(StampRun {
+                first: t_ms,
+                step: 0,
+                count: 1,
+            }),
+        }
+    }
+
+    /// Drops the oldest stamp.
+    fn evict_stamp(&mut self) {
+        if let Some(run) = self.runs.front_mut() {
+            run.first = run.at(1);
+            run.count -= 1;
+            if run.count == 0 {
+                self.runs.pop_front();
+            }
+        }
     }
 
     /// Retained sample count.
     fn len(&self, cap: usize) -> usize {
-        (self.total as usize).min(cap.min(self.ts.len()))
+        (self.total as usize).min(cap.min(self.vals.len()))
     }
 
-    /// The most recent `n` retained samples, oldest first, as parallel
-    /// `(timestamps, values)` slices. Zero-copy.
-    fn window(&self, cap: usize, n: usize) -> (&[u64], &[f64]) {
-        let len = self.len(cap);
-        let n = n.min(len);
-        let end = if self.ts.len() <= cap {
-            self.ts.len()
+    /// The most recent `n` retained values, oldest first. Zero-copy.
+    fn window(&self, cap: usize, n: usize) -> &[f64] {
+        let n = n.min(self.len(cap));
+        let end = if self.vals.len() <= cap {
+            self.vals.len()
         } else {
             ((self.total - 1) % cap as u64) as usize + cap + 1
         };
-        (&self.ts[end - n..end], &self.vals[end - n..end])
+        &self.vals[end - n..end]
+    }
+
+    /// Every retained stamp, oldest first.
+    fn stamps(&self) -> impl Iterator<Item = u64> + '_ {
+        self.runs
+            .iter()
+            .flat_map(|run| (0..run.count).map(|k| run.at(k)))
     }
 }
 
@@ -304,8 +371,7 @@ impl TelemetryService {
     /// contiguous slice, without copying; fewer values if the series is
     /// short, `None` if the series is unknown.
     fn with_last_n<R>(&self, key: &SeriesKey, n: usize, f: impl FnOnce(&[f64]) -> R) -> Option<R> {
-        let (_, vals) = self.ring(key)?.window(self.capacity, n);
-        Some(f(vals))
+        Some(f(self.ring(key)?.window(self.capacity, n)))
     }
 
     /// A resolved series' monotonic total and its full retained value
@@ -313,7 +379,7 @@ impl TelemetryService {
     /// series is unknown. What the forecast cache's bookkeeping reads.
     pub(crate) fn tail(&self, id: SeriesId) -> Option<(u64, &[f64])> {
         let ring = self.ring_of(id)?;
-        Some((ring.total, ring.window(self.capacity, self.capacity).1))
+        Some((ring.total, ring.window(self.capacity, self.capacity)))
     }
 
     /// The most recent value, if any.
@@ -326,15 +392,15 @@ impl TelemetryService {
     /// handle of another store reads nothing.
     pub(crate) fn last_of(&self, id: SeriesId) -> Option<f64> {
         let ring = self.ring_of(id)?;
-        ring.window(self.capacity, 1).1.last().copied()
+        ring.window(self.capacity, 1).last().copied()
     }
 
     /// The full retained series as `(t_ms, value)` pairs.
     pub fn series(&self, key: &SeriesKey) -> Vec<(u64, f64)> {
         self.ring(key)
             .map(|s| {
-                let (ts, vals) = s.window(self.capacity, self.capacity);
-                ts.iter().copied().zip(vals.iter().copied()).collect()
+                let vals = s.window(self.capacity, self.capacity);
+                s.stamps().zip(vals.iter().copied()).collect()
             })
             .unwrap_or_default()
     }
@@ -357,6 +423,15 @@ impl TelemetryService {
         self.len(key) == 0
     }
 
+    /// How many timestamp runs the store holds over every series: one
+    /// per series written on a steady cadence, plus one per break in a
+    /// cadence. An exact count of what the stamps cost (24 bytes a
+    /// run); a store that kept one run per sample would read its
+    /// sample count here.
+    pub fn stamp_runs(&self) -> u64 {
+        self.rings.iter().map(|r| r.runs.len() as u64).sum()
+    }
+
     /// All known series keys, in sorted (deterministic) order.
     pub fn keys(&self) -> Vec<SeriesKey> {
         let sampled = self
@@ -370,6 +445,8 @@ impl TelemetryService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn key() -> SeriesKey {
         SeriesKey::new("tunnel1", Metric::AvailableBandwidth)
@@ -624,6 +701,140 @@ mod tests {
             assert_eq!(mixed.keys(), keyed.keys());
         }
         assert_eq!(mixed.series_id(&a), a_id, "a key resolves to one handle");
+    }
+
+    /// The stamp of a script's next sample after `t`: on a cadence of
+    /// `step` mostly, else a gap, a repeat, a step back or a jump
+    /// anywhere (so stamps wrap past `u64::MAX` too).
+    fn next_stamp(rng: &mut StdRng, t: u64, step: &mut u64) -> u64 {
+        match rng.gen_range(0..20u32) {
+            0..=11 => t.wrapping_add(*step),
+            12 | 13 => t.wrapping_add(step.wrapping_mul(rng.gen_range(2..5u64))),
+            14 | 15 => t,
+            16 | 17 => t.wrapping_sub(rng.gen_range(1..50u64)),
+            18 => {
+                *step = [1, 7, 1000, u64::MAX][rng.gen_range(0..4usize)];
+                t.wrapping_add(*step)
+            }
+            _ => rng.gen(),
+        }
+    }
+
+    #[test]
+    fn stamp_runs_match_a_keep_the_last_cap_model() {
+        // Seeded scripts of stamps on a cadence, with gaps, repeats,
+        // steps back and wraps past u64::MAX, through several wrap
+        // generations of each capacity. Two series are written: one by
+        // key, one by handle in rounds. After every insert, every
+        // reader must equal a naive keep-the-last-cap model, and the
+        // runs must stay within one per two samples plus one.
+        for cap in [1usize, 2, 3, 5, 64] {
+            for seed in 0..24u64 {
+                let mut rng = StdRng::seed_from_u64(seed * 1000 + cap as u64);
+                let mut ts = TelemetryService::new(cap);
+                let (a, b) = (key(), SeriesKey::new("f0", Metric::FlowRate));
+                let b_id = ts.series_id(&b);
+                let mut models = [VecDeque::new(), VecDeque::new()];
+                let mut written = [0u64; 2];
+                let mut t = if rng.gen_bool(0.5) {
+                    u64::MAX - rng.gen_range(0..3000u64)
+                } else {
+                    rng.gen_range(0..1000u64)
+                };
+                let mut step = 1000;
+                for i in 0..(6 * cap + 10) as u64 {
+                    t = next_stamp(&mut rng, t, &mut step);
+                    let (which, value) = (rng.gen_range(0..3u32), i as f64 * 0.5);
+                    if which != 1 {
+                        ts.insert(&a, t, value);
+                        models[0].push_back((t, value));
+                        written[0] += 1;
+                    }
+                    if which != 0 {
+                        ts.insert_batch(t, &[(b_id, -value)]).unwrap();
+                        models[1].push_back((t, -value));
+                        written[1] += 1;
+                    }
+                    let mut want_keys = Vec::new();
+                    for ((k, model), &written) in
+                        [&a, &b].into_iter().zip(&mut models).zip(&written)
+                    {
+                        while model.len() > cap {
+                            model.pop_front();
+                        }
+                        let ctx = format!("cap={cap} seed={seed} i={i} {k}");
+                        let vals: Vec<f64> = model.iter().map(|&(_, v)| v).collect();
+                        assert_eq!(ts.series(k), Vec::from(model.clone()), "{ctx}");
+                        assert_eq!(ts.len(k), model.len(), "{ctx}");
+                        assert_eq!(ts.total(k), written, "{ctx}");
+                        assert_eq!(ts.last(k), vals.last().copied(), "{ctx}");
+                        for n in [0, 1, 2, cap / 2, cap, cap + 1] {
+                            let want = &vals[vals.len().saturating_sub(n)..];
+                            assert_eq!(ts.last_n(k, n), want, "{ctx} n={n}");
+                            let windowed = ts.with_last_n(k, n, |w| w.to_vec());
+                            assert_eq!(windowed, (!vals.is_empty()).then(|| want.to_vec()));
+                        }
+                        if !model.is_empty() {
+                            want_keys.push(k.clone());
+                        }
+                    }
+                    want_keys.sort();
+                    assert_eq!(ts.keys(), want_keys);
+                    let retained = (ts.len(&a) + ts.len(&b)) as u64;
+                    assert!(
+                        ts.stamp_runs() <= retained / 2 + 2,
+                        "cap={cap} seed={seed} i={i}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_cadenced_series_holds_one_run() {
+        let mut ts = TelemetryService::new(64);
+        for i in 0..1000u64 {
+            ts.insert(&key(), i * 1000, i as f64);
+        }
+        assert_eq!(ts.stamp_runs(), 1);
+        let want: Vec<(u64, f64)> = (936..1000u64).map(|i| (i * 1000, i as f64)).collect();
+        assert_eq!(ts.series(&key()), want);
+    }
+
+    #[test]
+    fn a_skipped_round_opens_one_run() {
+        // Round 10 skips the series: one more run, until eviction
+        // carries the stamps before the gap away.
+        let mut ts = TelemetryService::new(64);
+        let rounds = (0..20u64).filter(|&r| r != 10);
+        for r in rounds {
+            ts.insert(&key(), r * 1000, r as f64);
+        }
+        assert_eq!(ts.stamp_runs(), 2);
+        let stamps: Vec<u64> = ts.series(&key()).iter().map(|&(t, _)| t).collect();
+        let want: Vec<u64> = (0..20u64).filter(|&r| r != 10).map(|r| r * 1000).collect();
+        assert_eq!(stamps, want);
+        for r in 20..80u64 {
+            ts.insert(&key(), r * 1000, r as f64);
+        }
+        assert_eq!(ts.stamp_runs(), 1, "the run before the gap is evicted");
+        assert_eq!(ts.series(&key())[0], (16_000, 16.0));
+    }
+
+    #[test]
+    fn steps_that_never_repeat_cost_one_run_per_two_samples() {
+        // The worst case: stamp k is k·(k+1)/2, so no two consecutive
+        // steps are equal and every run holds two samples.
+        let mut ts = TelemetryService::new(1000);
+        for k in 0..100u64 {
+            ts.insert(&key(), k * (k + 1) / 2, 0.0);
+        }
+        assert_eq!(ts.stamp_runs(), 50);
+        let stamps: Vec<u64> = ts.series(&key()).iter().map(|&(t, _)| t).collect();
+        assert_eq!(
+            stamps,
+            (0..100u64).map(|k| k * (k + 1) / 2).collect::<Vec<_>>()
+        );
     }
 
     #[test]

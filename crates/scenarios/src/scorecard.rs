@@ -103,6 +103,11 @@ pub struct Scorecard {
     /// ([`netsim::Simulation::queue_peak_events`]): what a pre-loaded
     /// schedule costs in memory, in entries.
     pub queue_peak_events: u64,
+    /// The timestamp runs the run's telemetry store held at the end
+    /// ([`framework::TelemetryService::stamp_runs`]): one per series
+    /// sampled on a steady cadence, plus one per break in a cadence.
+    /// Not rendered in the matrix.
+    pub telemetry_runs: u64,
     /// The packet plane's event-core work (all zero on the fluid
     /// plane). Its counts of packets, hops and ties are the same on any
     /// number of cores; its windows, handoffs and per-shard events are
@@ -305,6 +310,7 @@ mod tests {
             migrations: 3,
             sim_events: 99,
             queue_peak_events: 7,
+            telemetry_runs: 5,
             packet_work: EventWork::default(),
             recoveries: vec![
                 Recovery {
