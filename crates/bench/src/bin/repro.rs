@@ -641,12 +641,13 @@ fn sim_scale() {
     );
     let r = figures::sim_scale(smoke);
     println!(
-        "{}: {} epochs, {} external events (at most {} queued at once), {:.2} s wall, \
-         {:.0} events/s, {:.2} Mbps managed aggregate",
+        "{}: {} epochs, {} external events (at most {} queued at once, {} list steps), \
+         {:.2} s wall, {:.0} events/s, {:.2} Mbps managed aggregate",
         r.scenario,
         r.epochs,
         r.sim_events,
         r.queue_peak_events,
+        r.queue_list_steps,
         r.wall_s,
         r.events_per_sec,
         r.mean_aggregate_mbps
@@ -672,6 +673,7 @@ fn sim_scale() {
                 "queue_peak_events",
                 Metric::exact(r.queue_peak_events as f64),
             ),
+            ("queue_list_steps", Metric::exact(r.queue_list_steps as f64)),
             (
                 "mean_aggregate_mbps",
                 Metric::band(r.mean_aggregate_mbps, 0.02, 0.0),

@@ -772,6 +772,8 @@ pub struct SimScaleReport {
     pub sim_events: u64,
     /// The most events the simulator's queue held at once.
     pub queue_peak_events: u64,
+    /// Queued events the simulator's scheduling walked past.
+    pub queue_list_steps: u64,
     /// Wall-clock seconds of the first (timed, untraced) run.
     pub wall_s: f64,
     /// `sim_events / wall_s` of the untraced run — the headline number,
@@ -836,6 +838,7 @@ pub fn sim_scale(smoke: bool) -> SimScaleReport {
         epochs: a.epochs,
         sim_events: a.sim_events,
         queue_peak_events: a.queue_peak_events,
+        queue_list_steps: a.queue_list_steps,
         wall_s,
         events_per_sec: a.sim_events as f64 / wall_s.max(1e-9),
         mean_aggregate_mbps: a.mean_aggregate_mbps,

@@ -25,13 +25,14 @@
 //!   proof-of-transit verification ([`polka::pot`]) that rejects
 //!   tampered or detoured packets; its nodes run as shards on
 //!   [`linalg::par::settle`], in conservative windows as long as the
-//!   soonest a packet can cross between two shards.
+//!   soonest a packet can cross between two shards, each popping its
+//!   heads from the simulator's own queue ([`netsim::timeq`]) in
+//!   4 096-ns buckets.
 //!
 //! Everything is integer-nanosecond, allocation-light and free of RNG:
 //! two runs with the same inputs produce bit-identical counters, on any
 //! number of cores.
 
-mod calendar;
 pub mod label;
 pub mod netem;
 pub mod plane;

@@ -17,8 +17,8 @@
 //! constant, so packets leave it in the order they entered — hence
 //! packets in flight wait in one `VecDeque` per directed link, and the
 //! queue of heads holds only each non-empty link's front packet plus
-//! each source's next emission. The heads sit in a calendar of time
-//! buckets (`crate::calendar`), which pops them without a heap's sifts.
+//! each source's next emission. The heads sit in a [`netsim::timeq`]
+//! of 4 096-ns buckets, which pops them without a heap's sifts.
 //!
 //! The nodes are dealt to shards. Links shorter than a cut join nodes
 //! into clusters (on a fat tree: each pod, and each core alone), and
@@ -44,18 +44,18 @@
 //! registered at — then by the instant that event was scheduled at, and
 //! the one before (three instants in all), then by origin
 //! (source, then link index). The first instant is the `seq` word of
-//! the calendar key. A single counter bumped at every scheduling, which
+//! the queue key. A single counter bumped at every scheduling, which
 //! a single heap of every packet would pop by, gives the same order
 //! whenever those instants differ; events at different nodes touch
 //! disjoint state, so only ties at one node can matter.
 //! [`EventWork::tie_fallbacks`] counts the ties at one node whose
 //! instants all agree, where origin order stands in for the counter's.
 
-use crate::calendar::Calendar;
 use crate::label::{PacketState, SourceRoute};
 use crate::plane::{DropReason, ForwardingPlane, HopOutcome};
 use crate::{DataplaneError, FlowRoute};
 use linalg::par;
+use netsim::timeq::TimeQ;
 use netsim::{LinkId, NodeIdx, Topology};
 use polka::NodeIdAllocator;
 use std::collections::{HashMap, VecDeque};
@@ -387,13 +387,10 @@ enum Source {
     Link(u32),
 }
 
-/// A calendar entry past its `(t_ns, seq)`: the earlier scheduling
-/// instants of its [`Due`], then the origin.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Head {
-    earlier: [u64; TIE_DEPTH - 1],
-    source: Source,
-}
+/// A shard's heads, keyed past their time by their [`Due`]'s `seq` and
+/// `earlier`, then their origin. 4 096-ns buckets rarely hold two on
+/// the loopbench fat tree (16-µs ones held ≈ 2, and were slower).
+type Heads = TimeQ<(u64, [u64; TIE_DEPTH - 1], Source), (), 12>;
 
 /// The `seq` word of a head scheduled by an event at `t_ns`.
 fn scheduled_at(t_ns: u64) -> u64 {
@@ -497,7 +494,7 @@ struct Shard {
     /// One entry per source this shard emits for (its next emission)
     /// and one per directed link into it with packets in flight (its
     /// front packet).
-    heads: Calendar<Head>,
+    heads: Heads,
     /// Per flow: what befell its packets here since the last fold.
     flows: Vec<FlowReport>,
     /// The node of the last head popped, and the heads popped at the
@@ -523,7 +520,7 @@ impl Shard {
             instant: Vec::new(),
             in_flight: (0..dirs.len()).map(|_| VecDeque::new()).collect(),
             dirs,
-            heads: Calendar::new(),
+            heads: Heads::default(),
             flows: vec![FlowReport::default(); flows],
             work: EventWork::default(),
             drops: 0,
@@ -571,8 +568,8 @@ impl Shard {
         self.inbox = inbox;
         let through = horizon.saturating_add(lookahead).min(end);
         let mut popped = 0u32;
-        while let Some((t_ns, seq, head)) = self.heads.pop_through(through) {
-            self.run_head(shared, t_ns, seq, head);
+        while let Some((t_ns, (seq, earlier, source), ())) = self.heads.pop_through(through) {
+            self.run_head(shared, Due { t_ns, seq, earlier }, source);
             popped += 1;
             // Everything this shard sends from now on leaves at `t_ns`
             // or later: let the others run on meanwhile.
@@ -585,14 +582,9 @@ impl Shard {
         done
     }
 
-    fn run_head(&mut self, shared: &Shared, t_ns: u64, seq: u64, head: Head) {
-        let due = Due {
-            t_ns,
-            seq,
-            earlier: head.earlier,
-        };
+    fn run_head(&mut self, shared: &Shared, due: Due, source: Source) {
         let prev = std::mem::replace(&mut self.now, due);
-        match head.source {
+        match source {
             Source::Flow(flow) => {
                 let at = self.dirs[shared.flows[flow as usize].ingress_dir].from;
                 self.count_tie(at, prev, due);
@@ -616,11 +608,8 @@ impl Shard {
     }
 
     fn push_head(&mut self, due: Due, source: Source) {
-        let head = Head {
-            earlier: due.earlier,
-            source,
-        };
-        self.heads.push(due.t_ns, due.seq, head);
+        self.heads
+            .push(due.t_ns, (due.seq, due.earlier, source), ());
     }
 
     /// Counts a head popped at node `at` that ties with the one before
@@ -984,7 +973,7 @@ impl PacketNet {
         let in_flight: Vec<_> = (0..dirs.len())
             .map(|d| std::mem::take(&mut old[old_of(dirs[d].to)].in_flight[d]))
             .collect();
-        let heads: Vec<(u64, u64, Head)> = (old.into_iter())
+        let heads: Vec<_> = (old.into_iter())
             .flat_map(|s| s.heads.into_entries())
             .collect();
         self.shared.shard_of = shard_of;
@@ -996,9 +985,9 @@ impl PacketNet {
             let owner = self.shared.shard_of[dirs[d].to.0 as usize] as usize;
             self.shards[owner].in_flight[d] = fifo;
         }
-        for (t_ns, seq, head) in heads {
-            let owner = self.shared.owner(&dirs, head.source);
-            self.shards[owner].heads.push(t_ns, seq, head);
+        for (t_ns, key, ()) in heads {
+            let owner = self.shared.owner(&dirs, key.2);
+            self.shards[owner].heads.push(t_ns, key, ());
         }
     }
 
@@ -1064,11 +1053,8 @@ impl PacketNet {
         }
         let source = Source::Flow(idx as u32);
         let owner = self.shared.owner(&self.shards[0].dirs, source);
-        let head = Head {
-            earlier: [0; TIE_DEPTH - 1],
-            source,
-        };
-        (self.shards[owner].heads).push(first, registered_at(self.now_ns), head);
+        let key = (registered_at(self.now_ns), [0; TIE_DEPTH - 1], source);
+        self.shards[owner].heads.push(first, key, ());
         Ok(())
     }
 
@@ -1531,6 +1517,13 @@ mod tests {
     }
 
     const MS: u64 = 1_000_000;
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn a_queued_head_is_48_bytes() {
+        assert_eq!(Heads::ENTRY_BYTES, 40);
+        assert_eq!(Heads::SLOT_BYTES, 48);
+    }
 
     #[test]
     fn delivers_at_offered_rate_under_capacity() {

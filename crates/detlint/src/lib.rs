@@ -84,7 +84,7 @@ const CRITICAL_CRATES: &[&str] = &[
 /// `/` covers every file below it.
 const BARE_PANIC_FILES: &[&str] = &[
     "crates/netsim/src/sim.rs",
-    "crates/netsim/src/queue.rs",
+    "crates/netsim/src/timeq.rs",
     // Path search: Yen's algorithm runs inside `discover_tunnels` at
     // run time.
     "crates/netsim/src/topo.rs",
@@ -104,7 +104,6 @@ const BARE_PANIC_FILES: &[&str] = &[
     "crates/dataplane/src/plane.rs",
     "crates/dataplane/src/shard.rs",
     "crates/dataplane/src/netem.rs",
-    "crates/dataplane/src/calendar.rs",
     // `CoreNode::forward` runs once per packet per hop.
     "crates/polka/src/route.rs",
     // Every model's fit and roll runs inside a consult, whichever model

@@ -28,8 +28,8 @@
 pub mod fairness;
 pub mod flow;
 pub mod maxmin;
-mod queue;
 pub mod sim;
+pub mod timeq;
 pub mod topo;
 
 pub use fairness::FairShareEngine;

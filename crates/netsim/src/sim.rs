@@ -8,10 +8,10 @@
 //! keeps one priority queue of timestamped external events (flow
 //! arrival/departure, reroute, link capacity change, link up/down),
 //! ordered by `(at, seq)` so ties break deterministically in
-//! scheduling order (the queue itself is two-tier, see `queue.rs`: a
-//! pre-loaded schedule's far future waits in per-window buckets, not in
-//! the heap). [`Simulation::run_until`] jumps straight to the next
-//! event or sample point, applies everything due at that
+//! scheduling order (the queue is a [`crate::timeq`] of 1-ms buckets:
+//! a pre-loaded schedule's far future waits in unsorted windows until
+//! its ring reaches them). [`Simulation::run_until`] jumps straight to
+//! the next event or sample point, applies everything due at that
 //! instant, and re-solves fair shares once per touched timestamp via
 //! the incremental [`FairShareEngine`]. Between events every flow's
 //! rate is advanced *analytically* ([`Flow::rate_at`]): the closed-form
@@ -30,7 +30,7 @@ use crate::fairness::directed_links;
 use crate::fairness::{dense_link, directed_hop, directed_link, Direction, FairShareEngine};
 use crate::flow::{Flow, FlowId, FlowSpec};
 use crate::maxmin::WaterfillStats;
-use crate::queue::{EventQueue, Scheduled};
+use crate::timeq::TimeQ;
 use crate::topo::{LinkId, NodeIdx, Topology};
 use crate::NetsimError;
 use rand::rngs::StdRng;
@@ -43,6 +43,9 @@ use std::sync::Arc;
 
 /// Simulation time in integer milliseconds (deterministic ordering).
 pub type SimTimeMs = u64;
+
+/// The event queue: 1-ms buckets, keyed by scheduling sequence number.
+type EventQueue = TimeQ<u64, Queued, 0>;
 
 /// Residual (Mbps) below which a converging rate snaps to its share.
 const CONV_EPS_MBPS: f64 = 1e-9;
@@ -65,10 +68,11 @@ fn check_demand(id: FlowId, demand_mbps: Option<f64>) -> Result<(), NetsimError>
 /// The queue does not hold an `Event` (80 bytes: one label-carrying
 /// [`Event::StartFlow`] sizes them all) but a private 40-byte form of
 /// it, converted in [`Simulation::schedule`] and back at dispatch, so a
-/// queued entry with its `(at, seq)` key is 56 bytes. Only a start with
-/// a non-empty label — a managed flow, a few thousand per run at most —
-/// or with endpoints other than its path's ends leaves its spec on the
-/// heap; a pre-loaded elastic schedule queues none.
+/// queued entry with its `(at, seq)` key is 56 bytes (64 in the ring,
+/// with its list link). Only a start with a non-empty label — a managed
+/// flow, a few thousand per run at most — or with endpoints other than
+/// its path's ends leaves its spec on the heap; a pre-loaded elastic
+/// schedule queues none.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// Start a flow on an explicit node path.
@@ -258,7 +262,7 @@ pub struct Simulation {
     /// Position of each live flow in `flows` (lookup only, never
     /// iterated), so `StopFlow` is O(1) instead of an O(n) retain.
     flow_index: HashMap<FlowId, usize, BuildHasherDefault<FlowIdHasher>>,
-    events: EventQueue<Queued>,
+    events: EventQueue,
     seq: u64,
     now_ms: SimTimeMs,
     /// The last instant whose events are all applied: `now` after each
@@ -301,7 +305,7 @@ impl Simulation {
             topo,
             flows: Vec::new(),
             flow_index: HashMap::default(),
-            events: EventQueue::new(),
+            events: EventQueue::default(),
             seq: 0,
             now_ms: 0,
             drained_ms: 0,
@@ -380,11 +384,7 @@ impl Simulation {
         }
         let at = at_ms.max(self.now_ms);
         self.seq += 1;
-        self.events.push(Scheduled {
-            at,
-            seq: self.seq,
-            event: event.into(),
-        });
+        self.events.push(at, self.seq, event.into());
         Ok(())
     }
 
@@ -427,18 +427,17 @@ impl Simulation {
             // is behind the tracer's inline `None` check.
             let depth = self.events.len() as u64;
             let dispatch = if self.tracer.enabled()
-                && self.events.peek().is_some_and(|top| top.at <= self.now_ms)
+                && self.events.peek_time().is_some_and(|at| at <= self.now_ms)
             {
                 Some(self.tracer.span("sim", "sim.dispatch", self.now_ns()))
             } else {
                 None
             };
             let mut batch: u64 = 0;
-            while self.events.peek().is_some_and(|top| top.at <= self.now_ms) {
-                let Some(due) = self.events.pop() else { break };
+            while let Some((_, _, due)) = self.events.pop_through(self.now_ms) {
                 self.events_processed += 1;
                 batch += 1;
-                self.apply_external(due.event.into());
+                self.apply_external(due.into());
             }
             self.drained_ms = self.now_ms;
             if let Some(span) = dispatch {
@@ -497,10 +496,8 @@ impl Simulation {
                 next_sample += sample_ms;
             }
             let mut next = until_ms.min(next_sample);
-            if let Some(top) = self.events.peek() {
-                if top.at < next {
-                    next = top.at;
-                }
+            if let Some(at) = self.events.peek_time() {
+                next = next.min(at);
             }
             if next >= until_ms {
                 self.now_ms = until_ms;
@@ -726,6 +723,12 @@ impl Simulation {
     /// schedule's length plus what was scheduled before it drained.
     pub fn queue_peak_events(&self) -> u64 {
         self.events.peak() as u64
+    }
+
+    /// Queued events that scheduling walked past to keep each 1-ms
+    /// bucket of the queue in sequence order.
+    pub fn queue_list_steps(&self) -> u64 {
+        self.events.list_steps()
     }
 
     /// Live flow count (excluding flows stalled on failed links).
@@ -1119,7 +1122,8 @@ mod tests {
         // holds the 40-byte form, not the 80-byte `Event`.
         assert_eq!(std::mem::size_of::<Event>(), 80);
         assert_eq!(std::mem::size_of::<Queued>(), 40);
-        assert_eq!(std::mem::size_of::<Scheduled<Queued>>(), 56);
+        assert_eq!(EventQueue::ENTRY_BYTES, 56);
+        assert_eq!(EventQueue::SLOT_BYTES, 64);
     }
 
     /// The bits of every rate an event carries: `PartialEq` reads

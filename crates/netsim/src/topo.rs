@@ -1,7 +1,8 @@
 //! Topology: nodes, capacitated/delayed links, and path computation.
 
+use crate::timeq::TimeQ;
 use crate::NetsimError;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashMap;
 
 /// Index of a node in the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -353,25 +354,6 @@ impl Topology {
         stop_after: &[NodeIdx],
         removed: &[bool],
     ) -> ShortestPathTree {
-        #[derive(PartialEq)]
-        struct State {
-            cost: f64,
-            node: NodeIdx,
-        }
-        impl Eq for State {}
-        impl Ord for State {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                other
-                    .cost
-                    .total_cmp(&self.cost)
-                    .then_with(|| other.node.0.cmp(&self.node.0))
-            }
-        }
-        impl PartialOrd for State {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
         let n = self.nodes.len();
         let mut dist = vec![f64::INFINITY; n];
         let mut prev: Vec<Option<NodeIdx>> = vec![None; n];
@@ -383,13 +365,13 @@ impl Topology {
                 left += 1;
             }
         }
-        let mut heap = BinaryHeap::new();
+        // Pops `(cost, node)` least first: delays are not negative, so a cost's
+        // bits order like it and never undercut a pop. A bucket is 1/256 binade.
+        let mut frontier: TimeQ<u32, (), 44> = TimeQ::default();
         dist[src.0 as usize] = 0.0;
-        heap.push(State {
-            cost: 0.0,
-            node: src,
-        });
-        while let Some(State { cost, node }) = heap.pop() {
+        frontier.push(0.0f64.to_bits(), src.0, ());
+        while let Some((bits, node, ())) = frontier.pop_through(u64::MAX) {
+            let (cost, node) = (f64::from_bits(bits), NodeIdx(node));
             // A node's first pop carries its final distance; later pops
             // of it are stale.
             if cost > dist[node.0 as usize] {
@@ -410,10 +392,7 @@ impl Topology {
                 if nd < dist[next.0 as usize] {
                     dist[next.0 as usize] = nd;
                     prev[next.0 as usize] = Some(node);
-                    heap.push(State {
-                        cost: nd,
-                        node: next,
-                    });
+                    frontier.push(nd.to_bits(), next.0, ());
                 }
             }
         }
@@ -647,6 +626,7 @@ pub fn fat_tree(k: usize) -> Topology {
 #[cfg(test)]
 mod reference {
     use super::*;
+    use std::collections::BinaryHeap;
 
     pub(super) fn shortest_path_by_delay(
         topo: &Topology,

@@ -625,6 +625,7 @@ impl<'s> Run<'s> {
             migrations: self.pair_migrations.iter().sum(),
             sim_events: self.sdn.sim.events_processed(),
             queue_peak_events: self.sdn.sim.queue_peak_events(),
+            queue_list_steps: self.sdn.sim.queue_list_steps(),
             telemetry_runs: self.sdn.telemetry.stamp_runs(),
             packet_work: (self.sdn.dataplane())
                 .map(|plane| plane.net().work().clone())

@@ -103,6 +103,10 @@ pub struct Scorecard {
     /// ([`netsim::Simulation::queue_peak_events`]): what a pre-loaded
     /// schedule costs in memory, in entries.
     pub queue_peak_events: u64,
+    /// Queued events the simulator's scheduling walked past to keep its
+    /// buckets in order ([`netsim::Simulation::queue_list_steps`]): the
+    /// queue's work beyond O(1) per event. Not rendered in the matrix.
+    pub queue_list_steps: u64,
     /// The timestamp runs the run's telemetry store held at the end
     /// ([`framework::TelemetryService::stamp_runs`]): one per series
     /// sampled on a steady cadence, plus one per break in a cadence.
@@ -310,6 +314,7 @@ mod tests {
             migrations: 3,
             sim_events: 99,
             queue_peak_events: 7,
+            queue_list_steps: 6,
             telemetry_runs: 5,
             packet_work: EventWork::default(),
             recoveries: vec![
