@@ -371,7 +371,7 @@ mod tests {
     /// and drains through the next entry's time (as `run_until` jumps),
     /// into a bucket, or ring spans on; each pop pushes a few followers
     /// at or after its own time, as the emulator does.
-    fn script<const W: u32>(seed: u64) {
+    fn script<const W: u32>(seed: u64) -> usize {
         let rng = &mut TestRng::from_seed(seed);
         let mut pair = Pair::<W>::default();
         let mut now = rng.below(1 << 40);
@@ -398,6 +398,7 @@ mod tests {
         }
         pair.drain(u64::MAX, |_, _| {});
         assert!(pair.q.len() == 0 && pair.popped > 0);
+        pair.popped
     }
 
     proptest! {
@@ -411,6 +412,24 @@ mod tests {
     }
 
     at_both_widths! {
+        /// The same scripts on fixed seeds, so every run replays them.
+        fn pops_in_heap_order_on_seeded_scripts<const W: u32>() {
+            let popped: usize = (0..200).map(script::<W>).sum();
+            assert!(popped > 100_000, "{popped} pops");
+        }
+
+        /// Entries inside one window all go to the ring, none far, and
+        /// pop by time, then by push order.
+        fn schedule_inside_one_window_is_a_plain_heap<const W: u32>() {
+            let mut q: TimeQ<u64, (), W> = TimeQ::default();
+            for (seq, t) in [(1, 900), (2, 3), (3, 3), (4, 0)] {
+                q.push(t, seq, ());
+            }
+            assert!(q.far.is_empty());
+            let order: Vec<_> = std::iter::from_fn(|| q.pop_through(u64::MAX)).collect();
+            assert_eq!(order, [(0, 4, ()), (3, 2, ()), (3, 3, ()), (900, 1, ())]);
+        }
+
         /// What `run_until`'s dispatch loop relies on: an entry pushed
         /// for `now` while the batch due at `now` drains joins it.
         fn push_for_the_current_instant_joins_the_running_drain<const W: u32>() {
