@@ -538,10 +538,19 @@ fn forwarding_workload(
         .map(|i| (0..5).map(|k| NodeIdx((i + k) % 16)).collect())
         .collect();
     let items: Vec<dataplane::shard::WorkItem> = (paths.iter())
-        .map(|path| dataplane::shard::WorkItem {
-            route: dataplane::FlowRoute::along_path(&topo, &mut alloc, path, polka)
-                .expect("route compiles"),
-            count: packets_per_flow,
+        .map(|path| {
+            let spec = freertr::resolve::path_spec(&topo, &mut alloc, path).expect("ring walk");
+            let (ingress, first_hop) = (path[0], path[1]);
+            let route = if polka {
+                let id = spec.compile().expect("route compiles");
+                dataplane::FlowRoute::polka(ingress, first_hop, id, &spec)
+            } else {
+                dataplane::FlowRoute::segments(ingress, first_hop, &spec)
+            };
+            dataplane::shard::WorkItem {
+                route,
+                count: packets_per_flow,
+            }
         })
         .collect();
     let hops = (paths.iter())
@@ -630,7 +639,7 @@ pub struct ForwardingReport {
 /// Work is submitted in batches per ingress; counters are asserted
 /// identical across every configuration before a number is reported.
 pub fn forwarding_scaling(packets_per_flow: usize) -> ForwardingReport {
-    use dataplane::{forward_sharded, shard_critical_path, SourceRoute};
+    use dataplane::{forward_sharded, shard_critical_path};
     let mut rows = Vec::new();
     let mut label_bits = (0usize, 0usize);
     for (mode, is_polka) in [("polka", true), ("seglist", false)] {

@@ -1,6 +1,8 @@
 //! Route labels: the two on-wire source-routing encodings behind one
-//! trait, so the PolKA routeID and the port-switching baseline drive the
-//! exact same forwarding pipeline.
+//! type, so the PolKA routeID and the port-switching baseline drive the
+//! exact same forwarding pipeline. Both are built from one
+//! `RouteSpec`, which `freertr::resolve::path_spec` compiles from a
+//! node path.
 //!
 //! Per-packet mutable state is deliberately tiny ([`PacketState`]): the
 //! PolKA label itself is shared by every packet of a flow because core
@@ -8,7 +10,6 @@
 //! the architecture, and it is what makes the forwarding hot path
 //! allocation-free.
 
-use crate::DataplaneError;
 use polka::header::PolkaHeader;
 use polka::{pot, CoreNode, PortId, RouteId, RouteSpec};
 
@@ -35,29 +36,10 @@ impl PacketState {
     }
 }
 
-/// The per-hop contract both encodings satisfy: given the packet's
-/// mutable state and the local core node, produce the output port (and
-/// fold the proof-of-transit accumulator). `None` means the label does
-/// not decode at this node — the switch drops/punts.
-pub trait SourceRoute {
-    /// Computes the output port at `core` and updates `state` (PoT fold,
-    /// plus the cursor advance for header-rewriting encodings).
-    fn next_port(&self, state: &mut PacketState, core: &CoreNode) -> Option<PortId>;
-
-    /// On-wire label size in bits as stamped at ingress.
-    fn label_bits(&self) -> usize;
-
-    /// Shim-header size in bytes *at the packet's current hop* — the
-    /// segment list shrinks along the path, the PolKA label does not.
-    fn header_bytes(&self, state: &PacketState) -> usize;
-
-    /// True when forwarding mutates the packet header (the
-    /// port-switching baseline); false for PolKA's read-only label.
-    fn rewrites_header(&self) -> bool;
-}
-
 /// A flow's route label: either a PolKA routeID or the port-switching
-/// segment list the PolKA papers compare against.
+/// segment list the PolKA papers compare against (paper, Sec. II-B:
+/// every hop pops one label and rewrites the header, so the header
+/// shrinks along the path).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FlowLabel {
     /// One CRT polynomial; every hop computes `routeID mod nodeID`.
@@ -67,8 +49,12 @@ pub enum FlowLabel {
     Segments(Vec<PortId>),
 }
 
-impl SourceRoute for FlowLabel {
-    fn next_port(&self, state: &mut PacketState, core: &CoreNode) -> Option<PortId> {
+impl FlowLabel {
+    /// The per-hop operation: the output port at `core`, with the
+    /// proof-of-transit fold (and the cursor advance for the segment
+    /// list) applied to `state`. `None` means the label does not decode
+    /// at this node, and the switch drops the packet.
+    pub fn next_port(&self, state: &mut PacketState, core: &CoreNode) -> Option<PortId> {
         let port = match self {
             FlowLabel::Polka(route) => core.port(route)?,
             FlowLabel::Segments(ports) => {
@@ -81,7 +67,8 @@ impl SourceRoute for FlowLabel {
         Some(port)
     }
 
-    fn label_bits(&self) -> usize {
+    /// On-wire label size in bits as stamped at ingress.
+    pub fn label_bits(&self) -> usize {
         match self {
             FlowLabel::Polka(route) => route.label_bits(),
             // 16-bit port labels, the width PortId carries on the wire.
@@ -89,7 +76,9 @@ impl SourceRoute for FlowLabel {
         }
     }
 
-    fn header_bytes(&self, state: &PacketState) -> usize {
+    /// Shim-header size in bytes at the packet's current hop: the
+    /// segment list shrinks along the path, the PolKA label does not.
+    pub fn header_bytes(&self, state: &PacketState) -> usize {
         match self {
             // The PolKA shim header is immutable and constant-size.
             FlowLabel::Polka(route) => PolkaHeader::wire_len_for(route),
@@ -98,7 +87,9 @@ impl SourceRoute for FlowLabel {
         }
     }
 
-    fn rewrites_header(&self) -> bool {
+    /// True when forwarding mutates the packet header (the segment
+    /// list); false for PolKA's read-only label.
+    pub fn rewrites_header(&self) -> bool {
         matches!(self, FlowLabel::Segments(_))
     }
 }
@@ -122,8 +113,8 @@ pub struct FlowRoute {
 }
 
 impl FlowRoute {
-    /// A PolKA route: compiles (or reuses) the routeID for `spec` and
-    /// derives the egress proof-of-transit from the same spec.
+    /// A PolKA route: `route` is `spec` compiled (or reused), and the
+    /// egress proof-of-transit is derived from the same spec.
     pub fn polka(
         ingress: netsim::NodeIdx,
         first_hop: netsim::NodeIdx,
@@ -152,56 +143,6 @@ impl FlowRoute {
             expected_pot: pot::expected_pot(spec),
         }
     }
-
-    /// Compiles a PolKA route from a spec (CRT) and wraps it.
-    fn compile_polka(
-        ingress: netsim::NodeIdx,
-        first_hop: netsim::NodeIdx,
-        spec: &RouteSpec,
-    ) -> Result<Self, DataplaneError> {
-        let route = spec.compile()?;
-        Ok(Self::polka(ingress, first_hop, route, spec))
-    }
-
-    /// Builds the route for an explicit node path: every router after
-    /// the ingress is assigned its node ID from `alloc`, ports come
-    /// from the topology's deterministic numbering, and the egress hop
-    /// encodes port 0 ("deliver locally"). This is the one place the
-    /// path → `RouteSpec` convention lives.
-    pub fn along_path(
-        topo: &netsim::Topology,
-        alloc: &mut polka::NodeIdAllocator,
-        path: &[netsim::NodeIdx],
-        polka_label: bool,
-    ) -> Result<Self, DataplaneError> {
-        if path.len() < 2 {
-            return Err(DataplaneError::Route(
-                "a route needs at least an ingress and one router".into(),
-            ));
-        }
-        let mut hops = Vec::with_capacity(path.len() - 1);
-        for k in 1..path.len() {
-            let node = alloc.assign(topo.node_name(path[k]))?;
-            let port = if k + 1 < path.len() {
-                PortId(topo.neighbor_port(path[k], path[k + 1]).ok_or_else(|| {
-                    DataplaneError::Topology(format!(
-                        "{} has no port towards {}",
-                        topo.node_name(path[k]),
-                        topo.node_name(path[k + 1])
-                    ))
-                })?)
-            } else {
-                PortId(0)
-            };
-            hops.push((node, port));
-        }
-        let spec = RouteSpec::new(hops);
-        if polka_label {
-            Self::compile_polka(path[0], path[1], &spec)
-        } else {
-            Ok(Self::segments(path[0], path[1], &spec))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -209,6 +150,12 @@ mod tests {
     use super::*;
     use gf2poly::Poly;
     use polka::NodeId;
+    use proptest::prelude::*;
+
+    fn polka3(spec: &RouteSpec) -> FlowRoute {
+        let route = spec.compile().unwrap();
+        FlowRoute::polka(netsim::NodeIdx(0), netsim::NodeIdx(1), route, spec)
+    }
 
     fn spec3() -> RouteSpec {
         RouteSpec::new(vec![
@@ -221,8 +168,7 @@ mod tests {
     #[test]
     fn both_labels_drive_identical_ports_and_pot() {
         let spec = spec3();
-        let polka =
-            FlowRoute::compile_polka(netsim::NodeIdx(0), netsim::NodeIdx(1), &spec).unwrap();
+        let polka = polka3(&spec);
         let segs = FlowRoute::segments(netsim::NodeIdx(0), netsim::NodeIdx(1), &spec);
         let mut sp = PacketState::stamped();
         let mut ss = PacketState::stamped();
@@ -239,8 +185,7 @@ mod tests {
     #[test]
     fn polka_label_is_read_only_segments_mutate() {
         let spec = spec3();
-        let polka =
-            FlowRoute::compile_polka(netsim::NodeIdx(0), netsim::NodeIdx(1), &spec).unwrap();
+        let polka = polka3(&spec);
         let segs = FlowRoute::segments(netsim::NodeIdx(0), netsim::NodeIdx(1), &spec);
         assert!(!polka.label.rewrites_header());
         assert!(segs.label.rewrites_header());
@@ -267,8 +212,7 @@ mod tests {
     #[test]
     fn stamped_header_carries_the_route() {
         let spec = spec3();
-        let polka =
-            FlowRoute::compile_polka(netsim::NodeIdx(0), netsim::NodeIdx(1), &spec).unwrap();
+        let polka = polka3(&spec);
         let FlowLabel::Polka(route) = &polka.label else {
             panic!("a PolKA route carries a routeID: {:?}", polka.label);
         };
@@ -279,5 +223,20 @@ mod tests {
         );
         let back = PolkaHeader::decode(&mut wire).unwrap();
         assert_eq!(FlowLabel::Polka(back.route), polka.label);
+    }
+
+    proptest! {
+        #[test]
+        fn segments_pop_every_port_in_order(ports in prop::collection::vec(0u16..1024, 0..32)) {
+            let label = FlowLabel::Segments(ports.iter().copied().map(PortId).collect());
+            let core = CoreNode::new(spec3().hops()[0].0.clone());
+            let mut state = PacketState::stamped();
+            for (k, &want) in ports.iter().enumerate() {
+                prop_assert_eq!(label.header_bytes(&state), 4 + 2 * (ports.len() - k));
+                prop_assert_eq!(label.next_port(&mut state, &core), Some(PortId(want)));
+            }
+            prop_assert_eq!(label.header_bytes(&state), 4);
+            prop_assert_eq!(label.next_port(&mut state, &core), None);
+        }
     }
 }

@@ -8,11 +8,13 @@
 //! rewrite. The fluid simulator in [`netsim`] models *rates*; this crate
 //! models *packets*, closing the loop the paper actually runs:
 //!
-//! * [`label::FlowLabel`] / [`label::SourceRoute`] — the two on-wire
-//!   route encodings behind one trait: the PolKA routeID (read-only
-//!   remainder per hop) and the port-switching segment list
-//!   (pop-one-label per hop, header mutates), so PolKA and the baseline
-//!   run through the *same* pipeline for apples-to-apples benches;
+//! * [`label::FlowLabel`] — the two on-wire route encodings behind one
+//!   type: the PolKA routeID (read-only remainder per hop) and the
+//!   port-switching segment list (pop-one-label per hop, header
+//!   mutates), so PolKA and the baseline run through the *same*
+//!   pipeline for apples-to-apples benches. [`label::FlowRoute::polka`]
+//!   and [`label::FlowRoute::segments`] build either from one route
+//!   spec (`freertr::resolve::path_spec` compiles a node path into it);
 //! * [`plane::ForwardingPlane`] — per-node port tables precomputed from
 //!   a [`netsim::Topology`] plus one [`polka::CoreNode`] per router;
 //!   batch-of-packets-per-hop forwarding ([`plane::ForwardingPlane::forward_batch`]);
@@ -38,7 +40,7 @@ pub mod netem;
 pub mod plane;
 pub mod shard;
 
-pub use label::{FlowLabel, FlowRoute, PacketState, SourceRoute};
+pub use label::{FlowLabel, FlowRoute, PacketState};
 pub use netem::{FlowReport, LinkReport, PacketNet, TrafficSpec};
 pub use plane::{BatchReport, DropReason, ForwardingPlane, HopOutcome};
 pub use shard::{forward_sharded, shard_critical_path};

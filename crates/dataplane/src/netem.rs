@@ -51,7 +51,7 @@
 //! [`EventWork::tie_fallbacks`] counts the ties at one node whose
 //! instants all agree, where origin order stands in for the counter's.
 
-use crate::label::{PacketState, SourceRoute};
+use crate::label::PacketState;
 use crate::plane::{DropReason, ForwardingPlane, HopOutcome};
 use crate::{DataplaneError, FlowRoute};
 use linalg::par;
@@ -1501,12 +1501,18 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use freertr::resolve::path_spec;
     use netsim::topo::{fat_tree, global_p4_lab};
     use proptest::test_runner::TestRng;
 
     fn route_for(topo: &Topology, alloc: &mut NodeIdAllocator, names: &[&str]) -> FlowRoute {
         let path: Vec<NodeIdx> = names.iter().map(|n| topo.node(n).unwrap()).collect();
-        FlowRoute::along_path(topo, alloc, &path, true).unwrap()
+        polka_along(topo, alloc, &path)
+    }
+
+    fn polka_along(topo: &Topology, alloc: &mut NodeIdAllocator, path: &[NodeIdx]) -> FlowRoute {
+        let spec = path_spec(topo, alloc, path).unwrap();
+        FlowRoute::polka(path[0], path[1], spec.compile().unwrap(), &spec)
     }
 
     fn lab_net() -> (Topology, NodeIdAllocator, PacketNet) {
@@ -1958,7 +1964,11 @@ mod tests {
                 continue;
             }
             let path = &paths[below(rng, paths.len())];
-            return FlowRoute::along_path(topo, alloc, path, below(rng, 4) != 0).unwrap();
+            if below(rng, 4) == 0 {
+                let spec = path_spec(topo, alloc, path).unwrap();
+                return FlowRoute::segments(path[0], path[1], &spec);
+            }
+            return polka_along(topo, alloc, path);
         }
     }
 
@@ -2119,7 +2129,7 @@ mod tests {
                 let src = topo.node(&format!("p{pod}e0")).unwrap();
                 let dst = topo.node(&format!("p{}e1", (pod + 4) % 8)).unwrap();
                 for path in topo.k_shortest_paths(src, dst, 3) {
-                    tunnels.push(FlowRoute::along_path(&topo, &mut alloc, &path, true).unwrap());
+                    tunnels.push(polka_along(&topo, &mut alloc, &path));
                 }
             }
             assert_eq!(tunnels.len(), 24);

@@ -8,7 +8,7 @@
 //! (their entire forwarding state is one polynomial), so the plane is
 //! `Clone` and shards share nothing.
 
-use crate::label::{FlowRoute, PacketState, SourceRoute};
+use crate::label::{FlowLabel, FlowRoute, PacketState};
 use crate::DataplaneError;
 use netsim::topo::NodeKind;
 use netsim::{LinkId, NodeIdx, Topology};
@@ -174,12 +174,7 @@ impl ForwardingPlane {
 
     /// One forwarding operation: the packet (with mutable `state`) shows
     /// up at `at` carrying `label`.
-    pub fn hop(
-        &self,
-        at: NodeIdx,
-        label: &impl SourceRoute,
-        state: &mut PacketState,
-    ) -> HopOutcome {
+    pub fn hop(&self, at: NodeIdx, label: &FlowLabel, state: &mut PacketState) -> HopOutcome {
         if state.ttl == 0 {
             return HopOutcome::Drop {
                 reason: DropReason::TtlExpired,
@@ -313,7 +308,7 @@ impl ForwardingPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::label::FlowLabel;
+    use freertr::resolve::path_spec;
     use netsim::topo::global_p4_lab;
 
     /// Compiles the MIA→SAO→AMS tunnel against the lab topology.
@@ -328,7 +323,12 @@ mod tests {
         polka: bool,
     ) -> FlowRoute {
         let path: Vec<NodeIdx> = names.iter().map(|n| topo.node(n).unwrap()).collect();
-        FlowRoute::along_path(topo, alloc, &path, polka).unwrap()
+        let spec = path_spec(topo, alloc, &path).unwrap();
+        if polka {
+            FlowRoute::polka(path[0], path[1], spec.compile().unwrap(), &spec)
+        } else {
+            FlowRoute::segments(path[0], path[1], &spec)
+        }
     }
 
     fn lab() -> (Topology, NodeIdAllocator) {

@@ -107,6 +107,7 @@ pub fn shard_critical_path(
 mod tests {
     use super::*;
     use crate::label::FlowRoute;
+    use freertr::resolve::path_spec;
     use netsim::topo::mesh;
     use netsim::NodeIdx;
     use polka::NodeIdAllocator;
@@ -119,10 +120,9 @@ mod tests {
         let items: Vec<WorkItem> = (0..8u32)
             .map(|i| {
                 let path: Vec<NodeIdx> = (0..5).map(|k| NodeIdx((i + k) % 16)).collect();
-                WorkItem {
-                    route: FlowRoute::along_path(&topo, &mut alloc, &path, true).unwrap(),
-                    count,
-                }
+                let spec = path_spec(&topo, &mut alloc, &path).unwrap();
+                let route = FlowRoute::polka(path[0], path[1], spec.compile().unwrap(), &spec);
+                WorkItem { route, count }
             })
             .collect();
         let plane = ForwardingPlane::new(&topo, &mut alloc).unwrap();

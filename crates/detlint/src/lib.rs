@@ -104,8 +104,11 @@ const BARE_PANIC_FILES: &[&str] = &[
     "crates/dataplane/src/plane.rs",
     "crates/dataplane/src/shard.rs",
     "crates/dataplane/src/netem.rs",
-    // `CoreNode::forward` runs once per packet per hop.
+    // `FlowLabel::next_port` runs once per packet per hop, and so do
+    // `CoreNode::forward` and the proof-of-transit fold.
+    "crates/dataplane/src/label.rs",
     "crates/polka/src/route.rs",
+    "crates/polka/src/pot.rs",
     // Every model's fit and roll runs inside a consult, whichever model
     // the service was built with; bad telemetry must come back as
     // `MlError`, not abort the controller.

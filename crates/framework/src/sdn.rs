@@ -308,7 +308,6 @@ impl SelfDrivingNetwork {
             id,
             destination: None,
             domain_path: path.iter().map(|&n| topo.node_name(n).into()).collect(),
-            mode: Default::default(),
         };
         let compiled = compile_tunnel(&cfg, topo, &mut self.alloc)?;
         self.pairs[owner].edge.ensure_tunnel(cfg)?;

@@ -18,8 +18,9 @@
 //! optional ToS; `tunnel domain-name` lists the explicit router path
 //! "which will be internally converted by freeRtr into a PolKA routeID to
 //! be encapsulated in the packets passing through the tunnel" (the
-//! conversion lives in [`crate::resolve`]); `pbr` binds an access list to
-//! a tunnel.
+//! conversion lives in [`crate::resolve`]); `tunnel mode polka` is the
+//! one encapsulation, and any other mode is refused as an unknown tunnel
+//! statement; `pbr` binds an access list to a tunnel.
 
 use crate::packet::PacketMeta;
 use crate::prefix::Ipv4Prefix;
@@ -50,16 +51,6 @@ impl AclRule {
     }
 }
 
-/// Tunnel encapsulation mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TunnelMode {
-    /// PolKA routeID encapsulation (the paper's mode).
-    #[default]
-    Polka,
-    /// Classic segment-list source routing (the baseline).
-    SegmentList,
-}
-
 /// A tunnel interface.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TunnelCfg {
@@ -69,8 +60,6 @@ pub struct TunnelCfg {
     pub destination: Option<String>,
     /// Explicit router path (`MIA SAO AMS`).
     pub domain_path: Vec<String>,
-    /// Encapsulation.
-    pub mode: TunnelMode,
 }
 
 /// A policy-based-routing entry binding an ACL to a tunnel.
@@ -212,14 +201,7 @@ impl RouterConfig {
                     t.domain_path.join(" ")
                 ));
             }
-            out.push_str(&format!(
-                " tunnel mode {}\n",
-                match t.mode {
-                    TunnelMode::Polka => "polka",
-                    TunnelMode::SegmentList => "segment-list",
-                }
-            ));
-            out.push_str(" exit\n");
+            out.push_str(" tunnel mode polka\n exit\n");
         }
         for e in &self.pbr {
             out.push_str(&format!("pbr {} {}", e.acl, e.tunnel));
@@ -264,14 +246,7 @@ pub fn parse_config(text: &str) -> Result<RouterConfig, FreertrError> {
                     t.domain_path = rest.iter().map(|s| s.to_string()).collect();
                     continue;
                 }
-                ["tunnel", "mode", "polka"] => {
-                    t.mode = TunnelMode::Polka;
-                    continue;
-                }
-                ["tunnel", "mode", "segment-list"] => {
-                    t.mode = TunnelMode::SegmentList;
-                    continue;
-                }
+                ["tunnel", "mode", "polka"] => continue,
                 ["interface", _] => {
                     // implicit exit before a new block
                     cfg.tunnels.extend(current_tunnel.take());
@@ -470,6 +445,20 @@ mod tests {
         match e {
             FreertrError::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("unexpected {other:?}"),
+        }
+    }
+
+    #[test]
+    fn only_the_polka_tunnel_mode_parses() {
+        for mode in ["segment-list", "mpls", ""] {
+            let text = format!("interface tunnel1\n tunnel mode {mode}\n exit\n");
+            match parse_config(&text) {
+                Err(FreertrError::Parse { line, message }) => {
+                    assert_eq!(line, 2);
+                    assert!(message.contains("unknown tunnel statement"), "{message}");
+                }
+                other => panic!("mode {mode:?} parsed: {other:?}"),
+            }
         }
     }
 

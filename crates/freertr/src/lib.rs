@@ -17,8 +17,11 @@
 //! * [`config`] — the configuration model: ACLs, tunnels, PBR
 //!   ([`config::RouterConfig`]), plus the Fig 10 text dialect parser
 //!   ([`config::parse_config`]) and emitter;
-//! * [`resolve`] — packet classification and tunnel → PolKA routeID
-//!   compilation against a node-ID allocator and the netsim topology;
+//! * [`resolve`] — the one node path → route spec compiler
+//!   ([`resolve::path_spec`], which the packet plane's PolKA and
+//!   segment-list labels are built from too) and tunnel → PolKA
+//!   routeID compilation against a node-ID allocator and the netsim
+//!   topology;
 //! * [`agent`] — each router's running configuration behind one lock,
 //!   changed by all-or-nothing transactions of typed config ops: the
 //!   testbed's message-queue reconfiguration path, minus the queue.

@@ -6,11 +6,12 @@
 //! routeID to be encapsulated in the packets passing through the tunnel."
 //!
 //! [`compile_tunnel`] performs that conversion against the emulated
-//! topology, assigning each router an irreducible node polynomial and
-//! each hop its physical output port; [`walk_route`] then *executes* the
-//! data plane: starting after the ingress edge, each node computes
-//! `routeID mod nodeID` and the packet follows that port through the
-//! topology — proving the single label steers the packet end to end.
+//! topology through [`path_spec`], which assigns each router an
+//! irreducible node polynomial and each hop its physical output port;
+//! [`walk_route`] then *executes* the data plane: starting after the
+//! ingress edge, each node computes `routeID mod nodeID` and the packet
+//! follows that port through the topology — proving the single label
+//! steers the packet end to end.
 
 use crate::config::TunnelCfg;
 use crate::FreertrError;
@@ -37,48 +38,18 @@ impl CompiledTunnel {
     }
 }
 
-/// Compiles a tunnel's domain path into a PolKA routeID.
-///
-/// Hops encoded: every router after the ingress edge. Intermediate nodes
-/// get the port facing the next router; the egress edge gets port 0
-/// ("deliver locally" / decapsulate).
+/// Compiles a tunnel's domain path into a PolKA routeID: resolves the
+/// router names against the topology, then [`path_spec`].
 pub fn compile_tunnel(
     tunnel: &TunnelCfg,
     topo: &Topology,
     alloc: &mut NodeIdAllocator,
 ) -> Result<CompiledTunnel, FreertrError> {
-    if tunnel.domain_path.len() < 2 {
-        return Err(FreertrError::Route(format!(
-            "tunnel {} needs at least 2 routers in domain-name",
-            tunnel.id
-        )));
-    }
     let names: Vec<&str> = tunnel.domain_path.iter().map(|s| s.as_str()).collect();
     let node_path = topo
         .path_by_names(&names)
-        .map_err(|e| FreertrError::Route(e.to_string()))?;
-    let mut hops = Vec::with_capacity(node_path.len() - 1);
-    for k in 1..node_path.len() {
-        let node = node_path[k];
-        let node_id = alloc
-            .assign(topo.node_name(node))
-            .map_err(|e| FreertrError::Route(e.to_string()))?;
-        let port = if k + 1 < node_path.len() {
-            let next = node_path[k + 1];
-            let p = topo.neighbor_port(node, next).ok_or_else(|| {
-                FreertrError::Route(format!(
-                    "{} has no port towards {}",
-                    topo.node_name(node),
-                    topo.node_name(next)
-                ))
-            })?;
-            PortId(p)
-        } else {
-            PortId(0) // egress edge: decapsulate
-        };
-        hops.push((node_id, port));
-    }
-    let spec = RouteSpec::new(hops);
+        .map_err(|e| FreertrError::Route(format!("tunnel {}: {e}", tunnel.id)))?;
+    let spec = path_spec(topo, alloc, &node_path)?;
     let route = spec
         .compile()
         .map_err(|e| FreertrError::Route(e.to_string()))?;
@@ -88,6 +59,44 @@ pub fn compile_tunnel(
         spec,
         route,
     })
+}
+
+/// The route spec of an explicit node path, the one place the
+/// path → `RouteSpec` convention lives. Hops encoded: every router after
+/// the ingress edge, each assigned its node ID from `alloc` in path
+/// order. Intermediate routers get the topology's port facing the next
+/// one; the egress edge gets port 0 ("deliver locally" / decapsulate).
+/// The spec compiles to a PolKA routeID ([`RouteSpec::compile`]) or
+/// reads as the port-switching segment list (its ports in order).
+pub fn path_spec(
+    topo: &Topology,
+    alloc: &mut NodeIdAllocator,
+    path: &[NodeIdx],
+) -> Result<RouteSpec, FreertrError> {
+    if path.len() < 2 {
+        return Err(FreertrError::Route(
+            "a route needs at least an ingress and one router".into(),
+        ));
+    }
+    let mut hops = Vec::with_capacity(path.len() - 1);
+    for k in 1..path.len() {
+        let node = path[k];
+        let node_id = alloc
+            .assign(topo.node_name(node))
+            .map_err(|e| FreertrError::Route(e.to_string()))?;
+        let port = match path.get(k + 1) {
+            Some(&next) => PortId(topo.neighbor_port(node, next).ok_or_else(|| {
+                FreertrError::Route(format!(
+                    "{} has no port towards {}",
+                    topo.node_name(node),
+                    topo.node_name(next)
+                ))
+            })?),
+            None => PortId(0),
+        };
+        hops.push((node_id, port));
+    }
+    Ok(RouteSpec::new(hops))
 }
 
 /// Executes the PolKA data plane for a compiled tunnel: starting at the
@@ -130,44 +139,6 @@ pub fn walk_route(
 /// under the polynomial degree and every router can get a distinct ID).
 pub fn allocator_for(topo: &Topology) -> NodeIdAllocator {
     NodeIdAllocator::for_network(topo.node_count(), topo.max_port().max(1))
-}
-
-/// Compiles a tunnel in the **port-switching baseline** mode: the same
-/// domain path expressed as an ordered segment list (one popped label per
-/// hop). The tests' oracle for the ports a compiled PolKA label drives.
-#[cfg(test)]
-fn compile_segment_list(
-    tunnel: &TunnelCfg,
-    topo: &Topology,
-) -> Result<polka::SegmentListRoute, FreertrError> {
-    if tunnel.domain_path.len() < 2 {
-        return Err(FreertrError::Route(format!(
-            "tunnel {} needs at least 2 routers in domain-name",
-            tunnel.id
-        )));
-    }
-    let names: Vec<&str> = tunnel.domain_path.iter().map(|s| s.as_str()).collect();
-    let node_path = topo
-        .path_by_names(&names)
-        .map_err(|e| FreertrError::Route(e.to_string()))?;
-    let mut segments = Vec::with_capacity(node_path.len() - 1);
-    for k in 1..node_path.len() {
-        let node = node_path[k];
-        let port = if k + 1 < node_path.len() {
-            let next = node_path[k + 1];
-            PortId(topo.neighbor_port(node, next).ok_or_else(|| {
-                FreertrError::Route(format!(
-                    "{} has no port towards {}",
-                    topo.node_name(node),
-                    topo.node_name(next)
-                ))
-            })?)
-        } else {
-            PortId(0)
-        };
-        segments.push(port);
-    }
-    Ok(polka::SegmentListRoute::new(segments))
 }
 
 #[cfg(test)]
@@ -249,26 +220,30 @@ mod tests {
 
     #[test]
     fn segment_list_baseline_matches_polka_ports() {
-        // Both encodings of the same tunnel must drive the same ports.
+        // The spec's ports in order are the segment list; the routeID
+        // must reduce to each of them at its node.
         let topo = global_p4_lab();
         let mut alloc = allocator_for(&topo);
         let cfg = fig10_mia_config();
-        let tunnel = cfg.tunnel("tunnel3").unwrap();
-        let polka_route = compile_tunnel(tunnel, &topo, &mut alloc).unwrap();
-        let seglist = compile_segment_list(tunnel, &topo).unwrap();
-        let polka_ports: Vec<_> = polka_route.spec.hops().iter().map(|(_, p)| *p).collect();
-        assert_eq!(seglist.walk(), polka_ports);
+        let compiled = compile_tunnel(cfg.tunnel("tunnel3").unwrap(), &topo, &mut alloc).unwrap();
+        for (node, port) in compiled.spec.hops() {
+            assert_eq!(
+                polka::route::port_by_division(&compiled.route, node),
+                Some(*port)
+            );
+        }
+        let again = path_spec(&topo, &mut alloc, &compiled.node_path).unwrap();
+        assert_eq!(again.hops(), compiled.spec.hops());
     }
 
     #[test]
-    fn segment_list_rejects_bad_paths() {
+    fn path_spec_rejects_bad_paths() {
         let topo = global_p4_lab();
-        let tunnel = TunnelCfg {
-            id: "bad".into(),
-            domain_path: vec!["MIA".into(), "AMS".into()],
-            ..Default::default()
-        };
-        assert!(compile_segment_list(&tunnel, &topo).is_err());
+        let mut alloc = allocator_for(&topo);
+        let [mia, ams] = ["MIA", "AMS"].map(|n| topo.node(n).unwrap());
+        assert!(path_spec(&topo, &mut alloc, &[mia, ams, mia]).is_err());
+        assert!(path_spec(&topo, &mut alloc, &[mia]).is_err());
+        assert!(path_spec(&topo, &mut alloc, &[]).is_err());
     }
 
     #[test]

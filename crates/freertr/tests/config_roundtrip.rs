@@ -1,7 +1,7 @@
 //! Property tests: the Fig 10 config dialect round-trips arbitrary
 //! well-formed configurations, and classification behaves set-like.
 
-use freertr::config::{parse_config, AclRule, PbrEntry, RouterConfig, TunnelCfg, TunnelMode};
+use freertr::config::{parse_config, AclRule, PbrEntry, RouterConfig, TunnelCfg};
 use freertr::packet::PacketMeta;
 use freertr::prefix::Ipv4Prefix;
 use proptest::prelude::*;
@@ -29,18 +29,12 @@ fn arb_acl(i: usize) -> impl Strategy<Value = AclRule> {
 fn arb_tunnel(i: usize) -> impl Strategy<Value = TunnelCfg> {
     (
         prop::collection::vec("[A-Z]{2,4}", 2..6),
-        prop::bool::ANY,
         prop::option::of(any::<u32>()),
     )
-        .prop_map(move |(path, polka, dest)| TunnelCfg {
+        .prop_map(move |(path, dest)| TunnelCfg {
             id: format!("tunnel{i}"),
             destination: dest.map(|d| Ipv4Prefix::new(d, 32).to_string().replace("/32", "")),
             domain_path: path,
-            mode: if polka {
-                TunnelMode::Polka
-            } else {
-                TunnelMode::SegmentList
-            },
         })
 }
 

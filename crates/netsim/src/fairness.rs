@@ -200,29 +200,15 @@ impl FairShareEngine {
         }
     }
 
-    /// Registers a flow. `links: None` means the path crosses a failed
-    /// link right now — the flow is tracked but dead (rate 0) until a
-    /// restore revives it. A flow with no hops is rated at its demand.
-    /// Re-inserting an existing id replaces it.
+    /// Registers a flow on a node path. A path with a hop that has no
+    /// live link is tracked but dead (rate 0) until a restore revives
+    /// it; a path with no hops is rated at its demand. Re-inserting an
+    /// existing id replaces it.
     ///
     /// Returns the path as the kernel's link indices
     /// (`2·LinkId + direction`), shared with the kernel by reference —
-    /// `None` for a dead flow.
-    pub fn insert_flow(
-        &mut self,
-        topo: &Topology,
-        id: FlowId,
-        links: Option<Vec<(LinkId, Direction)>>,
-        demand: Option<f64>,
-    ) -> Option<Arc<[usize]>> {
-        let links = links.map(|links| self.dense(topo, &links));
-        self.insert_dense(id, links, demand)
-    }
-
-    /// [`FairShareEngine::insert_flow`] on a node path, dead when a hop
-    /// has no live link: the simulator's start, with one allocation (the
-    /// returned list).
-    pub(crate) fn insert_path(
+    /// `None` for a dead flow. The list is the one allocation.
+    pub fn insert_path(
         &mut self,
         topo: &Topology,
         id: FlowId,
@@ -230,15 +216,6 @@ impl FairShareEngine {
         demand: Option<f64>,
     ) -> Option<Arc<[usize]>> {
         let links = self.dense_path(topo, path);
-        self.insert_dense(id, links, demand)
-    }
-
-    fn insert_dense(
-        &mut self,
-        id: FlowId,
-        links: Option<Arc<[usize]>>,
-        demand: Option<f64>,
-    ) -> Option<Arc<[usize]>> {
         self.exhume(id);
         match &links {
             Some(links) => self.kernel.insert(id.0, Arc::clone(links), demand),
@@ -257,33 +234,17 @@ impl FairShareEngine {
         self.exhume(id);
     }
 
-    /// Repoints a flow at a new link set (`None` = now dead). Used for
-    /// reroutes and for link up/down transitions, where the caller
-    /// re-derives the path's live links. Returns the new dense link
-    /// list, as [`FairShareEngine::insert_flow`] does.
-    pub fn set_links(
-        &mut self,
-        topo: &Topology,
-        id: FlowId,
-        links: Option<Vec<(LinkId, Direction)>>,
-    ) -> Option<Arc<[usize]>> {
-        let links = links.map(|links| self.dense(topo, &links));
-        self.set_dense(id, links)
-    }
-
-    /// [`FairShareEngine::set_links`] on a node path, as
-    /// [`FairShareEngine::insert_path`] is to `insert_flow`.
-    pub(crate) fn set_path(
+    /// Repoints a flow at a node path, dead when a hop has no live
+    /// link: a reroute, or (on the same path) a link up/down transition
+    /// the flow's hops cross. Returns the new kernel link list, as
+    /// [`FairShareEngine::insert_path`] does.
+    pub fn set_path(
         &mut self,
         topo: &Topology,
         id: FlowId,
         path: &[NodeIdx],
     ) -> Option<Arc<[usize]>> {
         let links = self.dense_path(topo, path);
-        self.set_dense(id, links)
-    }
-
-    fn set_dense(&mut self, id: FlowId, links: Option<Arc<[usize]>>) -> Option<Arc<[usize]>> {
         match &links {
             None => {
                 // An already-dead (or unknown) flow is not in the kernel.
@@ -393,14 +354,6 @@ impl FairShareEngine {
             self.kernel.push_link(link.capacity_mbps);
             self.kernel.push_link(link.capacity_mbps);
         }
-    }
-
-    fn dense(&mut self, topo: &Topology, links: &[(LinkId, Direction)]) -> Arc<[usize]> {
-        self.grow(topo);
-        links
-            .iter()
-            .map(|&(lid, dir)| dense_link(lid, dir))
-            .collect()
     }
 
     /// A node path's kernel links ([`directed_links`] then [`dense_link`]),
@@ -630,8 +583,8 @@ mod tests {
         assert!((rates[1] - 6.0).abs() < 1e-9, "{rates:?}");
     }
 
-    /// Chain a-b-c, both links 10 Mbps, and the directed links of a
-    /// node path over it.
+    /// Chain a-b-c, both links 10 Mbps. No link joins a and c, so a
+    /// flow on the path a-c is dead.
     fn chain() -> (Topology, [NodeIdx; 3]) {
         let mut t = Topology::new();
         let a = t.add_node("a", NodeKind::Core);
@@ -642,19 +595,15 @@ mod tests {
         (t, [a, b, c])
     }
 
-    fn hops(t: &Topology, path: &[NodeIdx]) -> Option<Vec<(LinkId, Direction)>> {
-        directed_links(t, path).ok()
-    }
-
     #[test]
     fn dead_on_arrival_flow_is_revived_by_set_links() {
-        let (t, [a, b, _]) = chain();
+        let (t, [a, b, c]) = chain();
         let mut e = FairShareEngine::new();
-        e.insert_flow(&t, FlowId(1), None, None);
+        e.insert_path(&t, FlowId(1), &[a, c], None);
         assert_eq!(e.resolve(), vec![(FlowId(1), 0.0)]);
         assert_eq!((e.rate(FlowId(1)), e.live_flows()), (Some(0.0), 0));
         assert_eq!(e.rates(), vec![(FlowId(1), 0.0)]);
-        e.set_links(&t, FlowId(1), hops(&t, &[a, b]));
+        e.set_path(&t, FlowId(1), &[a, b]);
         assert_eq!(e.resolve(), vec![(FlowId(1), 10.0)]);
         assert_eq!(e.live_flows(), 1);
     }
@@ -663,23 +612,23 @@ mod tests {
     fn demand_change_while_dead_applies_on_revival() {
         let (t, [a, b, c]) = chain();
         let mut e = FairShareEngine::new();
-        e.insert_flow(&t, FlowId(1), hops(&t, &[a, b, c]), None);
-        e.insert_flow(&t, FlowId(2), hops(&t, &[a, b]), None);
+        e.insert_path(&t, FlowId(1), &[a, b, c], None);
+        e.insert_path(&t, FlowId(2), &[a, b], None);
         e.resolve();
         // Flow 1 dies: it reports rate 0 and flow 2 takes the link.
-        e.set_links(&t, FlowId(1), None);
+        e.set_path(&t, FlowId(1), &[a, c]);
         assert_eq!(e.resolve(), vec![(FlowId(1), 0.0), (FlowId(2), 10.0)]);
         e.set_demand(FlowId(1), Some(4.0));
         assert_eq!(e.resolve(), vec![]);
-        e.set_links(&t, FlowId(1), hops(&t, &[a, b, c]));
+        e.set_path(&t, FlowId(1), &[a, b, c]);
         assert_eq!(e.resolve(), vec![(FlowId(1), 4.0), (FlowId(2), 6.0)]);
     }
 
     #[test]
     fn zero_hop_flow_is_rated_at_its_demand() {
-        let (t, _) = chain();
+        let (t, [a, _, _]) = chain();
         let mut e = FairShareEngine::new();
-        e.insert_flow(&t, FlowId(1), Some(Vec::new()), Some(2.5));
+        e.insert_path(&t, FlowId(1), &[a], Some(2.5));
         assert_eq!(e.resolve(), vec![(FlowId(1), 2.5)]);
         assert_eq!(e.live_flows(), 1);
     }
@@ -692,7 +641,7 @@ mod tests {
         t.link_mut(bc).capacity_mbps = 4.0;
         e.capacity_changed(&t, bc);
         assert_eq!(e.resolve(), vec![]);
-        e.insert_flow(&t, FlowId(1), hops(&t, &[c, b]), None);
+        e.insert_path(&t, FlowId(1), &[c, b], None);
         assert_eq!(e.resolve(), vec![(FlowId(1), 4.0)]);
         t.link_mut(bc).capacity_mbps = 6.0;
         e.capacity_changed(&t, bc);
@@ -703,10 +652,10 @@ mod tests {
     fn reinserting_a_live_id_replaces_it() {
         let (t, [a, b, c]) = chain();
         let mut e = FairShareEngine::new();
-        e.insert_flow(&t, FlowId(1), hops(&t, &[a, b]), None);
-        e.insert_flow(&t, FlowId(2), hops(&t, &[a, b]), None);
+        e.insert_path(&t, FlowId(1), &[a, b], None);
+        e.insert_path(&t, FlowId(2), &[a, b], None);
         assert_eq!(e.resolve(), vec![(FlowId(1), 5.0), (FlowId(2), 5.0)]);
-        e.insert_flow(&t, FlowId(1), hops(&t, &[b, c]), Some(3.0));
+        e.insert_path(&t, FlowId(1), &[b, c], Some(3.0));
         assert_eq!(e.resolve(), vec![(FlowId(1), 3.0), (FlowId(2), 10.0)]);
         assert_eq!(e.live_flows(), 2);
     }
@@ -716,13 +665,13 @@ mod tests {
         let (t, [a, b, c]) = chain();
         let mut e = FairShareEngine::new();
         for id in 1..=4 {
-            e.insert_flow(&t, FlowId(id), hops(&t, &[a, b, c]), None);
+            e.insert_path(&t, FlowId(id), &[a, b, c], None);
         }
         e.resolve();
         // Flows 1 and 4 die around the live flows 2 and 3, which split
         // the chain between them.
-        e.set_links(&t, FlowId(1), None);
-        e.set_links(&t, FlowId(4), None);
+        e.set_path(&t, FlowId(1), &[a, c]);
+        e.set_path(&t, FlowId(4), &[a, c]);
         let want = [(1, 0.0), (2, 5.0), (3, 5.0), (4, 0.0)].map(|(id, r)| (FlowId(id), r));
         assert_eq!(e.resolve(), want);
         assert_eq!(e.rates(), want);
@@ -733,7 +682,7 @@ mod tests {
         let (mut t, [a, b, _]) = chain();
         let mut e = FairShareEngine::new();
         let ab = t.link_between(a, b).unwrap();
-        e.insert_flow(&t, FlowId(1), hops(&t, &[a, b]), Some(3.0));
+        e.insert_path(&t, FlowId(1), &[a, b], Some(3.0));
         e.resolve();
         let before = e.stats();
         // 10 → 8 Mbps leaves the 3 Mbps flow's link slack: no member's

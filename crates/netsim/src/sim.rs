@@ -270,14 +270,6 @@ pub struct Simulation {
     /// (events due at the horizon wait for the next call). A flow
     /// whose `conv_at_ms` it has reached reads its share exactly.
     drained_ms: SimTimeMs,
-    /// TCP convergence time constant (seconds).
-    pub tcp_tau_s: f64,
-    /// Protocol efficiency: goodput = efficiency * fair share. Calibrated
-    /// so three saturated tunnels (20+10+5 Mbps raw) yield the ≈30 Mbps
-    /// aggregate the paper measures in Fig 12.
-    pub efficiency: f64,
-    /// Queueing delay scale (ms of queue at 50% utilization).
-    pub queue_ms_at_half_util: f64,
     rng: StdRng,
     engine: FairShareEngine,
     /// External events popped and applied, for throughput reporting.
@@ -294,12 +286,21 @@ pub struct Simulation {
     tracer: obsv::Tracer,
 }
 
+/// TCP convergence time constant (seconds).
+const TCP_TAU_S: f64 = 1.2;
+/// Protocol efficiency: goodput = efficiency * fair share. Calibrated
+/// so three saturated tunnels (20+10+5 Mbps raw) yield the ≈30 Mbps
+/// aggregate the paper measures in Fig 12.
+const EFFICIENCY: f64 = 0.86;
+/// Queueing delay scale (ms of queue at 50% utilization).
+const QUEUE_MS_AT_HALF_UTIL: f64 = 1.0;
+
 /// Nanoseconds per simulation millisecond — the sim core keeps time in
 /// ms; traces are stamped in ns to share a clock with the packet plane.
 pub const NS_PER_MS: u64 = 1_000_000;
 
 impl Simulation {
-    /// A simulation over a topology with default TCP/queue parameters.
+    /// A simulation over a topology.
     pub fn new(topo: Topology, seed: u64) -> Self {
         Simulation {
             topo,
@@ -309,9 +310,6 @@ impl Simulation {
             seq: 0,
             now_ms: 0,
             drained_ms: 0,
-            tcp_tau_s: 1.2,
-            efficiency: 0.86,
-            queue_ms_at_half_util: 1.0,
             rng: StdRng::seed_from_u64(seed),
             engine: FairShareEngine::new(),
             events_processed: 0,
@@ -589,22 +587,22 @@ impl Simulation {
     /// trajectory is materialized at `now`, its share updated, and the
     /// instant the new exponential effectively flattens stored on it.
     fn resolve_shares(&mut self) {
-        let (now, drained, tau) = (self.now_ms, self.drained_ms, self.tcp_tau_s);
-        let (flows, index, efficiency) = (&mut self.flows, &self.flow_index, self.efficiency);
+        let (now, drained) = (self.now_ms, self.drained_ms);
+        let (flows, index) = (&mut self.flows, &self.flow_index);
         self.engine.resolve_with(|id, raw| {
             let Some(&i) = index.get(&id) else {
                 return;
             };
             let f = &mut flows[i].flow;
-            f.materialize(now, drained, tau);
-            f.fair_share_mbps = raw * efficiency;
-            f.conv_at_ms = now + f.convergence_in_ms(tau, CONV_EPS_MBPS);
+            f.materialize(now, drained, TCP_TAU_S);
+            f.fair_share_mbps = raw * EFFICIENCY;
+            f.conv_at_ms = now + f.convergence_in_ms(TCP_TAU_S, CONV_EPS_MBPS);
         });
     }
 
     /// A flow's goodput at the current instant.
     fn rate(&self, f: &Flow) -> f64 {
-        f.rate_at(self.now_ms, self.drained_ms, self.tcp_tau_s)
+        f.rate_at(self.now_ms, self.drained_ms, TCP_TAU_S)
     }
 
     /// Per-directed-link utilization implied by current flow rates,
@@ -774,10 +772,10 @@ impl Simulation {
                 // both directions' propagation
                 rtt += 2.0 * link.delay_ms;
                 // queueing per direction: M/M/1-style growth u/(1-u),
-                // normalized so u=0.5 costs `queue_ms_at_half_util`.
+                // normalized so u=0.5 costs `QUEUE_MS_AT_HALF_UTIL`.
                 for dir in [Direction::Forward, Direction::Reverse] {
                     let u = utils.util(lid, dir).min(0.99);
-                    rtt += self.queue_ms_at_half_util * (u / (1.0 - u));
+                    rtt += QUEUE_MS_AT_HALF_UTIL * (u / (1.0 - u));
                 }
             }
         }

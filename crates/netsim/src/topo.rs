@@ -1,8 +1,8 @@
 //! Topology: nodes, capacitated/delayed links, and path computation.
 
-use crate::timeq::TimeQ;
 use crate::NetsimError;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 /// Index of a node in the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -365,12 +365,12 @@ impl Topology {
                 left += 1;
             }
         }
-        // Pops `(cost, node)` least first: delays are not negative, so a cost's
-        // bits order like it and never undercut a pop. A bucket is 1/256 binade.
-        let mut frontier: TimeQ<u32, (), 44> = TimeQ::default();
+        // Pops `(cost, node)` least first: costs are not negative, so
+        // their bits order like them.
+        let mut frontier = BinaryHeap::with_capacity(n);
         dist[src.0 as usize] = 0.0;
-        frontier.push(0.0f64.to_bits(), src.0, ());
-        while let Some((bits, node, ())) = frontier.pop_through(u64::MAX) {
+        frontier.push(Reverse((0.0f64.to_bits(), src.0)));
+        while let Some(Reverse((bits, node))) = frontier.pop() {
             let (cost, node) = (f64::from_bits(bits), NodeIdx(node));
             // A node's first pop carries its final distance; later pops
             // of it are stale.
@@ -392,7 +392,7 @@ impl Topology {
                 if nd < dist[next.0 as usize] {
                     dist[next.0 as usize] = nd;
                     prev[next.0 as usize] = Some(node);
-                    frontier.push(nd.to_bits(), next.0, ());
+                    frontier.push(Reverse((nd.to_bits(), next.0)));
                 }
             }
         }
@@ -626,7 +626,6 @@ pub fn fat_tree(k: usize) -> Topology {
 #[cfg(test)]
 mod reference {
     use super::*;
-    use std::collections::BinaryHeap;
 
     pub(super) fn shortest_path_by_delay(
         topo: &Topology,

@@ -73,7 +73,7 @@ fn reference_rates(
 
 /// Flips link `lid` up or down, then every flow re-derives its live
 /// link set — the simulator does this only for flows crossing the
-/// flipped hop, but `set_links` no-ops on unchanged link sets, so
+/// flipped hop, but `set_path` no-ops on unchanged link sets, so
 /// sweeping everyone is behaviorally identical. Flows that die or
 /// revive leave or enter the kernel afresh and join `renewed`.
 fn flip_and_rederive(
@@ -91,7 +91,7 @@ fn flip_and_rederive(
         if dead(topo, path) != was_dead {
             renewed.insert(*id);
         }
-        engine.set_links(topo, *id, directed_links(topo, path).ok());
+        engine.set_path(topo, *id, path);
     }
 }
 
@@ -192,7 +192,7 @@ fn replay(seed: u64, n: usize, stride: usize, ops: usize, batch: usize, mixed: b
                         FlowId(next_id)
                     }
                 };
-                engine.insert_flow(&topo, id, directed_links(&topo, &path).ok(), demand);
+                engine.insert_path(&topo, id, &path, demand);
                 paths.insert(id, (path, demand));
                 renewed.insert(id);
                 last = Some(id);
@@ -233,11 +233,11 @@ fn replay(seed: u64, n: usize, stride: usize, ops: usize, batch: usize, mixed: b
                 let Some(path) = topo.shortest_path_by_delay(src, dst) else {
                     continue;
                 };
-                let links = directed_links(&topo, &path).ok();
-                if links.is_none() != directed_links(&topo, &paths[&id].0).is_err() {
+                let dead = directed_links(&topo, &path).is_err();
+                if dead != directed_links(&topo, &paths[&id].0).is_err() {
                     renewed.insert(id);
                 }
-                engine.set_links(&topo, id, links);
+                engine.set_path(&topo, id, &path);
                 paths.get_mut(&id).unwrap().0 = path;
                 last = Some(id);
             }

@@ -26,18 +26,18 @@
 //!   sliced CRC datapath, for nodeIDs of degree 1..=16; wider ones
 //!   divide);
 //! * an on-wire [`header::PolkaHeader`] codec;
-//! * the classic **port-switching** baseline ([`baseline::SegmentListRoute`])
-//!   the paper compares against conceptually (pop-one-label-per-hop);
 //! * proof-of-transit ([`pot`]), an extension the PolKA literature
 //!   describes.
+//!
+//! The port-switching baseline the paper compares against (one label
+//! popped per hop, the header rewritten) is `dataplane::FlowLabel::Segments`,
+//! run by the same forwarding plane as the PolKA label.
 
-pub mod baseline;
 pub mod header;
 pub mod ids;
 pub mod pot;
 pub mod route;
 
-pub use baseline::SegmentListRoute;
 pub use ids::{NodeId, NodeIdAllocator, PortId};
 pub use route::{CoreNode, RouteId, RouteSpec};
 

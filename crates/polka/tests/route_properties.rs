@@ -5,7 +5,7 @@
 use bytes::Buf;
 use gf2poly::Poly;
 use polka::header::PolkaHeader;
-use polka::{CoreNode, NodeId, NodeIdAllocator, PortId, RouteId, RouteSpec, SegmentListRoute};
+use polka::{CoreNode, NodeId, NodeIdAllocator, PortId, RouteId, RouteSpec};
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
 use std::sync::OnceLock;
@@ -128,13 +128,6 @@ proptest! {
         let mut wire = hdr.encode();
         let back = PolkaHeader::decode(&mut wire).unwrap();
         prop_assert_eq!(back, hdr);
-    }
-
-    #[test]
-    fn baseline_walk_preserves_order(ports in prop::collection::vec(0u16..1024, 0..32)) {
-        let route = SegmentListRoute::new(ports.iter().copied().map(PortId).collect());
-        let walked: Vec<u16> = route.walk().into_iter().map(|p| p.0).collect();
-        prop_assert_eq!(walked, ports);
     }
 
     #[test]

@@ -2,13 +2,13 @@
 //! topology, including migration agility and recovery — pure data-plane
 //! properties the framework relies on.
 
+use polka_hecate::dataplane::{FlowRoute, PacketState};
 use polka_hecate::freertr::config::fig10_mia_config;
 use polka_hecate::freertr::packet::PacketMeta;
 use polka_hecate::freertr::prefix::Ipv4Prefix;
 use polka_hecate::freertr::resolve::{allocator_for, compile_tunnel, walk_route};
 use polka_hecate::netsim::topo::global_p4_lab;
-use polka_hecate::polka::baseline::SegmentListRoute;
-use polka_hecate::polka::PortId;
+use polka_hecate::polka::CoreNode;
 
 fn addr(s: &str) -> u32 {
     Ipv4Prefix::parse_addr(s).unwrap()
@@ -67,19 +67,24 @@ fn polka_label_fixed_size_vs_segment_list_shrinking() {
     let cfg = fig10_mia_config();
     let compiled = compile_tunnel(cfg.tunnel("tunnel3").unwrap(), &topo, &mut alloc).unwrap();
 
-    // Same path expressed as a segment list.
-    let ports: Vec<PortId> = compiled.spec.hops().iter().map(|(_, p)| *p).collect();
-    let mut seglist = SegmentListRoute::new(ports.clone());
+    // Same path expressed as a segment list, both as stamped at ingress.
+    let (ingress, first_hop) = (compiled.node_path[0], compiled.node_path[1]);
+    let polka = FlowRoute::polka(ingress, first_hop, compiled.route.clone(), &compiled.spec);
+    let seglist = FlowRoute::segments(ingress, first_hop, &compiled.spec);
 
-    // PolKA: same label at every hop. Segment list: shrinks.
-    let polka_bits_at_each_hop = vec![compiled.label_bits(); ports.len()];
-    let mut seg_bits = Vec::new();
-    for _ in 0..ports.len() {
-        seg_bits.push(seglist.label_bits(8));
-        seglist.pop_forward();
+    // PolKA: same header at every hop. Segment list: shrinks.
+    let (mut polka_state, mut seg_state) = (PacketState::stamped(), PacketState::stamped());
+    let (mut polka_bytes, mut seg_bytes) = (Vec::new(), Vec::new());
+    for (node, port) in compiled.spec.hops() {
+        let core = CoreNode::new(node.clone());
+        polka_bytes.push(polka.label.header_bytes(&polka_state));
+        seg_bytes.push(seglist.label.header_bytes(&seg_state));
+        assert_eq!(polka.label.next_port(&mut polka_state, &core), Some(*port));
+        assert_eq!(seglist.label.next_port(&mut seg_state, &core), Some(*port));
     }
-    assert!(polka_bits_at_each_hop.windows(2).all(|w| w[0] == w[1]));
-    assert!(seg_bits.windows(2).all(|w| w[0] > w[1]), "{seg_bits:?}");
+    assert!(!polka.label.rewrites_header() && seglist.label.rewrites_header());
+    assert!(polka_bytes.windows(2).all(|w| w[0] == w[1]));
+    assert!(seg_bytes.windows(2).all(|w| w[0] > w[1]), "{seg_bytes:?}");
 }
 
 #[test]
@@ -122,7 +127,6 @@ fn labels_stay_compact_on_long_paths() {
             "PAR".into(),
             "POZ".into(),
         ],
-        mode: Default::default(),
     };
     let compiled = compile_tunnel(&tunnel, &topo, &mut alloc).unwrap();
     let visited = walk_route(&compiled, &topo, &alloc).unwrap();
